@@ -12,9 +12,9 @@
 //! This is the perf-trajectory probe for the system's hottest path — the
 //! paper's search cost is dominated by evaluating complete candidates
 //! (§7.2, ≈0.1 GPU-hours of proxy training each). The `bench_search`
-//! binary prints the result and emits `BENCH_search.json`; CI diffs its
-//! throughput against the committed `BENCH_baseline.json` and gates on the
-//! determinism section.
+//! binary prints the result and emits `BENCH_search.json`; CI archives it
+//! per commit and gates on the determinism section (throughput across
+//! commits is compared with `benchmark/run.sh compare`).
 
 use std::sync::Arc;
 use std::time::Instant;

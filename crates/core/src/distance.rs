@@ -26,42 +26,32 @@
 //! `[C_in, s⁻¹H, sW, k]` to `[C_in, H, W]` is 3.
 
 use crate::size::Size;
-use crate::var::{VarId, VarKind, VarTable};
-use std::collections::BTreeMap;
+use crate::var::{VarKind, VarTable};
 
-/// Union-find over dimension slots.
-struct Dsu {
-    parent: Vec<usize>,
+/// One dimension left after exact matches cancelled. Once grouped, a root
+/// slot also carries its reshape group's totals.
+struct Slot<'a> {
+    size: &'a Size,
+    /// `+1` on the frontier side, `-1` on the desired side.
+    side: i32,
+    /// `true` until a primary variable is found in `size`.
+    coefficient_only: bool,
+    /// Union-find parent (slots sharing a primary variable share a root).
+    parent: usize,
+    /// At a root: how many primary-bearing dimensions the group holds.
+    members: u32,
+    /// At a root: the group's frontier-over-desired constant factor, as a
+    /// fraction that is never reduced (1 exactly when both parts are equal).
+    /// A coefficient-only slot is its own root.
+    ratio: (u128, u128),
 }
 
-impl Dsu {
-    fn new(n: usize) -> Self {
-        Dsu {
-            parent: (0..n).collect(),
-        }
+fn find(slots: &mut [Slot<'_>], mut x: usize) -> usize {
+    while slots[x].parent != x {
+        slots[x].parent = slots[slots[x].parent].parent;
+        x = slots[x].parent;
     }
-
-    fn find(&mut self, x: usize) -> usize {
-        if self.parent[x] != x {
-            let root = self.find(self.parent[x]);
-            self.parent[x] = root;
-        }
-        self.parent[x]
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            self.parent[ra] = rb;
-        }
-    }
-}
-
-/// The primary-variable part of a size's monomial.
-fn primary_signature(size: &Size, vars: &VarTable) -> BTreeMap<VarId, i32> {
-    size.powers()
-        .filter(|(v, _)| vars.kind(*v) == VarKind::Primary)
-        .collect()
+    x
 }
 
 /// Computes the shape distance between the current frontier sizes and the
@@ -94,112 +84,125 @@ fn primary_signature(size: &Size, vars: &VarTable) -> BTreeMap<VarId, i32> {
 /// assert_eq!(shape_distance(&current, &desired, &vars), 3);
 /// ```
 pub fn shape_distance(current: &[Size], desired: &[Size], vars: &VarTable) -> u32 {
-    // Step 1: cancel exact matches.
-    let mut cur: Vec<&Size> = current.iter().collect();
-    let mut des: Vec<&Size> = desired.iter().collect();
-    let mut i = 0;
-    while i < cur.len() {
-        if let Some(j) = des.iter().position(|d| *d == cur[i]) {
-            des.remove(j);
-            cur.remove(i);
-        } else {
-            i += 1;
+    // Step 1: cancel exact matches; every dimension left gets a slot
+    // (desired ones first, frontier ones after, each side in input order).
+    let slot = |size, side| Slot {
+        size,
+        side,
+        coefficient_only: true,
+        parent: 0,
+        members: 0,
+        ratio: (1, 1),
+    };
+    let mut slots: Vec<Slot<'_>> = Vec::with_capacity(current.len() + desired.len());
+    slots.extend(desired.iter().map(|size| slot(size, -1)));
+    for size in current {
+        match slots.iter().position(|d| d.side < 0 && d.size == size) {
+            Some(twin) => drop(slots.remove(twin)),
+            None => slots.push(slot(size, 1)),
         }
     }
-    if cur.is_empty() && des.is_empty() {
+    if slots.is_empty() {
         return 0;
     }
 
-    // Step 2: group by primary-variable co-occurrence. Slots 0..cur.len()
-    // are frontier dims, the rest desired dims.
-    let total = cur.len() + des.len();
-    let mut dsu = Dsu::new(total);
-    let mut by_var: BTreeMap<VarId, Vec<usize>> = BTreeMap::new();
-    let sig_of = |slot: usize| -> BTreeMap<VarId, i32> {
-        if slot < cur.len() {
-            primary_signature(cur[slot], vars)
-        } else {
-            primary_signature(des[slot - cur.len()], vars)
-        }
-    };
-    for slot in 0..total {
-        for (v, _) in sig_of(slot) {
-            by_var.entry(v).or_default().push(slot);
-        }
-    }
-    for slots in by_var.values() {
-        for w in slots.windows(2) {
-            dsu.union(w[0], w[1]);
+    // Step 2: group by primary-variable co-occurrence, reading every
+    // monomial once. `first_with[v]` is the first slot mentioning primary `v`.
+    let (n, nv) = (slots.len(), vars.len());
+    let mut first_with = vec![usize::MAX; nv];
+    for i in 0..n {
+        slots[i].parent = i;
+        for (v, _) in slots[i].size.powers() {
+            if vars.kind(v) != VarKind::Primary {
+                continue;
+            }
+            slots[i].coefficient_only = false;
+            match first_with[v.index()] {
+                usize::MAX => first_with[v.index()] = i,
+                j => {
+                    let (a, b) = (find(&mut slots, i), find(&mut slots, j));
+                    slots[a].parent = b;
+                }
+            }
         }
     }
 
-    // Collect groups.
-    let mut groups: BTreeMap<usize, (Vec<usize>, Vec<usize>)> = BTreeMap::new();
-    let mut coeff_only_cur: Vec<usize> = Vec::new();
-    let mut coeff_only_des = 0u32;
-    for slot in 0..total {
-        if sig_of(slot).is_empty() {
-            if slot < cur.len() {
-                coeff_only_cur.push(slot);
-            } else {
-                coeff_only_des += 1;
-            }
+    // Fold each slot into its root: `net[root * nv + v]` is the exponent of
+    // `v` in (product of the group's frontier dims) / (product of its
+    // desired dims), `ratio` the same quotient of the constant factors. The
+    // two products are equal exactly when the row is zero and the ratio 1 —
+    // what the paper's grouping needs of them, without multiplying a `Size`.
+    let mut net = vec![0i32; n * nv];
+    let mut coefficient_only_desired = 0u32;
+    for i in 0..n {
+        let (size, side) = (slots[i].size, slots[i].side);
+        if slots[i].coefficient_only && side < 0 {
+            coefficient_only_desired += 1;
             continue;
         }
-        let root = dsu.find(slot);
-        let entry = groups.entry(root).or_default();
-        if slot < cur.len() {
-            entry.0.push(slot);
-        } else {
-            entry.1.push(slot);
+        let root = find(&mut slots, i);
+        slots[root].members += u32::from(!slots[i].coefficient_only);
+        for (v, e) in size.powers() {
+            net[root * nv + v.index()] += side * e;
         }
-    }
-    let groups: Vec<(Vec<usize>, Vec<usize>)> = groups.into_values().collect();
-
-    // Cost of one group under a given set of attached coefficient-only dims.
-    let group_cost = |lhs: &[usize], extra: &[usize], rhs: &[usize]| -> u32 {
-        let lhs_product = Size::product(
-            lhs.iter()
-                .chain(extra.iter())
-                .map(|&s| cur[s]),
+        let (num, den) = size.constant_factor();
+        let (num, den) = if side > 0 { (num, den) } else { (den, num) };
+        let ratio = &mut slots[root].ratio;
+        *ratio = (
+            ratio.0.saturating_mul(num.into()),
+            ratio.1.saturating_mul(den.into()),
         );
-        let rhs_product = Size::product(rhs.iter().map(|&s| des[s - cur.len()]));
-        let primaries_balance =
-            primary_signature(&lhs_product, vars) == primary_signature(&rhs_product, vars);
-        if primaries_balance {
-            let regroup = (lhs.len() + extra.len() + rhs.len()).saturating_sub(2) as u32;
-            regroup + u32::from(lhs_product != rhs_product)
-        } else {
-            (lhs.len() + extra.len() + rhs.len()) as u32
-        }
-    };
+    }
 
     // Steps 3-5: enumerate assignments of coefficient-only frontier dims to
     // reshape groups (or standalone elimination), minimizing the total —
     // the paper's "enumerate all grouping schemes and find the least
     // distance". The enumeration is capped to keep it cheap.
     const MAX_ENUMERATED: usize = 4;
-    let (enumerated, rest) = coeff_only_cur
-        .split_at(coeff_only_cur.len().min(MAX_ENUMERATED));
-    let targets = groups.len() + 1; // index groups.len() = standalone
+    let mut loose = (0..n).filter(|&i| slots[i].coefficient_only && slots[i].side > 0);
+    let mut enumerated = [0usize; MAX_ENUMERATED];
+    let mut count = 0;
+    for i in loose.by_ref().take(MAX_ENUMERATED) {
+        enumerated[count] = i;
+        count += 1;
+    }
+    let enumerated = &enumerated[..count];
+    let fixed_cost = loose.count() as u32 + coefficient_only_desired;
+    let groups = || (0..n).filter(|&i| slots[i].members > 0);
+    let standalone = groups().count(); // the target after the last group
+
+    // Cost of group number `g`, rooted at `root`, with the dims assigned to
+    // it attached. Those mention no primary variable, so whether the
+    // primaries balance is a property of the group alone.
+    let group_cost = |g: usize, root: usize, assignment: &[usize]| -> u32 {
+        let extra = || {
+            let assigned = enumerated.iter().zip(assignment);
+            assigned.filter(|(_, &t)| t == g).map(|(&dim, _)| dim)
+        };
+        let size = slots[root].members + extra().count() as u32;
+        if vars.primaries().any(|v| net[root * nv + v.index()] != 0) {
+            return size;
+        }
+        let ratio = extra().fold(slots[root].ratio, |r, e| {
+            let by = slots[e].ratio;
+            (r.0.saturating_mul(by.0), r.1.saturating_mul(by.1))
+        });
+        let exponent = |v| net[root * nv + v] + extra().map(|e| net[e * nv + v]).sum::<i32>();
+        let products_equal = ratio.0 == ratio.1 && (0..nv).all(|v| exponent(v) == 0);
+        size.saturating_sub(2) + u32::from(!products_equal)
+    };
+
     let mut best = u32::MAX;
-    let mut assignment = vec![0usize; enumerated.len()];
+    let mut assignment = [0usize; MAX_ENUMERATED];
+    let assignment = &mut assignment[..count];
     loop {
-        // Evaluate this assignment.
-        let mut extras: Vec<Vec<usize>> = vec![Vec::new(); groups.len()];
-        let mut standalone = rest.len() as u32;
-        for (dim, &target) in enumerated.iter().zip(assignment.iter()) {
-            if target < groups.len() {
-                extras[target].push(*dim);
-            } else {
-                standalone += 1;
-            }
-        }
-        let mut total_cost = standalone + coeff_only_des;
-        for (g, (lhs, rhs)) in groups.iter().enumerate() {
-            total_cost = total_cost.saturating_add(group_cost(lhs, &extras[g], rhs));
-        }
-        best = best.min(total_cost);
+        let alone = assignment.iter().filter(|&&t| t == standalone).count();
+        let total = groups()
+            .enumerate()
+            .fold(fixed_cost + alone as u32, |total, (g, root)| {
+                total.saturating_add(group_cost(g, root, assignment))
+            });
+        best = best.min(total);
 
         // Next assignment (mixed-radix increment).
         let mut idx = 0;
@@ -208,7 +211,7 @@ pub fn shape_distance(current: &[Size], desired: &[Size], vars: &VarTable) -> u3
                 return best;
             }
             assignment[idx] += 1;
-            if assignment[idx] < targets {
+            if assignment[idx] <= standalone {
                 break;
             }
             assignment[idx] = 0;
@@ -220,7 +223,7 @@ pub fn shape_distance(current: &[Size], desired: &[Size], vars: &VarTable) -> u3
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::var::VarKind;
+    use crate::var::VarId;
 
     struct Vars {
         table: VarTable,

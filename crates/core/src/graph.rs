@@ -149,6 +149,17 @@ impl fmt::Display for ApplyError {
 
 impl Error for ApplyError {}
 
+/// What a valid action does to the frontier, decided on the parent alone:
+/// the operand slots it vacates and the domains it puts back.
+struct FrontierEdit {
+    /// Frontier positions of the operands, in operand order.
+    gone: [Option<usize>; 2],
+    /// Where the produced coordinates go, clamped to the shrunk frontier.
+    at: usize,
+    /// Domains of the produced coordinates, in port order.
+    put: [Option<Size>; 2],
+}
+
 /// The primitive graph: a persistent synthesis state.
 ///
 /// # Examples
@@ -185,7 +196,7 @@ impl Error for ApplyError {}
 #[derive(Clone, Debug)]
 pub struct PGraph {
     vars: Arc<VarTable>,
-    spec: OperatorSpec,
+    spec: Arc<OperatorSpec>,
     arena: ExprArena,
     coords: Vec<CoordInfo>,
     nodes: Vec<Node>,
@@ -220,7 +231,7 @@ impl PGraph {
         }
         PGraph {
             vars,
-            spec,
+            spec: Arc::new(spec),
             arena,
             coords,
             nodes: Vec::new(),
@@ -374,6 +385,130 @@ impl PGraph {
         Ok(())
     }
 
+    /// Frontier positions of the two distinct operands of `Split`/`Unfold`.
+    fn frontier_pair(&self, a: CoordId, b: CoordId) -> Result<(usize, usize), ApplyError> {
+        if a == b {
+            return Err(ApplyError::DuplicateOperand(a));
+        }
+        Ok((self.frontier_pos(a)?, self.frontier_pos(b)?))
+    }
+
+    /// Decides, on this graph alone, whether `action` is valid and what it
+    /// would do to the frontier. The single source of every [`ApplyError`]:
+    /// [`peek`](PGraph::peek) and [`apply`](PGraph::apply) both start here,
+    /// so a rejected action never costs a clone.
+    fn validate(&self, action: &Action) -> Result<FrontierEdit, ApplyError> {
+        let dom = |c: &CoordId| self.coord_domain(*c);
+        let unary = |pos: usize, put| FrontierEdit {
+            gone: [Some(pos), None],
+            at: pos,
+            put,
+        };
+        let binary = |(lpos, rpos): (usize, usize), put| FrontierEdit {
+            gone: [Some(lpos), Some(rpos)],
+            at: lpos,
+            put,
+        };
+        Ok(match action {
+            Action::Split { lhs, rhs } => {
+                let at = self.frontier_pair(*lhs, *rhs)?;
+                binary(at, [Some(dom(lhs).mul(dom(rhs))), None])
+            }
+            Action::Merge { coord, block } => {
+                let pos = self.frontier_pos(*coord)?;
+                self.check_param_coefficient_only(block)?;
+                // `block` divides the domain exactly when the quotient is a
+                // positive integer under every valuation.
+                let quotient = dom(coord).div(block);
+                if !quotient.is_at_least(&self.vars, 1) {
+                    return Err(ApplyError::NotDivisible);
+                }
+                unary(pos, [Some(quotient), Some(block.clone())])
+            }
+            Action::Shift { coord } => {
+                unary(self.frontier_pos(*coord)?, [Some(dom(coord).clone()), None])
+            }
+            Action::Expand { coord } => unary(self.frontier_pos(*coord)?, [None, None]),
+            Action::Unfold { base, window } => {
+                let at = self.frontier_pair(*base, *window)?;
+                if !dom(window).is_at_least(&self.vars, 2) {
+                    return Err(ApplyError::InvalidParam("window must be >= 2"));
+                }
+                // The window must be materially smaller than the base under
+                // every valuation (at least 2x), otherwise a large share of
+                // the window accesses clip to zero.
+                if !dom(base).is_much_greater(dom(window), &self.vars, 2) {
+                    return Err(ApplyError::WindowTooLarge);
+                }
+                binary(at, [Some(dom(base).clone()), None])
+            }
+            Action::Stride { coord, stride } => {
+                let pos = self.frontier_pos(*coord)?;
+                self.check_param_coefficient_only(stride)?;
+                unary(pos, [Some(dom(coord).mul(stride)), None])
+            }
+            Action::Reduce { domain } => {
+                if !domain.is_at_least(&self.vars, 2) {
+                    return Err(ApplyError::InvalidParam("reduce domain must be >= 2"));
+                }
+                if !domain.primaries_nonnegative(&self.vars) {
+                    return Err(ApplyError::InvalidParam(
+                        "primary variables may not appear inverted in a reduce domain",
+                    ));
+                }
+                FrontierEdit {
+                    gone: [None, None],
+                    at: self.frontier.len(),
+                    put: [Some(domain.clone()), None],
+                }
+            }
+            Action::Share { coord, weight } => {
+                let pos = self.frontier_pos(*coord)?;
+                if *weight > self.weights.len() {
+                    return Err(ApplyError::BadWeightSlot(*weight));
+                }
+                unary(pos, [Some(dom(coord).clone()), None])
+            }
+            Action::MatchWeight { coord, weight } => {
+                let pos = self.frontier_pos(*coord)?;
+                if *weight >= self.weights.len() {
+                    return Err(ApplyError::BadWeightSlot(*weight));
+                }
+                let bare_output = matches!(
+                    self.arena.node(self.coord_expr(*coord)),
+                    crate::expr::ExprNode::Atom(a)
+                        if self.arena.atom_info(*a).kind == AtomKind::Output
+                );
+                if !bare_output {
+                    return Err(ApplyError::MatchNotAtom);
+                }
+                unary(pos, [None, None])
+            }
+        })
+    }
+
+    /// The frontier domains `action` would leave behind, in order — exactly
+    /// `self.apply(action)?.frontier_sizes()`, with the same error otherwise —
+    /// decided on this graph without building the child. Validity and the
+    /// child's shape are functions of the parent and the action alone, so
+    /// guided synthesis filters candidates here and applies only survivors.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ApplyError`] that [`apply`](PGraph::apply) would.
+    pub fn peek(&self, action: &Action) -> Result<Vec<Size>, ApplyError> {
+        let edit = self.validate(action)?;
+        let mut sizes = Vec::with_capacity(self.frontier.len() + 1);
+        for (pos, &c) in self.frontier.iter().enumerate() {
+            if !edit.gone.contains(&Some(pos)) {
+                sizes.push(self.coord_domain(c).clone());
+            }
+        }
+        let at = edit.at.min(sizes.len());
+        sizes.splice(at..at, edit.put.into_iter().flatten());
+        Ok(sizes)
+    }
+
     /// Applies `action`, returning the successor state.
     ///
     /// This checks *validity* (shape algebra, §5.4 restrictions); whether the
@@ -386,146 +521,65 @@ impl PGraph {
     /// frontier, a parameter is malformed, divisibility fails, the unfold
     /// window is too large, or a weight slot is out of range.
     pub fn apply(&self, action: &Action) -> Result<PGraph, ApplyError> {
+        let edit = self.validate(action)?;
         let mut g = self.clone();
-        let node_id = NodeId(g.nodes.len() as u32);
-        let after = |g: &PGraph, c: CoordId| g.coords[c.index()].after_contraction;
+        let expr = |c: &CoordId| self.coord_expr(*c);
+        let after = |c: &CoordId| self.coords[c.index()].after_contraction;
 
-        let (consumed, produced): (Vec<CoordId>, Vec<CoordId>) = match action {
-            Action::Split { lhs, rhs } => {
-                if lhs == rhs {
-                    return Err(ApplyError::DuplicateOperand(*lhs));
-                }
-                let lpos = g.frontier_pos(*lhs)?;
-                g.frontier_pos(*rhs)?;
-                let le = g.coord_expr(*lhs);
-                let re = g.coord_expr(*rhs);
-                let expr = g.arena.affine(le, re);
-                let contracted = after(&g, *lhs) || after(&g, *rhs);
-                let out = g.new_coord(expr, node_id, 0, contracted);
-                g.frontier.retain(|c| c != lhs && c != rhs);
-                g.frontier.insert(lpos.min(g.frontier.len()), out);
-                (vec![*lhs, *rhs], vec![out])
-            }
-            Action::Merge { coord, block } => {
-                let pos = g.frontier_pos(*coord)?;
-                g.check_param_coefficient_only(block)?;
-                let domain = g.coord_domain(*coord).clone();
-                if !domain.is_divisible_by(block, &g.vars)
-                    || !domain.div(block).is_at_least(&g.vars, 1)
-                {
-                    return Err(ApplyError::NotDivisible);
-                }
-                let e = g.coord_expr(*coord);
-                let q = g.arena.div(e, block.clone());
-                let r = g.arena.modulo(e, block.clone());
-                let contracted = after(&g, *coord);
-                let cq = g.new_coord(q, node_id, 0, contracted);
-                let cr = g.new_coord(r, node_id, 1, contracted);
-                g.frontier.remove(pos);
-                g.frontier.insert(pos, cr);
-                g.frontier.insert(pos, cq);
-                (vec![*coord], vec![cq, cr])
-            }
-            Action::Shift { coord } => {
-                let pos = g.frontier_pos(*coord)?;
-                let e = g.coord_expr(*coord);
-                let s = g.arena.shift(e);
-                let contracted = after(&g, *coord);
-                let c = g.new_coord(s, node_id, 0, contracted);
-                g.frontier[pos] = c;
-                (vec![*coord], vec![c])
-            }
-            Action::Expand { coord } => {
-                let pos = g.frontier_pos(*coord)?;
-                g.frontier.remove(pos);
-                (vec![*coord], vec![])
-            }
-            Action::Unfold { base, window } => {
-                if base == window {
-                    return Err(ApplyError::DuplicateOperand(*base));
-                }
-                let bpos = g.frontier_pos(*base)?;
-                g.frontier_pos(*window)?;
-                let bdom = g.coord_domain(*base).clone();
-                let wdom = g.coord_domain(*window).clone();
-                if !wdom.is_at_least(&g.vars, 2) {
-                    return Err(ApplyError::InvalidParam("window must be >= 2"));
-                }
-                // The window must be materially smaller than the base under
-                // every valuation (at least 2x), otherwise a large share of
-                // the window accesses clip to zero.
-                if !bdom.is_much_greater(&wdom, &g.vars, 2) {
-                    return Err(ApplyError::WindowTooLarge);
-                }
-                let be = g.coord_expr(*base);
-                let we = g.coord_expr(*window);
-                let expr = g.arena.unfold(be, we);
-                let contracted = after(&g, *base) || after(&g, *window);
-                let out = g.new_coord(expr, node_id, 0, contracted);
-                g.frontier.retain(|c| c != base && c != window);
-                g.frontier.insert(bpos.min(g.frontier.len()), out);
-                (vec![*base, *window], vec![out])
-            }
-            Action::Stride { coord, stride } => {
-                let pos = g.frontier_pos(*coord)?;
-                g.check_param_coefficient_only(stride)?;
-                let e = g.coord_expr(*coord);
-                let s = g.arena.stride(e, stride.clone());
-                let contracted = after(&g, *coord);
-                let c = g.new_coord(s, node_id, 0, contracted);
-                g.frontier[pos] = c;
-                (vec![*coord], vec![c])
-            }
+        // Expressions of the produced coordinates in port order, and whether
+        // their history passes through a contraction.
+        let (exprs, contracted) = match action {
+            Action::Split { lhs, rhs } => (
+                [Some(g.arena.affine(expr(lhs), expr(rhs))), None],
+                after(lhs) || after(rhs),
+            ),
+            Action::Merge { coord, block } => (
+                [
+                    Some(g.arena.div(expr(coord), block.clone())),
+                    Some(g.arena.modulo(expr(coord), block.clone())),
+                ],
+                after(coord),
+            ),
+            Action::Shift { coord } => ([Some(g.arena.shift(expr(coord))), None], after(coord)),
+            Action::Unfold { base, window } => (
+                [Some(g.arena.unfold(expr(base), expr(window))), None],
+                after(base) || after(window),
+            ),
+            Action::Stride { coord, stride } => (
+                [Some(g.arena.stride(expr(coord), stride.clone())), None],
+                after(coord),
+            ),
             Action::Reduce { domain } => {
-                if !domain.is_at_least(&g.vars, 2) {
-                    return Err(ApplyError::InvalidParam("reduce domain must be >= 2"));
-                }
-                if !domain.primaries_nonnegative(&g.vars) {
-                    return Err(ApplyError::InvalidParam(
-                        "primary variables may not appear inverted in a reduce domain",
-                    ));
-                }
                 let atom = g.arena.atom(AtomKind::Reduce, domain.clone());
                 g.reduce_atoms.push(atom);
-                let expr = g.arena.expr_atom(atom);
-                let c = g.new_coord(expr, node_id, 0, true);
-                g.frontier.push(c);
-                (vec![], vec![c])
+                ([Some(g.arena.expr_atom(atom)), None], true)
             }
-            Action::Share { coord, weight } => {
-                let pos = g.frontier_pos(*coord)?;
-                if *weight > g.weights.len() {
-                    return Err(ApplyError::BadWeightSlot(*weight));
-                }
+            Action::Share { coord, weight } | Action::MatchWeight { coord, weight } => {
                 if *weight == g.weights.len() {
                     g.weights.push(WeightTensor::default());
                 }
-                let e = g.coord_expr(*coord);
-                let domain = g.coord_domain(*coord).clone();
-                g.weights[*weight].dims.push(WeightDim { expr: e, domain });
-                let c = g.new_coord(e, node_id, 0, true);
-                g.frontier[pos] = c;
-                (vec![*coord], vec![c])
+                let dim = WeightDim {
+                    expr: expr(coord),
+                    domain: self.coord_domain(*coord).clone(),
+                };
+                g.weights[*weight].dims.push(dim);
+                let copy = matches!(action, Action::Share { .. }).then(|| expr(coord));
+                ([copy, None], true)
             }
-            Action::MatchWeight { coord, weight } => {
-                let pos = g.frontier_pos(*coord)?;
-                if *weight >= g.weights.len() {
-                    return Err(ApplyError::BadWeightSlot(*weight));
-                }
-                let e = g.coord_expr(*coord);
-                if !matches!(
-                    g.arena.node(e),
-                    crate::expr::ExprNode::Atom(a)
-                        if g.arena.atom_info(*a).kind == AtomKind::Output
-                ) {
-                    return Err(ApplyError::MatchNotAtom);
-                }
-                let domain = g.coord_domain(*coord).clone();
-                g.weights[*weight].dims.push(WeightDim { expr: e, domain });
-                g.frontier.remove(pos);
-                (vec![*coord], vec![])
-            }
+            Action::Expand { .. } => ([None, None], false),
         };
+
+        let node_id = NodeId(g.nodes.len() as u32);
+        let consumed = action.operands();
+        let produced: Vec<CoordId> = exprs
+            .into_iter()
+            .flatten()
+            .enumerate()
+            .map(|(port, e)| g.new_coord(e, node_id, port as u8, contracted))
+            .collect();
+        g.frontier.retain(|c| !consumed.contains(c));
+        let at = edit.at.min(g.frontier.len());
+        g.frontier.splice(at..at, produced.iter().copied());
 
         g.counts[action.kind().rank() as usize] += 1;
         g.nodes.push(Node {

@@ -7,7 +7,12 @@
 //! step budget. Complete graphs within the FLOPs/parameter budgets are
 //! collected, deduplicated by semantic state hash.
 //!
-//! Two drivers share the child enumeration:
+//! Whether a candidate action is valid, and which frontier its child would
+//! have, are functions of the parent graph and the action alone
+//! ([`PGraph::peek`]), so one filter — [`Enumerator::feasible_children`]:
+//! canonicalization, validity, shape distance, in enumeration order — decides
+//! every candidate on the parent and only survivors are ever built. Two
+//! drivers (and the MCTS expansion in `syno-search`) share it:
 //!
 //! * [`Synthesis`] — a resumable, iterator-style DFS of Algorithm 1:
 //!   [`Synthesis::next_operator`] yields one canonical operator at a time, so
@@ -229,11 +234,11 @@ impl SynthConfigBuilder {
 pub struct EnumStats {
     /// Partial states expanded.
     pub expanded: u64,
-    /// Children pruned by shape distance.
+    /// Canonical, valid children pruned by shape distance.
     pub pruned_distance: u64,
-    /// Children rejected by canonicalization.
+    /// Candidate actions rejected by canonicalization.
     pub pruned_canon: u64,
-    /// Children rejected by `PGraph::apply` validity.
+    /// Canonical candidate actions rejected by validity ([`PGraph::peek`]).
     pub invalid: u64,
     /// Complete operators found (pre-dedup).
     pub complete: u64,
@@ -260,64 +265,93 @@ impl Enumerator {
         &self.config
     }
 
-    /// Enumerates the canonical children of `graph`: every applicable action
-    /// that passes validity and canonicalization.
-    pub fn children(&self, graph: &PGraph) -> Vec<Action> {
-        let mut out = Vec::new();
-        let frontier = graph.frontier().to_vec();
-        let push = |graph: &PGraph, out: &mut Vec<Action>, action: Action| {
-            if self.config.canon.allows(graph, &action).is_ok() && graph.apply(&action).is_ok() {
-                out.push(action);
-            }
-        };
-
+    /// Every action the enumerator would try on `graph`, in enumeration
+    /// order (the order children are reported, sampled and searched in).
+    fn candidates(&self, graph: &PGraph, mut visit: impl FnMut(Action)) {
+        let frontier = graph.frontier();
         for (i, &a) in frontier.iter().enumerate() {
             for (j, &b) in frontier.iter().enumerate() {
                 if i == j {
                     continue;
                 }
-                push(graph, &mut out, Action::Split { lhs: a, rhs: b });
-                push(graph, &mut out, Action::Unfold { base: a, window: b });
+                visit(Action::Split { lhs: a, rhs: b });
+                visit(Action::Unfold { base: a, window: b });
             }
             for block in &self.config.merge_blocks {
-                push(
-                    graph,
-                    &mut out,
-                    Action::Merge {
-                        coord: a,
-                        block: block.clone(),
-                    },
-                );
+                let block = block.clone();
+                visit(Action::Merge { coord: a, block });
             }
             for stride in &self.config.stride_factors {
-                push(
-                    graph,
-                    &mut out,
-                    Action::Stride {
-                        coord: a,
-                        stride: stride.clone(),
-                    },
-                );
+                let stride = stride.clone();
+                visit(Action::Stride { coord: a, stride });
             }
-            push(graph, &mut out, Action::Shift { coord: a });
-            push(graph, &mut out, Action::Expand { coord: a });
-            for w in 0..=graph.weight_count() {
-                push(graph, &mut out, Action::Share { coord: a, weight: w });
+            visit(Action::Shift { coord: a });
+            visit(Action::Expand { coord: a });
+            for weight in 0..=graph.weight_count() {
+                visit(Action::Share { coord: a, weight });
             }
-            for w in 0..graph.weight_count() {
-                push(graph, &mut out, Action::MatchWeight { coord: a, weight: w });
+            for weight in 0..graph.weight_count() {
+                visit(Action::MatchWeight { coord: a, weight });
             }
         }
         for domain in &self.config.reduce_domains {
-            push(
-                graph,
-                &mut out,
-                Action::Reduce {
-                    domain: domain.clone(),
-                },
-            );
+            let domain = domain.clone();
+            visit(Action::Reduce { domain });
         }
+    }
+
+    /// The one child filter: canonicalization, then validity, then — when a
+    /// step budget `remaining` is given — the shape distance of the child's
+    /// frontier, all decided on `graph` itself ([`PGraph::peek`]); no child
+    /// is built. Rejections are counted into `stats` by reason.
+    fn filter(
+        &self,
+        graph: &PGraph,
+        remaining: Option<usize>,
+        stats: &mut EnumStats,
+    ) -> Vec<Action> {
+        let mut out = Vec::new();
+        self.candidates(graph, |action| {
+            if self.config.canon.allows(graph, &action).is_err() {
+                stats.pruned_canon += 1;
+                return;
+            }
+            let Ok(frontier) = graph.peek(&action) else {
+                stats.invalid += 1;
+                return;
+            };
+            let fits = remaining.is_none_or(|steps| {
+                shape_distance(&frontier, graph.spec().input.dims(), graph.vars()) as usize <= steps
+            });
+            if fits {
+                out.push(action);
+            } else {
+                stats.pruned_distance += 1;
+            }
+        });
         out
+    }
+
+    /// Enumerates the canonical children of `graph`: every applicable action
+    /// that passes validity and canonicalization (the unguided form).
+    pub fn children(&self, graph: &PGraph) -> Vec<Action> {
+        self.filter(graph, None, &mut EnumStats::default())
+    }
+
+    /// The children of `graph` guided synthesis may still take (Algorithm 1
+    /// line 20): canonical, valid, and with a shape distance that fits the
+    /// steps left after taking them. In [`children`](Enumerator::children)
+    /// order; empty once `max_steps` primitives are applied. MCTS expansion,
+    /// guided [`rollout`]s and the [`Synthesis`] DFS all filter through here.
+    pub fn feasible_children(&self, graph: &PGraph) -> Vec<Action> {
+        self.counted_feasible_children(graph, &mut EnumStats::default())
+    }
+
+    fn counted_feasible_children(&self, graph: &PGraph, stats: &mut EnumStats) -> Vec<Action> {
+        match self.config.max_steps.checked_sub(graph.len() + 1) {
+            Some(remaining) => self.filter(graph, Some(remaining), stats),
+            None => Vec::new(),
+        }
     }
 
     fn within_budgets(&self, graph: &PGraph) -> bool {
@@ -403,8 +437,8 @@ impl Enumerator {
 #[derive(Clone, Debug)]
 pub struct Synthesis {
     enumerator: Enumerator,
-    /// DFS frontier of `(partial graph, depth)` pairs, top of stack next.
-    stack: Vec<(PGraph, usize)>,
+    /// DFS frontier of partial graphs, top of stack next.
+    stack: Vec<PGraph>,
     seen: HashSet<u64>,
     stats: EnumStats,
     found: usize,
@@ -425,7 +459,7 @@ impl Synthesis {
         let root = PGraph::new(Arc::clone(vars), spec.clone());
         Synthesis {
             enumerator: Enumerator::new(config),
-            stack: vec![(root, 0)],
+            stack: vec![root],
             seen: HashSet::new(),
             stats: EnumStats::default(),
             found: 0,
@@ -464,12 +498,15 @@ impl Synthesis {
             self.done = true;
             return Some(Err(err));
         }
-        let config = self.enumerator.config().clone();
-        while let Some((graph, depth)) = self.stack.pop() {
-            if self.found >= config.max_results {
+        let (max_results, max_visits) = {
+            let config = self.enumerator.config();
+            (config.max_results, config.max_visits as u64)
+        };
+        while let Some(graph) = self.stack.pop() {
+            if self.found >= max_results {
                 break;
             }
-            if self.stats.expanded >= config.max_visits as u64 {
+            if self.stats.expanded >= max_visits {
                 self.done = true;
                 return Some(Err(SynthError::VisitBudgetExhausted {
                     visited: self.stats.expanded,
@@ -478,13 +515,13 @@ impl Synthesis {
             }
             self.stats.expanded += 1;
 
-            let mut yielded = None;
+            let mut fresh = false;
             if graph.is_complete() && !graph.is_empty() {
                 self.stats.complete += 1;
                 if !self.enumerator.within_budgets(&graph) {
                     self.stats.over_budget += 1;
                 } else if self.seen.insert(graph.state_hash()) {
-                    yielded = Some(graph.clone());
+                    fresh = true;
                 } else {
                     self.stats.duplicates += 1;
                 }
@@ -492,31 +529,17 @@ impl Synthesis {
 
             // Push children before yielding so the suspended traversal
             // resumes exactly where the recursive DFS would have continued.
-            if depth < config.max_steps {
-                let remaining = config.max_steps - depth - 1;
-                let children = self.enumerator.children(&graph);
-                for action in children.iter().rev() {
-                    match graph.apply(action) {
-                        Ok(child) => {
-                            let d = shape_distance(
-                                &child.frontier_sizes(),
-                                child.spec().input.dims(),
-                                child.vars(),
-                            );
-                            if d as usize > remaining {
-                                self.stats.pruned_distance += 1;
-                            } else {
-                                self.stack.push((child, depth + 1));
-                            }
-                        }
-                        Err(_) => self.stats.invalid += 1,
-                    }
-                }
+            let children = self
+                .enumerator
+                .counted_feasible_children(&graph, &mut self.stats);
+            for action in children.iter().rev() {
+                let child = graph.apply(action).expect("feasible child applies");
+                self.stack.push(child);
             }
 
-            if let Some(found) = yielded {
+            if fresh {
                 self.found += 1;
-                return Some(Ok(found));
+                return Some(Ok(graph));
             }
         }
         self.done = true;
@@ -579,30 +602,18 @@ pub fn rollout<R: Rng + ?Sized>(
         if depth >= config.max_steps {
             return RolloutResult::Incomplete;
         }
-        let remaining = config.max_steps - depth - 1;
-        let mut children = enumerator.children(&current);
-        if guided {
-            children.retain(|action| {
-                let child = match current.apply(action) {
-                    Ok(c) => c,
-                    Err(_) => return false,
-                };
-                let d = shape_distance(
-                    &child.frontier_sizes(),
-                    child.spec().input.dims(),
-                    child.vars(),
-                );
-                (d as usize) <= remaining
-            });
-        }
+        let children = if guided {
+            enumerator.feasible_children(&current)
+        } else {
+            enumerator.children(&current)
+        };
         if children.is_empty() {
             return RolloutResult::Incomplete;
         }
         let pick = rng.random_range(0..children.len());
-        current = match current.apply(&children[pick]) {
-            Ok(c) => c,
-            Err(_) => return RolloutResult::Incomplete,
-        };
+        current = current
+            .apply(&children[pick])
+            .expect("filtered child applies");
     }
 }
 
@@ -717,6 +728,28 @@ mod tests {
         assert_eq!(batch_stats, driver.stats());
         assert!(driver.is_finished());
         assert!(driver.next_operator().is_none(), "finished drivers stay done");
+    }
+
+    #[test]
+    fn filter_accounts_for_every_candidate() {
+        let (vars, spec) = pool_setup();
+        let enumerator = Enumerator::new(SynthConfig::auto(&vars, 3));
+        let s = Size::var(vars.find("s").unwrap());
+        let state = PGraph::new(Arc::clone(&vars), spec.clone())
+            .apply(&Action::Reduce { domain: s })
+            .unwrap();
+        let mut offered = 0u64;
+        enumerator.candidates(&state, |_| offered += 1);
+        let mut stats = EnumStats::default();
+        let kept = enumerator.counted_feasible_children(&state, &mut stats);
+        assert_eq!(kept, enumerator.feasible_children(&state));
+        let rejected = stats.pruned_canon + stats.invalid + stats.pruned_distance;
+        assert_eq!(offered, kept.len() as u64 + rejected, "{stats:?}");
+        assert!(!kept.is_empty() && stats.pruned_canon > 0 && stats.invalid > 0);
+
+        // The DFS reports the same three reasons over the whole space.
+        let (_, total) = enumerator.enumerate(&vars, &spec);
+        assert!(total.pruned_canon > 0 && total.invalid > 0 && total.pruned_distance > 0);
     }
 
     #[test]

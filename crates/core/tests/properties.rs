@@ -1,9 +1,14 @@
 //! Property-based tests over the synthesis core: size algebra laws, shape
-//! distance axioms, and invariants of randomly sampled operators.
+//! distance axioms, invariants of randomly sampled operators, and the
+//! clone-free synthesis path held to the code it replaced (`peek` against
+//! `apply`, the one feasibility filter against apply-then-measure, the shape
+//! distance against its previous implementation in `oracle`).
+
+mod oracle;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use syno_core::prelude::*;
 
@@ -114,10 +119,222 @@ proptest! {
         for _ in 0..3 {
             let children = enumerator.children(&state);
             if children.is_empty() { break; }
-            use rand::Rng;
             let action = &children[rng.random_range(0..children.len())];
             prop_assert!(rules.allows(&state, action).is_ok());
             state = state.apply(action).expect("child applies");
         }
     }
+}
+
+/// `[N, Cin, H, W] → [N, Cout, H, W]`, small enough to walk, rich enough to
+/// reach every primitive and every `ApplyError`.
+fn vision() -> (Arc<VarTable>, OperatorSpec, Enumerator) {
+    let mut vars = VarTable::new();
+    let n = vars.declare("N", VarKind::Primary);
+    let cin = vars.declare("Cin", VarKind::Primary);
+    let cout = vars.declare("Cout", VarKind::Primary);
+    let h = vars.declare("H", VarKind::Primary);
+    let w = vars.declare("W", VarKind::Primary);
+    let k = vars.declare("k", VarKind::Coefficient);
+    vars.push_valuation(vec![(n, 4), (cin, 3), (cout, 4), (h, 8), (w, 8), (k, 3)]);
+    let vars = vars.into_shared();
+    let dims = |c| TensorShape::new(vec![Size::var(n), Size::var(c), Size::var(h), Size::var(w)]);
+    let spec = OperatorSpec::new(dims(cin), dims(cout));
+    let enumerator = Enumerator::new(SynthConfig::auto(&vars, 4));
+    (vars, spec, enumerator)
+}
+
+/// Every action worth offering `state`, valid or not: the enumerator's own
+/// candidates plus the malformed ones it never generates (repeated and stale
+/// operands, out-of-range weight slots, primary or non-dividing parameters).
+fn every_action(state: &PGraph, config: &SynthConfig) -> Vec<Action> {
+    let vars = state.vars();
+    let primary = Size::var(vars.primaries().next().expect("a primary"));
+    let mut coords = state.frontier().to_vec();
+    coords.extend(
+        state
+            .nodes()
+            .iter()
+            .flat_map(|n| n.consumed.iter().copied())
+            .take(2),
+    );
+    let with_bad = |good: &[Size]| -> Vec<Size> {
+        let bad = [
+            primary.clone(),
+            primary.recip(),
+            Size::constant(5),
+            Size::one(),
+        ];
+        good.iter().cloned().chain(bad).collect()
+    };
+    let mut out = Vec::new();
+    for &a in &coords {
+        for &b in &coords {
+            out.push(Action::Split { lhs: a, rhs: b });
+            out.push(Action::Unfold { base: a, window: b });
+        }
+        for block in with_bad(&config.merge_blocks) {
+            out.push(Action::Merge { coord: a, block });
+        }
+        for stride in with_bad(&config.stride_factors) {
+            out.push(Action::Stride { coord: a, stride });
+        }
+        out.push(Action::Shift { coord: a });
+        out.push(Action::Expand { coord: a });
+        for weight in 0..=state.weight_count() + 1 {
+            out.push(Action::Share { coord: a, weight });
+            out.push(Action::MatchWeight { coord: a, weight });
+        }
+    }
+    for domain in with_bad(&config.reduce_domains) {
+        out.push(Action::Reduce { domain });
+    }
+    out
+}
+
+proptest! {
+    /// `peek` is `apply` without the child: along seeded walks, for every
+    /// action, both accept or both reject with the same `ApplyError`, and the
+    /// peeked domains are the child's frontier sizes.
+    #[test]
+    fn peek_agrees_with_apply(seed in 0u64..1000) {
+        let (vars, spec, enumerator) = vision();
+        let config = enumerator.config();
+        let mut state = PGraph::new(vars, spec);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rejected = 0;
+        for _ in 0..config.max_steps {
+            for action in every_action(&state, config) {
+                match (state.peek(&action), state.apply(&action)) {
+                    (Ok(sizes), Ok(child)) => prop_assert_eq!(sizes, child.frontier_sizes()),
+                    (Err(peeked), Err(applied)) => {
+                        rejected += 1;
+                        prop_assert_eq!(peeked, applied);
+                    }
+                    (peeked, applied) => prop_assert!(
+                        false,
+                        "{action:?}: peek {peeked:?} but apply {:?}",
+                        applied.map(|g| g.frontier_sizes())
+                    ),
+                }
+            }
+            let children = enumerator.children(&state);
+            if children.is_empty() { break; }
+            state = state.apply(&children[rng.random_range(0..children.len())]).expect("child applies");
+        }
+        prop_assert!(rejected > 0, "the walk must offer invalid actions too");
+    }
+}
+
+proptest! {
+    /// The one feasibility filter keeps exactly what the three hand-copied
+    /// ones kept, in the same order: canonical children whose *built* child
+    /// is within the remaining steps under the previous shape distance.
+    #[test]
+    fn feasible_children_match_apply_then_measure(seed in 0u64..1000) {
+        let (vars, spec, enumerator) = vision();
+        let max_steps = enumerator.config().max_steps;
+        let mut state = PGraph::new(vars, spec);
+        let mut rng = StdRng::seed_from_u64(seed);
+        loop {
+            let children = enumerator.children(&state);
+            let remaining = max_steps.checked_sub(state.len() + 1);
+            let expected: Vec<Action> = children
+                .iter()
+                .filter(|action| {
+                    let child = state.apply(action).expect("child applies");
+                    let d = oracle::shape_distance(
+                        &child.frontier_sizes(),
+                        child.spec().input.dims(),
+                        child.vars(),
+                    );
+                    remaining.is_some_and(|steps| d as usize <= steps)
+                })
+                .cloned()
+                .collect();
+            prop_assert_eq!(enumerator.feasible_children(&state), expected);
+            if children.is_empty() { break; }
+            // Walk through unguided children too, so infeasible states (and
+            // the exhausted step budget) are visited.
+            state = state.apply(&children[rng.random_range(0..children.len())]).expect("child applies");
+        }
+        prop_assert_eq!(enumerator.feasible_children(&state), Vec::new());
+    }
+}
+
+/// A random monomial over three primaries and three coefficients; most
+/// mention one or two variables, some none, a few carry a constant factor.
+fn random_size(rng: &mut StdRng, vars: &[VarId], coefficient_only: bool) -> Size {
+    let mut size = Size::one();
+    for (i, &v) in vars.iter().enumerate() {
+        let is_primary = i < 3;
+        if (is_primary && coefficient_only) || rng.random_range(0..3) != 0 {
+            continue;
+        }
+        size = size.mul(&Size::var_pow(
+            v,
+            [-1, 1, 1, 2][rng.random_range(0..4usize)],
+        ));
+    }
+    match rng.random_range(0..8) {
+        0 => size.mul(&Size::constant(2)),
+        1 => size.div(&Size::constant(3)),
+        _ => size,
+    }
+}
+
+proptest! {
+    /// The allocation-free shape distance is the previous one, on random
+    /// shapes with shared, cancelling and missing primaries, constant
+    /// factors, and more coefficient-only dims than the enumeration cap (4).
+    #[test]
+    fn shape_distance_matches_previous_implementation(seed in 0u64..100_000) {
+        let mut table = VarTable::new();
+        let names = [("A", VarKind::Primary), ("B", VarKind::Primary), ("C", VarKind::Primary),
+            ("s", VarKind::Coefficient), ("k", VarKind::Coefficient), ("g", VarKind::Coefficient)];
+        let ids: Vec<VarId> = names.iter().map(|(n, kind)| table.declare(n, *kind)).collect();
+        table.push_valuation(ids.iter().map(|&v| (v, 2 + v.index() as u64)).collect());
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..40 {
+            let mut current: Vec<Size> = (0..rng.random_range(0..6))
+                .map(|_| random_size(&mut rng, &ids, false))
+                .collect();
+            let mut desired: Vec<Size> = (0..rng.random_range(0..5))
+                .map(|_| random_size(&mut rng, &ids, false))
+                .collect();
+            // Shared dims exercise the exact-match cancellation, extra
+            // coefficient-only ones the grouping enumeration and its cap.
+            for d in desired.clone() {
+                if rng.random_range(0..3) == 0 { current.insert(rng.random_range(0..=current.len()), d); }
+            }
+            for _ in 0..[0, 0, 1, 2, 5, 6][rng.random_range(0..6usize)] {
+                current.push(random_size(&mut rng, &ids, true));
+            }
+            if rng.random_range(0..4) == 0 { desired.push(random_size(&mut rng, &ids, true)); }
+            let (new, old) = (
+                shape_distance(&current, &desired, &table),
+                oracle::shape_distance(&current, &desired, &table),
+            );
+            prop_assert!(new == old, "{new} != {old} for {current:?} -> {desired:?}");
+        }
+    }
+}
+
+/// The §7.1 worked example, `[C_in, s⁻¹H, sW, k] → [C_in, H, W]`, is 3 under
+/// both implementations.
+#[test]
+fn paper_example_is_three_under_both_implementations() {
+    let mut vars = VarTable::new();
+    let [cin, h, w] = ["Cin", "H", "W"].map(|n| vars.declare(n, VarKind::Primary));
+    let [s, k] = ["s", "k"].map(|n| vars.declare(n, VarKind::Coefficient));
+    vars.push_valuation(vec![(cin, 16), (h, 32), (w, 32), (s, 2), (k, 3)]);
+    let current = [
+        Size::var(cin),
+        Size::var(h).div(&Size::var(s)),
+        Size::var(w).mul(&Size::var(s)),
+        Size::var(k),
+    ];
+    let desired = [Size::var(cin), Size::var(h), Size::var(w)];
+    assert_eq!(shape_distance(&current, &desired, &vars), 3);
+    assert_eq!(oracle::shape_distance(&current, &desired, &vars), 3);
 }

@@ -29,7 +29,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::Receiver;
-use syno_core::distance::shape_distance;
 use syno_core::graph::PGraph;
 use syno_core::primitive::Action;
 use syno_core::synth::{rollout, Enumerator, RolloutResult};
@@ -208,33 +207,6 @@ impl Mcts {
         }
     }
 
-    /// Feasible canonical actions from a state: children whose shape
-    /// distance still fits the remaining step budget (Algorithm 1 line 20).
-    fn feasible_children(&self, state: &PGraph) -> Vec<Action> {
-        let max_steps = self.enumerator.config().max_steps;
-        if state.len() >= max_steps {
-            return Vec::new();
-        }
-        let remaining = max_steps - state.len() - 1;
-        self.enumerator
-            .children(state)
-            .into_iter()
-            .filter(|action| {
-                state
-                    .apply(action)
-                    .map(|child| {
-                        let d = shape_distance(
-                            &child.frontier_sizes(),
-                            child.spec().input.dims(),
-                            child.vars(),
-                        );
-                        (d as usize) <= remaining
-                    })
-                    .unwrap_or(false)
-            })
-            .collect()
-    }
-
     /// Runs the search from `root`, scoring complete operators with
     /// `reward` (in `[0, 1]`), and returns the distinct discoveries sorted
     /// by descending reward.
@@ -323,6 +295,7 @@ impl Mcts {
             loop {
                 if !self.nodes[current].expanded {
                     let children: Vec<(Action, Option<usize>)> = self
+                        .enumerator
                         .feasible_children(&state)
                         .into_iter()
                         .map(|a| (a, None))

@@ -1,0 +1,88 @@
+//! Pins the search *trajectory* on the toy vision spec, not just its hashes:
+//! which operator each of 200 seeded guided rollouts completes, in order, and
+//! the `(content_hash, reward bits)` set of a 300-iteration seeded MCTS run.
+//!
+//! `trajectory.expected` was recorded before synthesis was made clone-free
+//! (validity and shape distance decided on the parent pGraph). Any change to
+//! the children a state offers, their order, or the RNG draws taken moves a
+//! line here; `benchmark/expected/*.digest` checks the same thing end to
+//! end, this test localises a break to `syno-core`/`syno-search`.
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::sync::Arc;
+use syno_core::prelude::*;
+use syno_search::mcts::{Mcts, MctsConfig};
+
+/// `[N, Cin, H, W] → [N, Cout, H, W]` at N=4, Cin=3, Cout=4, H=W=8, k=3 with
+/// the configuration `SearchBuilder` synthesizes with by default.
+fn toy_vision() -> (Enumerator, PGraph) {
+    let mut vars = VarTable::new();
+    let n = vars.declare("N", VarKind::Primary);
+    let cin = vars.declare("Cin", VarKind::Primary);
+    let cout = vars.declare("Cout", VarKind::Primary);
+    let h = vars.declare("H", VarKind::Primary);
+    let w = vars.declare("W", VarKind::Primary);
+    let k = vars.declare("k", VarKind::Coefficient);
+    vars.push_valuation(vec![(n, 4), (cin, 3), (cout, 4), (h, 8), (w, 8), (k, 3)]);
+    let vars = vars.into_shared();
+    let dims = |c| TensorShape::new(vec![Size::var(n), Size::var(c), Size::var(h), Size::var(w)]);
+    let spec = OperatorSpec::new(dims(cin), dims(cout));
+    let enumerator = Enumerator::new(SynthConfig::auto(&vars, 4));
+    (enumerator, PGraph::new(Arc::clone(&vars), spec))
+}
+
+fn trajectory() -> Vec<String> {
+    let (enumerator, root) = toy_vision();
+    let mut lines = Vec::new();
+
+    let mut rng = StdRng::seed_from_u64(7);
+    for i in 0..200 {
+        let line = match rollout(&mut rng, &enumerator, &root, true) {
+            RolloutResult::Complete(g) => format!("rollout {i} {:016x}", g.content_hash()),
+            RolloutResult::Incomplete => format!("rollout {i} incomplete"),
+            RolloutResult::OverBudget => format!("rollout {i} over-budget"),
+        };
+        lines.push(line);
+    }
+
+    let config = MctsConfig {
+        iterations: 300,
+        seed: 7,
+        ..MctsConfig::default()
+    };
+    let mut mcts = Mcts::new(enumerator, config);
+    // Hash-derived rewards spread over [0, 1), so UCB selection reads them.
+    let found = mcts.search(&root, |g| (g.content_hash() % 1024) as f64 / 1024.0);
+    let mut set: Vec<(u64, u64)> = found
+        .iter()
+        .map(|d| (d.graph.content_hash(), d.reward.to_bits()))
+        .collect();
+    set.sort_unstable();
+    lines.extend(
+        set.iter()
+            .map(|(hash, bits)| format!("mcts {hash:016x} {bits:016x}")),
+    );
+    lines.push(format!(
+        "mcts-stats completed={} failed={} distinct={}",
+        mcts.stats.completed_rollouts, mcts.stats.failed_rollouts, mcts.stats.distinct_operators
+    ));
+    lines
+}
+
+#[test]
+fn seeded_search_trajectory_is_pinned() {
+    let expected: Vec<&str> = include_str!("trajectory.expected")
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.is_empty())
+        .collect();
+    let actual = trajectory();
+    for (i, (want, got)) in expected.iter().zip(&actual).enumerate() {
+        assert_eq!(want, got, "trajectory diverges at line {i}");
+    }
+    assert_eq!(expected.len(), actual.len(), "trajectory length changed");
+    assert!(
+        actual.iter().any(|l| l.starts_with("mcts ")),
+        "the pinned search must discover something"
+    );
+}
