@@ -88,7 +88,7 @@ pub fn run_writer(
             ..MctsConfig::default()
         })
         .proxy(bench_proxy(proxy_steps))
-        .store_handle(store)
+        .store(store)
         .run()
         .expect("writer search runs");
     eprintln!(

@@ -3,26 +3,27 @@
 //! Implements §7.2 of the paper as a streaming, cancellable service layer:
 //!
 //! * [`mcts`] — UCT over the partial-pGraph MDP with shape-distance-feasible
-//!   children, guided rollouts, early-stop hooks, and a pipelined
-//!   evaluation mode ([`Mcts::search_async_while`]) that overlaps proxy
-//!   training with tree search under a virtual loss;
+//!   children and guided rollouts. [`Mcts::search_async_while`] hands each
+//!   new candidate to its caller and searches on under a virtual loss;
+//!   [`Mcts::search`] is the inline reference;
 //! * [`discovered`] — discovered-operator records and Pareto-front
 //!   extraction (Fig. 6);
 //! * [`run`] — the `SearchBuilder → SearchRun` driver: Algorithm 1's outer
 //!   loop (synthesize → proxy-train → latency-tune) streaming
 //!   [`SearchEvent`]s over a channel, with [`CancelToken`] cancellation,
-//!   step/FLOP/wall-clock [`Budget`]s, concurrent multi-spec scenarios on a
-//!   worker pool, and optional persistence: attach a `syno-store`
-//!   [`Store`](syno_store::Store) via [`SearchBuilder::store`] for cross-run
-//!   evaluation caching (`SearchEvent::CacheHit`) or
+//!   step/FLOP/wall-clock [`Budget`]s, concurrent multi-spec scenarios, one
+//!   evaluation path at every width, and optional persistence: attach a
+//!   `syno-store` [`Store`](syno_store::Store) via [`SearchBuilder::store`]
+//!   for cross-run evaluation caching (`SearchEvent::CacheHit`) or
 //!   [`SearchBuilder::resume_from`] to continue an interrupted run from its
 //!   journaled checkpoints;
+//! * [`pool`] — the [`EvalPool`] candidate jobs run on: one per run
+//!   ([`SearchBuilder::eval_workers`]) or one shared by many runs
+//!   ([`SearchBuilder::eval_pool`]);
 //! * [`coalesce`] — the in-flight single-flight table
 //!   ([`CoalesceTable`]): concurrent runs that share one table (and one
 //!   store) train each `(content_hash, contract)` exactly once, with
-//!   followers replaying the leader's outcome bit-identically;
-//! * [`orchestrator`] — the legacy blocking entry points, kept as documented
-//!   thin wrappers over [`run`].
+//!   followers replaying the leader's outcome bit-identically.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -30,14 +31,12 @@
 pub mod coalesce;
 pub mod discovered;
 pub mod mcts;
-pub mod orchestrator;
 pub mod pool;
 pub mod run;
 
 pub use coalesce::CoalesceTable;
 pub use discovered::{pareto_front, Discovered, TradeoffPoint};
 pub use mcts::{EvalOutcome, EvalRequest, Mcts, MctsConfig, MctsStats};
-pub use orchestrator::{evaluate_candidates, search_substitutions, SearchSettings};
 pub use pool::EvalPool;
 pub use run::{
     Budget, CancelToken, Candidate, PhaseNanos, PhaseWall, RunProgress, ScenarioProgress,

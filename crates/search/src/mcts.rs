@@ -8,21 +8,23 @@
 //! reward"). The implementation is UCT with shape-distance-feasible child
 //! filtering and guided rollouts.
 //!
-//! # Evaluation modes
+//! # Evaluation
 //!
 //! The searcher does not train proxies itself — it asks its caller for
-//! rewards, in one of two modes:
+//! rewards. [`search_async_while`](Mcts::search_async_while) hands every
+//! new distinct candidate to a `submit` hook as an [`EvalRequest`] and goes
+//! on under a virtual loss; the matching [`EvalOutcome`]s are
+//! backpropagated as they drain from a channel. The hook may evaluate in
+//! place (the outcome is then on the channel when it returns and is applied
+//! before the next iteration) or pass the candidate to other threads. Tree
+//! reads that would observe a not-yet-applied reward block until it lands,
+//! so a seeded run makes the same selection decisions and discovers the
+//! same candidate set however its evaluations are scheduled (see the module
+//! docs of [`crate::run`] for the determinism contract).
 //!
-//! * **Serial** ([`search`](Mcts::search)/[`search_while`](Mcts::search_while)):
-//!   the reward closure runs inline, blocking the tree between iterations.
-//! * **Pipelined** ([`search_async_while`](Mcts::search_async_while)): new
-//!   distinct candidates are *submitted* as [`EvalRequest`]s to an external
-//!   evaluator pool and the iteration continues under a virtual loss; the
-//!   matching [`EvalOutcome`]s are backpropagated as they drain. Tree reads
-//!   that would observe a not-yet-applied reward block until it lands, so a
-//!   seeded pipelined run makes exactly the selection decisions of the
-//!   serial run and discovers the identical candidate set (see the module
-//!   docs of [`crate::run`] for the determinism contract).
+//! [`search`](Mcts::search) is the reference those runs are compared with:
+//! the reward closure runs inline, between iterations.
+//! `tests/trajectory.expected` pins what it reaches.
 
 use crate::discovered::Discovered;
 use rand::rngs::StdRng;
@@ -96,9 +98,8 @@ struct PendingEval {
     paths: Vec<Vec<usize>>,
 }
 
-/// How the engine obtains rewards: inline (serial) or from an external
-/// evaluator pool (pipelined). Private — the public surface is the pair of
-/// `search_while`/`search_async_while` entry points.
+/// How the engine obtains rewards: inline ([`Mcts::search`]) or through a
+/// submit hook and an outcome channel ([`Mcts::search_async_while`]).
 trait EvalBridge {
     /// Hands a new distinct candidate to the evaluator. Returns `false`
     /// when the evaluator is gone (the search degrades to zero rewards
@@ -111,8 +112,8 @@ trait EvalBridge {
     fn wait_next(&mut self) -> Option<EvalOutcome>;
 }
 
-/// Serial mode: evaluate inline at submission, so every outcome is ready
-/// before the iteration ends — the exact legacy `search_while` behavior.
+/// The reference: evaluate inline at submission, so every outcome is ready
+/// before the iteration ends.
 struct SerialBridge<F> {
     reward: F,
     ready: VecDeque<EvalOutcome>,
@@ -137,9 +138,9 @@ impl<F: FnMut(&PGraph) -> f64> EvalBridge for SerialBridge<F> {
     }
 }
 
-/// Pipelined mode: submission goes through a caller-provided hook (which
-/// typically announces the candidate and sends it down a bounded queue) and
-/// outcomes drain from a channel fed by the evaluator pool.
+/// Submission goes through a caller-provided hook (which announces the
+/// candidate and runs or queues its evaluation) and outcomes drain from a
+/// channel the evaluations feed.
 struct ChannelBridge<'a, S> {
     submit: S,
     outcomes: &'a Receiver<EvalOutcome>,
@@ -215,32 +216,21 @@ impl Mcts {
         root: &PGraph,
         reward: impl FnMut(&PGraph) -> f64,
     ) -> Vec<Discovered> {
-        self.search_while(root, reward, |_| true)
-    }
-
-    /// Like [`search`](Mcts::search), but consults `keep_going` with the
-    /// upcoming iteration index before every iteration; returning `false`
-    /// stops the search early and yields the discoveries so far. This is the
-    /// cancellation/budget hook used by the streaming `SearchRun` driver.
-    pub fn search_while(
-        &mut self,
-        root: &PGraph,
-        reward: impl FnMut(&PGraph) -> f64,
-        keep_going: impl FnMut(u64) -> bool,
-    ) -> Vec<Discovered> {
         let mut bridge = SerialBridge {
             reward,
             ready: VecDeque::new(),
         };
-        self.engine(root, &mut bridge, keep_going)
+        self.engine(root, &mut bridge, |_| true)
     }
 
-    /// Pipelined search: every new distinct complete operator is handed to
-    /// `submit` as an [`EvalRequest`] (typically feeding a bounded queue
-    /// drained by evaluator workers) and the search continues under a
-    /// virtual loss until the matching [`EvalOutcome`] arrives on
-    /// `outcomes`, at which point the reward is backpropagated along every
-    /// selection path that reached the candidate.
+    /// Every new distinct complete operator is handed to `submit` as an
+    /// [`EvalRequest`] and the search continues under a virtual loss until
+    /// the matching [`EvalOutcome`] arrives on `outcomes`, at which point the
+    /// reward is backpropagated along every selection path that reached the
+    /// candidate. Before every iteration `keep_going` is consulted with the
+    /// upcoming iteration index; returning `false` stops the search early
+    /// and yields the discoveries so far — the cancellation/budget hook of
+    /// the streaming `SearchRun` driver.
     ///
     /// # Determinism
     ///
@@ -248,11 +238,11 @@ impl Mcts {
     /// the engine blocks on `outcomes` until the relevant rewards have been
     /// applied. Selection is otherwise reward-independent (untried children
     /// are taken first), so for a fixed seed the tree evolves exactly as in
-    /// [`search_while`](Mcts::search_while) regardless of evaluator timing,
-    /// and the discovered candidate set is identical to the serial run's.
+    /// [`search`](Mcts::search) regardless of evaluator timing, and the
+    /// discovered candidate set is identical to the reference's.
     ///
     /// `submit` returning `false`, or `outcomes` disconnecting while
-    /// evaluations are outstanding, means the evaluator pool died; the
+    /// evaluations are outstanding, means the evaluator died; the
     /// search then scores the affected candidates 0.0 (the skip semantics)
     /// instead of deadlocking. Before returning — normally or through
     /// `keep_going` — the engine blocks until every in-flight evaluation
@@ -268,7 +258,7 @@ impl Mcts {
         self.engine(root, &mut bridge, keep_going)
     }
 
-    /// The select → expand → rollout → backprop loop shared by both modes.
+    /// The select → expand → rollout → backprop loop behind both entry points.
     fn engine<B: EvalBridge>(
         &mut self,
         root: &PGraph,
@@ -424,9 +414,9 @@ impl Mcts {
             // from identical states.
             let _ = rng.random::<u32>();
 
-            // Absorb whatever the evaluator finished in the meantime. In
-            // serial mode the just-computed reward is ready here, so it is
-            // applied before the next iteration — the legacy behavior.
+            // Absorb whatever the evaluator finished in the meantime. An
+            // evaluation that ran inside `submit` is ready here, so it is
+            // applied before the next iteration.
             while let Some(outcome) = bridge.try_next() {
                 self.apply_outcome(outcome, &mut found, &mut pending);
             }

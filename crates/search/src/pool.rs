@@ -1,29 +1,28 @@
-//! A shareable candidate-evaluation worker pool.
+//! The candidate-evaluation worker pool.
 //!
-//! PR 3's evaluation pipeline spawned its worker threads *inside*
-//! `run_scenario`, scoped to one scenario of one run — correct, but useless
-//! to a daemon that multiplexes many concurrent search sessions: each
-//! session would spin up its own threads and the host would oversubscribe.
-//! [`EvalPool`] extracts that pool into a long-lived, cloneable handle that
-//! any number of concurrent [`SearchRun`](crate::SearchRun)s can share
-//! through [`SearchBuilder::eval_pool`](crate::SearchBuilder::eval_pool):
-//! candidate evaluations from every session fan into one bounded queue and
-//! one fixed set of worker threads.
+//! An [`EvalPool`] is a fixed set of named threads (`syno-eval-<i>`) behind
+//! one bounded queue. A run with
+//! [`eval_workers(n ≥ 2)`](crate::SearchBuilder::eval_workers) creates one
+//! for itself and joins it before [`SearchRun::join`](crate::SearchRun::join)
+//! returns; a daemon that multiplexes many concurrent runs creates one and
+//! hands clones to every run through
+//! [`SearchBuilder::eval_pool`](crate::SearchBuilder::eval_pool), so all
+//! their candidate evaluations fan into one queue and the host is not
+//! oversubscribed.
 //!
 //! Jobs are opaque closures; each one evaluates a single candidate end to
 //! end (store recall → proxy training → latency tuning) and reports its
-//! outcome back to the owning session over that session's own channel, so
-//! sharing the pool never mixes sessions' event streams and each session's
-//! determinism contract (see [`crate::run`]) is untouched — only *which
-//! thread* runs an evaluation changes, never what it computes or the order
-//! in which its session applies it.
+//! outcome back to the owning run over that run's own channel, so sharing
+//! the pool never mixes runs' event streams and each run's determinism
+//! contract (see [`crate::run`]) is untouched — only *which thread* runs an
+//! evaluation changes, never what it computes or the order in which its
+//! run applies it.
 //!
-//! The queue is a condvar-parked `VecDeque`: producers facing a full queue
-//! and workers facing an empty one *park* and are woken by the state
-//! change itself, never by a polling sleep. (The first cut busy-waited
-//! 200µs at a time in `submit`, which both burned a core under backpressure
-//! and would have polluted the `syno_pool_queue_wait_seconds` histogram
-//! with our own polling latency.)
+//! The queue is a condvar-parked `VecDeque` bounded at twice the worker
+//! count: producers facing a full queue and workers facing an empty one
+//! *park* and are woken by the state change itself, never by a polling
+//! sleep, so `syno_pool_queue_wait_seconds` measures queueing and nothing
+//! else.
 //!
 //! Telemetry (all out-of-band, see `syno-telemetry`): queue depth gauge
 //! `syno_pool_queue_depth`, submission counter `syno_pool_jobs_total`,
@@ -32,13 +31,13 @@
 //!
 //! Shutdown drains: [`EvalPool::shutdown`] closes the queue, lets the
 //! workers finish everything already submitted, and joins them. Jobs
-//! queued but never run are *dropped*, which the search layer turns into
-//! typed `SearchEvent::CandidateSkipped` notifications via a drop guard —
-//! a dead pool degrades loudly, not silently. Panics are the same story:
-//! a job that panics never takes a worker thread down (the loop catches
-//! the unwind and keeps serving), but the payload is *recorded*, counted
-//! in `syno_pool_job_panics_total`, and re-surfaced by `shutdown` as a
-//! typed [`SynoError::Eval`] — mirroring the contract of the tensor
+//! refused by a closed queue are *dropped*, which the search layer turns
+//! into typed `SearchEvent::CandidateSkipped` notifications via a drop
+//! guard — a dead pool degrades loudly, not silently. Panics are the same
+//! story: a job that panics never takes a worker thread down (the loop
+//! catches the unwind and keeps serving), but the payload is *recorded*,
+//! counted in `syno_pool_job_panics_total`, and re-surfaced by `shutdown`
+//! as a typed [`SynoError::Eval`] — mirroring the contract of the tensor
 //! layer's shard pool, where a worker panic resumes on the submitting
 //! thread instead of evaporating.
 
@@ -107,7 +106,7 @@ impl EvalPool {
     /// Spawns a pool of `workers` evaluator threads (at least one). The
     /// submission queue is bounded at twice the worker count, so producers
     /// feel backpressure instead of racing arbitrarily far ahead of the
-    /// evaluators — the same pacing the per-scenario pipeline used.
+    /// evaluators.
     pub fn new(workers: usize) -> EvalPool {
         let worker_count = workers.max(1);
         let core = Arc::new(QueueCore {
@@ -231,6 +230,19 @@ impl Drop for PoolShared {
     }
 }
 
+/// Renders a caught panic's payload. Takes the box itself: a `&Box<dyn Any>`
+/// passed where `&dyn Any` is expected unsizes the *box*, and every
+/// downcast of that misses.
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => payload.downcast_ref::<&str>().map_or_else(
+            || "non-string panic payload".to_owned(),
+            |s| (*s).to_owned(),
+        ),
+    }
+}
+
 fn worker_loop(core: &QueueCore, worker: usize) {
     // Registered once per worker thread; observation is lock-free.
     let registry = syno_telemetry::metrics::global();
@@ -269,11 +281,7 @@ fn worker_loop(core: &QueueCore, worker: usize) {
         // must not take the whole pool down with it — but it must not
         // evaporate either: record the payload for `shutdown` to surface.
         if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)) {
-            let rendered = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
+            let rendered = panic_message(payload);
             counter!("syno_pool_job_panics_total").inc();
             core.state
                 .lock()

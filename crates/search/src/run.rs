@@ -1,46 +1,55 @@
 //! The streaming search driver: `SearchBuilder` → [`SearchRun`].
 //!
 //! Algorithm 1 is a long-running, interruptible pipeline (synthesize →
-//! proxy-train → latency-tune). The seed exposed it as blocking free
-//! functions returning bare `Vec`s; this module replaces them with a
-//! builder-configured run that
+//! proxy-train → latency-tune). A builder-configured run
 //!
 //! * streams [`SearchEvent`]s over a channel as the pipeline advances, in
 //!   per-candidate order `CandidateFound → ProxyScored → LatencyTuned`;
 //! * supports cooperative cancellation through a [`CancelToken`] and
 //!   step/FLOP/wall-clock [`Budget`]s, returning the candidates discovered
 //!   so far when stopped early;
-//! * evaluates multiple [`OperatorSpec`] *scenarios* concurrently over a
-//!   worker pool (the paper's parallelism across substitution sites);
-//! * pipelines candidate evaluation *within* a scenario over
-//!   [`SearchBuilder::eval_workers`] threads — the search-cost hot path,
-//!   since complete candidates dominate wall-clock (§7.2's ≈0.1 GPU-hours
-//!   of proxy training each).
+//! * searches multiple [`OperatorSpec`] *scenarios* concurrently, one thread
+//!   each (the paper's parallelism across substitution sites);
+//! * evaluates every candidate the same way, whatever the run's width.
 //!
-//! # Evaluation-pipeline determinism contract
+//! # One way to evaluate a candidate
 //!
-//! With `eval_workers(n)`, the MCTS submits each new distinct candidate to
-//! a bounded queue and continues under a virtual loss while `n` evaluator
-//! workers perform store lookup → proxy training → latency tuning
-//! concurrently. Tree reads that would observe a not-yet-applied reward
-//! block until it drains, so for a fixed seed the pipelined run makes
-//! exactly the serial run's selection decisions: the discovered candidate
-//! set (keyed by [`PGraph::content_hash`]) and each candidate's event
-//! subsequence (`CandidateFound` → `ProxyScored`/`CacheHit` →
-//! `LatencyTuned`) are identical to `eval_workers(1)`; only the
-//! interleaving *across* candidates differs. (Wall-clock-dependent stop
-//! conditions — cancellation, time/FLOP budgets — still cut runs at
-//! timing-dependent points, exactly as they do across scenario workers.)
+//! Each scenario drives [`Mcts::search_async_while`]. Its submit hook
+//! announces the new distinct candidate (`CandidateFound`) and packages it
+//! as one *job*: a clone of the scenario's evaluation context, a guard that
+//! owes the engine exactly one outcome, and one panic wrapper around store
+//! recall → proxy training → latency tuning. Where the job runs is the only
+//! thing [`SearchBuilder::eval_workers`] and [`SearchBuilder::eval_pool`]
+//! decide:
 //!
-//! The old `search_substitutions`/`evaluate_candidates` entry points remain
-//! in [`crate::orchestrator`] as thin wrappers over this driver.
+//! * `eval_pool(pool)` — on the caller's shared [`EvalPool`];
+//! * `eval_workers(n ≥ 2)` — on a pool of `n` threads the run creates for
+//!   all its scenarios and joins before [`SearchRun::join`] returns;
+//! * `eval_workers(1)` — called in place on the search thread: the outcome
+//!   is on the channel when the hook returns and the engine applies it
+//!   before the next iteration. (A one-thread pool would do the same work
+//!   with a thread hand-off per candidate, which costs about 12 % of
+//!   throughput when an evaluation takes under a millisecond.)
+//!
+//! # Determinism contract
+//!
+//! The tree search continues under a virtual loss while evaluations are in
+//! flight, and tree reads that would observe a not-yet-applied reward block
+//! until it drains. So for a fixed seed a run makes the same selection
+//! decisions at every width, on a private or a shared pool: the discovered
+//! candidate set (keyed by [`PGraph::content_hash`], rewards included) and
+//! each candidate's event subsequence (`CandidateFound` →
+//! `ProxyScored`/`CacheHit` → `LatencyTuned`/`CandidateSkipped`) are those
+//! of [`Mcts::search`] driven with the same scores; only the interleaving
+//! *across* candidates differs. (Wall-clock-dependent stop conditions —
+//! cancellation, time/FLOP budgets — still cut runs at timing-dependent
+//! points, exactly as they do across scenario threads.)
 
 use crate::coalesce::{Claim, CoalesceTable, TrainOutcome};
-use crate::discovered::Discovered;
 use crate::mcts::{EvalOutcome, EvalRequest, Mcts, MctsConfig};
-use crate::pool::EvalPool;
+use crate::pool::{panic_message, EvalPool};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -52,6 +61,7 @@ use syno_core::synth::{Enumerator, SynthConfig};
 use syno_core::var::VarTable;
 use syno_nn::{resolve_family, ProxyConfig, ProxyFamilyId};
 use syno_store::{CandidateSet, Checkpoint, OpKind, ScoreContract, Store};
+use syno_telemetry::metrics::labeled;
 
 /// A cloneable cooperative-cancellation handle.
 ///
@@ -577,7 +587,8 @@ impl SearchBuilder {
     }
 
     /// Adds a search scenario (one operator specification to substitute).
-    /// Scenarios run concurrently over the worker pool.
+    /// Scenarios run concurrently, up to [`workers`](SearchBuilder::workers)
+    /// at a time.
     pub fn scenario(
         mut self,
         label: impl Into<String>,
@@ -668,42 +679,41 @@ impl SearchBuilder {
         self
     }
 
-    /// Worker threads for concurrent scenario evaluation.
+    /// Scenarios searched at once, one thread each (default 2; never more
+    /// threads than scenarios).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
     }
 
-    /// Evaluator threads *within* each scenario (default 1).
+    /// Evaluator threads for the run (default 1).
     ///
-    /// With `n > 1`, candidate evaluation (store lookup → proxy training →
-    /// latency tuning) is decoupled from the tree search: new candidates
-    /// flow through a bounded queue to `n` concurrent evaluator workers
-    /// while MCTS keeps searching under a virtual loss. `n = 1` is the
-    /// exact serial behavior, and seeded runs discover the identical
-    /// candidate set either way — see the [module docs](self) for the
-    /// determinism contract.
+    /// With `n > 1` the run creates one pool of `n` evaluator threads
+    /// shared by all its scenarios: candidate evaluation (store lookup →
+    /// proxy training → latency tuning) runs there while MCTS keeps
+    /// searching under a virtual loss. With `n = 1` each candidate is
+    /// evaluated in place on its scenario's search thread. Seeded runs
+    /// discover the identical candidate set either way — see the [module
+    /// docs](self) for the determinism contract.
     pub fn eval_workers(mut self, workers: usize) -> Self {
         self.eval_workers = workers.max(1);
         self
     }
 
     /// Evaluates candidates on a shared, long-lived [`EvalPool`] instead of
-    /// per-run threads.
+    /// a pool of the run's own.
     ///
     /// Many concurrent runs handed clones of one pool fan all their
     /// candidate evaluations into its single bounded queue and fixed worker
     /// set — the serving daemon's global evaluation queue. Each run keeps
     /// its own event stream and outcome channel, so the [module
-    /// docs](self)' determinism contract holds per run: a pooled run
-    /// discovers exactly the candidate set of a serial one. Overrides
+    /// docs](self)' determinism contract holds per run. Overrides
     /// [`eval_workers`](SearchBuilder::eval_workers).
     ///
-    /// If the pool is shut down while candidates are in flight, each
-    /// affected candidate surfaces as a
-    /// [`SearchEvent::CandidateSkipped`] carrying a typed
-    /// [`SynoError::Eval`] — a dead evaluator degrades loudly, never by
-    /// silently scoring 0.0.
+    /// If the pool is shut down while the run is going, each candidate it
+    /// refuses surfaces as a [`SearchEvent::CandidateSkipped`] carrying a
+    /// typed [`SynoError::Eval`] — a dead evaluator degrades loudly, never
+    /// by silently scoring 0.0.
     pub fn eval_pool(mut self, pool: EvalPool) -> Self {
         self.eval_pool = Some(pool);
         self
@@ -776,20 +786,6 @@ impl SearchBuilder {
     pub fn store(mut self, store: Arc<Store>) -> Self {
         self.store = Some(store);
         self
-    }
-
-    /// Attaches an already-open repository handle shared with other runs.
-    ///
-    /// Identical to [`store`](SearchBuilder::store) — the explicit name
-    /// marks the sharing intent: several in-process runs (or a run next to
-    /// a serving daemon) hand clones of one `Arc<Store>` around instead of
-    /// each opening a path, exactly like the daemon shares its store across
-    /// tenant sessions. Combine with [`StoreBuilder::writer`] shards when
-    /// the *processes* are separate.
-    ///
-    /// [`StoreBuilder::writer`]: syno_store::StoreBuilder::writer
-    pub fn store_handle(self, store: Arc<Store>) -> Self {
-        self.store(store)
     }
 
     /// Attaches `store` *and* resumes interrupted scenarios from their
@@ -946,22 +942,27 @@ impl SearchRun {
         drop(self.events); // unblock senders if the caller never drained
         self.handle
             .join()
-            .map_err(|payload| SynoError::worker(panic_message(&payload)))
+            .map_err(|payload| SynoError::worker(panic_message(payload)))
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked".to_owned()
-    }
-}
-
-/// Shared run state across scenario workers.
+/// What every scenario thread and every candidate job of one run shares:
+/// the configuration `start()` validated, and the run's live state.
 struct Shared {
+    synth: Option<SynthConfig>,
+    mcts: MctsConfig,
+    proxy: ProxyConfig,
+    devices: Vec<Device>,
+    compiler: CompilerKind,
+    progress_every: u64,
+    store: Option<Arc<Store>>,
+    resume: bool,
+    coalesce: Option<CoalesceTable>,
+    /// Where candidate jobs run: the builder's shared pool, else the run's
+    /// own (`eval_workers(n ≥ 2)`), else `None` — in place on the search
+    /// thread.
+    pool: Option<EvalPool>,
+    events: Sender<SearchEvent>,
     budget: Budget,
     cancel: CancelToken,
     started: Instant,
@@ -1010,14 +1011,19 @@ impl Shared {
         }
         None
     }
+
+    /// Streams one event; a consumer that went away is not an error.
+    fn emit(&self, event: SearchEvent) {
+        let _ = self.events.send(event);
+    }
 }
 
-/// Runs the whole search on the supervisor thread: a pool of `workers`
-/// threads pulls scenarios off a shared queue until done or stopped.
+/// Runs the whole search on the supervisor thread: scenario threads pull
+/// scenarios off a shared queue until done or stopped.
 fn supervise(
     builder: SearchBuilder,
     progress: Arc<RunProgress>,
-    sender: Sender<SearchEvent>,
+    events: Sender<SearchEvent>,
 ) -> SearchReport {
     let SearchBuilder {
         scenarios,
@@ -1038,7 +1044,19 @@ fn supervise(
         coalesce,
     } = builder;
 
+    let own_pool = (eval_pool.is_none() && eval_workers > 1).then(|| EvalPool::new(eval_workers));
     let shared = Arc::new(Shared {
+        synth,
+        mcts,
+        proxy,
+        devices,
+        compiler,
+        progress_every,
+        store,
+        resume,
+        coalesce,
+        pool: eval_pool.or_else(|| own_pool.clone()),
+        events,
         budget,
         cancel,
         started: Instant::now(),
@@ -1046,7 +1064,7 @@ fn supervise(
         flops: Mutex::new(0),
         stop: Mutex::new(None),
     });
-    let devices = Arc::new(devices);
+    let scenario_threads = workers.min(scenarios.len());
     let queue: Mutex<Vec<(usize, Scenario)>> = {
         let mut q: Vec<(usize, Scenario)> = scenarios.into_iter().enumerate().collect();
         q.reverse(); // pop() serves scenario 0 first
@@ -1054,9 +1072,8 @@ fn supervise(
     };
     let results: Mutex<Vec<Candidate>> = Mutex::new(Vec::new());
 
-    let worker_count = workers.max(1);
     thread::scope(|scope| {
-        for _ in 0..worker_count {
+        for _ in 0..scenario_threads {
             scope.spawn(|| loop {
                 if shared.should_stop().is_some() {
                     break;
@@ -1065,28 +1082,12 @@ fn supervise(
                 let Some((index, scenario)) = next else {
                     break;
                 };
-                let found = run_scenario(
-                    index,
-                    &scenario,
-                    &synth,
-                    mcts,
-                    &proxy,
-                    &devices,
-                    compiler,
-                    eval_workers,
-                    eval_pool.as_ref(),
-                    progress_every,
-                    store.as_ref(),
-                    resume,
-                    coalesce.as_ref(),
-                    &shared,
-                    &sender,
-                );
+                let found = run_scenario(&shared, index, &scenario);
                 shared.progress.scenarios[index]
                     .finished
                     .store(true, Ordering::Relaxed);
                 let mut all = results.lock().expect("results lock");
-                let _ = sender.send(SearchEvent::ScenarioFinished {
+                shared.emit(SearchEvent::ScenarioFinished {
                     scenario: index,
                     candidates: found.len(),
                 });
@@ -1094,6 +1095,12 @@ fn supervise(
             });
         }
     });
+    // Every scenario drained its in-flight evaluations before returning, so
+    // the run's own evaluator threads are idle: join them.
+    if let Some(pool) = own_pool {
+        pool.shutdown()
+            .expect("a candidate job catches its own panics");
+    }
 
     let mut candidates = results.into_inner().expect("results lock");
     candidates.sort_by(|a, b| {
@@ -1120,24 +1127,27 @@ fn supervise(
     }
 }
 
-/// Everything one candidate evaluation needs — shared by the serial reward
-/// closure, the per-run pipelined evaluator workers, and jobs submitted to
-/// a shared [`EvalPool`], so all modes run the byte-identical store lookup
-/// → proxy training → latency tuning sequence.
-///
-/// Owns (or `Arc`-shares) every field so a clone can ride inside a
-/// `'static` pool job that outlives the submitting stack frame.
+/// Where a candidate's accuracy came from, which decides how
+/// [`EvalContext::deliver`] announces and journals it.
+#[derive(PartialEq)]
+enum Source {
+    /// Recalled from the attached store: one `CacheHit`, no `ProxyScored`.
+    Recalled,
+    /// This evaluation trained the proxy.
+    Trained,
+    /// Replayed from another run's in-flight training. That run journals
+    /// the evaluation, so this one journals nothing.
+    Replayed,
+}
+
+/// Everything one candidate evaluation needs. A clone rides inside each
+/// `'static` candidate job, so it owns or `Arc`-shares every field.
 #[derive(Clone)]
 struct EvalContext {
     index: usize,
     /// The proxy family start() bound this scenario to; provides the
     /// train-and-score step and tags journaled scores.
     family: ProxyFamilyId,
-    proxy: ProxyConfig,
-    devices: Arc<Vec<Device>>,
-    compiler: CompilerKind,
-    store: Option<Arc<Store>>,
-    coalesce: Option<CoalesceTable>,
     shared: Arc<Shared>,
     candidates: Arc<Mutex<Vec<Candidate>>>,
 }
@@ -1149,16 +1159,16 @@ impl EvalContext {
     }
 
     /// Evaluates one discovered candidate, emitting its
-    /// `ProxyScored`/`CacheHit`/`LatencyTuned`/`CandidateSkipped` events on
-    /// `sender` (the `CandidateFound` announcement is the caller's job, so
-    /// it always precedes these regardless of worker scheduling), and
-    /// returns the reward to backpropagate.
-    fn evaluate(&self, id: u64, graph: &PGraph, sender: &Sender<SearchEvent>) -> f64 {
+    /// `ProxyScored`/`CacheHit`/`LatencyTuned`/`CandidateSkipped` events
+    /// (the `CandidateFound` announcement is the submit hook's job, so it
+    /// always precedes these regardless of worker scheduling), and returns
+    /// the reward to backpropagate.
+    fn evaluate(&self, id: u64, graph: &PGraph) -> f64 {
         let _eval_span = syno_telemetry::span!("evaluate", candidate = id);
         syno_telemetry::counter!("syno_search_candidates_total").inc();
-        let index = self.index;
+        let shared = &*self.shared;
         let contract =
-            ScoreContract::new(self.family.name(), self.proxy.train.exec.reduce_width as u32);
+            ScoreContract::new(self.family.name(), shared.proxy.train.exec.reduce_width as u32);
         // Single-flight first: with a shared coalescing table, the first
         // evaluator of this `(hash, contract)` becomes the leader and
         // proceeds (store probe, then training); concurrent duplicates
@@ -1167,9 +1177,15 @@ impl EvalContext {
         // journaled score `release`s the claim instead of publishing, so
         // followers re-probe the store and surface their own `CacheHit` —
         // warm-run semantics are untouched.
-        let mut leader = match self.coalesce.as_ref().map(|t| t.claim(id, &contract)) {
-            Some(Claim::Ready(outcome)) => {
-                return self.replay_coalesced(id, graph, outcome, sender);
+        let mut leader = match shared.coalesce.as_ref().map(|t| t.claim(id, &contract)) {
+            // Training is deterministic, so the replayed accuracy — or the
+            // replayed typed failure — is what a fresh training here would
+            // have produced: one training, many observers.
+            Some(Claim::Ready(TrainOutcome::Scored { accuracy })) => {
+                return self.deliver(id, graph, accuracy, Source::Replayed);
+            }
+            Some(Claim::Ready(TrainOutcome::Failed(error))) => {
+                return self.skip(id, "proxy", error);
             }
             Some(Claim::Leader(guard)) => Some(guard),
             None => None,
@@ -1184,269 +1200,182 @@ impl EvalContext {
         // under this run's reduction-tree width (the width fixes the FP
         // summation order, so a score from another width is a different
         // value — re-evaluated, not served).
-        if let Some(store) = self.store.as_deref() {
-            let recalled = {
-                let span = syno_telemetry::span!("store_lookup", candidate = id);
-                let recalled = store.score_for_contract(id, &contract);
-                self.shared.progress.phases.add_store(span.elapsed());
-                recalled
-            };
+        if let Some(store) = shared.store.as_deref() {
+            let span = syno_telemetry::span!("store_lookup", candidate = id);
+            let recalled = store.score_for_contract(id, &contract);
+            shared.progress.phases.add_store(span.elapsed());
+            drop(span);
             if let Some(accuracy) = recalled {
+                if let Some(guard) = leader.take() {
+                    guard.release();
+                }
                 // NaN is the journaled-failure marker: this candidate's
                 // proxy training failed in a previous run, and it fails
                 // deterministically — skip without re-training.
                 if accuracy.is_nan() {
-                    if let Some(guard) = leader.take() {
-                        guard.release();
-                    }
-                    syno_telemetry::counter!("syno_search_skips_total").inc();
-                    let _ = sender.send(SearchEvent::CandidateSkipped {
-                        scenario: index,
-                        id,
-                        error: SynoError::proxy("proxy failure recalled from store"),
-                    });
-                    return 0.0;
+                    let error = SynoError::proxy("proxy failure recalled from store");
+                    return self.skip(id, "recalled", error);
                 }
-                if let Some(guard) = leader.take() {
-                    guard.release();
-                }
-                let device_names: Vec<&str> = self.devices.iter().map(|d| d.name).collect();
-                let priced = match store.latencies(id, &device_names, self.compiler.name()) {
-                    Some(latencies) => Ok(Candidate {
-                        scenario: index,
-                        graph: graph.clone(),
-                        accuracy,
-                        flops: syno_core::analysis::naive_flops(graph, 0).unwrap_or(u128::MAX),
-                        params: syno_core::analysis::parameter_count(graph, 0)
-                            .unwrap_or(u128::MAX),
-                        latencies,
-                    }),
-                    // Scored in a previous run but tuned for different
-                    // devices: reuse the accuracy, re-tune the latency.
-                    None => {
-                        let span = syno_telemetry::span!("latency_tune", candidate = id);
-                        let priced =
-                            price_candidate(index, graph, accuracy, &self.devices, self.compiler);
-                        self.shared.progress.phases.add_tune(span.elapsed());
-                        drop(span);
-                        if let Ok(candidate) = &priced {
-                            for (device, latency) in self.devices.iter().zip(&candidate.latencies)
-                            {
-                                let _ = store.put_latency(
-                                    id,
-                                    device.name,
-                                    self.compiler.name(),
-                                    *latency,
-                                );
-                            }
-                        }
-                        priced
-                    }
-                };
-                match priced {
-                    Ok(candidate) => {
-                        // Counted only now, when the recall is actually
-                        // served: stats.cache_hits == CacheHit events.
-                        store.record_hit();
-                        syno_telemetry::counter!("syno_search_cache_hits_total").inc();
-                        // Counters advance before the event is emitted, so
-                        // a status poll racing the stream never undercounts
-                        // what the consumer already saw.
-                        self.progress().discovered.fetch_add(1, Ordering::Relaxed);
-                        self.progress().candidates.fetch_add(1, Ordering::Relaxed);
-                        let _ = sender.send(SearchEvent::CacheHit {
-                            scenario: index,
-                            id,
-                            candidate: candidate.clone(),
-                        });
-                        self.candidates
-                            .lock()
-                            .expect("candidates lock")
-                            .push(candidate);
-                    }
-                    Err(error) => {
-                        syno_telemetry::counter!("syno_search_skips_total").inc();
-                        let _ = sender.send(SearchEvent::CandidateSkipped {
-                            scenario: index,
-                            id,
-                            error,
-                        });
-                    }
-                }
-                return accuracy;
+                return self.deliver(id, graph, accuracy, Source::Recalled);
             }
         }
 
         // A proxy panic (e.g. an exotic candidate the tape einsum cannot
-        // differentiate) must not take down the whole run: demote it to
-        // a typed skip, like any other per-candidate failure.
+        // differentiate) is this candidate's deterministic result, not an
+        // accident of the run: catch it here, so that it is published and
+        // journaled as the typed failure it is.
         let scored = {
             let span = syno_telemetry::span!("proxy_train", candidate = id);
             // The acceptance counter for coalescing: incremented only when
             // a training actually runs, never on recalls or replays.
             syno_telemetry::counter!("syno_search_proxy_train_total").inc();
             let scored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.family.family().score(graph, 0, &self.proxy)
+                self.family.family().score(graph, 0, &shared.proxy)
             }))
-            .unwrap_or_else(|payload| Err(SynoError::proxy(panic_message(&payload))));
-            self.shared.progress.phases.add_eval(span.elapsed());
+            .unwrap_or_else(|payload| Err(SynoError::proxy(panic_message(payload))))
+            .map(|accuracy| f64::from(accuracy).clamp(0.0, 1.0));
+            shared.progress.phases.add_eval(span.elapsed());
             scored
         };
+        // Publish before journaling: parked followers replay from the memo,
+        // not the store, so they never wait on I/O. Failures train
+        // deterministically too: followers replay the identical typed skip
+        // instead of re-failing.
+        if let Some(guard) = leader.take() {
+            guard.publish(match &scored {
+                Ok(accuracy) => TrainOutcome::Scored {
+                    accuracy: *accuracy,
+                },
+                Err(error) => TrainOutcome::Failed(error.clone()),
+            });
+        }
+        if let Some(store) = shared.store.as_deref() {
+            // Journal best-effort: a full disk degrades the run to
+            // cache-less, it does not kill it. A failure is journaled as
+            // the NaN marker, so resumed runs skip this candidate instead
+            // of re-training it.
+            let span = syno_telemetry::span!("store_append", candidate = id);
+            let _ = store.put_candidate(id, graph);
+            let _ = store.put_score(id, *scored.as_ref().unwrap_or(&f64::NAN), &contract);
+            shared.progress.phases.add_store(span.elapsed());
+        }
         match scored {
-            Ok(acc) => {
-                let accuracy = (acc as f64).clamp(0.0, 1.0);
-                // Publish before journaling: parked followers replay from
-                // the memo, not the store, so they never wait on I/O.
-                if let Some(guard) = leader.take() {
-                    guard.publish(TrainOutcome::Scored { accuracy });
-                }
+            Ok(accuracy) => {
                 if let Some(flops) = syno_core::analysis::naive_flops(graph, 0) {
-                    let mut total = self.shared.flops.lock().expect("flops lock");
+                    let mut total = shared.flops.lock().expect("flops lock");
                     *total = total.saturating_add(flops);
                 }
-                let _ = sender.send(SearchEvent::ProxyScored {
-                    scenario: index,
-                    id,
-                    accuracy,
-                });
-                if let Some(store) = self.store.as_deref() {
-                    // Journal best-effort: a full disk degrades the run
-                    // to cache-less, it does not kill it.
-                    let span = syno_telemetry::span!("store_append", candidate = id);
-                    let _ = store.put_candidate(id, graph);
-                    let _ = store.put_score(id, accuracy, &contract);
-                    self.shared.progress.phases.add_store(span.elapsed());
-                }
-                self.progress().discovered.fetch_add(1, Ordering::Relaxed);
-                // Latency-tune immediately: the candidate is complete in
-                // the stream, and a cancelled run keeps every candidate
-                // it has announced.
-                let tune_span = syno_telemetry::span!("latency_tune", candidate = id);
-                let priced = price_candidate(index, graph, accuracy, &self.devices, self.compiler);
-                self.shared.progress.phases.add_tune(tune_span.elapsed());
-                drop(tune_span);
-                match priced {
-                    Ok(candidate) => {
-                        if let Some(store) = self.store.as_deref() {
-                            for (device, latency) in self.devices.iter().zip(&candidate.latencies)
-                            {
-                                let _ = store.put_latency(
-                                    id,
-                                    device.name,
-                                    self.compiler.name(),
-                                    *latency,
-                                );
-                            }
-                        }
-                        self.progress().candidates.fetch_add(1, Ordering::Relaxed);
-                        let _ = sender.send(SearchEvent::LatencyTuned {
-                            scenario: index,
-                            id,
-                            candidate: candidate.clone(),
-                        });
-                        self.candidates
-                            .lock()
-                            .expect("candidates lock")
-                            .push(candidate);
-                    }
-                    Err(error) => {
-                        syno_telemetry::counter!("syno_search_skips_total").inc();
-                        let _ = sender.send(SearchEvent::CandidateSkipped {
-                            scenario: index,
-                            id,
-                            error,
-                        });
-                    }
-                }
-                accuracy
+                self.deliver(id, graph, accuracy, Source::Trained)
             }
-            Err(error) => {
-                // Failures train deterministically too: followers replay
-                // the identical typed skip instead of re-failing.
-                if let Some(guard) = leader.take() {
-                    guard.publish(TrainOutcome::Failed(error.clone()));
-                }
-                if let Some(store) = self.store.as_deref() {
-                    // Journal the failure (NaN marker) so resumed runs
-                    // skip this candidate instead of re-training it.
-                    let span = syno_telemetry::span!("store_append", candidate = id);
-                    let _ = store.put_candidate(id, graph);
-                    let _ = store.put_score(id, f64::NAN, &contract);
-                    self.shared.progress.phases.add_store(span.elapsed());
-                }
-                syno_telemetry::counter!("syno_search_skips_total").inc();
-                let _ = sender.send(SearchEvent::CandidateSkipped {
-                    scenario: index,
-                    id,
-                    error,
-                });
-                0.0
-            }
+            Err(error) => self.skip(id, "proxy", error),
         }
     }
 
-    /// Replays a coalesced training outcome as this scenario's own events.
+    /// Prices a candidate whose accuracy is known, streams and records it,
+    /// and returns the accuracy as the reward.
     ///
-    /// Training is deterministic, so the replayed `ProxyScored` accuracy is
-    /// bit-identical to what a fresh training would have produced; latency
-    /// tuning is re-run locally (it is deterministic and per-scenario
-    /// cheap). The leader already journaled the score and counted the
-    /// training's FLOPs, so this path journals nothing and adds no FLOPs —
-    /// one training, many observers.
-    fn replay_coalesced(
-        &self,
-        id: u64,
-        graph: &PGraph,
-        outcome: TrainOutcome,
-        sender: &Sender<SearchEvent>,
-    ) -> f64 {
-        let index = self.index;
-        match outcome {
-            TrainOutcome::Scored { accuracy } => {
-                let _ = sender.send(SearchEvent::ProxyScored {
-                    scenario: index,
-                    id,
-                    accuracy,
-                });
-                self.progress().discovered.fetch_add(1, Ordering::Relaxed);
-                let tune_span = syno_telemetry::span!("latency_tune", candidate = id);
-                let priced = price_candidate(index, graph, accuracy, &self.devices, self.compiler);
-                self.shared.progress.phases.add_tune(tune_span.elapsed());
-                drop(tune_span);
-                match priced {
-                    Ok(candidate) => {
-                        self.progress().candidates.fetch_add(1, Ordering::Relaxed);
-                        let _ = sender.send(SearchEvent::LatencyTuned {
-                            scenario: index,
-                            id,
-                            candidate: candidate.clone(),
-                        });
-                        self.candidates
-                            .lock()
-                            .expect("candidates lock")
-                            .push(candidate);
-                    }
+    /// Latency tuning happens right here, not in a later pass: the
+    /// candidate is complete in the stream, and a cancelled run keeps every
+    /// candidate it has announced.
+    fn deliver(&self, id: u64, graph: &PGraph, accuracy: f64, source: Source) -> f64 {
+        let shared = &*self.shared;
+        let scenario = self.index;
+        let recalled = source == Source::Recalled;
+        if !recalled {
+            shared.emit(SearchEvent::ProxyScored {
+                scenario,
+                id,
+                accuracy,
+            });
+        }
+        self.progress().discovered.fetch_add(1, Ordering::Relaxed);
+        let compiler = shared.compiler;
+        let store = shared.store.as_deref();
+        let stored = match store {
+            Some(store) if recalled => {
+                let device_names: Vec<&str> = shared.devices.iter().map(|d| d.name).collect();
+                store.latencies(id, &device_names, compiler.name())
+            }
+            _ => None,
+        };
+        let latencies = match stored {
+            Some(latencies) => latencies,
+            // Not recalled — or scored in a previous run but tuned for
+            // different devices: reuse the accuracy, tune the latency.
+            None => {
+                let span = syno_telemetry::span!("latency_tune", candidate = id);
+                let tuned = tune_latencies(graph, &shared.devices, compiler);
+                shared.progress.phases.add_tune(span.elapsed());
+                drop(span);
+                let latencies = match tuned {
+                    Ok(latencies) => latencies,
                     Err(error) => {
-                        syno_telemetry::counter!("syno_search_skips_total").inc();
-                        let _ = sender.send(SearchEvent::CandidateSkipped {
-                            scenario: index,
-                            id,
-                            error,
-                        });
+                        self.skip(id, "tune", error);
+                        return accuracy;
+                    }
+                };
+                if let (Some(store), true) = (store, source != Source::Replayed) {
+                    for (device, latency) in shared.devices.iter().zip(&latencies) {
+                        let _ = store.put_latency(id, device.name, compiler.name(), *latency);
                     }
                 }
-                accuracy
+                latencies
             }
-            TrainOutcome::Failed(error) => {
-                syno_telemetry::counter!("syno_search_skips_total").inc();
-                let _ = sender.send(SearchEvent::CandidateSkipped {
-                    scenario: index,
-                    id,
-                    error,
-                });
-                0.0
-            }
+        };
+        let candidate = Candidate {
+            scenario,
+            graph: graph.clone(),
+            accuracy,
+            flops: syno_core::analysis::naive_flops(graph, 0).unwrap_or(u128::MAX),
+            params: syno_core::analysis::parameter_count(graph, 0).unwrap_or(u128::MAX),
+            latencies,
+        };
+        if let (Some(store), true) = (store, recalled) {
+            // Counted only now, when the recall is actually served:
+            // stats.cache_hits == CacheHit events.
+            store.record_hit();
+            syno_telemetry::counter!("syno_search_cache_hits_total").inc();
         }
+        // Counters advance before the event is emitted, so a status poll
+        // racing the stream never undercounts what the consumer already saw.
+        self.progress().candidates.fetch_add(1, Ordering::Relaxed);
+        self.candidates
+            .lock()
+            .expect("candidates lock")
+            .push(candidate.clone());
+        shared.emit(if recalled {
+            SearchEvent::CacheHit {
+                scenario,
+                id,
+                candidate,
+            }
+        } else {
+            SearchEvent::LatencyTuned {
+                scenario,
+                id,
+                candidate,
+            }
+        });
+        accuracy
+    }
+
+    /// The one way a candidate is dropped: counts it under
+    /// `syno_search_skips_total{reason="…"}`, streams the typed
+    /// `CandidateSkipped`, and returns the skip's reward, 0.0.
+    ///
+    /// Reasons: `recalled` (a journaled proxy failure), `proxy` (training
+    /// failed or panicked, here or in the run this one coalesced with),
+    /// `tune` (the compiler rejected it), `panic` (anything else in its job
+    /// panicked), `lost` (the evaluator pool refused or dropped its job).
+    fn skip(&self, id: u64, reason: &str, error: SynoError) -> f64 {
+        let series = labeled("syno_search_skips_total", &[("reason", reason)]);
+        syno_telemetry::metrics::global().counter(&series).inc();
+        self.shared.emit(SearchEvent::CandidateSkipped {
+            scenario: self.index,
+            id,
+            error,
+        });
+        0.0
     }
 }
 
@@ -1457,49 +1386,26 @@ impl EvalContext {
 /// (cache hits skip proxy training entirely) and the scenario's position is
 /// checkpointed alongside each progress heartbeat. In resume mode the
 /// journaled checkpoint's seed is re-adopted so the deterministic rollout
-/// stream replays the interrupted run.
-///
-/// With `eval_workers > 1` the evaluation sequence runs on scoped worker
-/// threads fed by a bounded queue while the tree search continues under a
-/// virtual loss (see the module docs for the determinism contract). The
-/// store keeps its single-writer discipline: every worker shares the one
-/// process-locked [`Store`], whose internal mutex serializes journal
-/// appends.
-#[allow(clippy::too_many_arguments)]
-fn run_scenario(
-    index: usize,
-    scenario: &Scenario,
-    synth: &Option<SynthConfig>,
-    mcts_config: MctsConfig,
-    proxy: &ProxyConfig,
-    devices: &Arc<Vec<Device>>,
-    compiler: CompilerKind,
-    eval_workers: usize,
-    eval_pool: Option<&EvalPool>,
-    progress_every: u64,
-    store: Option<&Arc<Store>>,
-    resume: bool,
-    coalesce: Option<&CoalesceTable>,
-    shared: &Arc<Shared>,
-    sender: &Sender<SearchEvent>,
-) -> Vec<Candidate> {
+/// stream replays the interrupted run. The store keeps its single-writer
+/// discipline at any width: every job shares the one process-locked
+/// [`Store`], whose internal mutex serializes journal appends.
+fn run_scenario(shared: &Arc<Shared>, index: usize, scenario: &Scenario) -> Vec<Candidate> {
     let config = scenario
         .synth
         .clone()
-        .or_else(|| synth.clone())
+        .or_else(|| shared.synth.clone())
         .unwrap_or_else(|| SynthConfig::auto(&scenario.vars, 4));
     let enumerator = Enumerator::new(config);
     let root = PGraph::new(Arc::clone(&scenario.vars), scenario.spec.clone());
     let fingerprint = scenario.spec.fingerprint(&scenario.vars);
+    let store = shared.store.as_deref();
     // Distinct seeds keep concurrent scenarios on distinct rollout streams;
     // a resumed scenario re-adopts its journaled seed so the deterministic
     // replay matches the interrupted run.
-    let base_seed = mcts_config.seed.wrapping_add(index as u64);
-    let resumed_from = if resume {
-        store.and_then(|s| s.checkpoint(&scenario.label, fingerprint))
-    } else {
-        None
-    };
+    let base_seed = shared.mcts.seed.wrapping_add(index as u64);
+    let resumed_from = store
+        .filter(|_| shared.resume)
+        .and_then(|s| s.checkpoint(&scenario.label, fingerprint));
     let seed = resumed_from.as_ref().map_or(base_seed, |cp| cp.seed);
     // Journal the run's lifecycle into the repository's operation log so
     // this scenario's candidate collection has lineage. On resume, the op
@@ -1527,12 +1433,10 @@ fn run_scenario(
         };
         let _ = op; // best-effort, like every journal append on the hot path
     }
-    let mut mcts = Mcts::new(enumerator, MctsConfig { seed, ..mcts_config });
+    let mut mcts = Mcts::new(enumerator, MctsConfig { seed, ..shared.mcts });
 
-    let total_iterations = mcts_config.iterations as u64;
-    let candidates: Arc<Mutex<Vec<Candidate>>> = Arc::new(Mutex::new(Vec::new()));
+    let total_iterations = shared.mcts.iterations as u64;
     let progress = &shared.progress.scenarios[index];
-
     let eval = EvalContext {
         index,
         // A missing family is a programming error (an internal caller
@@ -1541,167 +1445,14 @@ fn run_scenario(
         family: scenario
             .family
             .expect("start() resolves a proxy family for every scenario"),
-        proxy: *proxy,
-        devices: Arc::clone(devices),
-        compiler,
-        store: store.map(Arc::clone),
-        coalesce: coalesce.cloned(),
         shared: Arc::clone(shared),
-        candidates: Arc::clone(&candidates),
+        candidates: Arc::default(),
     };
 
-    let keep_going = |iteration: u64| {
-        if shared.should_stop().is_some() {
-            return false;
-        }
-        shared.progress.steps.fetch_add(1, Ordering::Relaxed);
-        progress.iterations.store(iteration + 1, Ordering::Relaxed);
-        if iteration > 0 && iteration.is_multiple_of(progress_every) {
-            let discovered = progress.discovered();
-            let _ = sender.send(SearchEvent::Progress {
-                scenario: index,
-                iterations: iteration,
-                total_iterations,
-                discovered,
-            });
-            if let Some(store) = store {
-                let written = store.put_checkpoint(&Checkpoint {
-                    label: scenario.label.clone(),
-                    spec_fingerprint: fingerprint,
-                    seed,
-                    iterations: iteration,
-                    discovered,
-                });
-                if written.is_ok() {
-                    let _ = store.log_operation(
-                        OpKind::Checkpoint,
-                        &scenario.label,
-                        fingerprint,
-                        format!("iteration {iteration}"),
-                    );
-                    let _ = sender.send(SearchEvent::CheckpointWritten {
-                        scenario: index,
-                        iterations: iteration,
-                    });
-                }
-            }
-        }
-        true
-    };
-
-    if let Some(pool) = eval_pool {
-        run_pooled(index, &mut mcts, &root, pool, &eval, sender, keep_going);
-    } else if eval_workers <= 1 {
-        // Serial mode: evaluate inline in the reward closure — the exact
-        // pre-pipeline behavior.
-        mcts.search_while(
-            &root,
-            |graph| {
-                let id = graph.content_hash();
-                let _ = sender.send(SearchEvent::CandidateFound {
-                    scenario: index,
-                    id,
-                    graph: graph.clone(),
-                });
-                eval.evaluate(id, graph, sender)
-            },
-            keep_going,
-        );
-    } else {
-        // Pipelined mode: `CandidateFound` is announced from the search
-        // thread at submission (so it precedes the candidate's evaluation
-        // events no matter how workers are scheduled), then the bounded
-        // queue hands the operator to an evaluator worker. One worker owns
-        // a candidate end to end, keeping its event subsequence in
-        // pipeline order.
-        let (request_tx, request_rx) = sync_channel::<EvalRequest>(eval_workers * 2);
-        let request_rx = Mutex::new(request_rx);
-        let (outcome_tx, outcome_rx) = channel::<EvalOutcome>();
-        thread::scope(|scope| {
-            for _ in 0..eval_workers {
-                let outcome_tx = outcome_tx.clone();
-                let worker_sender = sender.clone();
-                let request_rx = &request_rx;
-                let eval = &eval;
-                scope.spawn(move || loop {
-                    // The mutex is held only across the blocking pop, not
-                    // the evaluation, so workers truly run concurrently.
-                    let request = request_rx.lock().expect("eval queue lock").recv();
-                    let Ok(request) = request else { break };
-                    // Every popped request MUST resolve to an outcome: a
-                    // panic that escaped the evaluation (e.g. from latency
-                    // tuning) would otherwise lose its reward while the
-                    // surviving workers keep the outcome channel open, and
-                    // the engine's drain would wait forever. Demote it to
-                    // a typed skip, like any other per-candidate failure.
-                    let reward = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        eval.evaluate(request.id, &request.graph, &worker_sender)
-                    }))
-                    .unwrap_or_else(|payload| {
-                        let _ = worker_sender.send(SearchEvent::CandidateSkipped {
-                            scenario: index,
-                            id: request.id,
-                            error: SynoError::worker(panic_message(&payload)),
-                        });
-                        0.0
-                    });
-                    if outcome_tx
-                        .send(EvalOutcome {
-                            id: request.id,
-                            reward,
-                        })
-                        .is_err()
-                    {
-                        break;
-                    }
-                });
-            }
-            drop(outcome_tx);
-            mcts.search_async_while(
-                &root,
-                |request| {
-                    let _ = sender.send(SearchEvent::CandidateFound {
-                        scenario: index,
-                        id: request.id,
-                        graph: request.graph.clone(),
-                    });
-                    let id = request.id;
-                    let accepted = request_tx.send(request).is_ok();
-                    if !accepted {
-                        // Every worker died (each only exits early when the
-                        // outcome channel is gone). The engine degrades this
-                        // candidate to skip semantics; surface that as a
-                        // typed per-candidate error instead of a silent 0.0.
-                        let _ = sender.send(SearchEvent::CandidateSkipped {
-                            scenario: index,
-                            id,
-                            error: SynoError::eval(
-                                "candidate evaluation lost: every evaluator worker died",
-                            ),
-                        });
-                    }
-                    accepted
-                },
-                &outcome_rx,
-                keep_going,
-            );
-            // Closing the queue lets idle workers exit; the scope joins
-            // them only after everything still in flight has drained.
-            drop(request_tx);
-        });
-    }
-
-    // Fold the engine-side timings (selection + rollout synthesis, both
-    // measured inside the engine loop) into the run's phase accounting.
-    shared
-        .progress
-        .phases
-        .add_synth_ns(mcts.stats.select_ns + mcts.stats.rollout_ns);
-
-    // Final checkpoint: pins the scenario's end position so resume_from
-    // knows completed scenarios replay (all hits) rather than re-train.
-    if let Some(store) = store {
-        let iterations = progress.iterations();
+    // Journals the scenario's position, so `resume_from` knows where it got
+    // to (and that a completed scenario replays as hits, not trainings).
+    let checkpoint = |iterations: u64, note: &str| {
+        let Some(store) = store else { return };
         let written = store.put_checkpoint(&Checkpoint {
             label: scenario.label.clone(),
             spec_fingerprint: fingerprint,
@@ -1714,20 +1465,96 @@ fn run_scenario(
                 OpKind::Checkpoint,
                 &scenario.label,
                 fingerprint,
-                format!("iteration {iterations} (final)"),
+                format!("iteration {iterations}{note}"),
             );
-            let _ = sender.send(SearchEvent::CheckpointWritten {
+            shared.emit(SearchEvent::CheckpointWritten {
                 scenario: index,
                 iterations,
             });
         }
-    }
+    };
+
+    let keep_going = |iteration: u64| {
+        if shared.should_stop().is_some() {
+            return false;
+        }
+        shared.progress.steps.fetch_add(1, Ordering::Relaxed);
+        progress.iterations.store(iteration + 1, Ordering::Relaxed);
+        if iteration > 0 && iteration.is_multiple_of(shared.progress_every) {
+            shared.emit(SearchEvent::Progress {
+                scenario: index,
+                iterations: iteration,
+                total_iterations,
+                discovered: progress.discovered(),
+            });
+            checkpoint(iteration, "");
+        }
+        true
+    };
+
+    let (outcome_tx, outcome_rx) = channel::<EvalOutcome>();
+    mcts.search_async_while(
+        &root,
+        |EvalRequest { id, graph }| {
+            // Announced from the search thread, so it precedes the
+            // candidate's evaluation events however jobs are scheduled.
+            shared.emit(SearchEvent::CandidateFound {
+                scenario: index,
+                id,
+                graph: graph.clone(),
+            });
+            let guard = OutcomeGuard {
+                eval: eval.clone(),
+                id,
+                outcome_tx: outcome_tx.clone(),
+                done: false,
+            };
+            // One job owns the candidate end to end, keeping its event
+            // subsequence in pipeline order. It MUST resolve to an outcome:
+            // a panic that escaped the evaluation (e.g. from latency
+            // tuning) would otherwise lose its reward and leave the
+            // engine's drain waiting forever, so it is demoted to a typed
+            // skip like any other per-candidate failure.
+            let job = move || {
+                let evaluated = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    guard.eval.evaluate(id, &graph)
+                }));
+                let reward = evaluated.unwrap_or_else(|payload| {
+                    let error = SynoError::worker(panic_message(payload));
+                    guard.eval.skip(id, "panic", error)
+                });
+                guard.complete(reward);
+            };
+            match &shared.pool {
+                // A refused submission drops the job, so the guard has
+                // already sent the skip event and the 0.0 outcome (which
+                // the engine discards as stale — it records the refusal
+                // itself).
+                Some(pool) => pool.submit(Box::new(job)),
+                None => {
+                    job();
+                    true
+                }
+            }
+        },
+        &outcome_rx,
+        keep_going,
+    );
+
+    // Fold the engine-side timings (selection + rollout synthesis, both
+    // measured inside the engine loop) into the run's phase accounting.
+    shared
+        .progress
+        .phases
+        .add_synth_ns(mcts.stats.select_ns + mcts.stats.rollout_ns);
+
+    checkpoint(progress.iterations(), " (final)");
 
     // Pool workers may still be tearing down their job closures (each
     // holds a clone of the Arc), but every evaluation that completed has
     // already pushed — the search does not return before its outcomes
     // drained — so taking the vector here loses nothing.
-    let found = std::mem::take(&mut *candidates.lock().expect("candidates lock"));
+    let found = std::mem::take(&mut *eval.candidates.lock().expect("candidates lock"));
 
     // Journal the run's candidate collection as a named set, keyed by the
     // scenario label: the unit the derive algebra (union / intersection /
@@ -1747,19 +1574,18 @@ fn run_scenario(
 }
 
 /// Sends the one [`EvalOutcome`] its candidate is owed, no matter how the
-/// pool job ends.
+/// job ends.
 ///
 /// Armed at submission; [`complete`](OutcomeGuard::complete) reports a real
-/// reward. If the job is instead *dropped* unrun — the shared pool was shut
-/// down, or refused the submission — `Drop` surfaces the loss as a typed
+/// reward. If the job is instead *dropped* unrun — the pool was shut down
+/// and refused the submission — `Drop` surfaces the loss as a typed
 /// [`SynoError::Eval`] through the event stream and reports reward 0.0, so
 /// the engine's drain never deadlocks and the tenant sees exactly which
 /// candidates a dying evaluator took with it.
 struct OutcomeGuard {
-    scenario: usize,
+    eval: EvalContext,
     id: u64,
     outcome_tx: Sender<EvalOutcome>,
-    events: Sender<SearchEvent>,
     done: bool,
 }
 
@@ -1776,154 +1602,32 @@ impl OutcomeGuard {
 impl Drop for OutcomeGuard {
     fn drop(&mut self) {
         if !self.done {
-            let _ = self.events.send(SearchEvent::CandidateSkipped {
-                scenario: self.scenario,
-                id: self.id,
-                error: SynoError::eval(
-                    "candidate evaluation lost: the evaluator pool shut down before the \
-                     candidate was evaluated",
-                ),
-            });
+            let error = SynoError::eval(
+                "candidate evaluation lost: the evaluator pool shut down before the \
+                 candidate was evaluated",
+            );
+            let reward = self.eval.skip(self.id, "lost", error);
             let _ = self.outcome_tx.send(EvalOutcome {
                 id: self.id,
-                reward: 0.0,
+                reward,
             });
         }
     }
 }
 
-/// The shared-pool evaluation mode: candidates are packaged as `'static`
-/// jobs and submitted to `pool`, whose workers serve every concurrent run.
-///
-/// The determinism contract is the scoped pipeline's, per run: this run's
-/// engine blocks on *its own* outcome channel before any UCB read that
-/// could observe an unsettled reward, and outcomes are keyed by candidate
-/// id, so sharing workers with other runs changes only scheduling, never
-/// this run's selection decisions.
-fn run_pooled(
-    index: usize,
-    mcts: &mut Mcts,
-    root: &PGraph,
-    pool: &EvalPool,
-    eval: &EvalContext,
-    sender: &Sender<SearchEvent>,
-    keep_going: impl FnMut(u64) -> bool,
-) {
-    let (outcome_tx, outcome_rx) = channel::<EvalOutcome>();
-    mcts.search_async_while(
-        root,
-        |request| {
-            let _ = sender.send(SearchEvent::CandidateFound {
-                scenario: index,
-                id: request.id,
-                graph: request.graph.clone(),
-            });
-            let guard = OutcomeGuard {
-                scenario: index,
-                id: request.id,
-                outcome_tx: outcome_tx.clone(),
-                events: sender.clone(),
-                done: false,
-            };
-            let eval = eval.clone();
-            let events = sender.clone();
-            let EvalRequest { id, graph } = request;
-            // One job owns the candidate end to end, keeping its event
-            // subsequence in pipeline order. A panic that escapes the
-            // evaluation is demoted to a typed skip (the pool also guards
-            // itself, but by then the outcome would be lost).
-            pool.submit(Box::new(move || {
-                let reward = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    eval.evaluate(id, &graph, &events)
-                }))
-                .unwrap_or_else(|payload| {
-                    let _ = events.send(SearchEvent::CandidateSkipped {
-                        scenario: index,
-                        id,
-                        error: SynoError::worker(panic_message(&payload)),
-                    });
-                    0.0
-                });
-                guard.complete(reward);
-            }))
-            // A refused submission drops the job, so the guard has already
-            // sent the skip event and the 0.0 outcome (which the engine
-            // discards as stale — it records the refusal itself).
-        },
-        &outcome_rx,
-        keep_going,
-    );
-}
-
-/// Tunes one scored candidate on every device.
-pub(crate) fn price_candidate(
-    scenario: usize,
+/// Tunes one candidate on every device.
+fn tune_latencies(
     graph: &PGraph,
-    accuracy: f64,
     devices: &[Device],
     compiler: CompilerKind,
-) -> Result<Candidate, SynoError> {
-    let flops = syno_core::analysis::naive_flops(graph, 0).unwrap_or(u128::MAX);
-    let params = syno_core::analysis::parameter_count(graph, 0).unwrap_or(u128::MAX);
+) -> Result<Vec<f64>, SynoError> {
     // Profile once (lowering enumerates materialization plans — the
     // expensive part), then compile the shared profile per device.
     let profile = syno_compiler::profile_graph(graph, 0, OperatorClass::Novel, "candidate")?;
-    let mut latencies = Vec::with_capacity(devices.len());
-    for device in devices {
-        let compiled = syno_compiler::compile(&profile, device, compiler, DType::F32);
-        latencies.push(compiled.latency);
-    }
-    Ok(Candidate {
-        scenario,
-        graph: graph.clone(),
-        accuracy,
-        flops,
-        params,
-        latencies,
-    })
-}
-
-/// Re-evaluates already-discovered operators (the legacy pricing path).
-pub(crate) fn price_discovered(
-    discovered: &[Discovered],
-    devices: &[Device],
-    compiler: CompilerKind,
-    workers: usize,
-) -> Vec<Candidate> {
-    let results: Mutex<Vec<(usize, Candidate)>> = Mutex::new(Vec::new());
-    let next: Mutex<usize> = Mutex::new(0);
-    let worker_count = workers.max(1);
-    thread::scope(|scope| {
-        for _ in 0..worker_count {
-            scope.spawn(|| loop {
-                let idx = {
-                    let mut guard = next.lock().expect("index lock");
-                    let idx = *guard;
-                    *guard += 1;
-                    idx
-                };
-                if idx >= discovered.len() {
-                    break;
-                }
-                let d = &discovered[idx];
-                let candidate = price_candidate(0, &d.graph, d.reward, devices, compiler)
-                    .unwrap_or_else(|_| Candidate {
-                        scenario: 0,
-                        graph: d.graph.clone(),
-                        accuracy: d.reward,
-                        flops: syno_core::analysis::naive_flops(&d.graph, 0)
-                            .unwrap_or(u128::MAX),
-                        params: syno_core::analysis::parameter_count(&d.graph, 0)
-                            .unwrap_or(u128::MAX),
-                        latencies: vec![f64::INFINITY; devices.len()],
-                    });
-                results.lock().expect("results lock").push((idx, candidate));
-            });
-        }
-    });
-    let mut out = results.into_inner().expect("results lock");
-    out.sort_by_key(|(idx, _)| *idx);
-    out.into_iter().map(|(_, c)| c).collect()
+    Ok(devices
+        .iter()
+        .map(|device| syno_compiler::compile(&profile, device, compiler, DType::F32).latency)
+        .collect())
 }
 
 #[cfg(test)]
@@ -2395,58 +2099,76 @@ mod tests {
         map
     }
 
-    /// The determinism contract of the evaluation pipeline: with a fixed
-    /// seed, `eval_workers(4)` discovers exactly the serial run's candidate
-    /// set (by content hash, with the same rewards) and every candidate
-    /// sees the same event subsequence — only cross-candidate interleaving
+    /// The determinism contract, checked against the reference outside
+    /// this module: at every width, and for two concurrent runs on one
+    /// shared pool, a seeded run reports exactly the `(content_hash,
+    /// accuracy bits)` set that `Mcts::search` reaches when driven with the
+    /// same family score, and every candidate streams the event
+    /// subsequence that score implies — only cross-candidate interleaving
     /// may differ.
     #[test]
-    fn eval_pipeline_matches_serial_run() {
+    fn every_width_and_a_shared_pool_match_the_reference_search() {
         let (vars, spec) = conv_scenario();
-        let run_with = |eval_workers: usize| {
-            let run = SearchBuilder::new()
+        let mcts = MctsConfig {
+            iterations: 25,
+            seed: 2,
+            ..MctsConfig::default()
+        };
+        let proxy = quick_proxy();
+
+        let family = resolve_family(&spec, &vars, 0).unwrap().family();
+        let mut expected_set: Vec<(u64, u64)> = Vec::new();
+        let mut expected_seq = std::collections::HashMap::new();
+        let mut reference = Mcts::new(Enumerator::new(SynthConfig::auto(&vars, 4)), mcts);
+        reference.search(&PGraph::new(Arc::clone(&vars), spec.clone()), |graph| {
+            let id = graph.content_hash();
+            match family.score(graph, 0, &proxy) {
+                Ok(accuracy) => {
+                    let accuracy = f64::from(accuracy).clamp(0.0, 1.0);
+                    expected_set.push((id, accuracy.to_bits()));
+                    expected_seq.insert(id, vec!["found", "scored", "tuned"]);
+                    accuracy
+                }
+                Err(_) => {
+                    expected_seq.insert(id, vec!["found", "skipped"]);
+                    0.0
+                }
+            }
+        });
+        expected_set.sort_unstable();
+        assert!(!expected_set.is_empty());
+
+        let pool = EvalPool::new(3);
+        let start = |name: &str, place: &dyn Fn(SearchBuilder) -> SearchBuilder| {
+            let builder = SearchBuilder::new()
                 .scenario("conv", &vars, &spec)
-                .mcts(MctsConfig {
-                    iterations: 25,
-                    seed: 2,
-                    ..MctsConfig::default()
-                })
-                .proxy(quick_proxy())
-                .eval_workers(eval_workers)
-                .start()
-                .unwrap();
+                .mcts(mcts)
+                .proxy(proxy);
+            (name.to_owned(), place(builder).start().unwrap())
+        };
+        let runs = [
+            start("eval_workers(1)", &|b| b.eval_workers(1)),
+            start("eval_workers(2)", &|b| b.eval_workers(2)),
+            start("eval_workers(4)", &|b| b.eval_workers(4)),
+            // Two concurrent runs share the one pool — the daemon's shape.
+            start("shared pool, first run", &|b| b.eval_pool(pool.clone())),
+            start("shared pool, second run", &|b| b.eval_pool(pool.clone())),
+        ];
+        for (name, run) in runs {
             let events: Vec<SearchEvent> = run.events().collect();
             let report = run.join().unwrap();
-            (events, report)
-        };
-
-        let (serial_events, serial_report) = run_with(1);
-        let (piped_events, piped_report) = run_with(4);
-
-        assert_eq!(serial_report.stopped, StopReason::Completed);
-        assert_eq!(piped_report.stopped, StopReason::Completed);
-        assert_eq!(serial_report.steps, piped_report.steps);
-
-        // Identical candidate sets, accuracies included.
-        let ids = |r: &SearchReport| {
-            let mut v: Vec<(u64, u64)> = r
+            assert_eq!(report.stopped, StopReason::Completed, "{name}");
+            assert_eq!(report.steps, 25, "{name}");
+            let mut set: Vec<(u64, u64)> = report
                 .candidates
                 .iter()
                 .map(|c| (c.graph.content_hash(), c.accuracy.to_bits()))
                 .collect();
-            v.sort_unstable();
-            v
-        };
-        assert!(!serial_report.candidates.is_empty());
-        assert_eq!(ids(&serial_report), ids(&piped_report));
-
-        // Identical per-candidate event subsequences.
-        let serial_seq = per_candidate_sequences(&serial_events);
-        let piped_seq = per_candidate_sequences(&piped_events);
-        assert_eq!(serial_seq, piped_seq);
-        for (id, seq) in &piped_seq {
-            assert_eq!(seq[0], "found", "candidate {id:#x} out of order: {seq:?}");
+            set.sort_unstable();
+            assert_eq!(set, expected_set, "{name}");
+            assert_eq!(per_candidate_sequences(&events), expected_seq, "{name}");
         }
+        pool.shutdown().expect("no evaluation panicked");
     }
 
     /// Cancelling a pipelined run must drain in-flight evaluations
@@ -2508,63 +2230,6 @@ mod tests {
         );
     }
 
-    /// The shared-pool mode upholds the pipeline determinism contract:
-    /// runs fed through one `EvalPool` — even two of them concurrently —
-    /// discover exactly the serial run's candidate set with the same
-    /// per-candidate event subsequences.
-    #[test]
-    fn shared_eval_pool_matches_serial_run() {
-        let (vars, spec) = conv_scenario();
-        let mcts = MctsConfig {
-            iterations: 25,
-            seed: 2,
-            ..MctsConfig::default()
-        };
-        let serial = SearchBuilder::new()
-            .scenario("conv", &vars, &spec)
-            .mcts(mcts)
-            .proxy(quick_proxy())
-            .start()
-            .unwrap();
-        let serial_events: Vec<SearchEvent> = serial.events().collect();
-        let serial_report = serial.join().unwrap();
-
-        let pool = EvalPool::new(3);
-        let start_pooled = || {
-            SearchBuilder::new()
-                .scenario("conv", &vars, &spec)
-                .mcts(mcts)
-                .proxy(quick_proxy())
-                .eval_pool(pool.clone())
-                .start()
-                .unwrap()
-        };
-        // Two concurrent runs share the one pool — the daemon's shape.
-        let run_a = start_pooled();
-        let run_b = start_pooled();
-        let events_a: Vec<SearchEvent> = run_a.events().collect();
-        let events_b: Vec<SearchEvent> = run_b.events().collect();
-        let report_a = run_a.join().unwrap();
-        let report_b = run_b.join().unwrap();
-        pool.shutdown().expect("no evaluation panicked");
-
-        let ids = |r: &SearchReport| {
-            let mut v: Vec<(u64, u64)> = r
-                .candidates
-                .iter()
-                .map(|c| (c.graph.content_hash(), c.accuracy.to_bits()))
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        assert!(!serial_report.candidates.is_empty());
-        assert_eq!(ids(&serial_report), ids(&report_a));
-        assert_eq!(ids(&serial_report), ids(&report_b));
-        let serial_seq = per_candidate_sequences(&serial_events);
-        assert_eq!(serial_seq, per_candidate_sequences(&events_a));
-        assert_eq!(serial_seq, per_candidate_sequences(&events_b));
-    }
-
     /// A pool shut down mid-run must degrade loudly: every candidate whose
     /// evaluation was lost surfaces a typed `SynoError::Eval` through the
     /// event stream instead of silently scoring 0.0.
@@ -2573,6 +2238,14 @@ mod tests {
         let (vars, spec) = conv_scenario();
         let pool = EvalPool::new(1);
         pool.shutdown().expect("no evaluation panicked");
+        // Every skip is counted by reason. Other tests of this binary run
+        // while telemetry is on and may skip candidates too, but only a
+        // dead pool loses them, so the `lost` series is this run's alone.
+        let _telemetry = syno_telemetry::metrics::test_lock();
+        let lost = syno_telemetry::metrics::global()
+            .counter(&labeled("syno_search_skips_total", &[("reason", "lost")]));
+        let lost_before = lost.get();
+        syno_telemetry::set_enabled(true);
         let run = SearchBuilder::new()
             .scenario("conv", &vars, &spec)
             .mcts(MctsConfig {
@@ -2585,6 +2258,7 @@ mod tests {
             .start()
             .unwrap();
         let events: Vec<SearchEvent> = run.events().collect();
+        syno_telemetry::set_enabled(false);
         let skips: Vec<&SynoError> = events
             .iter()
             .filter_map(|e| match e {
@@ -2593,6 +2267,11 @@ mod tests {
             })
             .collect();
         assert!(!skips.is_empty(), "a dead pool must report lost candidates");
+        assert_eq!(
+            lost.get() - lost_before,
+            skips.len() as u64,
+            "every streamed skip is counted"
+        );
         for error in &skips {
             assert!(
                 matches!(error, SynoError::Eval { .. }),

@@ -10,10 +10,9 @@
 //!   [`SearchBuilder`] → [`SearchRun`] pipeline (synthesize → proxy-train →
 //!   latency-tune), which emits [`SearchEvent`]s over a channel, honors
 //!   step/FLOP/wall-clock [`Budget`]s, cancels cooperatively through a
-//!   [`CancelToken`], evaluates many specs concurrently over a worker
-//!   pool, and pipelines candidate evaluation within a scenario over
-//!   [`SessionBuilder::eval_workers`] threads without changing the
-//!   discovered candidate set;
+//!   [`CancelToken`], searches many specs concurrently, and evaluates a
+//!   run's candidates on [`SessionBuilder::eval_workers`] threads without
+//!   changing the discovered candidate set;
 //! * [`SessionBuilder::store`] — persistence: a content-addressed on-disk
 //!   [`Store`] that deduplicates candidates across runs, recalls cached
 //!   evaluations as [`SearchEvent::CacheHit`]s instead of re-training, and

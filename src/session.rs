@@ -93,14 +93,15 @@ impl SessionBuilder {
         self
     }
 
-    /// Default evaluator-thread count *within* each search scenario
-    /// (defaults to 1 — serial evaluation).
+    /// Default evaluator-thread count per search run (defaults to 1 —
+    /// each candidate is evaluated in place on its scenario's search
+    /// thread).
     ///
-    /// With `n > 1`, search runs started through this session pipeline
-    /// candidate evaluation (store lookup → proxy training → latency
-    /// tuning) over `n` concurrent workers per scenario while the tree
-    /// search continues under a virtual loss. Seeded runs discover the
-    /// identical candidate set either way; see
+    /// With `n > 1`, a search run started through this session creates one
+    /// pool of `n` evaluator threads for all its scenarios: candidate
+    /// evaluation (store lookup → proxy training → latency tuning) runs
+    /// there while the tree search continues under a virtual loss. Seeded
+    /// runs discover the identical candidate set either way; see
     /// [`SearchBuilder::eval_workers`] for the determinism contract.
     pub fn eval_workers(mut self, workers: usize) -> Self {
         self.eval_workers = Some(workers);

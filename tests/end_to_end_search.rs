@@ -1,11 +1,11 @@
 //! The whole Algorithm 1 pipeline across crates through the public facade:
-//! synthesize, train the proxy, and price the candidates — via the new
-//! `Session` API, plus the legacy wrapper for compatibility.
+//! synthesize, train the proxy, and price the candidates — via the
+//! `Session` API.
 
 use syno::compiler::{CompilerKind, Device};
 use syno::core::prelude::*;
 use syno::nn::{ProxyConfig, TrainConfig};
-use syno::search::{search_substitutions, MctsConfig, SearchSettings};
+use syno::search::MctsConfig;
 use syno::Session;
 
 fn quick_proxy() -> ProxyConfig {
@@ -29,7 +29,7 @@ fn session_search_discovers_priced_candidates() {
         .primary("H", 8)
         .primary("W", 8)
         .coefficient("k", 3)
-        .devices(vec![Device::mobile_cpu()])
+        .devices(vec![Device::mobile_cpu(), Device::server_gpu()])
         .compiler(CompilerKind::Tvm)
         .workers(2)
         .proxy(quick_proxy())
@@ -50,42 +50,11 @@ fn session_search_discovers_priced_candidates() {
     assert!(!report.candidates.is_empty());
     for c in &report.candidates {
         assert!(c.graph.is_complete());
-        assert!(c.latencies[0].is_finite());
+        assert_eq!(c.latencies.len(), 2);
+        assert!(c.latencies.iter().all(|l| l.is_finite() && *l > 0.0));
+        assert!(c.flops > 0);
     }
-}
-
-#[test]
-fn legacy_wrapper_matches_new_pipeline_shape() {
-    // The seed's free-function entry point survives as a thin wrapper over
-    // the builder; it must still produce complete, priced, sorted results.
-    let mut vars = VarTable::new();
-    let n = vars.declare("N", VarKind::Primary);
-    let cin = vars.declare("Cin", VarKind::Primary);
-    let cout = vars.declare("Cout", VarKind::Primary);
-    let h = vars.declare("H", VarKind::Primary);
-    let w = vars.declare("W", VarKind::Primary);
-    let k = vars.declare("k", VarKind::Coefficient);
-    vars.push_valuation(vec![(n, 8), (cin, 4), (cout, 8), (h, 8), (w, 8), (k, 3)]);
-    let vars = vars.into_shared();
-    let spec = OperatorSpec::new(
-        TensorShape::new(vec![Size::var(n), Size::var(cin), Size::var(h), Size::var(w)]),
-        TensorShape::new(vec![Size::var(n), Size::var(cout), Size::var(h), Size::var(w)]),
-    );
-    let settings = SearchSettings {
-        synth: SynthConfig::auto(&vars, 4),
-        mcts: MctsConfig { iterations: 10, seed: 3, ..MctsConfig::default() },
-        proxy: quick_proxy(),
-        devices: vec![Device::mobile_cpu()],
-        compiler: CompilerKind::Tvm,
-        workers: 2,
-    };
-    let candidates = search_substitutions(&vars, &spec, &settings);
-    assert!(!candidates.is_empty());
-    for c in &candidates {
-        assert!(c.graph.is_complete());
-        assert!(c.latencies[0].is_finite());
-    }
-    for pair in candidates.windows(2) {
+    for pair in report.candidates.windows(2) {
         assert!(pair[0].accuracy >= pair[1].accuracy);
     }
 }
