@@ -1,21 +1,32 @@
-//! Versioned, dependency-free binary encoding for persisted synthesis state.
+//! Versioned, dependency-free binary encoding for persisted synthesis state,
+//! and the one record envelope everything persisted or sent is framed in.
 //!
 //! The candidate store (`syno-store`) journals operators to disk and reloads
 //! them across runs, which needs a serialization format that (a) pulls in no
 //! external crates — the build environment has no crates.io access — and
-//! (b) is explicitly versioned, so a store written by one build is either
+//! (b) is explicitly versioned, so a value written by one build is either
 //! read correctly or rejected loudly by another.
 //!
-//! The format is little-endian and minimal: fixed-width integers, length-
-//! prefixed strings, and a [`FORMAT_VERSION`] header on every top-level
-//! value. A [`PGraph`] is **not** serialized structurally (its arena ids and
-//! coordinate table are history-dependent); instead we persist its *recipe*:
-//! the variable table, the operator specification, and the exact action
-//! sequence. Decoding replays the actions through [`PGraph::apply`], which
-//! reproduces the identical graph — same frontier, same weights, same
+//! **Values.** The format is little-endian and minimal: fixed-width
+//! integers, length-prefixed strings, and a [`FORMAT_VERSION`] header on
+//! every top-level value; decoders accept that version only. A [`PGraph`]
+//! is **not** serialized structurally (its arena ids and coordinate table
+//! are history-dependent); instead we persist its *recipe*: the variable
+//! table, the operator specification, and the exact action sequence.
+//! Decoding replays the actions through [`PGraph::apply`], which reproduces
+//! the identical graph — same frontier, same weights, same
 //! [`state_hash`](PGraph::state_hash)/[`content_hash`](PGraph::content_hash)
 //! — while re-validating every step against the shape algebra, so a corrupt
 //! or hand-edited journal can never materialize an ill-formed graph.
+//!
+//! **The envelope.** `[tag u8][len u32][payload][checksum u32]` is written
+//! by [`put_frame`] and taken apart by [`split_frame`], and by nothing
+//! else: the store's journal segments, the `syno-serve` wire protocol and
+//! the `syno-telemetry` trace log all call these two, each passing its own
+//! payload cap and giving the tag byte its own meaning. The length cap, the
+//! truncation rule and the checksum are therefore decided — and tested,
+//! in `tests/properties.rs` — in one place. [`write_frame`] and
+//! [`read_frame`] are the blocking-stream conveniences over them.
 //!
 //! # Examples
 //!
@@ -60,37 +71,15 @@ use std::sync::Arc;
 /// the semantics of persisted records built on these primitives: persisted
 /// content keys are only meaningful while all three stay fixed.
 ///
-/// History:
-/// * **1** — initial layout.
-/// * **2** — proxy scores journaled by `syno-store` carry a task-family
-///   tag (`"vision"` / `"sequence"`); the graph/spec wire layout is
-///   unchanged, so version-1 values still decode
-///   (see [`MIN_FORMAT_VERSION`]) and untagged legacy scores are read as
-///   vision scores (historically always true).
-/// * **3** — proxy scores additionally carry the `reduce_width` of the
-///   execution policy that produced them (the deterministic
-///   reduction-tree width is part of the FP summation order, hence of the
-///   score's value contract); width-less legacy scores decode as width 1
-///   (serial accumulation, which is what produced them).
-/// * **4** — `syno-store` journals gained two record kinds: an
-///   operation-log record (run started/resumed, checkpoint, compaction,
-///   derive — candidate lineage across a sharded repository) and a
-///   named `CandidateSet` collection record (derive-style set operations
-///   over candidate hashes). Every pre-existing record layout is
-///   unchanged, so v1–v3 journals still load; the new kinds are simply
-///   absent from them.
+/// Decoders accept exactly this version. A value written by any other
+/// build is refused with [`CodecError::Version`] and never reinterpreted:
+/// a store is a cache of work this repository can redo, so rolling the
+/// repository back (or re-running the search) replaces a migration path.
 pub const FORMAT_VERSION: u32 = 4;
-
-/// Oldest format version this build still decodes. Versions 1 through 4
-/// share the graph/spec wire layout, so journals written before the
-/// family tag, the reduce-width field, or the operation-log/candidate-set
-/// records stay readable; anything older than this (or newer than
-/// [`FORMAT_VERSION`]) is rejected loudly.
-pub const MIN_FORMAT_VERSION: u32 = 1;
 
 /// Shared header check for decoders.
 fn check_version(found: u32) -> Result<(), CodecError> {
-    if (MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&found) {
+    if found == FORMAT_VERSION {
         Ok(())
     } else {
         Err(CodecError::Version { found })
@@ -135,8 +124,7 @@ impl fmt::Display for CodecError {
             CodecError::BadUtf8 { at } => write!(f, "invalid utf-8 string at byte {at}"),
             CodecError::Version { found } => write!(
                 f,
-                "unsupported format version {found} (this build reads \
-                 {MIN_FORMAT_VERSION}..={FORMAT_VERSION})"
+                "unsupported format version {found} (this build reads {FORMAT_VERSION})"
             ),
             CodecError::Invalid(why) => write!(f, "invalid persisted value: {why}"),
         }
@@ -544,154 +532,28 @@ pub fn decode_graph(bytes: &[u8]) -> Result<PGraph, CodecError> {
 }
 
 // ---------------------------------------------------------------------------
-// Wire framing — the serving layer's length-prefixed frame format.
+// The record envelope — one framing for the journal, the wire and the trace log.
 // ---------------------------------------------------------------------------
 
-/// Version of the `syno-serve` wire protocol. Every typed frame payload
-/// leads with this value; a daemon and client negotiate it in the
-/// `Hello`/`HelloAck` exchange and reject mismatches loudly instead of
-/// misreading bytes.
-///
-/// History:
-/// * **1** — initial protocol (`Hello` … `ShuttingDown` frames).
-/// * **2** — telemetry: `Metrics`/`MetricsReply` query frames, and
-///   per-phase wall accounting (synth/proxy/store/tune nanoseconds) in
-///   every session status payload.
-/// * **3** — candidate repository: `Derive`/`DeriveReply` frames so
-///   tenants can fetch named candidate sets and request
-///   union/intersection/difference derivations from the daemon's store.
-/// * **4** — session takeover: `Attach`/`AttachReply` frames replay a
-///   session's retained event stream to a reconnecting client, and the
-///   daemon status payload grows per-tenant accumulated step budgets.
-pub const PROTOCOL_VERSION: u32 = 4;
+/// Bytes of an envelope before its payload: the tag and the length prefix.
+const FRAME_HEADER: usize = 5;
+/// Bytes of an envelope around its payload: header plus checksum.
+const FRAME_OVERHEAD: usize = FRAME_HEADER + 4;
 
-/// Hard ceiling on one frame's payload size (16 MiB). A length prefix read
-/// off a socket is attacker-controlled input; refusing oversized frames
-/// keeps a corrupt or malicious peer from forcing an unbounded allocation.
-pub const MAX_FRAME_PAYLOAD: u32 = 16 * 1024 * 1024;
-
-/// The kind byte of one wire frame, as exchanged between `syno-serve` and
-/// its clients. The payload encoding of each kind lives in `syno-serve`;
-/// this layer only gives every frame a tagged, checksummed, length-prefixed
-/// envelope built from the same primitives as the store journal.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[repr(u8)]
-#[non_exhaustive]
-pub enum FrameKind {
-    /// Client → server: protocol version + tenant identity (first frame).
-    Hello = 0,
-    /// Server → client: handshake accepted.
-    HelloAck = 1,
-    /// Client → server: submit one search session.
-    SubmitSearch = 2,
-    /// Server → client: session admitted; carries the session id.
-    Accepted = 3,
-    /// Server → client: session refused (admission control, bad spec, …).
-    Rejected = 4,
-    /// Server → client: one streamed search event for a session.
-    Event = 5,
-    /// Client → server: cooperatively cancel a session.
-    Cancel = 6,
-    /// Client → server: request daemon + store status.
-    Status = 7,
-    /// Server → client: the status snapshot.
-    StatusReply = 8,
-    /// Client → server: request a graceful daemon shutdown.
-    Shutdown = 9,
-    /// Server → client: terminal frame — the daemon is draining and has
-    /// checkpointed live sessions; no further frames follow.
-    ShuttingDown = 10,
-    /// Server → client: terminal frame of one session's event stream.
-    SearchDone = 11,
-    /// Server → client: a request-level error that did not kill the
-    /// connection.
-    Error = 12,
-    /// Client → server: request the daemon's live metrics dump.
-    Metrics = 13,
-    /// Server → client: the metrics dump (Prometheus exposition text).
-    MetricsReply = 14,
-    /// Client → server: fetch a named candidate set, or derive one via a
-    /// union/intersection/difference over two existing sets.
-    Derive = 15,
-    /// Server → client: the (possibly freshly derived) candidate set.
-    DeriveReply = 16,
-    /// Client → server: take over an existing session's event stream,
-    /// replaying retained frames from a client-supplied sequence number.
-    Attach = 17,
-    /// Server → client: the takeover is accepted; retained frames follow.
-    AttachReply = 18,
-}
-
-impl FrameKind {
-    /// Every frame kind, in tag order (for exhaustive round-trip tests).
-    pub const ALL: [FrameKind; 19] = [
-        FrameKind::Hello,
-        FrameKind::HelloAck,
-        FrameKind::SubmitSearch,
-        FrameKind::Accepted,
-        FrameKind::Rejected,
-        FrameKind::Event,
-        FrameKind::Cancel,
-        FrameKind::Status,
-        FrameKind::StatusReply,
-        FrameKind::Shutdown,
-        FrameKind::ShuttingDown,
-        FrameKind::SearchDone,
-        FrameKind::Error,
-        FrameKind::Metrics,
-        FrameKind::MetricsReply,
-        FrameKind::Derive,
-        FrameKind::DeriveReply,
-        FrameKind::Attach,
-        FrameKind::AttachReply,
-    ];
-
-    /// The wire tag byte.
-    pub fn tag(self) -> u8 {
-        self as u8
-    }
-
-    /// Parses a wire tag byte.
-    pub fn from_tag(tag: u8) -> Option<FrameKind> {
-        FrameKind::ALL.get(tag as usize).copied()
-    }
-}
-
-impl fmt::Display for FrameKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{self:?}")
-    }
-}
-
-/// One decoded frame envelope: the kind byte plus its raw payload bytes
-/// (still to be decoded by the protocol layer in `syno-serve`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RawFrame {
-    /// The frame kind.
-    pub kind: FrameKind,
-    /// The payload bytes, exactly as written by [`write_frame`].
-    pub payload: Vec<u8>,
-}
-
-/// Errors surfaced while reading a frame off a stream.
+/// Errors surfaced while taking a frame off a buffer or a stream.
 #[derive(Debug)]
 pub enum FrameError {
     /// The underlying transport failed.
     Io(io::Error),
     /// The stream ended mid-frame (a torn write or dropped connection).
     Truncated,
-    /// The kind byte is not a known [`FrameKind`].
-    BadKind {
-        /// The offending tag byte.
-        tag: u8,
-    },
-    /// The length prefix exceeds [`MAX_FRAME_PAYLOAD`].
+    /// The length prefix exceeds the reader's cap.
     TooLarge {
         /// The claimed payload length.
         len: u32,
     },
-    /// The payload checksum does not match — bytes were corrupted in
-    /// transit or the peer speaks a different framing.
+    /// The checksum does not match — bytes were corrupted, the write was
+    /// torn, or the writer speaks a different framing.
     BadChecksum,
 }
 
@@ -700,11 +562,9 @@ impl fmt::Display for FrameError {
         match self {
             FrameError::Io(e) => write!(f, "frame transport failed: {e}"),
             FrameError::Truncated => write!(f, "stream ended mid-frame"),
-            FrameError::BadKind { tag } => write!(f, "unknown frame kind {tag:#04x}"),
-            FrameError::TooLarge { len } => write!(
-                f,
-                "frame payload of {len} bytes exceeds the {MAX_FRAME_PAYLOAD}-byte limit"
-            ),
+            FrameError::TooLarge { len } => {
+                write!(f, "frame payload of {len} bytes exceeds the reader's limit")
+            }
             FrameError::BadChecksum => write!(f, "frame checksum mismatch"),
         }
     }
@@ -725,57 +585,106 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// FNV-1a over the kind byte + payload, truncated to 32 bits — the same
-/// integrity check the store journal applies to its records.
-fn wire_checksum(kind: u8, payload: &[u8]) -> u32 {
-    use crate::stable::StableHasher;
+/// The low 32 bits of FNV-1a ([`StableHasher`](crate::stable::StableHasher))
+/// over the tag byte then the payload.
+fn frame_checksum(tag: u8, payload: &[u8]) -> u32 {
     use std::hash::Hasher;
-    let mut h = StableHasher::new();
-    h.write(&[kind]);
+    let mut h = crate::stable::StableHasher::new();
+    h.write(&[tag]);
     h.write(payload);
     h.finish() as u32
 }
 
-/// Writes one frame: `[kind u8][len u32][payload][checksum u32]`, all
-/// little-endian, and flushes the stream so the peer observes it promptly.
+/// Appends one frame to `buf`: `[tag u8][len u32][payload][checksum u32]`,
+/// all little-endian. What the tag means is the caller's business (a
+/// journal record kind, a wire frame kind, the trace log's single tag).
+///
+/// # Panics
+///
+/// When `payload` is longer than the `u32` length prefix can say.
+pub fn put_frame(buf: &mut Vec<u8>, tag: u8, payload: &[u8]) {
+    let len = u32::try_from(payload.len()).expect("frame payload fits its u32 length prefix");
+    buf.reserve(payload.len() + FRAME_OVERHEAD);
+    buf.push(tag);
+    buf.extend_from_slice(&len.to_le_bytes());
+    buf.extend_from_slice(payload);
+    buf.extend_from_slice(&frame_checksum(tag, payload).to_le_bytes());
+}
+
+/// The payload length a frame header announces — the one place a length
+/// prefix meets a cap.
+fn payload_len(header: &[u8], max_payload: u32) -> Result<usize, FrameError> {
+    let len = u32::from_le_bytes(header[1..FRAME_HEADER].try_into().expect("4-byte length"));
+    if len > max_payload {
+        return Err(FrameError::TooLarge { len });
+    }
+    Ok(len as usize)
+}
+
+/// Splits one complete frame off the front of `buf`: `(tag, payload,
+/// bytes consumed)`, or `Ok(None)` when `buf` is a strict prefix of a frame
+/// and more bytes are needed.
 ///
 /// # Errors
 ///
-/// [`FrameError::TooLarge`] when the payload exceeds
-/// [`MAX_FRAME_PAYLOAD`]; [`FrameError::Io`] on transport failure.
-pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> Result<(), FrameError> {
-    if payload.len() > MAX_FRAME_PAYLOAD as usize {
-        return Err(FrameError::TooLarge {
-            len: payload.len() as u32,
-        });
+/// [`FrameError::TooLarge`] as soon as the length prefix is readable and
+/// exceeds `max_payload` — before the claimed payload arrives, so a hostile
+/// length never sizes a buffer; [`FrameError::BadChecksum`] when the whole
+/// frame is present and does not verify.
+#[allow(clippy::type_complexity)] // (tag, payload, consumed): one frame, nothing to name
+pub fn split_frame(
+    buf: &[u8],
+    max_payload: u32,
+) -> Result<Option<(u8, &[u8], usize)>, FrameError> {
+    let Some(header) = buf.get(..FRAME_HEADER) else {
+        return Ok(None);
+    };
+    let len = payload_len(header, max_payload)?;
+    // (`checked_add`: a 32-bit `usize` cannot hold every `u32` length plus
+    // the overhead, and such a frame cannot be in memory either.)
+    let Some(frame) = len.checked_add(FRAME_OVERHEAD).and_then(|total| buf.get(..total)) else {
+        return Ok(None);
+    };
+    let (tag, (payload, checksum)) = (header[0], frame[FRAME_HEADER..].split_at(len));
+    if checksum != frame_checksum(tag, payload).to_le_bytes() {
+        return Err(FrameError::BadChecksum);
     }
-    let mut header = [0u8; 5];
-    header[0] = kind.tag();
-    header[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
-    w.write_all(&wire_checksum(kind.tag(), payload).to_le_bytes())?;
+    Ok(Some((tag, payload, frame.len())))
+}
+
+/// Writes one [`put_frame`] frame to a stream and flushes it, so the peer
+/// observes it promptly.
+///
+/// # Errors
+///
+/// [`FrameError::Io`] on transport failure.
+pub fn write_frame(w: &mut impl Write, tag: u8, payload: &[u8]) -> Result<(), FrameError> {
+    let mut frame = Vec::new();
+    put_frame(&mut frame, tag, payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
 
-/// Reads one frame written by [`write_frame`].
-///
-/// Returns `Ok(None)` on a clean end-of-stream (the peer closed the
-/// connection *between* frames); a stream that ends mid-frame is
-/// [`FrameError::Truncated`].
+/// Reads one frame off a blocking stream: `(tag, payload)`, or `Ok(None)`
+/// on a clean end-of-stream (the peer closed the connection *between*
+/// frames).
 ///
 /// # Errors
 ///
-/// [`FrameError`] on transport failure, an unknown kind byte, an oversized
-/// length prefix, or a checksum mismatch.
-pub fn read_frame(r: &mut impl Read) -> Result<Option<RawFrame>, FrameError> {
-    let mut header = [0u8; 5];
-    // Distinguish "closed between frames" from "died mid-frame" by hand:
-    // a zero-byte first read is a clean EOF.
-    let mut filled = 0usize;
-    while filled < header.len() {
-        match r.read(&mut header[filled..]) {
+/// [`FrameError::Truncated`] when the stream ends mid-frame,
+/// [`FrameError::Io`] on transport failure, and whatever [`split_frame`]
+/// refuses.
+pub fn read_frame(
+    r: &mut impl Read,
+    max_payload: u32,
+) -> Result<Option<(u8, Vec<u8>)>, FrameError> {
+    let mut buf = vec![0u8; FRAME_HEADER];
+    // A zero-byte first read is a clean EOF; anything shorter than a
+    // header after that died mid-frame.
+    let mut filled = 0;
+    while filled < FRAME_HEADER {
+        match r.read(&mut buf[filled..]) {
             Ok(0) if filled == 0 => return Ok(None),
             Ok(0) => return Err(FrameError::Truncated),
             Ok(n) => filled += n,
@@ -783,67 +692,20 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<RawFrame>, FrameError> {
             Err(e) => return Err(e.into()),
         }
     }
-    let kind = FrameKind::from_tag(header[0]).ok_or(FrameError::BadKind { tag: header[0] })?;
-    let len = u32::from_le_bytes(header[1..5].try_into().unwrap());
-    if len > MAX_FRAME_PAYLOAD {
-        return Err(FrameError::TooLarge { len });
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload).map_err(|e| {
+    // Only a vetted length sizes the rest of the read.
+    let len = payload_len(&buf, max_payload)?;
+    buf.resize(len + FRAME_OVERHEAD, 0);
+    r.read_exact(&mut buf[FRAME_HEADER..]).map_err(|e| {
         if e.kind() == io::ErrorKind::UnexpectedEof {
             FrameError::Truncated
         } else {
             FrameError::Io(e)
         }
     })?;
-    let mut checksum = [0u8; 4];
-    r.read_exact(&mut checksum).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            FrameError::Truncated
-        } else {
-            FrameError::Io(e)
-        }
-    })?;
-    if u32::from_le_bytes(checksum) != wire_checksum(kind.tag(), &payload) {
-        return Err(FrameError::BadChecksum);
-    }
-    Ok(Some(RawFrame { kind, payload }))
-}
-
-/// Splits one complete frame off the front of an in-memory buffer — the
-/// non-blocking twin of [`read_frame`] for readiness-driven transports
-/// that accumulate socket bytes into a per-connection buffer.
-///
-/// Returns `Ok(Some((frame, consumed)))` when `buf` starts with a whole
-/// frame (`consumed` bytes of it), `Ok(None)` when more bytes are needed.
-///
-/// # Errors
-///
-/// [`FrameError::BadKind`], [`FrameError::TooLarge`] or
-/// [`FrameError::BadChecksum`] as soon as the prefix is provably invalid,
-/// without waiting for the rest of the claimed payload.
-pub fn split_frame(buf: &[u8]) -> Result<Option<(RawFrame, usize)>, FrameError> {
-    if buf.is_empty() {
-        return Ok(None);
-    }
-    let kind = FrameKind::from_tag(buf[0]).ok_or(FrameError::BadKind { tag: buf[0] })?;
-    if buf.len() < 5 {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(buf[1..5].try_into().unwrap());
-    if len > MAX_FRAME_PAYLOAD {
-        return Err(FrameError::TooLarge { len });
-    }
-    let total = 5 + len as usize + 4;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let payload = buf[5..5 + len as usize].to_vec();
-    let checksum = u32::from_le_bytes(buf[total - 4..total].try_into().unwrap());
-    if checksum != wire_checksum(kind.tag(), &payload) {
-        return Err(FrameError::BadChecksum);
-    }
-    Ok(Some((RawFrame { kind, payload }, total)))
+    let (tag, ..) = split_frame(&buf, max_payload)?.expect("the whole frame was read");
+    buf.truncate(FRAME_HEADER + len);
+    buf.drain(..FRAME_HEADER);
+    Ok(Some((tag, buf)))
 }
 
 #[cfg(test)]
@@ -945,38 +807,22 @@ mod tests {
             decode_graph(&bytes),
             Err(CodecError::Version { .. })
         ));
-        // One past the current version must also be rejected — forward
-        // compatibility is never assumed.
-        let mut bytes = encode_graph(&graph);
-        bytes[..4].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-        assert!(matches!(
-            decode_graph(&bytes),
-            Err(CodecError::Version { .. })
-        ));
-    }
-
-    /// Version-1 values (pre family-tag journals) share the wire layout
-    /// and must keep decoding after the bump to version 2.
-    #[test]
-    fn legacy_version_1_values_still_decode() {
-        let (vars, spec) = pool_setup();
-        let graph = Enumerator::new(SynthConfig::auto(&vars, 3))
-            .synthesis(&vars, &spec)
-            .next()
-            .unwrap()
-            .unwrap();
-
-        let mut bytes = encode_graph(&graph);
-        bytes[..4].copy_from_slice(&MIN_FORMAT_VERSION.to_le_bytes());
-        let back = decode_graph(&bytes).unwrap();
-        assert_eq!(back.content_hash(), graph.content_hash());
-        assert_eq!(back.render(), graph.render());
-
-        let mut bytes = encode_spec(&vars, &spec);
-        bytes[..4].copy_from_slice(&MIN_FORMAT_VERSION.to_le_bytes());
-        let (vars2, spec2) = decode_spec(&bytes).unwrap();
-        assert_eq!(spec2, spec);
-        assert_eq!(spec2.fingerprint(&vars2), spec.fingerprint(&vars));
+        // Neighbouring versions are refused both ways: nothing newer is
+        // assumed compatible, nothing older is still decoded.
+        for version in [FORMAT_VERSION + 1, FORMAT_VERSION - 1, 1] {
+            let mut bytes = encode_graph(&graph);
+            bytes[..4].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                decode_graph(&bytes).unwrap_err(),
+                CodecError::Version { found: version }
+            );
+            let mut bytes = encode_spec(&vars, graph.spec());
+            bytes[..4].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                decode_spec(&bytes).unwrap_err(),
+                CodecError::Version { found: version }
+            );
+        }
     }
 
     #[test]
@@ -997,108 +843,33 @@ mod tests {
     #[test]
     fn frames_round_trip_over_a_stream() {
         let mut stream = Vec::new();
-        for kind in FrameKind::ALL {
-            let payload = vec![kind.tag(); (kind.tag() as usize) * 3];
-            write_frame(&mut stream, kind, &payload).unwrap();
+        for tag in 0..19u8 {
+            write_frame(&mut stream, tag, &vec![tag; tag as usize * 3]).unwrap();
         }
         let mut reader = &stream[..];
-        for kind in FrameKind::ALL {
-            let frame = read_frame(&mut reader).unwrap().expect("frame present");
-            assert_eq!(frame.kind, kind);
-            assert_eq!(frame.payload.len(), (kind.tag() as usize) * 3);
+        for tag in 0..19u8 {
+            let (got, payload) = read_frame(&mut reader, 64).unwrap().expect("frame present");
+            assert_eq!(got, tag);
+            assert_eq!(payload, vec![tag; tag as usize * 3]);
         }
-        assert!(read_frame(&mut reader).unwrap().is_none(), "clean EOF");
-    }
+        assert!(read_frame(&mut reader, 64).unwrap().is_none(), "clean EOF");
 
-    #[test]
-    fn frame_kind_tags_are_stable() {
-        for (index, kind) in FrameKind::ALL.iter().enumerate() {
-            assert_eq!(kind.tag() as usize, index);
-            assert_eq!(FrameKind::from_tag(kind.tag()), Some(*kind));
-        }
-        assert_eq!(FrameKind::from_tag(FrameKind::ALL.len() as u8), None);
-    }
-
-    #[test]
-    fn torn_and_corrupt_frames_are_typed_errors() {
-        let mut stream = Vec::new();
-        write_frame(&mut stream, FrameKind::Event, b"payload").unwrap();
-
-        // Mid-frame truncation.
-        for cut in [1, 4, stream.len() - 1] {
-            let mut reader = &stream[..cut];
+        // A stream that dies mid-frame is not a clean EOF…
+        let last = &stream[stream.len() - (18 * 3 + 9)..];
+        for cut in [1, 4, 5, last.len() - 1] {
             assert!(
-                matches!(read_frame(&mut reader), Err(FrameError::Truncated)),
+                matches!(read_frame(&mut &last[..cut], 64), Err(FrameError::Truncated)),
                 "cut at {cut}"
             );
         }
-
-        // Unknown kind byte.
-        let mut bad = stream.clone();
-        bad[0] = 0xee;
+        // …and the cap holds on the blocking path: the empty first frame
+        // passes a cap of 2, the 3-byte second one does not.
+        let mut reader = &stream[..];
+        assert!(matches!(read_frame(&mut reader, 2), Ok(Some((0, _)))));
         assert!(matches!(
-            read_frame(&mut &bad[..]),
-            Err(FrameError::BadKind { tag: 0xee })
+            read_frame(&mut reader, 2),
+            Err(FrameError::TooLarge { len: 3 })
         ));
-
-        // Flipped payload byte breaks the checksum.
-        let mut bad = stream.clone();
-        bad[6] ^= 0xff;
-        assert!(matches!(
-            read_frame(&mut &bad[..]),
-            Err(FrameError::BadChecksum)
-        ));
-
-        // Oversized length prefix is refused before allocating.
-        let mut bad = stream;
-        bad[1..5].copy_from_slice(&(MAX_FRAME_PAYLOAD + 1).to_le_bytes());
-        assert!(matches!(
-            read_frame(&mut &bad[..]),
-            Err(FrameError::TooLarge { .. })
-        ));
-    }
-
-    #[test]
-    fn split_frame_is_incremental_and_exact() {
-        let mut stream = Vec::new();
-        write_frame(&mut stream, FrameKind::Event, b"payload").unwrap();
-        write_frame(&mut stream, FrameKind::Status, b"").unwrap();
-
-        // Every strict prefix of the first frame wants more bytes.
-        let first_len = 5 + b"payload".len() + 4;
-        for cut in 0..first_len {
-            assert!(
-                matches!(split_frame(&stream[..cut]), Ok(None)),
-                "cut at {cut}"
-            );
-        }
-
-        // A complete first frame splits off and leaves the second intact.
-        let (frame, consumed) = split_frame(&stream).unwrap().expect("first frame");
-        assert_eq!(frame.kind, FrameKind::Event);
-        assert_eq!(frame.payload, b"payload");
-        assert_eq!(consumed, first_len);
-        let (frame, consumed) = split_frame(&stream[first_len..])
-            .unwrap()
-            .expect("second frame");
-        assert_eq!(frame.kind, FrameKind::Status);
-        assert!(frame.payload.is_empty());
-        assert_eq!(first_len + consumed, stream.len());
-
-        // Invalid prefixes fail eagerly, before the payload arrives.
-        assert!(matches!(
-            split_frame(&[0xee]),
-            Err(FrameError::BadKind { tag: 0xee })
-        ));
-        let mut oversized = stream.clone();
-        oversized[1..5].copy_from_slice(&(MAX_FRAME_PAYLOAD + 1).to_le_bytes());
-        assert!(matches!(
-            split_frame(&oversized[..5]),
-            Err(FrameError::TooLarge { .. })
-        ));
-        let mut corrupt = stream;
-        corrupt[6] ^= 0xff;
-        assert!(matches!(split_frame(&corrupt), Err(FrameError::BadChecksum)));
     }
 
     #[test]

@@ -338,3 +338,90 @@ fn paper_example_is_three_under_both_implementations() {
     assert_eq!(shape_distance(&current, &desired, &vars), 3);
     assert_eq!(oracle::shape_distance(&current, &desired, &vars), 3);
 }
+
+proptest! {
+    /// The record envelope, for the journal, the wire and the trace log at
+    /// once: a strict prefix of a frame asks for more bytes, the whole frame
+    /// comes back exactly (and consumes no byte of what follows it), and no
+    /// single flipped bit is ever read as a frame.
+    #[test]
+    fn envelope_splits_exactly_and_survives_no_bit_flip(seed in 0u64..u64::MAX) {
+        use syno_core::codec::{put_frame, split_frame};
+        const CAP: u32 = 4096;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let tag: u8 = rng.random_range(0..=255u32) as u8;
+        let mut bytes = |max: usize| -> Vec<u8> {
+            let len = rng.random_range(0..=max);
+            (0..len).map(|_| rng.random_range(0..=255u32) as u8).collect()
+        };
+        let (payload, trailing) = (bytes(96), bytes(16));
+        let mut stream = Vec::new();
+        put_frame(&mut stream, tag, &payload);
+        let frame_len = stream.len();
+        prop_assert_eq!(frame_len, payload.len() + 9);
+        stream.extend_from_slice(&trailing);
+
+        for cut in 0..frame_len {
+            prop_assert!(
+                matches!(split_frame(&stream[..cut], CAP), Ok(None)),
+                "prefix of {cut} bytes"
+            );
+        }
+        let (got_tag, got_payload, consumed) = split_frame(&stream, CAP)
+            .map_err(|e| TestCaseError::fail(e.to_string()))?
+            .expect("whole frame present");
+        prop_assert_eq!(got_tag, tag);
+        prop_assert_eq!(got_payload, &payload[..]);
+        prop_assert_eq!(consumed, frame_len);
+
+        for bit in 0..frame_len * 8 {
+            let mut flipped = stream.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            prop_assert!(
+                !matches!(split_frame(&flipped, CAP), Ok(Some(_))),
+                "bit {bit} flipped and a frame still came back"
+            );
+        }
+    }
+}
+
+/// The envelope of a fixed `(tag, payload)`, byte for byte: journals on disk
+/// and peers on the wire depend on it.
+#[test]
+fn envelope_bytes_are_pinned() {
+    use syno_core::codec::{put_frame, split_frame};
+    let mut frame = Vec::new();
+    put_frame(&mut frame, 5, b"payload");
+    let golden = [
+        5, 7, 0, 0, 0, b'p', b'a', b'y', b'l', b'o', b'a', b'd', 0x8e, 0xb4, 0x23, 0xd0,
+    ];
+    assert_eq!(frame, golden);
+    let (tag, payload, consumed) = split_frame(&golden, 7).unwrap().unwrap();
+    assert_eq!((tag, payload, consumed), (5, &b"payload"[..], golden.len()));
+}
+
+/// A length prefix above the reader's cap is refused from the header alone —
+/// nothing is sized by it — on the buffer path and the blocking one.
+#[test]
+fn oversized_length_prefix_is_refused_before_allocation() {
+    use syno_core::codec::{read_frame, split_frame, FrameError};
+    let mut header = vec![5u8];
+    header.extend_from_slice(&u32::MAX.to_le_bytes());
+    assert!(matches!(
+        split_frame(&header, u32::MAX - 1),
+        Err(FrameError::TooLarge { len: u32::MAX })
+    ));
+    // Were the prefix believed, this would allocate 4 GiB and then report a
+    // truncated stream.
+    assert!(matches!(
+        read_frame(&mut &header[..], 8),
+        Err(FrameError::TooLarge { len: u32::MAX })
+    ));
+    // At the cap exactly, the reader waits for the payload instead.
+    header[1..].copy_from_slice(&8u32.to_le_bytes());
+    assert!(matches!(split_frame(&header, 8), Ok(None)));
+    assert!(matches!(
+        read_frame(&mut &header[..], 8),
+        Err(FrameError::Truncated)
+    ));
+}

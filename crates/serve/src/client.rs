@@ -20,10 +20,9 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use syno_core::codec::PROTOCOL_VERSION;
-
 use crate::protocol::{
     DaemonStatus, Frame, ProtocolError, SearchRequest, WireCandidateSet, WireEvent,
+    PROTOCOL_VERSION,
 };
 use crate::transport::{connect, Conn};
 

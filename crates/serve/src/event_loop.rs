@@ -199,12 +199,12 @@ mod unix_loop {
     use super::sys::{poll_fds, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
     use super::{LoopMsg, WakeReader};
     use crate::daemon::{admit, handle_derive, spawn_pump, DaemonState};
-    use crate::protocol::Frame;
+    use crate::protocol::{Frame, MAX_FRAME_PAYLOAD, PROTOCOL_VERSION};
     use crate::transport::{Listener, Socket};
     use std::io::{ErrorKind, Read, Write};
     use std::sync::Arc;
     use std::thread::JoinHandle;
-    use syno_core::codec::{split_frame, write_frame, PROTOCOL_VERSION};
+    use syno_core::codec::{put_frame, split_frame};
 
     /// One multiplexed connection.
     struct ConnState {
@@ -238,8 +238,7 @@ mod unix_loop {
 
         /// Encodes a frame into the write buffer (flushed by the loop).
         fn queue(&mut self, frame: &Frame) {
-            // Writing into a Vec cannot fail.
-            let _ = write_frame(&mut self.wbuf, frame.kind(), &frame.encode());
+            put_frame(&mut self.wbuf, frame.kind().tag(), &frame.encode());
         }
 
         /// Copies a session's new retained frames (cursor onward) into
@@ -256,7 +255,7 @@ mod unix_loop {
             *cursor += frames.len();
             let finished = log.is_done() && *cursor >= log.len();
             for frame in &frames {
-                let _ = write_frame(&mut self.wbuf, frame.kind(), &frame.encode());
+                self.queue(frame);
             }
             if finished {
                 self.subs.remove(&session);
@@ -318,16 +317,17 @@ mod unix_loop {
                 }
             }
             loop {
-                match split_frame(&self.rbuf) {
+                match split_frame(&self.rbuf, MAX_FRAME_PAYLOAD) {
                     Ok(None) => break,
-                    Ok(Some((raw, consumed))) => {
+                    Ok(Some((tag, payload, consumed))) => {
+                        let decoded = Frame::from_envelope(tag, payload);
                         self.rbuf.drain(..consumed);
-                        match Frame::decode(raw.kind, &raw.payload) {
+                        match decoded {
                             Ok(frame) => self.handle(state, pumps, frame),
                             Err(error) => {
                                 self.queue(&Frame::Error {
                                     session: 0,
-                                    message: format!("undecodable {} frame: {error}", raw.kind),
+                                    message: format!("undecodable frame (tag {tag}): {error}"),
                                 });
                                 self.closing = true;
                                 break;
@@ -338,8 +338,8 @@ mod unix_loop {
                         }
                     }
                     Err(_) => {
-                        // A torn or corrupt envelope is unrecoverable —
-                        // framing has lost sync.
+                        // An oversized or corrupt envelope is unrecoverable
+                        // — framing has lost sync.
                         self.dead = true;
                         break;
                     }

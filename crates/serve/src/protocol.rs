@@ -1,25 +1,126 @@
-//! Typed frames over the core wire envelope.
+//! Typed frames over the core record envelope.
 //!
 //! `syno_core::codec` owns the *envelope* — the tagged, length-prefixed,
-//! checksummed `[kind u8][len u32][payload][checksum u32]` layout shared
-//! with the store journal. This module owns the *payloads*: every
-//! [`FrameKind`] gets a typed [`Frame`] variant with a versioned binary
-//! encoding built from the same [`Encoder`]/[`Decoder`] primitives as the
-//! spec and graph codecs. Each payload leads with
-//! [`PROTOCOL_VERSION`], so a peer
-//! speaking a different protocol revision fails with a typed version error
-//! instead of misreading fields.
+//! checksummed `[tag u8][len u32][payload][checksum u32]` layout shared
+//! with the store journal and the trace log. This module owns what the wire
+//! makes of it: the tag byte is a [`FrameKind`], a payload is at most
+//! [`MAX_FRAME_PAYLOAD`] bytes, and every kind gets a typed [`Frame`]
+//! variant with a versioned binary encoding built from the same
+//! [`Encoder`]/[`Decoder`] primitives as the spec and graph codecs. Each
+//! payload leads with [`PROTOCOL_VERSION`], so a peer speaking a different
+//! protocol revision fails with a typed version error instead of misreading
+//! fields.
 //!
 //! Encoding is total (every [`Frame`] value encodes) and decoding is
 //! exact: `decode(encode(f)) == f` for every frame — the property the
 //! round-trip suite in `tests/protocol_properties.rs` drives per kind.
 
+use std::fmt;
 use std::io::{Read, Write};
-use syno_core::codec::{
-    read_frame, write_frame, CodecError, Decoder, Encoder, FrameError, FrameKind,
-    PROTOCOL_VERSION,
-};
+use syno_core::codec::{read_frame, write_frame, CodecError, Decoder, Encoder, FrameError};
 use syno_store::StoreStats;
+
+/// Version of the wire protocol. Every typed frame payload leads with this
+/// value; a daemon and client negotiate it in the `Hello`/`HelloAck`
+/// exchange and reject mismatches loudly instead of misreading bytes.
+pub const PROTOCOL_VERSION: u32 = 4;
+
+/// Hard ceiling on one wire frame's payload size (16 MiB). A length prefix
+/// read off a socket is attacker-controlled input; refusing oversized
+/// frames keeps a corrupt or malicious peer from forcing an unbounded
+/// allocation.
+pub const MAX_FRAME_PAYLOAD: u32 = 16 * 1024 * 1024;
+
+/// The envelope tag of one wire frame, as exchanged between `syno-serve`
+/// and its clients.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[repr(u8)]
+#[non_exhaustive]
+pub enum FrameKind {
+    /// Client → server: protocol version + tenant identity (first frame).
+    Hello = 0,
+    /// Server → client: handshake accepted.
+    HelloAck = 1,
+    /// Client → server: submit one search session.
+    SubmitSearch = 2,
+    /// Server → client: session admitted; carries the session id.
+    Accepted = 3,
+    /// Server → client: session refused (admission control, bad spec, …).
+    Rejected = 4,
+    /// Server → client: one streamed search event for a session.
+    Event = 5,
+    /// Client → server: cooperatively cancel a session.
+    Cancel = 6,
+    /// Client → server: request daemon + store status.
+    Status = 7,
+    /// Server → client: the status snapshot.
+    StatusReply = 8,
+    /// Client → server: request a graceful daemon shutdown.
+    Shutdown = 9,
+    /// Server → client: terminal frame — the daemon is draining and has
+    /// checkpointed live sessions; no further frames follow.
+    ShuttingDown = 10,
+    /// Server → client: terminal frame of one session's event stream.
+    SearchDone = 11,
+    /// Server → client: a request-level error that did not kill the
+    /// connection.
+    Error = 12,
+    /// Client → server: request the daemon's live metrics dump.
+    Metrics = 13,
+    /// Server → client: the metrics dump (Prometheus exposition text).
+    MetricsReply = 14,
+    /// Client → server: fetch a named candidate set, or derive one via a
+    /// union/intersection/difference over two existing sets.
+    Derive = 15,
+    /// Server → client: the (possibly freshly derived) candidate set.
+    DeriveReply = 16,
+    /// Client → server: take over an existing session's event stream,
+    /// replaying retained frames from a client-supplied sequence number.
+    Attach = 17,
+    /// Server → client: the takeover is accepted; retained frames follow.
+    AttachReply = 18,
+}
+
+impl FrameKind {
+    /// Every frame kind, in tag order (for exhaustive round-trip tests).
+    pub const ALL: [FrameKind; 19] = [
+        FrameKind::Hello,
+        FrameKind::HelloAck,
+        FrameKind::SubmitSearch,
+        FrameKind::Accepted,
+        FrameKind::Rejected,
+        FrameKind::Event,
+        FrameKind::Cancel,
+        FrameKind::Status,
+        FrameKind::StatusReply,
+        FrameKind::Shutdown,
+        FrameKind::ShuttingDown,
+        FrameKind::SearchDone,
+        FrameKind::Error,
+        FrameKind::Metrics,
+        FrameKind::MetricsReply,
+        FrameKind::Derive,
+        FrameKind::DeriveReply,
+        FrameKind::Attach,
+        FrameKind::AttachReply,
+    ];
+
+    /// The wire tag byte.
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// Parses a wire tag byte.
+    pub fn from_tag(tag: u8) -> Option<FrameKind> {
+        FrameKind::ALL.get(tag as usize).copied()
+    }
+}
+
+impl fmt::Display for FrameKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{self:?}")
+    }
+}
 
 /// Errors surfaced while speaking the typed protocol.
 #[derive(Debug)]
@@ -37,8 +138,8 @@ pub enum ProtocolError {
     Malformed(String),
 }
 
-impl std::fmt::Display for ProtocolError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for ProtocolError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ProtocolError::Frame(e) => write!(f, "frame layer failed: {e}"),
             ProtocolError::Codec(e) => write!(f, "payload decode failed: {e}"),
@@ -259,8 +360,8 @@ pub struct WireStoreStats {
 }
 
 impl WireStoreStats {
-    /// `cache_hits / lookups`, or `None` before the first probe — same
-    /// semantics as [`StoreStats::cache_hit_ratio`].
+    /// `cache_hits / lookups` — the fraction of recall probes served from
+    /// the journal — or `None` before the first probe.
     pub fn cache_hit_ratio(&self) -> Option<f64> {
         if self.lookups == 0 {
             None
@@ -943,13 +1044,6 @@ impl Frame {
                 from_seq: d.get_u64()?,
                 retained: d.get_u64()?,
             },
-            // `FrameKind` is non_exhaustive: a kind this build knows how
-            // to *frame* but not to *type* is a protocol mismatch.
-            other => {
-                return Err(ProtocolError::Malformed(format!(
-                    "frame kind {other} has no typed payload in this build"
-                )))
-            }
         };
         if d.remaining() != 0 {
             return Err(ProtocolError::Malformed(format!(
@@ -958,6 +1052,13 @@ impl Frame {
             )));
         }
         Ok(frame)
+    }
+
+    /// Decodes what came out of one envelope: the tag byte names the kind.
+    pub(crate) fn from_envelope(tag: u8, payload: &[u8]) -> Result<Frame, ProtocolError> {
+        let kind = FrameKind::from_tag(tag)
+            .ok_or_else(|| ProtocolError::Malformed(format!("unknown frame kind {tag:#04x}")))?;
+        Frame::decode(kind, payload)
     }
 
     /// Writes this frame to a stream (envelope + payload, flushed).
@@ -971,7 +1072,7 @@ impl Frame {
         syno_telemetry::histogram!("syno_serve_frame_encode_seconds")
             .observe_duration(span.elapsed());
         drop(span);
-        write_frame(w, self.kind(), &payload)?;
+        write_frame(w, self.kind().tag(), &payload)?;
         Ok(())
     }
 
@@ -979,19 +1080,18 @@ impl Frame {
     ///
     /// # Errors
     ///
-    /// [`ProtocolError`] on transport failure, a torn or corrupt envelope,
-    /// a version mismatch, or an unparseable payload.
+    /// [`ProtocolError`] on transport failure, a torn, oversized or corrupt
+    /// envelope, an unknown kind, a version mismatch, or an unparseable
+    /// payload.
     pub fn read_from(r: &mut impl Read) -> Result<Option<Frame>, ProtocolError> {
-        match read_frame(r)? {
-            None => Ok(None),
-            Some(raw) => {
-                let span = syno_telemetry::span!("frame_decode");
-                let frame = Frame::decode(raw.kind, &raw.payload);
-                syno_telemetry::histogram!("syno_serve_frame_decode_seconds")
-                    .observe_duration(span.elapsed());
-                frame.map(Some)
-            }
-        }
+        let Some((tag, payload)) = read_frame(r, MAX_FRAME_PAYLOAD)? else {
+            return Ok(None);
+        };
+        let span = syno_telemetry::span!("frame_decode");
+        let frame = Frame::from_envelope(tag, &payload);
+        syno_telemetry::histogram!("syno_serve_frame_decode_seconds")
+            .observe_duration(span.elapsed());
+        frame.map(Some)
     }
 }
 
@@ -1128,6 +1228,21 @@ mod tests {
             let decoded = Frame::decode(frame.kind(), &frame.encode()).unwrap();
             assert_eq!(frame, decoded);
         }
+    }
+
+    #[test]
+    fn frame_kind_tags_are_stable() {
+        for (index, kind) in FrameKind::ALL.iter().enumerate() {
+            assert_eq!(kind.tag() as usize, index);
+            assert_eq!(FrameKind::from_tag(kind.tag()), Some(*kind));
+        }
+        let unknown = FrameKind::ALL.len() as u8;
+        assert_eq!(FrameKind::from_tag(unknown), None);
+        // An envelope is indifferent to its tag; the protocol is not.
+        let mut wire = Vec::new();
+        write_frame(&mut wire, unknown, &Frame::Status.encode()).unwrap();
+        let err = Frame::read_from(&mut &wire[..]).unwrap_err();
+        assert!(matches!(err, ProtocolError::Malformed(_)), "{err}");
     }
 
     #[test]

@@ -6,30 +6,25 @@ use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::time::Duration;
 
 /// A bidirectional byte stream the protocol runs over.
 ///
-/// Implemented for [`TcpStream`] and (on Unix) `UnixStream`; the daemon
-/// and client only ever see `Box<dyn Conn>`, so the two transports share
-/// every code path above the socket.
+/// Implemented for [`TcpStream`] and (on Unix) `UnixStream`; the client
+/// only ever sees `Box<dyn Conn>`, so the two transports share every code
+/// path above the socket. (The daemon's readiness loop takes the concrete
+/// [`Socket`] instead: it needs the descriptor.)
 pub trait Conn: Read + Write + Send + Sync {
-    /// Clones the underlying socket (independent read/write cursors onto
-    /// the same connection — used to split reader and writer threads).
+    /// Clones the underlying socket: another handle onto the same
+    /// connection. The client keeps one for its blocking reader thread, one
+    /// for the calls that write, and one to shut the connection down.
     fn try_clone_conn(&self) -> io::Result<Box<dyn Conn>>;
-    /// Bounds blocking reads so a reader thread can poll a shutdown flag.
-    fn set_read_timeout_conn(&self, timeout: Option<Duration>) -> io::Result<()>;
-    /// Closes both directions, unblocking any peer thread mid-read.
+    /// Closes both directions, which ends a blocked read on any clone.
     fn shutdown_conn(&self) -> io::Result<()>;
 }
 
 impl Conn for TcpStream {
     fn try_clone_conn(&self) -> io::Result<Box<dyn Conn>> {
         Ok(Box::new(self.try_clone()?))
-    }
-
-    fn set_read_timeout_conn(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(timeout)
     }
 
     fn shutdown_conn(&self) -> io::Result<()> {
@@ -41,10 +36,6 @@ impl Conn for TcpStream {
 impl Conn for UnixStream {
     fn try_clone_conn(&self) -> io::Result<Box<dyn Conn>> {
         Ok(Box::new(self.try_clone()?))
-    }
-
-    fn set_read_timeout_conn(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(timeout)
     }
 
     fn shutdown_conn(&self) -> io::Result<()> {
@@ -103,22 +94,6 @@ impl Listener {
                     .as_pathname()
                     .ok_or_else(|| io::Error::other("unnamed unix socket"))?;
                 Ok(format!("unix:{}", path.display()))
-            }
-        }
-    }
-
-    /// Blocks until the next inbound connection.
-    pub fn accept_conn(&self) -> io::Result<Box<dyn Conn>> {
-        match self {
-            Listener::Tcp(l) => {
-                let (stream, _) = l.accept()?;
-                stream.set_nodelay(true).ok();
-                Ok(Box::new(stream))
-            }
-            #[cfg(unix)]
-            Listener::Unix(l) => {
-                let (stream, _) = l.accept()?;
-                Ok(Box::new(stream))
             }
         }
     }

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use std::io::Cursor;
-use syno_core::codec::FrameKind;
+use syno_serve::protocol::FrameKind;
 use syno_serve::{
     DaemonStatus, Frame, SearchRequest, SessionStatus, WireCandidate, WireCandidateSet, WireEvent,
     WireStoreStats,

@@ -10,25 +10,29 @@
 //! search checkpoints that let an interrupted run resume without repeating
 //! completed evaluations.
 //!
-//! Since codec v4 the store is a **versioned candidate repository**: a
-//! directory of journal *segments* — one canonical `journal.syno` plus one
+//! The store is a **versioned candidate repository**: a directory of
+//! journal *segments* — one canonical `journal.syno` plus one
 //! `journal-<writer>.syno` shard per named writer — so many processes can
 //! append to one repository concurrently, each holding only its own shard's
 //! lock. Fan-in [`Store::compact`] merges every segment back into the
 //! canonical one. An operation log ([`Operation`]/[`OpKind`]) gives runs and
-//! derived collections lineage, and [`CandidateSet`] adds named, determin-
-//! istic set algebra (`derive_union` / `derive_intersection` /
-//! `derive_difference`) plus `top_k` selection over candidate collections.
+//! derived collections lineage, and [`CandidateSet`] adds named,
+//! deterministic set algebra ([`Store::derive`] with a [`DeriveOp`]) plus
+//! `top_k` selection over candidate collections.
 //!
 //! * [`Store`] — the repository: [`Record`]s (`Candidate`, `ProxyScore`,
-//!   `LatencyMeasurement`, `Checkpoint`, `Operation`, `CandidateSet`)
-//!   framed with length + checksum, loaded through crash-safe recovery
-//!   that truncates a torn tail record on the writer's own segment,
-//!   indexed in memory by content hash, and compactable fan-in.
+//!   `LatencyMeasurement`, `Checkpoint`, `Operation`, `CandidateSet`), each
+//!   in one frame of the envelope `syno_core::codec` owns, loaded through
+//!   crash-safe recovery that truncates a torn tail record on the writer's
+//!   own segment, indexed in memory by content hash, and compactable
+//!   fan-in. Every write is one append-then-apply; there is one score
+//!   lookup, [`Store::score_for_contract`].
 //! * [`StoreBuilder`] — open/create configuration, including
 //!   [`StoreBuilder::writer`] for shard-per-writer mode.
 //! * [`ScoreContract`] — the typed identity of a proxy score (family +
-//!   reduction-tree width), taken by `put_score` / `score_for_contract`.
+//!   reduction-tree width), taken by `put_score` / `score_for_contract` and
+//!   journaled in full with every score: a record without it is corrupt,
+//!   never defaulted.
 //! * [`StoreStats`] — counters for dashboards and tests.
 //! * [`Checkpoint`] — a search scenario's journaled position (label, spec
 //!   fingerprint, seed, iterations, discoveries), consumed by
@@ -37,8 +41,13 @@
 //!   the derive algebra over them.
 //!
 //! Serialization is `syno-core`'s hand-rolled versioned binary codec
-//! ([`syno_core::codec`]); this crate adds the journal framing on top. There
-//! are no dependencies beyond `syno-core` and `std`.
+//! ([`syno_core::codec`]), framing included; this crate adds the segment
+//! header and the record payloads. One format is read: the current one. A
+//! journal of any other version is refused with a typed error
+//! ([`StoreError::Version`], `CodecError::Version`, or
+//! [`StoreError::Corrupt`] for a record of another layout) and left
+//! untouched. There are no dependencies beyond `syno-core`,
+//! `syno-telemetry` and `std`.
 //!
 //! ## Example
 //!
@@ -55,6 +64,6 @@
 mod journal;
 
 pub use journal::{
-    CandidateSet, Checkpoint, DeriveOp, Operation, OpKind, Record, RecordKind, ScoreContract,
+    CandidateSet, Checkpoint, DeriveOp, OpKind, Operation, Record, RecordKind, ScoreContract,
     Store, StoreBuilder, StoreError, StoreStats,
 };

@@ -16,14 +16,13 @@
 //!
 //! [`drain`] collects every thread's finished spans into a deterministic
 //! order (by start time); [`encode_trace`]/[`decode_trace`] round-trip
-//! that log through a versioned, checksummed binary envelope built on
-//! [`syno_core::codec::Encoder`] — the same primitives as the store
-//! journal, so a trace is a persistable, replayable artifact.
-//!
-//! Version history ([`TRACE_FORMAT_VERSION`]):
-//! * **1** — initial format: `[version u32][count u64][records][fnv u32]`,
-//!   each record `[name str][attr? (key str, value u64)][thread u32]`
-//!   `[depth u32][start_ns u64][dur_ns u64]`.
+//! that log through one frame of the record envelope the store journal and
+//! the wire protocol use ([`syno_core::codec::put_frame`]), so a trace is a
+//! persistable, replayable artifact whose length and checksum are checked
+//! by the same code. The frame's payload is
+//! `[TRACE_FORMAT_VERSION u32][count u64][records]`, each record
+//! `[name str][attr? (key str, value u64)][thread u32][depth u32]`
+//! `[start_ns u64][dur_ns u64]`; readers accept that version only.
 //!
 //! Spans still open when [`drain`] runs are not included — they appear in
 //! a later drain once their guards drop.
@@ -35,14 +34,17 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use syno_core::codec::{CodecError, Decoder, Encoder};
+use syno_core::codec::{put_frame, split_frame, CodecError, Decoder, Encoder};
 
 /// Spans retained per thread before the ring wraps and drops the oldest.
 pub const RING_CAPACITY: usize = 8192;
 
-/// Version of the binary trace-log format (see the module docs for the
-/// bump history). Readers accept exactly this version.
-pub const TRACE_FORMAT_VERSION: u32 = 1;
+/// Version of the binary trace-log format (layout in the module docs).
+/// Readers accept exactly this version.
+pub const TRACE_FORMAT_VERSION: u32 = 2;
+
+/// The envelope tag of a trace log's single frame.
+const TRACE_TAG: u8 = b'T';
 
 /// One finished span, as drained from the ring buffers or decoded from a
 /// trace log.
@@ -297,15 +299,6 @@ pub fn dropped_total() -> u64 {
 // Trace-log codec
 // ---------------------------------------------------------------------------
 
-fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c9dc5;
-    for &b in bytes {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
-}
-
 /// Encodes a span log into the versioned, checksummed binary trace format.
 pub fn encode_trace(spans: &[SpanRecord]) -> Vec<u8> {
     let mut e = Encoder::new();
@@ -326,23 +319,21 @@ pub fn encode_trace(spans: &[SpanRecord]) -> Vec<u8> {
         e.put_u64(s.start_ns);
         e.put_u64(s.dur_ns);
     }
-    let mut bytes = e.into_bytes();
-    let checksum = fnv1a(&bytes);
-    bytes.extend_from_slice(&checksum.to_le_bytes());
+    let mut bytes = Vec::new();
+    put_frame(&mut bytes, TRACE_TAG, &e.into_bytes());
     bytes
 }
 
-/// Decodes a binary trace log, verifying version, checksum, and that no
-/// trailing bytes remain.
+/// Decodes a binary trace log, verifying the envelope, the version, and
+/// that no trailing bytes remain inside or after the frame.
 pub fn decode_trace(bytes: &[u8]) -> Result<Vec<SpanRecord>, CodecError> {
-    if bytes.len() < 4 {
-        return Err(CodecError::Invalid("trace log truncated".to_string()));
-    }
-    let (payload, tail) = bytes.split_at(bytes.len() - 4);
-    let want = u32::from_le_bytes(tail.try_into().expect("4-byte checksum tail"));
-    if fnv1a(payload) != want {
-        return Err(CodecError::Invalid("trace log checksum mismatch".to_string()));
-    }
+    // The log is already in memory, so its length needs no cap.
+    let payload = match split_frame(bytes, u32::MAX) {
+        Ok(Some((TRACE_TAG, payload, consumed))) if consumed == bytes.len() => payload,
+        Ok(Some(_)) => return Err(CodecError::Invalid("not a single trace frame".to_string())),
+        Ok(None) => return Err(CodecError::Invalid("trace log truncated".to_string())),
+        Err(e) => return Err(CodecError::Invalid(format!("trace log envelope: {e}"))),
+    };
     let mut d = Decoder::new(payload);
     let version = d.get_u32()?;
     if version != TRACE_FORMAT_VERSION {
@@ -562,17 +553,23 @@ mod tests {
             start_ns: 1,
             dur_ns: 2,
         }];
-        let mut bytes = encode_trace(&spans);
+        let good = encode_trace(&spans);
+        let mut bytes = good.clone();
         bytes[6] ^= 0xff;
         assert!(decode_trace(&bytes).is_err(), "flipped byte breaks checksum");
+        assert!(decode_trace(&good[..good.len() - 1]).is_err(), "truncated");
+        let mut bytes = good.clone();
+        bytes.push(0);
+        assert!(decode_trace(&bytes).is_err(), "trailing byte after the frame");
 
-        let mut versioned = Encoder::new();
-        versioned.put_u32(TRACE_FORMAT_VERSION + 1);
-        versioned.put_u64(0);
-        let mut bytes = versioned.into_bytes();
-        let checksum = fnv1a(&bytes);
-        bytes.extend_from_slice(&checksum.to_le_bytes());
-        assert!(decode_trace(&bytes).is_err(), "future version is rejected");
+        for version in [TRACE_FORMAT_VERSION + 1, TRACE_FORMAT_VERSION - 1] {
+            let mut versioned = Encoder::new();
+            versioned.put_u32(version);
+            versioned.put_u64(0);
+            let mut bytes = Vec::new();
+            put_frame(&mut bytes, TRACE_TAG, &versioned.into_bytes());
+            assert!(decode_trace(&bytes).is_err(), "version {version} is rejected");
+        }
     }
 
     #[test]

@@ -335,13 +335,17 @@ fn shutdown_mid_run_checkpoints_sessions_for_identical_resume() {
     let vision_req = request("conv-r", &vision.0, &vision.1, "vision", 20, 11);
     let lm_req = request("lm-r", &lm.0, &lm.1, "sequence", 16, 13);
 
+    // Neither tenant may trigger the shutdown before both sessions are
+    // admitted: a draining daemon rejects new submissions.
+    let both_admitted = std::sync::Barrier::new(2);
     let (vision_out, lm_out) = std::thread::scope(|scope| {
-        let handle = &handle;
+        let (handle, both_admitted) = (&handle, &both_admitted);
         let pump = |req: &SearchRequest, addr: String, tenant: &'static str| {
             let req = req.clone();
             scope.spawn(move || {
                 let client = SynoClient::connect(&addr, tenant).expect("tenant connects");
                 let session = client.submit(&req).expect("session admitted");
+                both_admitted.wait();
                 let mut stopped = String::new();
                 let mut tuned = 0usize;
                 for message in session.messages() {
