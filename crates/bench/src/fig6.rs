@@ -1,9 +1,10 @@
 //! Figure 6: accuracy-vs-latency Pareto curves per model (ImageNet in the
 //! paper; the proxy task here — see DESIGN.md §3).
 
+use crate::vision_accuracy;
 use syno_compiler::{CompilerKind, Device};
 use syno_models::{model_latency, vision_backbones, ConvShape, Substitution};
-use syno_nn::{operator_accuracy, ProxyConfig, TrainConfig};
+use syno_nn::{ProxyConfig, TrainConfig};
 use syno_search::{pareto_front, TradeoffPoint};
 
 /// One point of a Fig. 6 curve.
@@ -44,7 +45,7 @@ fn substitution_accuracy(subst: Substitution, config: &ProxyConfig) -> f64 {
     };
     match graph {
         Some(g) => {
-            let mut acc = operator_accuracy(&g, 0, config) as f64;
+            let mut acc = vision_accuracy(&g, config);
             if subst == Substitution::Int8 {
                 // Quantization costs a little accuracy (Fig. 8: INT8 sits
                 // slightly below Operator 1).

@@ -2,9 +2,10 @@
 //! INT8 quantization, and the stacked-convolution control, on ResNet-18
 //! with TVM.
 
+use crate::vision_accuracy;
 use syno_compiler::{compile, CompilerKind, DType, Device, OperatorClass};
 use syno_models::{model_latency, resnet18, shape_of, stacked_convolution, Substitution};
-use syno_nn::{operator_accuracy, ProxyConfig, TrainConfig};
+use syno_nn::{ProxyConfig, TrainConfig};
 
 /// One variant of the Fig. 8 comparison.
 #[derive(Clone, Debug)]
@@ -61,7 +62,7 @@ fn stacked_accuracy(config: &ProxyConfig) -> f64 {
         s: 2,
     };
     match syno_models::grouped_conv_graph(&shape) {
-        Some(g) => operator_accuracy(&g, 0, config) as f64,
+        Some(g) => vision_accuracy(&g, config),
         None => 0.0,
     }
 }
@@ -100,10 +101,10 @@ pub fn fig8_data(quick: bool) -> Vec<Fig8Row> {
     };
 
     let conv_acc = syno_models::conv_graph(&shape)
-        .map(|g| operator_accuracy(&g, 0, &proxy) as f64)
+        .map(|g| vision_accuracy(&g, &proxy))
         .unwrap_or(0.0);
     let op1_acc = syno_models::operator1(&shape)
-        .map(|g| operator_accuracy(&g, 0, &proxy) as f64)
+        .map(|g| vision_accuracy(&g, &proxy))
         .unwrap_or(0.0);
 
     vec![

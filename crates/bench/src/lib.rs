@@ -1,14 +1,12 @@
-//! # syno-bench — regenerating every table and figure of the evaluation
+//! # syno-bench — regenerating the tables and figures of the evaluation
 //!
-//! Each `figN_*` function computes the data behind one figure of §9; the
-//! `src/bin/*` binaries print them as tables and the Criterion benches
-//! exercise the same paths. [`search_pipeline`], [`proxy_train`] and
-//! [`serve_bench`] are the odd ones out: repo-perf probes (serial vs
-//! pipelined candidate evaluation; stride-compiled vs reference execution
-//! engine; daemon fan-out per-tenant throughput — the `bench_search`
-//! binary / `BENCH_search.json` CI artifact) rather than paper figures. Absolute latencies come from the
-//! `syno-compiler` machine models, accuracies from the `syno-nn` proxies —
-//! see EXPERIMENTS.md for the paper-vs-measured comparison.
+//! Each `figN_data` / `table3_data` function computes the data behind one
+//! figure or table of §9, and the `src/bin/*` binaries print them as
+//! tables. Absolute latencies come from the `syno-compiler` machine
+//! models, accuracies from the `syno-nn` proxies. The one binary that is
+//! not a figure, `multi_writer_smoke`, is the CI gate for the sharded
+//! store's two-process contract. Performance is measured by the
+//! repository's benchmark (`benchmark/`), not here.
 
 #![warn(missing_docs)]
 
@@ -17,10 +15,6 @@ pub mod fig5;
 pub mod fig6;
 pub mod fig8;
 pub mod fig9;
-pub mod proxy_train;
-pub mod search_pipeline;
-pub mod serve_bench;
-pub mod store_sharded;
 pub mod table3;
 
 pub use fig10::{fig10_data, Fig10Data};
@@ -28,8 +22,15 @@ pub use fig5::{fig5_data, Fig5Row};
 pub use fig6::{fig6_data, Fig6Point};
 pub use fig8::{fig8_data, Fig8Row};
 pub use fig9::{fig9_data, Fig9Row};
-pub use proxy_train::{proxy_train_data, EngineSample, ProxyTrainData};
-pub use search_pipeline::{search_pipeline_data, PipelineSample, SearchPipelineData};
-pub use serve_bench::{coalesce_data, serve_data, CoalesceData, CoalesceSample, ServeData, ServeSample};
-pub use store_sharded::{store_sharded_data, StoreShardedData, TwoWriterPass};
 pub use table3::{ablation_shape_distance, table3_data, SdAblation, Table3Row};
+
+/// Proxy accuracy of one of the figures' fixed reference operators under
+/// the vision family. These graphs are known to fit the 4-D task, so a
+/// typed scoring error is a bug in the fixture, not a data point.
+pub(crate) fn vision_accuracy(graph: &syno_core::graph::PGraph, config: &syno_nn::ProxyConfig) -> f64 {
+    let accuracy = syno_nn::ProxyFamilyId::Vision
+        .family()
+        .score(graph, 0, config)
+        .expect("reference operator is scorable by the vision proxy");
+    f64::from(accuracy)
+}

@@ -42,9 +42,10 @@
 //!
 //! // Enumerate all canonical operators of at most 3 primitives.
 //! let enumerator = Enumerator::new(SynthConfig::auto(&vars, 3));
-//! let (found, stats) = enumerator.enumerate(&vars, &spec);
+//! let mut synthesis = enumerator.synthesis(&vars, &spec);
+//! let found: Vec<PGraph> = synthesis.by_ref().collect::<Result<_, _>>().unwrap();
 //! assert!(!found.is_empty());
-//! assert!(stats.pruned_distance > 0); // shape distance pruned dead ends
+//! assert!(synthesis.stats().pruned_distance > 0); // shape distance pruned dead ends
 //! ```
 
 #![warn(missing_docs)]

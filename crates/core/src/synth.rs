@@ -17,8 +17,7 @@
 //! * [`Synthesis`] — a resumable, iterator-style DFS of Algorithm 1:
 //!   [`Synthesis::next_operator`] yields one canonical operator at a time, so
 //!   callers can interleave synthesis with evaluation, stop early, or stream
-//!   discoveries ([`Enumerator::enumerate`] remains as a thin collect-all
-//!   compatibility wrapper);
+//!   discoveries;
 //! * [`rollout`] — a random completion used by MCTS simulations and by the
 //!   §9.4 shape-distance ablation (`guided = false` reproduces the paper's
 //!   "500M unguided trials find nothing" result).
@@ -380,32 +379,6 @@ impl Enumerator {
     pub fn synthesis(&self, vars: &Arc<VarTable>, spec: &OperatorSpec) -> Synthesis {
         Synthesis::new(self.config.clone(), vars, spec)
     }
-
-    /// Runs the DFS of Algorithm 1 to completion for `spec`.
-    ///
-    /// Compatibility wrapper over [`Enumerator::synthesis`]: collects every
-    /// yielded operator and, like the original recursive enumerator, treats
-    /// the `max_visits` cutoff as a silent stop rather than an error (the
-    /// cutoff is still visible as `stats.expanded == max_visits`).
-    ///
-    /// Note on persistence: this wrapper always re-enumerates from scratch.
-    /// Search runs resumed through a `syno-store` journal
-    /// (`SearchBuilder::resume_from` in `syno-search`) skip the
-    /// already-journaled prefix instead — candidates evaluated before the
-    /// interruption are recalled from the store (as `CacheHit` events)
-    /// rather than re-synthesized and re-trained, so only the unexplored
-    /// remainder of the space pays full cost.
-    pub fn enumerate(&self, vars: &Arc<VarTable>, spec: &OperatorSpec) -> (Vec<PGraph>, EnumStats) {
-        let mut driver = self.synthesis(vars, spec);
-        let mut results = Vec::new();
-        while let Some(item) = driver.next_operator() {
-            match item {
-                Ok(graph) => results.push(graph),
-                Err(_) => break,
-            }
-        }
-        (results, driver.stats())
-    }
 }
 
 /// A resumable, iterator-style synthesis driver (Algorithm 1 as a machine).
@@ -413,8 +386,7 @@ impl Enumerator {
 /// Produced by [`Enumerator::synthesis`]. Each call to
 /// [`next_operator`](Synthesis::next_operator) advances the depth-first
 /// search just far enough to surface the next canonical, in-budget operator,
-/// then suspends. The traversal order is identical to the seed's recursive
-/// enumerator, so collected results match `enumerate()` exactly.
+/// then suspends, in the order of the recursive DFS of Algorithm 1.
 ///
 /// `Synthesis` also implements [`Iterator`], so the usual adapters work:
 ///
@@ -637,12 +609,26 @@ mod tests {
         (vars.into_shared(), spec)
     }
 
+    /// Drives a synthesis of `spec` to the end of the space.
+    fn exhaust(
+        enumerator: &Enumerator,
+        vars: &Arc<VarTable>,
+        spec: &OperatorSpec,
+    ) -> (Vec<PGraph>, EnumStats) {
+        let mut driver = enumerator.synthesis(vars, spec);
+        let results = driver
+            .by_ref()
+            .collect::<Result<_, _>>()
+            .expect("no budget errors in this space");
+        (results, driver.stats())
+    }
+
     #[test]
     fn enumerator_finds_average_pooling() {
         let (vars, spec) = pool_setup();
         let config = SynthConfig::auto(&vars, 2);
         let enumerator = Enumerator::new(config);
-        let (results, stats) = enumerator.enumerate(&vars, &spec);
+        let (results, stats) = exhaust(&enumerator, &vars, &spec);
         assert!(stats.expanded > 0);
         // Reduce(s); Split  — the Table 2 average-pooling operator — must be
         // among the results.
@@ -658,7 +644,7 @@ mod tests {
         let (vars, spec) = pool_setup();
         let config = SynthConfig::auto(&vars, 1);
         let enumerator = Enumerator::new(config);
-        let (results, _) = enumerator.enumerate(&vars, &spec);
+        let (results, _) = exhaust(&enumerator, &vars, &spec);
         // One primitive cannot turn [H/s] into [H] (needs Reduce + Split).
         assert!(results.is_empty());
     }
@@ -668,7 +654,7 @@ mod tests {
         let (vars, spec) = pool_setup();
         let config = SynthConfig::auto(&vars, 3);
         let enumerator = Enumerator::new(config);
-        let (results, _) = enumerator.enumerate(&vars, &spec);
+        let (results, _) = exhaust(&enumerator, &vars, &spec);
         let mut hashes: Vec<u64> = results.iter().map(|g| g.state_hash()).collect();
         hashes.sort_unstable();
         let before = hashes.len();
@@ -704,7 +690,7 @@ mod tests {
         let mut config = SynthConfig::auto(&vars, 3);
         config.max_flops = Some(1); // nothing fits
         let enumerator = Enumerator::new(config);
-        let (results, stats) = enumerator.enumerate(&vars, &spec);
+        let (results, stats) = exhaust(&enumerator, &vars, &spec);
         assert!(results.is_empty());
         assert!(stats.over_budget > 0 || stats.complete == 0);
     }
@@ -714,8 +700,9 @@ mod tests {
         let (vars, spec) = pool_setup();
         let config = SynthConfig::auto(&vars, 3);
         let enumerator = Enumerator::new(config);
-        let (batch, batch_stats) = enumerator.enumerate(&vars, &spec);
+        let (batch, batch_stats) = exhaust(&enumerator, &vars, &spec);
 
+        // Suspending after every discovery changes nothing.
         let mut driver = enumerator.synthesis(&vars, &spec);
         let mut streamed = Vec::new();
         while let Some(item) = driver.next_operator() {
@@ -748,7 +735,7 @@ mod tests {
         assert!(!kept.is_empty() && stats.pruned_canon > 0 && stats.invalid > 0);
 
         // The DFS reports the same three reasons over the whole space.
-        let (_, total) = enumerator.enumerate(&vars, &spec);
+        let (_, total) = exhaust(&enumerator, &vars, &spec);
         assert!(total.pruned_canon > 0 && total.invalid > 0 && total.pruned_distance > 0);
     }
 
@@ -760,7 +747,7 @@ mod tests {
         let first = driver.next_operator().expect("space is nonempty");
         assert!(first.is_ok());
         // Suspended early: far fewer states expanded than a full enumeration.
-        let (_, full) = enumerator.enumerate(&vars, &spec);
+        let (_, full) = exhaust(&enumerator, &vars, &spec);
         assert!(driver.stats().expanded < full.expanded);
         assert_eq!(driver.found(), 1);
     }

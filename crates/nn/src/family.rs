@@ -132,9 +132,8 @@ impl fmt::Display for ProxyFamilyId {
 
 /// The original 4-D vision proxy as a [`ProxyFamily`].
 ///
-/// Pure delegation to [`crate::proxy`]: scores are byte-for-byte identical
-/// to the pre-registry `try_operator_accuracy` (pinned by
-/// `vision_family_scores_are_pinned` below).
+/// Pure delegation to [`crate::proxy`]; the score bits are pinned by
+/// `vision_family_scores_are_pinned` below.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct VisionFamily;
 
@@ -305,10 +304,10 @@ mod tests {
     }
 
     /// The refactor guarantee: vision-family scores are **bit-identical**
-    /// to the pre-registry proxy. The pinned constants were computed by the
-    /// pre-refactor `operator_accuracy` on this exact fixture; if this test
-    /// fails, the vision reward path changed and every persisted vision
-    /// score is stale (bump `syno_core::codec::FORMAT_VERSION`).
+    /// to the pre-registry proxy. The pinned constants were computed by it
+    /// on this exact fixture; if this test fails, the vision reward path
+    /// changed and every persisted vision score is stale (bump
+    /// `syno_core::codec::FORMAT_VERSION`).
     ///
     /// Re-verified under the `ExecPolicy` default contract (one thread,
     /// reduction-tree width 4): intermediate losses shift by ulps relative
@@ -342,8 +341,8 @@ mod tests {
         let acc = VisionFamily.score(&g, 0, &config).unwrap();
         assert_eq!(acc.to_bits(), 0x3ec0_0000, "weightless pin: got {acc}");
 
-        // And the legacy entry point still takes the identical path.
-        let legacy = crate::try_operator_accuracy(&conv, 0, &config).unwrap();
+        // The body behind `score` takes the identical path.
+        let legacy = proxy::try_operator_accuracy(&conv, 0, &config).unwrap();
         assert_eq!(legacy.to_bits(), 0x3e80_0000);
 
         // Cross-check: the exact PR 5 serial order lands on the same bits
@@ -388,8 +387,8 @@ mod tests {
         let acc = seq::SequenceFamily.score(&pool, 0, &config).unwrap();
         assert_eq!(acc.to_bits(), 0x3e90_0000, "pool pin: got {acc}");
 
-        // The legacy entry point takes the identical path.
-        let legacy = crate::try_sequence_accuracy(&mm, 0, &config).unwrap();
+        // The body behind `score` takes the identical path.
+        let legacy = seq::try_sequence_accuracy(&mm, 0, &config).unwrap();
         assert_eq!(legacy.to_bits(), 0x3e60_0000);
 
         // Serial cross-check, as in the vision pin test: the width-4 tree

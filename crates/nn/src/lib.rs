@@ -32,13 +32,9 @@ pub use data::{TextTask, VisionTask};
 pub use family::{resolve_family, ProxyFamily, ProxyFamilyId, VisionFamily};
 pub use layer::{GlobalAvgPool, Layer, LinearLayer, Model, OperatorLayer, ReluLayer};
 pub use lm::{LmConfig, QkvProjection, TinyGpt};
-pub use proxy::{
-    operator_accuracy, try_operator_accuracy, validate_proxy_task, validate_vision_task,
-    ProxyConfig,
-};
-pub use seq::{try_sequence_accuracy, SequenceFamily};
+pub use proxy::{validate_proxy_task, validate_vision_task, ProxyConfig};
+pub use seq::SequenceFamily;
 pub use syno_tensor::ExecPolicy;
 pub use train::{
-    accuracy, accuracy_on, train_on_task, train_on_task_with, train_step, train_step_on, Sgd,
-    TrainConfig,
+    accuracy, train_on_task, train_on_task_with, train_step, train_step_on, Sgd, TrainConfig,
 };

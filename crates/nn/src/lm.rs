@@ -175,13 +175,8 @@ impl TinyGpt {
         (logits, params)
     }
 
-    /// One SGD training step; returns the batch loss.
-    pub fn train_step(&mut self, contexts: &[usize], targets: &[usize], lr: f32) -> f32 {
-        let mut tape = Tape::new();
-        self.train_step_on(&mut tape, contexts, targets, lr)
-    }
-
-    /// [`TinyGpt::train_step`] on a caller-owned (reused) tape.
+    /// One SGD training step on a caller-owned (reused) tape; returns the
+    /// batch loss.
     pub fn train_step_on(
         &mut self,
         tape: &mut Tape,

@@ -69,7 +69,8 @@ pub fn validate_proxy_task(
 
 /// Checks that `spec` is scorable by the **vision** proxy under
 /// `valuation`: both shapes must evaluate and be the 4-D `[N, C, H, W]`
-/// layout. The precondition behind [`try_operator_accuracy`].
+/// layout. The precondition behind the vision family's
+/// [`score`](crate::family::ProxyFamily::score).
 ///
 /// # Errors
 ///
@@ -119,7 +120,7 @@ fn task_shapes(
 /// The operator must map `[N, Cin, H, W] → [N, Cout, H, W]` under
 /// `valuation`. Errors are [`SynoError::Eager`] for non-realizable graphs
 /// and [`SynoError::Proxy`] for shape mismatches with the vision task.
-pub fn try_operator_accuracy(
+pub(crate) fn try_operator_accuracy(
     graph: &PGraph,
     valuation: usize,
     config: &ProxyConfig,
@@ -146,15 +147,6 @@ pub fn try_operator_accuracy(
     train.batch = batch as usize;
     let (_, acc) = train_on_task(&mut model, &task, &train);
     Ok(acc)
-}
-
-/// Evaluates a candidate operator's proxy accuracy in `[0, 1]`.
-///
-/// Compatibility wrapper over [`try_operator_accuracy`]: candidates that
-/// cannot be realized or do not fit the vision task score 0 (they are
-/// skipped, like the paper's invalid candidates).
-pub fn operator_accuracy(graph: &PGraph, valuation: usize, config: &ProxyConfig) -> f32 {
-    try_operator_accuracy(graph, valuation, config).unwrap_or(0.0)
 }
 
 #[cfg(test)]
@@ -208,11 +200,16 @@ mod tests {
         }
     }
 
+    /// The one public way to score: through the registry.
+    fn score(graph: &PGraph, config: &ProxyConfig) -> Result<f32, SynoError> {
+        crate::ProxyFamilyId::Vision.family().score(graph, 0, config)
+    }
+
     #[test]
     fn conv_scores_above_chance() {
         let f = fixture();
         let conv = ops::conv2d(&f.vars, f.n, f.cin, f.cout, f.h, f.w, f.k).unwrap();
-        let acc = operator_accuracy(&conv, 0, &quick());
+        let acc = score(&conv, &quick()).unwrap();
         assert!(acc > 0.3, "conv proxy accuracy {acc}");
     }
 
@@ -246,8 +243,8 @@ mod tests {
 
         let conv = ops::conv2d(&f.vars, f.n, f.cin, f.cout, f.h, f.w, f.k).unwrap();
         let config = quick();
-        let weightless = operator_accuracy(&g, 0, &config);
-        let conv_acc = operator_accuracy(&conv, 0, &config);
+        let weightless = score(&g, &config).unwrap();
+        let conv_acc = score(&conv, &config).unwrap();
         assert!(
             conv_acc >= weightless,
             "conv {conv_acc} must match/beat weightless {weightless}"
@@ -258,7 +255,8 @@ mod tests {
     fn non_vision_spec_scores_zero() {
         let f = fixture();
         let mm = ops::matmul(&f.vars, f.cin, f.cout, f.h).unwrap();
-        assert_eq!(operator_accuracy(&mm, 0, &quick()), 0.0);
+        let err = score(&mm, &quick()).expect_err("matmul is not 4-D");
+        assert!(matches!(err, SynoError::Proxy { .. }), "{err}");
     }
 
     #[test]

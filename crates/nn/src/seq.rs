@@ -253,15 +253,14 @@ impl SeqStudent {
 
 /// Evaluates a candidate operator's sequence-proxy accuracy in `[0, 1]`,
 /// reporting *why* a candidate cannot be scored instead of silently
-/// zeroing it. The [`SequenceFamily`] entry point behind
-/// [`ProxyFamily::score`].
+/// zeroing it. The body of [`SequenceFamily`]'s [`ProxyFamily::score`].
 ///
 /// # Errors
 ///
 /// [`SynoError::Proxy`] when the spec does not fit the sequence layouts,
 /// [`SynoError::Eager`] when the graph cannot be realized,
 /// [`SynoError::Eval`] when a shape does not evaluate.
-pub fn try_sequence_accuracy(
+pub(crate) fn try_sequence_accuracy(
     graph: &PGraph,
     valuation: usize,
     config: &ProxyConfig,

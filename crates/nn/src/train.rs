@@ -96,7 +96,7 @@ pub fn accuracy(model: &Model, images: &Tensor, labels: &[usize]) -> f32 {
 }
 
 /// [`accuracy`] on a caller-owned (reused) tape.
-pub fn accuracy_on(tape: &mut Tape, model: &Model, images: &Tensor, labels: &[usize]) -> f32 {
+fn accuracy_on(tape: &mut Tape, model: &Model, images: &Tensor, labels: &[usize]) -> f32 {
     tape.reset();
     let x = tape.leaf(images.clone());
     let (logits, _) = model.forward(tape, x);
@@ -152,8 +152,8 @@ pub fn train_on_task(model: &mut Model, task: &VisionTask, config: &TrainConfig)
 
 /// [`train_on_task`] on a caller-owned tape — the engine-mode hook: pass
 /// [`Tape::new`] for the stride-compiled engine or [`Tape::new_reference`]
-/// for the naive pre-compilation engine (the `proxy_train` bench measures
-/// one against the other; scores are bit-identical either way).
+/// for the naive pre-compilation engine (scores are bit-identical either
+/// way; `engines_agree_bitwise` below holds one against the other).
 pub fn train_on_task_with(
     tape: &mut Tape,
     model: &mut Model,
@@ -246,5 +246,36 @@ mod tests {
         let (images, labels) = task.eval_batch(16);
         let acc = accuracy(&model, &images, &labels);
         assert!((0.0..=1.0).contains(&acc));
+    }
+
+    /// `(final loss, held-out accuracy)` bits of the same student, init
+    /// seed and task stream trained for three steps on `tape`.
+    fn trained_bits(tape: &mut Tape) -> (u32, u32) {
+        let task = VisionTask::new(1234, 3, 8, 4);
+        let config = TrainConfig {
+            steps: 3,
+            batch: 16,
+            eval_batches: 2,
+            ..TrainConfig::default()
+        };
+        let (loss, acc) = train_on_task_with(tape, &mut small_model(99), &task, &config);
+        (loss.to_bits(), acc.to_bits())
+    }
+
+    #[test]
+    fn engines_agree_bitwise() {
+        assert_eq!(
+            trained_bits(&mut Tape::new_reference()),
+            trained_bits(&mut Tape::new()),
+            "compiled and reference engines diverged"
+        );
+    }
+
+    #[test]
+    fn exec_threads_never_move_a_score_bit() {
+        let bits = |threads| trained_bits(&mut Tape::with_policy(ExecPolicy::with_threads(threads)));
+        let one = bits(1);
+        assert_eq!(one, bits(2), "thread count moved a score bit");
+        assert_eq!(one, bits(4), "thread count moved a score bit");
     }
 }

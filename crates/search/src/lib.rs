@@ -44,4 +44,4 @@ pub use run::{
 };
 // The per-scenario proxy-family selector threaded through
 // `SearchBuilder::proxy_family` (defined by the registry in `syno-nn`).
-pub use syno_nn::{ExecPolicy, ProxyFamilyId};
+pub use syno_nn::ProxyFamilyId;

@@ -315,15 +315,6 @@ impl PhaseWall {
             idle: wall.saturating_sub(accounted),
         }
     }
-
-    /// The fraction of `wall` spent in `phase` (0.0 when `wall` is zero).
-    pub fn fraction_of(phase: Duration, wall: Duration) -> f64 {
-        if wall.is_zero() {
-            0.0
-        } else {
-            phase.as_secs_f64() / wall.as_secs_f64()
-        }
-    }
 }
 
 impl std::fmt::Display for PhaseWall {
@@ -640,19 +631,6 @@ impl SearchBuilder {
     /// Accuracy-proxy settings.
     pub fn proxy(mut self, config: ProxyConfig) -> Self {
         self.proxy = config;
-        self
-    }
-
-    /// Execution policy for every proxy-training tape the run creates:
-    /// worker-thread count and deterministic reduction-tree width.
-    ///
-    /// Shorthand for setting `train.exec` on the [`proxy`][Self::proxy]
-    /// config. `exec_threads` is value-invisible — seeded runs discover
-    /// bit-identical candidate sets at any thread count — while
-    /// `reduce_width` reshapes the reduction tree and is therefore part of
-    /// the stored-score contract (see [`syno_nn::ExecPolicy`]).
-    pub fn exec_policy(mut self, policy: syno_nn::ExecPolicy) -> Self {
-        self.proxy.train.exec = policy;
         self
     }
 
@@ -2139,6 +2117,13 @@ mod tests {
         assert!(!expected_set.is_empty());
 
         let pool = EvalPool::new(3);
+        let exec_threads = |threads| ProxyConfig {
+            train: TrainConfig {
+                exec: syno_nn::ExecPolicy::with_threads(threads),
+                ..proxy.train
+            },
+            ..proxy
+        };
         let start = |name: &str, place: &dyn Fn(SearchBuilder) -> SearchBuilder| {
             let builder = SearchBuilder::new()
                 .scenario("conv", &vars, &spec)
@@ -2153,6 +2138,9 @@ mod tests {
             // Two concurrent runs share the one pool — the daemon's shape.
             start("shared pool, first run", &|b| b.eval_pool(pool.clone())),
             start("shared pool, second run", &|b| b.eval_pool(pool.clone())),
+            // `exec_threads` shards loops without ever moving a score bit.
+            start("exec_threads(2)", &|b| b.proxy(exec_threads(2))),
+            start("exec_threads(4)", &|b| b.proxy(exec_threads(4))),
         ];
         for (name, run) in runs {
             let events: Vec<SearchEvent> = run.events().collect();

@@ -24,7 +24,7 @@ use crate::protocol::{
     DaemonStatus, Frame, ProtocolError, SearchRequest, WireCandidateSet, WireEvent,
     PROTOCOL_VERSION,
 };
-use crate::transport::{connect, Conn};
+use crate::transport::{connect, Socket};
 
 /// Errors a [`SynoClient`] call can surface.
 #[derive(Debug)]
@@ -222,8 +222,8 @@ impl Demux {
 /// tenant. Cheap to keep open; one client can run many concurrent
 /// sessions.
 pub struct SynoClient {
-    writer: Mutex<Box<dyn Conn>>,
-    shutdown_conn: Box<dyn Conn>,
+    writer: Mutex<Socket>,
+    shutdown_conn: Socket,
     demux: Arc<Demux>,
     control_rx: Mutex<Receiver<Frame>>,
     reader: Option<thread::JoinHandle<()>>,
@@ -264,8 +264,8 @@ impl SynoClient {
             None => return Err(ServeError::Disconnected),
         }
 
-        let writer = conn.try_clone_conn()?;
-        let shutdown_conn = conn.try_clone_conn()?;
+        let writer = conn.try_clone()?;
+        let shutdown_conn = conn.try_clone()?;
         let (control_tx, control_rx) = channel();
         let demux = Arc::new(Demux {
             sessions: Mutex::new(HashMap::new()),
@@ -502,7 +502,7 @@ impl SynoClient {
 
 impl Drop for SynoClient {
     fn drop(&mut self) {
-        let _ = self.shutdown_conn.shutdown_conn();
+        let _ = self.shutdown_conn.shutdown_socket();
         if let Some(reader) = self.reader.take() {
             let _ = reader.join();
         }

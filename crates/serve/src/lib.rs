@@ -21,7 +21,7 @@
 //! * [`client`] — [`SynoClient`], the blocking client handle: submit
 //!   sessions, stream events, reattach dropped sessions
 //!   ([`SynoClient::attach`]), poll status, request graceful shutdown;
-//! * [`transport`] — TCP / Unix-socket streams behind one trait;
+//! * [`transport`] — TCP / Unix-socket streams behind one enum;
 //! * [`signal`] — dependency-free SIGINT handling over a self-pipe.
 //!
 //! Lifecycle: shutdown (handle, `Shutdown` frame, or SIGINT) drains

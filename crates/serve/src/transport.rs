@@ -1,47 +1,11 @@
 //! Stream transport abstraction: TCP and Unix-domain sockets behind one
-//! object-safe trait, selected by the listen spec (`"unix:<path>"` binds a
+//! [`Socket`] enum, selected by the listen spec (`"unix:<path>"` binds a
 //! Unix socket, anything else a TCP address).
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
-
-/// A bidirectional byte stream the protocol runs over.
-///
-/// Implemented for [`TcpStream`] and (on Unix) `UnixStream`; the client
-/// only ever sees `Box<dyn Conn>`, so the two transports share every code
-/// path above the socket. (The daemon's readiness loop takes the concrete
-/// [`Socket`] instead: it needs the descriptor.)
-pub trait Conn: Read + Write + Send + Sync {
-    /// Clones the underlying socket: another handle onto the same
-    /// connection. The client keeps one for its blocking reader thread, one
-    /// for the calls that write, and one to shut the connection down.
-    fn try_clone_conn(&self) -> io::Result<Box<dyn Conn>>;
-    /// Closes both directions, which ends a blocked read on any clone.
-    fn shutdown_conn(&self) -> io::Result<()>;
-}
-
-impl Conn for TcpStream {
-    fn try_clone_conn(&self) -> io::Result<Box<dyn Conn>> {
-        Ok(Box::new(self.try_clone()?))
-    }
-
-    fn shutdown_conn(&self) -> io::Result<()> {
-        self.shutdown(std::net::Shutdown::Both)
-    }
-}
-
-#[cfg(unix)]
-impl Conn for UnixStream {
-    fn try_clone_conn(&self) -> io::Result<Box<dyn Conn>> {
-        Ok(Box::new(self.try_clone()?))
-    }
-
-    fn shutdown_conn(&self) -> io::Result<()> {
-        self.shutdown(std::net::Shutdown::Both)
-    }
-}
 
 /// A bound listening socket (TCP or Unix).
 pub enum Listener {
@@ -138,9 +102,9 @@ impl Listener {
     }
 }
 
-/// A concrete accepted stream for the daemon's readiness loop, which
-/// needs the raw file descriptor to register with `poll(2)` — the
-/// object-safe [`Conn`] deliberately hides it.
+/// A bidirectional byte stream the protocol runs over: what the daemon
+/// accepts and the client connects. The two transports share every code
+/// path above it.
 pub enum Socket {
     /// TCP stream.
     Tcp(TcpStream),
@@ -160,6 +124,17 @@ impl std::fmt::Debug for Socket {
 }
 
 impl Socket {
+    /// Another handle onto the same connection. The client keeps one for
+    /// its blocking reader thread, one for the calls that write, and one to
+    /// shut the connection down.
+    pub fn try_clone(&self) -> io::Result<Socket> {
+        match self {
+            Socket::Tcp(s) => s.try_clone().map(Socket::Tcp),
+            #[cfg(unix)]
+            Socket::Unix(s) => s.try_clone().map(Socket::Unix),
+        }
+    }
+
     /// Switches the stream between blocking and readiness-driven modes.
     pub fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         match self {
@@ -179,7 +154,7 @@ impl Socket {
         }
     }
 
-    /// Closes both directions.
+    /// Closes both directions, which ends a blocked read on any clone.
     pub fn shutdown_socket(&self) -> io::Result<()> {
         match self {
             Socket::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
@@ -218,10 +193,10 @@ impl Write for Socket {
 }
 
 /// Connects to a listen spec (same syntax as [`Listener::bind`]).
-pub fn connect(spec: &str) -> io::Result<Box<dyn Conn>> {
+pub fn connect(spec: &str) -> io::Result<Socket> {
     if let Some(path) = spec.strip_prefix("unix:") {
         #[cfg(unix)]
-        return Ok(Box::new(UnixStream::connect(path)?));
+        return Ok(Socket::Unix(UnixStream::connect(path)?));
         #[cfg(not(unix))]
         return Err(io::Error::new(
             io::ErrorKind::Unsupported,
@@ -230,5 +205,5 @@ pub fn connect(spec: &str) -> io::Result<Box<dyn Conn>> {
     }
     let stream = TcpStream::connect(spec)?;
     stream.set_nodelay(true).ok();
-    Ok(Box::new(stream))
+    Ok(Socket::Tcp(stream))
 }

@@ -25,8 +25,8 @@
 //! bit-identical across `exec_threads` at a fixed `reduce_width`.
 //! [`Tape::new_reference`] builds a tape in *reference mode* — naive
 //! per-element einsum in serial summation order, no buffer reuse, the
-//! pre-compilation engine — which the differential-testing suite and the
-//! `proxy_train` bench compare against; it is bit-identical to
+//! pre-compilation engine — which the differential-testing suite compares
+//! against; it is bit-identical to
 //! `Tape::with_policy(ExecPolicy::serial())` by construction.
 //!
 //! # Limitations

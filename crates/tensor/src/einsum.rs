@@ -725,8 +725,7 @@ pub fn einsum_spec(spec: &EinsumSpec, operands: &[&Tensor]) -> Result<Tensor, Ei
 /// The deliberately naive per-element reference implementation: for every
 /// point of the full index space, recompute each operand offset as a stride
 /// dot product. This is the pre-compilation engine, kept verbatim as the
-/// ground truth the stride-compiled path is differentially tested against
-/// (and the baseline the `proxy_train` bench measures speedup over).
+/// ground truth the stride-compiled path is differentially tested against.
 ///
 /// # Errors
 ///

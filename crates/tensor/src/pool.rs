@@ -90,8 +90,7 @@ impl ScratchPool {
 
     /// A pool that never recycles: every `take*` allocates fresh and every
     /// `recycle*` drops. This is the pre-PR allocation behavior, kept for
-    /// the reference engine mode the differential tests and the
-    /// `proxy_train` bench compare against.
+    /// the reference engine mode the differential tests compare against.
     pub fn disabled() -> Self {
         ScratchPool {
             disabled: true,
