@@ -14,7 +14,8 @@
 //!   and ATen fallback on mobile (§9.2).
 //!
 //! Absolute latencies are estimates; the reproduction targets *speedup
-//! ratios* and their orderings (see EXPERIMENTS.md).
+//! ratios* and their orderings (the `fig5`–`fig10` binaries of `syno-bench`
+//! print them).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -39,6 +39,10 @@ pub enum EagerError {
     WeightNotRealizable(usize),
     /// Provided tensors disagree with the declared shapes.
     ShapeMismatch(&'static str),
+    /// Two dims of a weight bind to one live axis (a diagonal read), and the
+    /// executor differentiates its einsums: the tape's VJP needs
+    /// duplicate-free operand indices. Plain execution supports it.
+    DiagonalWeight(usize),
 }
 
 impl fmt::Display for EagerError {
@@ -50,6 +54,9 @@ impl fmt::Display for EagerError {
                 write!(f, "weight {w} has no point where all dims are live")
             }
             EagerError::ShapeMismatch(what) => write!(f, "shape mismatch for {what}"),
+            EagerError::DiagonalWeight(w) => {
+                write!(f, "weight {w} binds two dims to one axis, which has no gradient")
+            }
         }
     }
 }
@@ -87,6 +94,11 @@ pub trait Executor {
     fn sum_axis(&mut self, h: Self::Handle, axis: usize) -> Self::Handle;
     /// Einstein summation.
     fn einsum(&mut self, spec: &str, inputs: &[Self::Handle]) -> Self::Handle;
+    /// `true` when [`Executor::einsum`] records a VJP, which rules out an
+    /// operand with a repeated index (see [`EagerError::DiagonalWeight`]).
+    fn differentiates(&self) -> bool {
+        false
+    }
 }
 
 /// Plain-tensor executor with a scratch-buffer pool and a cached einsum
@@ -223,6 +235,9 @@ impl Executor for TapeExecutor<'_> {
     }
     fn einsum(&mut self, spec: &str, inputs: &[Var]) -> Var {
         self.tape.einsum(spec, inputs)
+    }
+    fn differentiates(&self) -> bool {
+        true
     }
 }
 
@@ -481,6 +496,11 @@ fn multiply_due<E: Executor>(
                 // not eager-realizable after all.
                 None => return Err(EagerError::WeightNotRealizable(w)),
             }
+        }
+        let diagonal = (1..weight_letters.len())
+            .any(|i| weight_letters[..i].contains(&weight_letters[i]));
+        if diagonal && exec.differentiates() {
+            return Err(EagerError::DiagonalWeight(w));
         }
         let spec = format!(
             "{},{}->{}",

@@ -373,3 +373,41 @@ fn tape_recording_matches_eager_and_differentiates() {
     assert!(gx.is_finite() && gw.is_finite());
     assert!(gw.sq_norm() > 0.0, "weight gradient must be nonzero");
 }
+
+/// A weight with two dims on one live axis reads a diagonal: plain execution
+/// supports it, the tape has no VJP for it and says so with a typed error —
+/// the search skips such a candidate without a panic to catch.
+#[test]
+fn diagonal_weight_is_a_typed_tape_failure() {
+    let f = fixture();
+    let spec = OperatorSpec::new(
+        TensorShape::new(vec![Size::var(f.cin), Size::var(f.h), Size::var(f.w)]),
+        TensorShape::new(vec![Size::var(f.cout), Size::var(f.h), Size::var(f.w)]),
+    );
+    let enumerator = Enumerator::new(SynthConfig::auto(&f.vars, 5));
+    let root = PGraph::new(Arc::clone(&f.vars), spec);
+    let mut rng = StdRng::seed_from_u64(1234);
+    for trial in 0..2000 {
+        let RolloutResult::Complete(g) = rollout(&mut rng, &enumerator, &root, true) else {
+            continue;
+        };
+        let mut r = StdRng::seed_from_u64(trial);
+        let input_shape: Vec<usize> =
+            g.spec().input.eval(g.vars(), 0).unwrap().iter().map(|&v| v as usize).collect();
+        let input = init::uniform(&mut r, &input_shape, -1.0, 1.0);
+        let weights: Vec<Tensor> = eager::weight_shapes(&g, 0)
+            .unwrap()
+            .iter()
+            .map(|s| init::uniform(&mut r, s, -1.0, 1.0))
+            .collect();
+        let mut tape = syno_tensor::Tape::new();
+        let x = tape.leaf(input.clone());
+        let ws: Vec<_> = weights.iter().map(|w| tape.leaf(w.clone())).collect();
+        if let Err(eager::EagerError::DiagonalWeight(w)) = eager::record(&mut tape, &g, 0, x, &ws) {
+            assert!(w < weights.len());
+            eager::execute(&g, 0, &input, &weights).expect("plain execution reads the diagonal");
+            return;
+        }
+    }
+    panic!("no sampled operator binds a weight twice to one axis");
+}

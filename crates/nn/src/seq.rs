@@ -235,7 +235,11 @@ impl SeqStudent {
         let grads = tape.backward(loss);
         for (var, tensor) in params.iter().zip(self.params_mut()) {
             if let Some(g) = grads.get(*var) {
-                *tensor = tensor.sub(&g.scale(lr));
+                // `w - g·lr`, rounded as `tensor.sub(&g.scale(lr))` rounds it.
+                assert_eq!(tensor.shape(), g.shape(), "gradient shape mismatch");
+                for (w, &g) in tensor.data_mut().iter_mut().zip(g.data()) {
+                    *w -= g * lr;
+                }
             }
         }
         tape.recycle_gradients(grads);

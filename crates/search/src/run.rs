@@ -1198,10 +1198,11 @@ impl EvalContext {
             }
         }
 
-        // A proxy panic (e.g. an exotic candidate the tape einsum cannot
-        // differentiate) is this candidate's deterministic result, not an
+        // A proxy panic is this candidate's deterministic result, not an
         // accident of the run: catch it here, so that it is published and
-        // journaled as the typed failure it is.
+        // journaled as the typed failure it is. (None is known to occur: a
+        // candidate the tape cannot differentiate is `EagerError`'s typed
+        // `DiagonalWeight`, an `Err` from `score`.)
         let scored = {
             let span = syno_telemetry::span!("proxy_train", candidate = id);
             // The acceptance counter for coalescing: incremented only when

@@ -32,8 +32,9 @@
 //! # Limitations
 //!
 //! The einsum VJP requires each operand's index list to be duplicate-free
-//! (e.g. no `"ii->i"`); the Syno lowering never produces such terms —
-//! canonicalization rejects diagonal weights.
+//! (e.g. no `"ii->i"`), and [`Tape::einsum`] panics on one; the eager
+//! lowering refuses to record a weight that would need it with a typed
+//! error before it gets here.
 
 use crate::einsum::{einsum_spec_reference, EinsumEngine, EinsumSpec};
 use crate::exec::ExecPolicy;
@@ -432,11 +433,9 @@ impl Tape {
         assert_eq!(t.rank(), 2, "gather table must be [vocab, dim]");
         let dim = t.shape()[1];
         let mut out = pool.take_tensor(&[ids.len(), dim]);
-        for (row, &id) in ids.iter().enumerate() {
+        for (dst, &id) in out.data_mut().chunks_exact_mut(dim.max(1)).zip(ids) {
             assert!(id < t.shape()[0], "gather id out of range");
-            for d in 0..dim {
-                out.set(&[row, d], t.get(&[id, d]));
-            }
+            dst.copy_from_slice(&t.data()[id * dim..(id + 1) * dim]);
         }
         self.push(
             out,
@@ -597,10 +596,12 @@ impl Tape {
                     let t = &nodes[table.0].value;
                     let dim = t.shape()[1];
                     let mut g = pool.take_tensor(t.shape());
-                    for (row, &id) in ids.iter().enumerate() {
-                        for d in 0..dim {
-                            let v = g.get(&[id, d]) + grad.get(&[row, d]);
-                            g.set(&[id, d], v);
+                    // Rows in lookup order: a repeated id sums its rows as
+                    // they were gathered.
+                    for (src, &id) in grad.data().chunks_exact(dim.max(1)).zip(ids) {
+                        let dst = &mut g.data_mut()[id * dim..(id + 1) * dim];
+                        for (d, &v) in dst.iter_mut().zip(src) {
+                            *d += v;
                         }
                     }
                     add_grad(pool, &mut grads, *table, g);

@@ -6,30 +6,32 @@
 //! supported; indices absent from the output are summed.
 //!
 //! Execution is *stride-compiled*: [`EinsumPlan::compile`] turns a spec plus
-//! operand shapes into a reusable program of per-loop-index strides, and
-//! execution walks the full index space once, updating every operand offset
-//! incrementally as the loop odometer ticks — no per-element stride dot
-//! products, no per-call allocation when driven through an
-//! [`EinsumEngine`]. The iteration order (and therefore the FP summation
-//! order) is exactly that of the original per-element implementation, which
-//! survives as [`einsum_reference`]: the differential-testing suite pins the
-//! two paths bit-for-bit equal.
+//! operand shapes into a reusable program of per-loop strides, and execution
+//! works **a row of output elements at a time**: the innermost loop is always
+//! a contiguous or constant-stride run over independent output elements,
+//! accumulated into a small tile, with all index arithmetic hoisted to once
+//! per row and no allocation per element. Only independent elements trade
+//! places: each one still meets its terms in the order of the original
+//! per-element implementation, which survives as [`einsum_reference`] — the
+//! differential-testing suite pins the two paths bit-for-bit equal.
 //!
-//! On top of the serial plan, [`EinsumPlan::execute_with`] executes under an
-//! [`ExecPolicy`]: a `reduce_width > 1` splits the outermost summed loop
-//! into a pinned number of contiguous chunks whose partials are combined in
-//! a deterministic pairwise-adjacent binary tree, and `exec_threads > 1`
-//! runs shards on an [`ExecPool`]. The chunking and combine order depend
+//! [`EinsumPlan::execute_with`] executes under an [`ExecPolicy`]: a
+//! `reduce_width > 1` splits the outermost summed index into a pinned number
+//! of contiguous chunks whose partial tiles are combined in a deterministic
+//! pairwise-adjacent binary tree, and `exec_threads > 1` hands disjoint
+//! ranges of tiles to an [`ExecPool`]. The chunking and combine order depend
 //! only on (shapes, `reduce_width`) — never on thread count — so values are
 //! bit-identical across `exec_threads` at a fixed width, and a width of `1`
 //! reproduces serial summation order exactly.
 
 use crate::exec::{ExecPolicy, ExecPool};
+use crate::ops;
 use crate::pool::ScratchPool;
 use crate::tensor::Tensor;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::iter::repeat;
 
 /// Errors from parsing or executing an einsum specification.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -153,16 +155,44 @@ fn bind_extents(
     Ok(extents)
 }
 
+/// Output elements one accumulation tile holds: a few KiB, so a tile and the
+/// operand runs feeding it stay in L1 while the summed loops sweep over it.
+const TILE_ELEMS: usize = 1024;
+
+/// An output loop shorter than this makes a poor innermost run: the tile
+/// prefers a longer one further out, and a row this short runs its elements'
+/// sums one after the other.
+const SHORT_RUN: usize = 8;
+
+/// A tensor this many times smaller than the loop nest is worth storing in
+/// loop order before the contraction runs.
+const SMALL_TENSOR: usize = 16;
+
+/// Offset steps of one operand along the three loops of the tile kernel; a
+/// loop the plan lacks steps by 0.
+#[derive(Clone, Copy, Debug)]
+struct Steps {
+    outer: usize,
+    mid: usize,
+    inner: usize,
+}
+
 /// A stride-compiled einsum: the spec plus concrete operand shapes, lowered
-/// once into per-loop-index strides and reusable across executions.
+/// once into per-loop strides and reusable across executions.
 ///
-/// The loop order (output indices first, then summed indices, both in
-/// first-seen order) matches [`einsum_reference`] exactly, so compiled and
-/// reference execution accumulate in the identical FP order and produce
-/// bit-identical outputs.
+/// Loops are the spec's distinct indices: output indices first (in the
+/// storage order of the largest operand that has them all, else first-seen),
+/// then summed ones in first-seen order. Adjacent loops of one kind that
+/// every operand and the output walk as a single affine run are fused, which
+/// keeps the visit order; a tensor much smaller than the loop nest is first
+/// stored in loop order so that more of them do. Execution nests the loops
+/// `[outer output loops] → [chunks of the outermost summed index] → [summed
+/// loops] → [a tile of two output loops]`: an output element meets its terms
+/// in the order of [`einsum_reference`], starting from `+0.0`, and only
+/// independent elements trade places — so the result is bit-identical to it.
 #[derive(Clone, Debug)]
 pub struct EinsumPlan {
-    /// Loop extents, one per distinct index.
+    /// Loop extents after fusing, output loops first.
     dims: Vec<usize>,
     /// Output tensor shape.
     out_shape: Vec<usize>,
@@ -172,10 +202,29 @@ pub struct EinsumPlan {
     op_strides: Vec<Vec<usize>>,
     /// Output offset delta per loop slot.
     out_strides: Vec<usize>,
-    /// Number of output loop slots; slots `n_out..` are summed. When summed
-    /// slots exist, slot `n_out` is the *outermost* summed loop — the axis
-    /// the deterministic tree reduction chunks.
+    /// Number of output loop slots; slots `n_out..` are summed.
     n_out: usize,
+    /// Extent of the spec's outermost summed index — the axis the
+    /// deterministic tree reduction chunks — and how many steps of loop
+    /// `n_out` one step of it spans after fusing. `(1, 1)` without one.
+    chunk: (usize, usize),
+    /// Extents of the two output loops a tile spans, `[outer, inner]` (1
+    /// where the plan has fewer): innermost the last one that is no
+    /// [`SHORT_RUN`], else the longest; around it the last one left.
+    tile: [usize; 2],
+    /// The output loops outside the tile, in nesting order.
+    outer: Vec<usize>,
+    /// How many steps of each tile loop one tile covers.
+    block: [usize; 2],
+    /// Each operand's steps along the kernel's loops: the tile's two and the
+    /// innermost summed loop between them.
+    steps: Vec<Steps>,
+    /// The output's steps along the tile's loops, `[outer, inner]`.
+    out_steps: [usize; 2],
+    /// Axis permutations that store a small tensor in loop order, so that
+    /// its loops fuse with the big operands': one per operand (applied
+    /// before the contraction), then the output's (undone after it).
+    perms: Vec<Option<Vec<usize>>>,
 }
 
 impl EinsumPlan {
@@ -186,39 +235,126 @@ impl EinsumPlan {
     /// Propagates binding errors; see [`EinsumError`].
     pub fn compile(spec: &EinsumSpec, shapes: &[&[usize]]) -> Result<Self, EinsumError> {
         let extents = bind_extents(spec, shapes)?;
-        let order = spec.all_indices();
-        let dims: Vec<usize> = order.iter().map(|c| extents[c]).collect();
+        // `all_indices` orders output letters first.
+        let mut order = spec.all_indices();
+        let raw_out = order.iter().filter(|c| spec.output.contains(c)).count();
         let out_shape: Vec<usize> = spec.output.iter().map(|c| extents[c]).collect();
-        let out_tensor_strides = Tensor::strides_of(&out_shape);
+        let numel = |shape: &[usize]| shape.iter().product::<usize>();
+        // Output elements are independent, so their loops may nest in any
+        // order: the storage order of the largest operand that carries them
+        // all, when there is one. (Summed loops keep theirs — it is the
+        // summation order.)
+        let carries_all = |l: &&Vec<char>| order[..raw_out].iter().all(|c| l.contains(c));
+        let lead = spec.inputs.iter().zip(shapes).rev().filter(|(l, _)| carries_all(l));
+        if let Some((lead, _)) = lead.max_by_key(|(_, shape)| numel(shape)) {
+            order[..raw_out].sort_by_key(|c| lead.iter().position(|l| l == c));
+        }
+        let slot_of = |c: &char| order.iter().position(|o| o == c).expect("bound index");
+        // One stride table per operand, then the output's. A tensor much
+        // smaller than the loop nest first has its output axes put in loop
+        // order among themselves, and its summed axes likewise (its `perms`
+        // entry); a repeated letter adds up its positions' strides (the
+        // diagonal) and stays as it is.
+        let points: usize = order.iter().map(|c| extents[c]).product();
+        let letters = spec.inputs.iter().chain([&spec.output]);
+        let (perms, tables): (Vec<Option<Vec<usize>>>, Vec<Vec<usize>>) = letters
+            .zip(shapes.iter().copied().chain([out_shape.as_slice()]))
+            .map(|(letters, shape)| {
+                let mut perm: Vec<usize> = (0..letters.len()).collect();
+                let distinct = (1..letters.len()).all(|i| !letters[..i].contains(&letters[i]));
+                if distinct && numel(shape).saturating_mul(SMALL_TENSOR) <= points {
+                    for summed in [false, true] {
+                        let of_kind = |&pos: &usize| (slot_of(&letters[pos]) >= raw_out) == summed;
+                        let at: Vec<usize> = (0..letters.len()).filter(of_kind).collect();
+                        let mut sorted = at.clone();
+                        sorted.sort_by_key(|&pos| slot_of(&letters[pos]));
+                        for (to, from) in at.into_iter().zip(sorted) {
+                            perm[to] = from;
+                        }
+                    }
+                }
+                let stored: Vec<usize> = perm.iter().map(|&pos| shape[pos]).collect();
+                let ts = Tensor::strides_of(&stored);
+                let mut per_slot = vec![0usize; order.len()];
+                for (&pos, stride) in perm.iter().zip(ts) {
+                    per_slot[slot_of(&letters[pos])] += stride;
+                }
+                ((!perm.is_sorted()).then_some(perm), per_slot)
+            })
+            .unzip();
 
-        let mut op_strides: Vec<Vec<usize>> = Vec::with_capacity(shapes.len());
-        for (input, shape) in spec.inputs.iter().zip(shapes) {
-            let ts = Tensor::strides_of(shape);
-            let mut per_index = vec![0usize; order.len()];
-            for (pos, &c) in input.iter().enumerate() {
-                let slot = order.iter().position(|&o| o == c).expect("bound index");
-                per_index[slot] += ts[pos];
+        // Fuse a loop into its predecessor of the same kind when one of them
+        // has a single step or every table walks the pair as one run.
+        let mut dims: Vec<usize> = Vec::new();
+        let mut fused: Vec<Vec<usize>> = vec![Vec::new(); tables.len()];
+        let mut n_out = 0;
+        for (slot, c) in order.iter().enumerate() {
+            let extent = extents[c];
+            let joins = slot != raw_out
+                && dims.last().is_some_and(|&prev| {
+                    prev == 1
+                        || extent == 1
+                        || tables
+                            .iter()
+                            .zip(&fused)
+                            .all(|(t, f)| f[f.len() - 1] == t[slot] * extent)
+                });
+            if joins {
+                let prev = dims.last_mut().expect("joins a predecessor");
+                if *prev == 1 || extent != 1 {
+                    for (t, f) in tables.iter().zip(&mut fused) {
+                        *f.last_mut().expect("one step per fused loop") = t[slot];
+                    }
+                }
+                *prev *= extent;
+            } else {
+                dims.push(extent);
+                for (t, f) in tables.iter().zip(&mut fused) {
+                    f.push(t[slot]);
+                }
+                n_out += usize::from(slot < raw_out);
             }
-            op_strides.push(per_index);
         }
-        let mut out_strides = vec![0usize; order.len()];
-        for (pos, &c) in spec.output.iter().enumerate() {
-            let slot = order.iter().position(|&o| o == c).expect("output index");
-            out_strides[slot] += out_tensor_strides[pos];
-        }
-        // `all_indices` orders output letters first, so the first n_out
-        // slots are exactly the distinct output letters.
-        let n_out = order
+        let chunk = match order.get(raw_out) {
+            Some(c) => (extents[c], dims[n_out] / extents[c].max(1)),
+            None => (1, 1),
+        };
+        let out_strides = fused.pop().expect("the output's table");
+
+        let inner = (0..n_out)
+            .rev()
+            .find(|&s| dims[s] >= SHORT_RUN)
+            .or_else(|| (0..n_out).max_by_key(|&s| dims[s]));
+        let outer = (0..n_out).rev().find(|&s| Some(s) != inner);
+        let rest = (0..n_out).filter(|&s| Some(s) != inner && Some(s) != outer);
+        let mid = (dims.len() > n_out).then(|| dims.len() - 1);
+        let step = |strides: &[usize], slot: Option<usize>| slot.map_or(0, |s| strides[s]);
+        let steps = fused
             .iter()
-            .filter(|c| spec.output.contains(c))
-            .count();
+            .map(|s| Steps {
+                outer: step(s, outer),
+                mid: step(s, mid),
+                inner: step(s, inner),
+            })
+            .collect();
+        let out_steps = [step(&out_strides, outer), step(&out_strides, inner)];
+        let tile = [outer, inner].map(|slot| slot.map_or(1, |s| dims[s]));
+        let inner_block = tile[1].clamp(1, TILE_ELEMS);
+        let block = [tile[0].clamp(1, TILE_ELEMS / inner_block), inner_block];
         Ok(EinsumPlan {
             dims,
             out_shape,
             op_shapes: shapes.iter().map(|s| s.to_vec()).collect(),
-            op_strides,
+            op_strides: fused,
             out_strides,
             n_out,
+            chunk,
+            tile,
+            outer: rest.collect(),
+            block,
+            steps,
+            out_steps,
+            perms,
         })
     }
 
@@ -236,307 +372,327 @@ impl EinsumPlan {
                 .all(|(t, s)| t.shape() == s.as_slice())
     }
 
-    /// Accumulates the contraction into `out` (which must be zeroed and of
-    /// the plan's output element count). `idx`/`offs` are caller-provided
-    /// scratch so repeated execution allocates nothing.
+    /// Executes the contraction into `out` (zeroed, of the plan's output
+    /// element count) under `policy`, optionally sharding across `workers`.
+    /// `tile` is the accumulation scratch, reusable across calls.
     ///
-    /// # Panics
-    ///
-    /// Panics when operand count/shapes disagree with the compiled shapes.
-    pub fn execute_into(
-        &self,
-        operands: &[&Tensor],
-        out: &mut [f32],
-        idx: &mut Vec<usize>,
-        offs: &mut Vec<usize>,
-    ) {
-        assert!(self.matches(operands), "operands do not match the plan");
-        assert_eq!(out.len(), self.out_shape.iter().product::<usize>());
-        let hi = self.dims.first().copied().unwrap_or(1);
-        self.execute_range(operands, out, idx, offs, 0, 0, hi, 0);
-    }
-
-    /// Executes the contraction under `policy`, optionally sharding across
-    /// `workers`. `scratch` supplies the partial-sum buffer of the tree
-    /// reduction.
+    /// A `reduce_width > 1` splits the outermost summed index into that many
+    /// contiguous chunks (at most its extent), sums each into its own tile
+    /// and combines the tiles pairwise-adjacent; `exec_threads > 1` hands
+    /// contiguous ranges of tiles — disjoint output elements — to the pool.
     ///
     /// The value contract: for a fixed `policy.reduce_width`, the result is
     /// **bit-identical** regardless of `policy.exec_threads`, worker count,
-    /// or scheduling — sharding and tree shape depend only on the compiled
+    /// or scheduling — chunking and tree shape depend only on the compiled
     /// shapes and the width. `reduce_width == 1` reproduces
-    /// [`EinsumPlan::execute_into`]'s serial summation order exactly.
+    /// [`einsum_reference`]'s serial summation order exactly.
     ///
     /// # Panics
     ///
     /// Panics when operand count/shapes disagree with the compiled shapes,
     /// and re-raises any panic a shard raised.
-    #[allow(clippy::too_many_arguments)]
     pub fn execute_with(
         &self,
         operands: &[&Tensor],
         out: &mut [f32],
-        idx: &mut Vec<usize>,
-        offs: &mut Vec<usize>,
         policy: ExecPolicy,
         workers: Option<&ExecPool>,
-        scratch: &mut ScratchPool,
+        tile: &mut Vec<f32>,
     ) {
         assert!(self.matches(operands), "operands do not match the plan");
-        let out_len = self.out_shape.iter().product::<usize>();
-        assert_eq!(out.len(), out_len);
-        let pool = workers.filter(|p| p.worker_count() > 0 && policy.exec_threads > 1);
-
-        // Tree-reduction path: chunk the outermost summed loop. The shard
-        // count depends only on (extent, reduce_width) — never on threads.
-        if policy.reduce_width > 1 && self.dims.len() > self.n_out {
-            let extent = self.dims[self.n_out];
-            let shards = policy.reduce_width.min(extent);
-            if shards > 1 {
-                let (q, r) = (extent / shards, extent % shards);
-                let bounds = |i: usize| {
-                    let lo = i * q + i.min(r);
-                    (lo, lo + q + usize::from(i < r))
-                };
-                let mut partials = scratch.take_zeroed(shards * out_len);
-                match pool {
-                    Some(pool) => {
-                        let base = &SharedOut(partials.as_mut_ptr());
-                        // `base` is borrowed whole (it is `Sync`) — precise
-                        // capture of the raw-pointer field would not be.
-                        pool.run(shards, &|i| {
-                            // SAFETY: shard i derives a `&mut` over its own
-                            // disjoint `out_len` chunk of the partial buffer.
-                            let chunk = unsafe {
-                                std::slice::from_raw_parts_mut(base.0.add(i * out_len), out_len)
-                            };
-                            let (lo, hi) = bounds(i);
-                            let (mut sidx, mut soffs) = (Vec::new(), Vec::new());
-                            self.execute_range(
-                                operands, chunk, &mut sidx, &mut soffs, self.n_out, lo, hi, 0,
-                            );
-                        });
-                    }
-                    None => {
-                        for i in 0..shards {
-                            let (lo, hi) = bounds(i);
-                            let chunk = &mut partials[i * out_len..(i + 1) * out_len];
-                            self.execute_range(operands, chunk, idx, offs, self.n_out, lo, hi, 0);
-                        }
-                    }
-                }
-                combine_tree(&mut partials, out_len, shards);
-                // A bit-exact move of the surviving chunk (no `+=` against
-                // the zeroed output, which could flip -0.0 to +0.0).
-                out.copy_from_slice(&partials[..out_len]);
-                scratch.recycle_buffer(partials);
-                return;
-            }
+        assert_eq!(out.len(), self.out_shape.iter().product::<usize>());
+        if self.dims.contains(&0) {
+            return; // no output element, or an empty sum: `out` stays zero
         }
-
-        // Output-sharding path: chunk the outermost *output* loop. Each
-        // shard owns a disjoint contiguous output range (slots > 0
-        // contribute strictly less than one slot-0 stride), so this is
-        // bit-identical to serial order for any thread count.
-        if self.n_out > 0 {
-            if let Some(pool) = pool {
-                let extent = self.dims[0];
-                let shards = policy.exec_threads.min(extent);
-                if shards > 1 {
-                    let (q, r) = (extent / shards, extent % shards);
-                    let bounds = |i: usize| {
-                        let lo = i * q + i.min(r);
-                        (lo, lo + q + usize::from(i < r))
-                    };
-                    let os0 = self.out_strides[0];
-                    let base = &SharedOut(out.as_mut_ptr());
-                    // `base` is borrowed whole (it is `Sync`) — precise
-                    // capture of the raw-pointer field would not be.
-                    pool.run(shards, &|i| {
-                        let (lo, hi) = bounds(i);
-                        let start = lo * os0;
-                        // SAFETY: shard i writes only inside
-                        // `[lo*os0, hi*os0)`, disjoint from other shards.
-                        let chunk = unsafe {
-                            std::slice::from_raw_parts_mut(base.0.add(start), (hi - lo) * os0)
-                        };
-                        let (mut sidx, mut soffs) = (Vec::new(), Vec::new());
-                        self.execute_range(operands, chunk, &mut sidx, &mut soffs, 0, lo, hi, start);
-                    });
-                    return;
-                }
-            }
+        let (out_perm, op_perms) = self.perms.split_last().expect("the output's entry");
+        let stored: Vec<Option<Tensor>> = op_perms
+            .iter()
+            .zip(operands)
+            .map(|(perm, t)| perm.as_ref().map(|perm| ops::permute(t, perm)))
+            .collect();
+        let datas: Vec<&[f32]> = stored
+            .iter()
+            .zip(operands)
+            .map(|(stored, t)| stored.as_ref().unwrap_or(t).data())
+            .collect();
+        let datas = datas.as_slice();
+        if let Some(perm) = out_perm {
+            // Contract into loop order, then store as the spec asks.
+            let shape: Vec<usize> = perm.iter().map(|&pos| self.out_shape[pos]).collect();
+            let mut staged = Tensor::zeros(&shape);
+            self.run_sharded(datas, staged.data_mut(), policy, workers, tile);
+            let unstaged = ops::permute(&staged, &ops::inverse_permutation(perm));
+            out.copy_from_slice(unstaged.data());
+        } else {
+            self.run_sharded(datas, out, policy, workers, tile);
         }
-
-        let hi = self.dims.first().copied().unwrap_or(1);
-        self.execute_range(operands, out, idx, offs, 0, 0, hi, 0);
     }
 
-    /// Runs the contraction restricted to `idx[slot] ∈ [lo, hi)` (all other
-    /// loops full), subtracting `out_base` from every output offset so
-    /// callers can hand in a sub-slice of the output buffer.
-    ///
-    /// The iteration order is the plan's serial odometer order restricted to
-    /// the range; the innermost loop is specialized to a tight
-    /// constant-stride walk for the dominant arities (order-preserving, so
-    /// this stays bit-identical to the per-element reference).
-    #[allow(clippy::too_many_arguments)]
-    fn execute_range(
+    /// Runs every tile, on the pool when the policy and `workers` allow.
+    fn run_sharded(
         &self,
-        operands: &[&Tensor],
+        datas: &[&[f32]],
         out: &mut [f32],
-        idx: &mut Vec<usize>,
-        offs: &mut Vec<usize>,
-        slot: usize,
-        lo: usize,
-        hi: usize,
-        out_base: usize,
+        policy: ExecPolicy,
+        workers: Option<&ExecPool>,
+        tile: &mut Vec<f32>,
     ) {
-        idx.clear();
-        idx.resize(self.dims.len(), 0);
-        offs.clear();
-        offs.resize(operands.len(), 0);
-        if self.dims.is_empty() {
-            // Scalar contraction: one term, all offsets zero.
-            let mut product = 1.0f32;
-            for t in operands {
-                product *= t.data()[0];
-            }
-            out[0] += product;
-            return;
-        }
-        if hi <= lo {
-            return;
-        }
-        let last = self.dims.len() - 1;
-        let inner = if last == slot { hi - lo } else { self.dims[last] };
-        let so = self.out_strides[last];
-        match operands {
-            [a] => {
-                let a = a.data();
-                let sa = self.op_strides[0][last];
-                self.for_each_row(idx, offs, slot, lo, hi, out_base, |offs, out_off| {
-                    let mut oa = offs[0];
-                    if so == 0 {
-                        let mut acc = out[out_off];
-                        for _ in 0..inner {
-                            acc += a[oa];
-                            oa += sa;
-                        }
-                        out[out_off] = acc;
-                    } else {
-                        let mut oo = out_off;
-                        for _ in 0..inner {
-                            out[oo] += a[oa];
-                            oa += sa;
-                            oo += so;
-                        }
-                    }
-                });
-            }
-            [a, b] => {
-                let (a, b) = (a.data(), b.data());
-                let (sa, sb) = (self.op_strides[0][last], self.op_strides[1][last]);
-                self.for_each_row(idx, offs, slot, lo, hi, out_base, |offs, out_off| {
-                    let (mut oa, mut ob) = (offs[0], offs[1]);
-                    if so == 0 {
-                        let mut acc = out[out_off];
-                        for _ in 0..inner {
-                            acc += a[oa] * b[ob];
-                            oa += sa;
-                            ob += sb;
-                        }
-                        out[out_off] = acc;
-                    } else {
-                        let mut oo = out_off;
-                        for _ in 0..inner {
-                            out[oo] += a[oa] * b[ob];
-                            oa += sa;
-                            ob += sb;
-                            oo += so;
-                        }
-                    }
+        let chunks = policy.reduce_width.clamp(1, self.chunk.0);
+        let buf_len = chunks * self.block[0] * self.block[1];
+        let [tiles_o, tiles_i] = self.tile_counts();
+        let tiles = self.outer.iter().fold(tiles_o * tiles_i, |n, &d| n * self.dims[d]);
+        let out = SharedOut {
+            base: out.as_mut_ptr(),
+            len: out.len(),
+        };
+        let pool = workers.filter(|p| p.worker_count() > 0);
+        let shards = pool.map_or(1, |_| policy.exec_threads.min(tiles));
+        match pool {
+            Some(pool) if shards > 1 => {
+                let (q, r) = (tiles / shards, tiles % shards);
+                // `out` is borrowed whole (it is `Sync`) — precise capture
+                // of the raw-pointer field would not be.
+                let out = &out;
+                pool.run(shards, &|i| {
+                    let lo = i * q + i.min(r);
+                    let hi = lo + q + usize::from(i < r);
+                    let mut buf = vec![0.0; buf_len];
+                    self.run_tiles(datas, out, lo..hi, chunks, &mut buf);
                 });
             }
             _ => {
-                let datas: Vec<&[f32]> = operands.iter().map(|t| t.data()).collect();
-                self.for_each_row(idx, offs, slot, lo, hi, out_base, |offs, out_off| {
-                    let mut oo = out_off;
-                    for t in 0..inner {
-                        let mut product = 1.0f32;
-                        for (k, data) in datas.iter().enumerate() {
-                            product *= data[offs[k] + t * self.op_strides[k][last]];
-                        }
-                        out[oo] += product;
-                        oo += so;
-                    }
-                });
+                tile.resize(buf_len, 0.0);
+                self.run_tiles(datas, &out, 0..tiles, chunks, tile);
             }
         }
     }
 
-    /// Walks the outer loops (everything but the innermost) in odometer
-    /// order with `idx[slot]` restricted to `[lo, hi)`, calling `row` with
-    /// the operand offsets and the (`out_base`-relative) output offset of
-    /// each innermost row.
-    #[allow(clippy::too_many_arguments)]
-    fn for_each_row(
+    /// How many blocks each tile loop splits into, `[outer, inner]`.
+    fn tile_counts(&self) -> [usize; 2] {
+        [0, 1].map(|level| self.tile[level].div_ceil(self.block[level]))
+    }
+
+    /// Computes the output elements of `tiles` (flat tile numbers, outer
+    /// output loops slowest). Per tile: one `+0.0` accumulator tile per
+    /// chunk in `buf`, the summed loops walked in odometer order with the
+    /// innermost one inside the kernel, then the chunk tiles combined and
+    /// written out.
+    fn run_tiles(
         &self,
-        idx: &mut [usize],
-        offs: &mut [usize],
-        slot: usize,
-        lo: usize,
-        hi: usize,
-        out_base: usize,
-        mut row: impl FnMut(&[usize], usize),
+        datas: &[&[f32]],
+        out: &SharedOut,
+        tiles: std::ops::Range<usize>,
+        chunks: usize,
+        buf: &mut [f32],
     ) {
-        let last = self.dims.len() - 1;
-        // Position the odometer at the range start.
-        idx[slot] = lo;
-        for (off, strides) in offs.iter_mut().zip(&self.op_strides) {
-            *off = lo * strides[slot];
+        let steps = &self.steps;
+        // The kernel's middle loop is the innermost summed one; the odometer
+        // walks the summed loops outside it.
+        let mid = (self.dims.len() > self.n_out).then(|| self.dims.len() - 1);
+        let walk = self.n_out..mid.unwrap_or(self.n_out);
+        let [out_outer, out_inner] = self.out_steps;
+        let [block_o, block_i] = self.block;
+        let [tiles_o, tiles_i] = self.tile_counts();
+        let mut base = vec![0usize; datas.len()];
+        let mut offs = vec![0usize; datas.len()];
+        let mut idx = vec![0usize; walk.len()];
+        // Where the tile sits: the outer loops' indices, then its block
+        // numbers — decoded once, then an odometer from tile to tile.
+        let outer_counts = self.outer.iter().map(|&d| self.dims[d]);
+        let counts: Vec<usize> = outer_counts.chain([tiles_o, tiles_i]).collect();
+        let mut at = vec![0usize; counts.len()];
+        let mut rest = tiles.start;
+        for (coord, &count) in at.iter_mut().zip(&counts).rev() {
+            (*coord, rest) = (rest % count, rest / count);
         }
-        let mut out_off = lo * self.out_strides[slot] - out_base;
-        let mut rows = 1usize;
-        for d in 0..last {
-            rows *= if d == slot { hi - lo } else { self.dims[d] };
-        }
-        for r in 0..rows {
-            if r > 0 {
-                // Odometer tick with incremental offset updates: a tick of
-                // loop `d` adds its stride; a wrap backs out the range.
-                for d in (0..last).rev() {
-                    idx[d] += 1;
-                    let top = if d == slot { hi } else { self.dims[d] };
-                    if idx[d] < top {
-                        for (off, strides) in offs.iter_mut().zip(&self.op_strides) {
-                            *off += strides[d];
-                        }
-                        out_off += self.out_strides[d];
-                        break;
-                    }
-                    let floor = if d == slot { lo } else { 0 };
-                    idx[d] = floor;
-                    let back = top - 1 - floor;
-                    for (off, strides) in offs.iter_mut().zip(&self.op_strides) {
-                        *off -= back * strides[d];
-                    }
-                    out_off -= back * self.out_strides[d];
+        for _ in tiles {
+            let (o0, i0) = (at[at.len() - 2] * block_o, at[at.len() - 1] * block_i);
+            let (n_o, n_i) = ((self.tile[0] - o0).min(block_o), (self.tile[1] - i0).min(block_i));
+            let mut out_base = o0 * out_outer + i0 * out_inner;
+            for (b, s) in base.iter_mut().zip(steps) {
+                *b = o0 * s.outer + i0 * s.inner;
+            }
+            for (&coord, &d) in at.iter().zip(&self.outer) {
+                out_base += coord * self.out_strides[d];
+                for (b, s) in base.iter_mut().zip(&self.op_strides) {
+                    *b += coord * s[d];
                 }
             }
-            row(offs, out_off);
+            for (coord, &count) in at.iter_mut().zip(&counts).rev() {
+                *coord += 1;
+                if *coord < count {
+                    break;
+                }
+                *coord = 0;
+            }
+
+            let len = n_o * n_i;
+            // A single chunk over a block the (zeroed) output holds as one
+            // run accumulates in place; otherwise per-chunk tiles in `buf`
+            // are combined and copied out.
+            let in_place = chunks == 1 && out_inner == 1 && (n_o == 1 || out_outer == n_i);
+            let tile = if in_place {
+                // SAFETY: tiles partition the output index space and distinct
+                // output indices have distinct offsets, so no other shard
+                // touches this block.
+                unsafe { out.slice(out_base, len) }
+            } else {
+                buf[..chunks * len].fill(0.0);
+                &mut buf[..chunks * len]
+            };
+            let (q, r) = (self.chunk.0 / chunks, self.chunk.0 % chunks);
+            for (c, part) in tile.chunks_exact_mut(len).enumerate() {
+                // `lo..hi` bounds the outermost summed loop: the first one
+                // walked, or the kernel's middle loop when it is the only one.
+                let lo = (c * q + c.min(r)) * self.chunk.1;
+                let hi = lo + (q + usize::from(c < r)) * self.chunk.1;
+                let (lead, n_m, rows) = match mid {
+                    None => (None, 1, 1),
+                    Some(_) if walk.is_empty() => (mid, hi - lo, 1),
+                    Some(m) => {
+                        let inside: usize = self.dims[walk.start + 1..walk.end].iter().product();
+                        (Some(walk.start), self.dims[m], (hi - lo) * inside)
+                    }
+                };
+                for ((off, b), s) in offs.iter_mut().zip(&base).zip(&self.op_strides) {
+                    *off = b + lo * lead.map_or(0, |d| s[d]);
+                }
+                idx.fill(0);
+                for row in 0..rows {
+                    if row > 0 {
+                        // Odometer tick with incremental offsets: a tick of
+                        // loop `d` adds its stride, a wrap backs out the range.
+                        for (w, d) in walk.clone().enumerate().rev() {
+                            let span = if w == 0 { hi - lo } else { self.dims[d] };
+                            idx[w] += 1;
+                            if idx[w] < span {
+                                for (off, s) in offs.iter_mut().zip(&self.op_strides) {
+                                    *off += s[d];
+                                }
+                                break;
+                            }
+                            idx[w] = 0;
+                            for (off, s) in offs.iter_mut().zip(&self.op_strides) {
+                                *off -= (span - 1) * s[d];
+                            }
+                        }
+                    }
+                    match (datas, &steps[..]) {
+                        ([a, b], [sa, sb]) => {
+                            mac2(part, n_i, n_m, (a, offs[0], *sa), (b, offs[1], *sb));
+                        }
+                        // One operand is itself times a broadcast 1.0.
+                        ([a], [sa]) => mac2(part, n_i, n_m, (a, offs[0], *sa), ONE),
+                        _ => mac_n(part, n_i, n_m, datas, &offs, steps),
+                    }
+                }
+            }
+            if in_place {
+                continue;
+            }
+            combine_tree(tile, len, chunks);
+            for (o, row) in tile[..len].chunks_exact(n_i).enumerate() {
+                let at = out_base + o * out_outer;
+                // SAFETY: as above — this tile's elements are no one else's.
+                if out_inner == 1 {
+                    unsafe { out.slice(at, n_i) }.copy_from_slice(row);
+                } else {
+                    for (i, &v) in row.iter().enumerate() {
+                        let cell = unsafe { out.slice(at + i * out_inner, 1) };
+                        cell[0] = v;
+                    }
+                }
+            }
         }
     }
 
-    /// Executes the plan into a fresh tensor.
+    /// Executes the plan into a fresh tensor, in serial summation order.
     ///
     /// # Panics
     ///
     /// Panics when operand shapes disagree with the compiled shapes.
     pub fn execute(&self, operands: &[&Tensor]) -> Tensor {
         let mut out = Tensor::zeros(&self.out_shape);
-        let (mut idx, mut offs) = (Vec::new(), Vec::new());
-        self.execute_into(operands, out.data_mut(), &mut idx, &mut offs);
+        self.execute_with(operands, out.data_mut(), ExecPolicy::serial(), None, &mut Vec::new());
         out
+    }
+}
+
+/// The second operand of a one-operand contraction: `x · 1.0` is `x`, bit for
+/// bit, as is the reference's `1.0 · x`.
+const ONE: (&[f32], usize, Steps) = (&[1.0], 0, Steps { outer: 0, mid: 0, inner: 0 });
+
+/// The two-operand tile kernel: `tile[o][i] += a · b` for every step `m` of
+/// the middle (summed) loop, `m` ascending per element. Rows of `n_i`
+/// independent elements run innermost, specialised on each operand's inner
+/// step — broadcast, contiguous or strided — so they vectorise; a row too
+/// short to amortise that runs its elements' `m` loops one after the other.
+fn mac2(
+    tile: &mut [f32],
+    n_i: usize,
+    n_m: usize,
+    (a, oa, sa): (&[f32], usize, Steps),
+    (b, ob, sb): (&[f32], usize, Steps),
+) {
+    for (o, row) in tile.chunks_exact_mut(n_i).enumerate() {
+        let (oa, ob) = (oa + o * sa.outer, ob + o * sb.outer);
+        if n_i < SHORT_RUN && n_m > n_i {
+            for (i, t) in row.iter_mut().enumerate() {
+                let (mut oa, mut ob) = (oa + i * sa.inner, ob + i * sb.inner);
+                let mut acc = *t;
+                for _ in 0..n_m {
+                    acc += a[oa] * b[ob];
+                    (oa, ob) = (oa + sa.mid, ob + sb.mid);
+                }
+                *t = acc;
+            }
+            continue;
+        }
+        for m in 0..n_m {
+            let (xs, ys) = (&a[oa + m * sa.mid..], &b[ob + m * sb.mid..]);
+            macro_rules! run {
+                ($x:pat, $xs:expr, $xv:expr, $y:pat, $ys:expr, $yv:expr) => {
+                    for ((t, $x), $y) in row.iter_mut().zip($xs).zip($ys) {
+                        *t += $xv * $yv;
+                    }
+                };
+            }
+            let (x0, y0) = (xs[0], ys[0]);
+            match (sa.inner, sb.inner) {
+                (0, 0) => row.iter_mut().for_each(|t| *t += x0 * y0),
+                (0, 1) => run!(_, repeat(()), x0, &y, &ys[..n_i], y),
+                (0, s) => run!(_, repeat(()), x0, &y, ys.iter().step_by(s), y),
+                (1, 0) => run!(&x, &xs[..n_i], x, _, repeat(()), y0),
+                (1, 1) => run!(&x, &xs[..n_i], x, &y, &ys[..n_i], y),
+                (1, s) => run!(&x, &xs[..n_i], x, &y, ys.iter().step_by(s), y),
+                (r, 0) => run!(&x, xs.iter().step_by(r), x, _, repeat(()), y0),
+                (r, 1) => run!(&x, xs.iter().step_by(r), x, &y, &ys[..n_i], y),
+                (r, s) => run!(&x, xs.iter().step_by(r), x, &y, ys.iter().step_by(s), y),
+            }
+        }
+    }
+}
+
+/// [`mac2`] for three operands or more: the product starts at `1.0`, operands
+/// in spec order, as in [`einsum_spec_reference`].
+fn mac_n(
+    tile: &mut [f32],
+    n_i: usize,
+    n_m: usize,
+    datas: &[&[f32]],
+    offs: &[usize],
+    steps: &[Steps],
+) {
+    for (o, row) in tile.chunks_exact_mut(n_i).enumerate() {
+        for m in 0..n_m {
+            for (i, t) in row.iter_mut().enumerate() {
+                let mut product = 1.0f32;
+                for ((data, off), s) in datas.iter().zip(offs).zip(steps) {
+                    product *= data[off + o * s.outer + m * s.mid + i * s.inner];
+                }
+                *t += product;
+            }
+        }
     }
 }
 
@@ -549,9 +705,19 @@ fn combine_tree(partials: &mut [f32], len: usize, shards: usize) {
     while width > 1 {
         let pairs = width / 2;
         for j in 0..pairs {
-            let (dst, a, b) = (j * len, 2 * j * len, (2 * j + 1) * len);
-            for k in 0..len {
-                partials[dst + k] = partials[a + k] + partials[b + k];
+            // Chunk j ← chunk 2j + chunk 2j+1; j ≤ 2j < 2j+1, so the three
+            // split apart (pair 0 sums into its own left operand).
+            let (left, right) = partials.split_at_mut((2 * j + 1) * len);
+            let right = &right[..len];
+            if j == 0 {
+                for (a, &b) in left.iter_mut().zip(right) {
+                    *a += b;
+                }
+            } else {
+                let (dst, a) = left.split_at_mut(2 * j * len);
+                for ((d, &a), &b) in dst[j * len..].iter_mut().zip(&a[..len]).zip(right) {
+                    *d = a + b;
+                }
             }
         }
         if width % 2 == 1 {
@@ -562,14 +728,30 @@ fn combine_tree(partials: &mut [f32], len: usize, shards: usize) {
     }
 }
 
-/// Base pointer of a shard output buffer, shared across worker threads;
-/// every shard derives a **disjoint** `&mut` sub-slice from it.
-#[derive(Clone, Copy)]
-struct SharedOut(*mut f32);
+/// The output buffer, shared across worker threads: every shard writes a
+/// **disjoint** set of elements through it.
+struct SharedOut {
+    base: *mut f32,
+    len: usize,
+}
 
-// SAFETY: shards only ever touch non-overlapping regions (enforced by the
-// two call sites above), so concurrent access is race-free.
-unsafe impl Send for SharedOut {}
+impl SharedOut {
+    /// Elements `off..off + len`, mutably.
+    ///
+    /// # Safety
+    ///
+    /// No other access to those elements may overlap the returned borrow.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn slice(&self, off: usize, len: usize) -> &mut [f32] {
+        assert!(off + len <= self.len, "einsum output range out of bounds");
+        // SAFETY: in bounds (checked above) of the live `&mut [f32]` this
+        // was built from; the caller rules out an overlapping access.
+        unsafe { std::slice::from_raw_parts_mut(self.base.add(off), len) }
+    }
+}
+
+// SAFETY: the pointer is only dereferenced through `slice`, whose contract
+// keeps concurrent accesses on disjoint elements.
 unsafe impl Sync for SharedOut {}
 
 /// A cache of [`EinsumPlan`]s keyed by spec and operand shapes, plus the
@@ -587,8 +769,8 @@ unsafe impl Sync for SharedOut {}
 #[derive(Debug, Default)]
 pub struct EinsumEngine {
     entries: Vec<EngineEntry>,
-    idx: Vec<usize>,
-    offs: Vec<usize>,
+    /// Accumulation-tile scratch, kept across contractions.
+    tile: Vec<f32>,
     policy: ExecPolicy,
     workers: Option<ExecPool>,
 }
@@ -689,24 +871,10 @@ impl EinsumEngine {
     }
 
     fn run(&mut self, at: usize, operands: &[&Tensor], pool: &mut ScratchPool) -> Tensor {
-        let EinsumEngine {
-            entries,
-            idx,
-            offs,
-            policy,
-            workers,
-        } = self;
-        let plan = &entries[at].plan;
+        let plan = &self.entries[at].plan;
         let mut out = pool.take_tensor(plan.out_shape());
-        plan.execute_with(
-            operands,
-            out.data_mut(),
-            idx,
-            offs,
-            *policy,
-            workers.as_ref(),
-            pool,
-        );
+        let workers = self.workers.as_ref();
+        plan.execute_with(operands, out.data_mut(), self.policy, workers, &mut self.tile);
         out
     }
 }
@@ -1005,6 +1173,14 @@ mod tests {
         ("ii->i", &[&[4, 4]]),
         ("ii->", &[&[4, 4]]),
         ("i,j->ij", &[&[4], &[5]]),
+        // The sequence head's VJPs: a short last output loop that trades
+        // places with the long one, and a strided inner run.
+        ("mn,mk->kn", &[&[4, 6], &[4, 512]]),
+        ("mn,kn->mk", &[&[4, 6], &[512, 6]]),
+        // Fused loops, a summed extent below the width, an extent-1 axis.
+        ("abcd,ad->abcd", &[&[3, 5, 4, 6], &[3, 6]]),
+        ("abcd,abcd->ad", &[&[3, 2, 1, 6], &[3, 2, 1, 6]]),
+        ("abc,abc->", &[&[5, 3, 7], &[5, 3, 7]]),
     ];
 
     fn run_with_policy(spec: &str, shapes: &[&[usize]], policy: ExecPolicy) -> Tensor {
@@ -1103,6 +1279,42 @@ mod tests {
         for (g, w) in got.data().iter().zip(&want) {
             assert_eq!(g.to_bits(), w.to_bits(), "pinned tree shape");
         }
+    }
+
+    #[test]
+    fn plan_fuses_affine_loops_and_tiles_the_long_output_loop() {
+        let plan = |spec: &str, shapes: &[&[usize]]| {
+            EinsumPlan::compile(&EinsumSpec::parse(spec).unwrap(), shapes).unwrap()
+        };
+        // b, c, d are one run for both operands and the output.
+        let scale = plan("abcde,ae->abcde", &[&[8, 16, 16, 8, 16], &[8, 16]]);
+        assert_eq!((scale.dims.as_slice(), scale.n_out), (&[8, 2048, 16][..], 3));
+        // Summed b, c, d fuse behind a: the width still chunks a's 8 steps.
+        let vjp = plan("abcde,abcde->e", &[&[8, 16, 16, 8, 16], &[8, 16, 16, 8, 16]]);
+        assert_eq!((vjp.dims.as_slice(), vjp.chunk), (&[16, 8 * 2048][..], (8, 2048)));
+        // The head's weight gradient: 512 runs innermost, not 6.
+        let head = plan("mn,mk->kn", &[&[4, 6], &[4, 512]]);
+        assert_eq!((head.tile, head.block, head.out_steps), ([6, 512], [2, 512], [1, 6]));
+        // A 3×3 window behind a 16-long loop: the row is the 16, strided...
+        let spec = "abcdefg,dgfe->abcdefg";
+        let window = plan(spec, &[&[2, 2, 2, 8, 16, 3, 3], &[8, 3, 3, 16]]);
+        assert_eq!(window.dims, [8, 8, 16, 3, 3]);
+        assert_eq!((window.tile, window.out_steps), ([3, 16], [1, 9]));
+        assert_eq!(window.outer, [0, 1, 3]);
+        // ...until the weight is small beside the loop nest: stored in loop
+        // order, its four loops are one contiguous run.
+        let window = plan(spec, &[&[8, 16, 16, 8, 16, 3, 3], &[8, 3, 3, 16]]);
+        assert_eq!(window.dims, [2048, 1152]);
+        assert_eq!(window.perms, [None, Some(vec![0, 3, 2, 1]), None]);
+        // Its gradient runs the output loops in the operands' storage order
+        // and stores the (small) result as the spec asks afterwards.
+        let shapes: &[&[usize]] = &[&[8, 16, 16, 8, 16, 3, 3], &[8, 16, 16, 8, 16, 3, 3]];
+        let grad = plan("abcdefg,abcdefg->dgfe", shapes);
+        assert_eq!((grad.dims.as_slice(), grad.n_out), (&[1152, 8 * 256][..], 1));
+        assert_eq!(grad.perms, [None, None, Some(vec![0, 3, 2, 1])]);
+        // An extent-1 loop joins its neighbour whatever its stride.
+        let unit = plan("abc,cb->abc", &[&[3, 1, 5], &[5, 1]]);
+        assert_eq!((unit.dims.as_slice(), unit.n_out), (&[3, 5][..], 2));
     }
 
     #[test]

@@ -16,42 +16,15 @@
 use crate::pool::ScratchPool;
 use crate::tensor::Tensor;
 
-/// An odometer over `dims` maintaining an affine offset: ticking dimension
-/// `d` adds `steps[d]`, wrapping it subtracts the whole extent back out.
-/// Replaces the per-element `(flat / stride) % extent` decode (one integer
-/// division per dimension per element) in the structural-op inner loops;
-/// the visit order — and therefore every op's read/write/accumulation
-/// order — is unchanged, so results stay bit-identical.
-struct Odometer {
-    dims: Vec<usize>,
-    coords: Vec<usize>,
-    steps: Vec<usize>,
-    offset: usize,
-}
-
-impl Odometer {
-    fn new(dims: &[usize], steps: Vec<usize>) -> Self {
-        debug_assert_eq!(dims.len(), steps.len());
-        Odometer {
-            dims: dims.to_vec(),
-            coords: vec![0; dims.len()],
-            steps,
-            offset: 0,
-        }
-    }
-
-    #[inline]
-    fn step(&mut self) {
-        for d in (0..self.dims.len()).rev() {
-            self.coords[d] += 1;
-            if self.coords[d] < self.dims[d] {
-                self.offset += self.steps[d];
-                return;
-            }
-            self.coords[d] = 0;
-            self.offset -= (self.dims[d] - 1) * self.steps[d];
-        }
-    }
+/// `shape` seen from `axis` as `[outer, n, inner]`: the element counts before
+/// the axis, along it and after it. Every structural op below walks that
+/// view with slice copies or slice adds over the contiguous `inner` run —
+/// index arithmetic once per run, not per element — and visits each output
+/// slot's contributions in row-major input order.
+fn around_axis(shape: &[usize], axis: usize) -> (usize, usize, usize) {
+    let outer = shape[..axis].iter().product();
+    let inner = shape[axis + 1..].iter().product();
+    (outer, shape[axis], inner)
 }
 
 /// Applies `f` elementwise into a pooled buffer (see [`Tensor::map`]).
@@ -125,15 +98,34 @@ pub fn permute_in(pool: &mut ScratchPool, t: &Tensor, perm: &[usize]) -> Tensor 
     let out_shape: Vec<usize> = perm.iter().map(|&p| in_shape[p]).collect();
     let in_strides = Tensor::strides_of(in_shape);
     let mut out = pool.take_tensor(&out_shape);
-    let numel = t.numel();
     let data = t.data();
-    let out_data = out.data_mut();
-    // Output axis d walks input axis perm[d].
-    let steps: Vec<usize> = perm.iter().map(|&p| in_strides[p]).collect();
-    let mut odo = Odometer::new(&out_shape, steps);
-    for item in out_data.iter_mut().take(numel) {
-        *item = data[odo.offset];
-        odo.step();
+    // One output row per step: the trailing axes the permutation leaves in
+    // place, fused (a contiguous input run), or else the last output axis
+    // (a constant-stride input walk).
+    let kept = (0..perm.len()).rev().take_while(|&d| perm[d] == d).count();
+    let lead = perm.len().saturating_sub(kept.max(1));
+    let row: usize = out_shape[lead..].iter().product();
+    let step = if kept > 0 { 1 } else { perm.last().map_or(1, |&p| in_strides[p]) };
+    // Odometer over the leading output axes: axis d walks input axis perm[d].
+    let mut coords = vec![0usize; lead];
+    let mut src = 0usize;
+    for dst in out.data_mut().chunks_exact_mut(row.max(1)) {
+        if step == 1 {
+            dst.copy_from_slice(&data[src..src + row]);
+        } else {
+            for (i, item) in dst.iter_mut().enumerate() {
+                *item = data[src + i * step];
+            }
+        }
+        for d in (0..lead).rev() {
+            coords[d] += 1;
+            if coords[d] < out_shape[d] {
+                src += in_strides[perm[d]];
+                break;
+            }
+            coords[d] = 0;
+            src -= (out_shape[d] - 1) * in_strides[perm[d]];
+        }
     }
     out
 }
@@ -164,22 +156,18 @@ pub fn roll(t: &Tensor, axis: usize, amount: i64) -> Tensor {
 /// Panics when `axis` is out of range.
 pub fn roll_in(pool: &mut ScratchPool, t: &Tensor, axis: usize, amount: i64) -> Tensor {
     assert!(axis < t.rank(), "axis out of range");
-    let shape = t.shape().to_vec();
-    let n = shape[axis] as i64;
-    let strides = Tensor::strides_of(&shape);
-    let mut out = pool.take_tensor(&shape);
-    let data = t.data();
-    let out_data = out.data_mut();
-    // Offset carries every axis except `axis`; the rotated coordinate is
-    // resolved per element from the odometer position.
-    let steps: Vec<usize> = (0..shape.len())
-        .map(|d| if d == axis { 0 } else { strides[d] })
-        .collect();
-    let mut odo = Odometer::new(&shape, steps);
-    for item in out_data.iter_mut() {
-        let src = (odo.coords[axis] as i64 + amount).rem_euclid(n) as usize;
-        *item = data[odo.offset + src * strides[axis]];
-        odo.step();
+    let (_, n, inner) = around_axis(t.shape(), axis);
+    let mut out = pool.take_tensor(t.shape());
+    if n == 0 {
+        return out;
+    }
+    // Per outer index, the `[n, inner]` slab rotates as two block copies.
+    let head = amount.rem_euclid(n as i64) as usize * inner;
+    let slabs = out.data_mut().chunks_exact_mut((n * inner).max(1));
+    for (dst, src) in slabs.zip(t.data().chunks_exact((n * inner).max(1))) {
+        let tail = src.len() - head;
+        dst[..tail].copy_from_slice(&src[head..]);
+        dst[tail..].copy_from_slice(&src[..head]);
     }
     out
 }
@@ -204,30 +192,35 @@ pub fn unfold(t: &Tensor, axis: usize, k: usize) -> Tensor {
 pub fn unfold_in(pool: &mut ScratchPool, t: &Tensor, axis: usize, k: usize) -> Tensor {
     assert!(axis < t.rank(), "axis out of range");
     assert!(k > 0, "window must be positive");
-    let in_shape = t.shape().to_vec();
-    let rank = in_shape.len();
-    let n = in_shape[axis] as i64;
-    let half = (k / 2) as i64;
-    let mut out_shape = in_shape.clone();
+    let (outer, n, inner) = around_axis(t.shape(), axis);
+    let mut out_shape = t.shape().to_vec();
     out_shape.push(k);
-    let in_strides = Tensor::strides_of(&in_shape);
     let mut out = pool.take_tensor(&out_shape);
     let data = t.data();
-    let out_data = out.data_mut();
-    // Offset carries every input axis except the unfolded one; the window
-    // position is resolved per element from the odometer coordinates.
-    let steps: Vec<usize> = (0..out_shape.len())
-        .map(|d| if d == axis || d >= rank { 0 } else { in_strides[d] })
-        .collect();
-    let mut odo = Odometer::new(&out_shape, steps);
-    for item in out_data.iter_mut() {
-        let src = odo.coords[axis] as i64 + odo.coords[rank] as i64 - half;
-        if src >= 0 && src < n {
-            *item = data[odo.offset + src as usize * in_strides[axis]];
-        } // else: zero padding
-        odo.step();
+    let mut windows = out.data_mut().chunks_exact_mut(k);
+    for o in 0..outer {
+        for i in 0..n {
+            // Window slot j reads base position i + j − k/2; slots outside
+            // `lo..hi` fall off the axis and keep their zero padding.
+            let (lo, hi) = window_bounds(i, n, k);
+            for r in 0..inner {
+                let window = windows.next().expect("one window per input element");
+                // Slot j's source is `[o, i + j − k/2, r]`; `lo ≤ j` keeps
+                // the subtraction from underflowing.
+                let src = (o * n + i) * inner + r;
+                for (j, item) in (lo..).zip(&mut window[lo..hi]) {
+                    *item = data[src + j * inner - (k / 2) * inner];
+                }
+            }
+        }
     }
     out
+}
+
+/// The window slots `lo..hi` of base position `i` that land inside an axis
+/// of extent `n`: slot `j` reads position `i + j − k/2`.
+fn window_bounds(i: usize, n: usize, k: usize) -> (usize, usize) {
+    ((k / 2).saturating_sub(i), k.min(n + k / 2 - i))
 }
 
 /// Transpose of [`unfold`]: accumulates windows back onto the base axis
@@ -254,26 +247,24 @@ pub fn fold_acc_in(
 ) -> Tensor {
     assert_eq!(grad.rank(), in_shape.len() + 1, "fold rank mismatch");
     assert_eq!(*grad.shape().last().unwrap(), k, "fold window mismatch");
-    let rank = in_shape.len();
-    let n = in_shape[axis] as i64;
-    let half = (k / 2) as i64;
-    let in_strides = Tensor::strides_of(in_shape);
+    let (outer, n, inner) = around_axis(in_shape, axis);
     let mut out = pool.take_tensor(in_shape);
-    let grad_shape = grad.shape().to_vec();
-    let data = grad.data();
     let out_data = out.data_mut();
-    let steps: Vec<usize> = (0..grad_shape.len())
-        .map(|d| if d == axis || d >= rank { 0 } else { in_strides[d] })
-        .collect();
-    let mut odo = Odometer::new(&grad_shape, steps);
-    for &g in data.iter() {
-        if g != 0.0 {
-            let src = odo.coords[axis] as i64 + odo.coords[rank] as i64 - half;
-            if src >= 0 && src < n {
-                out_data[odo.offset + src as usize * in_strides[axis]] += g;
+    let mut windows = grad.data().chunks_exact(k);
+    // The mirror image of `unfold_in`'s walk, windows in input order.
+    for o in 0..outer {
+        for i in 0..n {
+            let (lo, hi) = window_bounds(i, n, k);
+            for r in 0..inner {
+                let window = windows.next().expect("one window per base element");
+                let dst = (o * n + i) * inner + r;
+                for (j, &g) in (lo..).zip(&window[lo..hi]) {
+                    if g != 0.0 {
+                        out_data[dst + j * inner - (k / 2) * inner] += g;
+                    }
+                }
             }
         }
-        odo.step();
     }
     out
 }
@@ -295,21 +286,15 @@ pub fn strided(t: &Tensor, axis: usize, s: usize) -> Tensor {
 /// Panics when `axis` is out of range or `s` does not divide the extent.
 pub fn strided_in(pool: &mut ScratchPool, t: &Tensor, axis: usize, s: usize) -> Tensor {
     assert!(axis < t.rank(), "axis out of range");
-    let in_shape = t.shape().to_vec();
-    assert!(s > 0 && in_shape[axis].is_multiple_of(s), "stride must divide extent");
-    let mut out_shape = in_shape.clone();
-    out_shape[axis] = in_shape[axis] / s;
-    let in_strides = Tensor::strides_of(&in_shape);
+    let (_, n, inner) = around_axis(t.shape(), axis);
+    assert!(s > 0 && n.is_multiple_of(s), "stride must divide extent");
+    let mut out_shape = t.shape().to_vec();
+    out_shape[axis] = n / s;
     let mut out = pool.take_tensor(&out_shape);
-    let data = t.data();
-    let out_data = out.data_mut();
-    let steps: Vec<usize> = (0..in_shape.len())
-        .map(|d| if d == axis { s * in_strides[d] } else { in_strides[d] })
-        .collect();
-    let mut odo = Odometer::new(&out_shape, steps);
-    for item in out_data.iter_mut() {
-        *item = data[odo.offset];
-        odo.step();
+    // Every s-th `inner` block of the input, in order.
+    let blocks = t.data().chunks_exact(inner.max(1)).step_by(s);
+    for (dst, src) in out.data_mut().chunks_exact_mut(inner.max(1)).zip(blocks) {
+        dst.copy_from_slice(src);
     }
     out
 }
@@ -327,17 +312,13 @@ pub fn strided_scatter_in(
     s: usize,
     in_shape: &[usize],
 ) -> Tensor {
-    let in_strides = Tensor::strides_of(in_shape);
+    let (_, _, inner) = around_axis(in_shape, axis);
     let mut out = pool.take_tensor(in_shape);
-    let grad_shape = grad.shape().to_vec();
-    let out_data = out.data_mut();
-    let steps: Vec<usize> = (0..in_shape.len())
-        .map(|d| if d == axis { s * in_strides[d] } else { in_strides[d] })
-        .collect();
-    let mut odo = Odometer::new(&grad_shape, steps);
-    for &g in grad.data().iter() {
-        out_data[odo.offset] += g;
-        odo.step();
+    let blocks = out.data_mut().chunks_exact_mut(inner.max(1)).step_by(s);
+    for (dst, src) in blocks.zip(grad.data().chunks_exact(inner.max(1))) {
+        for (d, &g) in dst.iter_mut().zip(src) {
+            *d += g;
+        }
     }
     out
 }
@@ -361,17 +342,20 @@ pub fn repeat_in(pool: &mut ScratchPool, t: &Tensor, axis: usize, times: usize) 
     assert!(axis <= t.rank(), "axis out of range");
     let mut out_shape = t.shape().to_vec();
     out_shape.insert(axis, times);
-    let in_strides = Tensor::strides_of(t.shape());
+    let inner: usize = t.shape()[axis..].iter().product();
     let mut out = pool.take_tensor(&out_shape);
-    let data = t.data();
-    let out_data = out.data_mut();
-    // The inserted axis contributes nothing to the input offset.
-    let mut steps = in_strides;
-    steps.insert(axis, 0);
-    let mut odo = Odometer::new(&out_shape, steps);
-    for item in out_data.iter_mut() {
-        *item = data[odo.offset];
-        odo.step();
+    if inner == 1 {
+        // A trailing axis: each element fills its own run.
+        for (dst, &v) in out.data_mut().chunks_exact_mut(times.max(1)).zip(t.data()) {
+            dst.fill(v);
+        }
+    } else {
+        let copies = out.data_mut().chunks_exact_mut((times * inner).max(1));
+        for (dst, src) in copies.zip(t.data().chunks_exact(inner.max(1))) {
+            for copy in dst.chunks_exact_mut(inner) {
+                copy.copy_from_slice(src);
+            }
+        }
     }
     out
 }
@@ -392,20 +376,19 @@ pub fn sum_axis(t: &Tensor, axis: usize) -> Tensor {
 /// Panics when `axis` is out of range.
 pub fn sum_axis_in(pool: &mut ScratchPool, t: &Tensor, axis: usize) -> Tensor {
     assert!(axis < t.rank(), "axis out of range");
-    let in_shape = t.shape().to_vec();
-    let mut out_shape = in_shape.clone();
+    let (_, n, inner) = around_axis(t.shape(), axis);
+    let mut out_shape = t.shape().to_vec();
     out_shape.remove(axis);
-    let out_strides = Tensor::strides_of(&out_shape);
     let mut out = pool.take_tensor(&out_shape);
-    let out_data = out.data_mut();
-    // Walk the input in order; the summed axis contributes no output step,
-    // so the accumulation order per output slot is unchanged.
-    let mut steps = out_strides;
-    steps.insert(axis, 0);
-    let mut odo = Odometer::new(&in_shape, steps);
-    for &v in t.data().iter() {
-        out_data[odo.offset] += v;
-        odo.step();
+    // Per outer index, the axis' `inner` blocks add onto one output block in
+    // axis order — each output slot's accumulation order.
+    let slabs = t.data().chunks_exact((n * inner).max(1));
+    for (dst, slab) in out.data_mut().chunks_exact_mut(inner.max(1)).zip(slabs) {
+        for src in slab.chunks_exact(inner) {
+            for (d, &v) in dst.iter_mut().zip(src) {
+                *d += v;
+            }
+        }
     }
     out
 }

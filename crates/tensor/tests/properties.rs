@@ -1,15 +1,18 @@
 //! Property-based tests over the tensor runtime: structural-op round trips,
 //! einsum laws, adjointness of the view operations' backward passes, and the
-//! differential contract of the stride-compiled einsum engine: for random
-//! specs and shapes it must equal the deliberately naive per-element
-//! reference implementation **exactly** (same bits — the FP summation order
-//! is part of the engine's contract).
+//! differential contracts of the execution engine, all **bitwise** (the FP
+//! summation order is part of the contract): for random specs and shapes the
+//! stride-compiled einsum equals the deliberately naive per-element
+//! reference at reduction width 1 and a hand-built chunk tree at the pinned
+//! width, for any thread count; and every row-at-a-time structural op equals
+//! a per-element `(flat / stride) % extent` decode that lives in this file.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use syno_tensor::{
-    einsum, einsum_spec, einsum_spec_reference, ops, EinsumSpec, Tensor,
+    einsum, einsum_spec, einsum_spec_reference, ops, EinsumEngine, EinsumSpec, ExecPolicy,
+    ScratchPool, Tensor,
 };
 
 fn tensor_2d() -> impl Strategy<Value = Tensor> {
@@ -104,70 +107,358 @@ proptest! {
         prop_assert!((s1 - t.sum_all()).abs() < 1e-2);
     }
 
-    /// The execution-engine differential: a random einsum spec over random
-    /// shapes produces the same bits from the stride-compiled plan as from
-    /// the naive per-element reference.
+    /// The execution-engine differential: random einsum specs over random
+    /// shapes produce the same bits from the stride-compiled plan as from
+    /// the naive per-element reference (width 1) and the hand-built chunk
+    /// tree (pinned width), on one thread or several.
     #[test]
     fn compiled_einsum_matches_naive_reference_exactly(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
-        const LETTERS: [char; 4] = ['a', 'b', 'c', 'd'];
-        let extents: Vec<usize> = (0..LETTERS.len())
-            .map(|_| rng.random_range(1usize..5))
-            .collect();
+        for round in 0..6 {
+            let (spec, tensors) = random_contraction(&mut rng);
+            let operands: Vec<&Tensor> = tensors.iter().collect();
+            let slow = einsum_spec_reference(&spec, &operands).expect("reference path executes");
+            let fast = einsum_spec(&spec, &operands).expect("compiled path executes");
+            prop_assert!(same_bits(&fast, &slow), "one-shot plan diverges for {}", spec.render());
+            // One round in six also shards the work over a pool.
+            let threads = if round == 0 { rng.random_range(2usize..=4) } else { 1 };
+            let serial = ExecPolicy { exec_threads: threads, reduce_width: 1 };
+            prop_assert!(
+                same_bits(&run_engine(&spec, &operands, serial), &slow),
+                "width 1 on {} threads diverges for {}", threads, spec.render()
+            );
+            let tree = chunk_tree_reference(&spec, &tensors, ExecPolicy::PINNED_REDUCE_WIDTH);
+            prop_assert!(
+                same_bits(&run_engine(&spec, &operands, ExecPolicy::with_threads(threads)), &tree),
+                "pinned width on {} threads diverges for {}", threads, spec.render()
+            );
+        }
+    }
+}
 
-        // Random operands: 1-3 tensors of rank 0-3, letters drawn with
-        // repetition (duplicates like "aa" are legal einsum inputs).
-        let n_ops = rng.random_range(1usize..=3);
-        let mut inputs: Vec<Vec<char>> = Vec::new();
-        let mut tensors: Vec<Tensor> = Vec::new();
-        let mut used: Vec<char> = Vec::new();
-        for _ in 0..n_ops {
-            let rank = rng.random_range(0usize..=3);
-            let letters: Vec<char> = (0..rank)
-                .map(|_| LETTERS[rng.random_range(0usize..LETTERS.len())])
-                .collect();
-            let shape: Vec<usize> = letters
+fn same_bits(a: &Tensor, b: &Tensor) -> bool {
+    a.shape() == b.shape()
+        && a.data().iter().zip(b.data()).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+fn run_engine(spec: &EinsumSpec, operands: &[&Tensor], policy: ExecPolicy) -> Tensor {
+    EinsumEngine::with_policy(policy)
+        .einsum_parsed(spec, operands, &mut ScratchPool::new())
+        .expect("engine executes")
+}
+
+fn random_tensor(rng: &mut StdRng, shape: &[usize]) -> Tensor {
+    let numel: usize = shape.iter().product();
+    Tensor::from_vec((0..numel).map(|_| rng.random_range(-4.0f32..4.0)).collect(), shape)
+}
+
+/// 1-3 operands of rank 0-4 over five letters with extents 1-9, letters
+/// drawn with repetition (`aa` reads a diagonal), and an output that is a
+/// shuffled subset of the used letters: extent-1 axes, summed extents below
+/// and above the pinned width, a last output loop of 1-9, operands that
+/// broadcast along or stride across the output's last index, contractions
+/// with no summed index and with a scalar result all come up.
+fn random_contraction(rng: &mut StdRng) -> (EinsumSpec, Vec<Tensor>) {
+    const LETTERS: [char; 5] = ['a', 'b', 'c', 'd', 'e'];
+    let extents: Vec<usize> = LETTERS.iter().map(|_| rng.random_range(1usize..=9)).collect();
+    let mut inputs: Vec<Vec<char>> = Vec::new();
+    let mut tensors: Vec<Tensor> = Vec::new();
+    let mut used: Vec<char> = Vec::new();
+    for _ in 0..rng.random_range(1usize..=3) {
+        let rank = rng.random_range(0usize..=4);
+        let letters: Vec<char> = (0..rank)
+            .map(|_| LETTERS[rng.random_range(0usize..LETTERS.len())])
+            .collect();
+        let shape: Vec<usize> = letters
+            .iter()
+            .map(|c| extents[LETTERS.iter().position(|l| l == c).unwrap()])
+            .collect();
+        tensors.push(random_tensor(rng, &shape));
+        for &c in &letters {
+            if !used.contains(&c) {
+                used.push(c);
+            }
+        }
+        inputs.push(letters);
+    }
+    let mut output: Vec<char> = used.iter().copied().filter(|_| rng.random_bool(0.5)).collect();
+    for i in (1..output.len()).rev() {
+        output.swap(i, rng.random_range(0usize..=i));
+    }
+    (EinsumSpec { inputs, output }, tensors)
+}
+
+/// The pinned-width contract, spelled out: the outermost summed index (the
+/// first non-output letter in first-seen order) splits into
+/// `min(width, extent)` contiguous chunks, the longer ones first; each chunk
+/// is summed in reference order over operands sliced to it; the partials
+/// combine pairwise-adjacent, an odd one passing up unchanged.
+fn chunk_tree_reference(spec: &EinsumSpec, tensors: &[Tensor], width: usize) -> Tensor {
+    let operands: Vec<&Tensor> = tensors.iter().collect();
+    let Some(&summed) = spec.all_indices().iter().find(|c| !spec.output.contains(c)) else {
+        return einsum_spec_reference(spec, &operands).unwrap();
+    };
+    let extent = spec
+        .inputs
+        .iter()
+        .zip(tensors)
+        .find_map(|(letters, t)| letters.iter().position(|&c| c == summed).map(|at| t.shape()[at]))
+        .expect("a summed letter is bound by an operand");
+    let chunks = width.min(extent);
+    if chunks <= 1 {
+        return einsum_spec_reference(spec, &operands).unwrap();
+    }
+    let (q, r) = (extent / chunks, extent % chunks);
+    let mut partials: Vec<Tensor> = (0..chunks)
+        .map(|i| {
+            let (lo, len) = (i * q + i.min(r), q + usize::from(i < r));
+            let sliced: Vec<Tensor> = spec
+                .inputs
                 .iter()
-                .map(|c| extents[LETTERS.iter().position(|l| l == c).unwrap()])
+                .zip(tensors)
+                .map(|(letters, t)| {
+                    let mut t = t.clone();
+                    for (axis, &c) in letters.iter().enumerate() {
+                        if c == summed {
+                            t = ops::slice(&t, axis, lo, len);
+                        }
+                    }
+                    t
+                })
                 .collect();
-            let numel: usize = shape.iter().product();
-            let data: Vec<f32> = (0..numel)
-                .map(|_| rng.random_range(-4.0f32..4.0))
-                .collect();
-            tensors.push(Tensor::from_vec(data, &shape));
-            for &c in &letters {
-                if !used.contains(&c) {
-                    used.push(c);
+            einsum_spec_reference(spec, &sliced.iter().collect::<Vec<_>>()).unwrap()
+        })
+        .collect();
+    while partials.len() > 1 {
+        partials = partials
+            .chunks(2)
+            .map(|pair| match pair {
+                [a, b] => a.add(b),
+                _ => pair[0].clone(),
+            })
+            .collect();
+    }
+    partials.pop().unwrap()
+}
+
+/// Deterministic pseudo-random data that actually exercises FP rounding.
+fn noisy(shape: &[usize], salt: u64) -> Tensor {
+    let n: usize = shape.iter().product();
+    let data = (0..n as u64)
+        .map(|i| {
+            let h = (i + salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            ((h >> 40) as f32) / ((1u64 << 24) as f32) - 0.5
+        })
+        .collect();
+    Tensor::from_vec(data, shape)
+}
+
+/// Shapes the random generator cannot reach: the two sequence-head VJPs the
+/// engine was re-nested for, tiles that block the inner and the outer tile
+/// loop with a ragged last block, fused loops, a summed index that fuses
+/// with its successor, and the conv student's permuted weight and its
+/// gradient — each against both oracles on 1/2/3/4/8 threads.
+#[test]
+fn measured_and_tiled_shapes_match_both_oracles() {
+    let cases: &[(&str, &[&[usize]])] = &[
+        ("mn,mk->kn", &[&[4, 6], &[4, 512]]),
+        ("mn,kn->mk", &[&[4, 6], &[512, 6]]),
+        ("mk,kn->mn", &[&[4, 512], &[512, 6]]),
+        ("i,j->ij", &[&[3], &[1500]]),
+        ("ik,jk->ij", &[&[70, 5], &[20, 5]]),
+        ("abcd,abcd->ad", &[&[3, 5, 4, 6], &[3, 5, 4, 6]]),
+        ("abcd,ad->abcd", &[&[3, 5, 4, 6], &[3, 6]]),
+        ("abc,abc->", &[&[5, 3, 7], &[5, 3, 7]]),
+        ("nchwij,ocij->nohw", &[&[2, 3, 5, 6, 3, 3], &[4, 3, 3, 3]]),
+        ("ii,i->i", &[&[9, 9], &[9]]),
+        // Small tensors stored in loop order first: a permuted weight, a
+        // permuted (small) result, permuted summed axes.
+        ("abcdefg,dgfe->abcdefg", &[&[2, 3, 4, 2, 4, 3, 3], &[2, 3, 3, 4]]),
+        ("abcdefg,abcdefg->dgfe", &[&[2, 3, 4, 2, 4, 3, 3], &[2, 3, 4, 2, 4, 3, 3]]),
+        ("abn,ba->n", &[&[3, 4, 20], &[4, 3]]),
+        ("ab->ba", &[&[40, 3]]),
+    ];
+    for (text, shapes) in cases {
+        let spec = EinsumSpec::parse(text).unwrap();
+        let tensors: Vec<Tensor> = shapes
+            .iter()
+            .enumerate()
+            .map(|(k, s)| noisy(s, 1000 * k as u64))
+            .collect();
+        let operands: Vec<&Tensor> = tensors.iter().collect();
+        let serial = einsum_spec_reference(&spec, &operands).unwrap();
+        let tree = chunk_tree_reference(&spec, &tensors, ExecPolicy::PINNED_REDUCE_WIDTH);
+        for threads in [1, 2, 3, 4, 8] {
+            let width1 = ExecPolicy { exec_threads: threads, reduce_width: 1 };
+            let got = run_engine(&spec, &operands, width1);
+            assert!(same_bits(&got, &serial), "{text} at width 1 on {threads} threads");
+            let got = run_engine(&spec, &operands, ExecPolicy::with_threads(threads));
+            assert!(same_bits(&got, &tree), "{text} at the pinned width on {threads} threads");
+        }
+    }
+}
+
+// ---- structural ops against a per-element decode ----
+
+/// Coordinates of row-major position `flat` in `shape`.
+fn coords_of(flat: usize, shape: &[usize]) -> Vec<usize> {
+    let strides = Tensor::strides_of(shape);
+    (0..shape.len()).map(|d| (flat / strides[d]) % shape[d]).collect()
+}
+
+fn flat_of(coords: &[usize], shape: &[usize]) -> usize {
+    coords.iter().zip(Tensor::strides_of(shape)).map(|(c, s)| c * s).sum()
+}
+
+/// `out[c] = source(c)` for every output coordinate, `None` reading as zero.
+fn gather_ref(out_shape: &[usize], source: impl Fn(&[usize]) -> Option<f32>) -> Tensor {
+    let numel: usize = out_shape.iter().product();
+    let data = (0..numel)
+        .map(|flat| source(&coords_of(flat, out_shape)).unwrap_or(0.0))
+        .collect();
+    Tensor::from_vec(data, out_shape)
+}
+
+/// `out[target(c)] += t[c]` walking `t` in row-major order, so each output
+/// slot accumulates in input order; `None` drops the element.
+fn scatter_ref(
+    t: &Tensor,
+    out_shape: &[usize],
+    target: impl Fn(&[usize]) -> Option<Vec<usize>>,
+) -> Tensor {
+    let mut out = Tensor::zeros(out_shape);
+    for (flat, &v) in t.data().iter().enumerate() {
+        if let Some(to) = target(&coords_of(flat, t.shape())) {
+            out.data_mut()[flat_of(&to, out_shape)] += v;
+        }
+    }
+    out
+}
+
+fn with_axis(coords: &[usize], axis: usize, value: usize) -> Vec<usize> {
+    let mut c = coords.to_vec();
+    c[axis] = value;
+    c
+}
+
+/// Noisy data with exact zeros of both signs mixed in (`fold_acc` skips
+/// zeros; accumulation must not care).
+fn noisy_with_zeros(shape: &[usize], salt: u64) -> Tensor {
+    let mut t = noisy(shape, salt);
+    for (i, v) in t.data_mut().iter_mut().enumerate() {
+        match i % 7 {
+            3 => *v = 0.0,
+            5 => *v = -0.0,
+            _ => {}
+        }
+    }
+    t
+}
+
+/// Every rewritten structural op, on every axis position (first, middle,
+/// last — and the only one), for `k`/`s`/`times`/`amount` in 1..=3.
+#[test]
+fn structural_ops_match_per_element_decode() {
+    let shapes: &[&[usize]] = &[&[6], &[6, 12], &[6, 3, 12], &[2, 6, 1, 6], &[1, 6, 6]];
+    for (salt, &shape) in shapes.iter().enumerate() {
+        let t = noisy_with_zeros(shape, salt as u64);
+        let at = |c: &[usize]| t.data()[flat_of(c, shape)];
+        for axis in 0..shape.len() {
+            let n = shape[axis];
+            let what = format!("shape {shape:?} axis {axis}");
+
+            let mut summed = shape.to_vec();
+            summed.remove(axis);
+            let want = scatter_ref(&t, &summed, |c| {
+                let mut c = c.to_vec();
+                c.remove(axis);
+                Some(c)
+            });
+            assert!(same_bits(&ops::sum_axis(&t, axis), &want), "sum_axis {what}");
+
+            for p in 1..=3usize {
+                let what = format!("{what} parameter {p}");
+                // roll: both directions.
+                for amount in [p as i64, -(p as i64)] {
+                    let want = gather_ref(shape, |c| {
+                        let src = (c[axis] as i64 + amount).rem_euclid(n as i64) as usize;
+                        Some(at(&with_axis(c, axis, src)))
+                    });
+                    assert!(same_bits(&ops::roll(&t, axis, amount), &want), "roll {what}");
+                }
+
+                // unfold and its transpose.
+                let mut windows = shape.to_vec();
+                windows.push(p);
+                let source = |c: &[usize]| {
+                    let src = c[axis] as i64 + c[shape.len()] as i64 - (p / 2) as i64;
+                    (0..n as i64).contains(&src).then_some(src as usize)
+                };
+                let want = gather_ref(&windows, |c| {
+                    source(c).map(|src| at(&with_axis(&c[..shape.len()], axis, src)))
+                });
+                assert!(same_bits(&ops::unfold(&t, axis, p), &want), "unfold {what}");
+                let grad = noisy_with_zeros(&windows, 100 + salt as u64);
+                let want = scatter_ref(&grad, shape, |c| {
+                    source(c).map(|src| with_axis(&c[..shape.len()], axis, src))
+                });
+                assert!(same_bits(&ops::fold_acc(&grad, axis, p, shape), &want), "fold_acc {what}");
+
+                // strided and its transpose (every extent here is 1 or a
+                // multiple of 6).
+                if n % p == 0 {
+                    let picked = with_axis(shape, axis, n / p);
+                    let want = gather_ref(&picked, |c| Some(at(&with_axis(c, axis, c[axis] * p))));
+                    assert!(same_bits(&ops::strided(&t, axis, p), &want), "strided {what}");
+                    let grad = noisy_with_zeros(&picked, 200 + salt as u64);
+                    let want = scatter_ref(&grad, shape, |c| Some(with_axis(c, axis, c[axis] * p)));
+                    assert!(
+                        same_bits(&ops::strided_scatter(&grad, axis, p, shape), &want),
+                        "strided_scatter {what}"
+                    );
                 }
             }
-            inputs.push(letters);
         }
 
-        // Random output: a shuffled subset of the used letters (duplicates
-        // excluded so the spec stays VJP-compatible with the tape's rules).
-        let mut output: Vec<char> = used
-            .iter()
-            .copied()
-            .filter(|_| rng.random_bool(0.5))
+        // repeat: the new axis may also go last.
+        for axis in 0..=shape.len() {
+            for times in 1..=3 {
+                let mut repeated = shape.to_vec();
+                repeated.insert(axis, times);
+                let want = gather_ref(&repeated, |c| {
+                    let mut c = c.to_vec();
+                    c.remove(axis);
+                    Some(at(&c))
+                });
+                assert!(
+                    same_bits(&ops::repeat(&t, axis, times), &want),
+                    "repeat shape {shape:?} axis {axis} times {times}"
+                );
+            }
+        }
+
+        // permute: every rotation and every adjacent swap of the axes (the
+        // identity, kept tails and a moved last axis among them).
+        let rank = shape.len();
+        let mut perms: Vec<Vec<usize>> = (0..rank)
+            .map(|r| (0..rank).map(|d| (d + r) % rank).collect())
             .collect();
-        for i in (1..output.len()).rev() {
-            output.swap(i, rng.random_range(0usize..=i));
+        for d in 1..rank {
+            let mut swap: Vec<usize> = (0..rank).collect();
+            swap.swap(d - 1, d);
+            perms.push(swap);
         }
-
-        let spec = EinsumSpec { inputs, output };
-        let operands: Vec<&Tensor> = tensors.iter().collect();
-        let fast = einsum_spec(&spec, &operands).expect("compiled path executes");
-        let slow = einsum_spec_reference(&spec, &operands).expect("reference path executes");
-        prop_assert_eq!(fast.shape(), slow.shape());
-        for (i, (a, b)) in fast.data().iter().zip(slow.data()).enumerate() {
-            prop_assert!(
-                a.to_bits() == b.to_bits(),
-                "element {} diverges ({} vs {}) for spec {}",
-                i,
-                a,
-                b,
-                spec.render()
-            );
+        for perm in perms {
+            let permuted: Vec<usize> = perm.iter().map(|&p| shape[p]).collect();
+            let want = gather_ref(&permuted, |c| {
+                let mut src = vec![0; rank];
+                for (d, &p) in perm.iter().enumerate() {
+                    src[p] = c[d];
+                }
+                Some(at(&src))
+            });
+            let got = ops::permute(&t, &perm);
+            assert!(same_bits(&got, &want), "permute shape {shape:?} by {perm:?}");
         }
     }
 }
