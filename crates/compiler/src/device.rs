@@ -108,16 +108,6 @@ impl Device {
             Device::server_gpu(),
         ]
     }
-
-    /// Cache capacity in f32 elements.
-    pub fn cache_elems(&self) -> u64 {
-        self.cache_bytes / 4
-    }
-
-    /// Machine balance: FLOPs per byte at the roofline ridge.
-    pub fn ridge_intensity(&self) -> f64 {
-        self.peak_flops / self.mem_bandwidth
-    }
 }
 
 #[cfg(test)]
@@ -144,8 +134,9 @@ mod tests {
     #[test]
     fn ridge_intensity_is_positive() {
         for d in Device::all() {
-            assert!(d.ridge_intensity() > 1.0, "{}", d.name);
-            assert!(d.cache_elems() > 0);
+            // Machine balance: FLOPs per byte at the roofline ridge.
+            assert!(d.peak_flops / d.mem_bandwidth > 1.0, "{}", d.name);
+            assert!(d.cache_bytes > 0, "{}", d.name);
         }
     }
 }

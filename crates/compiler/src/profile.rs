@@ -9,7 +9,6 @@
 //! would emit), which is what the TorchInductor-style compiler charges when
 //! it falls back to ATen kernels instead of generating native code.
 
-use crate::device::Device;
 use syno_core::graph::PGraph;
 use syno_ir::eager::{self, Executor};
 use syno_ir::{lower_optimized, Kernel, LowerError};
@@ -85,11 +84,6 @@ impl OperatorProfile {
     /// Arithmetic intensity of the whole operator.
     pub fn intensity(&self) -> f64 {
         self.total_flops / self.ideal_bytes().max(1.0)
-    }
-
-    /// `true` when the parameters fit in `device`'s cache.
-    pub fn weights_resident(&self, device: &Device) -> bool {
-        (self.params * 4) < device.cache_bytes / 2
     }
 }
 
@@ -315,14 +309,6 @@ mod tests {
         let p = profile_graph(&pool, 0, OperatorClass::Standard, "pool").unwrap();
         assert!(p.intensity() < 1.0, "pooling is memory-bound");
         assert_eq!(p.params, 0);
-    }
-
-    #[test]
-    fn weights_resident_depends_on_size() {
-        let g = conv_fixture();
-        let p = profile_graph(&g, 0, OperatorClass::Standard, "conv").unwrap();
-        // 4608 params * 4B = 18KB, fits every cache.
-        assert!(p.weights_resident(&Device::mobile_cpu()));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Static analysis of complete pGraphs: FLOPs, parameters, memory.
+//! Static analysis of complete pGraphs: FLOPs and parameters.
 //!
 //! As §8 notes, the FLOP count of a Syno operator depends only on the output
 //! iterators and the `Reduce` domains — the loop nest iterates over their
@@ -36,11 +36,6 @@ pub fn naive_flops(graph: &PGraph, valuation: usize) -> Option<u128> {
     Some(iters * per_iter)
 }
 
-/// Symbolic parameter count: sum of weight-tensor element counts.
-pub fn parameter_size(graph: &PGraph) -> Vec<Size> {
-    graph.weights().iter().map(|w| w.numel()).collect()
-}
-
 /// Concrete parameter count under `valuation`.
 pub fn parameter_count(graph: &PGraph, valuation: usize) -> Option<u128> {
     let mut total: u128 = 0;
@@ -58,36 +53,6 @@ pub fn output_numel(graph: &PGraph, valuation: usize) -> Option<u128> {
         .numel()
         .eval(graph.vars(), valuation)
         .map(|v| v as u128)
-}
-
-/// Concrete input element count under `valuation`.
-pub fn input_numel(graph: &PGraph, valuation: usize) -> Option<u128> {
-    graph
-        .spec()
-        .input
-        .numel()
-        .eval(graph.vars(), valuation)
-        .map(|v| v as u128)
-}
-
-/// A rough working-set estimate: input + output + weights, in elements.
-pub fn memory_footprint(graph: &PGraph, valuation: usize) -> Option<u128> {
-    Some(
-        input_numel(graph, valuation)?
-            + output_numel(graph, valuation)?
-            + parameter_count(graph, valuation)?,
-    )
-}
-
-/// Arithmetic intensity (FLOPs per element touched); the roofline abscissa.
-pub fn arithmetic_intensity(graph: &PGraph, valuation: usize) -> Option<f64> {
-    let flops = naive_flops(graph, valuation)? as f64;
-    let bytes = memory_footprint(graph, valuation)? as f64;
-    if bytes == 0.0 {
-        None
-    } else {
-        Some(flops / bytes)
-    }
 }
 
 #[cfg(test)]
@@ -121,17 +86,6 @@ mod tests {
         let g = conv_graph();
         // Cout*Cin*k*k
         assert_eq!(parameter_count(&g, 0), Some(8 * 4 * 3 * 3));
-    }
-
-    #[test]
-    fn footprint_and_intensity() {
-        let g = conv_graph();
-        let input = 4 * 6 * 6; // N*Cin*H*W
-        let output = 8 * 6 * 6;
-        let params = 8 * 4 * 9;
-        assert_eq!(memory_footprint(&g, 0), Some(input + output + params));
-        let ai = arithmetic_intensity(&g, 0).unwrap();
-        assert!(ai > 1.0, "convolution is compute-bound: {ai}");
     }
 
     #[test]

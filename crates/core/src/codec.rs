@@ -21,9 +21,9 @@
 //!
 //! **The envelope.** `[tag u8][len u32][payload][checksum u32]` is written
 //! by [`put_frame`] and taken apart by [`split_frame`], and by nothing
-//! else: the store's journal segments, the `syno-serve` wire protocol and
-//! the `syno-telemetry` trace log all call these two, each passing its own
-//! payload cap and giving the tag byte its own meaning. The length cap, the
+//! else: the store's journal segments and the `syno-serve` wire protocol
+//! both call these two, each passing its own payload cap and giving the tag
+//! byte its own meaning. The length cap, the
 //! truncation rule and the checksum are therefore decided — and tested,
 //! in `tests/properties.rs` — in one place. [`write_frame`] and
 //! [`read_frame`] are the blocking-stream conveniences over them.
@@ -532,7 +532,7 @@ pub fn decode_graph(bytes: &[u8]) -> Result<PGraph, CodecError> {
 }
 
 // ---------------------------------------------------------------------------
-// The record envelope — one framing for the journal, the wire and the trace log.
+// The record envelope — one framing for the journal and the wire.
 // ---------------------------------------------------------------------------
 
 /// Bytes of an envelope before its payload: the tag and the length prefix.
@@ -597,7 +597,7 @@ fn frame_checksum(tag: u8, payload: &[u8]) -> u32 {
 
 /// Appends one frame to `buf`: `[tag u8][len u32][payload][checksum u32]`,
 /// all little-endian. What the tag means is the caller's business (a
-/// journal record kind, a wire frame kind, the trace log's single tag).
+/// journal record kind, a wire frame kind).
 ///
 /// # Panics
 ///

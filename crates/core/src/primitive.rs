@@ -84,30 +84,6 @@ impl PrimKind {
         }
     }
 
-    /// `true` for the 1-to-1 views `Split`, `Merge`, `Shift`.
-    pub fn is_one_to_one_view(self) -> bool {
-        matches!(self, PrimKind::Split | PrimKind::Merge | PrimKind::Shift)
-    }
-
-    /// `true` for any view primitive (everything except contractions and
-    /// `MatchWeight`).
-    pub fn is_view(self) -> bool {
-        matches!(
-            self,
-            PrimKind::Split
-                | PrimKind::Merge
-                | PrimKind::Shift
-                | PrimKind::Stride
-                | PrimKind::Unfold
-                | PrimKind::Expand
-        )
-    }
-
-    /// `true` for the contractions `Reduce` and `Share`.
-    pub fn is_contraction(self) -> bool {
-        matches!(self, PrimKind::Reduce | PrimKind::Share)
-    }
-
     /// Short lowercase name.
     pub fn name(self) -> &'static str {
         match self {
@@ -287,19 +263,6 @@ mod tests {
         assert!(PrimKind::Merge.rank() < PrimKind::Share.rank());
         assert!(PrimKind::Unfold.rank() < PrimKind::Reduce.rank());
         assert!(PrimKind::Share.rank() < PrimKind::MatchWeight.rank());
-    }
-
-    #[test]
-    fn kind_classification() {
-        assert!(PrimKind::Split.is_one_to_one_view());
-        assert!(PrimKind::Merge.is_one_to_one_view());
-        assert!(PrimKind::Shift.is_one_to_one_view());
-        assert!(!PrimKind::Unfold.is_one_to_one_view());
-        assert!(PrimKind::Unfold.is_view());
-        assert!(PrimKind::Reduce.is_contraction());
-        assert!(PrimKind::Share.is_contraction());
-        assert!(!PrimKind::MatchWeight.is_view());
-        assert!(!PrimKind::MatchWeight.is_contraction());
     }
 
     #[test]

@@ -261,28 +261,6 @@ impl Size {
         })
     }
 
-    /// Structural equality of two multisets of sizes, up to permutation.
-    pub fn same_multiset(lhs: &[Size], rhs: &[Size]) -> bool {
-        if lhs.len() != rhs.len() {
-            return false;
-        }
-        let mut rhs: Vec<Option<&Size>> = rhs.iter().map(Some).collect();
-        for l in lhs {
-            match rhs.iter().position(|r| r.map(|r| r == l).unwrap_or(false)) {
-                Some(i) => rhs[i] = None,
-                None => return false,
-            }
-        }
-        true
-    }
-
-    /// Total degree of the monomial (sum of absolute exponents), used to
-    /// bound parameter enumeration (§5.4: "degrees limited within a
-    /// user-specified range").
-    pub fn total_degree(&self) -> u32 {
-        self.powers.values().map(|e| e.unsigned_abs()).sum()
-    }
-
     /// Renders the size with variable names from `vars`.
     pub fn display<'a>(&'a self, vars: &'a VarTable) -> SizeDisplay<'a> {
         SizeDisplay { size: self, vars }
@@ -414,20 +392,9 @@ mod tests {
     }
 
     #[test]
-    fn multiset_compare() {
-        let (_, h, c, s) = table();
-        let a = [Size::var(h), Size::var(c)];
-        let b = [Size::var(c), Size::var(h)];
-        assert!(Size::same_multiset(&a, &b));
-        let d = [Size::var(c), Size::var(s)];
-        assert!(!Size::same_multiset(&a, &d));
-    }
-
-    #[test]
     fn pow_and_degree() {
         let (_, h, _, s) = table();
         let x = Size::var(h).mul(&Size::var_pow(s, -1));
-        assert_eq!(x.total_degree(), 2);
         let sq = x.pow(2);
         assert_eq!(sq.exponent(h), 2);
         assert_eq!(sq.exponent(s), -2);

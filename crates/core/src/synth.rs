@@ -450,11 +450,6 @@ impl Synthesis {
         self.found
     }
 
-    /// True once the search space (or a budget) is exhausted.
-    pub fn is_finished(&self) -> bool {
-        self.done
-    }
-
     /// Advances the search to the next canonical operator.
     ///
     /// Returns `Some(Ok(graph))` per discovery, `Some(Err(_))` exactly once
@@ -713,7 +708,6 @@ mod tests {
             assert_eq!(a.state_hash(), b.state_hash());
         }
         assert_eq!(batch_stats, driver.stats());
-        assert!(driver.is_finished());
         assert!(driver.next_operator().is_none(), "finished drivers stay done");
     }
 

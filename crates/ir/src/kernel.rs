@@ -119,15 +119,6 @@ impl Kernel {
         self.stages.iter().map(Stage::flops).sum()
     }
 
-    /// Total intermediate-buffer elements written (memory traffic proxy).
-    pub fn intermediate_elems(&self) -> u128 {
-        self.stages
-            .iter()
-            .take(self.stages.len().saturating_sub(1))
-            .map(|s| s.shape().iter().map(|&d| d as u128).product::<u128>())
-            .sum()
-    }
-
     /// Compiles the kernel's index expressions into stride programs for
     /// repeated execution (see [`crate::plan`]).
     pub fn compile(&self) -> crate::plan::CompiledKernel<'_> {

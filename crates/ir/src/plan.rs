@@ -20,25 +20,19 @@
 //!   **hoisted**: they are checked once per output element, skipping the
 //!   entire reduction nest (which would have contributed zero anyway).
 //!
-//! Two further passes run at compile (record) time:
+//! One further pass runs at compile (record) time, **innermost
+//! specialization**: when every operand's index registers are affine in the
+//! innermost loop counter and every relevant guard is invariant to it
+//! (decided by a compile-time slope analysis), the innermost loop runs as a
+//! tight constant-stride loop: bounds are checked once at the run's
+//! endpoints and the register file is bypassed entirely. Runs that straddle
+//! a clip boundary fall back to the general per-iteration body, so order —
+//! and therefore every bit — is preserved.
 //!
-//! * **View fusion** — a stage that is a pure view (single operand, no
-//!   reduction, no guards) read by exactly one consumer is *fused into* that
-//!   consumer: the consumer's operand access composes the view's index
-//!   expressions directly (binding the view's loop atoms to the consumer's
-//!   index registers), and the view's buffer is never materialized. Fusion
-//!   chains through stacked views. The elided buffer's bounds survive as
-//!   explicit checks: the consumer-level bounds still *clip* the term (as
-//!   reading the buffer out of range did), while deeper bounds *zero* the
-//!   factor (the elided buffer stored `0.0` there) — preserving bit
-//!   identity including signed-zero behavior.
-//! * **Innermost specialization** — when every operand's index registers
-//!   are affine in the innermost loop counter and every relevant guard is
-//!   invariant to it (decided by a compile-time slope analysis), the
-//!   innermost loop runs as a tight constant-stride loop: bounds are checked
-//!   once at the run's endpoints and the register file is bypassed
-//!   entirely. Runs that straddle a clip boundary fall back to the general
-//!   per-iteration body, so order — and therefore every bit — is preserved.
+//! Every stage is materialized and its buffer is read like the input or a
+//! weight. Lowering emits one stage per reduction group, so none of its
+//! stages is a pure view that another stage reads (`tests/properties.rs`
+//! pins this): composing views into their reader would have nothing to save.
 //!
 //! Iteration order — and therefore FP summation order — is identical to the
 //! reference interpreter, so compiled and interpreted execution are
@@ -89,27 +83,11 @@ struct AxisRef {
     stride: usize,
 }
 
-/// Bounds of elided view buffers along a fusion chain.
-#[derive(Clone, Debug)]
-struct FusedAccess {
-    /// Consumer-level bounds against the first elided buffer: `(reg, dim)`.
-    /// Poison/out-of-range **clips** the term, exactly as reading the
-    /// materialized buffer out of range did.
-    outer: Vec<(usize, i64)>,
-    /// Bounds against deeper elided buffers. Poison/out-of-range **zeroes**
-    /// the factor — the elided buffer stored `0.0` at such points.
-    mid: Vec<(usize, i64)>,
-}
-
 /// A compiled operand: its data source plus per-axis access program.
 #[derive(Clone, Debug)]
 struct OperandAccess {
     source: OperandRef,
     axes: Vec<AxisRef>,
-    /// `Some` when this operand reads through one or more fused (elided)
-    /// view stages; `axes` then index the chain's ultimate source, and an
-    /// `axes` bounds failure zeroes the factor instead of clipping.
-    fused: Option<FusedAccess>,
 }
 
 /// The compiled program for one [`Stage`].
@@ -147,10 +125,6 @@ struct OpSpec {
     /// d(axis register)/d(innermost counter), one per operand axis — used
     /// for the endpoint bounds check.
     axis_slopes: Vec<i64>,
-    /// Slopes of the fused consumer-level bound registers.
-    outer_slopes: Vec<i64>,
-    /// Slopes of the fused deeper bound registers.
-    mid_slopes: Vec<i64>,
 }
 
 /// An `Unfold` whose value moves with the innermost counter: its clip (and
@@ -180,8 +154,8 @@ enum RunKind {
     Skip,
     /// All bounds hold across the whole run: tight constant-stride loop.
     Tight,
-    /// Mixed (a clip boundary crosses the run, or a factor zeroes): fall
-    /// back to the general per-iteration body for this run only.
+    /// Mixed (a clip boundary crosses the run): fall back to the general
+    /// per-iteration body for this run only.
     PerIter,
 }
 
@@ -195,9 +169,6 @@ pub struct CompiledKernel<'k> {
     /// `None` when some stage could not be compiled — execution falls back
     /// to the reference interpreter.
     stages: Option<Vec<StageProgram>>,
-    /// `elided[i]`: stage `i` was fused into its sole consumer and is never
-    /// materialized (a placeholder keeps the buffer indices aligned).
-    elided: Vec<bool>,
 }
 
 struct StageCompiler<'a> {
@@ -353,108 +324,28 @@ impl<'a> StageCompiler<'a> {
         }
     }
 
-    /// Compiles one operand access, fusing through view stages when legal.
-    fn compile_operand(
-        &mut self,
-        op: &crate::kernel::Operand,
-        fusible: &[bool],
-        fused_away: &mut [bool],
-    ) -> Option<OperandAccess> {
+    /// Compiles one operand access.
+    fn compile_operand(&mut self, op: &crate::kernel::Operand) -> Option<OperandAccess> {
         let regs: Vec<usize> = op
             .indices
             .iter()
             .map(|&e| self.compile_expr(e))
             .collect::<Option<_>>()?;
         let dims = self.operand_dims(op.source);
-        if let OperandRef::Buffer(b) = op.source {
-            if fusible[b] {
-                if let Some(access) = self.try_fuse(b, &regs, &dims, fusible, fused_away) {
-                    return Some(access);
-                }
-            }
-        }
+        let strides = Tensor::strides_of(&dims);
+        let axes = regs
+            .iter()
+            .zip(dims.iter().zip(&strides))
+            .map(|(&reg, (&dim, &stride))| AxisRef {
+                reg,
+                dim: dim as i64,
+                stride,
+            })
+            .collect();
         Some(OperandAccess {
             source: op.source,
-            axes: direct_axes(&regs, &dims),
-            fused: None,
+            axes,
         })
-    }
-
-    /// Attempts to fuse the read of view buffer `b`: compile the view's
-    /// index expressions with its loop atoms bound to the consumer's index
-    /// registers `regs`. On failure every side effect is rolled back and
-    /// the caller materializes the buffer as before.
-    fn try_fuse(
-        &mut self,
-        b: usize,
-        regs: &[usize],
-        dims: &[usize],
-        fusible: &[bool],
-        fused_away: &mut [bool],
-    ) -> Option<OperandAccess> {
-        let memo = self.expr_reg.clone();
-        let atoms = self.atom_reg.clone();
-        let emitted_len = self.emitted.len();
-        let reg_len = self.reg_level.len();
-        let mut mid = Vec::new();
-        let mut chain = Vec::new();
-        let kernel = self.kernel;
-        let result = (|| {
-            let mut buf = b;
-            let mut regs = regs.to_vec();
-            loop {
-                let view = &kernel.stages[buf];
-                if view.loops.len() != regs.len() {
-                    return None;
-                }
-                for (l, &r) in view.loops.iter().zip(&regs) {
-                    self.atom_reg.insert(l.atom.index(), r);
-                }
-                chain.push(buf);
-                let vop = &view.operands[0];
-                let vregs: Vec<usize> = vop
-                    .indices
-                    .iter()
-                    .map(|&e| self.compile_expr(e))
-                    .collect::<Option<_>>()?;
-                let vdims = self.operand_dims(vop.source);
-                if let OperandRef::Buffer(u) = vop.source {
-                    if fusible[u] {
-                        mid.extend(vregs.iter().zip(&vdims).map(|(&r, &d)| (r, d as i64)));
-                        buf = u;
-                        regs = vregs;
-                        continue;
-                    }
-                }
-                return Some((vop.source, direct_axes(&vregs, &vdims)));
-            }
-        })();
-        self.expr_reg = memo;
-        self.atom_reg = atoms;
-        match result {
-            Some((source, axes)) => {
-                for &s in &chain {
-                    fused_away[s] = true;
-                }
-                Some(OperandAccess {
-                    source,
-                    axes,
-                    fused: Some(FusedAccess {
-                        outer: regs
-                            .iter()
-                            .zip(dims)
-                            .map(|(&r, &d)| (r, d as i64))
-                            .collect(),
-                        mid,
-                    }),
-                })
-            }
-            None => {
-                self.emitted.truncate(emitted_len);
-                self.reg_level.truncate(reg_len);
-                None
-            }
-        }
     }
 
     fn finish(self, stage: &Stage, operands: Vec<OperandAccess>, guards: Vec<usize>) -> StageProgram {
@@ -487,19 +378,6 @@ impl<'a> StageCompiler<'a> {
         program.spec = analyze_spec(&program);
         program
     }
-}
-
-/// Zips index registers with source dims/strides into axis accesses.
-fn direct_axes(regs: &[usize], dims: &[usize]) -> Vec<AxisRef> {
-    let strides = Tensor::strides_of(dims);
-    regs.iter()
-        .zip(dims.iter().zip(&strides))
-        .map(|(&reg, (&dim, &stride))| AxisRef {
-            reg,
-            dim: dim as i64,
-            stride,
-        })
-        .collect()
 }
 
 /// Compile-time slope analysis: per register, `Some(s)` when its value is
@@ -573,16 +451,6 @@ fn analyze_spec(p: &StageProgram) -> Option<SpecInfo> {
     }
     let mut ops = Vec::with_capacity(p.operands.len());
     for op in &p.operands {
-        let bound_slopes = |bounds: &[(usize, i64)]| -> Option<Vec<i64>> {
-            bounds
-                .iter()
-                .map(|&(r, _)| if stable[r] { slope[r] } else { None })
-                .collect()
-        };
-        let (outer_slopes, mid_slopes) = match &op.fused {
-            Some(f) => (bound_slopes(&f.outer)?, bound_slopes(&f.mid)?),
-            None => (Vec::new(), Vec::new()),
-        };
         let mut step = 0i64;
         let mut axis_slopes = Vec::with_capacity(op.axes.len());
         for ax in &op.axes {
@@ -593,69 +461,25 @@ fn analyze_spec(p: &StageProgram) -> Option<SpecInfo> {
             axis_slopes.push(s);
             step += s * ax.stride as i64;
         }
-        ops.push(OpSpec {
-            step,
-            axis_slopes,
-            outer_slopes,
-            mid_slopes,
-        });
+        ops.push(OpSpec { step, axis_slopes });
     }
     Some(SpecInfo { ops, unfold_checks })
 }
 
 /// Compiles one stage; `None` requests interpreter fallback.
-fn compile_stage(
-    kernel: &Kernel,
-    stage: &Stage,
-    fusible: &[bool],
-    fused_away: &mut [bool],
-) -> Option<StageProgram> {
+fn compile_stage(kernel: &Kernel, stage: &Stage) -> Option<StageProgram> {
     let mut c = StageCompiler::new(kernel, stage);
-    let mut operands = Vec::with_capacity(stage.operands.len());
-    for op in &stage.operands {
-        operands.push(c.compile_operand(op, fusible, fused_away)?);
-    }
-    let mut guards = Vec::with_capacity(stage.guards.len());
-    for &g in &stage.guards {
-        guards.push(c.compile_expr(g)?);
-    }
+    let operands = stage
+        .operands
+        .iter()
+        .map(|op| c.compile_operand(op))
+        .collect::<Option<_>>()?;
+    let guards = stage
+        .guards
+        .iter()
+        .map(|&g| c.compile_expr(g))
+        .collect::<Option<_>>()?;
     Some(c.finish(stage, operands, guards))
-}
-
-/// Compiles every stage of `kernel`, fusing single-consumer view stages into
-/// their consumers; `None` requests interpreter fallback. The second return
-/// marks stages elided by fusion.
-fn compile_kernel(kernel: &Kernel) -> Option<(Vec<StageProgram>, Vec<bool>)> {
-    let n = kernel.stages.len();
-    let mut consumers = vec![0usize; n];
-    for stage in &kernel.stages {
-        for op in &stage.operands {
-            if let OperandRef::Buffer(b) = op.source {
-                consumers[b] += 1;
-            }
-        }
-    }
-    // A fusion source must be a pure view (single operand, no reduction, no
-    // guards) with exactly one consumer — fusing a multi-consumer view would
-    // duplicate its index work per consumer.
-    let fusible: Vec<bool> = kernel
-        .stages
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            consumers[i] == 1
-                && s.reduce.is_empty()
-                && s.guards.is_empty()
-                && s.operands.len() == 1
-        })
-        .collect();
-    let mut fused_away = vec![false; n];
-    let programs = kernel
-        .stages
-        .iter()
-        .map(|stage| compile_stage(kernel, stage, &fusible, &mut fused_away))
-        .collect::<Option<Vec<_>>>()?;
-    Some((programs, fused_away))
 }
 
 /// Advances a little-endian-last odometer; returns the outermost changed
@@ -713,50 +537,23 @@ impl StageProgram {
     }
 
     /// One reduction term at the current register state: the product of all
-    /// operand reads, honoring clip (skip) and fused zero-clip semantics.
+    /// operand reads; an index that is poisoned or out of range clips (skips)
+    /// the whole term.
     #[inline]
     fn accumulate_term(&self, sources: &[&[f32]], regs: &[i64], poison: &[bool], acc: &mut f32) {
         let mut product = 1.0f32;
-        let mut clipped = false;
-        'operands: for (op, data) in self.operands.iter().zip(sources) {
-            let mut zero = false;
-            if let Some(f) = &op.fused {
-                for &(r, dim) in &f.outer {
-                    let v = regs[r];
-                    if poison[r] || v < 0 || v >= dim {
-                        clipped = true;
-                        break 'operands;
-                    }
-                }
-                for &(r, dim) in &f.mid {
-                    let v = regs[r];
-                    if poison[r] || v < 0 || v >= dim {
-                        zero = true;
-                        break;
-                    }
-                }
-            }
+        for (op, data) in self.operands.iter().zip(sources) {
             let mut off = 0usize;
-            if !zero {
-                for ax in &op.axes {
-                    let v = regs[ax.reg];
-                    if poison[ax.reg] || v < 0 || v >= ax.dim {
-                        if op.fused.is_some() {
-                            // The elided view stored 0.0 at clipped points.
-                            zero = true;
-                            break;
-                        }
-                        clipped = true;
-                        break 'operands;
-                    }
-                    off += v as usize * ax.stride;
+            for ax in &op.axes {
+                let v = regs[ax.reg];
+                if poison[ax.reg] || v < 0 || v >= ax.dim {
+                    return;
                 }
+                off += v as usize * ax.stride;
             }
-            product *= if zero { 0.0 } else { data[off] };
+            product *= data[off];
         }
-        if !clipped {
-            *acc += product;
-        }
+        *acc += product;
     }
 
     /// Classifies one innermost run of `t_len` iterations at its `t = 0`
@@ -794,30 +591,10 @@ impl StageProgram {
             v0 >= 0 && v0 < dim && v_last >= 0 && v_last < dim
         };
         for (op, os) in self.operands.iter().zip(&spec.ops) {
-            let fused = op.fused.is_some();
-            if let Some(f) = &op.fused {
-                for (&(r, dim), &s) in f.outer.iter().zip(&os.outer_slopes) {
-                    if poison[r] {
-                        // Consumer-level clip, invariant over the run.
-                        return RunKind::Skip;
-                    }
-                    if !in_run(r, s, dim) {
-                        per_iter = true;
-                    }
-                }
-                for (&(r, dim), &s) in f.mid.iter().zip(&os.mid_slopes) {
-                    if poison[r] || !in_run(r, s, dim) {
-                        per_iter = true;
-                    }
-                }
-            }
             let mut off = 0i64;
             for (ax, &s) in op.axes.iter().zip(&os.axis_slopes) {
                 if poison[ax.reg] {
-                    if fused {
-                        per_iter = true;
-                        continue;
-                    }
+                    // A clip invariant over the run.
                     return RunKind::Skip;
                 }
                 if !in_run(ax.reg, s, ax.dim) {
@@ -1113,18 +890,12 @@ impl<'k> CompiledKernel<'k> {
     /// Compiles `kernel`, falling back to the reference interpreter when a
     /// stage is not compilable.
     pub fn new(kernel: &'k Kernel) -> Self {
-        match compile_kernel(kernel) {
-            Some((stages, elided)) => CompiledKernel {
-                kernel,
-                stages: Some(stages),
-                elided,
-            },
-            None => CompiledKernel {
-                kernel,
-                stages: None,
-                elided: vec![false; kernel.stages.len()],
-            },
-        }
+        let stages = kernel
+            .stages
+            .iter()
+            .map(|stage| compile_stage(kernel, stage))
+            .collect();
+        CompiledKernel { kernel, stages }
     }
 
     /// `true` when every stage runs the stride-compiled fast path.
@@ -1132,21 +903,19 @@ impl<'k> CompiledKernel<'k> {
         self.stages.is_some()
     }
 
-    /// Number of view stages fused into their consumers (never
-    /// materialized).
+    /// Always 0: every stage is materialized. Kept only because
+    /// `benchmark/src/layers.rs` reads it for `ir.plan.fused_stage_frac`;
+    /// the two retire together (ROADMAP, Collapse (a)).
+    #[doc(hidden)]
     pub fn fused_stages(&self) -> usize {
-        self.elided.iter().filter(|&&e| e).count()
+        0
     }
 
     /// Number of stages whose innermost loop compiled to the tight
-    /// constant-stride form (excludes elided stages).
+    /// constant-stride form.
     pub fn specialized_stages(&self) -> usize {
         let Some(stages) = &self.stages else { return 0 };
-        stages
-            .iter()
-            .zip(&self.elided)
-            .filter(|(p, &e)| !e && p.spec.is_some())
-            .count()
+        stages.iter().filter(|p| p.spec.is_some()).count()
     }
 
     /// Executes the kernel; bit-identical to
@@ -1167,12 +936,7 @@ impl<'k> CompiledKernel<'k> {
         }
 
         let mut buffers: Vec<Tensor> = Vec::with_capacity(stages.len());
-        for ((program, stage), &elided) in stages.iter().zip(&kernel.stages).zip(&self.elided) {
-            if elided {
-                // Fused into its consumer; placeholder keeps indices aligned.
-                buffers.push(Tensor::zeros(&[0]));
-                continue;
-            }
+        for (program, stage) in stages.iter().zip(&kernel.stages) {
             let mut out = Tensor::zeros(&stage.shape());
             program.execute(out.data_mut(), input, weights, &buffers);
             buffers.push(out);

@@ -1,18 +1,18 @@
-//! Pins that the stride-compiled engine's optimizations actually *fire* —
-//! not just that they are bit-identical when they do.
+//! Pins that the stride-compiled engine's optimization actually *fires* —
+//! not just that it is bit-identical when it does.
 //!
 //! * **Innermost specialization** must engage on every stage of the named
 //!   operators and of the staged (materialized-reduction) lowering: their
 //!   innermost dimensions are dense affine walks, which is the entire point
 //!   of the tight-loop pass.
-//! * **View fusion** must elide pure view stages into their consumers.
-//!   pGraph lowering never emits intermediate view stages (reduction groups
-//!   always reduce), so the fusion fixtures build [`Kernel`]s directly: a
-//!   shift view chained under an unfold view under a reducing consumer.
-//!   Fused execution is asserted bit-identical to the reference
-//!   interpreter, including the clip cases where the materialized view
-//!   buffer would have held `+0.0` and the fused read must substitute the
-//!   same zero (not skip the term).
+//! * **View stages** — pure maps that another stage reads — must execute
+//!   right even though pGraph lowering never emits one (reduction groups
+//!   always reduce; `properties.rs` pins that): [`Kernel`]'s fields are
+//!   `pub`, so the fixtures build one directly, a shift view chained under
+//!   an unfold view under a reducing consumer. Compiled execution is
+//!   asserted bit-identical to the reference interpreter, including the
+//!   clip cases where the view buffer holds `+0.0` and the consumer
+//!   multiplies by that zero (rather than skipping the term).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -70,8 +70,7 @@ fn named_operators_specialize_every_stage() {
     }
 }
 
-/// The Fig. 4 staged kernel: both materialized stages specialize; there is
-/// no pure view stage, so fusion correctly finds nothing to elide.
+/// The Fig. 4 staged kernel: both materialized stages specialize.
 #[test]
 fn staged_lowering_specializes_both_stages() {
     let mut vars = VarTable::new();
@@ -108,7 +107,6 @@ fn staged_lowering_specializes_both_stages() {
     let compiled = kernel.compile();
     assert!(compiled.is_compiled());
     assert_eq!(compiled.specialized_stages(), kernel.stages.len());
-    assert_eq!(compiled.fused_stages(), 0, "no view stages to fuse");
 }
 
 /// Builds the view-chain fixture:
@@ -119,9 +117,9 @@ fn staged_lowering_specializes_both_stages() {
 /// out[o]   = Σ_r b1[o, r] · wt0[r]    (reducing consumer)
 /// ```
 ///
-/// with `view0` either a total `Shift` (whose slope defeats
-/// specialization, exercising fusion on the general path) or the identity
-/// (keeping the chain affine so fusion and specialization compose).
+/// with `view0` either a total `Shift` (whose slope defeats specialization
+/// of its stage, which then runs the general path) or the identity (every
+/// stage stays affine and specializes).
 fn view_chain_kernel(shifted: bool) -> Kernel {
     const N: u64 = 16;
     const K: u64 = 3;
@@ -195,10 +193,9 @@ fn view_chain_kernel(shifted: bool) -> Kernel {
     }
 }
 
-fn assert_fused_matches_reference(kernel: &Kernel, seed: u64, what: &str) {
+fn assert_compiled_matches_reference(kernel: &Kernel, seed: u64, what: &str) {
     let compiled = kernel.compile();
     assert!(compiled.is_compiled(), "{what}: compiles");
-    assert_eq!(compiled.fused_stages(), 2, "{what}: both views elided");
     let mut rng = StdRng::seed_from_u64(seed);
     let input = init::uniform(&mut rng, &kernel.input_shape, -1.0, 1.0);
     let weights: Vec<Tensor> = kernel
@@ -206,45 +203,38 @@ fn assert_fused_matches_reference(kernel: &Kernel, seed: u64, what: &str) {
         .iter()
         .map(|s| init::uniform(&mut rng, s, -1.0, 1.0))
         .collect();
-    let fused = compiled.execute(&input, &weights);
+    let fast = compiled.execute(&input, &weights);
     let reference = kernel.execute_reference(&input, &weights);
-    assert_bits_equal(&fused, &reference, what);
+    assert_bits_equal(&fast, &reference, what);
 }
 
-/// A shift view under an unfold view: the chain fuses (both views elided)
-/// but the shifted index defeats slope analysis, so the fused consumer runs
-/// the general per-point path — bit-identical to materializing the views.
+/// A shift view under an unfold view: the shifted index defeats slope
+/// analysis, so the first view runs the general per-point path while the
+/// unfold view and the consumer specialize — bit-identical to the reference.
 #[test]
 fn shifted_view_chain_fuses_on_the_general_path() {
     let kernel = view_chain_kernel(true);
-    let compiled = kernel.compile();
     assert_eq!(
-        compiled.specialized_stages(),
-        0,
-        "shift under a moving unfold must defeat specialization"
+        kernel.compile().specialized_stages(),
+        2,
+        "a shift of the innermost counter must defeat specialization of its stage"
     );
-    assert_fused_matches_reference(&kernel, 11, "shifted view chain");
+    assert_compiled_matches_reference(&kernel, 11, "shifted view chain");
 }
 
-/// An identity view under an unfold view: the chain fuses *and* the
-/// consumer stays affine, so fusion composes with the tight-loop
-/// specialization (edge rows fall back per-iteration via unfold endpoint
-/// checks; interior rows run the constant-stride loop).
+/// An identity view under an unfold view: every stage stays affine and
+/// specializes (the unfold view's edge rows fall back per-iteration via
+/// unfold endpoint checks; interior rows run the constant-stride loop).
 #[test]
 fn affine_view_chain_fuses_and_specializes() {
     let kernel = view_chain_kernel(false);
-    let compiled = kernel.compile();
-    assert_eq!(
-        compiled.specialized_stages(),
-        1,
-        "the consumer stage specializes (elided views excluded)"
-    );
-    assert_fused_matches_reference(&kernel, 13, "affine view chain");
+    assert_eq!(kernel.compile().specialized_stages(), kernel.stages.len());
+    assert_compiled_matches_reference(&kernel, 13, "affine view chain");
 }
 
-/// The fused zero-substitution semantics, pinned on exact values: where the
-/// unfold clips, the materialized view buffer holds `+0.0`, and the fused
-/// read must contribute the same zero *factor* (not skip the term).
+/// Clip semantics through a view, pinned on exact values: where the unfold
+/// clips, the view buffer holds `+0.0`, and the consumer multiplies by that
+/// zero *factor* (it does not skip the term).
 #[test]
 fn fused_clip_substitutes_zero_like_a_materialized_view() {
     let kernel = view_chain_kernel(false);
@@ -254,11 +244,11 @@ fn fused_clip_substitutes_zero_like_a_materialized_view() {
     // zero factor (0.0 · -1.0 = -0.0 enters the sum) would differ bitwise if
     // the whole row clipped; here interior taps dominate, so we pin values.
     let wt = Tensor::from_vec(vec![-1.0, 2.0, -1.0], &[3]);
-    let fused = compiled.execute(&input, std::slice::from_ref(&wt));
+    let fast = compiled.execute(&input, std::slice::from_ref(&wt));
     let reference = kernel.execute_reference(&input, std::slice::from_ref(&wt));
-    assert_bits_equal(&fused, &reference, "clip semantics");
+    assert_bits_equal(&fast, &reference, "clip semantics");
     // out[o] = -in[o-1] + 2·in[o] - in[o+1], clipped taps contributing 0.
-    assert_eq!(fused.get(&[0]), 2.0 * 1.0 - 2.0);
-    assert_eq!(fused.get(&[5]), -5.0 + 2.0 * 6.0 - 7.0);
-    assert_eq!(fused.get(&[15]), -15.0 + 2.0 * 16.0);
+    assert_eq!(fast.get(&[0]), 2.0 * 1.0 - 2.0);
+    assert_eq!(fast.get(&[5]), -5.0 + 2.0 * 6.0 - 7.0);
+    assert_eq!(fast.get(&[15]), -15.0 + 2.0 * 16.0);
 }

@@ -33,6 +33,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use syno_core::prelude::*;
+use syno_ir::kernel::OperandRef;
 use syno_ir::{eager, lower_naive, lower_optimized, Kernel};
 use syno_tensor::{init, ExecPolicy, Tape, Tensor};
 
@@ -103,6 +104,7 @@ fn assert_differential(graph: &PGraph, seed: u64) {
         ("naive", lower_naive(graph, 0).expect("naive lowering")),
         ("optimized", lower_optimized(graph, 0).expect("optimized lowering")),
     ] {
+        assert_only_the_last_stage_may_be_a_pure_map(&kernel, name, graph);
         let compiled = kernel.compile();
         assert!(
             compiled.is_compiled(),
@@ -235,6 +237,79 @@ proptest! {
         }
         // A seed whose rollouts never complete proves nothing but is not a
         // failure of the engines.
+    }
+}
+
+/// What lowering emits, stage by stage: every stage before the last sums
+/// (one stage per reduction group), a `Buffer` operand names an earlier such
+/// stage, and nothing reads the last stage — the only one that may be a pure
+/// map. So no lowered kernel holds a view stage that another stage reads,
+/// which is why `plan.rs` materializes every stage and composes none into
+/// its reader; the day this fails, that pass is worth writing.
+fn assert_only_the_last_stage_may_be_a_pure_map(kernel: &Kernel, what: &str, graph: &PGraph) {
+    let last = kernel.stages.len() - 1;
+    for (i, stage) in kernel.stages.iter().enumerate() {
+        assert!(
+            i == last || !stage.reduce.is_empty(),
+            "{what}: stage {i} of {} sums nothing on\n{}",
+            last + 1,
+            graph.render()
+        );
+        for op in &stage.operands {
+            if let OperandRef::Buffer(b) = op.source {
+                assert!(
+                    b < i && !kernel.stages[b].reduce.is_empty(),
+                    "{what}: stage {i} reads stage {b}, which is not an earlier summing stage, on\n{}",
+                    graph.render()
+                );
+            }
+        }
+    }
+}
+
+/// The toy vision spec `[N, Cin, H, W] → [N, Cout, H, W]` and the toy
+/// sequence spec `[B, T, C] → [B, T, C]` of the searches.
+fn search_specs() -> [(Arc<VarTable>, OperatorSpec); 2] {
+    let shape = |dims: &[VarId]| TensorShape::new(dims.iter().map(|&d| Size::var(d)).collect());
+    let mut vars = VarTable::new();
+    let n = vars.declare("N", VarKind::Primary);
+    let cin = vars.declare("Cin", VarKind::Primary);
+    let cout = vars.declare("Cout", VarKind::Primary);
+    let h = vars.declare("H", VarKind::Primary);
+    let w = vars.declare("W", VarKind::Primary);
+    let k = vars.declare("k", VarKind::Coefficient);
+    vars.push_valuation(vec![(n, 4), (cin, 3), (cout, 4), (h, 8), (w, 8), (k, 3)]);
+    let vision = OperatorSpec::new(shape(&[n, cin, h, w]), shape(&[n, cout, h, w]));
+    let mut seq_vars = VarTable::new();
+    let b = seq_vars.declare("B", VarKind::Primary);
+    let t = seq_vars.declare("T", VarKind::Primary);
+    let c = seq_vars.declare("C", VarKind::Primary);
+    let k = seq_vars.declare("k", VarKind::Coefficient);
+    seq_vars.push_valuation(vec![(b, 4), (t, 4), (c, 8), (k, 2)]);
+    let sequence = OperatorSpec::new(shape(&[b, t, c]), shape(&[b, t, c]));
+    [(vars.into_shared(), vision), (seq_vars.into_shared(), sequence)]
+}
+
+proptest! {
+    /// The lowering invariant above on rollout-sampled complete operators of
+    /// the vision and the sequence spec, under both lowerings.
+    #[test]
+    fn lowering_emits_no_view_stage_that_another_stage_reads(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for (vars, spec) in search_specs() {
+            let enumerator = Enumerator::new(SynthConfig::auto(&vars, 5));
+            let root = PGraph::new(vars, spec);
+            for _ in 0..24 {
+                if let RolloutResult::Complete(g) = rollout(&mut rng, &enumerator, &root, true) {
+                    for (what, kernel) in [
+                        ("naive", lower_naive(&g, 0).expect("naive lowering")),
+                        ("optimized", lower_optimized(&g, 0).expect("optimized lowering")),
+                    ] {
+                        assert_only_the_last_stage_may_be_a_pure_map(&kernel, what, &g);
+                    }
+                }
+            }
+        }
     }
 }
 

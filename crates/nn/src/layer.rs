@@ -7,7 +7,6 @@
 //! the paper leaves untouched: activations, pooling, and the classifier
 //! head.
 
-use rand::Rng;
 use std::fmt;
 use syno_core::graph::PGraph;
 use syno_ir::eager;
@@ -215,11 +214,6 @@ impl Model {
     }
 }
 
-/// Convenience: generate uniform input noise for a given shape.
-pub fn noise_input<R: Rng + ?Sized>(rng: &mut R, shape: &[usize]) -> Tensor {
-    init::uniform(rng, shape, -1.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,7 +262,7 @@ mod tests {
         assert!(model.param_count() > 0);
 
         let mut tape = Tape::new();
-        let x = tape.leaf(noise_input(&mut rng, &[4, 3, 8, 8]));
+        let x = tape.leaf(init::uniform(&mut rng, &[4, 3, 8, 8], -1.0, 1.0));
         let (logits, vars) = model.forward(&mut tape, x);
         assert_eq!(tape.value(logits).shape(), &[4, 5]);
         assert_eq!(vars.len(), 4);

@@ -493,7 +493,6 @@ struct Scenario {
     label: String,
     vars: Arc<VarTable>,
     spec: OperatorSpec,
-    synth: Option<SynthConfig>,
     /// The proxy family scoring this scenario's candidates. `None` until
     /// [`SearchBuilder::start`] resolves it (auto-detected from the spec,
     /// or the run-wide [`SearchBuilder::proxy_family`] override).
@@ -590,26 +589,6 @@ impl SearchBuilder {
             label: label.into(),
             vars: Arc::clone(vars),
             spec: spec.clone(),
-            synth: None,
-            family: None,
-        });
-        self
-    }
-
-    /// Adds a scenario with its own synthesis configuration (overrides the
-    /// run-wide [`synth`](SearchBuilder::synth) default for this spec).
-    pub fn scenario_with_synth(
-        mut self,
-        label: impl Into<String>,
-        vars: &Arc<VarTable>,
-        spec: &OperatorSpec,
-        synth: SynthConfig,
-    ) -> Self {
-        self.scenarios.push(Scenario {
-            label: label.into(),
-            vars: Arc::clone(vars),
-            spec: spec.clone(),
-            synth: Some(synth),
             family: None,
         });
         self
@@ -883,11 +862,6 @@ impl SearchRun {
     /// Blocking iterator over the run's events; ends when the run finishes.
     pub fn events(&self) -> impl Iterator<Item = SearchEvent> + '_ {
         self.events.iter()
-    }
-
-    /// Non-blocking: the next event if one is ready.
-    pub fn try_next_event(&self) -> Option<SearchEvent> {
-        self.events.try_recv().ok()
     }
 
     /// The run's cancellation token (same token every call).
@@ -1369,10 +1343,9 @@ impl EvalContext {
 /// discipline at any width: every job shares the one process-locked
 /// [`Store`], whose internal mutex serializes journal appends.
 fn run_scenario(shared: &Arc<Shared>, index: usize, scenario: &Scenario) -> Vec<Candidate> {
-    let config = scenario
+    let config = shared
         .synth
         .clone()
-        .or_else(|| shared.synth.clone())
         .unwrap_or_else(|| SynthConfig::auto(&scenario.vars, 4));
     let enumerator = Enumerator::new(config);
     let root = PGraph::new(Arc::clone(&scenario.vars), scenario.spec.clone());

@@ -3,6 +3,7 @@
 //! A file of its own, so that no other test's pool is alive beside it.
 #![cfg(target_os = "linux")]
 
+use std::time::{Duration, Instant};
 use syno_core::prelude::*;
 use syno_nn::{ProxyConfig, TrainConfig};
 use syno_search::{MctsConfig, SearchBuilder, SearchEvent};
@@ -68,5 +69,14 @@ fn a_runs_own_evaluators_are_joined_before_join_returns() {
     }
     assert!(seen_alive, "the run must tune a candidate on its pool");
     run.join().unwrap();
+    // A joined thread has exited in user space, but the kernel unlists its
+    // task a moment later (`pthread_join` wakes on the tid futex, which is
+    // cleared before the task is reaped). A leaked evaluator stays parked on
+    // its queue for good, so waiting for the list to empty tells the two
+    // apart.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !evaluator_threads().is_empty() && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
     assert_eq!(evaluator_threads(), Vec::<String>::new());
 }

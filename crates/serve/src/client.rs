@@ -227,8 +227,10 @@ pub struct SynoClient {
     demux: Arc<Demux>,
     control_rx: Mutex<Receiver<Frame>>,
     reader: Option<thread::JoinHandle<()>>,
-    timeout: Duration,
 }
+
+/// How long a blocking call waits for the daemon's reply.
+const REPLY_TIMEOUT: Duration = Duration::from_secs(120);
 
 impl std::fmt::Debug for SynoClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -291,14 +293,7 @@ impl SynoClient {
             demux,
             control_rx: Mutex::new(control_rx),
             reader: Some(reader),
-            timeout: Duration::from_secs(120),
         })
-    }
-
-    /// Replaces the reply deadline used by the blocking calls (default
-    /// 120 s).
-    pub fn set_timeout(&mut self, timeout: Duration) {
-        self.timeout = timeout;
     }
 
     fn send(&self, frame: &Frame) -> Result<(), ServeError> {
@@ -311,7 +306,7 @@ impl SynoClient {
     /// (and dropping) non-matching control frames.
     fn wait_control(&self, want: impl Fn(&Frame) -> bool) -> Result<Frame, ServeError> {
         let control = self.control_rx.lock().expect("control queue lock");
-        let deadline = Instant::now() + self.timeout;
+        let deadline = Instant::now() + REPLY_TIMEOUT;
         loop {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {

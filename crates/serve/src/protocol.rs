@@ -2,8 +2,8 @@
 //!
 //! `syno_core::codec` owns the *envelope* — the tagged, length-prefixed,
 //! checksummed `[tag u8][len u32][payload][checksum u32]` layout shared
-//! with the store journal and the trace log. This module owns what the wire
-//! makes of it: the tag byte is a [`FrameKind`], a payload is at most
+//! with the store journal. This module owns what the wire makes of it: the
+//! tag byte is a [`FrameKind`], a payload is at most
 //! [`MAX_FRAME_PAYLOAD`] bytes, and every kind gets a typed [`Frame`]
 //! variant with a versioned binary encoding built from the same
 //! [`Encoder`]/[`Decoder`] primitives as the spec and graph codecs. Each

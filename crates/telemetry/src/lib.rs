@@ -8,10 +8,9 @@
 //! no-crates.io constraint as `crates/shims`):
 //!
 //! * [`trace`] — lightweight spans ([`span!`]) recorded into per-thread
-//!   ring buffers, drained into a structured, versioned event log that
-//!   reuses the [`syno_core::codec`] primitives (so a trace is a
-//!   persistable, replayable artifact like the store journal), plus a
-//!   flamegraph-style text summary ([`trace::flame_summary`]);
+//!   ring buffers and drained into a structured span log
+//!   ([`trace::drain`]), plus a flamegraph-style text summary
+//!   ([`trace::flame_summary`]);
 //! * [`metrics`] — a process-global registry of named counters, gauges,
 //!   and fixed-bucket histograms (atomics only on the hot path),
 //!   snapshotable as a deterministic, sorted Prometheus exposition dump
@@ -33,9 +32,10 @@
 //! enable flag and branches away, so a disabled registry costs a predicted
 //! branch per site — near-zero. Enabling is explicit ([`set_enabled`]) and
 //! process-wide. Enabled spans cost two monotonic clock reads plus one
-//! uncontended per-thread mutex lock on exit; the bench suite keeps the
-//! measured end-to-end overhead on serial search throughput under 5%
-//! (CI warns when it drifts).
+//! uncontended per-thread mutex lock on exit: ≈130 ns a span, and an
+//! end-to-end cost on search throughput inside run-to-run noise (the
+//! benchmark's `telemetry.trace.span_ns` and `telemetry.trace.overhead_frac`,
+//! −0.03…+0.04).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

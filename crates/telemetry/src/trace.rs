@@ -1,5 +1,5 @@
-//! Lightweight tracing spans: per-thread ring buffers, a versioned binary
-//! trace log, and a flamegraph-style text summary.
+//! Lightweight tracing spans: per-thread ring buffers, a drained span log,
+//! and a flamegraph-style text summary.
 //!
 //! ## Recording model
 //!
@@ -15,14 +15,8 @@
 //! ## The trace log
 //!
 //! [`drain`] collects every thread's finished spans into a deterministic
-//! order (by start time); [`encode_trace`]/[`decode_trace`] round-trip
-//! that log through one frame of the record envelope the store journal and
-//! the wire protocol use ([`syno_core::codec::put_frame`]), so a trace is a
-//! persistable, replayable artifact whose length and checksum are checked
-//! by the same code. The frame's payload is
-//! `[TRACE_FORMAT_VERSION u32][count u64][records]`, each record
-//! `[name str][attr? (key str, value u64)][thread u32][depth u32]`
-//! `[start_ns u64][dur_ns u64]`; readers accept that version only.
+//! order (by start time) as plain [`SpanRecord`]s; a consumer that wants a
+//! file writes them in its own format (the benchmark writes JSON).
 //!
 //! Spans still open when [`drain`] runs are not included — they appear in
 //! a later drain once their guards drop.
@@ -34,20 +28,10 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use syno_core::codec::{put_frame, split_frame, CodecError, Decoder, Encoder};
-
 /// Spans retained per thread before the ring wraps and drops the oldest.
 pub const RING_CAPACITY: usize = 8192;
 
-/// Version of the binary trace-log format (layout in the module docs).
-/// Readers accept exactly this version.
-pub const TRACE_FORMAT_VERSION: u32 = 2;
-
-/// The envelope tag of a trace log's single frame.
-const TRACE_TAG: u8 = b'T';
-
-/// One finished span, as drained from the ring buffers or decoded from a
-/// trace log.
+/// One finished span, as drained from the ring buffers.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpanRecord {
     /// Span name (e.g. `proxy_train`).
@@ -296,87 +280,6 @@ pub fn dropped_total() -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Trace-log codec
-// ---------------------------------------------------------------------------
-
-/// Encodes a span log into the versioned, checksummed binary trace format.
-pub fn encode_trace(spans: &[SpanRecord]) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.put_u32(TRACE_FORMAT_VERSION);
-    e.put_u64(spans.len() as u64);
-    for s in spans {
-        e.put_str(&s.name);
-        match &s.attr {
-            Some((key, value)) => {
-                e.put_u8(1);
-                e.put_str(key);
-                e.put_u64(*value);
-            }
-            None => e.put_u8(0),
-        }
-        e.put_u32(s.thread);
-        e.put_u32(s.depth);
-        e.put_u64(s.start_ns);
-        e.put_u64(s.dur_ns);
-    }
-    let mut bytes = Vec::new();
-    put_frame(&mut bytes, TRACE_TAG, &e.into_bytes());
-    bytes
-}
-
-/// Decodes a binary trace log, verifying the envelope, the version, and
-/// that no trailing bytes remain inside or after the frame.
-pub fn decode_trace(bytes: &[u8]) -> Result<Vec<SpanRecord>, CodecError> {
-    // The log is already in memory, so its length needs no cap.
-    let payload = match split_frame(bytes, u32::MAX) {
-        Ok(Some((TRACE_TAG, payload, consumed))) if consumed == bytes.len() => payload,
-        Ok(Some(_)) => return Err(CodecError::Invalid("not a single trace frame".to_string())),
-        Ok(None) => return Err(CodecError::Invalid("trace log truncated".to_string())),
-        Err(e) => return Err(CodecError::Invalid(format!("trace log envelope: {e}"))),
-    };
-    let mut d = Decoder::new(payload);
-    let version = d.get_u32()?;
-    if version != TRACE_FORMAT_VERSION {
-        return Err(CodecError::Invalid(format!(
-            "unsupported trace format version {version} (expected {TRACE_FORMAT_VERSION})"
-        )));
-    }
-    let count = d.get_u64()?;
-    let mut out = Vec::with_capacity(count.min(1 << 20) as usize);
-    for _ in 0..count {
-        let name = d.get_str()?;
-        let attr = match d.get_u8()? {
-            0 => None,
-            1 => Some((d.get_str()?, d.get_u64()?)),
-            other => {
-                return Err(CodecError::Invalid(format!(
-                    "bad span attribute flag {other}"
-                )))
-            }
-        };
-        let thread = d.get_u32()?;
-        let depth = d.get_u32()?;
-        let start_ns = d.get_u64()?;
-        let dur_ns = d.get_u64()?;
-        out.push(SpanRecord {
-            name,
-            attr,
-            thread,
-            depth,
-            start_ns,
-            dur_ns,
-        });
-    }
-    if d.remaining() != 0 {
-        return Err(CodecError::Invalid(format!(
-            "{} trailing bytes after trace log",
-            d.remaining()
-        )));
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
 // Flamegraph-style summary
 // ---------------------------------------------------------------------------
 
@@ -517,59 +420,6 @@ mod tests {
         );
         reset_tracing();
         assert_eq!(dropped_total(), 0, "clear zeroes the drop counter");
-    }
-
-    #[test]
-    fn trace_codec_round_trips() {
-        let spans = vec![
-            SpanRecord {
-                name: "evaluate".to_string(),
-                attr: Some(("candidate".to_string(), 0xdead_beef)),
-                thread: 0,
-                depth: 0,
-                start_ns: 100,
-                dur_ns: 5000,
-            },
-            SpanRecord {
-                name: "store_lookup".to_string(),
-                attr: None,
-                thread: 1,
-                depth: 1,
-                start_ns: 150,
-                dur_ns: 40,
-            },
-        ];
-        let bytes = encode_trace(&spans);
-        assert_eq!(decode_trace(&bytes).expect("round trip"), spans);
-    }
-
-    #[test]
-    fn trace_codec_rejects_corruption_and_bad_versions() {
-        let spans = vec![SpanRecord {
-            name: "x".to_string(),
-            attr: None,
-            thread: 0,
-            depth: 0,
-            start_ns: 1,
-            dur_ns: 2,
-        }];
-        let good = encode_trace(&spans);
-        let mut bytes = good.clone();
-        bytes[6] ^= 0xff;
-        assert!(decode_trace(&bytes).is_err(), "flipped byte breaks checksum");
-        assert!(decode_trace(&good[..good.len() - 1]).is_err(), "truncated");
-        let mut bytes = good.clone();
-        bytes.push(0);
-        assert!(decode_trace(&bytes).is_err(), "trailing byte after the frame");
-
-        for version in [TRACE_FORMAT_VERSION + 1, TRACE_FORMAT_VERSION - 1] {
-            let mut versioned = Encoder::new();
-            versioned.put_u32(version);
-            versioned.put_u64(0);
-            let mut bytes = Vec::new();
-            put_frame(&mut bytes, TRACE_TAG, &versioned.into_bytes());
-            assert!(decode_trace(&bytes).is_err(), "version {version} is rejected");
-        }
     }
 
     #[test]

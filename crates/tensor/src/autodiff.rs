@@ -148,11 +148,6 @@ impl Tape {
         }
     }
 
-    /// `true` when this tape runs the naive reference engine.
-    pub fn is_reference(&self) -> bool {
-        self.reference
-    }
-
     /// The execution policy the tape's contractions run under.
     pub fn policy(&self) -> ExecPolicy {
         if self.reference {
@@ -940,7 +935,6 @@ mod tests {
         // gradients included.
         let mut fast = Tape::with_policy(ExecPolicy::serial());
         let mut slow = Tape::new_reference();
-        assert!(!fast.is_reference() && slow.is_reference());
         assert_eq!(slow.policy(), ExecPolicy::serial());
         let f = one_step(&mut fast, 42);
         let s = one_step(&mut slow, 42);

@@ -71,11 +71,6 @@ impl ExecPolicy {
             ..Self::default()
         }
     }
-
-    /// `true` when this policy reproduces PR 5 serial summation order.
-    pub fn is_serial_order(&self) -> bool {
-        self.reduce_width <= 1
-    }
 }
 
 impl Default for ExecPolicy {
@@ -305,8 +300,7 @@ mod tests {
         let p = ExecPolicy::default();
         assert_eq!(p.exec_threads, 1);
         assert_eq!(p.reduce_width, ExecPolicy::PINNED_REDUCE_WIDTH);
-        assert!(ExecPolicy::serial().is_serial_order());
-        assert!(!p.is_serial_order());
+        assert_eq!(ExecPolicy::serial().reduce_width, 1);
     }
 
     #[test]

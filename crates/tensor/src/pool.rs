@@ -81,7 +81,8 @@ impl ScratchPool {
     }
 
     /// An empty pool whose parked bytes never exceed `cap_bytes`.
-    pub fn with_cap(cap_bytes: usize) -> Self {
+    #[cfg(test)]
+    fn with_cap(cap_bytes: usize) -> Self {
         ScratchPool {
             cap_bytes,
             ..Self::default()

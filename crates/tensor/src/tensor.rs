@@ -214,11 +214,6 @@ impl Tensor {
         }
     }
 
-    /// Maximum element (−∞ for empty tensors).
-    pub fn max_all(&self) -> f32 {
-        self.data.iter().copied().fold(f32::NEG_INFINITY, f32::max)
-    }
-
     /// Squared L2 norm.
     pub fn sq_norm(&self) -> f32 {
         self.data.iter().map(|x| x * x).sum()
@@ -322,7 +317,6 @@ mod tests {
         let t = Tensor::from_vec(vec![1.0, -2.0, 3.0, 4.0], &[2, 2]);
         assert_eq!(t.sum_all(), 6.0);
         assert_eq!(t.mean_all(), 1.5);
-        assert_eq!(t.max_all(), 4.0);
         assert_eq!(t.sq_norm(), 1.0 + 4.0 + 9.0 + 16.0);
     }
 

@@ -3,9 +3,8 @@
 //!
 //! * the **metrics registry** rendered as Prometheus exposition text
 //!   (counters/gauges/histograms named `syno_<crate>_<name>`);
-//! * the **span log** drained from the per-thread ring buffers, both as
-//!   a flamegraph-style nesting summary and round-tripped through the
-//!   versioned binary trace codec;
+//! * the **span log** drained from the per-thread ring buffers, as a
+//!   flamegraph-style nesting summary;
 //! * the **per-phase wall breakdown** the search report carries.
 //!
 //! Telemetry is strictly out-of-band: the same run with it disabled
@@ -60,20 +59,10 @@ fn main() {
     );
     println!("phases: {}\n", report.phases);
 
-    // 2. The span log: drain every thread's ring buffer, summarize the
-    //    nesting, and show the versioned codec round-trip the daemon and
-    //    CI artifacts use.
+    // 2. The span log: drain every thread's ring buffer and summarize the
+    //    nesting.
     let spans = trace::drain();
     println!("{}", trace::flame_summary(&spans));
-    let encoded = trace::encode_trace(&spans);
-    let decoded = trace::decode_trace(&encoded).expect("trace codec round-trips");
-    println!(
-        "trace codec: {} spans -> {} bytes -> {} spans (format v{})\n",
-        spans.len(),
-        encoded.len(),
-        decoded.len(),
-        trace::TRACE_FORMAT_VERSION
-    );
 
     // 3. The metrics registry, rendered as deterministic (sorted)
     //    Prometheus exposition text. `*_seconds` series carry timings and

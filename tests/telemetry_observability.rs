@@ -1,8 +1,8 @@
 //! The telemetry out-of-band contract, end to end: enabling tracing +
 //! metrics must not change what the search discovers (bit-identical
 //! candidate sets), the metrics dump must be byte-stable across
-//! identical runs once timing series are stripped, the span log must
-//! survive its versioned codec, and the daemon must serve the live dump
+//! identical runs once timing series are stripped, the drained span log
+//! must name the search's phases, and the daemon must serve the live dump
 //! over the wire.
 //!
 //! Every test here mutates the process-global telemetry state, so they
@@ -156,9 +156,8 @@ fn metrics_dump_is_byte_stable_across_identical_runs() {
     );
 }
 
-/// The span log drains, encodes through the versioned trace codec, and
-/// decodes to the identical records; the flamegraph summary reflects the
-/// search's span taxonomy.
+/// The span log drains and its flamegraph summary reflects the search's
+/// span taxonomy.
 #[test]
 fn trace_log_survives_its_versioned_codec() {
     let _guard = metrics::test_lock();
@@ -170,10 +169,6 @@ fn trace_log_survives_its_versioned_codec() {
 
     let spans = trace::drain();
     assert!(!spans.is_empty(), "the run recorded spans");
-    let encoded = trace::encode_trace(&spans);
-    let decoded = trace::decode_trace(&encoded).expect("trace decodes");
-    assert_eq!(decoded, spans, "codec round trip is exact");
-
     let summary = trace::flame_summary(&spans);
     for name in ["synthesis", "ucb_select", "proxy_train", "latency_tune"] {
         assert!(summary.contains(name), "summary mentions '{name}':\n{summary}");
