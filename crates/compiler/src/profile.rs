@@ -10,7 +10,7 @@
 //! it falls back to ATen kernels instead of generating native code.
 
 use syno_core::graph::PGraph;
-use syno_ir::eager::{self, Executor};
+use syno_ir::eager;
 use syno_ir::{lower_optimized, Kernel, LowerError};
 
 /// Whether the operator is a stock library operator or a Syno discovery.
@@ -87,103 +87,6 @@ impl OperatorProfile {
     }
 }
 
-/// Shape-tracking executor: replays the eager lowering recording only
-/// shapes and per-op costs.
-#[derive(Debug, Default)]
-struct ShapeExecutor {
-    shapes: Vec<Vec<usize>>,
-    chain: Vec<ChainOp>,
-}
-
-impl ShapeExecutor {
-    fn insert(&mut self, shape: Vec<usize>) -> usize {
-        self.shapes.push(shape);
-        self.shapes.len() - 1
-    }
-
-    fn numel(&self, h: usize) -> f64 {
-        self.shapes[h].iter().product::<usize>() as f64
-    }
-
-    fn log_move(&mut self, src: usize, dst_shape: &[usize], flops: f64) -> usize {
-        let out: f64 = dst_shape.iter().product::<usize>() as f64;
-        let bytes = (self.numel(src) + out) * 4.0;
-        self.chain.push(ChainOp { bytes, flops });
-        self.insert(dst_shape.to_vec())
-    }
-}
-
-impl Executor for ShapeExecutor {
-    type Handle = usize;
-
-    fn shape(&self, h: usize) -> &[usize] {
-        &self.shapes[h]
-    }
-    fn reshape(&mut self, h: usize, shape: &[usize]) -> usize {
-        // Reshape of a contiguous tensor is free (a view).
-        let _ = h;
-        self.insert(shape.to_vec())
-    }
-    fn permute(&mut self, h: usize, perm: &[usize]) -> usize {
-        // A stride view in PyTorch — free until a kernel consumes it.
-        let src = self.shapes[h].clone();
-        let dst: Vec<usize> = perm.iter().map(|&p| src[p]).collect();
-        self.insert(dst)
-    }
-    fn unfold(&mut self, h: usize, axis: usize, k: usize) -> usize {
-        let _ = axis;
-        let mut dst = self.shapes[h].clone();
-        dst.push(k);
-        self.log_move(h, &dst, 0.0)
-    }
-    fn roll(&mut self, h: usize, _axis: usize, _amount: i64) -> usize {
-        let dst = self.shapes[h].clone();
-        self.log_move(h, &dst, 0.0)
-    }
-    fn strided(&mut self, h: usize, axis: usize, s: usize) -> usize {
-        // Strided narrowing is a view.
-        let mut dst = self.shapes[h].clone();
-        dst[axis] /= s;
-        self.insert(dst)
-    }
-    fn repeat(&mut self, h: usize, axis: usize, times: usize) -> usize {
-        // Broadcast (`expand`) is a stride-0 view; the consuming einsum
-        // never materializes it.
-        let mut dst = self.shapes[h].clone();
-        dst.insert(axis, times);
-        self.insert(dst)
-    }
-    fn sum_axis(&mut self, h: usize, axis: usize) -> usize {
-        let mut dst = self.shapes[h].clone();
-        dst.remove(axis);
-        let flops = self.numel(h);
-        self.log_move(h, &dst, flops)
-    }
-    fn einsum(&mut self, spec: &str, inputs: &[usize]) -> usize {
-        let parsed = syno_tensor::EinsumSpec::parse(spec).expect("valid spec");
-        // Bind letters to extents.
-        let mut extents = std::collections::BTreeMap::new();
-        for (letters, &h) in parsed.inputs.iter().zip(inputs) {
-            for (&c, &e) in letters.iter().zip(&self.shapes[h]) {
-                extents.insert(c, e);
-            }
-        }
-        let out_shape: Vec<usize> = parsed.output.iter().map(|c| extents[c]).collect();
-        let iter_space: f64 = parsed
-            .all_indices()
-            .iter()
-            .map(|c| extents[c] as f64)
-            .product();
-        let in_bytes: f64 = inputs.iter().map(|&h| self.numel(h)).sum::<f64>() * 4.0;
-        let out_elems: f64 = out_shape.iter().product::<usize>() as f64;
-        self.chain.push(ChainOp {
-            bytes: in_bytes + out_elems * 4.0,
-            flops: iter_space * inputs.len() as f64,
-        });
-        self.insert(out_shape)
-    }
-}
-
 /// Characterizes a complete pGraph under `valuation`.
 ///
 /// # Errors
@@ -248,22 +151,15 @@ pub fn profile_kernel(kernel: &Kernel) -> Vec<StageProfile> {
 }
 
 /// The eager op chain of a graph (empty when the graph is not
-/// eager-realizable; such operators always fall back at full kernel cost).
+/// eager-realizable; such operators always fall back at full kernel cost):
+/// the kernels [`eager::validate`] logs, at four bytes an element.
 pub fn eager_chain(graph: &PGraph, valuation: usize) -> Vec<ChainOp> {
-    let mut exec = ShapeExecutor::default();
-    let input_shape: Vec<usize> = match graph.spec().input.eval(graph.vars(), valuation) {
-        Some(dims) => dims.iter().map(|&v| v as usize).collect(),
-        None => return Vec::new(),
+    let kernels = eager::validate(graph, valuation, false).unwrap_or_default();
+    let chain_op = |op: &eager::ShapeOp| ChainOp {
+        bytes: (op.read + op.written) as f64 * 4.0,
+        flops: op.flops as f64,
     };
-    let input = exec.insert(input_shape);
-    let weights: Vec<usize> = match eager::weight_shapes(graph, valuation) {
-        Ok(shapes) => shapes.into_iter().map(|s| exec.insert(s)).collect(),
-        Err(_) => return Vec::new(),
-    };
-    match eager::lower_eager(&mut exec, graph, valuation, input, &weights) {
-        Ok(_) => exec.chain,
-        Err(_) => Vec::new(),
-    }
+    kernels.iter().map(chain_op).collect()
 }
 
 #[cfg(test)]

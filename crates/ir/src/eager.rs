@@ -10,13 +10,15 @@
 //! reverse), the live tensor's axes correspond one-to-one to the pGraph
 //! frontier after node *t−1*. Each weight tensor is multiplied in at the
 //! latest point where **all** of its dimension expressions are live as axes
-//! (computed from a forward replay of frontier states); `MatchWeight` dims
-//! become broadcast axes first, so the weight product is always a pure
-//! elementwise einsum over shared axes.
+//! (read off each node's `consumed`/`produced` coordinates — no graph is
+//! replayed); `MatchWeight` dims become broadcast axes first, so the weight
+//! product is always a pure elementwise einsum over shared axes.
 //!
 //! The generator is generic over an [`Executor`] so the identical lowering
-//! drives both the plain tensor runtime (inference) and the autodiff tape
-//! (training).
+//! drives the plain tensor runtime (inference), the autodiff tape (training)
+//! and the shape executor behind [`validate`], which runs no tensor op: it
+//! checks what the tensor ops `assert!` and logs each op's size, so a
+//! candidate is admitted — and its eager chain priced — on shapes alone.
 
 use syno_core::expr::ExprId;
 use syno_core::graph::{CoordId, PGraph};
@@ -70,6 +72,9 @@ impl From<EagerError> for syno_core::error::SynoError {
 }
 
 /// The operations the eager generator needs from its execution substrate.
+///
+/// An op returns `Err` only from an executor that checks its preconditions
+/// instead of asserting them (the shape executor behind [`validate`]).
 pub trait Executor {
     /// Handle to a tensor value.
     type Handle: Copy;
@@ -79,21 +84,21 @@ pub trait Executor {
     /// call (the eager walk queries shapes at every step).
     fn shape(&self, h: Self::Handle) -> &[usize];
     /// Reinterpret shape.
-    fn reshape(&mut self, h: Self::Handle, shape: &[usize]) -> Self::Handle;
+    fn reshape(&mut self, h: Self::Handle, shape: &[usize]) -> Result<Self::Handle, EagerError>;
     /// Permute axes.
-    fn permute(&mut self, h: Self::Handle, perm: &[usize]) -> Self::Handle;
+    fn permute(&mut self, h: Self::Handle, perm: &[usize]) -> Result<Self::Handle, EagerError>;
     /// Sliding-window extraction (zero-padded), trailing window axis.
-    fn unfold(&mut self, h: Self::Handle, axis: usize, k: usize) -> Self::Handle;
+    fn unfold(&mut self, h: Self::Handle, axis: usize, k: usize) -> Result<Self::Handle, EagerError>;
     /// Axis rotation.
-    fn roll(&mut self, h: Self::Handle, axis: usize, amount: i64) -> Self::Handle;
+    fn roll(&mut self, h: Self::Handle, axis: usize, amount: i64) -> Result<Self::Handle, EagerError>;
     /// Strided selection.
-    fn strided(&mut self, h: Self::Handle, axis: usize, s: usize) -> Self::Handle;
+    fn strided(&mut self, h: Self::Handle, axis: usize, s: usize) -> Result<Self::Handle, EagerError>;
     /// Axis insertion with repetition.
-    fn repeat(&mut self, h: Self::Handle, axis: usize, times: usize) -> Self::Handle;
+    fn repeat(&mut self, h: Self::Handle, axis: usize, times: usize) -> Result<Self::Handle, EagerError>;
     /// Axis summation.
-    fn sum_axis(&mut self, h: Self::Handle, axis: usize) -> Self::Handle;
+    fn sum_axis(&mut self, h: Self::Handle, axis: usize) -> Result<Self::Handle, EagerError>;
     /// Einstein summation.
-    fn einsum(&mut self, spec: &str, inputs: &[Self::Handle]) -> Self::Handle;
+    fn einsum(&mut self, spec: &str, inputs: &[Self::Handle]) -> Result<Self::Handle, EagerError>;
     /// `true` when [`Executor::einsum`] records a VJP, which rules out an
     /// operand with a repeated index (see [`EagerError::DiagonalWeight`]).
     fn differentiates(&self) -> bool {
@@ -101,10 +106,7 @@ pub trait Executor {
     }
 }
 
-/// Plain-tensor executor with a scratch-buffer pool and a cached einsum
-/// engine: [`TensorExecutor::reset`] reclaims every value buffer while
-/// keeping the compiled plans, so repeated executions of the same operator
-/// stop allocating after the first.
+/// Plain-tensor executor.
 #[derive(Debug, Default)]
 pub struct TensorExecutor {
     values: Vec<Tensor>,
@@ -119,15 +121,6 @@ impl TensorExecutor {
         Self::default()
     }
 
-    /// Creates an empty executor whose einsums run under `policy` (thread
-    /// count and deterministic reduction-tree width).
-    pub fn with_policy(policy: syno_tensor::ExecPolicy) -> Self {
-        TensorExecutor {
-            engine: syno_tensor::EinsumEngine::with_policy(policy),
-            ..Self::default()
-        }
-    }
-
     /// Registers a tensor, returning its handle.
     pub fn insert(&mut self, t: Tensor) -> usize {
         self.values.push(t);
@@ -138,15 +131,6 @@ impl TensorExecutor {
     pub fn tensor(&self, h: usize) -> &Tensor {
         &self.values[h]
     }
-
-    /// Drops all values, recycling their buffers for the next execution;
-    /// compiled einsum plans survive.
-    pub fn reset(&mut self) {
-        let TensorExecutor { values, pool, .. } = self;
-        for t in values.drain(..) {
-            pool.recycle(t);
-        }
-    }
 }
 
 impl Executor for TensorExecutor {
@@ -155,41 +139,41 @@ impl Executor for TensorExecutor {
     fn shape(&self, h: usize) -> &[usize] {
         self.values[h].shape()
     }
-    fn reshape(&mut self, h: usize, shape: &[usize]) -> usize {
+    fn reshape(&mut self, h: usize, shape: &[usize]) -> Result<usize, EagerError> {
         let t = ops::reshape_in(&mut self.pool, &self.values[h], shape);
-        self.insert(t)
+        Ok(self.insert(t))
     }
-    fn permute(&mut self, h: usize, perm: &[usize]) -> usize {
+    fn permute(&mut self, h: usize, perm: &[usize]) -> Result<usize, EagerError> {
         let t = ops::permute_in(&mut self.pool, &self.values[h], perm);
-        self.insert(t)
+        Ok(self.insert(t))
     }
-    fn unfold(&mut self, h: usize, axis: usize, k: usize) -> usize {
+    fn unfold(&mut self, h: usize, axis: usize, k: usize) -> Result<usize, EagerError> {
         let t = ops::unfold_in(&mut self.pool, &self.values[h], axis, k);
-        self.insert(t)
+        Ok(self.insert(t))
     }
-    fn roll(&mut self, h: usize, axis: usize, amount: i64) -> usize {
+    fn roll(&mut self, h: usize, axis: usize, amount: i64) -> Result<usize, EagerError> {
         let t = ops::roll_in(&mut self.pool, &self.values[h], axis, amount);
-        self.insert(t)
+        Ok(self.insert(t))
     }
-    fn strided(&mut self, h: usize, axis: usize, s: usize) -> usize {
+    fn strided(&mut self, h: usize, axis: usize, s: usize) -> Result<usize, EagerError> {
         let t = ops::strided_in(&mut self.pool, &self.values[h], axis, s);
-        self.insert(t)
+        Ok(self.insert(t))
     }
-    fn repeat(&mut self, h: usize, axis: usize, times: usize) -> usize {
+    fn repeat(&mut self, h: usize, axis: usize, times: usize) -> Result<usize, EagerError> {
         let t = ops::repeat_in(&mut self.pool, &self.values[h], axis, times);
-        self.insert(t)
+        Ok(self.insert(t))
     }
-    fn sum_axis(&mut self, h: usize, axis: usize) -> usize {
+    fn sum_axis(&mut self, h: usize, axis: usize) -> Result<usize, EagerError> {
         let t = ops::sum_axis_in(&mut self.pool, &self.values[h], axis);
-        self.insert(t)
+        Ok(self.insert(t))
     }
-    fn einsum(&mut self, spec: &str, inputs: &[usize]) -> usize {
+    fn einsum(&mut self, spec: &str, inputs: &[usize]) -> Result<usize, EagerError> {
         let TensorExecutor { values, pool, engine } = self;
         let tensors: Vec<&Tensor> = inputs.iter().map(|&h| &values[h]).collect();
         let t = engine
             .einsum(spec, &tensors, pool)
             .expect("eager einsum shapes are consistent");
-        self.insert(t)
+        Ok(self.insert(t))
     }
 }
 
@@ -212,32 +196,159 @@ impl Executor for TapeExecutor<'_> {
     fn shape(&self, h: Var) -> &[usize] {
         self.tape.value(h).shape()
     }
-    fn reshape(&mut self, h: Var, shape: &[usize]) -> Var {
-        self.tape.reshape(h, shape)
+    fn reshape(&mut self, h: Var, shape: &[usize]) -> Result<Var, EagerError> {
+        Ok(self.tape.reshape(h, shape))
     }
-    fn permute(&mut self, h: Var, perm: &[usize]) -> Var {
-        self.tape.permute(h, perm)
+    fn permute(&mut self, h: Var, perm: &[usize]) -> Result<Var, EagerError> {
+        Ok(self.tape.permute(h, perm))
     }
-    fn unfold(&mut self, h: Var, axis: usize, k: usize) -> Var {
-        self.tape.unfold(h, axis, k)
+    fn unfold(&mut self, h: Var, axis: usize, k: usize) -> Result<Var, EagerError> {
+        Ok(self.tape.unfold(h, axis, k))
     }
-    fn roll(&mut self, h: Var, axis: usize, amount: i64) -> Var {
-        self.tape.roll(h, axis, amount)
+    fn roll(&mut self, h: Var, axis: usize, amount: i64) -> Result<Var, EagerError> {
+        Ok(self.tape.roll(h, axis, amount))
     }
-    fn strided(&mut self, h: Var, axis: usize, s: usize) -> Var {
-        self.tape.strided(h, axis, s)
+    fn strided(&mut self, h: Var, axis: usize, s: usize) -> Result<Var, EagerError> {
+        Ok(self.tape.strided(h, axis, s))
     }
-    fn repeat(&mut self, h: Var, axis: usize, times: usize) -> Var {
-        self.tape.repeat(h, axis, times)
+    fn repeat(&mut self, h: Var, axis: usize, times: usize) -> Result<Var, EagerError> {
+        Ok(self.tape.repeat(h, axis, times))
     }
-    fn sum_axis(&mut self, h: Var, axis: usize) -> Var {
-        self.tape.sum_axis(h, axis)
+    fn sum_axis(&mut self, h: Var, axis: usize) -> Result<Var, EagerError> {
+        Ok(self.tape.sum_axis(h, axis))
     }
-    fn einsum(&mut self, spec: &str, inputs: &[Var]) -> Var {
-        self.tape.einsum(spec, inputs)
+    fn einsum(&mut self, spec: &str, inputs: &[Var]) -> Result<Var, EagerError> {
+        Ok(self.tape.einsum(spec, inputs))
     }
     fn differentiates(&self) -> bool {
         true
+    }
+}
+
+/// One kernel of an eager lowering as the shape executor logged it. Views —
+/// a contiguous reshape, a stride permutation, a strided narrowing, a
+/// stride-0 broadcast (`expand`) — launch none in an eager framework and are
+/// not logged: the consuming kernel never materializes them.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct ShapeOp {
+    /// Elements of every operand.
+    pub read: usize,
+    /// Elements of the result.
+    pub written: usize,
+    /// Arithmetic: the iteration space times the operand count for an
+    /// einsum, the elements summed for a `sum_axis`, 0 for data movement.
+    pub flops: usize,
+}
+
+/// The tree's one shape-tracking executor: no tensor is allocated, an op's
+/// violated precondition is [`EagerError::ShapeMismatch`] where the tensor
+/// op would `assert!`, and every kernel is logged with its sizes.
+#[derive(Debug, Default)]
+struct ShapeExecutor {
+    shapes: Vec<Vec<usize>>,
+    log: Vec<ShapeOp>,
+    differentiates: bool,
+}
+
+impl ShapeExecutor {
+    fn insert(&mut self, shape: Vec<usize>) -> usize {
+        self.shapes.push(shape);
+        self.shapes.len() - 1
+    }
+
+    /// Registers a view of shape `out`, once `ok` — the op's precondition —
+    /// holds.
+    fn view(&mut self, ok: bool, what: &'static str, out: Vec<usize>) -> Result<usize, EagerError> {
+        if !ok {
+            return Err(EagerError::ShapeMismatch(what));
+        }
+        Ok(self.insert(out))
+    }
+
+    /// [`view`](Self::view), logged as a kernel that reads `read` elements.
+    fn kernel(
+        &mut self,
+        ok: bool,
+        what: &'static str,
+        out: Vec<usize>,
+        read: usize,
+        flops: usize,
+    ) -> Result<usize, EagerError> {
+        let written = out.iter().product();
+        let h = self.view(ok, what, out)?;
+        self.log.push(ShapeOp { read, written, flops });
+        Ok(h)
+    }
+
+    fn numel(&self, h: usize) -> usize {
+        self.shapes[h].iter().product()
+    }
+}
+
+impl Executor for ShapeExecutor {
+    type Handle = usize;
+
+    fn shape(&self, h: usize) -> &[usize] {
+        &self.shapes[h]
+    }
+    fn reshape(&mut self, h: usize, shape: &[usize]) -> Result<usize, EagerError> {
+        let same = self.numel(h) == shape.iter().product();
+        self.view(same, "reshape element count", shape.to_vec())
+    }
+    fn permute(&mut self, h: usize, perm: &[usize]) -> Result<usize, EagerError> {
+        let src = &self.shapes[h];
+        let mut seen = vec![false; src.len()];
+        let valid = perm.len() == src.len()
+            && perm.iter().all(|&p| p < seen.len() && !std::mem::replace(&mut seen[p], true));
+        let out = perm.iter().filter_map(|&p| src.get(p).copied()).collect();
+        self.view(valid, "permutation", out)
+    }
+    fn unfold(&mut self, h: usize, axis: usize, k: usize) -> Result<usize, EagerError> {
+        let mut out = self.shapes[h].clone();
+        let ok = axis < out.len() && k > 0;
+        out.push(k);
+        self.kernel(ok, "unfold axis or window", out, self.numel(h), 0)
+    }
+    fn roll(&mut self, h: usize, axis: usize, _amount: i64) -> Result<usize, EagerError> {
+        let out = self.shapes[h].clone();
+        self.kernel(axis < out.len(), "roll axis", out, self.numel(h), 0)
+    }
+    fn strided(&mut self, h: usize, axis: usize, s: usize) -> Result<usize, EagerError> {
+        let mut out = self.shapes[h].clone();
+        let ok = axis < out.len() && s > 0 && out[axis].is_multiple_of(s);
+        if ok {
+            out[axis] /= s;
+        }
+        self.view(ok, "stride divisibility", out)
+    }
+    fn repeat(&mut self, h: usize, axis: usize, times: usize) -> Result<usize, EagerError> {
+        let mut out = self.shapes[h].clone();
+        let ok = axis <= out.len();
+        if ok {
+            out.insert(axis, times);
+        }
+        self.view(ok, "repeat axis", out)
+    }
+    fn sum_axis(&mut self, h: usize, axis: usize) -> Result<usize, EagerError> {
+        let mut out = self.shapes[h].clone();
+        let ok = axis < out.len();
+        if ok {
+            out.remove(axis);
+        }
+        self.kernel(ok, "sum axis", out, self.numel(h), self.numel(h))
+    }
+    fn einsum(&mut self, spec: &str, inputs: &[usize]) -> Result<usize, EagerError> {
+        let shapes: Vec<&[usize]> = inputs.iter().map(|&h| self.shapes[h].as_slice()).collect();
+        let bound = syno_tensor::EinsumSpec::parse(spec)
+            .and_then(|parsed| Ok((parsed.bind_extents(&shapes)?, parsed.output)));
+        let (extents, output) = bound.map_err(|_| EagerError::ShapeMismatch("einsum extent binding"))?;
+        let out = output.iter().map(|c| extents[c]).collect();
+        let read = inputs.iter().map(|&h| self.numel(h)).sum();
+        let flops = extents.values().product::<usize>() * inputs.len();
+        self.kernel(true, "einsum", out, read, flops)
+    }
+    fn differentiates(&self) -> bool {
+        self.differentiates
     }
 }
 
@@ -266,9 +377,46 @@ pub fn weight_shapes(graph: &PGraph, valuation: usize) -> Result<Vec<Vec<usize>>
         .collect()
 }
 
+/// The declared input shape of `graph` under `valuation`.
+fn input_shape(graph: &PGraph, valuation: usize) -> Result<Vec<usize>, EagerError> {
+    let dims = graph.spec().input.eval(graph.vars(), valuation);
+    Ok(dims.ok_or(EagerError::BadValuation)?.iter().map(|&v| v as usize).collect())
+}
+
 /// Per-slot multiply points: the latest node index `T` such that every dim
 /// expression of the slot is live in the frontier after node `T`.
+///
+/// The frontier after node `t` is the one before it minus the node's
+/// `consumed` coordinates plus its `produced` ones, starting from the output
+/// coordinates; the arena is append-only, so their expressions are the ids
+/// the weight dims were recorded with.
 fn multiply_points(graph: &PGraph) -> Result<Vec<usize>, EagerError> {
+    let mut live: Vec<CoordId> = graph.output_coords();
+    let mut points: Vec<Option<usize>> = vec![None; graph.weight_count()];
+    let applied = std::iter::once(None).chain(graph.nodes().iter().map(Some));
+    for (t, node) in applied.enumerate() {
+        if let Some(node) = node {
+            live.retain(|c| !node.consumed.contains(c));
+            live.extend_from_slice(&node.produced);
+        }
+        let is_live = |e: ExprId| live.iter().any(|&c| graph.coord_expr(c) == e);
+        for (point, weight) in points.iter_mut().zip(graph.weights()) {
+            if weight.dims.iter().all(|d| is_live(d.expr)) {
+                *point = Some(t);
+            }
+        }
+    }
+    points
+        .iter()
+        .enumerate()
+        .map(|(w, point)| point.ok_or(EagerError::WeightNotRealizable(w)))
+        .collect()
+}
+
+/// [`multiply_points`] as it was: a forward replay of every action on a
+/// fresh graph. Kept verbatim as the oracle of the replay-free version.
+#[cfg(test)]
+fn multiply_points_by_replay(graph: &PGraph) -> Result<Vec<usize>, EagerError> {
     // Forward replay of frontier states (as expression sets).
     let n = graph.len();
     let mut frontier_exprs: Vec<Vec<ExprId>> = Vec::with_capacity(n + 1);
@@ -318,7 +466,6 @@ pub fn lower_eager<E: Executor>(
     input: E::Handle,
     weights: &[E::Handle],
 ) -> Result<E::Handle, EagerError> {
-    let vars = graph.vars().clone();
     let perm = graph.match_input().ok_or(EagerError::Incomplete)?;
     if weights.len() != graph.weight_count() {
         return Err(EagerError::ShapeMismatch("weight count"));
@@ -327,21 +474,12 @@ pub fn lower_eager<E: Executor>(
         graph
             .arena()
             .domain(e)
-            .eval(&vars, valuation)
+            .eval(graph.vars(), valuation)
             .map(|v| v as usize)
             .ok_or(EagerError::BadValuation)
     };
 
-    // Check declared input shape.
-    let want_input: Vec<usize> = graph
-        .spec()
-        .input
-        .eval(&vars, valuation)
-        .ok_or(EagerError::BadValuation)?
-        .iter()
-        .map(|&v| v as usize)
-        .collect();
-    if exec.shape(input) != want_input.as_slice() {
+    if exec.shape(input) != input_shape(graph, valuation)? {
         return Err(EagerError::ShapeMismatch("input"));
     }
 
@@ -352,7 +490,7 @@ pub fn lower_eager<E: Executor>(
     // perm[slot] = input dim for frontier slot => permutation for
     // `ops::permute` is exactly `perm` (output axis slot reads input axis
     // perm[slot]).
-    let mut current = exec.permute(input, &perm);
+    let mut current = exec.permute(input, &perm)?;
     let mut axes: Vec<CoordId> = graph.frontier().to_vec();
 
     // Multiply weights scheduled at T = n (before visiting any node).
@@ -370,7 +508,7 @@ pub fn lower_eager<E: Executor>(
                 let b = eval(graph.coord_expr(*rhs))?;
                 let mut shape = exec.shape(current).to_vec();
                 shape.splice(pos..=pos, [g, b]);
-                current = exec.reshape(current, &shape);
+                current = exec.reshape(current, &shape)?;
                 axes.splice(pos..=pos, [*lhs, *rhs]);
             }
             Action::Merge { coord, .. } => {
@@ -385,48 +523,49 @@ pub fn lower_eager<E: Executor>(
                     order.remove(rpos);
                     let qpos_now = order.iter().position(|&i| i == qpos).expect("q present");
                     order.insert(qpos_now + 1, rpos);
-                    current = exec.permute(current, &order);
+                    current = exec.permute(current, &order)?;
                     axes = order.iter().map(|&i| axes[i]).collect();
                 }
                 let qpos = axis_of(&axes, q)?;
                 let mut shape = exec.shape(current).to_vec();
                 let merged = shape[qpos] * shape[qpos + 1];
                 shape.splice(qpos..=qpos + 1, [merged]);
-                current = exec.reshape(current, &shape);
+                current = exec.reshape(current, &shape)?;
                 axes.splice(qpos..=qpos + 1, [*coord]);
             }
             Action::Shift { coord } => {
                 let out = node.produced[0];
                 let pos = axis_of(&axes, out)?;
-                current = exec.roll(current, pos, 1);
+                current = exec.roll(current, pos, 1)?;
                 axes[pos] = *coord;
             }
             Action::Stride { coord, .. } => {
                 let out = node.produced[0];
                 let pos = axis_of(&axes, out)?;
                 let k = eval(graph.coord_expr(*coord))?;
-                let total = exec.shape(current)[pos];
-                current = exec.strided(current, pos, total / k);
+                let s = exec.shape(current)[pos].checked_div(k);
+                let s = s.ok_or(EagerError::ShapeMismatch("stride divisibility"))?;
+                current = exec.strided(current, pos, s)?;
                 axes[pos] = *coord;
             }
             Action::Unfold { base, window } => {
                 let out = node.produced[0];
                 let pos = axis_of(&axes, out)?;
                 let k = eval(graph.coord_expr(*window))?;
-                current = exec.unfold(current, pos, k);
+                current = exec.unfold(current, pos, k)?;
                 axes[pos] = *base;
                 axes.push(*window);
             }
             Action::Expand { coord } => {
                 let times = eval(graph.coord_expr(*coord))?;
                 let pos = axes.len();
-                current = exec.repeat(current, pos, times);
+                current = exec.repeat(current, pos, times)?;
                 axes.push(*coord);
             }
             Action::Reduce { .. } => {
                 let out = node.produced[0];
                 let pos = axis_of(&axes, out)?;
-                current = exec.sum_axis(current, pos);
+                current = exec.sum_axis(current, pos)?;
                 axes.remove(pos);
             }
             Action::Share { coord, .. } => {
@@ -441,7 +580,7 @@ pub fn lower_eager<E: Executor>(
                 // the coordinate exists on the frontier.
                 let times = eval(graph.coord_expr(*coord))?;
                 let pos = axes.len();
-                current = exec.repeat(current, pos, times);
+                current = exec.repeat(current, pos, times)?;
                 axes.push(*coord);
             }
         }
@@ -457,7 +596,7 @@ pub fn lower_eager<E: Executor>(
         .iter()
         .map(|c| axis_of(&axes, *c))
         .collect::<Result<_, _>>()?;
-    Ok(exec.permute(current, &perm_out))
+    exec.permute(current, &perm_out)
 }
 
 fn axis_of(axes: &[CoordId], coord: CoordId) -> Result<usize, EagerError> {
@@ -508,9 +647,35 @@ fn multiply_due<E: Executor>(
             String::from_utf8_lossy(&weight_letters),
             String::from_utf8_lossy(&data_letters),
         );
-        *current = exec.einsum(&spec, &[*current, weights[w]]);
+        *current = exec.einsum(&spec, &[*current, weights[w]])?;
     }
     Ok(())
+}
+
+/// Lowers `graph` on shapes alone: `Ok` exactly when [`lower_eager`] succeeds
+/// on tensors shaped per the spec and [`weight_shapes`] — on an executor that
+/// differentiates its einsums when `differentiates` — at the cost of no
+/// tensor op. Returns the kernels the lowering launches, in order.
+///
+/// # Errors
+///
+/// See [`EagerError`].
+pub fn validate(
+    graph: &PGraph,
+    valuation: usize,
+    differentiates: bool,
+) -> Result<Vec<ShapeOp>, EagerError> {
+    let mut exec = ShapeExecutor {
+        differentiates,
+        ..ShapeExecutor::default()
+    };
+    let input = exec.insert(input_shape(graph, valuation)?);
+    let weights: Vec<usize> = weight_shapes(graph, valuation)?
+        .into_iter()
+        .map(|shape| exec.insert(shape))
+        .collect();
+    lower_eager(&mut exec, graph, valuation, input, &weights)?;
+    Ok(exec.log)
 }
 
 /// Executes `graph` eagerly on plain tensors.
@@ -545,4 +710,115 @@ pub fn record(
 ) -> Result<Var, EagerError> {
     let mut exec = TapeExecutor::new(tape);
     lower_eager(&mut exec, graph, valuation, input, weights)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Arc;
+    use syno_core::prelude::*;
+
+    proptest! {
+        /// The schedule read off the nodes equals the replayed one — on
+        /// rollout-sampled operators of the searches' toy vision spec
+        /// `[N, Cin, H, W] → [N, Cout, H, W]` and toy sequence spec
+        /// `[B, T, C] → [B, T, C]`, and on a vision operator no rollout here
+        /// reaches: its weight's dims (`H` before a shift, the reduced `Cin`
+        /// after it) are never live together.
+        #[test]
+        fn replay_free_schedule_matches_the_replay(seed in 0u64..u64::MAX) {
+            let shape = |dims: &[VarId]| TensorShape::new(dims.iter().map(|&d| Size::var(d)).collect());
+            let mut vars = VarTable::new();
+            let [n, cin, cout, h, w] = ["N", "Cin", "Cout", "H", "W"].map(|v| vars.declare(v, VarKind::Primary));
+            let k = vars.declare("k", VarKind::Coefficient);
+            vars.push_valuation(vec![(n, 4), (cin, 3), (cout, 4), (h, 8), (w, 8), (k, 3)]);
+            let vision = OperatorSpec::new(shape(&[n, cin, h, w]), shape(&[n, cout, h, w]));
+            let mut seq_vars = VarTable::new();
+            let [b, t, c] = ["B", "T", "C"].map(|v| seq_vars.declare(v, VarKind::Primary));
+            let k = seq_vars.declare("k", VarKind::Coefficient);
+            seq_vars.push_valuation(vec![(b, 4), (t, 4), (c, 8), (k, 2)]);
+            let sequence = OperatorSpec::new(shape(&[b, t, c]), shape(&[b, t, c]));
+
+            let vars = vars.into_shared();
+            let g = PGraph::new(Arc::clone(&vars), vision.clone());
+            let (co, h) = (g.frontier()[1], g.frontier()[2]);
+            let g = g.apply(&Action::Share { coord: h, weight: 0 }).unwrap();
+            let g = g.apply(&Action::Shift { coord: g.last_node().unwrap().produced[0] }).unwrap();
+            let g = g.apply(&Action::Expand { coord: co }).unwrap();
+            let g = g.apply(&Action::Reduce { domain: Size::var(cin) }).unwrap();
+            let g = g.apply(&Action::Share { coord: g.last_node().unwrap().produced[0], weight: 0 }).unwrap();
+            assert_eq!(multiply_points(&g), Err(EagerError::WeightNotRealizable(0)));
+
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut sampled = vec![Box::new(g)];
+            for (vars, spec) in [(vars, vision), (seq_vars.into_shared(), sequence)] {
+                let enumerator = Enumerator::new(SynthConfig::auto(&vars, 5));
+                let root = PGraph::new(vars, spec);
+                sampled.extend((0..40).find_map(|_| match rollout(&mut rng, &enumerator, &root, true) {
+                    RolloutResult::Complete(g) => Some(g),
+                    _ => None,
+                }));
+            }
+            for g in sampled {
+                assert_eq!(multiply_points(&g), multiply_points_by_replay(&g), "on\n{}", g.render());
+            }
+        }
+    }
+
+    /// One call per precondition a tensor op asserts, each violating it on a
+    /// `[2, 3]` operand `h`.
+    fn violate<E: Executor<Handle = usize>>(exec: &mut E, h: usize, case: usize) -> Result<usize, EagerError> {
+        match case {
+            0 => exec.reshape(h, &[5]),
+            1 => exec.permute(h, &[0, 0]),
+            2 => exec.permute(h, &[0]),
+            3 => exec.unfold(h, 2, 3),
+            4 => exec.unfold(h, 0, 0),
+            5 => exec.roll(h, 2, 1),
+            6 => exec.strided(h, 1, 2),
+            7 => exec.strided(h, 0, 0),
+            8 => exec.repeat(h, 3, 2),
+            9 => exec.sum_axis(h, 2),
+            10 => exec.einsum("ab,b->a", &[h, h]),
+            11 => exec.einsum("ab,ca->b", &[h, h]),
+            _ => exec.einsum("ab->c", &[h]),
+        }
+    }
+
+    /// No graph `PGraph::apply` admits lowers to a violating op, so the
+    /// preconditions are exercised on the executors directly: where the
+    /// tensor executor panics, the shape executor returns the typed error.
+    #[test]
+    fn shape_executor_types_what_the_tensor_ops_assert() {
+        for case in 0..=12 {
+            let mut shapes = ShapeExecutor::default();
+            let h = shapes.insert(vec![2, 3]);
+            let typed = violate(&mut shapes, h, case);
+            assert!(matches!(typed, Err(EagerError::ShapeMismatch(_))), "case {case}: {typed:?}");
+            assert!(shapes.log.is_empty(), "case {case}: a refused op is not logged");
+
+            let mut tensors = TensorExecutor::new();
+            let h = tensors.insert(Tensor::zeros(&[2, 3]));
+            let panicked = catch_unwind(AssertUnwindSafe(|| violate(&mut tensors, h, case)));
+            assert!(panicked.is_err(), "case {case}: the tensor op asserts this");
+        }
+    }
+
+    #[test]
+    fn shape_executor_logs_kernels_not_views() {
+        let mut shapes = ShapeExecutor::default();
+        let h = shapes.insert(vec![2, 3]);
+        let u = shapes.unfold(h, 1, 3).unwrap();
+        let p = shapes.permute(u, &[0, 2, 1]).unwrap();
+        let w = shapes.insert(vec![3, 3]);
+        let e = shapes.einsum("acb,bc->ab", &[p, w]).unwrap();
+        let s = shapes.sum_axis(e, 1).unwrap();
+        assert_eq!(shapes.shape(s), &[2]);
+        let op = |read, written, flops| ShapeOp { read, written, flops };
+        assert_eq!(shapes.log, [op(6, 18, 0), op(27, 6, 36), op(6, 2, 6)]);
+    }
 }

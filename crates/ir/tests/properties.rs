@@ -22,6 +22,9 @@
 //!   single-thread pinned bits — values and gradients both (the
 //!   [`ExecPolicy`] contract: thread count never moves a bit, only
 //!   `reduce_width` does);
+//! * recording the input as a tape **constant** instead of a leaf leaves the
+//!   loss and every weight gradient bit-identical, and no op before the first
+//!   weight multiply gets a gradient;
 //! * eager vs. the kernel interpreters must agree element-for-element
 //!   (within FP tolerance — materialized stages legitimately reorder sums);
 //! * `Unfold` clip semantics survive in every engine, including the
@@ -34,8 +37,9 @@ use rand::SeedableRng;
 use std::sync::Arc;
 use syno_core::prelude::*;
 use syno_ir::kernel::OperandRef;
+use syno_ir::eager::{EagerError, Executor};
 use syno_ir::{eager, lower_naive, lower_optimized, Kernel};
-use syno_tensor::{init, ExecPolicy, Tape, Tensor};
+use syno_tensor::{init, ExecPolicy, Tape, Tensor, Var};
 
 fn fixture_vars() -> (Arc<VarTable>, Vec<VarId>) {
     let mut vars = VarTable::new();
@@ -92,6 +96,106 @@ fn assert_close_elementwise(a: &Tensor, b: &Tensor, tol: f32, what: &str, graph:
     }
 }
 
+/// A tape executor that notes every op it records and whether it was a
+/// weight multiply — the one way to name the tape nodes a lowering creates.
+struct NotingTape<'a> {
+    tape: &'a mut Tape,
+    ops: Vec<(Var, bool)>,
+}
+
+impl NotingTape<'_> {
+    fn note(&mut self, v: Var, multiply: bool) -> Result<Var, EagerError> {
+        self.ops.push((v, multiply));
+        Ok(v)
+    }
+}
+
+impl Executor for NotingTape<'_> {
+    type Handle = Var;
+    fn shape(&self, h: Var) -> &[usize] {
+        self.tape.value(h).shape()
+    }
+    fn reshape(&mut self, h: Var, shape: &[usize]) -> Result<Var, EagerError> {
+        let v = self.tape.reshape(h, shape);
+        self.note(v, false)
+    }
+    fn permute(&mut self, h: Var, perm: &[usize]) -> Result<Var, EagerError> {
+        let v = self.tape.permute(h, perm);
+        self.note(v, false)
+    }
+    fn unfold(&mut self, h: Var, axis: usize, k: usize) -> Result<Var, EagerError> {
+        let v = self.tape.unfold(h, axis, k);
+        self.note(v, false)
+    }
+    fn roll(&mut self, h: Var, axis: usize, amount: i64) -> Result<Var, EagerError> {
+        let v = self.tape.roll(h, axis, amount);
+        self.note(v, false)
+    }
+    fn strided(&mut self, h: Var, axis: usize, s: usize) -> Result<Var, EagerError> {
+        let v = self.tape.strided(h, axis, s);
+        self.note(v, false)
+    }
+    fn repeat(&mut self, h: Var, axis: usize, times: usize) -> Result<Var, EagerError> {
+        let v = self.tape.repeat(h, axis, times);
+        self.note(v, false)
+    }
+    fn sum_axis(&mut self, h: Var, axis: usize) -> Result<Var, EagerError> {
+        let v = self.tape.sum_axis(h, axis);
+        self.note(v, false)
+    }
+    fn einsum(&mut self, spec: &str, inputs: &[Var]) -> Result<Var, EagerError> {
+        let v = self.tape.einsum(spec, inputs);
+        self.note(v, true)
+    }
+    fn differentiates(&self) -> bool {
+        true
+    }
+}
+
+/// The training-step differential for one tape-recordable graph: with the
+/// input recorded as a constant rather than a leaf, the loss and every weight
+/// gradient keep their bits, the input has no gradient, and neither has any
+/// op before the first weight multiply (after it, the data is differentiable
+/// through the weight and every op's gradient is still computed).
+fn assert_constant_input_is_gradient_invisible(graph: &PGraph, input: &Tensor, weights: &[Tensor]) {
+    let step = |constant: bool| {
+        let mut tape = Tape::new();
+        let x = match constant {
+            true => tape.constant(input.clone()),
+            false => tape.leaf(input.clone()),
+        };
+        let ws: Vec<Var> = weights.iter().map(|w| tape.leaf(w.clone())).collect();
+        let mut noting = NotingTape { tape: &mut tape, ops: Vec::new() };
+        let out = eager::lower_eager(&mut noting, graph, 0, x, &ws).expect("recordable");
+        let ops = noting.ops;
+        let loss = tape.mean_all(out);
+        let loss_value = tape.value(loss).clone();
+        let grads = tape.backward(loss);
+        let first_multiply = ops.iter().position(|&(_, multiply)| multiply).unwrap_or(ops.len());
+        let upstream: Vec<bool> = std::iter::once(x)
+            .chain(ops[..first_multiply].iter().map(|&(v, _)| v))
+            .map(|v| grads.get(v).is_some())
+            .collect();
+        let weight_grads: Vec<Option<Tensor>> = ws.iter().map(|&w| grads.get(w).cloned()).collect();
+        (loss_value, weight_grads, upstream)
+    };
+    let (leaf_loss, leaf_grads, leaf_upstream) = step(false);
+    let (const_loss, const_grads, const_upstream) = step(true);
+    assert_bits_equal(&const_loss, &leaf_loss, "loss with a constant input", graph);
+    for (constant, leaf) in const_grads.iter().zip(&leaf_grads) {
+        match (constant, leaf) {
+            (Some(c), Some(l)) => assert_bits_equal(c, l, "weight gradient with a constant input", graph),
+            (c, l) => assert_eq!(c.is_some(), l.is_some(), "weight gradient presence"),
+        }
+    }
+    assert!(leaf_upstream.iter().all(|&held| held), "a leaf input is differentiated");
+    assert!(
+        !const_upstream.iter().any(|&held| held),
+        "a constant input, or an op only it reaches, holds a gradient on\n{}",
+        graph.render()
+    );
+}
+
 /// The full differential check for one graph: compiled-vs-reference kernels
 /// are bit-identical (both lowerings), compiled-vs-reference tapes are
 /// bit-identical (values and gradients), and the eager backend agrees with
@@ -125,7 +229,12 @@ fn assert_differential(graph: &PGraph, seed: u64) {
     );
 
     // The eager backend (plain and taped, compiled and reference tapes).
-    match eager::execute(graph, 0, &input, &weights) {
+    // Lowering on shapes alone must end as lowering on tensors does: `Ok`, or
+    // the same typed error.
+    let executed = eager::execute(graph, 0, &input, &weights);
+    let on_shapes = eager::validate(graph, 0, false).map(|_| ());
+    assert_eq!(on_shapes, executed.as_ref().map(|_| ()).map_err(Clone::clone), "on\n{}", graph.render());
+    match executed {
         Ok(eager_out) => {
             assert_close_elementwise(
                 &eager_out,
@@ -150,8 +259,11 @@ fn assert_differential(graph: &PGraph, seed: u64) {
             // engines must agree on *whether* the graph is tape-recordable.
             let fast = run_tape(&mut Tape::new());
             let slow = run_tape(&mut Tape::new_reference());
+            let (on_shapes, on_tape) = (eager::validate(graph, 0, true), fast.as_ref());
+            assert_eq!(on_shapes.map(|_| ()), on_tape.map(|_| ()).map_err(Clone::clone), "on\n{}", graph.render());
             match (fast, slow) {
                 (Ok((fast_out, fast_gx)), Ok((slow_out, slow_gx))) => {
+                    assert_constant_input_is_gradient_invisible(graph, &input, &weights);
                     assert_bits_equal(&fast_out, &slow_out, "tape forward", graph);
                     assert_bits_equal(&fast_out, &eager_out, "tape vs eager", graph);
                     match (&fast_gx, &slow_gx) {
@@ -240,6 +352,23 @@ proptest! {
     }
 }
 
+/// An operator the rollouts above rarely reach: its weight's dims (`H` before
+/// a shift, the reduced `Cin` after it) are never live together, so no eager
+/// lowering — on tensors or on shapes — can place the multiply.
+#[test]
+fn unplaceable_weight_is_the_same_typed_failure_on_shapes() {
+    let (vars, spec) = search_specs()[0].clone();
+    let g = PGraph::new(vars, spec.clone());
+    let (co, h) = (g.frontier()[1], g.frontier()[2]);
+    let g = g.apply(&Action::Share { coord: h, weight: 0 }).unwrap();
+    let g = g.apply(&Action::Shift { coord: g.last_node().unwrap().produced[0] }).unwrap();
+    let g = g.apply(&Action::Expand { coord: co }).unwrap();
+    let g = g.apply(&Action::Reduce { domain: spec.input.dims()[1].clone() }).unwrap();
+    let g = g.apply(&Action::Share { coord: g.last_node().unwrap().produced[0], weight: 0 }).unwrap();
+    assert_eq!(eager::validate(&g, 0, true), Err(EagerError::WeightNotRealizable(0)));
+    assert_differential(&g, 505);
+}
+
 /// What lowering emits, stage by stage: every stage before the last sums
 /// (one stage per reduction group), a `Buffer` operand names an earlier such
 /// stage, and nothing reads the last stage — the only one that may be a pure
@@ -308,6 +437,25 @@ proptest! {
                         assert_only_the_last_stage_may_be_a_pure_map(&kernel, what, &g);
                     }
                 }
+            }
+        }
+    }
+
+    /// The full differential check — the shape lowering and the constant
+    /// input among it — on the first operator each seed's rollouts complete
+    /// of the searches' own vision and sequence specs.
+    #[test]
+    fn search_spec_operators_agree_across_engines(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for (vars, spec) in search_specs() {
+            let enumerator = Enumerator::new(SynthConfig::auto(&vars, 5));
+            let root = PGraph::new(vars, spec);
+            let complete = (0..40).find_map(|_| match rollout(&mut rng, &enumerator, &root, true) {
+                RolloutResult::Complete(g) => Some(g),
+                _ => None,
+            });
+            if let Some(g) = complete {
+                assert_differential(&g, seed);
             }
         }
     }

@@ -13,7 +13,68 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::OnceLock;
 use syno_tensor::{einsum, init, ops, Tensor};
+
+/// One search's task and the batches it deals: a slot per training step and
+/// per evaluation round, filled by whichever candidate's training gets there
+/// first and read-only afterwards. The task seed is fixed per search so that
+/// rewards are comparable, which makes batch *i* the same for every
+/// candidate — it is generated once (`syno_nn_task_batches_total` counts).
+/// Slots fill lazily: a search whose candidates all diverge early never pays
+/// for the later steps, and none waits for batches before its first
+/// candidate.
+#[derive(Debug)]
+pub(crate) struct TaskBatches<T, B> {
+    task: T,
+    deal: fn(&T, u64, usize) -> B,
+    n: usize,
+    train: Vec<OnceLock<B>>,
+    eval: Vec<OnceLock<B>>,
+}
+
+impl<T, B> TaskBatches<T, B> {
+    /// `task` dealing batches of `n` samples through `deal` (its `batch`
+    /// method) into `steps` training and `evals` evaluation slots.
+    pub(crate) fn new(
+        task: T,
+        deal: fn(&T, u64, usize) -> B,
+        n: usize,
+        steps: usize,
+        evals: usize,
+    ) -> Self {
+        let slots = |count| std::iter::repeat_with(OnceLock::new).take(count).collect();
+        TaskBatches {
+            task,
+            deal,
+            n,
+            train: slots(steps),
+            eval: slots(evals),
+        }
+    }
+
+    /// The batch of training step `step`.
+    pub(crate) fn train(&self, step: usize) -> &B {
+        self.fill(&self.train[step], step as u64)
+    }
+
+    /// How many held-out batches there are.
+    pub(crate) fn eval_rounds(&self) -> usize {
+        self.eval.len()
+    }
+
+    /// The `round`-th held-out batch (a stream disjoint from training's).
+    pub(crate) fn eval(&self, round: usize) -> &B {
+        self.fill(&self.eval[round], u64::MAX / 2 - round as u64)
+    }
+
+    fn fill<'a>(&'a self, slot: &'a OnceLock<B>, index: u64) -> &'a B {
+        slot.get_or_init(|| {
+            syno_telemetry::counter!("syno_nn_task_batches_total").inc();
+            (self.deal)(&self.task, index, self.n)
+        })
+    }
+}
 
 /// A teacher-labeled synthetic vision classification task.
 #[derive(Debug)]
@@ -52,14 +113,14 @@ impl VisionTask {
         let half = (self.size / 2).max(1);
         let coarse = init::randn(rng, &[n, self.channels, half, half], 1.0);
         let mut img = Tensor::zeros(&[n, self.channels, self.size, self.size]);
-        for b in 0..n {
-            for c in 0..self.channels {
-                for y in 0..self.size {
-                    for x in 0..self.size {
-                        let v = coarse.get(&[b, c, (y / 2).min(half - 1), (x / 2).min(half - 1)]);
-                        img.set(&[b, c, y, x], v);
-                    }
-                }
+        let (size, coarse) = (self.size, coarse.data());
+        // Output row `y` of a plane repeats coarse row `y / 2`, each cell
+        // twice (the last one once more when the size is odd).
+        for (y, row) in img.data_mut().chunks_exact_mut(size.max(1)).enumerate() {
+            let (plane, y) = (y / size, y % size);
+            let from = &coarse[(plane * half + (y / 2).min(half - 1)) * half..][..half];
+            for (x, cell) in row.iter_mut().enumerate() {
+                *cell = from[(x / 2).min(half - 1)];
             }
         }
         let fine = init::randn(rng, &[n, self.channels, self.size, self.size], 0.3);
@@ -105,11 +166,6 @@ impl VisionTask {
         let images = self.images(&mut rng, n);
         let labels = self.labels(&images);
         (images, labels)
-    }
-
-    /// A held-out evaluation batch (disjoint stream from training batches).
-    pub fn eval_batch(&self, n: usize) -> (Tensor, Vec<usize>) {
-        self.batch(u64::MAX / 2, n)
     }
 }
 

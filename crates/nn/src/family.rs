@@ -7,10 +7,13 @@
 //! [`ProxyFamily`] abstracts what the search actually needs from a proxy:
 //!
 //! * a cheap *spec-compatibility check* ([`ProxyFamily::validate`]) that
-//!   runs before any search thread spawns, and
-//! * a deterministic *train-and-score* step ([`ProxyFamily::score`]) that
-//!   builds a synthetic task plus a small student model around the
-//!   candidate operator and returns a held-out accuracy in `[0, 1]`.
+//!   runs before any search thread spawns,
+//! * a per-search *preparation* ([`ProxyFamily::prepare`]) of everything
+//!   that does not depend on the candidate — the synthetic task and the
+//!   batches it deals — and
+//! * a deterministic *train-and-score* step ([`ProxyScorer::score`]) that
+//!   builds a small student model around the candidate operator, trains it
+//!   on the prepared task and returns a held-out accuracy in `[0, 1]`.
 //!
 //! Two families are registered:
 //!
@@ -31,9 +34,10 @@
 //! `syno-store` journals, so cached evaluations stay attributable across
 //! runs.
 
-use crate::proxy::{self, ProxyConfig};
+use crate::proxy::ProxyConfig;
 use crate::seq;
 use std::fmt;
+use std::sync::Arc;
 use syno_core::error::SynoError;
 use syno_core::graph::PGraph;
 use syno_core::spec::OperatorSpec;
@@ -70,22 +74,57 @@ pub trait ProxyFamily: Send + Sync + fmt::Debug {
         valuation: usize,
     ) -> Result<(), SynoError>;
 
-    /// Builds the family's synthetic task and student model around the
-    /// candidate operator, trains it, and returns held-out accuracy in
-    /// `[0, 1]`. A diverging candidate scores `0.0` (the paper's early
-    /// termination), a structurally unscorable one is a typed error.
+    /// Builds what every candidate of one search shares: the family's
+    /// synthetic task for `spec` and a slot per batch the task will deal,
+    /// filled lazily by the first candidate that trains on it. The scorer
+    /// lives as long as the run that prepared it; nothing is process-global.
     ///
     /// # Errors
     ///
-    /// [`SynoError::Proxy`] / [`SynoError::Eager`] when the candidate
-    /// cannot be realized or does not fit the family's task.
+    /// As [`validate`](ProxyFamily::validate).
+    fn prepare(
+        &self,
+        spec: &OperatorSpec,
+        vars: &VarTable,
+        valuation: usize,
+        config: &ProxyConfig,
+    ) -> Result<Arc<dyn ProxyScorer>, SynoError>;
+
+    /// One-shot scoring: prepares for `graph`'s own spec and scores it — a
+    /// search prepares once and calls [`ProxyScorer::score`] per candidate.
+    ///
+    /// # Errors
+    ///
+    /// As [`prepare`](ProxyFamily::prepare) and [`ProxyScorer::score`].
     fn score(
         &self,
         graph: &PGraph,
         valuation: usize,
         config: &ProxyConfig,
-    ) -> Result<f32, SynoError>;
+    ) -> Result<f32, SynoError> {
+        self.prepare(graph.spec(), graph.vars(), valuation, config)?
+            .score(graph)
+    }
 }
+
+/// A proxy family prepared for one search: scores any candidate of the spec
+/// it was prepared for, from any thread. Deterministic — the same graph
+/// scores the same bits whichever candidate filled the shared batches.
+pub trait ProxyScorer: Send + Sync + fmt::Debug {
+    /// Builds the student model around the candidate operator, trains it,
+    /// and returns held-out accuracy in `[0, 1]`. A diverging candidate
+    /// scores `0.0` (the paper's early termination), a structurally
+    /// unscorable one is a typed error.
+    ///
+    /// # Errors
+    ///
+    /// [`SynoError::Proxy`] / [`SynoError::Eager`] when the candidate
+    /// cannot be realized or is not of the prepared spec.
+    fn score(&self, graph: &PGraph) -> Result<f32, SynoError>;
+}
+
+/// What a scorer answers a graph of another spec than it was prepared for.
+pub(crate) const OTHER_SPEC: &str = "the graph's spec is not the one the scorer was prepared for";
 
 /// Identifies a registered proxy family (stable, persistable).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -130,36 +169,11 @@ impl fmt::Display for ProxyFamilyId {
     }
 }
 
-/// The original 4-D vision proxy as a [`ProxyFamily`].
-///
-/// Pure delegation to [`crate::proxy`]; the score bits are pinned by
+/// The original 4-D vision proxy as a [`ProxyFamily`] (implemented in
+/// [`crate::proxy`]); the score bits are pinned by
 /// `vision_family_scores_are_pinned` below.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct VisionFamily;
-
-impl ProxyFamily for VisionFamily {
-    fn id(&self) -> ProxyFamilyId {
-        ProxyFamilyId::Vision
-    }
-
-    fn validate(
-        &self,
-        spec: &OperatorSpec,
-        vars: &VarTable,
-        valuation: usize,
-    ) -> Result<(), SynoError> {
-        proxy::validate_vision_task(spec, vars, valuation)
-    }
-
-    fn score(
-        &self,
-        graph: &PGraph,
-        valuation: usize,
-        config: &ProxyConfig,
-    ) -> Result<f32, SynoError> {
-        proxy::try_operator_accuracy(graph, valuation, config)
-    }
-}
 
 /// Auto-detects which registered family can score `spec`: the first of
 /// [`ProxyFamilyId::ALL`] whose [`validate`](ProxyFamily::validate)
@@ -341,9 +355,11 @@ mod tests {
         let acc = VisionFamily.score(&g, 0, &config).unwrap();
         assert_eq!(acc.to_bits(), 0x3ec0_0000, "weightless pin: got {acc}");
 
-        // The body behind `score` takes the identical path.
-        let legacy = proxy::try_operator_accuracy(&conv, 0, &config).unwrap();
-        assert_eq!(legacy.to_bits(), 0x3e80_0000);
+        // The body behind `score`: a prepared scorer, asked twice.
+        let scorer = VisionFamily.prepare(conv.spec(), &f.vars, 0, &config).unwrap();
+        for _ in 0..2 {
+            assert_eq!(scorer.score(&conv).unwrap().to_bits(), 0x3e80_0000);
+        }
 
         // Cross-check: the exact PR 5 serial order lands on the same bits
         // here — the width-4 tree reorders FP summation (per-step losses
@@ -387,9 +403,11 @@ mod tests {
         let acc = seq::SequenceFamily.score(&pool, 0, &config).unwrap();
         assert_eq!(acc.to_bits(), 0x3e90_0000, "pool pin: got {acc}");
 
-        // The body behind `score` takes the identical path.
-        let legacy = seq::try_sequence_accuracy(&mm, 0, &config).unwrap();
-        assert_eq!(legacy.to_bits(), 0x3e60_0000);
+        // The body behind `score`: a prepared scorer, asked twice.
+        let scorer = seq::SequenceFamily.prepare(mm.spec(), &vars, 0, &config).unwrap();
+        for _ in 0..2 {
+            assert_eq!(scorer.score(&mm).unwrap().to_bits(), 0x3e60_0000);
+        }
 
         // Serial cross-check, as in the vision pin test: the width-4 tree
         // contract lands on the same accuracy quotient here.

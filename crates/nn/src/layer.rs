@@ -54,23 +54,9 @@ impl OperatorLayer {
     /// realized (incomplete graph, bad valuation, or non-realizable weight).
     pub fn new(graph: PGraph, valuation: usize) -> Result<Self, eager::EagerError> {
         let weight_shapes = eager::weight_shapes(&graph, valuation)?;
-        // Verify realizability once up front with a zero-cost dry run on
-        // shapes: rejecting here keeps training loops panic-free.
-        let input_shape: Vec<usize> = graph
-            .spec()
-            .input
-            .eval(graph.vars(), valuation)
-            .ok_or(eager::EagerError::BadValuation)?
-            .iter()
-            .map(|&v| v as usize)
-            .collect();
-        let mut tape = Tape::new();
-        let x = tape.leaf(Tensor::zeros(&input_shape));
-        let ws: Vec<Var> = weight_shapes
-            .iter()
-            .map(|s| tape.leaf(Tensor::zeros(s)))
-            .collect();
-        eager::record(&mut tape, &graph, valuation, x, &ws)?;
+        // Verify realizability once up front, on shapes alone (no tensor is
+        // built): rejecting here keeps training loops panic-free.
+        eager::validate(&graph, valuation, true)?;
         Ok(OperatorLayer {
             graph,
             valuation,

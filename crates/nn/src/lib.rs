@@ -10,7 +10,7 @@
 //! * [`train`] — SGD with momentum, training loops, accuracy evaluation;
 //! * [`family`] — the task-family proxy registry ([`ProxyFamily`],
 //!   auto-detection via [`resolve_family`]) that routes candidate scoring
-//!   to a per-workload proxy;
+//!   to a per-workload proxy, prepared once per search ([`ProxyScorer`]);
 //! * [`proxy`] — the 4-D vision accuracy proxy (the registry's
 //!   [`ProxyFamilyId::Vision`] member);
 //! * [`seq`] — the sequence/LM proxy for rank-1/2/3 specs (the registry's
@@ -29,12 +29,10 @@ pub mod seq;
 pub mod train;
 
 pub use data::{TextTask, VisionTask};
-pub use family::{resolve_family, ProxyFamily, ProxyFamilyId, VisionFamily};
+pub use family::{resolve_family, ProxyFamily, ProxyFamilyId, ProxyScorer, VisionFamily};
 pub use layer::{GlobalAvgPool, Layer, LinearLayer, Model, OperatorLayer, ReluLayer};
 pub use lm::{LmConfig, QkvProjection, TinyGpt};
 pub use proxy::{validate_proxy_task, validate_vision_task, ProxyConfig};
 pub use seq::SequenceFamily;
 pub use syno_tensor::ExecPolicy;
-pub use train::{
-    accuracy, train_on_task, train_on_task_with, train_step, train_step_on, Sgd, TrainConfig,
-};
+pub use train::{train_step_on, Sgd, TrainConfig};

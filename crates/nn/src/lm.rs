@@ -201,7 +201,7 @@ impl TinyGpt {
         tensors.push(&mut self.head);
         for (var, tensor) in params.iter().zip(tensors) {
             if let Some(g) = grads.get(*var) {
-                *tensor = tensor.sub(&g.scale(lr));
+                crate::train::descend(tensor, g, lr);
             }
         }
         tape.recycle_gradients(grads);

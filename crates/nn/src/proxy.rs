@@ -12,14 +12,17 @@
 //! [`validate_proxy_task`] spans the whole registry.
 
 use crate::data::VisionTask;
+use crate::family::{ProxyFamily, ProxyFamilyId, ProxyScorer, VisionFamily, OTHER_SPEC};
 use crate::layer::{GlobalAvgPool, LinearLayer, Model, OperatorLayer, ReluLayer};
-use crate::train::{train_on_task, TrainConfig};
+use crate::train::{train_on_task, vision_batches, TrainConfig, VisionBatches};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use syno_core::error::SynoError;
 use syno_core::graph::PGraph;
 use syno_core::spec::OperatorSpec;
 use syno_core::var::VarTable;
+use syno_tensor::Tape;
 
 /// Proxy-task configuration: the operator is trained inside a
 /// conv→relu→pool→linear student whose conv slot it fills.
@@ -70,7 +73,7 @@ pub fn validate_proxy_task(
 /// Checks that `spec` is scorable by the **vision** proxy under
 /// `valuation`: both shapes must evaluate and be the 4-D `[N, C, H, W]`
 /// layout. The precondition behind the vision family's
-/// [`score`](crate::family::ProxyFamily::score).
+/// [`prepare`](crate::family::ProxyFamily::prepare).
 ///
 /// # Errors
 ///
@@ -114,39 +117,72 @@ fn task_shapes(
     Ok((dims, out_dims))
 }
 
-/// Evaluates a candidate operator's proxy accuracy in `[0, 1]`, reporting
-/// *why* a candidate cannot be scored instead of silently zeroing it.
-///
-/// The operator must map `[N, Cin, H, W] → [N, Cout, H, W]` under
-/// `valuation`. Errors are [`SynoError::Eager`] for non-realizable graphs
-/// and [`SynoError::Proxy`] for shape mismatches with the vision task.
-pub(crate) fn try_operator_accuracy(
-    graph: &PGraph,
+/// Teacher classes of the vision task.
+const CLASSES: usize = 4;
+
+/// The vision family prepared for one search: the teacher-labelled task of
+/// the spec's `[N, Cin, H, W]` and the batches every candidate trains on.
+#[derive(Debug)]
+struct VisionScorer {
     valuation: usize,
-    config: &ProxyConfig,
-) -> Result<f32, SynoError> {
-    // Validate the task shape before the (more expensive, potentially
-    // panicking) dry-run tape construction inside `OperatorLayer::new`.
-    let (dims, out_dims) = task_shapes(graph.spec(), graph.vars(), valuation)?;
-    let (batch, channels, height, _) = (dims[0], dims[1], dims[2], dims[3]);
-    let layer = OperatorLayer::new(graph.clone(), valuation)?;
-    let classes = 4usize;
-    let task = VisionTask::new(config.task_seed, channels as usize, height as usize, classes);
+    /// The `(input, output)` shapes prepared for.
+    shapes: (Vec<u64>, Vec<u64>),
+    task: VisionBatches,
+    /// The search's configuration, training at the operator's batch size.
+    config: ProxyConfig,
+}
 
-    let mut rng = StdRng::seed_from_u64(config.init_seed);
-    let mut model = Model::new();
-    model.push(Box::new(layer), &mut rng);
-    model.push(Box::new(ReluLayer), &mut rng);
-    model.push(Box::new(GlobalAvgPool), &mut rng);
-    model.push(
-        Box::new(LinearLayer::new(out_dims[1] as usize, classes)),
-        &mut rng,
-    );
+impl ProxyFamily for VisionFamily {
+    fn id(&self) -> ProxyFamilyId {
+        ProxyFamilyId::Vision
+    }
 
-    let mut train = config.train;
-    train.batch = batch as usize;
-    let (_, acc) = train_on_task(&mut model, &task, &train);
-    Ok(acc)
+    fn validate(
+        &self,
+        spec: &OperatorSpec,
+        vars: &VarTable,
+        valuation: usize,
+    ) -> Result<(), SynoError> {
+        validate_vision_task(spec, vars, valuation)
+    }
+
+    fn prepare(
+        &self,
+        spec: &OperatorSpec,
+        vars: &VarTable,
+        valuation: usize,
+        config: &ProxyConfig,
+    ) -> Result<Arc<dyn ProxyScorer>, SynoError> {
+        let shapes = task_shapes(spec, vars, valuation)?;
+        let (batch, channels, height) = (shapes.0[0], shapes.0[1], shapes.0[2]);
+        let mut config = *config;
+        config.train.batch = batch as usize;
+        let task = VisionTask::new(config.task_seed, channels as usize, height as usize, CLASSES);
+        let task = vision_batches(task, &config.train);
+        Ok(Arc::new(VisionScorer { valuation, shapes, task, config }))
+    }
+}
+
+impl ProxyScorer for VisionScorer {
+    /// The operator must map `[N, Cin, H, W] → [N, Cout, H, W]`. Errors are
+    /// [`SynoError::Eager`] for non-realizable graphs and
+    /// [`SynoError::Proxy`] for a graph of another spec.
+    fn score(&self, graph: &PGraph) -> Result<f32, SynoError> {
+        if task_shapes(graph.spec(), graph.vars(), self.valuation)? != self.shapes {
+            return Err(SynoError::proxy(OTHER_SPEC));
+        }
+        let layer = OperatorLayer::new(graph.clone(), self.valuation)?;
+        let mut rng = StdRng::seed_from_u64(self.config.init_seed);
+        let mut model = Model::new();
+        model.push(Box::new(layer), &mut rng);
+        model.push(Box::new(ReluLayer), &mut rng);
+        model.push(Box::new(GlobalAvgPool), &mut rng);
+        let features = self.shapes.1[1] as usize;
+        model.push(Box::new(LinearLayer::new(features, CLASSES)), &mut rng);
+        let train = &self.config.train;
+        let (_, acc) = train_on_task(&mut Tape::with_policy(train.exec), &mut model, &self.task, train);
+        Ok(acc)
+    }
 }
 
 #[cfg(test)]

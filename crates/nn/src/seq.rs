@@ -27,12 +27,14 @@
 //! temporal/feature axes train to higher accuracy than degenerate ones, and
 //! diverging candidates score `0.0` — the ranking signal the MCTS consumes.
 
-use crate::data::TextTask;
-use crate::family::{ProxyFamily, ProxyFamilyId};
+use crate::data::{TaskBatches, TextTask};
+use crate::family::{ProxyFamily, ProxyFamilyId, ProxyScorer, OTHER_SPEC};
 use crate::layer::{Layer, OperatorLayer};
 use crate::proxy::ProxyConfig;
+use crate::train::descend;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use syno_core::error::SynoError;
 use syno_core::graph::PGraph;
 use syno_core::spec::OperatorSpec;
@@ -53,6 +55,7 @@ const CONTEXT: usize = 1;
 const MIN_EVAL_SAMPLES: usize = 32;
 
 /// The resolved student geometry for one spec.
+#[derive(PartialEq, Debug)]
 struct SeqShapes {
     /// Input dims under the valuation.
     input: Vec<u64>,
@@ -137,28 +140,49 @@ impl ProxyFamily for SequenceFamily {
         seq_shapes(spec, vars, valuation).map(|_| ())
     }
 
-    fn score(
+    fn prepare(
         &self,
-        graph: &PGraph,
+        spec: &OperatorSpec,
+        vars: &VarTable,
         valuation: usize,
         config: &ProxyConfig,
-    ) -> Result<f32, SynoError> {
-        try_sequence_accuracy(graph, valuation, config)
+    ) -> Result<Arc<dyn ProxyScorer>, SynoError> {
+        let shapes = seq_shapes(spec, vars, valuation)?;
+        // Held-out evaluation on disjoint batch streams; small operator
+        // batch sizes are topped up to a stable sample count.
+        let rounds = config
+            .train
+            .eval_batches
+            .max(1)
+            .max(MIN_EVAL_SAMPLES.div_ceil(shapes.batch));
+        let task = TextTask::new(config.task_seed, VOCAB, shapes.context);
+        let task = TaskBatches::new(task, TextTask::batch, shapes.batch, config.train.steps, rounds);
+        Ok(Arc::new(SequenceScorer { valuation, shapes, task, config: *config }))
     }
+}
+
+/// The sequence family prepared for one search: the Markov source at the
+/// spec's context length and the batches every candidate trains on.
+#[derive(Debug)]
+struct SequenceScorer {
+    valuation: usize,
+    shapes: SeqShapes,
+    task: TaskBatches<TextTask, (Vec<usize>, Vec<usize>)>,
+    config: ProxyConfig,
 }
 
 /// The student: embedding table, operator weights, and vocabulary head,
 /// updated by plain SGD (the [`crate::lm`] recipe at proxy scale).
-struct SeqStudent {
-    shapes: SeqShapes,
+struct SeqStudent<'a> {
+    shapes: &'a SeqShapes,
     layer: OperatorLayer,
     embedding: Tensor,
     op_weights: Vec<Tensor>,
     head: Tensor,
 }
 
-impl SeqStudent {
-    fn new(graph: &PGraph, valuation: usize, shapes: SeqShapes, seed: u64) -> Result<Self, SynoError> {
+impl<'a> SeqStudent<'a> {
+    fn new(graph: &PGraph, valuation: usize, shapes: &'a SeqShapes, seed: u64) -> Result<Self, SynoError> {
         let layer = OperatorLayer::new(graph.clone(), valuation)?;
         let mut rng = StdRng::seed_from_u64(seed);
         let embedding = init::randn(&mut rng, &[VOCAB, shapes.embed], 0.5);
@@ -177,7 +201,7 @@ impl SeqStudent {
     /// logits `[batch, VOCAB]` and the parameter vars (embedding, operator
     /// weights…, head — matching [`SeqStudent::params_mut`]).
     fn forward(&self, tape: &mut Tape, contexts: &[usize]) -> (Var, Vec<Var>) {
-        let s = &self.shapes;
+        let s = self.shapes;
         assert_eq!(contexts.len(), s.batch * s.context, "context batch mismatch");
         let emb = tape.leaf(self.embedding.clone());
         let op_vars: Vec<Var> = self.op_weights.iter().map(|w| tape.leaf(w.clone())).collect();
@@ -235,11 +259,7 @@ impl SeqStudent {
         let grads = tape.backward(loss);
         for (var, tensor) in params.iter().zip(self.params_mut()) {
             if let Some(g) = grads.get(*var) {
-                // `w - g·lr`, rounded as `tensor.sub(&g.scale(lr))` rounds it.
-                assert_eq!(tensor.shape(), g.shape(), "gradient shape mismatch");
-                for (w, &g) in tensor.data_mut().iter_mut().zip(g.data()) {
-                    *w -= g * lr;
-                }
+                descend(tensor, g, lr);
             }
         }
         tape.recycle_gradients(grads);
@@ -255,52 +275,37 @@ impl SeqStudent {
     }
 }
 
-/// Evaluates a candidate operator's sequence-proxy accuracy in `[0, 1]`,
-/// reporting *why* a candidate cannot be scored instead of silently
-/// zeroing it. The body of [`SequenceFamily`]'s [`ProxyFamily::score`].
-///
-/// # Errors
-///
-/// [`SynoError::Proxy`] when the spec does not fit the sequence layouts,
-/// [`SynoError::Eager`] when the graph cannot be realized,
-/// [`SynoError::Eval`] when a shape does not evaluate.
-pub(crate) fn try_sequence_accuracy(
-    graph: &PGraph,
-    valuation: usize,
-    config: &ProxyConfig,
-) -> Result<f32, SynoError> {
-    let shapes = seq_shapes(graph.spec(), graph.vars(), valuation)?;
-    let batch = shapes.batch;
-    let context = shapes.context;
-    let task = TextTask::new(config.task_seed, VOCAB, context);
-    let mut student = SeqStudent::new(graph, valuation, shapes, config.init_seed)?;
-
-    // One tape for the whole evaluation: buffers and compiled einsum plans
-    // carry across steps.
-    let mut tape = Tape::with_policy(config.train.exec);
-    for step in 0..config.train.steps {
-        let (contexts, targets) = task.batch(step as u64, batch);
-        let loss = student.train_step(&mut tape, &contexts, &targets, config.train.lr);
-        if !loss.is_finite() {
-            // Diverged — early terminate, like the paper's early stopping.
-            return Ok(0.0);
+impl ProxyScorer for SequenceScorer {
+    /// Errors are [`SynoError::Eager`] when the graph cannot be realized and
+    /// [`SynoError::Proxy`] for a graph of another spec.
+    fn score(&self, graph: &PGraph) -> Result<f32, SynoError> {
+        if seq_shapes(graph.spec(), graph.vars(), self.valuation)? != self.shapes {
+            return Err(SynoError::proxy(OTHER_SPEC));
         }
-    }
+        let mut student = SeqStudent::new(graph, self.valuation, &self.shapes, self.config.init_seed)?;
 
-    // Held-out evaluation on disjoint batch streams; small operator batch
-    // sizes are topped up to a stable sample count.
-    let rounds = config
-        .train
-        .eval_batches
-        .max(1)
-        .max(MIN_EVAL_SAMPLES.div_ceil(batch));
-    let mut correct = 0usize;
-    for i in 0..rounds {
-        let (contexts, targets) = task.batch(u64::MAX / 2 - i as u64, batch);
-        correct += student.correct(&mut tape, &contexts, &targets);
+        // One tape for the whole evaluation: buffers and compiled einsum
+        // plans carry across steps.
+        let train = &self.config.train;
+        let mut tape = Tape::with_policy(train.exec);
+        for step in 0..train.steps {
+            let (contexts, targets) = self.task.train(step);
+            let loss = student.train_step(&mut tape, contexts, targets, train.lr);
+            if !loss.is_finite() {
+                // Diverged — early terminate, like the paper's early stopping.
+                return Ok(0.0);
+            }
+        }
+
+        let rounds = self.task.eval_rounds();
+        let mut correct = 0usize;
+        for i in 0..rounds {
+            let (contexts, targets) = self.task.eval(i);
+            correct += student.correct(&mut tape, contexts, targets);
+        }
+        syno_telemetry::gauge!("syno_tensor_scratch_bytes").set(tape.scratch_bytes() as i64);
+        Ok(correct as f32 / (rounds * self.shapes.batch) as f32)
     }
-    syno_telemetry::gauge!("syno_tensor_scratch_bytes").set(tape.scratch_bytes() as i64);
-    Ok(correct as f32 / (rounds * batch) as f32)
 }
 
 #[cfg(test)]

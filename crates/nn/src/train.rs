@@ -1,8 +1,18 @@
 //! Training loop and optimizer for the proxy models.
 
-use crate::data::VisionTask;
+use crate::data::{TaskBatches, VisionTask};
 use crate::layer::Model;
 use syno_tensor::{ExecPolicy, Tape, Tensor};
+
+/// `w -= g·lr` in place, each element rounded as the allocating
+/// `w - g.scale(lr)` rounded it — the one parameter update of every optimizer
+/// in this crate.
+pub(crate) fn descend(w: &mut Tensor, g: &Tensor, lr: f32) {
+    assert_eq!(w.shape(), g.shape(), "gradient shape mismatch");
+    for (w, &g) in w.data_mut().iter_mut().zip(g.data()) {
+        *w -= g * lr;
+    }
+}
 
 /// SGD with momentum and weight decay.
 #[derive(Debug)]
@@ -40,31 +50,19 @@ impl Sgd {
                 let Some(grad) = grad else { continue };
                 let param = &mut model.params_mut()[l][p];
                 let v = &mut self.velocity[l][p];
-                // v = momentum*v + grad + wd*param ; param -= lr*v
-                let update = grad.add(&param.scale(self.weight_decay));
-                *v = v.scale(self.momentum).add(&update);
-                *param = param.sub(&v.scale(self.lr));
+                // v = momentum*v + (grad + wd*param) ; param -= lr*v
+                assert_eq!(param.shape(), grad.shape(), "gradient shape mismatch");
+                for ((v, &g), &w) in v.data_mut().iter_mut().zip(grad.data()).zip(param.data()) {
+                    *v = *v * self.momentum + (g + w * self.weight_decay);
+                }
+                descend(param, v, self.lr);
             }
         }
     }
 }
 
-/// One optimization step on a labeled batch; returns the loss.
-///
-/// Convenience wrapper over [`train_step_on`] with a throwaway tape;
-/// training loops should hold one tape and call [`train_step_on`] so
-/// buffers and compiled einsum plans carry across steps.
-pub fn train_step(
-    model: &mut Model,
-    opt: &mut Sgd,
-    images: &Tensor,
-    labels: &[usize],
-) -> f32 {
-    let mut tape = Tape::new();
-    train_step_on(&mut tape, model, opt, images, labels)
-}
-
-/// One optimization step recorded on a caller-owned tape. The tape is
+/// One optimization step on a labeled batch, recorded on a caller-owned
+/// tape; returns the loss. The tape is
 /// [`reset`](Tape::reset) first, so step *n+1* reuses step *n*'s buffers
 /// and every einsum runs its already-compiled stride plan.
 pub fn train_step_on(
@@ -75,7 +73,8 @@ pub fn train_step_on(
     labels: &[usize],
 ) -> f32 {
     tape.reset();
-    let x = tape.leaf(images.clone());
+    // The batch is data: nothing reads its gradient, so none is computed.
+    let x = tape.constant(images.clone());
     let (logits, param_vars) = model.forward(tape, x);
     let loss = tape.softmax_cross_entropy(logits, labels);
     let loss_value = tape.value(loss).data()[0];
@@ -89,16 +88,10 @@ pub fn train_step_on(
     loss_value
 }
 
-/// Top-1 accuracy on a labeled batch.
-pub fn accuracy(model: &Model, images: &Tensor, labels: &[usize]) -> f32 {
-    let mut tape = Tape::new();
-    accuracy_on(&mut tape, model, images, labels)
-}
-
-/// [`accuracy`] on a caller-owned (reused) tape.
+/// Top-1 accuracy on a labeled batch, on a caller-owned (reused) tape.
 fn accuracy_on(tape: &mut Tape, model: &Model, images: &Tensor, labels: &[usize]) -> f32 {
     tape.reset();
-    let x = tape.leaf(images.clone());
+    let x = tape.constant(images.clone());
     let (logits, _) = model.forward(tape, x);
     let preds = tape.value(logits).argmax_last();
     let correct = preds
@@ -145,26 +138,31 @@ impl Default for TrainConfig {
     }
 }
 
-/// Trains `model` on `task` and returns `(final_train_loss, eval_accuracy)`.
-pub fn train_on_task(model: &mut Model, task: &VisionTask, config: &TrainConfig) -> (f32, f32) {
-    train_on_task_with(&mut Tape::with_policy(config.exec), model, task, config)
+/// A vision task with its batch slots (see [`TaskBatches`]).
+pub(crate) type VisionBatches = TaskBatches<VisionTask, (Tensor, Vec<usize>)>;
+
+/// `task` with the slots a training under `config` draws from.
+pub(crate) fn vision_batches(task: VisionTask, config: &TrainConfig) -> VisionBatches {
+    let TrainConfig { batch, steps, eval_batches, .. } = *config;
+    TaskBatches::new(task, VisionTask::batch, batch, steps, eval_batches)
 }
 
-/// [`train_on_task`] on a caller-owned tape — the engine-mode hook: pass
-/// [`Tape::new`] for the stride-compiled engine or [`Tape::new_reference`]
-/// for the naive pre-compilation engine (scores are bit-identical either
-/// way; `engines_agree_bitwise` below holds one against the other).
-pub fn train_on_task_with(
+/// Trains `model` on `task` and returns `(final_train_loss, eval_accuracy)`.
+/// The tape is the engine-mode hook: [`Tape::with_policy`] for the
+/// stride-compiled engine or [`Tape::new_reference`] for the naive
+/// pre-compilation engine (scores are bit-identical either way;
+/// `engines_agree_bitwise` below holds one against the other).
+pub(crate) fn train_on_task(
     tape: &mut Tape,
     model: &mut Model,
-    task: &VisionTask,
+    task: &VisionBatches,
     config: &TrainConfig,
 ) -> (f32, f32) {
     let mut opt = Sgd::new(model, config.lr, config.momentum, config.weight_decay);
     let mut last_loss = f32::NAN;
     for step in 0..config.steps {
-        let (images, labels) = task.batch(step as u64, config.batch);
-        last_loss = train_step_on(tape, model, &mut opt, &images, &labels);
+        let (images, labels) = task.train(step);
+        last_loss = train_step_on(tape, model, &mut opt, images, labels);
         if !last_loss.is_finite() {
             // Diverged — early terminate, like the paper's early stopping
             // for bad candidates (§9.1 "terminate early when accuracy is
@@ -176,8 +174,8 @@ pub fn train_on_task_with(
     // (operator layers pin the batch dimension).
     let mut correct_frac = 0.0;
     for i in 0..config.eval_batches {
-        let (images, labels) = task.batch(u64::MAX / 2 - i as u64, config.batch);
-        correct_frac += accuracy_on(tape, model, &images, &labels);
+        let (images, labels) = task.eval(i);
+        correct_frac += accuracy_on(tape, model, images, labels);
     }
     syno_telemetry::gauge!("syno_tensor_scratch_bytes").set(tape.scratch_bytes() as i64);
     (last_loss, correct_frac / config.eval_batches.max(1) as f32)
@@ -218,10 +216,11 @@ mod tests {
         let mut model = small_model(2);
         let mut opt = Sgd::new(&model, 0.05, 0.9, 0.0);
         let (images, labels) = task.batch(0, 16);
-        let first = train_step(&mut model, &mut opt, &images, &labels);
+        let mut tape = Tape::new();
+        let first = train_step_on(&mut tape, &mut model, &mut opt, &images, &labels);
         let mut last = first;
         for _ in 0..15 {
-            last = train_step(&mut model, &mut opt, &images, &labels);
+            last = train_step_on(&mut tape, &mut model, &mut opt, &images, &labels);
         }
         assert!(last < first, "loss must fall: {first} -> {last}");
     }
@@ -235,7 +234,8 @@ mod tests {
             batch: 16,
             ..TrainConfig::default()
         };
-        let (_, acc) = train_on_task(&mut model, &task, &config);
+        let task = vision_batches(task, &config);
+        let (_, acc) = train_on_task(&mut Tape::new(), &mut model, &task, &config);
         assert!(acc > 0.3, "accuracy {acc} must beat 4-way chance");
     }
 
@@ -243,8 +243,8 @@ mod tests {
     fn accuracy_is_bounded() {
         let task = VisionTask::new(29, 3, 8, 4);
         let model = small_model(4);
-        let (images, labels) = task.eval_batch(16);
-        let acc = accuracy(&model, &images, &labels);
+        let (images, labels) = task.batch(u64::MAX / 2, 16);
+        let acc = accuracy_on(&mut Tape::new(), &model, &images, &labels);
         assert!((0.0..=1.0).contains(&acc));
     }
 
@@ -258,7 +258,8 @@ mod tests {
             eval_batches: 2,
             ..TrainConfig::default()
         };
-        let (loss, acc) = train_on_task_with(tape, &mut small_model(99), &task, &config);
+        let task = vision_batches(task, &config);
+        let (loss, acc) = train_on_task(tape, &mut small_model(99), &task, &config);
         (loss.to_bits(), acc.to_bits())
     }
 

@@ -59,7 +59,7 @@ use syno_core::graph::PGraph;
 use syno_core::spec::OperatorSpec;
 use syno_core::synth::{Enumerator, SynthConfig};
 use syno_core::var::VarTable;
-use syno_nn::{resolve_family, ProxyConfig, ProxyFamilyId};
+use syno_nn::{resolve_family, ProxyConfig, ProxyFamilyId, ProxyScorer};
 use syno_store::{CandidateSet, Checkpoint, OpKind, ScoreContract, Store};
 use syno_telemetry::metrics::labeled;
 
@@ -1097,9 +1097,13 @@ enum Source {
 #[derive(Clone)]
 struct EvalContext {
     index: usize,
-    /// The proxy family start() bound this scenario to; provides the
-    /// train-and-score step and tags journaled scores.
+    /// The proxy family start() bound this scenario to; tags journaled
+    /// scores.
     family: ProxyFamilyId,
+    /// The family prepared for this scenario's spec, once per run: every
+    /// candidate trains on the batches it holds. An `Err` — which `start()`'s
+    /// validation rules out — is every candidate's typed skip.
+    scorer: Result<Arc<dyn ProxyScorer>, SynoError>,
     shared: Arc<Shared>,
     candidates: Arc<Mutex<Vec<Candidate>>>,
 }
@@ -1183,7 +1187,7 @@ impl EvalContext {
             // a training actually runs, never on recalls or replays.
             syno_telemetry::counter!("syno_search_proxy_train_total").inc();
             let scored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.family.family().score(graph, 0, &shared.proxy)
+                self.scorer.as_ref().map_err(SynoError::clone)?.score(graph)
             }))
             .unwrap_or_else(|payload| Err(SynoError::proxy(panic_message(payload))))
             .map(|accuracy| f64::from(accuracy).clamp(0.0, 1.0));
@@ -1389,14 +1393,18 @@ fn run_scenario(shared: &Arc<Shared>, index: usize, scenario: &Scenario) -> Vec<
 
     let total_iterations = shared.mcts.iterations as u64;
     let progress = &shared.progress.scenarios[index];
+    // A missing family is a programming error (an internal caller bypassed
+    // start()); failing loudly beats silently burning the iteration budget
+    // on a family that rejects every candidate.
+    let family = scenario
+        .family
+        .expect("start() resolves a proxy family for every scenario");
     let eval = EvalContext {
         index,
-        // A missing family is a programming error (an internal caller
-        // bypassed start()); failing loudly beats silently burning the
-        // iteration budget on a family that rejects every candidate.
-        family: scenario
-            .family
-            .expect("start() resolves a proxy family for every scenario"),
+        family,
+        scorer: family
+            .family()
+            .prepare(&scenario.spec, &scenario.vars, 0, &shared.proxy),
         shared: Arc::clone(shared),
         candidates: Arc::default(),
     };

@@ -4,7 +4,7 @@
 //! synthesized operators (§8's PyTorch backend); this module supplies the
 //! backward passes. A [`Tape`] records every operation eagerly; calling
 //! [`Tape::backward`] replays it in reverse, producing gradients for every
-//! recorded node.
+//! recorded node a differentiable leaf reaches.
 //!
 //! Every structural op of [`crate::ops`] has its adjoint here (`unfold` ↔
 //! `fold_acc`, `strided` ↔ `strided_scatter`, `repeat` ↔ `sum_axis`, …), and
@@ -28,6 +28,15 @@
 //! pre-compilation engine — which the differential-testing suite compares
 //! against; it is bit-identical to
 //! `Tape::with_policy(ExecPolicy::serial())` by construction.
+//!
+//! # Constants
+//!
+//! [`Tape::constant`] records an input nobody differentiates with respect to
+//! (a training batch). Each node carries whether a differentiable
+//! [`Tape::leaf`] reaches it; [`Tape::backward`] visits only those and an
+//! einsum skips the VJP of an operand that is not one, so the part of the
+//! forward that only data flows through has no backward. Gradients that are
+//! computed accumulate the same terms in the same order either way.
 //!
 //! # Limitations
 //!
@@ -57,6 +66,7 @@ impl Var {
 #[allow(dead_code)] // some payloads exist only for the tape's Debug output
 enum Op {
     Leaf,
+    Constant,
     Add(Var, Var),
     Sub(Var, Var),
     Mul(Var, Var),
@@ -83,6 +93,9 @@ enum Op {
 struct Node {
     value: Tensor,
     op: Op,
+    /// Some differentiable [`Tape::leaf`] reaches this node; `backward`
+    /// visits no other.
+    needs_grad: bool,
 }
 
 /// Gradients returned by [`Tape::backward`].
@@ -191,15 +204,26 @@ impl Tape {
         }
     }
 
-    fn push(&mut self, value: Tensor, op: Op) -> Var {
+    /// Records `value` as the result of `op` over `inputs`.
+    fn push(&mut self, value: Tensor, op: Op, inputs: &[Var]) -> Var {
+        let needs_grad =
+            matches!(op, Op::Leaf) || inputs.iter().any(|v| self.nodes[v.0].needs_grad);
         let id = Var(self.nodes.len());
-        self.nodes.push(Node { value, op });
+        self.nodes.push(Node { value, op, needs_grad });
         id
     }
 
-    /// Records an input (leaf) tensor.
+    /// Records an input (leaf) tensor the loss is differentiated with
+    /// respect to.
     pub fn leaf(&mut self, value: Tensor) -> Var {
-        self.push(value, Op::Leaf)
+        self.push(value, Op::Leaf, &[])
+    }
+
+    /// Records an input nobody differentiates with respect to (data, masks):
+    /// [`Tape::backward`] computes no gradient for it, nor for any node that
+    /// only constants reach. Every other gradient keeps its bits.
+    pub fn constant(&mut self, value: Tensor) -> Var {
+        self.push(value, Op::Constant, &[])
     }
 
     /// The forward value of a node.
@@ -215,7 +239,7 @@ impl Tape {
             &self.nodes[b.0].value,
             |x, y| x + y,
         );
-        self.push(v, Op::Add(a, b))
+        self.push(v, Op::Add(a, b), &[a, b])
     }
 
     /// Elementwise difference.
@@ -226,7 +250,7 @@ impl Tape {
             &self.nodes[b.0].value,
             |x, y| x - y,
         );
-        self.push(v, Op::Sub(a, b))
+        self.push(v, Op::Sub(a, b), &[a, b])
     }
 
     /// Elementwise product.
@@ -237,19 +261,19 @@ impl Tape {
             &self.nodes[b.0].value,
             |x, y| x * y,
         );
-        self.push(v, Op::Mul(a, b))
+        self.push(v, Op::Mul(a, b), &[a, b])
     }
 
     /// Scalar multiplication.
     pub fn scale(&mut self, a: Var, c: f32) -> Var {
         let v = ops::map_in(&mut self.pool, &self.nodes[a.0].value, |x| x * c);
-        self.push(v, Op::Scale(a, c))
+        self.push(v, Op::Scale(a, c), &[a])
     }
 
     /// Scalar addition.
     pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
         let v = ops::map_in(&mut self.pool, &self.nodes[a.0].value, |x| x + c);
-        self.push(v, Op::AddScalar(a, c))
+        self.push(v, Op::AddScalar(a, c), &[a])
     }
 
     /// Einstein summation over recorded operands.
@@ -290,6 +314,7 @@ impl Tape {
                 spec: parsed,
                 inputs: inputs.to_vec(),
             },
+            inputs,
         )
     }
 
@@ -301,67 +326,67 @@ impl Tape {
     /// Shape reinterpretation.
     pub fn reshape(&mut self, a: Var, shape: &[usize]) -> Var {
         let v = ops::reshape_in(&mut self.pool, &self.nodes[a.0].value, shape);
-        self.push(v, Op::Reshape(a))
+        self.push(v, Op::Reshape(a), &[a])
     }
 
     /// Axis permutation.
     pub fn permute(&mut self, a: Var, perm: &[usize]) -> Var {
         let v = ops::permute_in(&mut self.pool, &self.nodes[a.0].value, perm);
-        self.push(v, Op::Permute(a, perm.to_vec()))
+        self.push(v, Op::Permute(a, perm.to_vec()), &[a])
     }
 
     /// Sliding-window extraction with zero padding (`Unfold`).
     pub fn unfold(&mut self, a: Var, axis: usize, k: usize) -> Var {
         let v = ops::unfold_in(&mut self.pool, &self.nodes[a.0].value, axis, k);
-        self.push(v, Op::Unfold { input: a, axis, k })
+        self.push(v, Op::Unfold { input: a, axis, k }, &[a])
     }
 
     /// Axis rotation (`Shift`).
     pub fn roll(&mut self, a: Var, axis: usize, amount: i64) -> Var {
         let v = ops::roll_in(&mut self.pool, &self.nodes[a.0].value, axis, amount);
-        self.push(v, Op::Roll { input: a, axis, amount })
+        self.push(v, Op::Roll { input: a, axis, amount }, &[a])
     }
 
     /// Strided selection (`Stride`).
     pub fn strided(&mut self, a: Var, axis: usize, s: usize) -> Var {
         let v = ops::strided_in(&mut self.pool, &self.nodes[a.0].value, axis, s);
-        self.push(v, Op::Strided { input: a, axis, s })
+        self.push(v, Op::Strided { input: a, axis, s }, &[a])
     }
 
     /// Axis insertion with repetition (`Expand`).
     pub fn repeat(&mut self, a: Var, axis: usize, times: usize) -> Var {
         let v = ops::repeat_in(&mut self.pool, &self.nodes[a.0].value, axis, times);
-        self.push(v, Op::Repeat { input: a, axis, times })
+        self.push(v, Op::Repeat { input: a, axis, times }, &[a])
     }
 
     /// Axis summation (`Reduce`).
     pub fn sum_axis(&mut self, a: Var, axis: usize) -> Var {
         let v = ops::sum_axis_in(&mut self.pool, &self.nodes[a.0].value, axis);
-        self.push(v, Op::SumAxis { input: a, axis })
+        self.push(v, Op::SumAxis { input: a, axis }, &[a])
     }
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
         let v = ops::map_in(&mut self.pool, &self.nodes[a.0].value, |x| x.max(0.0));
-        self.push(v, Op::Relu(a))
+        self.push(v, Op::Relu(a), &[a])
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
         let v = ops::map_in(&mut self.pool, &self.nodes[a.0].value, f32::tanh);
-        self.push(v, Op::Tanh(a))
+        self.push(v, Op::Tanh(a), &[a])
     }
 
     /// Softmax over the last axis.
     pub fn softmax_last(&mut self, a: Var) -> Var {
         let v = ops::softmax_last_in(&mut self.pool, &self.nodes[a.0].value);
-        self.push(v, Op::SoftmaxLast(a))
+        self.push(v, Op::SoftmaxLast(a), &[a])
     }
 
     /// Mean of all elements (scalar output).
     pub fn mean_all(&mut self, a: Var) -> Var {
         let v = Tensor::scalar(self.value(a).mean_all());
-        self.push(v, Op::MeanAll(a))
+        self.push(v, Op::MeanAll(a), &[a])
     }
 
     /// Mean-squared error against a constant target (scalar output).
@@ -385,6 +410,7 @@ impl Tape {
                 input: a,
                 target: target.clone(),
             },
+            &[a],
         )
     }
 
@@ -414,6 +440,7 @@ impl Tape {
                 logits,
                 labels: labels.to_vec(),
             },
+            &[logits],
         )
     }
 
@@ -438,6 +465,7 @@ impl Tape {
                 table,
                 ids: ids.to_vec(),
             },
+            &[table],
         )
     }
 
@@ -453,32 +481,44 @@ impl Tape {
         let mut grads: Vec<Option<Tensor>> = Vec::new();
         grads.resize_with(nodes.len(), || None);
         grads[loss.0] = Some(Tensor::ones(nodes[loss.0].value.shape()));
+        let needs = |v: Var| nodes[v.0].needs_grad;
         for id in (0..=loss.0).rev() {
-            if grads[id].is_none() {
+            // A node only constants reach has nothing to pass on: its inputs
+            // are constants too. (A unary op needs a gradient exactly when
+            // its input does, so only the n-ary arms below ask per input.)
+            if grads[id].is_none() || !nodes[id].needs_grad {
                 continue;
             }
             // Detach this node's gradient so downstream accumulation can
             // borrow the rest of `grads`; reattached below.
             let grad = grads[id].take().expect("checked above");
             match &nodes[id].op {
-                Op::Leaf => {}
+                Op::Leaf | Op::Constant => {}
                 Op::Add(a, b) => {
-                    let ga = pool.take_clone(&grad);
-                    add_grad(pool, &mut grads, *a, ga);
-                    let gb = pool.take_clone(&grad);
-                    add_grad(pool, &mut grads, *b, gb);
+                    for v in [*a, *b] {
+                        if needs(v) {
+                            let g = pool.take_clone(&grad);
+                            add_grad(pool, &mut grads, v, g);
+                        }
+                    }
                 }
                 Op::Sub(a, b) => {
-                    let ga = pool.take_clone(&grad);
-                    add_grad(pool, &mut grads, *a, ga);
-                    let neg = ops::map_in(pool, &grad, |x| -x);
-                    add_grad(pool, &mut grads, *b, neg);
+                    if needs(*a) {
+                        let ga = pool.take_clone(&grad);
+                        add_grad(pool, &mut grads, *a, ga);
+                    }
+                    if needs(*b) {
+                        let neg = ops::map_in(pool, &grad, |x| -x);
+                        add_grad(pool, &mut grads, *b, neg);
+                    }
                 }
                 Op::Mul(a, b) => {
-                    let ga = ops::zip_map_in(pool, &grad, &nodes[b.0].value, |g, v| g * v);
-                    let gb = ops::zip_map_in(pool, &grad, &nodes[a.0].value, |g, v| g * v);
-                    add_grad(pool, &mut grads, *a, ga);
-                    add_grad(pool, &mut grads, *b, gb);
+                    for (v, other) in [(*a, *b), (*b, *a)] {
+                        if needs(v) {
+                            let g = ops::zip_map_in(pool, &grad, &nodes[other.0].value, |g, v| g * v);
+                            add_grad(pool, &mut grads, v, g);
+                        }
+                    }
                 }
                 Op::Scale(a, c) => {
                     let c = *c;
@@ -491,6 +531,9 @@ impl Tape {
                 }
                 Op::Einsum { spec, inputs } => {
                     for (wrt, &input) in inputs.iter().enumerate() {
+                        if !needs(input) {
+                            continue;
+                        }
                         let tensors: Vec<&Tensor> =
                             inputs.iter().map(|&v| &nodes[v.0].value).collect();
                         let g = einsum_vjp(engine, pool, *reference, spec, &tensors, &grad, wrt);

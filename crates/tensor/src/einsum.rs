@@ -114,45 +114,47 @@ impl EinsumSpec {
             .collect();
         format!("{}->{}", lhs.join(","), self.output.iter().collect::<String>())
     }
-}
 
-/// Binds index letters to extents across all operand shapes.
-fn bind_extents(
-    spec: &EinsumSpec,
-    shapes: &[&[usize]],
-) -> Result<BTreeMap<char, usize>, EinsumError> {
-    if shapes.len() != spec.inputs.len() {
-        return Err(EinsumError::BadSpec(format!(
-            "{} operands for {} input specs",
-            shapes.len(),
-            spec.inputs.len()
-        )));
-    }
-    let mut extents = BTreeMap::new();
-    for (input, shape) in spec.inputs.iter().zip(shapes) {
-        if input.len() != shape.len() {
+    /// Binds index letters to extents across all operand shapes.
+    ///
+    /// # Errors
+    ///
+    /// [`EinsumError`] when the operand count or a rank disagrees with the
+    /// spec, a letter binds two extents, or an output letter is unbound.
+    pub fn bind_extents(&self, shapes: &[&[usize]]) -> Result<BTreeMap<char, usize>, EinsumError> {
+        if shapes.len() != self.inputs.len() {
             return Err(EinsumError::BadSpec(format!(
-                "operand rank {} != spec arity {}",
-                shape.len(),
-                input.len()
+                "{} operands for {} input specs",
+                shapes.len(),
+                self.inputs.len()
             )));
         }
-        for (&c, &extent) in input.iter().zip(shape.iter()) {
-            match extents.get(&c) {
-                Some(&e) if e != extent => return Err(EinsumError::ExtentMismatch(c)),
-                Some(_) => {}
-                None => {
-                    extents.insert(c, extent);
+        let mut extents = BTreeMap::new();
+        for (input, shape) in self.inputs.iter().zip(shapes) {
+            if input.len() != shape.len() {
+                return Err(EinsumError::BadSpec(format!(
+                    "operand rank {} != spec arity {}",
+                    shape.len(),
+                    input.len()
+                )));
+            }
+            for (&c, &extent) in input.iter().zip(shape.iter()) {
+                match extents.get(&c) {
+                    Some(&e) if e != extent => return Err(EinsumError::ExtentMismatch(c)),
+                    Some(_) => {}
+                    None => {
+                        extents.insert(c, extent);
+                    }
                 }
             }
         }
-    }
-    for &c in &spec.output {
-        if !extents.contains_key(&c) {
-            return Err(EinsumError::UnboundOutput(c));
+        for &c in &self.output {
+            if !extents.contains_key(&c) {
+                return Err(EinsumError::UnboundOutput(c));
+            }
         }
+        Ok(extents)
     }
-    Ok(extents)
 }
 
 /// Output elements one accumulation tile holds: a few KiB, so a tile and the
@@ -234,7 +236,7 @@ impl EinsumPlan {
     ///
     /// Propagates binding errors; see [`EinsumError`].
     pub fn compile(spec: &EinsumSpec, shapes: &[&[usize]]) -> Result<Self, EinsumError> {
-        let extents = bind_extents(spec, shapes)?;
+        let extents = spec.bind_extents(shapes)?;
         // `all_indices` orders output letters first.
         let mut order = spec.all_indices();
         let raw_out = order.iter().filter(|c| spec.output.contains(c)).count();
@@ -903,7 +905,7 @@ pub fn einsum_spec_reference(
     operands: &[&Tensor],
 ) -> Result<Tensor, EinsumError> {
     let shapes: Vec<&[usize]> = operands.iter().map(|t| t.shape()).collect();
-    let extents = bind_extents(spec, &shapes)?;
+    let extents = spec.bind_extents(&shapes)?;
     let order = spec.all_indices();
     let dims: Vec<usize> = order.iter().map(|c| extents[c]).collect();
     let out_shape: Vec<usize> = spec.output.iter().map(|c| extents[c]).collect();

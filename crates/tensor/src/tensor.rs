@@ -168,11 +168,6 @@ impl Tensor {
         self.zip_map(other, |a, b| a + b)
     }
 
-    /// Elementwise difference.
-    pub fn sub(&self, other: &Tensor) -> Tensor {
-        self.zip_map(other, |a, b| a - b)
-    }
-
     /// Elementwise (Hadamard) product.
     pub fn mul(&self, other: &Tensor) -> Tensor {
         self.zip_map(other, |a, b| a * b)
@@ -306,7 +301,6 @@ mod tests {
         let a = Tensor::from_vec(vec![1.0, 2.0], &[2]);
         let b = Tensor::from_vec(vec![3.0, 5.0], &[2]);
         assert_eq!(a.add(&b).data(), &[4.0, 7.0]);
-        assert_eq!(b.sub(&a).data(), &[2.0, 3.0]);
         assert_eq!(a.mul(&b).data(), &[3.0, 10.0]);
         assert_eq!(a.scale(2.0).data(), &[2.0, 4.0]);
         assert_eq!(a.add_scalar(1.0).data(), &[2.0, 3.0]);

@@ -4,15 +4,17 @@
 //! summation order is part of the contract): for random specs and shapes the
 //! stride-compiled einsum equals the deliberately naive per-element
 //! reference at reduction width 1 and a hand-built chunk tree at the pinned
-//! width, for any thread count; and every row-at-a-time structural op equals
-//! a per-element `(flat / stride) % extent` decode that lives in this file.
+//! width, for any thread count; every row-at-a-time structural op equals
+//! a per-element `(flat / stride) % extent` decode that lives in this file;
+//! and recording the data of a training step as tape constants moves no
+//! parameter-gradient bit while computing no gradient the data alone reaches.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use syno_tensor::{
     einsum, einsum_spec, einsum_spec_reference, ops, EinsumEngine, EinsumSpec, ExecPolicy,
-    ScratchPool, Tensor,
+    ScratchPool, Tape, Tensor,
 };
 
 fn tensor_2d() -> impl Strategy<Value = Tensor> {
@@ -460,5 +462,63 @@ fn structural_ops_match_per_element_decode() {
             let got = ops::permute(&t, &perm);
             assert!(same_bits(&got, &want), "permute shape {shape:?} by {perm:?}");
         }
+    }
+}
+
+proptest! {
+    /// A student-shaped step recorded twice, its data (`x`, `s`, `z`) once as
+    /// leaves and once as constants: the loss and every parameter gradient
+    /// keep their bits, the data gets no gradient, and neither does any node
+    /// upstream of the first differentiable operand (the einsum's weight).
+    /// Constants meet parameters in every n-ary arm of `backward`: as an
+    /// einsum operand, on either side of `sub` and `mul`, and in `add`.
+    #[test]
+    fn a_constant_input_moves_no_parameter_gradient(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut extent = |range| rng.random_range(range);
+        let (n, c, d, h) = (extent(1usize..4), extent(1usize..4), extent(1usize..4), extent(3usize..7));
+        let x0 = random_tensor(&mut rng, &[n, c, h]);
+        let s0 = random_tensor(&mut rng, &[n, c, h]);
+        let z0 = random_tensor(&mut rng, &[n, d, h]);
+        let params0 = [
+            random_tensor(&mut rng, &[c, 3, d]),
+            random_tensor(&mut rng, &[n, d, h]),
+            random_tensor(&mut rng, &[d * h, 3]),
+        ];
+        let labels: Vec<usize> = (0..n).map(|_| rng.random_range(0usize..3)).collect();
+
+        let step = |constant: bool| {
+            let mut tape = Tape::new();
+            let [x, s, z] = [&x0, &s0, &z0].map(|t| match constant {
+                true => tape.constant(t.clone()),
+                false => tape.leaf(t.clone()),
+            });
+            let [w, b, head] = [0, 1, 2].map(|p| tape.leaf(params0[p].clone()));
+            let m = tape.mul(x, s);
+            let r = tape.roll(m, 2, 1);
+            let u = tape.unfold(r, 2, 3);
+            let p = tape.permute(u, &[0, 2, 1, 3]);
+            let y = tape.einsum("nhck,ckd->ndh", &[p, w]);
+            let y = tape.add(b, y);
+            let y = tape.relu(y);
+            let y = tape.sub(z, y);
+            let y = tape.mul(y, z);
+            let f = tape.reshape(y, &[n, d * h]);
+            let logits = tape.matmul(f, head);
+            let loss = tape.softmax_cross_entropy(logits, &labels);
+            let loss_bits = tape.value(loss).data()[0].to_bits();
+            let grads = tape.backward(loss);
+            let grad = |v| grads.get(v).cloned();
+            (loss_bits, [w, b, head].map(grad), [x, s, z, m, r, u, p].map(grad))
+        };
+        let (leaf_loss, leaf_params, leaf_upstream) = step(false);
+        let (const_loss, const_params, const_upstream) = step(true);
+        prop_assert_eq!(leaf_loss, const_loss);
+        for (leaf, constant) in leaf_params.iter().zip(&const_params) {
+            let (leaf, constant) = (leaf.as_ref().expect("a parameter"), constant.as_ref().expect("a parameter"));
+            prop_assert!(same_bits(leaf, constant), "a parameter gradient moved");
+        }
+        prop_assert!(leaf_upstream.iter().all(Option::is_some), "leaves are differentiated");
+        prop_assert!(const_upstream.iter().all(Option::is_none), "constants are not");
     }
 }

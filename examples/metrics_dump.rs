@@ -57,7 +57,15 @@ fn main() {
         report.candidates.len(),
         report.wall
     );
-    println!("phases: {}\n", report.phases);
+    println!("phases: {}", report.phases);
+    // Every candidate trained on the same task batches, each generated once:
+    // `steps + eval_batches` of them, however many trainings ran.
+    let counter = |name| metrics::global().counter(name).get();
+    println!(
+        "task batches generated: {} for {} proxy trainings\n",
+        counter("syno_nn_task_batches_total"),
+        counter("syno_search_proxy_train_total")
+    );
 
     // 2. The span log: drain every thread's ring buffer and summarize the
     //    nesting.
