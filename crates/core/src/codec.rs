@@ -196,17 +196,32 @@ impl Encoder {
         self.put_bytes(v.as_bytes());
     }
 
+    /// Writes a sequence, `[count u32][items…]`, each item by `put`: the one
+    /// writer of that layout, as [`Decoder::get_seq`] is its one reader.
+    pub fn put_seq<T>(
+        &mut self,
+        items: impl IntoIterator<Item = T>,
+        mut put: impl FnMut(&mut Encoder, T),
+    ) {
+        let at = self.buf.len();
+        self.put_u32(0);
+        let mut count = 0u32;
+        for item in items {
+            put(self, item);
+            count += 1;
+        }
+        self.buf[at..at + 4].copy_from_slice(&count.to_le_bytes());
+    }
+
     /// Writes a [`Size`]: constant factor then `(var, exponent)` pairs.
     pub fn put_size(&mut self, size: &Size) {
         let (num, den) = size.constant_factor();
         self.put_u64(num);
         self.put_u64(den);
-        let powers: Vec<_> = size.powers().collect();
-        self.put_u32(powers.len() as u32);
-        for (var, exp) in powers {
-            self.put_u32(var.index() as u32);
-            self.put_i32(exp);
-        }
+        self.put_seq(size.powers(), |e, (var, exp)| {
+            e.put_u32(var.index() as u32);
+            e.put_i32(exp);
+        });
     }
 }
 
@@ -221,11 +236,6 @@ impl<'a> Decoder<'a> {
     /// A decoder positioned at the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
         Decoder { buf, pos: 0 }
-    }
-
-    /// Current read offset.
-    pub fn position(&self) -> usize {
-        self.pos
     }
 
     /// Bytes left to read.
@@ -280,6 +290,41 @@ impl<'a> Decoder<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::BadUtf8 { at })
     }
 
+    /// Reads a sequence written by [`Encoder::put_seq`], each item by `get`.
+    ///
+    /// `min_item_bytes` is the fewest bytes one item can encode to. A count
+    /// that even at that width could not fit in what is left of the input is
+    /// refused *before* anything is reserved or read, so a decoder allocates
+    /// at most `size_of::<T>() / min_item_bytes` times the bytes it was given,
+    /// whatever the count claims.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::UnexpectedEof`] for such a count,
+    /// [`CodecError::Invalid`] for a non-empty sequence of zero-width items
+    /// (no input bounds it), and whatever `get` returns. A `get` that folds
+    /// each item into its caller's state returns `()`; a `Vec<()>` costs
+    /// nothing.
+    pub fn get_seq<T, E: From<CodecError>>(
+        &mut self,
+        min_item_bytes: usize,
+        mut get: impl FnMut(&mut Decoder<'a>) -> Result<T, E>,
+    ) -> Result<Vec<T>, E> {
+        let at = self.pos;
+        let count = self.get_u32()? as usize;
+        if count > 0 && min_item_bytes == 0 {
+            return Err(CodecError::Invalid(format!("{count} zero-width sequence items")).into());
+        }
+        if count.checked_mul(min_item_bytes).is_none_or(|bytes| bytes > self.remaining()) {
+            return Err(CodecError::UnexpectedEof { at }.into());
+        }
+        let mut items = Vec::with_capacity(count);
+        for _ in 0..count {
+            items.push(get(self)?);
+        }
+        Ok(items)
+    }
+
     /// Reads a [`Size`] written by [`Encoder::put_size`].
     ///
     /// Variable indices are interpreted against `vars` (the table the size
@@ -291,42 +336,38 @@ impl<'a> Decoder<'a> {
             return Err(CodecError::Invalid("size constant must be positive".into()));
         }
         let mut size = Size::constant(num).div(&Size::constant(den));
-        let count = self.get_u32()?;
-        for _ in 0..count {
-            let index = self.get_u32()? as usize;
-            let exp = self.get_i32()?;
-            let var = vars
-                .iter()
-                .nth(index)
-                .ok_or_else(|| CodecError::Invalid(format!("variable index {index} out of range")))?;
+        self.get_seq(8, |d| {
+            let index = d.get_u32()? as usize;
+            let exp = d.get_i32()?;
+            let var = vars.iter().nth(index).ok_or_else(|| {
+                CodecError::Invalid(format!("variable index {index} out of range"))
+            })?;
             size = size.mul(&Size::var_pow(var, exp));
-        }
+            Ok::<_, CodecError>(())
+        })?;
         Ok(size)
     }
 }
 
 fn put_var_table(e: &mut Encoder, vars: &VarTable) {
-    e.put_u32(vars.len() as u32);
-    for var in vars.iter() {
+    e.put_seq(vars.iter(), |e, var| {
         e.put_str(vars.name(var));
         e.put_u8(match vars.kind(var) {
             VarKind::Primary => 0,
             VarKind::Coefficient => 1,
         });
-    }
-    e.put_u32(vars.valuation_count() as u32);
-    for valuation in 0..vars.valuation_count() {
+    });
+    e.put_seq(0..vars.valuation_count(), |e, valuation| {
         for var in vars.iter() {
             e.put_u64(vars.value(valuation, var));
         }
-    }
+    });
 }
 
 fn get_var_table(d: &mut Decoder<'_>) -> Result<VarTable, CodecError> {
     let mut vars = VarTable::new();
-    let count = d.get_u32()?;
-    let mut ids = Vec::with_capacity(count as usize);
-    for _ in 0..count {
+    // A variable is at least an empty name's length prefix and a kind byte.
+    let ids = d.get_seq(5, |d| {
         let name = d.get_str()?;
         let kind = match d.get_u8()? {
             0 => VarKind::Primary,
@@ -336,37 +377,31 @@ fn get_var_table(d: &mut Decoder<'_>) -> Result<VarTable, CodecError> {
         if vars.find(&name).is_some() {
             return Err(CodecError::Invalid(format!("duplicate variable '{name}'")));
         }
-        ids.push(vars.declare(&name, kind));
-    }
-    let valuations = d.get_u32()?;
-    for _ in 0..valuations {
-        let mut row = Vec::with_capacity(ids.len());
-        for &id in &ids {
-            let value = d.get_u64()?;
-            if value == 0 {
-                return Err(CodecError::Invalid("valuation value must be positive".into()));
-            }
-            row.push((id, value));
-        }
-        vars.push_valuation(row);
-    }
+        Ok(vars.declare(&name, kind))
+    })?;
+    // A valuation row is one value per variable — zero-width, and refused,
+    // when the table declares none.
+    d.get_seq(8 * ids.len(), |d| {
+        let row = ids.iter().map(|&id| match d.get_u64()? {
+            0 => Err(CodecError::Invalid("valuation value must be positive".into())),
+            value => Ok((id, value)),
+        });
+        vars.push_valuation(row.collect::<Result<_, _>>()?);
+        Ok::<_, CodecError>(())
+    })?;
     Ok(vars)
 }
 
 fn put_shape(e: &mut Encoder, shape: &TensorShape) {
-    e.put_u32(shape.rank() as u32);
-    for dim in shape.dims() {
-        e.put_size(dim);
-    }
+    e.put_seq(shape.dims(), Encoder::put_size);
 }
 
+/// The fewest bytes a [`Size`] encodes to: two constants and an empty
+/// power list.
+const MIN_SIZE_BYTES: usize = 8 + 8 + 4;
+
 fn get_shape(d: &mut Decoder<'_>, vars: &VarTable) -> Result<TensorShape, CodecError> {
-    let rank = d.get_u32()?;
-    let mut dims = Vec::with_capacity(rank as usize);
-    for _ in 0..rank {
-        dims.push(d.get_size(vars)?);
-    }
-    Ok(TensorShape::new(dims))
+    Ok(TensorShape::new(d.get_seq(MIN_SIZE_BYTES, |d| d.get_size(vars))?))
 }
 
 fn put_spec(e: &mut Encoder, spec: &OperatorSpec) {
@@ -496,10 +531,7 @@ pub fn encode_graph(graph: &PGraph) -> Vec<u8> {
     e.put_u32(FORMAT_VERSION);
     put_var_table(&mut e, graph.vars());
     put_spec(&mut e, graph.spec());
-    e.put_u32(graph.len() as u32);
-    for node in graph.nodes() {
-        put_action(&mut e, &node.action);
-    }
+    e.put_seq(graph.nodes(), |e, node| put_action(e, &node.action));
     e.into_bytes()
 }
 
@@ -521,13 +553,14 @@ pub fn decode_graph(bytes: &[u8]) -> Result<PGraph, CodecError> {
     let spec = get_spec(&mut d, &vars)?;
     let vars = vars.into_shared();
     let mut graph = PGraph::new(Arc::clone(&vars), spec);
-    let steps = d.get_u32()?;
-    for step in 0..steps {
-        let action = get_action(&mut d, &vars)?;
+    // Bounded by the tag byte alone, so that a bad tag is reported as one.
+    d.get_seq(1, |d| {
+        let action = get_action(d, &vars)?;
         graph = graph.apply(&action).map_err(|e| {
-            CodecError::Invalid(format!("action {step} failed to replay: {e}"))
+            CodecError::Invalid(format!("action {} failed to replay: {e}", graph.len()))
         })?;
-    }
+        Ok::<_, CodecError>(())
+    })?;
     Ok(graph)
 }
 
@@ -870,6 +903,27 @@ mod tests {
             read_frame(&mut reader, 2),
             Err(FrameError::TooLarge { len: 3 })
         ));
+    }
+
+    /// Each payload claims 4 Gi items in a few bytes. Believed, the first
+    /// reserves 16 GB of variable ids, the second 171 GB of `Size`s, and the
+    /// third loops over rows no input backs — aborts no caller can catch.
+    #[test]
+    fn hostile_counts_are_typed_errors() {
+        let words = |words: &[u32]| -> Vec<u8> {
+            words.iter().flat_map(|w| w.to_le_bytes()).collect()
+        };
+        let variables = words(&[FORMAT_VERSION, u32::MAX]);
+        let rank = words(&[FORMAT_VERSION, 0, 0, u32::MAX]);
+        let rows = words(&[FORMAT_VERSION, 0, u32::MAX]);
+        for decode in [
+            |b: &[u8]| decode_spec(b).map(drop),
+            |b: &[u8]| decode_graph(b).map(drop),
+        ] {
+            assert_eq!(decode(&variables), Err(CodecError::UnexpectedEof { at: 4 }));
+            assert_eq!(decode(&rank), Err(CodecError::UnexpectedEof { at: 12 }));
+            assert!(matches!(decode(&rows), Err(CodecError::Invalid(_))));
+        }
     }
 
     #[test]

@@ -425,3 +425,135 @@ fn oversized_length_prefix_is_refused_before_allocation() {
         Err(FrameError::Truncated)
     ));
 }
+
+/// Every structure-aware mutation of `bytes`: each 4-byte window overwritten
+/// with all ones, with zero and with a random word, then every truncation.
+fn mutations(bytes: &[u8], rng: &mut StdRng) -> Vec<Vec<u8>> {
+    let mut out = Vec::new();
+    for at in 0..bytes.len().saturating_sub(3) {
+        for word in [u32::MAX, 0, rng.random()] {
+            let mut mutated = bytes.to_vec();
+            mutated[at..at + 4].copy_from_slice(&word.to_le_bytes());
+            out.push(mutated);
+        }
+    }
+    out.extend((0..bytes.len()).map(|cut| bytes[..cut].to_vec()));
+    out
+}
+
+proptest! {
+    /// No mutation of a valid spec or graph encoding panics the decoder or
+    /// makes it allocate from a count: it returns `Ok` or a typed
+    /// `CodecError` (a panic or an abort fails the test, and the binary).
+    #[test]
+    fn mutated_encodings_decode_or_fail_typed(seed in 0u64..u64::MAX) {
+        use syno_core::codec::{decode_graph, decode_spec, encode_graph, encode_spec};
+        let (vars, spec, enumerator) = vision();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let root = PGraph::new(Arc::clone(&vars), spec.clone());
+        let graph = match rollout(&mut rng, &enumerator, &root, true) {
+            RolloutResult::Complete(graph) => *graph,
+            _ => root,
+        };
+        for mutated in mutations(&encode_spec(&vars, &spec), &mut rng) {
+            let _ = decode_spec(&mutated);
+        }
+        for mutated in mutations(&encode_graph(&graph), &mut rng) {
+            let _ = decode_graph(&mutated);
+        }
+    }
+}
+
+/// The five sequences of a graph recipe, each at its boundary: a count one
+/// above what the remaining bytes could hold at the item's least width is
+/// refused *at the count* (`UnexpectedEof` there, nothing reserved, no item
+/// read); the largest count that could fit gets past that check.
+#[test]
+fn every_sequence_count_is_bounded_by_the_bytes_behind_it() {
+    use syno_core::codec::{decode_graph, CodecError, Encoder, FORMAT_VERSION};
+    let mut e = Encoder::new();
+    let mut sites = Vec::new(); // (offset of the count, least bytes per item)
+    let mut seq = |e: &mut Encoder, count: u32, min_item_bytes: usize| {
+        sites.push((e.len(), min_item_bytes));
+        e.put_u32(count);
+    };
+    e.put_u32(FORMAT_VERSION);
+    seq(&mut e, 1, 5); // variable table: name + kind
+    e.put_str("H");
+    e.put_u8(0);
+    seq(&mut e, 1, 8); // valuation rows: one u64 per variable
+    e.put_u64(16);
+    for _shape in 0..2 {
+        seq(&mut e, 1, 20); // rank: a `Size` each
+        e.put_u64(1);
+        e.put_u64(1);
+        seq(&mut e, 1, 8); // powers: (variable, exponent)
+        e.put_u32(0);
+        e.put_i32(1);
+    }
+    seq(&mut e, 0, 1); // graph steps: at least a tag byte
+    let bytes = e.into_bytes();
+    assert!(decode_graph(&bytes).is_ok(), "the exact counts decode");
+    assert_eq!(sites.len(), 7);
+    for (at, min_item_bytes) in sites {
+        let fits = (bytes.len() - (at + 4)) / min_item_bytes;
+        let with_count = |count: usize| {
+            let mut patched = bytes.clone();
+            patched[at..at + 4].copy_from_slice(&(count as u32).to_le_bytes());
+            decode_graph(&patched).map(drop)
+        };
+        assert_eq!(with_count(fits + 1), Err(CodecError::UnexpectedEof { at }), "site {at}");
+        assert_ne!(with_count(fits), Err(CodecError::UnexpectedEof { at }), "site {at}");
+    }
+}
+
+proptest! {
+    /// `syno_core::simplify` as canon's oracle, on the paper-scale conv spec
+    /// (N=8, 8→16 channels, 16×16, k=3), along seeded walks through
+    /// `feasible_children`. Within 5 steps every child `CanonRules` admits
+    /// holds only frontier and weight expressions the rewrite system would
+    /// keep. Within 8 the two still disagree on one class, which this pins:
+    /// the first unsimplified child of a walk is always a `Merge` whose block
+    /// is its operand's whole domain (`merge(r:k, k)` straight after the
+    /// `Reduce`, leaving `(r/k):1`) — see ROADMAP, "Fail typed" (e).
+    #[test]
+    fn canon_admits_only_simplified_expressions(seed in 0u64..u64::MAX) {
+        use syno_core::simplify::is_simplified;
+        let mut vars = VarTable::new();
+        let [n, cin, cout, h, w] =
+            ["N", "Cin", "Cout", "H", "W"].map(|v| vars.declare(v, VarKind::Primary));
+        let k = vars.declare("k", VarKind::Coefficient);
+        vars.push_valuation(vec![(n, 8), (cin, 8), (cout, 16), (h, 16), (w, 16), (k, 3)]);
+        let vars = vars.into_shared();
+        let dims = |c| TensorShape::new(vec![Size::var(n), Size::var(c), Size::var(h), Size::var(w)]);
+        let spec = OperatorSpec::new(dims(cin), dims(cout));
+        let simplified = |g: &PGraph| {
+            let frontier = g.frontier().iter().map(|&c| g.coord_expr(c));
+            let weights = g.weights().iter().flat_map(|w| w.dims.iter().map(|d| d.expr));
+            frontier.chain(weights).all(|e| is_simplified(g.arena(), e, g.vars()))
+        };
+        for max_steps in [5, 8] {
+            let enumerator = Enumerator::new(SynthConfig::auto(&vars, max_steps));
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut state = PGraph::new(Arc::clone(&vars), spec.clone());
+            // A walk ends at its first unsimplified state: what descends from
+            // it inherits the expression, whatever canon does next.
+            while simplified(&state) {
+                let children = enumerator.feasible_children(&state);
+                if children.is_empty() { break; }
+                for action in &children {
+                    let child = state.apply(action).expect("child applies");
+                    let full_block_merge = matches!(action, Action::Merge { coord, block }
+                        if block == state.coord_domain(*coord));
+                    prop_assert!(
+                        simplified(&child) || (max_steps > 5 && full_block_merge),
+                        "max_steps {max_steps}: {action:?} on {} leaves an unsimplified expression",
+                        state.render()
+                    );
+                }
+                let pick = rng.random_range(0..children.len());
+                state = state.apply(&children[pick]).expect("child applies");
+            }
+        }
+    }
+}

@@ -2,9 +2,7 @@
 //!
 //! The paper evaluates synthesized operators on two workload families —
 //! vision CNNs (CIFAR/ImageNet backbones) and GPT-2-style language models
-//! (Fig. 10) — but until this module the search reward path was hard-wired
-//! to the 4-D `[N, C, H, W]` vision proxy and rejected everything else.
-//! [`ProxyFamily`] abstracts what the search actually needs from a proxy:
+//! (Fig. 10). [`ProxyFamily`] abstracts what the search needs from a proxy:
 //!
 //! * a cheap *spec-compatibility check* ([`ProxyFamily::validate`]) that
 //!   runs before any search thread spawns,
@@ -17,9 +15,8 @@
 //!
 //! Two families are registered:
 //!
-//! * [`ProxyFamilyId::Vision`] — the original 4-D teacher-student vision
-//!   proxy ([`crate::proxy`]), behavior-identical to the pre-registry code
-//!   (a regression test below pins exact score bits);
+//! * [`ProxyFamilyId::Vision`] — the 4-D teacher-student vision proxy
+//!   ([`crate::proxy`]; a regression test below pins exact score bits);
 //! * [`ProxyFamilyId::Sequence`] — the sequence/LM family
 //!   ([`crate::seq`]), which scores rank-1/2/3 specs (pooling vectors,
 //!   `[M, D] → [M, D']` token projections, `[B, T, C] → [B, T, C']`
@@ -282,6 +279,7 @@ mod tests {
             resolve_family(&vision, &f.vars, 0).unwrap(),
             ProxyFamilyId::Vision
         );
+        assert!(VisionFamily.validate(&vision, &f.vars, 0).is_ok());
 
         let pool = OperatorSpec::new(
             TensorShape::new(vec![Size::var(f.h)]),
@@ -317,11 +315,9 @@ mod tests {
         assert!(reason.contains("rank 5"), "states the rank seen: {reason}");
     }
 
-    /// The refactor guarantee: vision-family scores are **bit-identical**
-    /// to the pre-registry proxy. The pinned constants were computed by it
-    /// on this exact fixture; if this test fails, the vision reward path
-    /// changed and every persisted vision score is stale (bump
-    /// `syno_core::codec::FORMAT_VERSION`).
+    /// Vision-family scores are pinned to the bit on this fixture; if this
+    /// test fails, the vision reward path changed and every persisted vision
+    /// score is stale (bump `syno_core::codec::FORMAT_VERSION`).
     ///
     /// Re-verified under the `ExecPolicy` default contract (one thread,
     /// reduction-tree width 4): intermediate losses shift by ulps relative
@@ -361,7 +357,7 @@ mod tests {
             assert_eq!(scorer.score(&conv).unwrap().to_bits(), 0x3e80_0000);
         }
 
-        // Cross-check: the exact PR 5 serial order lands on the same bits
+        // Cross-check: the serial order lands on the same bits
         // here — the width-4 tree reorders FP summation (per-step losses
         // drift by ulps) but never flips an argmax on this fixture. If this
         // assertion ever fires, the two contracts have visibly diverged and
@@ -397,8 +393,8 @@ mod tests {
         let acc = seq::SequenceFamily.score(&mm, 0, &config).unwrap();
         assert_eq!(acc.to_bits(), 0x3e60_0000, "matmul pin: got {acc}");
 
-        // [H] → [H/s]: the 1-D pooling spec the pre-registry search
-        // rejected; weightless, so it exercises the guard-free fast path.
+        // [H] → [H/s]: a 1-D pooling spec; weightless, so it exercises the
+        // guard-free fast path.
         let pool = ops::avg_pool1d(&vars, h, s).unwrap();
         let acc = seq::SequenceFamily.score(&pool, 0, &config).unwrap();
         assert_eq!(acc.to_bits(), 0x3e90_0000, "pool pin: got {acc}");

@@ -32,7 +32,7 @@ pub use data::{TextTask, VisionTask};
 pub use family::{resolve_family, ProxyFamily, ProxyFamilyId, ProxyScorer, VisionFamily};
 pub use layer::{GlobalAvgPool, Layer, LinearLayer, Model, OperatorLayer, ReluLayer};
 pub use lm::{LmConfig, QkvProjection, TinyGpt};
-pub use proxy::{validate_proxy_task, validate_vision_task, ProxyConfig};
+pub use proxy::ProxyConfig;
 pub use seq::SequenceFamily;
 pub use syno_tensor::ExecPolicy;
 pub use train::{train_step_on, Sgd, TrainConfig};

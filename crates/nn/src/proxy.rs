@@ -1,6 +1,5 @@
-//! The vision accuracy proxy: the original reward signal consumed by the
-//! MCTS search, now the [`crate::family::ProxyFamilyId::Vision`] member of
-//! the task-family registry.
+//! The vision accuracy proxy: the [`crate::family::ProxyFamilyId::Vision`]
+//! member of the task-family registry.
 //!
 //! The paper trains each candidate-substituted model for ~100 CIFAR-100
 //! epochs (≈0.1 GPU-hours amortized); the reproduction trains a small
@@ -8,8 +7,7 @@
 //! The proxy preserves what the search needs: candidates whose operators
 //! mix spatial/channel information train to higher accuracy than degenerate
 //! ones, and divergent candidates score zero (the paper's early
-//! termination). The sequence/LM counterpart lives in [`crate::seq`];
-//! [`validate_proxy_task`] spans the whole registry.
+//! termination). The sequence/LM counterpart lives in [`crate::seq`].
 
 use crate::data::VisionTask;
 use crate::family::{ProxyFamily, ProxyFamilyId, ProxyScorer, VisionFamily, OTHER_SPEC};
@@ -46,49 +44,10 @@ impl Default for ProxyConfig {
     }
 }
 
-/// Checks that `spec` is scorable by *some* registered proxy family under
-/// `valuation` — 4-D specs by the vision family, rank-1/2/3 sequence specs
-/// by [`crate::seq::SequenceFamily`].
-///
-/// This is the cheap precondition callable *before* any search runs (no
-/// graph, no training): drivers use it to reject unscorable scenarios up
-/// front instead of letting every rollout backpropagate a zero reward. Use
-/// [`crate::family::resolve_family`] when the caller also needs to know
-/// *which* family claimed the spec, or [`validate_vision_task`] for the
-/// vision-only check this function used to be.
-///
-/// # Errors
-///
-/// [`SynoError::Proxy`] naming every family tried and the spec ranks seen
-/// when no family accepts, [`SynoError::Eval`] when a shape does not
-/// evaluate under the valuation.
-pub fn validate_proxy_task(
-    spec: &OperatorSpec,
-    vars: &VarTable,
-    valuation: usize,
-) -> Result<(), SynoError> {
-    crate::family::resolve_family(spec, vars, valuation).map(|_| ())
-}
-
-/// Checks that `spec` is scorable by the **vision** proxy under
-/// `valuation`: both shapes must evaluate and be the 4-D `[N, C, H, W]`
-/// layout. The precondition behind the vision family's
-/// [`prepare`](crate::family::ProxyFamily::prepare).
-///
-/// # Errors
-///
-/// [`SynoError::Proxy`] when a shape is not rank 4, [`SynoError::Eval`]
-/// when it does not evaluate under the valuation.
-pub fn validate_vision_task(
-    spec: &OperatorSpec,
-    vars: &VarTable,
-    valuation: usize,
-) -> Result<(), SynoError> {
-    task_shapes(spec, vars, valuation).map(|_| ())
-}
-
-/// The concrete `(input, output)` task shapes, or why the proxy cannot
-/// score the spec.
+/// The concrete `(input, output)` task shapes — both must evaluate under
+/// `valuation` and be the 4-D `[N, C, H, W]` layout — or why the vision
+/// proxy cannot score the spec: [`SynoError::Proxy`] for another rank,
+/// [`SynoError::Eval`] for a shape that does not evaluate.
 fn task_shapes(
     spec: &OperatorSpec,
     vars: &VarTable,
@@ -143,7 +102,7 @@ impl ProxyFamily for VisionFamily {
         vars: &VarTable,
         valuation: usize,
     ) -> Result<(), SynoError> {
-        validate_vision_task(spec, vars, valuation)
+        task_shapes(spec, vars, valuation).map(|_| ())
     }
 
     fn prepare(
@@ -292,57 +251,6 @@ mod tests {
         let f = fixture();
         let mm = ops::matmul(&f.vars, f.cin, f.cout, f.h).unwrap();
         let err = score(&mm, &quick()).expect_err("matmul is not 4-D");
-        assert!(matches!(err, SynoError::Proxy { .. }), "{err}");
-    }
-
-    #[test]
-    fn validate_proxy_task_spans_the_family_registry() {
-        let f = fixture();
-        let vision = OperatorSpec::new(
-            TensorShape::new(vec![
-                Size::var(f.n),
-                Size::var(f.cin),
-                Size::var(f.h),
-                Size::var(f.w),
-            ]),
-            TensorShape::new(vec![
-                Size::var(f.n),
-                Size::var(f.cout),
-                Size::var(f.h),
-                Size::var(f.w),
-            ]),
-        );
-        assert!(validate_proxy_task(&vision, &f.vars, 0).is_ok());
-        assert!(validate_vision_task(&vision, &f.vars, 0).is_ok());
-
-        // 1-D specs used to be rejected outright; the sequence family now
-        // claims them — only the vision-specific check still refuses.
-        let flat = OperatorSpec::new(
-            TensorShape::new(vec![Size::var(f.h)]),
-            TensorShape::new(vec![Size::var(f.h).div(&Size::constant(2))]),
-        );
-        assert!(validate_proxy_task(&flat, &f.vars, 0).is_ok());
-        let err = validate_vision_task(&flat, &f.vars, 0).expect_err("vision is 4-D only");
-        assert!(matches!(err, SynoError::Proxy { .. }), "{err}");
-
-        // Nothing claims rank 5.
-        let five = OperatorSpec::new(
-            TensorShape::new(vec![
-                Size::var(f.n),
-                Size::var(f.cin),
-                Size::var(f.h),
-                Size::var(f.w),
-                Size::var(f.k),
-            ]),
-            TensorShape::new(vec![
-                Size::var(f.n),
-                Size::var(f.cout),
-                Size::var(f.h),
-                Size::var(f.w),
-                Size::var(f.k),
-            ]),
-        );
-        let err = validate_proxy_task(&five, &f.vars, 0).expect_err("rank 5 is unscorable");
         assert!(matches!(err, SynoError::Proxy { .. }), "{err}");
     }
 }

@@ -333,7 +333,6 @@ mod tests {
 
     #[test]
     fn pool_spec_candidates_score_nonzero_and_deterministically() {
-        // The exact 1-D spec the pre-registry search rejected.
         let mut vars = VarTable::new();
         let h = vars.declare("H", VarKind::Primary);
         let s = vars.declare("s", VarKind::Coefficient);

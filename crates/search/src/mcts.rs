@@ -394,20 +394,12 @@ impl Mcts {
 
             // Backpropagation. Visits always count now; the reward either
             // lands now (known) or when the outcome drains (pending).
-            match value {
-                Some(value) => {
-                    for &id in &path {
-                        let node = &mut self.nodes[id];
-                        node.visits += 1;
-                        node.total_reward += value;
-                    }
-                }
-                None => {
-                    for &id in &path {
-                        let node = &mut self.nodes[id];
-                        node.visits += 1;
-                        node.pending += 1;
-                    }
+            for &id in &path {
+                let node = &mut self.nodes[id];
+                node.visits += 1;
+                match value {
+                    Some(value) => node.total_reward += value,
+                    None => node.pending += 1,
                 }
             }
             // Small jitter to the seed stream keeps rollouts diverse even

@@ -319,3 +319,108 @@ fn every_frame_kind_round_trips() {
         }
     }
 }
+
+proptest! {
+    /// No mutation of a valid payload of any kind — each 4-byte window
+    /// overwritten with all ones, zero and a random word, and every
+    /// truncation — panics the decoder or makes it allocate from a count:
+    /// `Ok` or a typed `ProtocolError` (a panic or an abort fails the test,
+    /// and the binary).
+    #[test]
+    fn mutated_payloads_decode_or_fail_typed(seed in 0u64..u64::MAX) {
+        let mut mix = Mix::new(seed);
+        for kind in FrameKind::ALL {
+            let payload = sample_frame(kind, mix.next()).encode();
+            for at in 0..payload.len().saturating_sub(3) {
+                for word in [u32::MAX, 0, mix.next() as u32] {
+                    let mut mutated = payload.clone();
+                    mutated[at..at + 4].copy_from_slice(&word.to_le_bytes());
+                    let _ = Frame::decode(kind, &mutated);
+                }
+            }
+            for cut in 0..payload.len() {
+                prop_assert!(Frame::decode(kind, &payload[..cut]).is_err());
+            }
+        }
+    }
+}
+
+/// The five sequences of the wire payloads, each at its boundary: a count
+/// one above what the remaining bytes could hold at the item's least width
+/// is refused *at the count* (`UnexpectedEof` there — nothing reserved, no
+/// item read); the largest count that could fit gets past that check, and
+/// the exact count decodes.
+#[test]
+fn every_sequence_count_is_bounded_by_the_bytes_behind_it() {
+    use syno_core::codec::CodecError;
+    use syno_serve::ProtocolError;
+    let text = |s: &str| s.to_owned();
+    let status = Frame::StatusReply(DaemonStatus {
+        active_sessions: 1,
+        total_admitted: 1,
+        shutting_down: false,
+        sessions: vec![SessionStatus {
+            session: 1,
+            tenant: text("t"),
+            label: text("l"),
+            iterations: 2,
+            total_iterations: 3,
+            discovered: 4,
+            candidates: 5,
+            synth_ns: 6,
+            eval_ns: 7,
+            store_ns: 8,
+            tune_ns: 9,
+        }],
+        store: Some(WireStoreStats {
+            scores_by_family: vec![(text("vision"), 1)],
+            ..WireStoreStats::default()
+        }),
+        tenants: vec![(text("t"), 2)],
+    });
+    let event = Frame::Event {
+        session: 1,
+        event: WireEvent::LatencyTuned {
+            scenario: 0,
+            id: 7,
+            candidate: WireCandidate {
+                graph: vec![1, 2, 3],
+                accuracy: 0.5,
+                flops: 10,
+                params: 20,
+                latencies: vec![1.0, 2.0],
+            },
+        },
+    };
+    let derive = Frame::DeriveReply {
+        set: WireCandidateSet {
+            name: text("s"),
+            lineage: text("run:s"),
+            hashes: vec![3, 5],
+        },
+    };
+    let session_row = 9 * 8 + (4 + 1) + (4 + 1);
+    // (frame, offset of the count after the version word, least item bytes)
+    let sites = [
+        (&event, 8 + 1 + 4 + 8 + (4 + 3) + 8 + 16 + 16, 8), // latencies
+        (&status, 4 + 8 + 1, 80),                           // sessions
+        (&status, 4 + 8 + 1 + 4 + session_row + 1 + 16, 12), // scores_by_family
+        (&status, 4 + 8 + 1 + 4 + session_row + 1 + 16 + 4 + (4 + 6 + 8) + 32, 12), // tenants
+        (&derive, (4 + 1) + (4 + 5), 8),                    // derive hashes
+    ];
+    for (frame, offset, min_item_bytes) in sites {
+        let (kind, payload, at) = (frame.kind(), frame.encode(), 4 + offset);
+        assert_eq!(&Frame::decode(kind, &payload).unwrap(), frame, "exact counts decode");
+        let fits = (payload.len() - (at + 4)) / min_item_bytes;
+        let refused_at_count = |count: usize| {
+            let mut patched = payload.clone();
+            patched[at..at + 4].copy_from_slice(&(count as u32).to_le_bytes());
+            matches!(
+                Frame::decode(kind, &patched),
+                Err(ProtocolError::Codec(CodecError::UnexpectedEof { at: eof })) if eof == at
+            )
+        };
+        assert!(refused_at_count(fits + 1), "{kind} site {at}");
+        assert!(!refused_at_count(fits), "{kind} site {at}");
+    }
+}

@@ -279,10 +279,7 @@ impl Record {
             Record::CandidateSet(set) => {
                 e.put_str(set.name());
                 e.put_str(set.lineage());
-                e.put_u32(set.len() as u32);
-                for hash in set.hashes() {
-                    e.put_u64(*hash);
-                }
+                e.put_seq(set.hashes(), |e, hash| e.put_u64(*hash));
             }
         }
         e.into_bytes()
@@ -336,11 +333,7 @@ impl Record {
             RecordKind::CandidateSet => {
                 let name = d.get_str()?;
                 let lineage = d.get_str()?;
-                let count = d.get_u32()? as usize;
-                let mut hashes = Vec::with_capacity(count.min(1 << 20));
-                for _ in 0..count {
-                    hashes.push(d.get_u64()?);
-                }
+                let hashes = d.get_seq(8, Decoder::get_u64)?;
                 // `new` re-normalizes (sort + dedup), so even a hand-built
                 // record decodes into a canonical collection.
                 Record::CandidateSet(CandidateSet::new(name, lineage, hashes))

@@ -222,3 +222,95 @@ fn whole_pool_space_round_trips() {
         assert_eq!(back.content_hash(), graph.content_hash());
     }
 }
+
+/// One valid record of every kind, its strings and numbers drawn from `mix`.
+fn sample_records(mix: &mut Mix) -> Vec<Record> {
+    let graph = &operators(0, 3)[(mix.next() % 8) as usize];
+    vec![
+        Record::Candidate {
+            hash: graph.content_hash(),
+            graph: encode_graph(graph),
+        },
+        Record::ProxyScore {
+            hash: mix.next(),
+            accuracy: 0.5,
+            contract: syno_store::ScoreContract::new(mix.text(12), 4),
+        },
+        Record::LatencyMeasurement {
+            hash: mix.next(),
+            device: mix.text(16),
+            compiler: mix.text(8),
+            latency: 1e-3,
+        },
+        Record::Checkpoint(syno_store::Checkpoint {
+            label: mix.text(24),
+            spec_fingerprint: mix.next(),
+            seed: mix.next(),
+            iterations: mix.next(),
+            discovered: mix.next(),
+        }),
+        Record::Operation(Operation {
+            kind: OpKind::Derive,
+            writer: mix.text(24),
+            label: mix.text(32),
+            spec_fingerprint: mix.next(),
+            detail: mix.text(48),
+        }),
+        Record::CandidateSet(CandidateSet::new(
+            mix.text(20),
+            mix.text(40),
+            (0..mix.next() % 8).map(|_| mix.next()).collect(),
+        )),
+    ]
+}
+
+proptest! {
+    /// No mutation of a valid record payload — each 4-byte window overwritten
+    /// with all ones, zero and a random word, and every truncation — panics
+    /// the decoder or makes it allocate from a count: `Ok` or a typed
+    /// `CodecError` (a panic or an abort fails the test, and the binary). A
+    /// candidate's graph bytes, mutated the same way, go through
+    /// `decode_graph` as `Store::graph` would send them.
+    #[test]
+    fn mutated_record_payloads_decode_or_fail_typed(seed in 0u64..u64::MAX) {
+        let mut mix = Mix::new(seed);
+        for record in sample_records(&mut mix) {
+            let payload = record.encode_payload();
+            let mut mutated = Vec::new();
+            for at in 0..payload.len().saturating_sub(3) {
+                for word in [u32::MAX, 0, mix.next() as u32] {
+                    let mut bytes = payload.clone();
+                    bytes[at..at + 4].copy_from_slice(&word.to_le_bytes());
+                    mutated.push(bytes);
+                }
+            }
+            mutated.extend((0..payload.len()).map(|cut| payload[..cut].to_vec()));
+            for bytes in mutated {
+                if let Ok(Record::Candidate { graph, .. }) =
+                    Record::decode_payload(record.kind(), &bytes)
+                {
+                    let _ = decode_graph(&graph);
+                }
+            }
+        }
+    }
+}
+
+/// The set-hash sequence at its boundary: a count one above what the
+/// remaining bytes hold at 8 bytes a hash is refused at the count, before
+/// anything is reserved; the exact count decodes.
+#[test]
+fn set_hash_count_is_bounded_by_the_bytes_behind_it() {
+    use syno_core::codec::CodecError;
+    let set = CandidateSet::new("s".to_owned(), "run:s".to_owned(), vec![3, 5, 8]);
+    let payload = Record::CandidateSet(set.clone()).encode_payload();
+    let at = 4 + 1 + 4 + 5; // two length-prefixed strings
+    let with_count = |count: u32| {
+        let mut patched = payload.clone();
+        patched[at..at + 4].copy_from_slice(&count.to_le_bytes());
+        Record::decode_payload(RecordKind::CandidateSet, &patched)
+    };
+    assert_eq!(with_count(3), Ok(Record::CandidateSet(set)));
+    assert_eq!(with_count(4), Err(CodecError::UnexpectedEof { at }));
+    assert_eq!(with_count(u32::MAX), Err(CodecError::UnexpectedEof { at }));
+}

@@ -498,3 +498,52 @@ fn admission_caps_reject_and_cancel_is_cooperative() {
     t3.shutdown().expect("daemon acknowledges shutdown");
     daemon_thread.join().expect("daemon exits");
 }
+
+/// A spec whose variable count claims 4 Gi entries in 8 bytes reaches
+/// `decode_spec` on the daemon's event-loop thread. It must come back as a
+/// typed rejection — believed, the count aborts the process on a 16 GB
+/// reservation — and the daemon must go on serving: the same connection gets
+/// its `Status`, and a normal session then runs to completion.
+#[test]
+fn hostile_spec_count_is_rejected_and_the_daemon_keeps_serving() {
+    use syno::serve::protocol::PROTOCOL_VERSION;
+    use syno::serve::Frame;
+    let daemon = Daemon::bind("127.0.0.1:0", None, serve_config()).expect("daemon binds");
+    let (handle, daemon_thread) = daemon.spawn();
+    let addr = handle.addr().to_owned();
+
+    let mut raw = std::net::TcpStream::connect(&addr).expect("raw client connects");
+    let mut exchange = |frame: Frame| {
+        frame.write_to(&mut raw).expect("frame sent");
+        Frame::read_from(&mut raw).expect("reply decodes").expect("a reply")
+    };
+    let hello = exchange(Frame::Hello {
+        protocol: PROTOCOL_VERSION,
+        tenant: "hostile".to_owned(),
+    });
+    assert!(matches!(hello, Frame::HelloAck { .. }), "{hello:?}");
+    let vision = vision_space();
+    let mut hostile = request("hostile", &vision.0, &vision.1, "", 10, 1);
+    hostile.spec = [syno::core::codec::FORMAT_VERSION, u32::MAX]
+        .iter()
+        .flat_map(|word| word.to_le_bytes())
+        .collect();
+    match exchange(Frame::SubmitSearch(hostile)) {
+        Frame::Rejected { reason } => {
+            assert!(reason.contains("spec did not decode"), "{reason}")
+        }
+        other => panic!("expected a rejection, got {other:?}"),
+    }
+    match exchange(Frame::Status) {
+        Frame::StatusReply(status) => assert_eq!(status.total_admitted, 0),
+        other => panic!("expected a status reply, got {other:?}"),
+    }
+
+    let client = SynoClient::connect(&addr, "tenant").expect("client connects");
+    let (trace, stopped, steps, _) =
+        daemon_run(&client, &request("normal", &vision.0, &vision.1, "vision", 12, 5));
+    assert_eq!((stopped.as_str(), steps), ("completed", 12));
+    assert!(!trace.is_empty(), "the normal session found candidates");
+    client.shutdown().expect("daemon acknowledges shutdown");
+    daemon_thread.join().expect("daemon exits");
+}
