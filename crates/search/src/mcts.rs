@@ -23,14 +23,14 @@
 //! docs of [`crate::run`] for the determinism contract).
 //!
 //! [`search`](Mcts::search) is the reference those runs are compared with:
-//! the reward closure runs inline, between iterations.
+//! the same engine with a hook that computes the reward in place.
 //! `tests/trajectory.expected` pins what it reaches.
 
 use crate::discovered::Discovered;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc::Receiver;
+use std::collections::HashMap;
+use std::sync::mpsc::{channel, Receiver};
 use syno_core::graph::PGraph;
 use syno_core::primitive::Action;
 use syno_core::synth::{rollout, Enumerator, RolloutResult};
@@ -98,68 +98,6 @@ struct PendingEval {
     paths: Vec<Vec<usize>>,
 }
 
-/// How the engine obtains rewards: inline ([`Mcts::search`]) or through a
-/// submit hook and an outcome channel ([`Mcts::search_async_while`]).
-trait EvalBridge {
-    /// Hands a new distinct candidate to the evaluator. Returns `false`
-    /// when the evaluator is gone (the search degrades to zero rewards
-    /// instead of deadlocking).
-    fn submit(&mut self, request: EvalRequest) -> bool;
-    /// A completed outcome, if one is ready right now.
-    fn try_next(&mut self) -> Option<EvalOutcome>;
-    /// Blocks until an outcome completes; `None` when the evaluator is
-    /// gone and nothing further will arrive.
-    fn wait_next(&mut self) -> Option<EvalOutcome>;
-}
-
-/// The reference: evaluate inline at submission, so every outcome is ready
-/// before the iteration ends.
-struct SerialBridge<F> {
-    reward: F,
-    ready: VecDeque<EvalOutcome>,
-}
-
-impl<F: FnMut(&PGraph) -> f64> EvalBridge for SerialBridge<F> {
-    fn submit(&mut self, request: EvalRequest) -> bool {
-        let reward = (self.reward)(&request.graph);
-        self.ready.push_back(EvalOutcome {
-            id: request.id,
-            reward,
-        });
-        true
-    }
-
-    fn try_next(&mut self) -> Option<EvalOutcome> {
-        self.ready.pop_front()
-    }
-
-    fn wait_next(&mut self) -> Option<EvalOutcome> {
-        self.ready.pop_front()
-    }
-}
-
-/// Submission goes through a caller-provided hook (which announces the
-/// candidate and runs or queues its evaluation) and outcomes drain from a
-/// channel the evaluations feed.
-struct ChannelBridge<'a, S> {
-    submit: S,
-    outcomes: &'a Receiver<EvalOutcome>,
-}
-
-impl<S: FnMut(EvalRequest) -> bool> EvalBridge for ChannelBridge<'_, S> {
-    fn submit(&mut self, request: EvalRequest) -> bool {
-        (self.submit)(request)
-    }
-
-    fn try_next(&mut self) -> Option<EvalOutcome> {
-        self.outcomes.try_recv().ok()
-    }
-
-    fn wait_next(&mut self) -> Option<EvalOutcome> {
-        self.outcomes.recv().ok()
-    }
-}
-
 /// The tree searcher.
 ///
 /// Nodes form a proper tree keyed by action path (coordinate identifiers
@@ -211,16 +149,21 @@ impl Mcts {
     /// Runs the search from `root`, scoring complete operators with
     /// `reward` (in `[0, 1]`), and returns the distinct discoveries sorted
     /// by descending reward.
+    ///
+    /// This is [`search_async_while`](Mcts::search_async_while) with a
+    /// submit hook that computes the reward in place, so every outcome is
+    /// applied at the end of the iteration that submitted it.
     pub fn search(
         &mut self,
         root: &PGraph,
-        reward: impl FnMut(&PGraph) -> f64,
+        mut reward: impl FnMut(&PGraph) -> f64,
     ) -> Vec<Discovered> {
-        let mut bridge = SerialBridge {
-            reward,
-            ready: VecDeque::new(),
+        let (outcome_tx, outcome_rx) = channel();
+        let submit = |EvalRequest { id, graph }| {
+            let reward = reward(&graph);
+            outcome_tx.send(EvalOutcome { id, reward }).is_ok()
         };
-        self.engine(root, &mut bridge, |_| true)
+        self.search_async_while(root, submit, &outcome_rx, |_| true)
     }
 
     /// Every new distinct complete operator is handed to `submit` as an
@@ -250,19 +193,8 @@ impl Mcts {
     pub fn search_async_while(
         &mut self,
         root: &PGraph,
-        submit: impl FnMut(EvalRequest) -> bool,
+        mut submit: impl FnMut(EvalRequest) -> bool,
         outcomes: &Receiver<EvalOutcome>,
-        keep_going: impl FnMut(u64) -> bool,
-    ) -> Vec<Discovered> {
-        let mut bridge = ChannelBridge { submit, outcomes };
-        self.engine(root, &mut bridge, keep_going)
-    }
-
-    /// The select → expand → rollout → backprop loop behind both entry points.
-    fn engine<B: EvalBridge>(
-        &mut self,
-        root: &PGraph,
-        bridge: &mut B,
         mut keep_going: impl FnMut(u64) -> bool,
     ) -> Vec<Discovered> {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
@@ -308,7 +240,7 @@ impl Mcts {
                     Some(idx) => idx,
                     None => {
                         let wait_span = syno_telemetry::span!("eval_wait");
-                        self.settle_children(current, bridge, &mut found, &mut pending);
+                        self.settle_children(current, outcomes, &mut found, &mut pending);
                         settled += wait_span.elapsed();
                         drop(wait_span);
                         self.best_ucb_child(current)
@@ -361,7 +293,7 @@ impl Mcts {
                         None
                     } else {
                         self.stats.distinct_operators += 1;
-                        if bridge.submit(EvalRequest {
+                        if submit(EvalRequest {
                             id,
                             graph: (*graph).clone(),
                         }) {
@@ -409,7 +341,7 @@ impl Mcts {
             // Absorb whatever the evaluator finished in the meantime. An
             // evaluation that ran inside `submit` is ready here, so it is
             // applied before the next iteration.
-            while let Some(outcome) = bridge.try_next() {
+            while let Ok(outcome) = outcomes.try_recv() {
                 self.apply_outcome(outcome, &mut found, &mut pending);
             }
         }
@@ -418,9 +350,9 @@ impl Mcts {
         // cancelled run still keeps (and scores) everything it submitted.
         let _drain_span = syno_telemetry::span!("eval_wait");
         while !pending.is_empty() {
-            match bridge.wait_next() {
-                Some(outcome) => self.apply_outcome(outcome, &mut found, &mut pending),
-                None => {
+            match outcomes.recv() {
+                Ok(outcome) => self.apply_outcome(outcome, &mut found, &mut pending),
+                Err(_) => {
                     self.abandon_pending(&mut found, &mut pending);
                     break;
                 }
@@ -456,10 +388,10 @@ impl Mcts {
     /// Blocks until no child of `current` carries a pending reward, so the
     /// following UCB comparison observes exactly the statistics the serial
     /// search would.
-    fn settle_children<B: EvalBridge>(
+    fn settle_children(
         &mut self,
         current: usize,
-        bridge: &mut B,
+        outcomes: &Receiver<EvalOutcome>,
         found: &mut HashMap<u64, Discovered>,
         pending: &mut HashMap<u64, PendingEval>,
     ) {
@@ -471,9 +403,9 @@ impl Mcts {
             if !unsettled {
                 return;
             }
-            match bridge.wait_next() {
-                Some(outcome) => self.apply_outcome(outcome, found, pending),
-                None => {
+            match outcomes.recv() {
+                Ok(outcome) => self.apply_outcome(outcome, found, pending),
+                Err(_) => {
                     self.abandon_pending(found, pending);
                     return;
                 }
@@ -528,7 +460,6 @@ impl Mcts {
 mod tests {
     use super::*;
 
-    use std::sync::mpsc::channel;
     use syno_core::prelude::*;
 
     fn pool_root() -> (Enumerator, PGraph) {

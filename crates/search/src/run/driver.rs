@@ -1,5 +1,5 @@
-//! The supervisor thread, the run's stop conditions, and one scenario's
-//! search loop.
+//! The run thread, the run's stop conditions, and one scenario's search
+//! loop.
 
 use super::evaluate::EvalContext;
 use super::{
@@ -67,9 +67,10 @@ impl Shared {
     }
 }
 
-/// Runs the whole search on the supervisor thread: scenario threads pull
-/// scenarios off a shared queue until done or stopped.
-pub(super) fn supervise(
+/// Runs the whole search on the run thread: it searches scenario 0 itself
+/// while scenario `i ≥ 1` runs on a scoped thread `syno-scenario-<i>`. A
+/// scenario that sees the run already stopped is skipped.
+pub(super) fn drive(
     builder: SearchBuilder,
     progress: Arc<RunProgress>,
     events: Sender<SearchEvent>,
@@ -85,36 +86,32 @@ pub(super) fn supervise(
         flops: Mutex::new(0),
         stop: OnceLock::new(),
     });
-    let scenario_threads = builder.workers.min(builder.scenarios.len());
-    let queue: Mutex<Vec<(usize, Scenario)>> = {
-        let mut q: Vec<(usize, Scenario)> = builder.scenarios.into_iter().enumerate().collect();
-        q.reverse(); // pop() serves scenario 0 first
-        Mutex::new(q)
-    };
     let results: Mutex<Vec<Candidate>> = Mutex::new(Vec::new());
+    let search = |index: usize, scenario: &Scenario| {
+        if shared.should_stop().is_some() {
+            return;
+        }
+        let found = run_scenario(&shared, index, scenario);
+        shared.progress.scenarios[index]
+            .finished
+            .store(true, Ordering::Relaxed);
+        let mut all = results.lock().expect("results lock");
+        shared.emit(SearchEvent::ScenarioFinished {
+            scenario: index,
+            candidates: found.len(),
+        });
+        all.extend(found);
+    };
 
     thread::scope(|scope| {
-        for _ in 0..scenario_threads {
-            scope.spawn(|| loop {
-                if shared.should_stop().is_some() {
-                    break;
-                }
-                let next = queue.lock().expect("queue lock").pop();
-                let Some((index, scenario)) = next else {
-                    break;
-                };
-                let found = run_scenario(&shared, index, &scenario);
-                shared.progress.scenarios[index]
-                    .finished
-                    .store(true, Ordering::Relaxed);
-                let mut all = results.lock().expect("results lock");
-                shared.emit(SearchEvent::ScenarioFinished {
-                    scenario: index,
-                    candidates: found.len(),
-                });
-                all.extend(found);
-            });
+        let search = &search;
+        for (index, scenario) in builder.scenarios.iter().enumerate().skip(1) {
+            thread::Builder::new()
+                .name(format!("syno-scenario-{index}"))
+                .spawn_scoped(scope, move || search(index, scenario))
+                .expect("spawn a scenario thread");
         }
+        search(0, &builder.scenarios[0]);
     });
     // Every scenario drained its in-flight evaluations before returning, so
     // the run's own evaluator threads are idle: join them.

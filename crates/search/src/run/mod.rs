@@ -9,7 +9,8 @@
 //!   step/FLOP/wall-clock [`Budget`]s, returning the candidates discovered
 //!   so far when stopped early;
 //! * searches multiple [`OperatorSpec`] *scenarios* concurrently, one thread
-//!   each (the paper's parallelism across substitution sites);
+//!   each (the paper's parallelism across substitution sites), the first on
+//!   the run's own thread;
 //! * evaluates every candidate the same way, whatever the run's width.
 //!
 //! # One way to evaluate a candidate
@@ -53,7 +54,7 @@
 //!
 //! This file holds the builder and the run handle; `event` what a run
 //! streams and reports; `progress` the live counters a caller may poll;
-//! `driver` the supervisor, the stop conditions and one scenario's search
+//! `driver` the run thread, the stop conditions and one scenario's search
 //! loop; `evaluate` what happens to one candidate.
 
 mod driver;
@@ -116,7 +117,6 @@ struct Scenario {
 pub struct SearchBuilder {
     scenarios: Vec<Scenario>,
     config: RunConfig,
-    workers: usize,
     eval_workers: usize,
     eval_pool: Option<EvalPool>,
     proxy_family: Option<ProxyFamilyId>,
@@ -165,7 +165,6 @@ impl Default for SearchBuilder {
                 budget: Budget::default(),
                 cancel: CancelToken::new(),
             },
-            workers: 2,
             eval_workers: 1,
             eval_pool: None,
             proxy_family: None,
@@ -180,8 +179,7 @@ impl SearchBuilder {
     }
 
     /// Adds a search scenario (one operator specification to substitute).
-    /// Scenarios run concurrently, up to [`workers`](SearchBuilder::workers)
-    /// at a time.
+    /// Scenarios run concurrently, one thread each.
     pub fn scenario(
         mut self,
         label: impl Into<String>,
@@ -236,13 +234,6 @@ impl SearchBuilder {
     /// Compiler used for the latency column.
     pub fn compiler(mut self, kind: CompilerKind) -> Self {
         self.config.compiler = kind;
-        self
-    }
-
-    /// Scenarios searched at once, one thread each (default 2; never more
-    /// threads than scenarios).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
         self
     }
 
@@ -365,7 +356,9 @@ impl SearchBuilder {
         self
     }
 
-    /// Validates the configuration and launches the run in the background.
+    /// Validates the configuration and launches the run in the background,
+    /// on a thread named `syno-run` that searches the first scenario itself
+    /// and gives every further scenario `i` a thread `syno-scenario-<i>`.
     ///
     /// Each scenario is bound to a proxy family here: auto-detected from
     /// its spec ([`syno_nn::resolve_family`] — 4-D specs go to the vision
@@ -416,7 +409,10 @@ impl SearchBuilder {
         let labels = self.scenarios.iter().map(|s| s.label.as_str());
         let progress = Arc::new(RunProgress::new(labels, total));
         let run_progress = Arc::clone(&progress);
-        let handle = thread::spawn(move || driver::supervise(self, progress, sender));
+        let handle = thread::Builder::new()
+            .name("syno-run".into())
+            .spawn(move || driver::drive(self, progress, sender))
+            .map_err(|e| SynoError::worker(format!("cannot spawn the run thread: {e}")))?;
         Ok(SearchRun {
             events: receiver,
             cancel,
@@ -479,7 +475,7 @@ impl SearchRun {
     ///
     /// # Errors
     ///
-    /// [`SynoError::Worker`] when the supervisor thread panicked.
+    /// [`SynoError::Worker`] when the run thread panicked.
     pub fn join(self) -> Result<SearchReport, SynoError> {
         drop(self.events); // unblock senders if the caller never drained
         self.handle

@@ -312,7 +312,6 @@ fn mixed_vision_and_lm_scenarios_run_concurrently() {
             ..MctsConfig::default()
         })
         .proxy(quick_proxy())
-        .workers(2)
         .run()
         .unwrap();
     let scenarios: std::collections::HashSet<usize> =
@@ -335,7 +334,6 @@ fn scenarios_run_concurrently_and_tag_results() {
             ..MctsConfig::default()
         })
         .proxy(quick_proxy())
-        .workers(2)
         .run()
         .unwrap();
     let scenarios: std::collections::HashSet<usize> =

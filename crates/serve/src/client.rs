@@ -302,23 +302,16 @@ impl SynoClient {
         Ok(())
     }
 
-    /// Waits on the control queue until `want` matches a frame, skipping
-    /// (and dropping) non-matching control frames.
-    fn wait_control(&self, want: impl Fn(&Frame) -> bool) -> Result<Frame, ServeError> {
+    /// Sends `frame` and waits for the control reply `want` matches.
+    ///
+    /// The control queue stays locked from the send to the reply. The
+    /// daemon answers a connection's frames in order, so no other thread
+    /// sharing this client can send a request, and take this one's reply
+    /// for its own, until the reply is here.
+    fn request(&self, frame: &Frame, want: impl Fn(&Frame) -> bool) -> Result<Frame, ServeError> {
         let control = self.control_rx.lock().expect("control queue lock");
-        let deadline = Instant::now() + REPLY_TIMEOUT;
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Err(ServeError::Timeout);
-            }
-            match control.recv_timeout(left) {
-                Ok(frame) if want(&frame) => return Ok(frame),
-                Ok(_) => continue,
-                Err(RecvTimeoutError::Timeout) => return Err(ServeError::Timeout),
-                Err(RecvTimeoutError::Disconnected) => return Err(ServeError::Disconnected),
-            }
-        }
+        self.send(frame)?;
+        wait_control(&control, want)
     }
 
     /// Submits one search session and waits for admission.
@@ -328,8 +321,7 @@ impl SynoClient {
     /// [`ServeError::Rejected`] with the daemon's reason (admission cap,
     /// bad spec, shutdown, …); transport/timeout errors otherwise.
     pub fn submit(&self, request: &SearchRequest) -> Result<ClientSession<'_>, ServeError> {
-        self.send(&Frame::SubmitSearch(request.clone()))?;
-        let reply = self.wait_control(|frame| {
+        let reply = self.request(&Frame::SubmitSearch(request.clone()), |frame| {
             matches!(frame, Frame::Accepted { .. } | Frame::Rejected { .. })
         })?;
         match reply {
@@ -339,7 +331,7 @@ impl SynoClient {
                 rx: self.demux.take_session_rx(session),
             }),
             Frame::Rejected { reason } => Err(ServeError::Rejected(reason)),
-            _ => unreachable!("wait_control matched Accepted/Rejected"),
+            _ => unreachable!("the reply matched Accepted/Rejected"),
         }
     }
 
@@ -359,8 +351,7 @@ impl SynoClient {
     /// different tenant; transport, timeout, or disconnection errors
     /// otherwise.
     pub fn attach(&self, session: u64, from_seq: u64) -> Result<ClientSession<'_>, ServeError> {
-        self.send(&Frame::Attach { session, from_seq })?;
-        let reply = self.wait_control(|frame| {
+        let reply = self.request(&Frame::Attach { session, from_seq }, |frame| {
             matches!(frame, Frame::AttachReply { session: s, .. } if *s == session)
                 || matches!(frame, Frame::Error { session: 0, .. })
         })?;
@@ -371,7 +362,7 @@ impl SynoClient {
                 rx: self.demux.take_session_rx(session),
             }),
             Frame::Error { message, .. } => Err(ServeError::Daemon(message)),
-            _ => unreachable!("wait_control matched AttachReply/Error"),
+            _ => unreachable!("the reply matched AttachReply/Error"),
         }
     }
 
@@ -382,10 +373,11 @@ impl SynoClient {
     ///
     /// Transport, timeout, or disconnection errors.
     pub fn status(&self) -> Result<DaemonStatus, ServeError> {
-        self.send(&Frame::Status)?;
-        match self.wait_control(|frame| matches!(frame, Frame::StatusReply(_)))? {
+        match self.request(&Frame::Status, |frame| {
+            matches!(frame, Frame::StatusReply(_))
+        })? {
             Frame::StatusReply(status) => Ok(status),
-            _ => unreachable!("wait_control matched StatusReply"),
+            _ => unreachable!("the reply matched StatusReply"),
         }
     }
 
@@ -398,10 +390,11 @@ impl SynoClient {
     ///
     /// Transport, timeout, or disconnection errors.
     pub fn metrics(&self) -> Result<String, ServeError> {
-        self.send(&Frame::Metrics)?;
-        match self.wait_control(|frame| matches!(frame, Frame::MetricsReply { .. }))? {
+        match self.request(&Frame::Metrics, |frame| {
+            matches!(frame, Frame::MetricsReply { .. })
+        })? {
             Frame::MetricsReply { dump } => Ok(dump),
-            _ => unreachable!("wait_control matched MetricsReply"),
+            _ => unreachable!("the reply matched MetricsReply"),
         }
     }
 
@@ -446,13 +439,13 @@ impl SynoClient {
         left: &str,
         right: &str,
     ) -> Result<WireCandidateSet, ServeError> {
-        self.send(&Frame::Derive {
+        let derive = Frame::Derive {
             op: op.to_owned(),
             name: name.to_owned(),
             left: left.to_owned(),
             right: right.to_owned(),
-        })?;
-        let reply = self.wait_control(|frame| {
+        };
+        let reply = self.request(&derive, |frame| {
             matches!(
                 frame,
                 Frame::DeriveReply { .. } | Frame::Error { session: 0, .. }
@@ -461,7 +454,7 @@ impl SynoClient {
         match reply {
             Frame::DeriveReply { set } => Ok(set),
             Frame::Error { message, .. } => Err(ServeError::Daemon(message)),
-            _ => unreachable!("wait_control matched DeriveReply/Error"),
+            _ => unreachable!("the reply matched DeriveReply/Error"),
         }
     }
 
@@ -473,10 +466,11 @@ impl SynoClient {
     ///
     /// Transport, timeout, or disconnection errors.
     pub fn shutdown(&self) -> Result<u64, ServeError> {
-        self.send(&Frame::Shutdown)?;
-        match self.wait_control(|frame| matches!(frame, Frame::ShuttingDown { .. }))? {
+        match self.request(&Frame::Shutdown, |frame| {
+            matches!(frame, Frame::ShuttingDown { .. })
+        })? {
             Frame::ShuttingDown { checkpointed } => Ok(checkpointed),
-            _ => unreachable!("wait_control matched ShuttingDown"),
+            _ => unreachable!("the reply matched ShuttingDown"),
         }
     }
 
@@ -488,9 +482,33 @@ impl SynoClient {
     ///
     /// Transport, timeout, or disconnection errors.
     pub fn wait_shutdown(&self) -> Result<u64, ServeError> {
-        match self.wait_control(|frame| matches!(frame, Frame::ShuttingDown { .. }))? {
+        let control = self.control_rx.lock().expect("control queue lock");
+        match wait_control(&control, |frame| {
+            matches!(frame, Frame::ShuttingDown { .. })
+        })? {
             Frame::ShuttingDown { checkpointed } => Ok(checkpointed),
-            _ => unreachable!("wait_control matched ShuttingDown"),
+            _ => unreachable!("the reply matched ShuttingDown"),
+        }
+    }
+}
+
+/// Waits on the control queue until `want` matches a frame, skipping (and
+/// dropping) non-matching control frames.
+fn wait_control(
+    control: &Receiver<Frame>,
+    want: impl Fn(&Frame) -> bool,
+) -> Result<Frame, ServeError> {
+    let deadline = Instant::now() + REPLY_TIMEOUT;
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(ServeError::Timeout);
+        }
+        match control.recv_timeout(left) {
+            Ok(frame) if want(&frame) => return Ok(frame),
+            Ok(_) => continue,
+            Err(RecvTimeoutError::Timeout) => return Err(ServeError::Timeout),
+            Err(RecvTimeoutError::Disconnected) => return Err(ServeError::Disconnected),
         }
     }
 }

@@ -24,10 +24,15 @@
 //!   every connection — handshake, admission, cancel, status, derive,
 //!   attach, delivery, and the shutdown drain — over non-blocking sockets
 //!   and `poll(2)`, woken by a `Mailbox` self-pipe (never a timer);
+//! * one **run thread** (`syno-run`) per live session searches its one
+//!   scenario and hands every candidate to the shared pool;
 //! * one **pump** per live session appends
 //!   [`SearchEvent`](syno_search::SearchEvent)s to the session's retained
 //!   `SessionLog` and wakes the loop, finishing with the terminal
 //!   `SearchDone` frame.
+//!
+//! So a live session costs two threads; the loop and the pool are the
+//! daemon's.
 //!
 //! # Sessions outlive sockets
 //!
@@ -76,7 +81,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 
-use syno_compiler::{CompilerKind, Device};
 use syno_nn::ProxyConfig;
 use syno_search::{CancelToken, CoalesceTable, EvalPool, RunProgress};
 use syno_store::{OpKind, Store};
@@ -99,10 +103,6 @@ pub struct ServeConfig {
     /// Cumulative search-step budget per tenant across all its sessions
     /// (completed steps plus live iterations); `0` means unmetered.
     pub tenant_max_steps: u64,
-    /// Devices every candidate is latency-tuned for.
-    pub devices: Vec<Device>,
-    /// Compiler simulator for the latency column.
-    pub compiler: CompilerKind,
     /// Proxy-training defaults (requests override steps/batch/batches).
     pub proxy: ProxyConfig,
     /// Default progress/checkpoint cadence in iterations.
@@ -116,8 +116,6 @@ impl Default for ServeConfig {
             max_sessions: 8,
             max_sessions_per_tenant: 4,
             tenant_max_steps: 0,
-            devices: vec![Device::mobile_cpu()],
-            compiler: CompilerKind::Tvm,
             proxy: ProxyConfig::default(),
             progress_every: 10,
         }

@@ -200,9 +200,6 @@ pub(crate) fn admit(
         .scenario(&request.label, &vars, &spec)
         .mcts(mcts)
         .proxy(proxy)
-        .devices(state.config.devices.clone())
-        .compiler(state.config.compiler)
-        .workers(1)
         .eval_pool(state.pool.clone())
         .cancel_token(cancel.clone())
         .coalesce_table(state.coalesce.clone())

@@ -31,6 +31,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod client;
 pub mod daemon;

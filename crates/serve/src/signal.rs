@@ -57,10 +57,10 @@ mod imp {
             SIGINT_FD.store(writer.into_raw_fd(), Ordering::SeqCst);
         }
         *super::SIGINT_READER.lock().expect("sigint reader lock") = Some(reader);
+        let handler = on_sigint as extern "C" fn(i32) as *const () as usize;
         // SAFETY: `on_sigint` only performs an atomic load and an
         // async-signal-safe write(2); `signal` is the documented libc
         // entry point.
-        let handler = on_sigint as extern "C" fn(i32) as *const () as usize;
         unsafe { signal(SIGINT_NUM, handler) != usize::MAX }
     }
 

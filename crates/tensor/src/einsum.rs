@@ -595,11 +595,14 @@ impl EinsumPlan {
             combine_tree(tile, len, chunks);
             for (o, row) in tile[..len].chunks_exact(n_i).enumerate() {
                 let at = out_base + o * out_outer;
-                // SAFETY: as above — this tile's elements are no one else's.
                 if out_inner == 1 {
+                    // SAFETY: this row lies in the tile's own output block,
+                    // which no other shard touches (see the in-place case).
                     unsafe { out.slice(at, n_i) }.copy_from_slice(row);
                 } else {
                     for (i, &v) in row.iter().enumerate() {
+                        // SAFETY: one element of the tile's own output block,
+                        // borrowed for this write only.
                         let cell = unsafe { out.slice(at + i * out_inner, 1) };
                         cell[0] = v;
                     }

@@ -35,6 +35,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod autodiff;
 mod einsum;

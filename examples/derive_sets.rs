@@ -9,18 +9,16 @@
 use std::sync::Arc;
 use syno::nn::{ProxyConfig, TrainConfig};
 use syno::search::MctsConfig;
-use syno::{DeriveOp, ScoreContract, Session, StoreBuilder};
+use syno::{DeriveOp, ScoreContract, Session};
 
 fn main() {
-    // 1. Open the repository handle first and inject it with
-    //    `store_handle` (rather than a path via `store`): the same
-    //    warm handle is shared by the session *and* the direct store
-    //    reads below. Separate OS processes would instead each open the
-    //    dir with `StoreBuilder::writer("<name>")` to get their own
+    // 1. Attach the repository by path; the session opens it, and
+    //    `Session::store` hands the same warm handle back for the direct
+    //    store reads below. Separate OS processes would instead each open
+    //    the dir with `StoreBuilder::writer("<name>")` to get their own
     //    journal shard.
     let dir = std::env::temp_dir().join("syno-derive-sets-repo");
     let _ = std::fs::remove_dir_all(&dir);
-    let store = Arc::new(StoreBuilder::new(&dir).open().expect("repository opens"));
 
     let proxy = ProxyConfig {
         train: TrainConfig {
@@ -39,11 +37,10 @@ fn main() {
         .primary("H", 8)
         .primary("W", 8)
         .coefficient("k", 3)
-        .devices(vec![syno::compiler::Device::mobile_cpu()])
-        .proxy(proxy)
-        .store_handle(Arc::clone(&store))
+        .store(&dir)
         .build()
         .expect("session builds");
+    let store = Arc::clone(session.store().expect("store attached"));
     let spec = session
         .spec(&["N", "Cin", "H", "W"], &["N", "Cout", "H", "W"])
         .expect("spec builds");
@@ -54,6 +51,7 @@ fn main() {
     for (label, seed) in [("site-a", 11u64), ("site-b", 23)] {
         let report = session
             .scenario(label, &spec)
+            .proxy(proxy)
             .mcts(MctsConfig {
                 iterations: 16,
                 seed,

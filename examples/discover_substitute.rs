@@ -18,8 +18,18 @@ fn main() {
         .primary("H", 8)
         .primary("W", 8)
         .coefficient("k", 3)
+        .build()
+        .expect("session builds");
+
+    let spec = session
+        .spec(&["N", "Cin", "H", "W"], &["N", "Cout", "H", "W"])
+        .expect("spec builds");
+
+    // Tune every candidate for all three platforms (the search default is
+    // the mobile CPU alone).
+    let run = session
+        .scenario("conv", &spec)
         .devices(Device::all())
-        .workers(4)
         .mcts(MctsConfig {
             iterations: 40,
             seed: 1,
@@ -34,14 +44,8 @@ fn main() {
             },
             ..ProxyConfig::default()
         })
-        .build()
-        .expect("session builds");
-
-    let spec = session
-        .spec(&["N", "Cin", "H", "W"], &["N", "Cout", "H", "W"])
-        .expect("spec builds");
-
-    let run = session.scenario("conv", &spec).start().expect("run starts");
+        .start()
+        .expect("run starts");
     for event in run.events() {
         match event {
             SearchEvent::ProxyScored { id, accuracy, .. } => {

@@ -27,7 +27,13 @@ fn main() {
         .primary("Cout", 4)
         .primary("W", 8)
         .coefficient("k", 3)
-        .devices(vec![syno::compiler::Device::mobile_cpu()])
+        .build()
+        .expect("session builds");
+    let spec = session
+        .spec(&["N", "Cin", "W", "W"], &["N", "Cout", "W", "W"])
+        .expect("spec builds");
+    let report = session
+        .scenario("conv", &spec)
         .proxy(ProxyConfig {
             train: TrainConfig {
                 steps: 4,
@@ -37,13 +43,6 @@ fn main() {
             },
             ..ProxyConfig::default()
         })
-        .build()
-        .expect("session builds");
-    let spec = session
-        .spec(&["N", "Cin", "W", "W"], &["N", "Cout", "W", "W"])
-        .expect("spec builds");
-    let report = session
-        .scenario("conv", &spec)
         .max_steps(40)
         .start()
         .expect("search starts")

@@ -27,22 +27,6 @@ fn main() {
         .primary("W", 8)
         .coefficient("s", 2)
         .coefficient("k", 3)
-        .devices(vec![syno::compiler::Device::mobile_cpu()])
-        .proxy(ProxyConfig {
-            train: TrainConfig {
-                steps: 4,
-                batch: 4,
-                eval_batches: 1,
-                // Let two threads cooperate on each contraction.
-                // `exec_threads` never moves a score bit; `reduce_width`
-                // (left at the pinned default) is the knob that does, and
-                // stored scores are tagged with it so a cache hit always
-                // means "same value contract".
-                exec: ExecPolicy::with_threads(2),
-                ..TrainConfig::default()
-            },
-            ..ProxyConfig::default()
-        })
         .store(&store_dir)
         .build()
         .expect("session builds");
@@ -80,12 +64,28 @@ fn main() {
     // 5. Search a conv-like spec with the store attached: proxy-train +
     //    latency-tune every discovery, journaling results. Re-run this
     //    example and the same candidates come back as CacheHit events — no
-    //    retraining (watch `recalled` flip from 0 to nonzero).
+    //    retraining (watch `recalled` flip from 0 to nonzero). Run settings
+    //    (devices, proxy, MCTS, evaluator threads) go on the search builder.
     let conv = session
         .spec(&["N", "Cin", "W", "W"], &["N", "Cout", "W", "W"])
         .expect("spec builds");
     let run = session
         .scenario("conv", &conv)
+        .proxy(ProxyConfig {
+            train: TrainConfig {
+                steps: 4,
+                batch: 4,
+                eval_batches: 1,
+                // Let two threads cooperate on each contraction.
+                // `exec_threads` never moves a score bit; `reduce_width`
+                // (left at the pinned default) is the knob that does, and
+                // stored scores are tagged with it so a cache hit always
+                // means "same value contract".
+                exec: ExecPolicy::with_threads(2),
+                ..TrainConfig::default()
+            },
+            ..ProxyConfig::default()
+        })
         .max_steps(12)
         .start()
         .expect("search starts");

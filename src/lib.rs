@@ -11,7 +11,7 @@
 //!   latency-tune), which emits [`SearchEvent`]s over a channel, honors
 //!   step/FLOP/wall-clock [`Budget`]s, cancels cooperatively through a
 //!   [`CancelToken`], searches many specs concurrently, and evaluates a
-//!   run's candidates on [`SessionBuilder::eval_workers`] threads without
+//!   run's candidates on [`SearchBuilder::eval_workers`] threads without
 //!   changing the discovered candidate set;
 //! * [`SessionBuilder::store`] — persistence: a content-addressed on-disk
 //!   [`Store`] that deduplicates candidates across runs, recalls cached

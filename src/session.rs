@@ -1,7 +1,8 @@
 //! The [`Session`] facade: one object that owns the symbolic-shape
-//! vocabulary and default pipeline settings, and hands out the workspace's
-//! drivers — resumable [`Synthesis`] enumeration and streaming
-//! [`SearchBuilder`] runs — without the caller wiring seven crates together.
+//! vocabulary and an optional store, and hands out the workspace's drivers —
+//! resumable [`Synthesis`] enumeration and streaming [`SearchBuilder`] runs —
+//! without the caller wiring seven crates together. Run settings (devices,
+//! MCTS, proxy, evaluator threads, …) live on the [`SearchBuilder`] only.
 //!
 //! ```
 //! use syno::{Session, SearchEvent};
@@ -30,26 +31,15 @@ use syno_core::size::Size;
 use syno_core::spec::{OperatorSpec, TensorShape};
 use syno_core::synth::{Enumerator, SynthConfig, Synthesis};
 use syno_core::var::{VarId, VarKind, VarTable};
-use syno_nn::{ProxyConfig, ProxyFamilyId};
-use syno_search::{MctsConfig, SearchBuilder};
+use syno_search::SearchBuilder;
 use syno_store::{CandidateSet, DeriveOp, Store, StoreBuilder, StoreStats};
-use syno_compiler::{CompilerKind, Device};
 
-/// Declares the symbolic-shape vocabulary and default pipeline settings for
-/// a [`Session`].
+/// Declares the symbolic-shape vocabulary and the store of a [`Session`].
 #[derive(Clone, Debug, Default)]
 pub struct SessionBuilder {
     vars: Vec<(String, VarKind, u64)>,
     extra_valuations: Vec<Vec<(String, u64)>>,
-    devices: Option<Vec<Device>>,
-    compiler: Option<CompilerKind>,
-    workers: Option<usize>,
-    eval_workers: Option<usize>,
-    mcts: Option<MctsConfig>,
-    proxy: Option<ProxyConfig>,
-    proxy_family: Option<ProxyFamilyId>,
     store_path: Option<PathBuf>,
-    store_handle: Option<Arc<Store>>,
 }
 
 impl SessionBuilder {
@@ -75,61 +65,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Default devices for search runs (defaults to all three platforms).
-    pub fn devices(mut self, devices: Vec<Device>) -> Self {
-        self.devices = Some(devices);
-        self
-    }
-
-    /// Default compiler for the latency column.
-    pub fn compiler(mut self, kind: CompilerKind) -> Self {
-        self.compiler = Some(kind);
-        self
-    }
-
-    /// Default worker-thread count for search runs.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers);
-        self
-    }
-
-    /// Default evaluator-thread count per search run (defaults to 1 —
-    /// each candidate is evaluated in place on its scenario's search
-    /// thread).
-    ///
-    /// With `n > 1`, a search run started through this session creates one
-    /// pool of `n` evaluator threads for all its scenarios: candidate
-    /// evaluation (store lookup → proxy training → latency tuning) runs
-    /// there while the tree search continues under a virtual loss. Seeded
-    /// runs discover the identical candidate set either way; see
-    /// [`SearchBuilder::eval_workers`] for the determinism contract.
-    pub fn eval_workers(mut self, workers: usize) -> Self {
-        self.eval_workers = Some(workers);
-        self
-    }
-
-    /// Default MCTS settings for search runs.
-    pub fn mcts(mut self, config: MctsConfig) -> Self {
-        self.mcts = Some(config);
-        self
-    }
-
-    /// Default accuracy-proxy settings for search runs.
-    pub fn proxy(mut self, config: ProxyConfig) -> Self {
-        self.proxy = Some(config);
-        self
-    }
-
-    /// Forces search runs onto one proxy family instead of auto-detecting
-    /// per scenario spec (4-D specs → the vision proxy, rank-1/2/3
-    /// sequence specs → the sequence/LM proxy). Each scenario is still
-    /// validated against the forced family at `start()`; see
-    /// [`SearchBuilder::proxy_family`].
-    pub fn proxy_family(mut self, family: ProxyFamilyId) -> Self {
-        self.proxy_family = Some(family);
-        self
-    }
-
     /// Attaches a persistent candidate store at `path` (created if
     /// missing, opened and recovered otherwise).
     ///
@@ -140,20 +75,6 @@ impl SessionBuilder {
     /// instead of recomputing them — across sessions and process restarts.
     pub fn store(mut self, path: impl Into<PathBuf>) -> Self {
         self.store_path = Some(path.into());
-        self
-    }
-
-    /// Attaches an **already-open** repository handle instead of a path,
-    /// so several in-process sessions (or a session next to a serving
-    /// daemon) share one [`Store`] rather than each opening — and
-    /// exclusively locking — its own segment. Clones of one `Arc<Store>`
-    /// all journal through the same writer. Takes precedence over
-    /// [`store`](SessionBuilder::store) when both are set; combine with
-    /// [`StoreBuilder::writer`] shards when the *processes* are separate.
-    ///
-    /// [`StoreBuilder::writer`]: syno_store::StoreBuilder::writer
-    pub fn store_handle(mut self, store: Arc<Store>) -> Self {
-        self.store_handle = Some(store);
         self
     }
 
@@ -201,53 +122,35 @@ impl SessionBuilder {
             }
             table.push_valuation(row);
         }
-        let store = match (&self.store_handle, &self.store_path) {
-            (Some(handle), _) => Some(Arc::clone(handle)),
-            (None, Some(path)) => Some(Arc::new(
-                StoreBuilder::new(path)
-                    .open()
-                    .map_err(SynoError::store)?,
+        let store = match &self.store_path {
+            Some(path) => Some(Arc::new(
+                StoreBuilder::new(path).open().map_err(SynoError::store)?,
             )),
-            (None, None) => None,
+            None => None,
         };
         Ok(Session {
             vars: table.into_shared(),
             ids,
-            devices: self.devices.unwrap_or_else(Device::all),
-            compiler: self.compiler.unwrap_or(CompilerKind::Tvm),
-            workers: self.workers.unwrap_or(2),
-            eval_workers: self.eval_workers.unwrap_or(1),
-            mcts: self.mcts.unwrap_or_default(),
-            proxy: self.proxy.unwrap_or_default(),
-            proxy_family: self.proxy_family,
             store,
         })
     }
 }
 
-/// The workspace facade: symbolic shapes plus pipeline defaults.
+/// The workspace facade: symbolic shapes plus an optional store.
 ///
 /// A `Session` is cheap to clone (the variable table is shared) and hands
 /// out both drivers of the reproduction:
 ///
 /// * [`synthesis`](Session::synthesis) — the resumable Algorithm 1
 ///   enumerator ([`Synthesis`] yields one operator at a time);
-/// * [`search`](Session::search) — a [`SearchBuilder`] pre-seeded with the
-///   session's devices/compiler/workers/eval-workers/MCTS/proxy defaults,
-///   which streams
+/// * [`search`](Session::search) — a [`SearchBuilder`] bound to the
+///   session's store, which streams
 ///   [`SearchEvent`](syno_search::SearchEvent)s and honors budgets and
 ///   [`CancelToken`](syno_search::CancelToken)s.
 #[derive(Clone, Debug)]
 pub struct Session {
     vars: Arc<VarTable>,
     ids: HashMap<String, VarId>,
-    devices: Vec<Device>,
-    compiler: CompilerKind,
-    workers: usize,
-    eval_workers: usize,
-    mcts: MctsConfig,
-    proxy: ProxyConfig,
-    proxy_family: Option<ProxyFamilyId>,
     store: Option<Arc<Store>>,
 }
 
@@ -315,33 +218,24 @@ impl Session {
         Enumerator::new(config).synthesis(&self.vars, spec)
     }
 
-    /// A [`SearchBuilder`] pre-seeded with this session's defaults; add
-    /// scenarios with [`scenario`](Session::scenario) or directly on the
-    /// returned builder. When the session has a [store](SessionBuilder::store)
-    /// attached, the builder journals to (and recalls from) it.
+    /// A [`SearchBuilder`] with default settings; add scenarios with
+    /// [`scenario`](Session::scenario) or directly on the returned builder,
+    /// and set the run's devices, MCTS, proxy and evaluator threads there.
+    /// When the session has a [store](SessionBuilder::store) attached, the
+    /// builder journals to (and recalls from) it.
     pub fn search(&self) -> SearchBuilder {
-        let mut builder = SearchBuilder::new()
-            .devices(self.devices.clone())
-            .compiler(self.compiler)
-            .workers(self.workers)
-            .eval_workers(self.eval_workers)
-            .mcts(self.mcts)
-            .proxy(self.proxy);
-        if let Some(family) = self.proxy_family {
-            builder = builder.proxy_family(family);
-        }
         match &self.store {
-            Some(store) => builder.store(Arc::clone(store)),
-            None => builder,
+            Some(store) => SearchBuilder::new().store(Arc::clone(store)),
+            None => SearchBuilder::new(),
         }
     }
 
-    /// Shorthand: a pre-seeded search builder with one scenario added.
+    /// Shorthand: a search builder with one scenario added.
     pub fn scenario(&self, label: &str, spec: &OperatorSpec) -> SearchBuilder {
         self.search().scenario(label, &self.vars, spec)
     }
 
-    /// A pre-seeded search builder that *resumes* from the session store's
+    /// A search builder that *resumes* from the session store's
     /// journaled checkpoints (see
     /// [`SearchBuilder::resume_from`]): interrupted scenarios replay their
     /// completed prefix from the journal as cache hits, then continue.
@@ -350,11 +244,7 @@ impl Session {
     ///
     /// [`SynoError::Store`] when the session has no store attached.
     pub fn resume(&self) -> Result<SearchBuilder, SynoError> {
-        let store = self
-            .store
-            .as_ref()
-            .ok_or_else(|| SynoError::store("session has no store attached"))?;
-        Ok(self.search().resume_from(Arc::clone(store)))
+        Ok(SearchBuilder::new().resume_from(Arc::clone(self.repo()?)))
     }
 
     /// The session's persistent candidate store, if one was attached.

@@ -29,15 +29,6 @@ fn session_search_discovers_priced_candidates() {
         .primary("H", 8)
         .primary("W", 8)
         .coefficient("k", 3)
-        .devices(vec![Device::mobile_cpu(), Device::server_gpu()])
-        .compiler(CompilerKind::Tvm)
-        .workers(2)
-        .proxy(quick_proxy())
-        .mcts(MctsConfig {
-            iterations: 10,
-            seed: 3,
-            ..MctsConfig::default()
-        })
         .build()
         .expect("session builds");
     let spec = session
@@ -45,6 +36,14 @@ fn session_search_discovers_priced_candidates() {
         .unwrap();
     let report = session
         .scenario("conv", &spec)
+        .devices(vec![Device::mobile_cpu(), Device::server_gpu()])
+        .compiler(CompilerKind::Tvm)
+        .proxy(quick_proxy())
+        .mcts(MctsConfig {
+            iterations: 10,
+            seed: 3,
+            ..MctsConfig::default()
+        })
         .run()
         .expect("search finishes");
     assert!(!report.candidates.is_empty());

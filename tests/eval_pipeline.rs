@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 use syno::nn::{ProxyConfig, TrainConfig};
 use syno::search::MctsConfig;
-use syno::{SearchEvent, Session, SessionBuilder, StopReason, SynoError};
+use syno::{SearchBuilder, SearchEvent, Session, SessionBuilder, StopReason, SynoError};
 
 fn conv_session_builder() -> SessionBuilder {
     Session::builder()
@@ -18,7 +18,15 @@ fn conv_session_builder() -> SessionBuilder {
         .primary("H", 8)
         .primary("W", 8)
         .coefficient("k", 3)
-        .devices(vec![syno::compiler::Device::mobile_cpu()])
+}
+
+/// The conv scenario of `session` with this suite's quick run settings.
+fn conv_search(session: &Session) -> SearchBuilder {
+    let spec = session
+        .spec(&["N", "Cin", "H", "W"], &["N", "Cout", "H", "W"])
+        .unwrap();
+    session
+        .scenario("conv", &spec)
         .proxy(ProxyConfig {
             train: TrainConfig {
                 steps: 2,
@@ -55,14 +63,11 @@ fn sequences(events: &[SearchEvent]) -> HashMap<u64, Vec<&'static str>> {
 #[test]
 fn pipelined_session_run_matches_serial() {
     let run_with = |eval_workers: usize| {
-        let session = conv_session_builder()
+        let session = conv_session_builder().build().expect("session builds");
+        let run = conv_search(&session)
             .eval_workers(eval_workers)
-            .build()
-            .expect("session builds");
-        let spec = session
-            .spec(&["N", "Cin", "H", "W"], &["N", "Cout", "H", "W"])
-            .unwrap();
-        let run = session.scenario("conv", &spec).start().expect("run starts");
+            .start()
+            .expect("run starts");
         let events: Vec<SearchEvent> = run.events().collect();
         let report = run.join().expect("run joins");
         (events, report)
@@ -93,19 +98,16 @@ fn pipelined_session_run_matches_serial() {
 
 #[test]
 fn pipelined_cancellation_drains_in_flight_evaluations() {
-    let session = conv_session_builder()
+    let session = conv_session_builder().build().expect("session builds");
+    let run = conv_search(&session)
         .eval_workers(3)
         .mcts(MctsConfig {
             iterations: 1_000_000,
             seed: 5,
             ..MctsConfig::default()
         })
-        .build()
-        .expect("session builds");
-    let spec = session
-        .spec(&["N", "Cin", "H", "W"], &["N", "Cout", "H", "W"])
-        .unwrap();
-    let run = session.scenario("conv", &spec).start().expect("run starts");
+        .start()
+        .expect("run starts");
     let token = run.cancel_token();
 
     let mut events = Vec::new();
@@ -176,14 +178,13 @@ fn warm_store_serves_recalls_under_pipelining() {
     let _ = std::fs::remove_dir_all(&dir);
     let run_once = |eval_workers: usize| {
         let session = conv_session_builder()
-            .eval_workers(eval_workers)
             .store(dir.clone())
             .build()
             .expect("session builds");
-        let spec = session
-            .spec(&["N", "Cin", "H", "W"], &["N", "Cout", "H", "W"])
-            .unwrap();
-        let run = session.scenario("conv", &spec).start().expect("run starts");
+        let run = conv_search(&session)
+            .eval_workers(eval_workers)
+            .start()
+            .expect("run starts");
         let mut scored = 0usize;
         let mut hits = 0usize;
         for event in run.events() {

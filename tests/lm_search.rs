@@ -36,15 +36,14 @@ fn one_d_pool_spec_searches_end_to_end() {
     let session = Session::builder()
         .primary("H", 16)
         .coefficient("s", 2)
-        .devices(vec![syno::compiler::Device::mobile_cpu()])
-        .proxy(quick_proxy())
-        .mcts(quick_mcts(3))
         .build()
         .unwrap();
     let spec = session.spec(&["H"], &["H/s"]).unwrap();
 
     let run = session
         .scenario("pool", &spec)
+        .proxy(quick_proxy())
+        .mcts(quick_mcts(3))
         .start()
         .expect("1-D specs are scorable through the sequence family");
     let mut found = 0usize;
@@ -85,14 +84,6 @@ fn sequence_and_vision_scenarios_share_a_session() {
         .primary("T", 4)
         .primary("C", 8)
         .coefficient("k", 2)
-        .devices(vec![syno::compiler::Device::mobile_cpu()])
-        .proxy(quick_proxy())
-        .mcts(syno::search::MctsConfig {
-            iterations: 30,
-            seed: 5,
-            ..syno::search::MctsConfig::default()
-        })
-        .workers(2)
         .build()
         .unwrap();
     let conv = session
@@ -103,6 +94,12 @@ fn sequence_and_vision_scenarios_share_a_session() {
     let report = session
         .scenario("conv", &conv)
         .scenario("lm", session.vars(), &lm)
+        .proxy(quick_proxy())
+        .mcts(syno::search::MctsConfig {
+            iterations: 30,
+            seed: 5,
+            ..syno::search::MctsConfig::default()
+        })
         .run()
         .expect("mixed-family search finishes");
     let scenarios: std::collections::HashSet<usize> =
@@ -113,19 +110,20 @@ fn sequence_and_vision_scenarios_share_a_session() {
     );
 }
 
-/// The session-level family override: forcing vision onto a sequence spec
-/// is a typed error naming the family, not a silent zero-reward search.
+/// The family override on a session's search: forcing vision onto a
+/// sequence spec is a typed error naming the family, not a silent
+/// zero-reward search.
 #[test]
 fn session_family_override_is_validated() {
     let session = Session::builder()
         .primary("H", 16)
         .coefficient("s", 2)
-        .proxy_family(ProxyFamilyId::Vision)
         .build()
         .unwrap();
     let spec = session.spec(&["H"], &["H/s"]).unwrap();
     let err = session
         .scenario("pool", &spec)
+        .proxy_family(ProxyFamilyId::Vision)
         .start()
         .expect_err("vision cannot score 1-D");
     match err {
@@ -145,12 +143,7 @@ fn store_round_trips_family_tagged_scores() {
     let _ = std::fs::remove_dir_all(&dir);
 
     let session = |store: bool| {
-        let mut b = Session::builder()
-            .primary("H", 16)
-            .coefficient("s", 2)
-            .devices(vec![syno::compiler::Device::mobile_cpu()])
-            .proxy(quick_proxy())
-            .mcts(quick_mcts(9));
+        let mut b = Session::builder().primary("H", 16).coefficient("s", 2);
         if store {
             b = b.store(dir.clone());
         }
@@ -160,7 +153,12 @@ fn store_round_trips_family_tagged_scores() {
     // Cold run: train and journal.
     let cold = session(true);
     let spec = cold.spec(&["H"], &["H/s"]).unwrap();
-    let report = cold.scenario("pool", &spec).run().unwrap();
+    let report = cold
+        .scenario("pool", &spec)
+        .proxy(quick_proxy())
+        .mcts(quick_mcts(9))
+        .run()
+        .unwrap();
     assert!(!report.candidates.is_empty());
     let store = Arc::clone(cold.store().expect("store attached"));
     assert!(!store.hashes().is_empty());
@@ -174,7 +172,12 @@ fn store_round_trips_family_tagged_scores() {
 
     // Warm run against the reopened journal: recalls, no re-training.
     let warm = session(true);
-    let run = warm.scenario("pool", &spec).start().unwrap();
+    let run = warm
+        .scenario("pool", &spec)
+        .proxy(quick_proxy())
+        .mcts(quick_mcts(9))
+        .start()
+        .unwrap();
     let mut hits = 0usize;
     for event in run.events() {
         match event {

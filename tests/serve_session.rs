@@ -119,7 +119,6 @@ fn serial_run(
             ..MctsConfig::default()
         })
         .proxy(quick_proxy())
-        .workers(1)
         .progress_every(5)
         .start()
         .expect("serial baseline starts");
@@ -402,7 +401,6 @@ fn shutdown_mid_run_checkpoints_sessions_for_identical_resume() {
                 ..MctsConfig::default()
             })
             .proxy(quick_proxy())
-            .workers(1)
             .progress_every(5)
             .resume_from(Arc::clone(&store))
             .run()
@@ -496,6 +494,37 @@ fn admission_caps_reject_and_cancel_is_cooperative() {
     }
 
     t3.shutdown().expect("daemon acknowledges shutdown");
+    daemon_thread.join().expect("daemon exits");
+}
+
+/// Two threads share one client and submit at once, asking for different
+/// iteration counts. Each must stream its own session: a reply taken by the
+/// other thread shows up as the other request's `steps`.
+#[test]
+fn threads_sharing_a_client_each_get_their_own_session() {
+    let vision = vision_space();
+    let daemon = Daemon::bind("127.0.0.1:0", None, serve_config()).expect("daemon binds");
+    let (handle, daemon_thread) = daemon.spawn();
+    let client = SynoClient::connect(handle.addr(), "shared").expect("client connects");
+    let barrier = std::sync::Barrier::new(2);
+    for round in 0..20u64 {
+        std::thread::scope(|scope| {
+            for iterations in [3u32, 4] {
+                let (client, barrier, vision) = (&client, &barrier, &vision);
+                scope.spawn(move || {
+                    let req = request("shared", &vision.0, &vision.1, "vision", iterations, round);
+                    barrier.wait();
+                    let (_, stopped, steps, _) = daemon_run(client, &req);
+                    assert_eq!(
+                        (stopped.as_str(), steps),
+                        ("completed", u64::from(iterations)),
+                        "round {round}: the session streamed another thread's run"
+                    );
+                });
+            }
+        });
+    }
+    client.shutdown().expect("daemon acknowledges shutdown");
     daemon_thread.join().expect("daemon exits");
 }
 

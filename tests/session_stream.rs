@@ -17,17 +17,18 @@ fn conv_session_builder() -> SessionBuilder {
         .primary("H", 8)
         .primary("W", 8)
         .coefficient("k", 3)
-        .devices(vec![syno::compiler::Device::mobile_cpu()])
-        .workers(2)
-        .proxy(ProxyConfig {
-            train: TrainConfig {
-                steps: 2,
-                batch: 4,
-                eval_batches: 1,
-                ..TrainConfig::default()
-            },
-            ..ProxyConfig::default()
-        })
+}
+
+fn quick_proxy() -> ProxyConfig {
+    ProxyConfig {
+        train: TrainConfig {
+            steps: 2,
+            batch: 4,
+            eval_batches: 1,
+            ..TrainConfig::default()
+        },
+        ..ProxyConfig::default()
+    }
 }
 
 fn conv_session() -> Session {
@@ -42,6 +43,7 @@ fn events_arrive_in_pipeline_order() {
         .unwrap();
     let run = session
         .scenario("conv", &spec)
+        .proxy(quick_proxy())
         .mcts(MctsConfig {
             iterations: 20,
             seed: 11,
@@ -112,6 +114,7 @@ fn cancellation_returns_partial_results() {
         .unwrap();
     let run = session
         .scenario("conv", &spec)
+        .proxy(quick_proxy())
         .mcts(MctsConfig {
             iterations: 1_000_000, // would run (effectively) forever
             seed: 7,
@@ -153,6 +156,7 @@ fn step_budget_stops_multi_scenario_runs() {
         .search()
         .scenario("site-a", session.vars(), &spec)
         .scenario("site-b", session.vars(), &spec)
+        .proxy(quick_proxy())
         .mcts(MctsConfig {
             iterations: 1_000_000,
             seed: 3,
@@ -194,6 +198,7 @@ fn warm_store_second_run_recalls_instead_of_retraining() {
             .unwrap();
         let run = session
             .scenario("conv", &spec)
+            .proxy(quick_proxy())
             .mcts(mcts)
             .start()
             .expect("run starts");

@@ -38,17 +38,18 @@ fn session_builder() -> SessionBuilder {
         .primary("H", 8)
         .primary("W", 8)
         .coefficient("k", 3)
-        .devices(vec![syno::compiler::Device::mobile_cpu()])
-        .workers(2)
-        .proxy(ProxyConfig {
-            train: TrainConfig {
-                steps: 2,
-                batch: 4,
-                eval_batches: 1,
-                ..TrainConfig::default()
-            },
-            ..ProxyConfig::default()
-        })
+}
+
+fn quick_proxy() -> ProxyConfig {
+    ProxyConfig {
+        train: TrainConfig {
+            steps: 2,
+            batch: 4,
+            eval_batches: 1,
+            ..TrainConfig::default()
+        },
+        ..ProxyConfig::default()
+    }
 }
 
 fn mcts() -> MctsConfig {
@@ -97,6 +98,7 @@ fn run_with_store(dir: &Path, resume: bool) -> (Tally, SearchReport) {
     };
     let run = builder
         .scenario("conv", session.vars(), &spec)
+        .proxy(quick_proxy())
         .mcts(mcts())
         .start()
         .expect("run starts");
@@ -167,6 +169,7 @@ fn resume_after_kill_matches_uninterrupted_run() {
     let spec = conv_spec(&session);
     let reference = session
         .scenario("conv", &spec)
+        .proxy(quick_proxy())
         .mcts(mcts())
         .run()
         .expect("reference run");
@@ -190,6 +193,7 @@ fn resume_after_kill_matches_uninterrupted_run() {
     let spec = conv_spec(&session);
     let run = session
         .scenario("conv", &spec)
+        .proxy(quick_proxy())
         .mcts(MctsConfig {
             iterations: 1_000_000,
             ..mcts()

@@ -73,7 +73,6 @@ fn serial_run(iterations: usize, seed: u64) -> (BTreeSet<(u64, u64)>, syno::Sear
             ..MctsConfig::default()
         })
         .proxy(quick_proxy())
-        .workers(1)
         .run()
         .expect("search finishes");
     let set = report
