@@ -104,12 +104,7 @@ pub struct Candidate {
 }
 
 /// One pipeline notification, streamed in emission order per scenario.
-///
-/// Marked `#[non_exhaustive]`: new pipeline stages (op-log events, derive
-/// notifications) may add variants without a semver break, so downstream
-/// matchers need a wildcard arm.
 #[derive(Clone, Debug)]
-#[non_exhaustive]
 pub enum SearchEvent {
     /// MCTS completed a rollout to a new distinct operator.
     CandidateFound {

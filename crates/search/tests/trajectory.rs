@@ -10,6 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::path::Path;
 use std::sync::Arc;
 use syno_core::prelude::*;
 use syno_search::mcts::{Mcts, MctsConfig};
@@ -70,6 +71,13 @@ fn trajectory() -> Vec<String> {
     lines
 }
 
+/// The comment lines a regenerated `trajectory.expected` starts with.
+const HEADER: &str = "\
+# Blessed at commit <fill in when moving this pin> by crates/search/tests/trajectory.rs:
+# 200 guided rollouts (StdRng seed 7) from the empty toy-vision graph, then the
+# sorted (content_hash, reward bits) set of a 300-iteration Mcts::search (seed 7).
+";
+
 #[test]
 fn seeded_search_trajectory_is_pinned() {
     let expected: Vec<&str> = include_str!("trajectory.expected")
@@ -77,10 +85,26 @@ fn seeded_search_trajectory_is_pinned() {
         .filter(|l| !l.starts_with('#') && !l.is_empty())
         .collect();
     let actual = trajectory();
-    for (i, (want, got)) in expected.iter().zip(&actual).enumerate() {
-        assert_eq!(want, got, "trajectory diverges at line {i}");
+    if expected != actual {
+        // The regeneration path: the whole actual trajectory, header
+        // included, ready to review and copy over `trajectory.expected`.
+        let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("trajectory.actual");
+        let body: String = actual.iter().map(|l| format!("{l}\n")).collect();
+        std::fs::write(&path, format!("{HEADER}{body}")).expect("write trajectory.actual");
+        let at = (0..).find(|&i| expected.get(i).copied() != actual.get(i).map(String::as_str));
+        let at = at.expect("the trajectories differ");
+        panic!(
+            "trajectory diverges at line {at}: want {:?}, got {:?} ({} vs {} lines). \
+             The full actual trajectory is in {}; if the move is intended, copy it \
+             over crates/search/tests/trajectory.expected and record the move in \
+             CHANGES.md's \"Pins moved\" table",
+            expected.get(at),
+            actual.get(at),
+            expected.len(),
+            actual.len(),
+            path.display()
+        );
     }
-    assert_eq!(expected.len(), actual.len(), "trajectory length changed");
     assert!(
         actual.iter().any(|l| l.starts_with("mcts ")),
         "the pinned search must discover something"

@@ -302,16 +302,30 @@ impl SynoClient {
         Ok(())
     }
 
-    /// Sends `frame` and waits for the control reply `want` matches.
+    /// Sends `frame` and waits for the first control frame `reply`
+    /// extracts an answer from.
     ///
     /// The control queue stays locked from the send to the reply. The
     /// daemon answers a connection's frames in order, so no other thread
     /// sharing this client can send a request, and take this one's reply
     /// for its own, until the reply is here.
-    fn request(&self, frame: &Frame, want: impl Fn(&Frame) -> bool) -> Result<Frame, ServeError> {
+    fn request<T>(
+        &self,
+        frame: &Frame,
+        reply: impl Fn(Frame) -> Reply<T>,
+    ) -> Result<T, ServeError> {
         let control = self.control_rx.lock().expect("control queue lock");
         self.send(frame)?;
-        wait_control(&control, want)
+        wait_control(&control, reply)
+    }
+
+    /// The handle for an admitted or attached session.
+    fn session(&self, session: u64) -> ClientSession<'_> {
+        ClientSession {
+            client: self,
+            session,
+            rx: self.demux.take_session_rx(session),
+        }
     }
 
     /// Submits one search session and waits for admission.
@@ -321,18 +335,12 @@ impl SynoClient {
     /// [`ServeError::Rejected`] with the daemon's reason (admission cap,
     /// bad spec, shutdown, …); transport/timeout errors otherwise.
     pub fn submit(&self, request: &SearchRequest) -> Result<ClientSession<'_>, ServeError> {
-        let reply = self.request(&Frame::SubmitSearch(request.clone()), |frame| {
-            matches!(frame, Frame::Accepted { .. } | Frame::Rejected { .. })
+        let session = self.request(&Frame::SubmitSearch(request.clone()), |frame| match frame {
+            Frame::Accepted { session } => Some(Ok(session)),
+            Frame::Rejected { reason } => Some(Err(ServeError::Rejected(reason))),
+            _ => None,
         })?;
-        match reply {
-            Frame::Accepted { session } => Ok(ClientSession {
-                client: self,
-                session,
-                rx: self.demux.take_session_rx(session),
-            }),
-            Frame::Rejected { reason } => Err(ServeError::Rejected(reason)),
-            _ => unreachable!("the reply matched Accepted/Rejected"),
-        }
+        Ok(self.session(session))
     }
 
     /// Reattaches to a session that outlived its original connection and
@@ -351,19 +359,11 @@ impl SynoClient {
     /// different tenant; transport, timeout, or disconnection errors
     /// otherwise.
     pub fn attach(&self, session: u64, from_seq: u64) -> Result<ClientSession<'_>, ServeError> {
-        let reply = self.request(&Frame::Attach { session, from_seq }, |frame| {
-            matches!(frame, Frame::AttachReply { session: s, .. } if *s == session)
-                || matches!(frame, Frame::Error { session: 0, .. })
+        self.request(&Frame::Attach { session, from_seq }, |frame| match frame {
+            Frame::AttachReply { session: s, .. } if s == session => Some(Ok(())),
+            other => daemon_error(other),
         })?;
-        match reply {
-            Frame::AttachReply { .. } => Ok(ClientSession {
-                client: self,
-                session,
-                rx: self.demux.take_session_rx(session),
-            }),
-            Frame::Error { message, .. } => Err(ServeError::Daemon(message)),
-            _ => unreachable!("the reply matched AttachReply/Error"),
-        }
+        Ok(self.session(session))
     }
 
     /// Requests the daemon's status snapshot (live sessions + shared
@@ -373,12 +373,10 @@ impl SynoClient {
     ///
     /// Transport, timeout, or disconnection errors.
     pub fn status(&self) -> Result<DaemonStatus, ServeError> {
-        match self.request(&Frame::Status, |frame| {
-            matches!(frame, Frame::StatusReply(_))
-        })? {
-            Frame::StatusReply(status) => Ok(status),
-            _ => unreachable!("the reply matched StatusReply"),
-        }
+        self.request(&Frame::Status, |frame| match frame {
+            Frame::StatusReply(status) => Some(Ok(status)),
+            _ => None,
+        })
     }
 
     /// Requests the daemon's live metrics dump — its process-global
@@ -390,12 +388,10 @@ impl SynoClient {
     ///
     /// Transport, timeout, or disconnection errors.
     pub fn metrics(&self) -> Result<String, ServeError> {
-        match self.request(&Frame::Metrics, |frame| {
-            matches!(frame, Frame::MetricsReply { .. })
-        })? {
-            Frame::MetricsReply { dump } => Ok(dump),
-            _ => unreachable!("the reply matched MetricsReply"),
-        }
+        self.request(&Frame::Metrics, |frame| match frame {
+            Frame::MetricsReply { dump } => Some(Ok(dump)),
+            _ => None,
+        })
     }
 
     /// Fetches the named [`CandidateSet`](syno_store::CandidateSet) from
@@ -445,17 +441,10 @@ impl SynoClient {
             left: left.to_owned(),
             right: right.to_owned(),
         };
-        let reply = self.request(&derive, |frame| {
-            matches!(
-                frame,
-                Frame::DeriveReply { .. } | Frame::Error { session: 0, .. }
-            )
-        })?;
-        match reply {
-            Frame::DeriveReply { set } => Ok(set),
-            Frame::Error { message, .. } => Err(ServeError::Daemon(message)),
-            _ => unreachable!("the reply matched DeriveReply/Error"),
-        }
+        self.request(&derive, |frame| match frame {
+            Frame::DeriveReply { set } => Some(Ok(set)),
+            other => daemon_error(other),
+        })
     }
 
     /// Requests a graceful daemon shutdown and waits for the terminal
@@ -466,12 +455,7 @@ impl SynoClient {
     ///
     /// Transport, timeout, or disconnection errors.
     pub fn shutdown(&self) -> Result<u64, ServeError> {
-        match self.request(&Frame::Shutdown, |frame| {
-            matches!(frame, Frame::ShuttingDown { .. })
-        })? {
-            Frame::ShuttingDown { checkpointed } => Ok(checkpointed),
-            _ => unreachable!("the reply matched ShuttingDown"),
-        }
+        self.request(&Frame::Shutdown, shutting_down)
     }
 
     /// Waits for the daemon-initiated terminal `ShuttingDown` frame
@@ -483,21 +467,40 @@ impl SynoClient {
     /// Transport, timeout, or disconnection errors.
     pub fn wait_shutdown(&self) -> Result<u64, ServeError> {
         let control = self.control_rx.lock().expect("control queue lock");
-        match wait_control(&control, |frame| {
-            matches!(frame, Frame::ShuttingDown { .. })
-        })? {
-            Frame::ShuttingDown { checkpointed } => Ok(checkpointed),
-            _ => unreachable!("the reply matched ShuttingDown"),
-        }
+        wait_control(&control, shutting_down)
     }
 }
 
-/// Waits on the control queue until `want` matches a frame, skipping (and
-/// dropping) non-matching control frames.
-fn wait_control(
+/// What a reply extractor makes of one control frame: `None` for a frame
+/// that is not the awaited reply, else the call's outcome.
+type Reply<T> = Option<Result<T, ServeError>>;
+
+/// The terminal `ShuttingDown` frame's checkpointed-session count.
+fn shutting_down(frame: Frame) -> Reply<u64> {
+    match frame {
+        Frame::ShuttingDown { checkpointed } => Some(Ok(checkpointed)),
+        _ => None,
+    }
+}
+
+/// A connection-scoped daemon error, the refusal of a request that names
+/// a session or a set.
+fn daemon_error<T>(frame: Frame) -> Reply<T> {
+    match frame {
+        Frame::Error {
+            session: 0,
+            message,
+        } => Some(Err(ServeError::Daemon(message))),
+        _ => None,
+    }
+}
+
+/// Waits on the control queue for the first frame `reply` extracts an
+/// answer from, dropping the control frames it does not.
+fn wait_control<T>(
     control: &Receiver<Frame>,
-    want: impl Fn(&Frame) -> bool,
-) -> Result<Frame, ServeError> {
+    reply: impl Fn(Frame) -> Reply<T>,
+) -> Result<T, ServeError> {
     let deadline = Instant::now() + REPLY_TIMEOUT;
     loop {
         let left = deadline.saturating_duration_since(Instant::now());
@@ -505,8 +508,11 @@ fn wait_control(
             return Err(ServeError::Timeout);
         }
         match control.recv_timeout(left) {
-            Ok(frame) if want(&frame) => return Ok(frame),
-            Ok(_) => continue,
+            Ok(frame) => {
+                if let Some(answer) = reply(frame) {
+                    return answer;
+                }
+            }
             Err(RecvTimeoutError::Timeout) => return Err(ServeError::Timeout),
             Err(RecvTimeoutError::Disconnected) => return Err(ServeError::Disconnected),
         }

@@ -73,12 +73,7 @@ pub(crate) fn spawn_pump(
         .name(format!("syno-serve-session-{session}"))
         .spawn(move || {
             for event in run.events() {
-                // `wire_event` is None for event variants this protocol
-                // revision cannot carry; drop them rather than corrupt
-                // the stream.
-                let Some(event) = wire_event(&event) else {
-                    continue;
-                };
+                let event = wire_event(&event);
                 log.push(Frame::Event { session, event });
                 state.mailbox.post(LoopMsg::Activity(session));
             }

@@ -5,11 +5,9 @@ use super::payload::{WireCandidate, WireEvent};
 /// Converts a [`SearchEvent`](syno_search::SearchEvent) into its wire
 /// shape (graphs re-encoded with the graph codec, errors tagged by kind).
 ///
-/// Returns `None` for event variants this protocol revision has no wire
-/// shape for — `SearchEvent` is `#[non_exhaustive]`, and a daemon built
-/// against a newer search crate must drop unknown events rather than
-/// corrupt the stream.
-pub fn wire_event(event: &syno_search::SearchEvent) -> Option<WireEvent> {
+/// Total: every event has a wire shape, so a variant added to `SearchEvent`
+/// fails to compile here instead of vanishing from tenants' streams.
+pub fn wire_event(event: &syno_search::SearchEvent) -> WireEvent {
     use syno_core::codec::encode_graph;
     use syno_search::SearchEvent as E;
     let wire_candidate = |c: &syno_search::Candidate| WireCandidate {
@@ -19,7 +17,7 @@ pub fn wire_event(event: &syno_search::SearchEvent) -> Option<WireEvent> {
         params: c.params,
         latencies: c.latencies.clone(),
     };
-    Some(match event {
+    match event {
         E::CandidateFound { scenario, id, .. } => WireEvent::CandidateFound {
             scenario: *scenario as u32,
             id: *id,
@@ -95,6 +93,5 @@ pub fn wire_event(event: &syno_search::SearchEvent) -> Option<WireEvent> {
             scenario: *scenario as u32,
             candidates: *candidates as u64,
         },
-        _ => return None,
-    })
+    }
 }

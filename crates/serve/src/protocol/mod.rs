@@ -53,7 +53,6 @@ pub const MAX_FRAME_PAYLOAD: u32 = 16 * 1024 * 1024;
 /// and its clients.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
-#[non_exhaustive]
 pub enum FrameKind {
     /// Client → server: protocol version + tenant identity (first frame).
     Hello = 0,

@@ -81,13 +81,7 @@ use std::fmt;
 use syno_core::codec::CodecError;
 
 /// Errors surfaced by store operations.
-///
-/// Marked `#[non_exhaustive]`: repository-level failures grow with the
-/// store (sharding added [`StoreError::InvalidWriter`] and
-/// [`StoreError::UnknownSet`]), so downstream matchers must keep a
-/// wildcard arm.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum StoreError {
     /// An OS-level I/O failure, tagged with the operation that failed.
     Io {

@@ -7,7 +7,6 @@ use syno_core::codec::{CodecError, Decoder, Encoder};
 /// The journaled record kinds; the discriminant is the envelope tag.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 #[repr(u8)]
-#[non_exhaustive]
 pub enum RecordKind {
     /// A candidate operator (content hash + encoded graph recipe).
     Candidate = 1,
@@ -97,11 +96,9 @@ impl ScoreContract {
 }
 
 /// What a journaled [`Operation`] records; the discriminant is its payload
-/// tag. Marked `#[non_exhaustive]`: future repository operations (branch,
-/// merge, prune, …) must not be a semver break for downstream matchers.
+/// tag.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
-#[non_exhaustive]
 pub enum OpKind {
     /// A search run started fresh against the repository.
     RunStarted = 0,

@@ -7,7 +7,6 @@ use syno_core::stable::StableHasher;
 
 /// A derive-style set operation over two named [`CandidateSet`]s.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[non_exhaustive]
 pub enum DeriveOp {
     /// Hashes in either input set.
     Union,

@@ -39,7 +39,6 @@
 
 mod autodiff;
 mod einsum;
-mod exec;
 pub mod init;
 pub mod ops;
 mod pool;
@@ -48,8 +47,7 @@ mod tensor;
 pub use autodiff::{Gradients, Tape, Var};
 pub use einsum::{
     einsum, einsum_reference, einsum_spec, einsum_spec_reference, matmul, EinsumEngine,
-    EinsumError, EinsumPlan, EinsumSpec,
+    EinsumError, EinsumPlan, EinsumSpec, ExecPolicy,
 };
-pub use exec::{ExecPolicy, ExecPool};
 pub use pool::ScratchPool;
 pub use tensor::Tensor;

@@ -94,9 +94,6 @@ fn events_arrive_in_pipeline_order() {
                 panic!("no store attached: nothing can be checkpointed");
             }
             SearchEvent::Progress { .. } | SearchEvent::ScenarioFinished { .. } => {}
-            // SearchEvent is non_exhaustive; this ordering test only
-            // constrains the per-candidate pipeline stages above.
-            _ => {}
         }
     }
     let report = run.join().expect("run joins");
