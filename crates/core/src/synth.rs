@@ -12,15 +12,16 @@
 //! ([`PGraph::peek`]), so one filter — [`Enumerator::feasible_children`]:
 //! canonicalization, validity, shape distance, in enumeration order — decides
 //! every candidate on the parent and only survivors are ever built. Two
-//! drivers (and the MCTS expansion in `syno-search`) share it:
+//! drivers (and the MCTS memo in `syno-search`) share it:
 //!
 //! * [`Synthesis`] — a resumable, iterator-style DFS of Algorithm 1:
 //!   [`Synthesis::next_operator`] yields one canonical operator at a time, so
 //!   callers can interleave synthesis with evaluation, stop early, or stream
 //!   discoveries;
-//! * [`rollout`] — a random completion used by MCTS simulations and by the
-//!   §9.4 shape-distance ablation (`guided = false` reproduces the paper's
-//!   "500M unguided trials find nothing" result).
+//! * [`rollout`] — a random completion used by the §9.4 shape-distance
+//!   ablation (`guided = false` reproduces the paper's "500M unguided trials
+//!   find nothing" result); MCTS simulations run the same loop,
+//!   [`rollout_with`], on children remembered per action path.
 
 use crate::analysis;
 use crate::error::SynthError;
@@ -340,7 +341,7 @@ impl Enumerator {
     /// The children of `graph` guided synthesis may still take (Algorithm 1
     /// line 20): canonical, valid, and with a shape distance that fits the
     /// steps left after taking them. In [`children`](Enumerator::children)
-    /// order; empty once `max_steps` primitives are applied. MCTS expansion,
+    /// order; empty once `max_steps` primitives are applied. The MCTS memo,
     /// guided [`rollout`]s and the [`Synthesis`] DFS all filter through here.
     pub fn feasible_children(&self, graph: &PGraph) -> Vec<Action> {
         self.counted_feasible_children(graph, &mut EnumStats::default())
@@ -527,8 +528,10 @@ impl Iterator for Synthesis {
 pub enum RolloutResult {
     /// A complete operator within budgets.
     Complete(Box<PGraph>),
-    /// The sampled trajectory never matched the input shape.
-    Incomplete,
+    /// The trajectory reached a state with no child left to take.
+    DeadEnd,
+    /// The trajectory took `max_steps` primitives without completing.
+    StepLimit,
     /// Completed but violated a FLOPs/params budget.
     OverBudget,
 }
@@ -540,6 +543,34 @@ impl RolloutResult {
             RolloutResult::Complete(g) => Some(*g),
             _ => None,
         }
+    }
+}
+
+/// Where a rollout takes each state's children from. [`rollout`] filters
+/// every state it reaches; the MCTS in `syno-search` filters each action
+/// path once per search and reads the list back after that.
+pub trait ChildSource {
+    /// The children of `state` to sample from, in enumeration order.
+    fn children(&mut self, state: &PGraph) -> &[Action];
+    /// The rollout moves to child `pick` of the list last returned.
+    fn take(&mut self, _pick: usize) {}
+}
+
+/// [`rollout`]'s source: filters each state afresh.
+struct Filter<'a> {
+    enumerator: &'a Enumerator,
+    guided: bool,
+    children: Vec<Action>,
+}
+
+impl ChildSource for Filter<'_> {
+    fn children(&mut self, state: &PGraph) -> &[Action] {
+        self.children = if self.guided {
+            self.enumerator.feasible_children(state)
+        } else {
+            self.enumerator.children(state)
+        };
+        &self.children
     }
 }
 
@@ -555,8 +586,25 @@ pub fn rollout<R: Rng + ?Sized>(
     graph: &PGraph,
     guided: bool,
 ) -> RolloutResult {
-    let config = enumerator.config();
-    let mut current = graph.clone();
+    let mut filter = Filter {
+        enumerator,
+        guided,
+        children: Vec::new(),
+    };
+    rollout_with(rng, enumerator, graph.clone(), &mut filter)
+}
+
+/// The rollout loop: from `current`, draws one child of each state
+/// uniformly from `source` until the graph completes (judged against
+/// `enumerator`'s budgets), `max_steps` primitives are taken, or a state has
+/// no child. The same lists in the same order take the same draws, whatever
+/// the source.
+pub fn rollout_with<R: Rng + ?Sized>(
+    rng: &mut R,
+    enumerator: &Enumerator,
+    mut current: PGraph,
+    source: &mut impl ChildSource,
+) -> RolloutResult {
     loop {
         if current.is_complete() && !current.is_empty() {
             return if enumerator.within_budgets(&current) {
@@ -565,22 +613,18 @@ pub fn rollout<R: Rng + ?Sized>(
                 RolloutResult::OverBudget
             };
         }
-        let depth = current.len();
-        if depth >= config.max_steps {
-            return RolloutResult::Incomplete;
+        if current.len() >= enumerator.config.max_steps {
+            return RolloutResult::StepLimit;
         }
-        let children = if guided {
-            enumerator.feasible_children(&current)
-        } else {
-            enumerator.children(&current)
-        };
+        let children = source.children(&current);
         if children.is_empty() {
-            return RolloutResult::Incomplete;
+            return RolloutResult::DeadEnd;
         }
         let pick = rng.random_range(0..children.len());
         current = current
             .apply(&children[pick])
             .expect("filtered child applies");
+        source.take(pick);
     }
 }
 

@@ -8,6 +8,19 @@
 //! reward"). The implementation is UCT with shape-distance-feasible child
 //! filtering and guided rollouts.
 //!
+//! # Feasible children, once per path
+//!
+//! A state is determined by its action path from the root (`apply` is
+//! deterministic), so its feasible children are too. The searcher keeps
+//! them in a memo keyed by that path, a trie: each entry holds a state's
+//! children, filtered the first time anything asks, and the entry of each
+//! child taken from it. Tree expansion and rollouts ([`rollout_with`])
+//! read the same entries, so a path is filtered at most once per searcher,
+//! and a rollout draws what [`rollout`](syno_core::synth::rollout) would
+//! from the same state. An iteration adds at most `max_steps` entries, so
+//! the memo holds at most `1 + iterations × max_steps`; it is dropped with
+//! the searcher and needs no eviction.
+//!
 //! # Evaluation
 //!
 //! The searcher does not train proxies itself — it asks its caller for
@@ -33,7 +46,7 @@ use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver};
 use syno_core::graph::PGraph;
 use syno_core::primitive::Action;
-use syno_core::synth::{rollout, Enumerator, RolloutResult};
+use syno_core::synth::{rollout_with, ChildSource, Enumerator, RolloutResult};
 
 /// MCTS tunables.
 #[derive(Clone, Copy, Debug)]
@@ -72,7 +85,7 @@ pub struct EvalRequest {
 pub struct EvalOutcome {
     /// The candidate identity echoed from the request.
     pub id: u64,
-    /// Reward in `[0, 1]` (clamped on application).
+    /// Reward in `[0, 1]` (clamped on application; NaN counts as 0.0).
     pub reward: f64,
 }
 
@@ -80,14 +93,74 @@ pub struct EvalOutcome {
 struct TreeNode {
     visits: u64,
     total_reward: f64,
-    /// Feasible actions and the child node index once taken.
-    children: Vec<(Action, Option<usize>)>,
+    /// The node's entry in the [`Memo`], which holds its feasible actions.
+    entry: usize,
+    /// The child node of each feasible action, once taken.
+    children: Vec<Option<usize>>,
     expanded: bool,
     /// Outstanding asynchronous evaluations whose reward has not been
     /// folded into `total_reward` yet. While non-zero, the node's visit
     /// count already includes those iterations (the *virtual loss*), so
     /// UCB reads must wait for the count to return to zero.
     pending: u32,
+}
+
+/// Feasible children by action path from the root; see the module docs.
+#[derive(Debug)]
+struct Memo {
+    /// `entries[0]` is the root.
+    entries: Vec<MemoEntry>,
+    /// Child filter runs so far: one per entry whose children are known.
+    filtered: u64,
+}
+
+#[derive(Debug, Default)]
+struct MemoEntry {
+    /// The state's feasible children, once some walk asked for them.
+    children: Option<Vec<Action>>,
+    /// `(pick, entry)` for every child a walk has taken from here.
+    taken: Vec<(usize, usize)>,
+}
+
+impl Memo {
+    /// The feasible children of `state`, the state at `entry`'s path;
+    /// filtered on the first ask only.
+    fn children(&mut self, entry: usize, state: &PGraph, enumerator: &Enumerator) -> &[Action] {
+        let filtered = &mut self.filtered;
+        self.entries[entry].children.get_or_insert_with(|| {
+            *filtered += 1;
+            enumerator.feasible_children(state)
+        })
+    }
+
+    /// The entry of child `pick` of `entry`, added on first use.
+    fn child(&mut self, entry: usize, pick: usize) -> usize {
+        if let Some(&(_, child)) = self.entries[entry].taken.iter().find(|&&(p, _)| p == pick) {
+            return child;
+        }
+        let child = self.entries.len();
+        self.entries.push(MemoEntry::default());
+        self.entries[entry].taken.push((pick, child));
+        child
+    }
+}
+
+/// A rollout's position in the [`Memo`]: the children it samples are the
+/// memo's, filtered at most once per path.
+struct Walk<'a> {
+    enumerator: &'a Enumerator,
+    memo: &'a mut Memo,
+    at: usize,
+}
+
+impl ChildSource for Walk<'_> {
+    fn children(&mut self, state: &PGraph) -> &[Action] {
+        self.memo.children(self.at, state, self.enumerator)
+    }
+
+    fn take(&mut self, pick: usize) {
+        self.at = self.memo.child(self.at, pick);
+    }
 }
 
 /// A submitted evaluation the tree is still waiting on: the operator (for
@@ -109,6 +182,7 @@ pub struct Mcts {
     enumerator: Enumerator,
     config: MctsConfig,
     nodes: Vec<TreeNode>,
+    memo: Memo,
     /// Search statistics.
     pub stats: MctsStats,
 }
@@ -118,8 +192,18 @@ pub struct Mcts {
 pub struct MctsStats {
     /// Rollouts that reached a complete operator.
     pub completed_rollouts: u64,
-    /// Rollouts that failed (dead end or over budget).
+    /// Rollouts that failed: the sum of the three counts below.
     pub failed_rollouts: u64,
+    /// Rollouts that reached a state with no feasible child.
+    pub dead_end_rollouts: u64,
+    /// Rollouts that took `max_steps` primitives without completing.
+    pub step_limit_rollouts: u64,
+    /// Rollouts that completed outside the FLOPs/parameter budgets.
+    pub over_budget_rollouts: u64,
+    /// Times this searcher ran the child filter
+    /// ([`Enumerator::feasible_children`]): once per action path reached,
+    /// by expansion or rollout alike.
+    pub states_filtered: u64,
     /// Distinct complete operators discovered (keyed by
     /// [`PGraph::content_hash`], so this agrees with the per-candidate
     /// event stream and the store journal).
@@ -142,6 +226,10 @@ impl Mcts {
             enumerator,
             config,
             nodes: vec![TreeNode::default()],
+            memo: Memo {
+                entries: vec![MemoEntry::default()],
+                filtered: 0,
+            },
             stats: MctsStats::default(),
         }
     }
@@ -215,15 +303,11 @@ impl Mcts {
             let mut state = root.clone();
             let mut current = 0usize;
             loop {
+                let entry = self.nodes[current].entry;
                 if !self.nodes[current].expanded {
-                    let children: Vec<(Action, Option<usize>)> = self
-                        .enumerator
-                        .feasible_children(&state)
-                        .into_iter()
-                        .map(|a| (a, None))
-                        .collect();
+                    let count = self.memo.children(entry, &state, &self.enumerator).len();
                     let node = &mut self.nodes[current];
-                    node.children = children;
+                    node.children = vec![None; count];
                     node.expanded = true;
                     break;
                 }
@@ -235,7 +319,7 @@ impl Mcts {
                 let untried = self.nodes[current]
                     .children
                     .iter()
-                    .position(|(_, c)| c.is_none());
+                    .position(Option::is_none);
                 let pick = match untried {
                     Some(idx) => idx,
                     None => {
@@ -246,14 +330,18 @@ impl Mcts {
                         self.best_ucb_child(current)
                     }
                 };
-                let action = self.nodes[current].children[pick].0.clone();
-                let child_state = state.apply(&action).expect("feasible child applies");
-                let child_id = match self.nodes[current].children[pick].1 {
+                let actions = self.memo.entries[entry].children.as_deref();
+                let action = &actions.expect("expanded nodes are filtered")[pick];
+                let child_state = state.apply(action).expect("feasible child applies");
+                let child_id = match self.nodes[current].children[pick] {
                     Some(id) => id,
                     None => {
                         let id = self.nodes.len();
-                        self.nodes.push(TreeNode::default());
-                        self.nodes[current].children[pick].1 = Some(id);
+                        self.nodes.push(TreeNode {
+                            entry: self.memo.child(entry, pick),
+                            ..TreeNode::default()
+                        });
+                        self.nodes[current].children[pick] = Some(id);
                         id
                     }
                 };
@@ -277,7 +365,12 @@ impl Mcts {
             // submitted for evaluation and leaves the path under a virtual
             // loss (the visit counts now, the reward lands on drain).
             let synth_span = syno_telemetry::span!("synthesis");
-            let rolled = rollout(&mut rng, &self.enumerator, &state, true);
+            let mut walk = Walk {
+                enumerator: &self.enumerator,
+                memo: &mut self.memo,
+                at: self.nodes[current].entry,
+            };
+            let rolled = rollout_with(&mut rng, &self.enumerator, state, &mut walk);
             self.stats.rollout_ns += synth_span.elapsed().as_nanos() as u64;
             drop(synth_span);
             let value: Option<f64> = match rolled {
@@ -318,8 +411,14 @@ impl Mcts {
                         }
                     }
                 }
-                _ => {
-                    self.stats.failed_rollouts += 1;
+                failure => {
+                    let stats = &mut self.stats;
+                    *match failure {
+                        RolloutResult::DeadEnd => &mut stats.dead_end_rollouts,
+                        RolloutResult::StepLimit => &mut stats.step_limit_rollouts,
+                        _ => &mut stats.over_budget_rollouts,
+                    } += 1;
+                    stats.failed_rollouts += 1;
                     Some(0.0)
                 }
             };
@@ -345,6 +444,8 @@ impl Mcts {
                 self.apply_outcome(outcome, &mut found, &mut pending);
             }
         }
+
+        self.stats.states_filtered = self.memo.filtered;
 
         // Drain every in-flight evaluation before reporting: a stopped or
         // cancelled run still keeps (and scores) everything it submitted.
@@ -372,7 +473,7 @@ impl Mcts {
         let exploration = self.config.exploration;
         let mut best = 0;
         let mut best_score = f64::NEG_INFINITY;
-        for (idx, (_, child)) in node.children.iter().enumerate() {
+        for (idx, child) in node.children.iter().enumerate() {
             let child_id = child.expect("all tried");
             let c = &self.nodes[child_id];
             let (v, q) = (c.visits.max(1) as f64, c.total_reward);
@@ -399,7 +500,7 @@ impl Mcts {
             let unsettled = self.nodes[current]
                 .children
                 .iter()
-                .any(|(_, c)| c.is_some_and(|id| self.nodes[id].pending > 0));
+                .any(|c| c.is_some_and(|id| self.nodes[id].pending > 0));
             if !unsettled {
                 return;
             }
@@ -413,9 +514,10 @@ impl Mcts {
         }
     }
 
-    /// Folds a completed evaluation into the tree: the clamped reward is
-    /// added along every path that reached the candidate (their visits were
-    /// already counted at submission) and the discovery becomes final.
+    /// Folds a completed evaluation into the tree: the reward, clamped to
+    /// `[0, 1]` with NaN read as the skip reward 0.0, is added along every
+    /// path that reached the candidate (their visits were already counted
+    /// at submission) and the discovery becomes final.
     fn apply_outcome(
         &mut self,
         outcome: EvalOutcome,
@@ -425,7 +527,11 @@ impl Mcts {
         let Some(entry) = pending.remove(&outcome.id) else {
             return; // stale or duplicate outcome
         };
-        let reward = outcome.reward.clamp(0.0, 1.0);
+        let reward = if outcome.reward.is_nan() {
+            0.0
+        } else {
+            outcome.reward.clamp(0.0, 1.0)
+        };
         for path in &entry.paths {
             for &id in path {
                 let node = &mut self.nodes[id];
@@ -474,6 +580,99 @@ mod tests {
         );
         let config = SynthConfig::auto(&vars, 3);
         (Enumerator::new(config), PGraph::new(vars, spec))
+    }
+
+    /// `[N, Cin, H, W] → [N, Cout, H, W]` at N=4, Cin=3, Cout=4, H=W=8, k=3:
+    /// the toy vision spec of `tests/trajectory.rs`.
+    fn toy_vision() -> (Enumerator, PGraph) {
+        let mut vars = VarTable::new();
+        let n = vars.declare("N", VarKind::Primary);
+        let cin = vars.declare("Cin", VarKind::Primary);
+        let cout = vars.declare("Cout", VarKind::Primary);
+        let h = vars.declare("H", VarKind::Primary);
+        let w = vars.declare("W", VarKind::Primary);
+        let k = vars.declare("k", VarKind::Coefficient);
+        vars.push_valuation(vec![(n, 4), (cin, 3), (cout, 4), (h, 8), (w, 8), (k, 3)]);
+        let vars = vars.into_shared();
+        let dims =
+            |c| TensorShape::new(vec![Size::var(n), Size::var(c), Size::var(h), Size::var(w)]);
+        let spec = OperatorSpec::new(dims(cin), dims(cout));
+        (
+            Enumerator::new(SynthConfig::auto(&vars, 4)),
+            PGraph::new(vars, spec),
+        )
+    }
+
+    fn searched_toy_vision() -> (Mcts, Enumerator, PGraph) {
+        let (enumerator, root) = toy_vision();
+        let config = MctsConfig {
+            iterations: 300,
+            seed: 7,
+            ..MctsConfig::default()
+        };
+        let mut mcts = Mcts::new(Enumerator::new(enumerator.config().clone()), config);
+        mcts.search(&root, |g| (g.content_hash() % 1024) as f64 / 1024.0);
+        (mcts, enumerator, root)
+    }
+
+    /// Every remembered action list is the one the filter gives for the
+    /// state its path builds, and no path was filtered twice.
+    #[test]
+    fn memo_holds_the_filtered_children_of_each_path() {
+        let (mcts, enumerator, root) = searched_toy_vision();
+        let entries = &mcts.memo.entries;
+        let (mut reached, mut filtered) = (0, 0u64);
+        let mut stack = vec![(0usize, root)];
+        while let Some((entry, state)) = stack.pop() {
+            reached += 1;
+            let Some(children) = &entries[entry].children else {
+                assert!(entries[entry].taken.is_empty(), "taken before filtered");
+                continue;
+            };
+            filtered += 1;
+            assert_eq!(children, &enumerator.feasible_children(&state));
+            for &(pick, child) in &entries[entry].taken {
+                stack.push((child, state.apply(&children[pick]).expect("applies")));
+            }
+        }
+        assert_eq!(reached, entries.len(), "every entry has one path");
+        assert!(filtered > 1);
+        assert_eq!(mcts.stats.states_filtered, filtered);
+    }
+
+    /// A list some walk filtered is read again by later walks: an entry
+    /// from which two different children were taken was read at least
+    /// twice, and filtered once.
+    #[test]
+    fn memo_reuses_action_lists() {
+        let (mcts, _, _) = searched_toy_vision();
+        let entries = &mcts.memo.entries;
+        let reused = entries.iter().filter(|e| e.taken.len() >= 2).count();
+        assert!(reused > 0 && entries[0].taken.len() >= 2);
+        let stats = mcts.stats;
+        assert_eq!(
+            stats.failed_rollouts,
+            stats.dead_end_rollouts + stats.step_limit_rollouts + stats.over_budget_rollouts
+        );
+    }
+
+    /// A NaN reward is the skip reward, not a poisoned tree.
+    #[test]
+    fn nan_rewards_count_as_zero() {
+        let (enumerator, root) = pool_root();
+        let mut mcts = Mcts::new(
+            enumerator,
+            MctsConfig {
+                iterations: 60,
+                ..MctsConfig::default()
+            },
+        );
+        let results = mcts.search(&root, |_| f64::NAN);
+        assert!(!results.is_empty());
+        assert!(results
+            .iter()
+            .all(|d| d.reward.to_bits() == 0.0f64.to_bits()));
+        assert!(mcts.nodes.iter().all(|n| n.total_reward == 0.0));
     }
 
     #[test]

@@ -41,7 +41,7 @@ fn trajectory() -> Vec<String> {
     for i in 0..200 {
         let line = match rollout(&mut rng, &enumerator, &root, true) {
             RolloutResult::Complete(g) => format!("rollout {i} {:016x}", g.content_hash()),
-            RolloutResult::Incomplete => format!("rollout {i} incomplete"),
+            RolloutResult::DeadEnd | RolloutResult::StepLimit => format!("rollout {i} incomplete"),
             RolloutResult::OverBudget => format!("rollout {i} over-budget"),
         };
         lines.push(line);
