@@ -10,26 +10,19 @@
 use crate::graph::PGraph;
 use crate::size::Size;
 
-/// Symbolic iteration count: product of all output and reduction domains.
-pub fn iteration_domain(graph: &PGraph) -> Size {
+/// Symbolic iteration count: product of all output and reduction domains,
+/// or `None` when it leaves the size range.
+pub fn iteration_domain(graph: &PGraph) -> Option<Size> {
     let arena = graph.arena();
-    let spatial = graph
-        .output_atoms()
-        .iter()
-        .map(|&a| arena.atom_info(a).domain.clone());
-    let reduce = graph
-        .reduce_atoms()
-        .iter()
-        .map(|&a| arena.atom_info(a).domain.clone());
-    let all: Vec<Size> = spatial.chain(reduce).collect();
-    Size::product(all.iter())
+    let atoms = graph.output_atoms().iter().chain(graph.reduce_atoms());
+    Size::product(atoms.map(|&a| &arena.atom_info(a).domain))
 }
 
 /// Naive FLOPs under `valuation`: two FLOPs (multiply + accumulate) per
 /// point of the iteration domain, times the extra multiplies needed when
 /// more than one weight tensor participates.
 pub fn naive_flops(graph: &PGraph, valuation: usize) -> Option<u128> {
-    let iters = iteration_domain(graph).eval(graph.vars(), valuation)? as u128;
+    let iters = iteration_domain(graph)?.eval(graph.vars(), valuation)? as u128;
     // Each iteration multiplies the input against every weight tensor and
     // accumulates: weight_count multiplies + 1 add.
     let per_iter = graph.weight_count() as u128 + 1;
@@ -40,7 +33,7 @@ pub fn naive_flops(graph: &PGraph, valuation: usize) -> Option<u128> {
 pub fn parameter_count(graph: &PGraph, valuation: usize) -> Option<u128> {
     let mut total: u128 = 0;
     for w in graph.weights() {
-        total += w.numel().eval(graph.vars(), valuation)? as u128;
+        total += w.numel()?.eval(graph.vars(), valuation)? as u128;
     }
     Some(total)
 }
@@ -50,7 +43,7 @@ pub fn output_numel(graph: &PGraph, valuation: usize) -> Option<u128> {
     graph
         .spec()
         .output
-        .numel()
+        .numel()?
         .eval(graph.vars(), valuation)
         .map(|v| v as u128)
 }
@@ -91,7 +84,7 @@ mod tests {
     #[test]
     fn iteration_domain_is_symbolic() {
         let g = conv_graph();
-        let iters = iteration_domain(&g);
+        let iters = iteration_domain(&g).unwrap();
         // N*Cout*H*W*Cin*k*k evaluates consistently.
         assert_eq!(iters.eval(g.vars(), 0), Some(8 * 6 * 6 * 4 * 3 * 3));
     }

@@ -57,7 +57,7 @@
 
 use crate::graph::{CoordId, PGraph};
 use crate::primitive::Action;
-use crate::size::Size;
+use crate::size::{Size, MAX_VARS};
 use crate::spec::{OperatorSpec, TensorShape};
 use crate::var::{VarKind, VarTable};
 use std::error::Error;
@@ -329,6 +329,11 @@ impl<'a> Decoder<'a> {
     ///
     /// Variable indices are interpreted against `vars` (the table the size
     /// was encoded under, reconstructed first).
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Invalid`] for a zero constant, an unknown variable, or
+    /// an exponent — one pair's, or a variable's total — outside `i8`.
     pub fn get_size(&mut self, vars: &VarTable) -> Result<Size, CodecError> {
         let num = self.get_u64()?;
         let den = self.get_u64()?;
@@ -342,7 +347,11 @@ impl<'a> Decoder<'a> {
             let var = vars.iter().nth(index).ok_or_else(|| {
                 CodecError::Invalid(format!("variable index {index} out of range"))
             })?;
-            size = size.mul(&Size::var_pow(var, exp));
+            let exp = i8::try_from(exp)
+                .map_err(|_| CodecError::Invalid(format!("size exponent {exp} outside i8")))?;
+            size = size
+                .checked_mul(&Size::var_pow(var, exp.into()))
+                .ok_or_else(|| CodecError::Invalid("size exponent overflows i8".into()))?;
             Ok::<_, CodecError>(())
         })?;
         Ok(size)
@@ -376,6 +385,9 @@ fn get_var_table(d: &mut Decoder<'_>) -> Result<VarTable, CodecError> {
         };
         if vars.find(&name).is_some() {
             return Err(CodecError::Invalid(format!("duplicate variable '{name}'")));
+        }
+        if vars.len() == MAX_VARS {
+            return Err(CodecError::Invalid(format!("more than {MAX_VARS} variables")));
         }
         Ok(vars.declare(&name, kind))
     })?;
@@ -924,6 +936,81 @@ mod tests {
             assert_eq!(decode(&rank), Err(CodecError::UnexpectedEof { at: 12 }));
             assert!(matches!(decode(&rows), Err(CodecError::Invalid(_))));
         }
+    }
+
+    /// A spec over `count` primaries valued 1, whose one input dimension
+    /// carries the raw `(variable, exponent)` pairs `powers`.
+    fn raw_spec(count: usize, powers: &[(u32, i32)]) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.put_u32(FORMAT_VERSION);
+        e.put_seq(0..count, |e, i| {
+            e.put_str(&format!("v{i}"));
+            e.put_u8(0);
+        });
+        e.put_seq([()], |e, ()| (0..count).for_each(|_| e.put_u64(1)));
+        e.put_seq([()], |e, ()| {
+            e.put_u64(1);
+            e.put_u64(1);
+            e.put_seq(powers, |e, &(var, exp)| {
+                e.put_u32(var);
+                e.put_i32(exp);
+            });
+        });
+        e.put_u32(0);
+        e.into_bytes()
+    }
+
+    #[test]
+    fn oversized_tables_and_exponents_are_typed_errors() {
+        assert!(decode_spec(&raw_spec(MAX_VARS, &[(0, 1)])).is_ok());
+        assert!(decode_spec(&raw_spec(1, &[(0, -128), (0, 127)])).is_ok());
+        assert!(matches!(
+            decode_spec(&raw_spec(MAX_VARS + 1, &[(0, 1)])),
+            Err(CodecError::Invalid(_))
+        ));
+        // `v0^i32::MAX` once decoded, and then each `eval` (`v0` = 1) spun
+        // through `i32::MAX` multiplications by 1. A variable's total counts
+        // too: `v0^100 · v0^28` is `v0^128`.
+        let hostile: [&[(u32, i32)]; 4] =
+            [&[(0, 128)], &[(0, i32::MAX)], &[(0, -129)], &[(0, 100), (0, 28)]];
+        for powers in hostile {
+            let decoded = decode_spec(&raw_spec(1, powers));
+            assert!(matches!(decoded, Err(CodecError::Invalid(_))), "{powers:?}");
+        }
+    }
+
+    /// Two reductions over `H·one^exp` (`one` = 1, so each is a valid
+    /// domain of 4) and a `Split` of the two: past `i8`, a typed refusal.
+    #[test]
+    fn split_past_the_exponent_range_is_a_typed_error() {
+        let mut vars = VarTable::new();
+        let h = vars.declare("H", VarKind::Primary);
+        let one = vars.declare("one", VarKind::Coefficient);
+        vars.push_valuation(vec![(h, 4), (one, 1)]);
+        let spec = OperatorSpec::new(
+            TensorShape::new(vec![Size::var(h)]),
+            TensorShape::new(vec![Size::var(h)]),
+        );
+        let recipe = |exp: i32| {
+            let domain = Size::var(h).mul(&Size::var_pow(one, exp));
+            let reduce = Action::Reduce { domain };
+            let split = Action::Split {
+                lhs: CoordId(1),
+                rhs: CoordId(2),
+            };
+            let mut e = Encoder::new();
+            e.put_u32(FORMAT_VERSION);
+            put_var_table(&mut e, &vars);
+            put_spec(&mut e, &spec);
+            e.put_seq([reduce.clone(), reduce, split], |e, a| put_action(e, &a));
+            decode_graph(&e.into_bytes())
+        };
+        assert!(recipe(63).is_ok());
+        let err = recipe(127).unwrap_err();
+        assert!(
+            matches!(&err, CodecError::Invalid(why) if why.contains("size range")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -100,11 +100,17 @@ pub struct WeightTensor {
 }
 
 impl WeightTensor {
-    /// The symbolic parameter count of this tensor.
-    pub fn numel(&self) -> Size {
+    /// The symbolic parameter count of this tensor, or `None` when it leaves
+    /// the size range.
+    pub fn numel(&self) -> Option<Size> {
         Size::product(self.dims.iter().map(|d| &d.domain))
     }
 }
+
+/// The refusal of a `Split`, `Merge` or `Stride` whose domain would leave
+/// the representable size range.
+const OVERFLOW: ApplyError =
+    ApplyError::InvalidParam("the resulting domain leaves the size range");
 
 /// Errors returned by [`PGraph::apply`].
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -114,7 +120,8 @@ pub enum ApplyError {
     /// The same coordinate was passed twice.
     DuplicateOperand(CoordId),
     /// A size parameter is not a valid integer ≥ 2 under every valuation,
-    /// or violates the primary-variable denominator rule (§5.4).
+    /// violates the primary-variable denominator rule (§5.4), or would make
+    /// a domain no [`Size`] can hold (an exponent past `i8`).
     InvalidParam(&'static str),
     /// `Merge`'s block does not divide the coordinate's domain.
     NotDivisible,
@@ -412,14 +419,15 @@ impl PGraph {
         Ok(match action {
             Action::Split { lhs, rhs } => {
                 let at = self.frontier_pair(*lhs, *rhs)?;
-                binary(at, [Some(dom(lhs).mul(dom(rhs))), None])
+                let product = dom(lhs).checked_mul(dom(rhs)).ok_or(OVERFLOW)?;
+                binary(at, [Some(product), None])
             }
             Action::Merge { coord, block } => {
                 let pos = self.frontier_pos(*coord)?;
                 self.check_param_coefficient_only(block)?;
                 // `block` divides the domain exactly when the quotient is a
                 // positive integer under every valuation.
-                let quotient = dom(coord).div(block);
+                let quotient = dom(coord).checked_div(block).ok_or(OVERFLOW)?;
                 if !quotient.is_at_least(&self.vars, 1) {
                     return Err(ApplyError::NotDivisible);
                 }
@@ -445,7 +453,8 @@ impl PGraph {
             Action::Stride { coord, stride } => {
                 let pos = self.frontier_pos(*coord)?;
                 self.check_param_coefficient_only(stride)?;
-                unary(pos, [Some(dom(coord).mul(stride)), None])
+                let product = dom(coord).checked_mul(stride).ok_or(OVERFLOW)?;
+                unary(pos, [Some(product), None])
             }
             Action::Reduce { domain } => {
                 if !domain.is_at_least(&self.vars, 2) {

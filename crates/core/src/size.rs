@@ -12,11 +12,27 @@
 //! Whether a size is *valid* (a positive integer) is decided against the
 //! concrete valuations of a [`VarTable`], mirroring how the paper extracts
 //! every concrete instantiation from the backbone model (footnote 4).
+//!
+//! A [`Size`] is 32 bytes and owns no heap: the reduced constant as two
+//! `u64`s, then one `i8` exponent per variable, indexed by [`VarId`]. So a
+//! table declares at most [`MAX_VARS`] variables, and an exponent lies in
+//! `i8`'s range. Decoders refuse input past either cap with a typed error;
+//! [`Size::checked_mul`]/[`Size::checked_div`] report an overflowing product
+//! as `None`, and the plain operators panic on one. The [`Hash`] stream and
+//! [`Size::cmp_key`] order are those of a sorted `(VarId, i32)` map of the
+//! non-zero exponents, so every persisted hash is independent of the layout.
 
 use crate::var::{VarId, VarKind, VarTable};
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+
+/// The most variables one [`VarTable`] may declare: a [`Size`] stores one
+/// exponent per variable inline.
+pub const MAX_VARS: usize = 16;
+
+/// The panic message of an unchecked size operation that overflows.
+const OVERFLOW: &str = "size overflow: a constant leaves u64 or an exponent leaves i8";
 
 /// Greatest common divisor of two positive integers.
 fn gcd(mut a: u64, mut b: u64) -> u64 {
@@ -45,19 +61,39 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
 /// assert_eq!(pooled.eval(&vars, 0), Some(28));
 /// assert!(pooled.is_valid(&vars));
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Size {
     /// Numerator of the constant factor (always ≥ 1).
     num: u64,
     /// Denominator of the constant factor (always ≥ 1, coprime with `num`).
     den: u64,
-    /// Variable exponents; zero exponents are never stored.
-    powers: BTreeMap<VarId, i32>,
+    /// The exponent of each variable, indexed by [`VarId::index`]; zero for
+    /// a variable the size does not mention.
+    exps: [i8; MAX_VARS],
 }
+
+// The width is part of the design: `i32` exponents (80 bytes) gave back most
+// of the speed of cloning a size.
+const _: () = assert!(std::mem::size_of::<Size>() == 32);
 
 impl Default for Size {
     fn default() -> Self {
         Size::one()
+    }
+}
+
+impl Hash for Size {
+    /// Writes what the derived hash of `(num, den, BTreeMap<VarId, i32>)`
+    /// wrote: both constants, the count of non-zero exponents, then each
+    /// `(VarId, i32)` pair in variable order.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.num.hash(state);
+        self.den.hash(state);
+        state.write_usize(self.powers().count());
+        for (var, exp) in self.powers() {
+            var.hash(state);
+            exp.hash(state);
+        }
     }
 }
 
@@ -67,7 +103,7 @@ impl Size {
         Size {
             num: 1,
             den: 1,
-            powers: BTreeMap::new(),
+            exps: [0; MAX_VARS],
         }
     }
 
@@ -80,48 +116,43 @@ impl Size {
         assert!(value > 0, "sizes must be positive");
         Size {
             num: value,
-            den: 1,
-            powers: BTreeMap::new(),
+            ..Size::one()
         }
     }
 
     /// The size consisting of a single variable to the first power.
     pub fn var(var: VarId) -> Self {
-        let mut powers = BTreeMap::new();
-        powers.insert(var, 1);
-        Size {
-            num: 1,
-            den: 1,
-            powers,
-        }
+        Size::var_pow(var, 1)
     }
 
     /// A single variable raised to `exp` (may be negative).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `exp` is outside `i8`'s range.
     pub fn var_pow(var: VarId, exp: i32) -> Self {
-        let mut powers = BTreeMap::new();
-        if exp != 0 {
-            powers.insert(var, exp);
-        }
-        Size {
-            num: 1,
-            den: 1,
-            powers,
-        }
+        let mut size = Size::one();
+        size.exps[var.index()] = i8::try_from(exp).expect(OVERFLOW);
+        size
     }
 
     /// Returns `true` when this is the scalar `1`.
     pub fn is_one(&self) -> bool {
-        self.num == 1 && self.den == 1 && self.powers.is_empty()
+        *self == Size::one()
     }
 
     /// Returns the exponent of `var` (zero when absent).
     pub fn exponent(&self, var: VarId) -> i32 {
-        self.powers.get(&var).copied().unwrap_or(0)
+        self.exps[var.index()].into()
     }
 
-    /// Iterates over `(variable, exponent)` pairs with non-zero exponents.
+    /// Iterates over `(variable, exponent)` pairs with non-zero exponents,
+    /// in variable order.
     pub fn powers(&self) -> impl Iterator<Item = (VarId, i32)> + '_ {
-        self.powers.iter().map(|(&v, &e)| (v, e))
+        (0..MAX_VARS as u32)
+            .zip(self.exps)
+            .filter(|&(_, e)| e != 0)
+            .map(|(v, e)| (VarId(v), e.into()))
     }
 
     /// The rational constant factor as `(numerator, denominator)`.
@@ -129,46 +160,70 @@ impl Size {
         (self.num, self.den)
     }
 
-    fn normalized(mut num: u64, mut den: u64, powers: BTreeMap<VarId, i32>) -> Self {
+    /// `self · num/den · Π vᵢ^(sign·eᵢ)`, or `None` when a constant leaves
+    /// `u64` or an exponent leaves `i8`.
+    fn combine(&self, num: u64, den: u64, exps: &[i8; MAX_VARS], sign: i16) -> Option<Size> {
+        let mut out = [0i8; MAX_VARS];
+        let mut fits = true;
+        for ((o, &a), &b) in out.iter_mut().zip(&self.exps).zip(exps) {
+            let e = i16::from(a) + sign * i16::from(b);
+            *o = e as i8;
+            fits &= i16::from(*o) == e;
+        }
+        let (num, den) = (self.num.checked_mul(num)?, self.den.checked_mul(den)?);
         let g = gcd(num, den);
-        num /= g;
-        den /= g;
-        Size { num, den, powers }
+        fits.then_some(Size {
+            num: num / g,
+            den: den / g,
+            exps: out,
+        })
+    }
+
+    /// Product of two sizes, or `None` when it leaves the representable
+    /// range (a constant past `u64`, an exponent past `i8`).
+    pub fn checked_mul(&self, other: &Size) -> Option<Size> {
+        self.combine(other.num, other.den, &other.exps, 1)
+    }
+
+    /// Quotient of two sizes, or `None` when it leaves the representable
+    /// range (a constant past `u64`, an exponent past `i8`).
+    pub fn checked_div(&self, other: &Size) -> Option<Size> {
+        self.combine(other.den, other.num, &other.exps, -1)
     }
 
     /// Product of two sizes.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`checked_mul`](Size::checked_mul) returns `None`.
     pub fn mul(&self, other: &Size) -> Size {
-        let mut powers = self.powers.clone();
-        for (&v, &e) in &other.powers {
-            let entry = powers.entry(v).or_insert(0);
-            *entry += e;
-            if *entry == 0 {
-                powers.remove(&v);
-            }
-        }
-        Size::normalized(self.num * other.num, self.den * other.den, powers)
+        self.checked_mul(other).expect(OVERFLOW)
     }
 
     /// Quotient of two sizes (always defined symbolically; validity against a
     /// [`VarTable`] decides whether it denotes an integer).
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`checked_div`](Size::checked_div) returns `None`.
     pub fn div(&self, other: &Size) -> Size {
-        let mut powers = self.powers.clone();
-        for (&v, &e) in &other.powers {
-            let entry = powers.entry(v).or_insert(0);
-            *entry -= e;
-            if *entry == 0 {
-                powers.remove(&v);
-            }
-        }
-        Size::normalized(self.num * other.den, self.den * other.num, powers)
+        self.checked_div(other).expect(OVERFLOW)
     }
 
     /// Multiplicative inverse.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an exponent is `-128`.
     pub fn recip(&self) -> Size {
         Size::one().div(self)
     }
 
     /// Raises the size to an integer power.
+    ///
+    /// # Panics
+    ///
+    /// Panics where a [`mul`](Size::mul) along the way would.
     pub fn pow(&self, exp: i32) -> Size {
         if exp == 0 {
             return Size::one();
@@ -184,11 +239,13 @@ impl Size {
         }
     }
 
-    /// Product of many sizes.
-    pub fn product<'a>(sizes: impl IntoIterator<Item = &'a Size>) -> Size {
+    /// Product of many sizes, or `None` when it leaves the representable
+    /// range — a decoded graph may hold domains whose product no [`Size`]
+    /// can represent.
+    pub fn product<'a>(sizes: impl IntoIterator<Item = &'a Size>) -> Option<Size> {
         sizes
             .into_iter()
-            .fold(Size::one(), |acc, s| acc.mul(s))
+            .try_fold(Size::one(), |acc, s| acc.checked_mul(s))
     }
 
     /// Evaluates under the given valuation. Returns `None` when the result is
@@ -198,14 +255,12 @@ impl Size {
         // overflow, then check exact divisibility.
         let mut num: u128 = self.num as u128;
         let mut den: u128 = self.den as u128;
-        for (&v, &e) in &self.powers {
-            let value = vars.value(valuation, v) as u128;
-            for _ in 0..e.unsigned_abs() {
-                if e > 0 {
-                    num = num.checked_mul(value)?;
-                } else {
-                    den = den.checked_mul(value)?;
-                }
+        for (v, e) in self.powers() {
+            let power = (vars.value(valuation, v) as u128).checked_pow(e.unsigned_abs())?;
+            if e > 0 {
+                num = num.checked_mul(power)?;
+            } else {
+                den = den.checked_mul(power)?;
             }
         }
         if den == 0 || !num.is_multiple_of(den) {
@@ -241,9 +296,8 @@ impl Size {
     /// the §5.4 restriction that primary variables never end up in
     /// denominators of coordinate expressions.
     pub fn primaries_nonnegative(&self, vars: &VarTable) -> bool {
-        self.powers
-            .iter()
-            .all(|(&v, &e)| e >= 0 || vars.kind(v) != VarKind::Primary)
+        self.powers()
+            .all(|(v, e)| e >= 0 || vars.kind(v) != VarKind::Primary)
     }
 
     /// Decides the paper's `B ≫ K` predicate (footnote 4): `self` is "much
@@ -266,9 +320,13 @@ impl Size {
         SizeDisplay { size: self, vars }
     }
 
-    /// A deterministic total order for canonical sorting of sizes.
+    /// A deterministic total order for canonical sorting of sizes: the
+    /// constants, then the non-zero `(variable, exponent)` pairs compared
+    /// lexicographically.
     pub fn cmp_key(&self, other: &Size) -> Ordering {
-        (self.num, self.den, &self.powers).cmp(&(other.num, other.den, &other.powers))
+        (self.num, self.den)
+            .cmp(&(other.num, other.den))
+            .then_with(|| self.powers().cmp(other.powers()))
     }
 }
 
@@ -283,7 +341,7 @@ impl fmt::Display for SizeDisplay<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = self.size;
         let mut wrote = false;
-        if s.num != 1 || (s.den == 1 && s.powers.is_empty()) {
+        if s.num != 1 || (s.den == 1 && s.powers().next().is_none()) {
             write!(f, "{}", s.num)?;
             wrote = true;
         }
@@ -294,7 +352,7 @@ impl fmt::Display for SizeDisplay<'_> {
             write!(f, "/{}", s.den)?;
             wrote = true;
         }
-        for (&v, &e) in &s.powers {
+        for (v, e) in s.powers() {
             if wrote {
                 write!(f, "*")?;
             }

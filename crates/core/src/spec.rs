@@ -49,8 +49,9 @@ impl TensorShape {
         &self.dims
     }
 
-    /// The symbolic number of elements (product of dimensions).
-    pub fn numel(&self) -> Size {
+    /// The symbolic number of elements (product of dimensions), or `None`
+    /// when it leaves the size range.
+    pub fn numel(&self) -> Option<Size> {
         Size::product(self.dims.iter())
     }
 
@@ -170,7 +171,7 @@ mod tests {
         let c = vars.declare("C", VarKind::Primary);
         vars.push_valuation(vec![(n, 2), (c, 8)]);
         let shape = TensorShape::new(vec![Size::var(n), Size::var(c)]);
-        assert_eq!(shape.numel().eval(&vars, 0), Some(16));
+        assert_eq!(shape.numel().unwrap().eval(&vars, 0), Some(16));
         assert_eq!(shape.eval(&vars, 0), Some(vec![2, 8]));
         assert!(shape.is_valid(&vars));
         let shown = format!("{}", shape.display(&vars));

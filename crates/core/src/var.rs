@@ -16,6 +16,7 @@
 //! (footnote 4 of the paper). Symbolic predicates such as "`B` is much larger
 //! than `K`" are decided by quantifying over every valuation.
 
+use crate::size::MAX_VARS;
 use std::fmt;
 use std::sync::Arc;
 
@@ -77,12 +78,18 @@ impl VarTable {
     ///
     /// # Panics
     ///
-    /// Panics if a variable of the same name already exists or if valuations
-    /// were already recorded (declare all variables first).
+    /// Panics if a variable of the same name already exists, if valuations
+    /// were already recorded (declare all variables first), or if the table
+    /// already holds [`MAX_VARS`] variables (a [`Size`](crate::size::Size)
+    /// stores one exponent per variable inline).
     pub fn declare(&mut self, name: &str, kind: VarKind) -> VarId {
         assert!(
             self.valuations.is_empty(),
             "declare all variables before adding valuations"
+        );
+        assert!(
+            self.vars.len() < MAX_VARS,
+            "a variable table holds at most {MAX_VARS} variables"
         );
         assert!(
             self.vars.iter().all(|v| v.name != name),
@@ -242,6 +249,15 @@ mod tests {
         let mut t = VarTable::new();
         t.declare("N", VarKind::Primary);
         t.declare("N", VarKind::Primary);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 16 variables")]
+    fn seventeenth_variable_panics() {
+        let mut t = VarTable::new();
+        for i in 0..=MAX_VARS {
+            t.declare(&format!("v{i}"), VarKind::Primary);
+        }
     }
 
     #[test]

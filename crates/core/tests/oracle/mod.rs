@@ -109,8 +109,8 @@ pub fn shape_distance(current: &[Size], desired: &[Size], vars: &VarTable) -> u3
 
     // Cost of one group under a given set of attached coefficient-only dims.
     let group_cost = |lhs: &[usize], extra: &[usize], rhs: &[usize]| -> u32 {
-        let lhs_product = Size::product(lhs.iter().chain(extra.iter()).map(|&s| cur[s]));
-        let rhs_product = Size::product(rhs.iter().map(|&s| des[s - cur.len()]));
+        let lhs_product = Size::product(lhs.iter().chain(extra.iter()).map(|&s| cur[s])).unwrap();
+        let rhs_product = Size::product(rhs.iter().map(|&s| des[s - cur.len()])).unwrap();
         let primaries_balance =
             primary_signature(&lhs_product, vars) == primary_signature(&rhs_product, vars);
         if primaries_balance {

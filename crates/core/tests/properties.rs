@@ -41,6 +41,49 @@ proptest! {
     }
 }
 
+/// The layout `Size` replaced, built from what `powers()` yields.
+type MapSize = (u64, u64, std::collections::BTreeMap<VarId, i32>);
+
+fn as_map(size: &Size) -> MapSize {
+    let (num, den) = size.constant_factor();
+    (num, den, size.powers().collect())
+}
+
+proptest! {
+    /// The inline `Size` hashes to the bytes its former `(num, den,
+    /// BTreeMap<VarId, i32>)` layout derived, and `cmp_key` orders as that
+    /// tuple did, over all sixteen variable slots and the whole `i8` range —
+    /// so `state_hash`, `content_hash` and every pin are layout-independent.
+    #[test]
+    fn size_hash_and_order_match_the_map_layout(seed in 0u64..u64::MAX) {
+        let mut table = VarTable::new();
+        let ids: Vec<VarId> = (0..syno_core::size::MAX_VARS)
+            .map(|i| table.declare(&format!("v{i}"), VarKind::Primary))
+            .collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut sample = || {
+            let mut size = Size::constant(rng.random_range(1..=12u64))
+                .div(&Size::constant(rng.random_range(1..=12u64)));
+            for _ in 0..rng.random_range(0..5) {
+                let var = ids[rng.random_range(0..ids.len())];
+                let exp = rng.random_range(-128..=127i32);
+                if let Some(next) = size.checked_mul(&Size::var_pow(var, exp)) {
+                    size = next;
+                }
+            }
+            size
+        };
+        let sizes: Vec<Size> = (0..8).map(|_| sample()).collect();
+        for a in &sizes {
+            prop_assert_eq!(stable_hash_of(a), stable_hash_of(&as_map(a)));
+            for b in &sizes {
+                prop_assert_eq!(a.cmp_key(b), as_map(a).cmp(&as_map(b)));
+                prop_assert_eq!(a == b, as_map(a) == as_map(b));
+            }
+        }
+    }
+}
+
 proptest! {
     /// Shape distance is zero exactly on permutations of identical shapes,
     /// and positive otherwise for disjoint primary shapes.
@@ -90,7 +133,7 @@ proptest! {
             let weight_sum: u128 = g
                 .weights()
                 .iter()
-                .map(|w| w.numel().eval(g.vars(), 0).unwrap() as u128)
+                .map(|w| w.numel().unwrap().eval(g.vars(), 0).unwrap() as u128)
                 .sum();
             prop_assert_eq!(params, weight_sum);
             prop_assert_eq!(g.state_hash(), g.clone().state_hash());

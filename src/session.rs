@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use syno_core::error::{SynoError, SynthError};
-use syno_core::size::Size;
+use syno_core::size::{Size, MAX_VARS};
 use syno_core::spec::{OperatorSpec, TensorShape};
 use syno_core::synth::{Enumerator, SynthConfig, Synthesis};
 use syno_core::var::{VarId, VarKind, VarTable};
@@ -83,11 +83,18 @@ impl SessionBuilder {
     /// # Errors
     ///
     /// [`SynthError::InvalidConfig`] (as [`SynoError::Synth`]) for duplicate
-    /// variable names, an empty vocabulary, or a valuation that misses a
-    /// declared variable.
+    /// variable names, an empty vocabulary, more than [`MAX_VARS`]
+    /// variables, or a valuation that misses a declared variable.
     pub fn build(self) -> Result<Session, SynoError> {
         if self.vars.is_empty() {
             return Err(SynthError::InvalidConfig("no variables declared".into()).into());
+        }
+        if self.vars.len() > MAX_VARS {
+            return Err(SynthError::InvalidConfig(format!(
+                "{} variables declared, at most {MAX_VARS} allowed",
+                self.vars.len()
+            ))
+            .into());
         }
         let mut table = VarTable::new();
         let mut ids: HashMap<String, VarId> = HashMap::new();
@@ -338,6 +345,16 @@ mod tests {
             .primary("H", 8)
             .build()
             .expect_err("must fail");
+        assert!(matches!(err, SynoError::Synth(SynthError::InvalidConfig(_))));
+    }
+
+    #[test]
+    fn seventeenth_variable_is_a_typed_error() {
+        let declare = |count: usize| {
+            (0..count).fold(Session::builder(), |b, i| b.primary(format!("v{i}"), 2))
+        };
+        assert!(declare(MAX_VARS).build().is_ok());
+        let err = declare(MAX_VARS + 1).build().expect_err("must fail");
         assert!(matches!(err, SynoError::Synth(SynthError::InvalidConfig(_))));
     }
 
