@@ -80,8 +80,6 @@ pub mod prelude {
     pub use crate::size::Size;
     pub use crate::spec::{OperatorSpec, TensorShape};
     pub use crate::stable::{stable_hash_of, StableHasher};
-    pub use crate::synth::{
-        rollout, EnumStats, Enumerator, RolloutResult, SynthConfig, SynthConfigBuilder, Synthesis,
-    };
+    pub use crate::synth::{rollout, EnumStats, Enumerator, RolloutResult, SynthConfig, Synthesis};
     pub use crate::var::{VarId, VarKind, VarTable};
 }

@@ -4,7 +4,7 @@
 //! the canonical children of the current partial pGraph
 //! (`EnumerateChildren`), and backtracks as soon as the
 //! [shape distance](crate::distance::shape_distance) exceeds the remaining
-//! step budget. Complete graphs within the FLOPs/parameter budgets are
+//! step budget. Complete graphs within the FLOPs budget are
 //! collected, deduplicated by semantic state hash.
 //!
 //! Whether a candidate action is valid, and which frontier its child would
@@ -52,10 +52,6 @@ pub struct SynthConfig {
     pub canon: CanonRules,
     /// Hard FLOPs ceiling (naive estimate, first valuation), §7.2.
     pub max_flops: Option<u128>,
-    /// Hard parameter-count ceiling (first valuation).
-    pub max_params: Option<u128>,
-    /// Require at least one weight tensor in accepted operators.
-    pub require_weight: bool,
     /// Stop after this many complete operators.
     pub max_results: usize,
     /// Safety valve on visited states.
@@ -101,131 +97,24 @@ impl SynthConfig {
             reduce_domains,
             canon: CanonRules::default(),
             max_flops: None,
-            max_params: None,
-            require_weight: false,
             max_results: 256,
             max_visits: 1_000_000,
         }
     }
 
-    /// Starts a builder with empty parameter candidates and the same default
-    /// budgets as [`SynthConfig::auto`] (an empty variable table derives no
-    /// `Merge`/`Stride`/`Reduce` candidates).
-    pub fn builder() -> SynthConfigBuilder {
-        SynthConfigBuilder {
-            config: SynthConfig::auto(&VarTable::new(), 3),
+    /// Rejects a configuration that cannot search: `max_steps`,
+    /// `max_results` and `max_visits` must each be at least 1.
+    pub fn validate(&self) -> Result<(), SynthError> {
+        for (name, value) in [
+            ("max_steps", self.max_steps),
+            ("max_results", self.max_results),
+            ("max_visits", self.max_visits),
+        ] {
+            if value == 0 {
+                return Err(SynthError::InvalidConfig(format!("{name} must be at least 1")));
+            }
         }
-    }
-
-    /// Starts a builder seeded from [`SynthConfig::auto`].
-    pub fn builder_auto(vars: &VarTable, max_steps: usize) -> SynthConfigBuilder {
-        SynthConfigBuilder {
-            config: SynthConfig::auto(vars, max_steps),
-        }
-    }
-}
-
-/// Fluent construction of a validated [`SynthConfig`].
-///
-/// ```
-/// use syno_core::prelude::*;
-///
-/// let mut vars = VarTable::new();
-/// let h = vars.declare("H", VarKind::Primary);
-/// let s = vars.declare("s", VarKind::Coefficient);
-/// vars.push_valuation(vec![(h, 16), (s, 2)]);
-///
-/// let config = SynthConfig::builder_auto(&vars, 3)
-///     .max_results(16)
-///     .require_weight(false)
-///     .build()
-///     .unwrap();
-/// assert_eq!(config.max_steps, 3);
-/// ```
-#[derive(Clone, Debug)]
-pub struct SynthConfigBuilder {
-    config: SynthConfig,
-}
-
-impl SynthConfigBuilder {
-    /// Maximum number of primitives per operator (`d_max`).
-    pub fn max_steps(mut self, steps: usize) -> Self {
-        self.config.max_steps = steps;
-        self
-    }
-
-    /// Candidate block sizes for `Merge`.
-    pub fn merge_blocks(mut self, blocks: Vec<Size>) -> Self {
-        self.config.merge_blocks = blocks;
-        self
-    }
-
-    /// Candidate dilation factors for `Stride`.
-    pub fn stride_factors(mut self, factors: Vec<Size>) -> Self {
-        self.config.stride_factors = factors;
-        self
-    }
-
-    /// Candidate domains for `Reduce`.
-    pub fn reduce_domains(mut self, domains: Vec<Size>) -> Self {
-        self.config.reduce_domains = domains;
-        self
-    }
-
-    /// Canonicalization rule set applied during enumeration.
-    pub fn canon(mut self, rules: CanonRules) -> Self {
-        self.config.canon = rules;
-        self
-    }
-
-    /// Hard FLOPs ceiling (naive estimate, first valuation).
-    pub fn max_flops(mut self, limit: u128) -> Self {
-        self.config.max_flops = Some(limit);
-        self
-    }
-
-    /// Hard parameter-count ceiling (first valuation).
-    pub fn max_params(mut self, limit: u128) -> Self {
-        self.config.max_params = Some(limit);
-        self
-    }
-
-    /// Require at least one weight tensor in accepted operators.
-    pub fn require_weight(mut self, yes: bool) -> Self {
-        self.config.require_weight = yes;
-        self
-    }
-
-    /// Stop after this many complete operators.
-    pub fn max_results(mut self, n: usize) -> Self {
-        self.config.max_results = n;
-        self
-    }
-
-    /// Safety valve on visited states.
-    pub fn max_visits(mut self, n: usize) -> Self {
-        self.config.max_visits = n;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    pub fn build(self) -> Result<SynthConfig, SynthError> {
-        if self.config.max_steps == 0 {
-            return Err(SynthError::InvalidConfig(
-                "max_steps must be at least 1".into(),
-            ));
-        }
-        if self.config.max_results == 0 {
-            return Err(SynthError::InvalidConfig(
-                "max_results must be at least 1".into(),
-            ));
-        }
-        if self.config.max_visits == 0 {
-            return Err(SynthError::InvalidConfig(
-                "max_visits must be at least 1".into(),
-            ));
-        }
-        Ok(self.config)
+        Ok(())
     }
 }
 
@@ -355,22 +244,9 @@ impl Enumerator {
     }
 
     fn within_budgets(&self, graph: &PGraph) -> bool {
-        if self.config.require_weight && graph.weight_count() == 0 {
-            return false;
-        }
-        if let Some(limit) = self.config.max_flops {
-            match analysis::naive_flops(graph, 0) {
-                Some(f) if f <= limit => {}
-                _ => return false,
-            }
-        }
-        if let Some(limit) = self.config.max_params {
-            match analysis::parameter_count(graph, 0) {
-                Some(p) if p <= limit => {}
-                _ => return false,
-            }
-        }
-        true
+        self.config
+            .max_flops
+            .is_none_or(|limit| analysis::naive_flops(graph, 0).is_some_and(|f| f <= limit))
     }
 
     /// Starts a resumable synthesis run for `spec`.
@@ -422,13 +298,7 @@ pub struct Synthesis {
 impl Synthesis {
     /// Builds a driver rooted at the empty pGraph for `spec`.
     pub fn new(config: SynthConfig, vars: &Arc<VarTable>, spec: &OperatorSpec) -> Synthesis {
-        let pending_error = if config.max_steps == 0 {
-            Some(SynthError::InvalidConfig(
-                "max_steps must be at least 1".into(),
-            ))
-        } else {
-            spec.validate(vars).err()
-        };
+        let pending_error = config.validate().and_then(|()| spec.validate(vars)).err();
         let root = PGraph::new(Arc::clone(vars), spec.clone());
         Synthesis {
             enumerator: Enumerator::new(config),
@@ -532,7 +402,7 @@ pub enum RolloutResult {
     DeadEnd,
     /// The trajectory took `max_steps` primitives without completing.
     StepLimit,
-    /// Completed but violated a FLOPs/params budget.
+    /// Completed but violated the FLOPs budget.
     OverBudget,
 }
 
@@ -793,10 +663,10 @@ mod tests {
     #[test]
     fn synthesis_reports_visit_budget_as_typed_error() {
         let (vars, spec) = pool_setup();
-        let config = SynthConfig::builder_auto(&vars, 3)
-            .max_visits(4)
-            .build()
-            .unwrap();
+        let config = SynthConfig {
+            max_visits: 4,
+            ..SynthConfig::auto(&vars, 3)
+        };
         let mut driver = Enumerator::new(config).synthesis(&vars, &spec);
         let mut saw_budget_error = false;
         while let Some(item) = driver.next_operator() {
@@ -810,21 +680,27 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_configuration() {
-        let (vars, _) = pool_setup();
-        assert!(matches!(
-            SynthConfig::builder().max_steps(0).build(),
-            Err(SynthError::InvalidConfig(_))
-        ));
-        let built = SynthConfig::builder_auto(&vars, 4)
-            .max_flops(1_000_000)
-            .max_results(7)
-            .build()
-            .unwrap();
-        assert_eq!(built.max_results, 7);
-        assert_eq!(built.max_flops, Some(1_000_000));
-        let auto = SynthConfig::auto(&vars, 4);
-        assert_eq!(built.merge_blocks, auto.merge_blocks);
+    fn zero_budgets_are_typed_errors() {
+        let (vars, spec) = pool_setup();
+        let auto = SynthConfig::auto(&vars, 3);
+        assert!(auto.validate().is_ok());
+        let zeroed = [
+            SynthConfig { max_steps: 0, ..auto.clone() },
+            SynthConfig { max_results: 0, ..auto.clone() },
+            SynthConfig { max_visits: 0, ..auto },
+        ];
+        for config in zeroed {
+            assert!(
+                matches!(config.validate(), Err(SynthError::InvalidConfig(_))),
+                "{config:?}"
+            );
+            let mut driver = Synthesis::new(config, &vars, &spec);
+            assert!(matches!(
+                driver.next_operator(),
+                Some(Err(SynthError::InvalidConfig(_)))
+            ));
+            assert!(driver.next_operator().is_none());
+        }
     }
 
     #[test]
@@ -837,8 +713,7 @@ mod tests {
             TensorShape::new(vec![Size::var(h)]),
             TensorShape::new(vec![Size::var(h)]),
         );
-        let config = SynthConfig::builder().max_steps(2).build().unwrap();
-        let mut driver = Synthesis::new(config, &vars, &spec);
+        let mut driver = Synthesis::new(SynthConfig::auto(&VarTable::new(), 2), &vars, &spec);
         match driver.next_operator() {
             Some(Err(SynthError::InvalidSpec(_))) => {}
             other => panic!("expected InvalidSpec, got {other:?}"),

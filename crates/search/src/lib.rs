@@ -11,7 +11,7 @@
 //! * [`run`] — the `SearchBuilder → SearchRun` driver: Algorithm 1's outer
 //!   loop (synthesize → proxy-train → latency-tune) streaming
 //!   [`SearchEvent`]s over a channel, with [`CancelToken`] cancellation,
-//!   step/FLOP/wall-clock [`Budget`]s, concurrent multi-spec scenarios, one
+//!   a step budget, concurrent multi-spec scenarios, one
 //!   evaluation path at every width, and optional persistence: attach a
 //!   `syno-store` [`Store`](syno_store::Store) via [`SearchBuilder::store`]
 //!   for cross-run evaluation caching (`SearchEvent::CacheHit`) or
@@ -39,7 +39,7 @@ pub use discovered::{pareto_front, Discovered, TradeoffPoint};
 pub use mcts::{EvalOutcome, EvalRequest, Mcts, MctsConfig, MctsStats};
 pub use pool::EvalPool;
 pub use run::{
-    Budget, CancelToken, Candidate, PhaseNanos, PhaseWall, RunProgress, ScenarioProgress,
+    CancelToken, Candidate, PhaseNanos, PhaseWall, RunProgress, ScenarioProgress,
     SearchBuilder, SearchEvent, SearchReport, SearchRun, StopReason,
 };
 // The per-scenario proxy-family selector threaded through

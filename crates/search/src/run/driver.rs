@@ -31,30 +31,21 @@ pub(super) struct Shared {
     /// Live counters (steps, per-scenario progress) shared with the
     /// caller-facing [`RunProgress`] handle.
     pub(super) progress: Arc<RunProgress>,
-    pub(super) flops: Mutex<u128>,
     /// Why the run is stopping; set once, by whichever thread saw it first.
     stop: OnceLock<StopReason>,
 }
 
 impl Shared {
-    /// Checks cancellation and budgets; records the first reason to stop and
-    /// returns it from then on.
+    /// Checks cancellation, then the step budget; records the first reason
+    /// to stop and returns it from then on.
     fn should_stop(&self) -> Option<StopReason> {
         if let Some(reason) = self.stop.get() {
             return Some(*reason);
         }
-        let budget = &self.config.budget;
         let reason = if self.config.cancel.is_cancelled() {
             StopReason::Cancelled
-        } else if budget.max_wall.is_some_and(|max| self.started.elapsed() >= max) {
-            StopReason::WallClock
-        } else if budget.max_steps.is_some_and(|max| self.progress.steps() >= max) {
+        } else if self.config.max_steps.is_some_and(|max| self.progress.steps() >= max) {
             StopReason::StepBudget
-        } else if budget
-            .max_flops
-            .is_some_and(|max| *self.flops.lock().expect("flops lock") >= max)
-        {
-            StopReason::FlopBudget
         } else {
             return None;
         };
@@ -83,7 +74,6 @@ pub(super) fn drive(
         events,
         started: Instant::now(),
         progress,
-        flops: Mutex::new(0),
         stop: OnceLock::new(),
     });
     let results: Mutex<Vec<Candidate>> = Mutex::new(Vec::new());
@@ -129,13 +119,11 @@ pub(super) fn drive(
     });
     let stopped = shared.stop.get().copied().unwrap_or(StopReason::Completed);
     let steps = shared.progress.steps();
-    let flops = *shared.flops.lock().expect("flops lock");
     let wall = shared.started.elapsed();
     SearchReport {
         candidates,
         stopped,
         steps,
-        flops,
         phases: shared.progress.phases.snapshot(wall),
         wall,
     }

@@ -153,13 +153,7 @@ impl EvalContext {
             shared.progress.phases.add_store(span.elapsed());
         }
         match scored {
-            Ok(accuracy) => {
-                if let Some(flops) = syno_core::analysis::naive_flops(graph, 0) {
-                    let mut total = shared.flops.lock().expect("flops lock");
-                    *total = total.saturating_add(flops);
-                }
-                self.deliver(id, graph, accuracy, Source::Trained)
-            }
+            Ok(accuracy) => self.deliver(id, graph, accuracy, Source::Trained),
             Err(error) => self.skip(id, "proxy", error),
         }
     }

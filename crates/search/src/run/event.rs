@@ -33,17 +33,6 @@ impl CancelToken {
     }
 }
 
-/// Resource ceilings for one search run (all disabled by default).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Budget {
-    /// Maximum MCTS iterations summed across all scenarios.
-    pub max_steps: Option<u64>,
-    /// Maximum cumulative naive FLOPs of proxy-scored candidates.
-    pub max_flops: Option<u128>,
-    /// Maximum wall-clock time for the whole run.
-    pub max_wall: Option<Duration>,
-}
-
 /// Why a run stopped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StopReason {
@@ -53,36 +42,17 @@ pub enum StopReason {
     Cancelled,
     /// The step budget was exhausted.
     StepBudget,
-    /// The FLOP budget was exhausted.
-    FlopBudget,
-    /// The wall-clock budget was exhausted.
-    WallClock,
 }
 
 impl StopReason {
     /// Stable machine-readable name (used by the wire protocol and bench
-    /// JSON); round-trips through [`from_name`](StopReason::from_name).
+    /// JSON).
     pub fn name(self) -> &'static str {
         match self {
             StopReason::Completed => "completed",
             StopReason::Cancelled => "cancelled",
             StopReason::StepBudget => "step-budget",
-            StopReason::FlopBudget => "flop-budget",
-            StopReason::WallClock => "wall-clock",
         }
-    }
-
-    /// Parses a [`name`](StopReason::name) back into the reason.
-    pub fn from_name(name: &str) -> Option<StopReason> {
-        [
-            StopReason::Completed,
-            StopReason::Cancelled,
-            StopReason::StepBudget,
-            StopReason::FlopBudget,
-            StopReason::WallClock,
-        ]
-        .into_iter()
-        .find(|r| r.name() == name)
     }
 }
 
@@ -211,8 +181,6 @@ pub struct SearchReport {
     pub stopped: StopReason,
     /// MCTS iterations executed across scenarios.
     pub steps: u64,
-    /// Cumulative naive FLOPs of scored candidates.
-    pub flops: u128,
     /// Wall-clock duration of the run.
     pub wall: Duration,
     /// Where the wall went, per phase (derived from the telemetry span

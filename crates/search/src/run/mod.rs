@@ -5,9 +5,8 @@
 //!
 //! * streams [`SearchEvent`]s over a channel as the pipeline advances, in
 //!   per-candidate order `CandidateFound → ProxyScored → LatencyTuned`;
-//! * supports cooperative cancellation through a [`CancelToken`] and
-//!   step/FLOP/wall-clock [`Budget`]s, returning the candidates discovered
-//!   so far when stopped early;
+//! * supports cooperative cancellation through a [`CancelToken`] and a step
+//!   budget, returning the candidates discovered so far when stopped early;
 //! * searches multiple [`OperatorSpec`] *scenarios* concurrently, one thread
 //!   each (the paper's parallelism across substitution sites), the first on
 //!   the run's own thread;
@@ -42,9 +41,8 @@
 //! each candidate's event subsequence (`CandidateFound` →
 //! `ProxyScored`/`CacheHit` → `LatencyTuned`/`CandidateSkipped`) are those
 //! of [`Mcts::search`] driven with the same scores; only the interleaving
-//! *across* candidates differs. (Wall-clock-dependent stop conditions —
-//! cancellation, time/FLOP budgets — still cut runs at timing-dependent
-//! points, exactly as they do across scenario threads.)
+//! *across* candidates differs. (Cancellation still cuts a run at a
+//! timing-dependent point, exactly as it does across scenario threads.)
 //!
 //! [`Mcts::search`]: crate::mcts::Mcts::search
 //! [`Mcts::search_async_while`]: crate::mcts::Mcts::search_async_while
@@ -65,7 +63,7 @@ mod progress;
 mod tests;
 
 pub use self::{
-    event::{Budget, CancelToken, Candidate, SearchEvent, SearchReport, StopReason},
+    event::{CancelToken, Candidate, SearchEvent, SearchReport, StopReason},
     progress::{PhaseNanos, PhaseWall, RunProgress, ScenarioProgress},
 };
 use crate::coalesce::CoalesceTable;
@@ -74,7 +72,6 @@ use crate::pool::{panic_message, EvalPool};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 use syno_compiler::{CompilerKind, Device};
 use syno_core::error::{SynoError, SynthError};
 use syno_core::spec::OperatorSpec;
@@ -136,7 +133,8 @@ struct RunConfig {
     store: Option<Arc<Store>>,
     resume: bool,
     coalesce: Option<CoalesceTable>,
-    budget: Budget,
+    /// Caps total MCTS iterations across scenarios.
+    max_steps: Option<u64>,
     cancel: CancelToken,
 }
 
@@ -162,7 +160,7 @@ impl Default for SearchBuilder {
                 store: None,
                 resume: false,
                 coalesce: None,
-                budget: Budget::default(),
+                max_steps: None,
                 cancel: CancelToken::new(),
             },
             eval_workers: 1,
@@ -278,11 +276,10 @@ impl SearchBuilder {
     /// leader's outcome as their own bit-identical
     /// [`SearchEvent::ProxyScored`]/[`SearchEvent::LatencyTuned`] (or
     /// [`SearchEvent::CandidateSkipped`]) events, without journaling a
-    /// second copy or accruing a second training's FLOPs. The serving
-    /// daemon installs one table across all tenant sessions; in-process
-    /// callers can do the same for runs sharing a store. See the
-    /// [`coalesce`](crate::coalesce) module docs for the determinism
-    /// contract.
+    /// second copy. The serving daemon installs one table across all
+    /// tenant sessions; in-process callers can do the same for runs
+    /// sharing a store. See the [`coalesce`](crate::coalesce) module docs
+    /// for the determinism contract.
     pub fn coalesce_table(mut self, table: CoalesceTable) -> Self {
         self.config.coalesce = Some(table);
         self
@@ -290,19 +287,7 @@ impl SearchBuilder {
 
     /// Caps total MCTS iterations across scenarios.
     pub fn max_steps(mut self, steps: u64) -> Self {
-        self.config.budget.max_steps = Some(steps);
-        self
-    }
-
-    /// Caps cumulative naive FLOPs of scored candidates.
-    pub fn max_flops(mut self, flops: u128) -> Self {
-        self.config.budget.max_flops = Some(flops);
-        self
-    }
-
-    /// Caps wall-clock time.
-    pub fn max_wall(mut self, wall: Duration) -> Self {
-        self.config.budget.max_wall = Some(wall);
+        self.config.max_steps = Some(steps);
         self
     }
 
@@ -369,8 +354,9 @@ impl SearchBuilder {
     /// # Errors
     ///
     /// [`SynthError::InvalidConfig`] (as [`SynoError::Synth`]) when no
-    /// scenario was added; [`SynthError::InvalidSpec`] when a scenario's
-    /// shapes do not evaluate under its variable table;
+    /// scenario was added or the [`synth`](SearchBuilder::synth) config
+    /// fails [`SynthConfig::validate`]; [`SynthError::InvalidSpec`] when a
+    /// scenario's shapes do not evaluate under its variable table;
     /// [`SynoError::Proxy`] when no registered proxy family can score a
     /// scenario's spec (the error names the scenario, the families tried,
     /// and the spec ranks seen) — such a search would burn its whole
@@ -379,6 +365,9 @@ impl SearchBuilder {
     pub fn start(mut self) -> Result<SearchRun, SynoError> {
         if self.scenarios.is_empty() {
             return Err(SynthError::InvalidConfig("no scenarios added".into()).into());
+        }
+        if let Some(config) = &self.config.synth {
+            config.validate()?;
         }
         let forced = self.proxy_family;
         for s in &mut self.scenarios {

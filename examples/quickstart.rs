@@ -98,7 +98,7 @@ fn main() {
         }
     }
     let report = run.join().expect("search finishes");
-    let stats = session.store_stats().expect("store attached");
+    let stats = session.store().expect("store attached").stats();
     println!(
         "search: {fresh} evaluated, {recalled} recalled from {} \
          ({} candidates journaled, {} cache hits served)",

@@ -160,7 +160,7 @@ fn main() {
     }
 
     // 6. The status frame carries the shared store's stats — the same
-    //    numbers `Session::store_stats()` reports in process — so a
+    //    numbers `Store::stats()` reports in process — so a
     //    client can check the store is actually warm.
     let status = client.status().expect("status round-trips");
     if let Some(store) = &status.store {

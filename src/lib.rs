@@ -9,7 +9,7 @@
 //! * [`Session::search`] / [`Session::scenario`] — the streaming
 //!   [`SearchBuilder`] → [`SearchRun`] pipeline (synthesize → proxy-train →
 //!   latency-tune), which emits [`SearchEvent`]s over a channel, honors
-//!   step/FLOP/wall-clock [`Budget`]s, cancels cooperatively through a
+//!   a step budget, cancels cooperatively through a
 //!   [`CancelToken`], searches many specs concurrently, and evaluates a
 //!   run's candidates on [`SearchBuilder::eval_workers`] threads without
 //!   changing the discovered candidate set;
@@ -56,7 +56,7 @@ pub use session::{Session, SessionBuilder};
 pub use syno_core::error::{SynoError, SynthError};
 pub use syno_nn::ProxyFamilyId;
 pub use syno_search::{
-    Budget, CancelToken, Candidate, PhaseWall, SearchBuilder, SearchEvent, SearchReport,
+    CancelToken, Candidate, PhaseWall, SearchBuilder, SearchEvent, SearchReport,
     SearchRun, StopReason,
 };
 pub use syno_serve::{SearchRequest, ServeConfig, SessionMessage, SynoClient};

@@ -32,13 +32,12 @@ use syno_core::spec::{OperatorSpec, TensorShape};
 use syno_core::synth::{Enumerator, SynthConfig, Synthesis};
 use syno_core::var::{VarId, VarKind, VarTable};
 use syno_search::SearchBuilder;
-use syno_store::{CandidateSet, DeriveOp, Store, StoreBuilder, StoreStats};
+use syno_store::{CandidateSet, DeriveOp, Store, StoreBuilder};
 
 /// Declares the symbolic-shape vocabulary and the store of a [`Session`].
 #[derive(Clone, Debug, Default)]
 pub struct SessionBuilder {
     vars: Vec<(String, VarKind, u64)>,
-    extra_valuations: Vec<Vec<(String, u64)>>,
     store_path: Option<PathBuf>,
 }
 
@@ -54,14 +53,6 @@ impl SessionBuilder {
     /// or stride) with its value under the base valuation.
     pub fn coefficient(mut self, name: impl Into<String>, value: u64) -> Self {
         self.vars.push((name.into(), VarKind::Coefficient, value));
-        self
-    }
-
-    /// Records an additional valuation (values for every declared variable,
-    /// by name) — e.g. a larger deployment shape.
-    pub fn valuation(mut self, values: &[(&str, u64)]) -> Self {
-        self.extra_valuations
-            .push(values.iter().map(|&(n, v)| (n.to_owned(), v)).collect());
         self
     }
 
@@ -83,8 +74,8 @@ impl SessionBuilder {
     /// # Errors
     ///
     /// [`SynthError::InvalidConfig`] (as [`SynoError::Synth`]) for duplicate
-    /// variable names, an empty vocabulary, more than [`MAX_VARS`]
-    /// variables, or a valuation that misses a declared variable.
+    /// variable names, an empty vocabulary, or more than [`MAX_VARS`]
+    /// variables.
     pub fn build(self) -> Result<Session, SynoError> {
         if self.vars.is_empty() {
             return Err(SynthError::InvalidConfig("no variables declared".into()).into());
@@ -113,22 +104,6 @@ impl SessionBuilder {
             .map(|(name, _, value)| (ids[name], *value))
             .collect();
         table.push_valuation(base);
-        for valuation in &self.extra_valuations {
-            let mut row = Vec::with_capacity(self.vars.len());
-            for (name, _, _) in &self.vars {
-                let value = valuation
-                    .iter()
-                    .find(|(n, _)| n == name)
-                    .map(|&(_, v)| v)
-                    .ok_or_else(|| {
-                        SynoError::from(SynthError::InvalidConfig(format!(
-                            "valuation misses variable '{name}'"
-                        )))
-                    })?;
-                row.push((ids[name], value));
-            }
-            table.push_valuation(row);
-        }
         let store = match &self.store_path {
             Some(path) => Some(Arc::new(
                 StoreBuilder::new(path).open().map_err(SynoError::store)?,
@@ -152,7 +127,7 @@ impl SessionBuilder {
 ///   enumerator ([`Synthesis`] yields one operator at a time);
 /// * [`search`](Session::search) — a [`SearchBuilder`] bound to the
 ///   session's store, which streams
-///   [`SearchEvent`](syno_search::SearchEvent)s and honors budgets and
+///   [`SearchEvent`](syno_search::SearchEvent)s and honors a step budget and
 ///   [`CancelToken`](syno_search::CancelToken)s.
 #[derive(Clone, Debug)]
 pub struct Session {
@@ -216,13 +191,7 @@ impl Session {
     /// A resumable synthesis driver for `spec` with auto-derived parameter
     /// candidates and at most `max_steps` primitives per operator.
     pub fn synthesis(&self, spec: &OperatorSpec, max_steps: usize) -> Synthesis {
-        self.synthesis_with(SynthConfig::auto(&self.vars, max_steps), spec)
-    }
-
-    /// A resumable synthesis driver with an explicit configuration (see
-    /// [`SynthConfig::builder`]).
-    pub fn synthesis_with(&self, config: SynthConfig, spec: &OperatorSpec) -> Synthesis {
-        Enumerator::new(config).synthesis(&self.vars, spec)
+        Enumerator::new(SynthConfig::auto(&self.vars, max_steps)).synthesis(&self.vars, spec)
     }
 
     /// A [`SearchBuilder`] with default settings; add scenarios with
@@ -257,14 +226,6 @@ impl Session {
     /// The session's persistent candidate store, if one was attached.
     pub fn store(&self) -> Option<&Arc<Store>> {
         self.store.as_ref()
-    }
-
-    /// Aggregate counters of the attached store (`None` without one):
-    /// journaled candidates/scores/latencies/checkpoints, journal size,
-    /// bytes recovered by torn-tail truncation, and cache hits served this
-    /// process.
-    pub fn store_stats(&self) -> Option<StoreStats> {
-        self.store.as_ref().map(|s| s.stats())
     }
 
     /// The named [`CandidateSet`] journaled under `label` in the session's
@@ -330,10 +291,9 @@ mod tests {
         let session = Session::builder()
             .primary("H", 16)
             .coefficient("s", 2)
-            .valuation(&[("H", 32), ("s", 4)])
             .build()
             .unwrap();
-        assert_eq!(session.vars().valuation_count(), 2);
+        assert_eq!(session.vars().valuation_count(), 1);
         assert!(session.var("H").is_some());
         assert!(session.var("nope").is_none());
     }
@@ -381,13 +341,12 @@ mod tests {
             .store(dir.clone())
             .build()
             .unwrap();
-        let stats = session.store_stats().expect("store attached");
+        let stats = session.store().expect("store attached").stats();
         assert_eq!(stats.candidates, 0);
-        assert!(session.store().is_some());
         assert!(session.resume().is_ok());
 
         let bare = Session::builder().primary("H", 16).build().unwrap();
-        assert!(bare.store_stats().is_none());
+        assert!(bare.store().is_none());
         assert!(matches!(
             bare.resume().unwrap_err(),
             SynoError::Store { .. }

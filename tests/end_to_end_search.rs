@@ -61,18 +61,18 @@ fn session_search_discovers_priced_candidates() {
 #[test]
 fn flops_budget_is_a_hard_ceiling() {
     // §7.2: FLOPs are a hard limit, not part of the reward — expressed
-    // through the SynthConfig builder.
+    // through `SynthConfig::max_flops`.
     let session = Session::builder()
         .primary("H", 16)
         .coefficient("s", 2)
         .build()
         .unwrap();
     let spec = session.spec(&["H"], &["H/s"]).unwrap();
-    let config = SynthConfig::builder_auto(session.vars(), 3)
-        .max_flops(8) // nothing real fits
-        .build()
-        .unwrap();
-    let mut driver = session.synthesis_with(config, &spec);
+    let config = SynthConfig {
+        max_flops: Some(8), // nothing real fits
+        ..SynthConfig::auto(session.vars(), 3)
+    };
+    let mut driver = Enumerator::new(config).synthesis(session.vars(), &spec);
     let mut found = 0;
     while let Some(item) = driver.next_operator() {
         if item.is_ok() {

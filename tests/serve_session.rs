@@ -300,8 +300,8 @@ fn two_tenants_complete_identical_searches_through_one_daemon() {
     drop(handle);
 
     // The status frame's persistent counters must equal a fresh reopen of
-    // the journal (`Store::stats()` — the same numbers `Session::store_stats`
-    // surfaces in process).
+    // the journal (`Store::stats()`, the numbers an in-process session reads
+    // from its store).
     let reopened = StoreBuilder::new(&dir).open().expect("store reopens");
     let stats: StoreStats = reopened.stats();
     assert_eq!(wire_stats.candidates, stats.candidates);

@@ -224,7 +224,7 @@ fn warm_store_second_run_recalls_instead_of_retraining() {
             }
         }
         let report = run.join().expect("run joins");
-        let stats = session.store_stats().expect("store attached");
+        let stats = session.store().expect("store attached").stats();
         (scored, tuned, hits, checkpoints, report, stats)
     };
 
