@@ -17,7 +17,7 @@
 //! into recycled buffers and every contraction runs through a stride-compiled
 //! plan cached across calls. [`Tape::reset`] reclaims all node buffers while
 //! keeping the plan cache, so a training loop that resets its tape each step
-//! stops allocating after the first step.
+//! stops allocating tensor buffers once the pool holds one step's working set.
 //!
 //! Contractions run under the tape's [`ExecPolicy`] ([`Tape::with_policy`];
 //! by default the pinned `reduce_width = 4` tree, one thread). A tape holds

@@ -6,6 +6,7 @@ use super::plan::{EinsumPlan, Steps, SHORT_RUN};
 use crate::ops;
 use crate::tensor::Tensor;
 use std::iter::repeat;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// How the execution engine schedules one contraction.
@@ -165,7 +166,9 @@ impl EinsumPlan {
     /// output loops slowest). Per tile: one `+0.0` accumulator tile per
     /// chunk in `buf`, the summed loops walked in odometer order with the
     /// innermost one inside the kernel, then the chunk tiles combined and
-    /// written out.
+    /// written out. A lone summed loop whose chunks hold at most
+    /// [`FEW_TERMS`] terms each skips the accumulator tiles: a row at a time
+    /// sums in registers ([`few_term_row`]) and is written out.
     fn run_tiles(
         &self,
         datas: &[&[f32]],
@@ -185,6 +188,34 @@ impl EinsumPlan {
         let mut base = vec![0usize; datas.len()];
         let mut offs = vec![0usize; datas.len()];
         let mut idx = vec![0usize; walk.len()];
+        // Chunk `c`'s steps of the outermost summed loop: the first one
+        // walked, or the kernel's middle loop when it is the only one.
+        let (q, r) = (self.chunk.0 / chunks, self.chunk.0 % chunks);
+        let spans: Vec<Range<usize>> = (0..chunks)
+            .map(|c| {
+                let lo = (c * q + c.min(r)) * self.chunk.1;
+                lo..lo + (q + usize::from(c < r)) * self.chunk.1
+            })
+            .collect();
+        let few = (datas.len() <= 2 && walk.is_empty() && spans[0].len() <= FEW_TERMS)
+            .then(|| few_term_row(chunks, steps))
+            .flatten();
+        // Writes `values` to the output from `at` in steps of `out_inner`;
+        // every caller passes elements of the block of the tile it computes.
+        let store = |at: usize, values: &[f32]| {
+            if out_inner == 1 {
+                // SAFETY: this run lies in the tile's own output block, which
+                // no other shard touches (see the in-place case).
+                unsafe { out.slice(at, values.len()) }.copy_from_slice(values);
+            } else {
+                for (i, &v) in values.iter().enumerate() {
+                    // SAFETY: one element of the tile's own output block,
+                    // borrowed for this write only.
+                    let cell = unsafe { out.slice(at + i * out_inner, 1) };
+                    cell[0] = v;
+                }
+            }
+        };
         // Where the tile sits: the outer loops' indices, then its block
         // numbers — decoded once, then an odometer from tile to tile.
         let outer_counts = self.outer.iter().map(|&d| self.dims[d]);
@@ -220,6 +251,19 @@ impl EinsumPlan {
             // run accumulates in place; otherwise per-chunk tiles in `buf`
             // are combined and copied out.
             let in_place = chunks == 1 && out_inner == 1 && (n_o == 1 || out_outer == n_i);
+            if let (Some(few_row), false) = (few, in_place) {
+                let ((a, oa, sa), (b, ob, sb)) = match (datas, &steps[..]) {
+                    ([a, b], [sa, sb]) => ((*a, base[0], *sa), (*b, base[1], *sb)),
+                    ([a], [sa]) => ((*a, base[0], *sa), ONE),
+                    _ => unreachable!("a few-term tile has one or two operands"),
+                };
+                for o in 0..n_o {
+                    let row = &mut buf[..n_i];
+                    few_row(row, &spans, (a, oa + o * sa.outer, sa), (b, ob + o * sb.outer, sb));
+                    store(out_base + o * out_outer, row);
+                }
+                continue;
+            }
             let tile = if in_place {
                 // SAFETY: tiles partition the output index space and distinct
                 // output indices have distinct offsets, so no other shard
@@ -229,12 +273,7 @@ impl EinsumPlan {
                 buf[..chunks * len].fill(0.0);
                 &mut buf[..chunks * len]
             };
-            let (q, r) = (self.chunk.0 / chunks, self.chunk.0 % chunks);
-            for (c, part) in tile.chunks_exact_mut(len).enumerate() {
-                // `lo..hi` bounds the outermost summed loop: the first one
-                // walked, or the kernel's middle loop when it is the only one.
-                let lo = (c * q + c.min(r)) * self.chunk.1;
-                let hi = lo + (q + usize::from(c < r)) * self.chunk.1;
+            for (part, &Range { start: lo, end: hi }) in tile.chunks_exact_mut(len).zip(&spans) {
                 let (lead, n_m, rows) = match mid {
                     None => (None, 1, 1),
                     Some(_) if walk.is_empty() => (mid, hi - lo, 1),
@@ -281,19 +320,7 @@ impl EinsumPlan {
             }
             combine_tree(tile, len, chunks);
             for (o, row) in tile[..len].chunks_exact(n_i).enumerate() {
-                let at = out_base + o * out_outer;
-                if out_inner == 1 {
-                    // SAFETY: this row lies in the tile's own output block,
-                    // which no other shard touches (see the in-place case).
-                    unsafe { out.slice(at, n_i) }.copy_from_slice(row);
-                } else {
-                    for (i, &v) in row.iter().enumerate() {
-                        // SAFETY: one element of the tile's own output block,
-                        // borrowed for this write only.
-                        let cell = unsafe { out.slice(at + i * out_inner, 1) };
-                        cell[0] = v;
-                    }
-                }
+                store(out_base + o * out_outer, row);
             }
         }
     }
@@ -336,22 +363,32 @@ pub(super) fn fan_out(shards: usize, shard: impl Fn(usize) + Sync) {
     });
 }
 
+/// One operand as the tile kernel reads it: its data, the offset of the
+/// kernel's first element and its steps along the kernel's loops.
+type Operand<'a> = (&'a [f32], usize, Steps);
+
 /// The second operand of a one-operand contraction: `x · 1.0` is `x`, bit for
 /// bit, as is the reference's `1.0 · x`.
-const ONE: (&[f32], usize, Steps) = (&[1.0], 0, Steps { outer: 0, mid: 0, inner: 0 });
+const ONE: Operand<'static> = (&[1.0], 0, Steps { outer: 0, mid: 0, inner: 0 });
 
 /// The two-operand tile kernel: `tile[o][i] += a · b` for every step `m` of
 /// the middle (summed) loop, `m` ascending per element. Rows of `n_i`
 /// independent elements run innermost, specialised on each operand's inner
-/// step — broadcast, contiguous or strided — so they vectorise; a row too
-/// short to amortise that runs its elements' `m` loops one after the other.
-fn mac2(
-    tile: &mut [f32],
-    n_i: usize,
-    n_m: usize,
-    (a, oa, sa): (&[f32], usize, Steps),
-    (b, ob, sb): (&[f32], usize, Steps),
-) {
+/// step — broadcast, contiguous or strided — so they vectorise. A row too
+/// short to amortise that (shorter than [`SHORT_RUN`], with more terms than
+/// lanes) keeps a block of rows' sums in registers instead when one operand
+/// is constant along the row and the other contiguous and the same for every
+/// row — an outer product, as in `mk,kn->mn` ([`short_rows`]); any other
+/// short row runs its elements' `m` loops one after the other.
+fn mac2(tile: &mut [f32], n_i: usize, n_m: usize, (a, oa, sa): Operand, (b, ob, sb): Operand) {
+    if n_i < SHORT_RUN && n_m > n_i {
+        if sa.inner == 0 && sb.outer == 0 && sb.inner == 1 {
+            return short_rows::<false>(tile, n_i, n_m, (a, oa, sa), (b, ob, sb));
+        }
+        if sb.inner == 0 && sa.outer == 0 && sa.inner == 1 {
+            return short_rows::<true>(tile, n_i, n_m, (b, ob, sb), (a, oa, sa));
+        }
+    }
     for (o, row) in tile.chunks_exact_mut(n_i).enumerate() {
         let (oa, ob) = (oa + o * sa.outer, ob + o * sb.outer);
         if n_i < SHORT_RUN && n_m > n_i {
@@ -391,6 +428,70 @@ fn mac2(
     }
 }
 
+/// Rows the short-row kernel keeps in registers at once.
+const ROW_BLOCK: usize = 4;
+
+/// [`mac2`] on rows of `n_i < SHORT_RUN` elements that are an outer
+/// product: `tile[o][i] += x[o, m] · y[m, i]`, where `x` is constant along a
+/// row and `y` contiguous along it and shared by every row (`FLIP` when `y`
+/// is the contraction's first operand, so each product keeps the operand
+/// order `a · b`). Dispatches the row length to [`row_block`].
+fn short_rows<const FLIP: bool>(tile: &mut [f32], n_i: usize, n_m: usize, x: Operand, y: Operand) {
+    macro_rules! by_len {
+        ($($n:literal)*) => {
+            match n_i {
+                $($n => row_block::<$n, FLIP>(tile, n_m, x, y),)*
+                _ => unreachable!("a short row has 1 to 7 elements"),
+            }
+        };
+    }
+    by_len!(1 2 3 4 5 6 7)
+}
+
+/// [`short_rows`] for rows of `N` elements: [`ROW_BLOCK`] rows at a time,
+/// then the rows left over one at a time.
+fn row_block<const N: usize, const FLIP: bool>(
+    tile: &mut [f32],
+    n_m: usize,
+    x: Operand,
+    y: Operand,
+) {
+    let (rows, _) = tile.as_chunks_mut::<N>();
+    let (blocks, rest) = rows.as_chunks_mut::<ROW_BLOCK>();
+    let done = blocks.len() * ROW_BLOCK;
+    for (k, block) in blocks.iter_mut().enumerate() {
+        rows_in_registers::<N, ROW_BLOCK, FLIP>(block, k * ROW_BLOCK, n_m, x, y);
+    }
+    for (k, row) in rest.iter_mut().enumerate() {
+        rows_in_registers::<N, 1, FLIP>(std::array::from_mut(row), done + k, n_m, x, y);
+    }
+}
+
+/// `R` rows of `N` elements, starting at row `o0`, as `R × N` independent
+/// accumulators: each starts from its tile value and adds its terms in
+/// ascending `m`, exactly as the one-element-at-a-time loop does.
+fn rows_in_registers<const N: usize, const R: usize, const FLIP: bool>(
+    rows: &mut [[f32; N]; R],
+    o0: usize,
+    n_m: usize,
+    (x, ox, sx): Operand,
+    (y, oy, sy): Operand,
+) {
+    let mut acc = *rows;
+    let starts: [usize; R] = std::array::from_fn(|r| ox + (o0 + r) * sx.outer);
+    for m in 0..n_m {
+        let lanes: &[f32; N] = y[oy + m * sy.mid..].first_chunk().expect("a row of y");
+        for (row, &at) in acc.iter_mut().zip(&starts) {
+            let v = x[at + m * sx.mid];
+            for (t, &w) in row.iter_mut().zip(lanes) {
+                let (a, b) = if FLIP { (w, v) } else { (v, w) };
+                *t += a * b;
+            }
+        }
+    }
+    *rows = acc;
+}
+
 /// [`mac2`] for three operands or more: the product starts at `1.0`, operands
 /// in spec order, as in [`einsum_spec_reference`](super::einsum_spec_reference).
 fn mac_n(
@@ -410,6 +511,135 @@ fn mac_n(
                 }
                 *t += product;
             }
+        }
+    }
+}
+
+/// Elements a few-term row sums side by side.
+const LANES: usize = 16;
+
+/// A chunk of at most this many terms sums in registers rather than in an
+/// accumulator tile.
+const FEW_TERMS: usize = 8;
+
+/// How one operand's values run along the kernel's inner loop, as a
+/// [`lane_sums`] parameter: one value for every lane, a contiguous run, or a
+/// strided walk.
+const BROADCAST: u8 = 0;
+const CONTIGUOUS: u8 = 1;
+const STRIDED: u8 = 2;
+
+/// Sums one tile row of few-term elements into the row given: the
+/// contraction's two operands at the row's first element, and each
+/// chunk's steps of the middle loop.
+type FewTermRow = fn(&mut [f32], &[Range<usize>], Operand, Operand);
+
+/// The few-term row kernel for `chunks` chunks and operands with `steps` (a
+/// missing second one is [`ONE`]), or `None` past four chunks, the pinned
+/// reduction width.
+fn few_term_row(chunks: usize, steps: &[Steps]) -> Option<FewTermRow> {
+    let kind = |k: usize| match steps.get(k).map_or(0, |s| s.inner) {
+        0 => BROADCAST,
+        1 => CONTIGUOUS,
+        _ => STRIDED,
+    };
+    fn for_b<const C: usize, const KA: u8>(kb: u8) -> FewTermRow {
+        match kb {
+            BROADCAST => row_sums::<C, KA, BROADCAST>,
+            CONTIGUOUS => row_sums::<C, KA, CONTIGUOUS>,
+            _ => row_sums::<C, KA, STRIDED>,
+        }
+    }
+    fn for_a<const C: usize>(ka: u8, kb: u8) -> FewTermRow {
+        match ka {
+            BROADCAST => for_b::<C, BROADCAST>(kb),
+            CONTIGUOUS => for_b::<C, CONTIGUOUS>(kb),
+            _ => for_b::<C, STRIDED>(kb),
+        }
+    }
+    let (ka, kb) = (kind(0), kind(1));
+    Some(match chunks {
+        1 => for_a::<1>(ka, kb),
+        2 => for_a::<2>(ka, kb),
+        3 => for_a::<3>(ka, kb),
+        4 => for_a::<4>(ka, kb),
+        _ => return None,
+    })
+}
+
+/// A [`FewTermRow`]: [`LANES`] elements at a time, then one at a time.
+fn row_sums<const C: usize, const KA: u8, const KB: u8>(
+    row: &mut [f32],
+    spans: &[Range<usize>],
+    (a, oa, sa): Operand,
+    (b, ob, sb): Operand,
+) {
+    let spans: &[Range<usize>; C] = spans.try_into().expect("one span per chunk");
+    let (groups, rest) = row.as_chunks_mut::<LANES>();
+    let done = groups.len() * LANES;
+    for (k, sums) in groups.iter_mut().enumerate() {
+        let at = k * LANES;
+        *sums = lane_sums::<LANES, C, KA, KB>(
+            spans,
+            (a, oa + at * sa.inner, sa),
+            (b, ob + at * sb.inner, sb),
+        );
+    }
+    for (k, sum) in rest.iter_mut().enumerate() {
+        let at = done + k;
+        let a = (a, oa + at * sa.inner, sa);
+        [*sum] = lane_sums::<1, C, STRIDED, STRIDED>(spans, a, (b, ob + at * sb.inner, sb));
+    }
+}
+
+/// `L` elements' sums over a few terms each, in registers: per chunk `c`
+/// the terms `spans[c]` from `+0.0` in ascending `m` — the partial an
+/// accumulator tile would hold — then the chunk tree over the `C` partials.
+/// The same additions in the same order as the tile path, so the same bits.
+#[inline(always)]
+fn lane_sums<const L: usize, const C: usize, const KA: u8, const KB: u8>(
+    spans: &[Range<usize>; C],
+    (a, oa, sa): Operand,
+    (b, ob, sb): Operand,
+) -> [f32; L] {
+    let mut parts = [[0.0f32; L]; C];
+    for (acc, span) in parts.iter_mut().zip(spans) {
+        for m in span.clone() {
+            let x = lanes::<L, KA>(a, oa + m * sa.mid, sa.inner);
+            let y = lanes::<L, KB>(b, ob + m * sb.mid, sb.inner);
+            for ((t, x), y) in acc.iter_mut().zip(x).zip(y) {
+                *t += x * y;
+            }
+        }
+    }
+    // `combine_tree`'s pairing on arrays the compiler keeps in registers
+    // (`combine_tree` itself walks runs of a run-time length): chunk j ←
+    // chunk 2j + chunk 2j+1, an odd last chunk passing up unchanged.
+    let mut width = C;
+    while width > 1 {
+        let pairs = width / 2;
+        for j in 0..pairs {
+            let (x, y) = (parts[2 * j], parts[2 * j + 1]);
+            parts[j] = std::array::from_fn(|l| x[l] + y[l]);
+        }
+        if width % 2 == 1 {
+            parts[pairs] = parts[width - 1];
+        }
+        width = pairs + width % 2;
+    }
+    parts[0]
+}
+
+/// `L` values of one operand along the kernel's inner loop from `at`, read
+/// as `K` says ([`BROADCAST`], [`CONTIGUOUS`] or [`STRIDED`] by `step`).
+#[inline(always)]
+fn lanes<const L: usize, const K: u8>(data: &[f32], at: usize, step: usize) -> [f32; L] {
+    match K {
+        BROADCAST => [data[at]; L],
+        CONTIGUOUS => *data[at..].first_chunk().expect("L contiguous lanes"),
+        _ => {
+            let run = &data[at..=at + (L - 1) * step];
+            std::array::from_fn(|l| run[l * step])
         }
     }
 }

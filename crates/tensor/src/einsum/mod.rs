@@ -10,10 +10,14 @@
 //! works **a row of output elements at a time**: the innermost loop is always
 //! a contiguous or constant-stride run over independent output elements,
 //! accumulated into a small tile, with all index arithmetic hoisted to once
-//! per row and no allocation per element. Only independent elements trade
-//! places: each one still meets its terms in the order of the original
-//! per-element implementation, which survives as [`einsum_reference`] — the
-//! differential-testing suite pins the two paths bit-for-bit equal.
+//! per row and no allocation per element. Where a row is too short for that,
+//! or a chunk of the sum holds only a few terms, independent elements' sums
+//! sit side by side in registers instead: a block of short outer-product
+//! rows, or a group of few-term elements whose chunk partials and chunk tree
+//! never touch the tile. Only independent elements trade places: each one
+//! still meets its terms in the order of the original per-element
+//! implementation, which survives as [`einsum_reference`] — the
+//! differential-testing suite pins the paths bit-for-bit equal.
 //!
 //! An [`EinsumEngine`] runs every plan under an [`ExecPolicy`]: a
 //! `reduce_width > 1` splits the outermost summed index into a pinned number

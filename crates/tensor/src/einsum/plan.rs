@@ -9,8 +9,9 @@ use crate::tensor::Tensor;
 const TILE_ELEMS: usize = 1024;
 
 /// An output loop shorter than this makes a poor innermost run: the tile
-/// prefers a longer one further out, and a row this short runs its elements'
-/// sums one after the other.
+/// prefers a longer one further out, and a row this short with more terms
+/// than elements keeps its sums in registers — a block of rows at a time for
+/// an outer product, else one element after the other.
 pub(super) const SHORT_RUN: usize = 8;
 
 /// A tensor this many times smaller than the loop nest is worth storing in

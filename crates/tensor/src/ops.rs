@@ -29,7 +29,7 @@ fn around_axis(shape: &[usize], axis: usize) -> (usize, usize, usize) {
 
 /// Applies `f` elementwise into a pooled buffer (see [`Tensor::map`]).
 pub fn map_in(pool: &mut ScratchPool, t: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
-    let mut buf = pool.take_raw();
+    let mut buf = pool.take_raw(t.numel());
     buf.extend(t.data().iter().map(|&x| f(x)));
     Tensor::from_vec(buf, t.shape())
 }
@@ -47,7 +47,7 @@ pub fn zip_map_in(
     f: impl Fn(f32, f32) -> f32,
 ) -> Tensor {
     assert_eq!(a.shape(), b.shape(), "elementwise shape mismatch");
-    let mut buf = pool.take_raw();
+    let mut buf = pool.take_raw(a.numel());
     buf.extend(a.data().iter().zip(b.data()).map(|(&x, &y)| f(x, y)));
     Tensor::from_vec(buf, a.shape())
 }
@@ -345,10 +345,26 @@ pub fn repeat_in(pool: &mut ScratchPool, t: &Tensor, axis: usize, times: usize) 
     let inner: usize = t.shape()[axis..].iter().product();
     let mut out = pool.take_tensor(&out_shape);
     if inner == 1 {
-        // A trailing axis: each element fills its own run.
-        for (dst, &v) in out.data_mut().chunks_exact_mut(times.max(1)).zip(t.data()) {
-            dst.fill(v);
+        // A trailing axis: each element fills its own run, a run of up to 16
+        // as one fixed-size store.
+        let (dst, src) = (out.data_mut(), t.data());
+        macro_rules! runs {
+            ($($n:literal)*) => {
+                match times {
+                    $($n => {
+                        for (run, &v) in dst.as_chunks_mut::<$n>().0.iter_mut().zip(src) {
+                            *run = [v; $n];
+                        }
+                    })*
+                    _ => {
+                        for (run, &v) in dst.chunks_exact_mut(times.max(1)).zip(src) {
+                            run.fill(v);
+                        }
+                    }
+                }
+            };
         }
+        runs!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16);
     } else {
         let copies = out.data_mut().chunks_exact_mut((times * inner).max(1));
         for (dst, src) in copies.zip(t.data().chunks_exact(inner.max(1))) {
@@ -380,6 +396,27 @@ pub fn sum_axis_in(pool: &mut ScratchPool, t: &Tensor, axis: usize) -> Tensor {
     let mut out_shape = t.shape().to_vec();
     out_shape.remove(axis);
     let mut out = pool.take_tensor(&out_shape);
+    if inner == 1 {
+        // A trailing axis: eight outputs' sums side by side, each still
+        // adding its run in axis order onto `+0.0`.
+        let (groups, rest) = out.data_mut().as_chunks_mut::<8>();
+        let mut slabs = t.data().chunks_exact((8 * n).max(1));
+        for (sums, slab) in groups.iter_mut().zip(&mut slabs) {
+            let runs: [&[f32]; 8] = std::array::from_fn(|r| &slab[r * n..][..n]);
+            for k in 0..n {
+                for (sum, run) in sums.iter_mut().zip(&runs) {
+                    *sum += run[k];
+                }
+            }
+        }
+        let runs = slabs.remainder().chunks_exact(n.max(1));
+        for (sum, run) in rest.iter_mut().zip(runs) {
+            for &v in run {
+                *sum += v;
+            }
+        }
+        return out;
+    }
     // Per outer index, the axis' `inner` blocks add onto one output block in
     // axis order — each output slot's accumulation order.
     let slabs = t.data().chunks_exact((n * inner).max(1));

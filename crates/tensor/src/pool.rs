@@ -4,8 +4,11 @@
 //! proxy training — used to allocate a fresh `Vec<f32>` for every tensor an
 //! op produced, every step. A [`ScratchPool`] keeps those buffers alive
 //! across calls (and, via [`Tape::reset`](crate::Tape::reset), across
-//! training steps): `take*` hands out a recycled buffer when one is
-//! available, `recycle*` returns buffers once their tensors are dead.
+//! training steps): `take*` hands out the newest recycled buffer whose
+//! capacity fits the requested length, `recycle*` returns buffers once their
+//! tensors are dead. A parked buffer is never regrown — a request nothing
+//! fits allocates afresh — so once the pool holds a step's working set, a
+//! training loop that repeats the step allocates no tensor buffer at all.
 //!
 //! Recycling is **value-invisible**: a taken buffer is always fully
 //! initialized (zeroed, copied, or filled by the caller) before it becomes a
@@ -14,7 +17,7 @@
 //!
 //! The pool is **bounded**: parked bytes are capped (default
 //! [`ScratchPool::DEFAULT_CAP_BYTES`]); recycling past the cap evicts the
-//! *oldest* parked buffers (the LIFO hot end stays warm), and a single
+//! *oldest* parked buffers (the newest stay warm), and a single
 //! buffer larger than the cap is dropped outright. [`ScratchPool::pooled_bytes`]
 //! and [`ScratchPool::high_water_bytes`] expose the footprint — the
 //! `syno_tensor_scratch_bytes` gauge in the metrics dump reads the former.
@@ -24,9 +27,10 @@ use std::collections::VecDeque;
 
 /// A recycling allocator for `f32` buffers.
 ///
-/// Buffers are handed out LIFO; training loops repeat the same op sequence
-/// with the same shapes each step, so after a warm-up step the pool serves
-/// every request without touching the system allocator.
+/// Buffers are handed out newest first among those large enough; training
+/// loops repeat the same op sequence with the same shapes each step, so
+/// after a couple of warm-up steps the pool serves every request without
+/// touching the system allocator.
 ///
 /// # Examples
 ///
@@ -44,8 +48,8 @@ use std::collections::VecDeque;
 /// ```
 #[derive(Debug)]
 pub struct ScratchPool {
-    /// Parked buffers: pushed/popped at the back (LIFO), evicted from the
-    /// front when the byte cap is exceeded.
+    /// Parked buffers: pushed at the back, taken newest first among those
+    /// that fit, evicted from the front when the byte cap is exceeded.
     free: VecDeque<Vec<f32>>,
     disabled: bool,
     recycled: usize,
@@ -119,30 +123,33 @@ impl ScratchPool {
         self.cap_bytes
     }
 
-    /// An empty buffer (length 0), reusing a pooled allocation when one is
-    /// available. The caller fills it.
-    pub fn take_raw(&mut self) -> Vec<f32> {
-        match self.free.pop_back() {
+    /// An empty buffer (length 0) with room for `numel` elements: the newest
+    /// parked buffer whose capacity fits, else a fresh allocation. A parked
+    /// buffer is never regrown, so a smaller one stays parked for a smaller
+    /// request. The caller fills it.
+    pub fn take_raw(&mut self, numel: usize) -> Vec<f32> {
+        let fits = self.free.iter().rposition(|buf| buf.capacity() >= numel);
+        match fits.and_then(|at| self.free.remove(at)) {
             Some(mut buf) => {
                 self.pooled_bytes -= bytes_of(&buf);
                 buf.clear();
                 self.recycled += 1;
                 buf
             }
-            None => Vec::new(),
+            None => Vec::with_capacity(numel),
         }
     }
 
     /// A buffer of `numel` zeros.
     pub fn take_zeroed(&mut self, numel: usize) -> Vec<f32> {
-        let mut buf = self.take_raw();
+        let mut buf = self.take_raw(numel);
         buf.resize(numel, 0.0);
         buf
     }
 
     /// A buffer holding a copy of `data`.
     pub fn take_copied(&mut self, data: &[f32]) -> Vec<f32> {
-        let mut buf = self.take_raw();
+        let mut buf = self.take_raw(data.len());
         buf.extend_from_slice(data);
         buf
     }
@@ -194,12 +201,20 @@ mod tests {
     #[test]
     fn buffers_cycle_and_grow() {
         let mut pool = ScratchPool::new();
-        let a = pool.take_zeroed(4);
-        pool.recycle_buffer(a);
+        let (big, small) = (pool.take_zeroed(16), pool.take_zeroed(4));
+        pool.recycle_buffer(big);
+        pool.recycle_buffer(small);
         let b = pool.take_zeroed(8);
         assert_eq!(b.len(), 8);
         assert!(b.iter().all(|&x| x == 0.0));
+        assert_eq!(b.capacity(), 16, "the newest parked buffer that fits");
         assert_eq!(pool.recycled(), 1);
+        let grown = pool.take_zeroed(8);
+        assert_eq!(grown.len(), 8);
+        assert_eq!(pool.recycled(), 1, "too small a buffer is not regrown");
+        let small = pool.take_raw(4);
+        assert_eq!(small.capacity(), 4, "it stays parked for a request it fits");
+        assert_eq!(pool.recycled(), 2);
     }
 
     #[test]
@@ -238,7 +253,7 @@ mod tests {
         pool.recycle_buffer(a);
         assert_eq!(pool.pooled_bytes(), a_bytes);
         assert_eq!(pool.high_water_bytes(), a_bytes);
-        let _ = pool.take_raw();
+        let _ = pool.take_raw(16);
         assert_eq!(pool.pooled_bytes(), 0, "taking un-parks the bytes");
         assert_eq!(pool.high_water_bytes(), a_bytes, "high water sticks");
     }
@@ -258,12 +273,13 @@ mod tests {
         assert_eq!(pool.high_water_bytes(), 800, "high water before eviction");
         // LIFO: the most recently parked buffer (2.0-filled) comes back
         // first; the oldest (0.0-filled) was evicted.
-        let hot = pool.take_raw();
+        let hot = pool.take_raw(100);
         assert_eq!(hot.capacity(), 100);
-        let warm = pool.take_raw();
+        let warm = pool.take_raw(100);
         assert_eq!(warm.capacity(), 100);
         assert_eq!(pool.pooled_bytes(), 0);
-        assert_eq!(pool.take_raw().capacity(), 0, "third buffer was evicted");
+        let _ = pool.take_raw(100);
+        assert_eq!(pool.recycled(), 2, "third buffer was evicted");
     }
 
     #[test]

@@ -143,6 +143,19 @@ fn same_bits(a: &Tensor, b: &Tensor) -> bool {
         && a.data().iter().zip(b.data()).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
+/// [`same_bits`], except that a NaN matches any NaN: Rust leaves open which
+/// NaN an addition returns when two NaNs meet (or `inf - inf` makes one),
+/// and the compiler may swap an addition's operands, so the payload is no
+/// part of the summation-order contract. Signed zeros and infinities still
+/// compare by bits.
+fn same_bits_or_nan(a: &Tensor, b: &Tensor) -> bool {
+    a.shape() == b.shape()
+        && a.data()
+            .iter()
+            .zip(b.data())
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
 fn run_engine(spec: &EinsumSpec, operands: &[&Tensor], policy: ExecPolicy) -> Tensor {
     EinsumEngine::with_policy(policy)
         .einsum_parsed(spec, operands, &mut ScratchPool::new())
@@ -258,11 +271,48 @@ fn noisy(shape: &[usize], salt: u64) -> Tensor {
 /// Shapes the random generator cannot reach: the two sequence-head VJPs the
 /// engine was re-nested for, tiles that block the inner and the outer tile
 /// loop with a ragged last block, fused loops, a summed index that fuses
-/// with its successor, and the conv student's permuted weight and its
-/// gradient — each against both oracles on 1/2/3/4/8 threads.
+/// with its successor, the conv student's permuted weight and its
+/// gradient, short rows of every length in the outer-product pattern, its
+/// mirror and a strided pattern, few-term chunks over every pair of operand
+/// runs with ragged lane groups, and the toy vision student's contraction
+/// with both of its VJPs — each against both oracles on 1/2/3/4/8 threads.
 #[test]
 fn measured_and_tiled_shapes_match_both_oracles() {
     let cases: &[(&str, &[&[usize]])] = &[
+        // Short rows of every length, as many rows as lanes, in the
+        // outer-product pattern and its mirror; fewer rows than the register
+        // block; and a pattern with no register kernel.
+        ("mk,kn->mn", &[&[1, 40], &[40, 1]]),
+        ("mk,kn->mn", &[&[2, 40], &[40, 2]]),
+        ("mk,kn->mn", &[&[3, 40], &[40, 3]]),
+        ("mk,kn->mn", &[&[4, 40], &[40, 4]]),
+        ("mk,kn->mn", &[&[5, 40], &[40, 5]]),
+        ("mk,kn->mn", &[&[6, 40], &[40, 6]]),
+        ("mk,kn->mn", &[&[7, 40], &[40, 7]]),
+        ("kn,mk->mn", &[&[40, 1], &[1, 40]]),
+        ("kn,mk->mn", &[&[40, 2], &[2, 40]]),
+        ("kn,mk->mn", &[&[40, 3], &[3, 40]]),
+        ("kn,mk->mn", &[&[40, 4], &[4, 40]]),
+        ("kn,mk->mn", &[&[40, 5], &[5, 40]]),
+        ("kn,mk->mn", &[&[40, 6], &[6, 40]]),
+        ("kn,mk->mn", &[&[40, 7], &[7, 40]]),
+        ("mk,kn->mn", &[&[2, 40], &[40, 7]]),
+        ("mk,kn->mn", &[&[6, 9], &[9, 7]]),
+        ("mnk,nk->mn", &[&[5, 6, 40], &[6, 40]]),
+        // Few-term chunks (2/1/1/1, 1/1/1, 2/2/2/1, 3/2/2/2) over broadcast,
+        // contiguous and strided runs, lane groups with a ragged tail, a
+        // strided output and one operand.
+        ("mn,kn->mk", &[&[3, 5], &[37, 5]]),
+        ("mk,mn->kn", &[&[3, 37], &[3, 5]]),
+        ("ka,kb->ab", &[&[7, 20], &[7, 19]]),
+        ("ka,kb->ab", &[&[9, 20], &[9, 19]]),
+        ("abk,bk->ab", &[&[3, 20, 5], &[20, 5]]),
+        ("kb,kb->b", &[&[5, 30], &[5, 30]]),
+        ("kb->b", &[&[6, 35]]),
+        // The toy vision student: N=4, Cin=3, Cout=4, H=W=8, k=3.
+        ("nchwij,ocij->nohw", &[&[4, 3, 8, 8, 3, 3], &[4, 3, 3, 3]]),
+        ("nohw,ocij->nchwij", &[&[4, 4, 8, 8], &[4, 3, 3, 3]]),
+        ("nohw,nchwij->ocij", &[&[4, 4, 8, 8], &[4, 3, 8, 8, 3, 3]]),
         ("mn,mk->kn", &[&[4, 6], &[4, 512]]),
         ("mn,kn->mk", &[&[4, 6], &[512, 6]]),
         ("mk,kn->mn", &[&[4, 512], &[512, 6]]),
@@ -358,7 +408,8 @@ fn noisy_with_zeros(shape: &[usize], salt: u64) -> Tensor {
 }
 
 /// Every rewritten structural op, on every axis position (first, middle,
-/// last — and the only one), for `k`/`s`/`times`/`amount` in 1..=3.
+/// last — and the only one), for `k`/`s`/`times`/`amount` in 1..=3; then
+/// the trailing-axis sum and repeat over special values.
 #[test]
 fn structural_ops_match_per_element_decode() {
     let shapes: &[&[usize]] = &[&[6], &[6, 12], &[6, 3, 12], &[2, 6, 1, 6], &[1, 6, 6]];
@@ -461,6 +512,34 @@ fn structural_ops_match_per_element_decode() {
             });
             let got = ops::permute(&t, &perm);
             assert!(same_bits(&got, &want), "permute shape {shape:?} by {perm:?}");
+        }
+    }
+
+    // A trailing axis, summed or repeated: output counts below, at and off
+    // a multiple of eight, an axis of extent 1, runs of every length the
+    // one-store path covers and one past it, and data holding signed zeros,
+    // infinities of both signs and NaN.
+    let trailing: &[&[usize]] = &[&[6, 12], &[6, 3, 12], &[16, 3], &[5, 7, 1], &[3, 13, 2], &[1]];
+    for (salt, &shape) in trailing.iter().enumerate() {
+        let mut t = noisy_with_zeros(shape, 300 + salt as u64);
+        for (i, v) in t.data_mut().iter_mut().enumerate() {
+            match i % 11 {
+                2 => *v = f32::INFINITY,
+                6 => *v = f32::NEG_INFINITY,
+                9 => *v = f32::NAN,
+                _ => {}
+            }
+        }
+        let last = shape.len() - 1;
+        let want = scatter_ref(&t, &shape[..last], |c| Some(c[..last].to_vec()));
+        let got = ops::sum_axis(&t, last);
+        assert!(same_bits_or_nan(&got, &want), "sum_axis trailing {shape:?}");
+        for times in 1..=17 {
+            let mut repeated = shape.to_vec();
+            repeated.push(times);
+            let want = gather_ref(&repeated, |c| Some(t.data()[flat_of(&c[..shape.len()], shape)]));
+            let got = ops::repeat(&t, shape.len(), times);
+            assert!(same_bits_or_nan(&got, &want), "repeat trailing {shape:?} times {times}");
         }
     }
 }
