@@ -2,11 +2,9 @@
 //!
 //! This crate implements §8 of the paper:
 //!
-//! * [`kernel`] — the TE-style loop-nest IR with its reference interpreter;
-//! * [`plan`] — the stride-compiled execution engine: per-stage index
-//!   expressions lowered once to flat instruction programs re-evaluated
-//!   incrementally per loop level, with hoisted clip guards — bit-identical
-//!   to the reference interpreter and differentially tested against it;
+//! * [`kernel`] — the TE-style loop-nest IR and its one executor,
+//!   [`Kernel::execute`], an interpreter that walks every index expression
+//!   per element;
 //! * [`lower`] — pGraph → kernel lowering, naive and with the
 //!   *materialized reduction* optimization (Fig. 4), which enumerates
 //!   reduction orderings and splits stages to minimize FLOPs;
@@ -25,9 +23,7 @@
 pub mod eager;
 pub mod kernel;
 pub mod lower;
-pub mod plan;
 
 pub use eager::{execute, record, weight_shapes, EagerError};
 pub use kernel::{Kernel, Stage};
 pub use lower::{lower_naive, lower_optimized, LowerError};
-pub use plan::CompiledKernel;

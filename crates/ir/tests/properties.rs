@@ -1,19 +1,17 @@
-//! The differential-testing suite locking down the execution engine.
+//! The differential-testing suite locking down the execution engines.
 //!
-//! Three engines implement the same operator semantics:
+//! Two engines implement the same operator semantics:
 //!
 //! 1. the **eager backend** (`syno-tensor` view ops + einsums, optionally on
-//!    an autodiff tape),
-//! 2. the **reference kernel interpreter** ([`Kernel::execute_reference`],
-//!    per-element expression-tree walks), and
-//! 3. the **stride-compiled kernel engine** ([`Kernel::compile`]).
+//!    an autodiff tape), and
+//! 2. the **kernel interpreter** ([`Kernel::execute`], per-element
+//!    expression-tree walks over the naive or the optimized lowering).
 //!
 //! This suite pins their relationships on random valid pGraphs sampled by
 //! the guided synthesis rollout:
 //!
-//! * compiled vs. reference kernel execution must be **bit-identical** (the
-//!   compiled engine only changes *how* offsets are computed, never the FP
-//!   summation order);
+//! * the naive and the optimized lowering must agree element-for-element
+//!   (within FP tolerance — materialized stages legitimately reorder sums);
 //! * the compiled tape engine vs. the naive reference tape must be
 //!   bit-identical for values *and* gradients;
 //! * the **data-parallel** tape engine is value-invisible: at
@@ -25,11 +23,14 @@
 //! * recording the input as a tape **constant** instead of a leaf leaves the
 //!   loss and every weight gradient bit-identical, and no op before the first
 //!   weight multiply gets a gradient;
-//! * eager vs. the kernel interpreters must agree element-for-element
-//!   (within FP tolerance — materialized stages legitimately reorder sums);
+//! * eager vs. the kernel interpreter must agree element-for-element
+//!   (within FP tolerance);
 //! * `Unfold` clip semantics survive in every engine, including the
 //!   `Expand`-discarded-coordinate case that lowers to [`Stage::guards`]
 //!   (both the hoisted spatial form and the reduction-bound form).
+//!
+//! `oracles.rs` checks both engines against closed-form answers instead of
+//! against each other.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -196,10 +197,10 @@ fn assert_constant_input_is_gradient_invisible(graph: &PGraph, input: &Tensor, w
     );
 }
 
-/// The full differential check for one graph: compiled-vs-reference kernels
-/// are bit-identical (both lowerings), compiled-vs-reference tapes are
-/// bit-identical (values and gradients), and the eager backend agrees with
-/// the interpreters element-for-element.
+/// The full differential check for one graph: the two lowerings' kernels
+/// agree, compiled-vs-reference tapes are bit-identical (values and
+/// gradients), and the eager backend agrees with the kernel interpreter
+/// element-for-element.
 fn assert_differential(graph: &PGraph, seed: u64) {
     let (input, weights) = random_io(graph, seed);
 
@@ -209,16 +210,7 @@ fn assert_differential(graph: &PGraph, seed: u64) {
         ("optimized", lower_optimized(graph, 0).expect("optimized lowering")),
     ] {
         assert_only_the_last_stage_may_be_a_pure_map(&kernel, name, graph);
-        let compiled = kernel.compile();
-        assert!(
-            compiled.is_compiled(),
-            "{name} kernel must take the stride-compiled path on\n{}",
-            graph.render()
-        );
-        let fast = compiled.execute(&input, &weights);
-        let slow = kernel.execute_reference(&input, &weights);
-        assert_bits_equal(&fast, &slow, name, graph);
-        kernel_outputs.push(fast);
+        kernel_outputs.push(kernel.execute(&input, &weights));
     }
     assert_close_elementwise(
         &kernel_outputs[0],
@@ -372,9 +364,9 @@ fn unplaceable_weight_is_the_same_typed_failure_on_shapes() {
 /// What lowering emits, stage by stage: every stage before the last sums
 /// (one stage per reduction group), a `Buffer` operand names an earlier such
 /// stage, and nothing reads the last stage — the only one that may be a pure
-/// map. So no lowered kernel holds a view stage that another stage reads,
-/// which is why `plan.rs` materializes every stage and composes none into
-/// its reader; the day this fails, that pass is worth writing.
+/// map. So no lowered kernel holds a view stage that another stage reads;
+/// `oracles.rs` builds such a kernel by hand to keep its clip semantics
+/// tested.
 fn assert_only_the_last_stage_may_be_a_pure_map(kernel: &Kernel, what: &str, graph: &PGraph) {
     let last = kernel.stages.len() - 1;
     for (i, stage) in kernel.stages.iter().enumerate() {
@@ -592,7 +584,7 @@ fn named_operators_are_bitwise_stable_across_engines() {
 }
 
 /// The Fig. 4 staged kernel (materialized reduction): multi-stage buffers
-/// flow through `OperandRef::Buffer` in both engines, bit-identically.
+/// flow through `OperandRef::Buffer`, and the kernel agrees with eager.
 #[test]
 fn staged_kernels_are_bitwise_stable() {
     let mut vars = VarTable::new();
@@ -627,18 +619,4 @@ fn staged_kernels_are_bitwise_stable() {
     let opt = lower_optimized(&g, 0).unwrap();
     assert!(opt.stages.len() > 1, "optimized kernel is staged");
     assert_differential(&g, 404);
-}
-
-/// `Kernel::execute` is the compiled engine: the public entry point and an
-/// explicit `compile()` round produce the same bits.
-#[test]
-fn execute_routes_through_compiled_engine() {
-    let (vars, ids) = fixture_vars();
-    let (cin, cout, h) = (ids[0], ids[1], ids[2]);
-    let mm = ops::matmul(&vars, cin, cout, h).unwrap();
-    let (input, weights) = random_io(&mm, 9);
-    let kernel: Kernel = lower_optimized(&mm, 0).unwrap();
-    let via_execute = kernel.execute(&input, &weights);
-    let via_compile = kernel.compile().execute(&input, &weights);
-    assert_bits_equal(&via_execute, &via_compile, "execute vs compile", &mm);
 }

@@ -417,38 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn operator1_executes_and_backends_agree() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        use syno_ir::{eager, lower_naive, lower_optimized};
-        use syno_tensor::init;
-
-        let op = operator1(&ConvShape {
-            n: 1,
-            cin: 8,
-            cout: 16,
-            hw: 8,
-            k: 3,
-            g: 2,
-            s: 2,
-        })
-        .unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        let input = init::uniform(&mut rng, &[1, 8, 8, 8], -1.0, 1.0);
-        let weights: Vec<_> = eager::weight_shapes(&op, 0)
-            .unwrap()
-            .iter()
-            .map(|s| init::uniform(&mut rng, s, -0.5, 0.5))
-            .collect();
-        let e = eager::execute(&op, 0, &input, &weights).expect("operator 1 is realizable");
-        assert_eq!(e.shape(), &[1, 16, 8, 8]);
-        let n = lower_naive(&op, 0).unwrap().execute(&input, &weights);
-        let o = lower_optimized(&op, 0).unwrap().execute(&input, &weights);
-        assert!(e.allclose(&n, 1e-3), "diff {}", e.max_abs_diff(&n));
-        assert!(e.allclose(&o, 1e-3), "diff {}", e.max_abs_diff(&o));
-    }
-
-    #[test]
     fn operator2_has_far_fewer_parameters() {
         let s = shape();
         let op2 = operator2(&s).unwrap();

@@ -71,10 +71,8 @@ enum Op {
     Repeat { input: Var, axis: usize, times: usize },
     SumAxis { input: Var, axis: usize },
     Relu(Var),
-    Tanh(Var),
     SoftmaxLast(Var),
     MeanAll(Var),
-    Mse { input: Var, target: Tensor },
     SoftmaxCrossEntropy { logits: Var, labels: Vec<usize> },
     Gather { table: Var, ids: Vec<usize> },
 }
@@ -355,12 +353,6 @@ impl Tape {
         self.push(v, Op::Relu(a), &[a])
     }
 
-    /// Hyperbolic tangent.
-    pub fn tanh(&mut self, a: Var) -> Var {
-        let v = ops::map_in(&mut self.pool, &self.nodes[a.0].value, f32::tanh);
-        self.push(v, Op::Tanh(a), &[a])
-    }
-
     /// Softmax over the last axis.
     pub fn softmax_last(&mut self, a: Var) -> Var {
         let v = ops::softmax_last_in(&mut self.pool, &self.nodes[a.0].value);
@@ -371,31 +363,6 @@ impl Tape {
     pub fn mean_all(&mut self, a: Var) -> Var {
         let v = Tensor::scalar(self.value(a).mean_all());
         self.push(v, Op::MeanAll(a), &[a])
-    }
-
-    /// Mean-squared error against a constant target (scalar output).
-    pub fn mse(&mut self, a: Var, target: &Tensor) -> Var {
-        let x = self.value(a);
-        assert_eq!(x.shape(), target.shape(), "elementwise shape mismatch");
-        // Same accumulation order as `x.sub(target).sq_norm()`.
-        let sq: f32 = x
-            .data()
-            .iter()
-            .zip(target.data())
-            .map(|(&a, &b)| {
-                let d = a - b;
-                d * d
-            })
-            .sum();
-        let v = Tensor::scalar(sq / x.numel().max(1) as f32);
-        self.push(
-            v,
-            Op::Mse {
-                input: a,
-                target: target.clone(),
-            },
-            &[a],
-        )
     }
 
     /// Mean softmax cross-entropy of `[batch, classes]` logits against
@@ -565,11 +532,6 @@ impl Tape {
                     });
                     add_grad(pool, &mut grads, *a, g);
                 }
-                Op::Tanh(a) => {
-                    let y = &nodes[id].value;
-                    let g = ops::zip_map_in(pool, &grad, y, |g, y| g * (1.0 - y * y));
-                    add_grad(pool, &mut grads, *a, g);
-                }
                 Op::SoftmaxLast(a) => {
                     // dL/dx = (g - sum(g*y) along last) * y
                     let y = &nodes[id].value;
@@ -591,14 +553,6 @@ impl Tape {
                     let mut g = pool.take_tensor(nodes[a.0].value.shape());
                     g.data_mut().fill(seed);
                     add_grad(pool, &mut grads, *a, g);
-                }
-                Op::Mse { input, target } => {
-                    let x = &nodes[input.0].value;
-                    let n = x.numel().max(1) as f32;
-                    let seed = grad.sum_all();
-                    let c = 2.0 * seed / n;
-                    let g = ops::zip_map_in(pool, x, target, |a, b| (a - b) * c);
-                    add_grad(pool, &mut grads, *input, g);
                 }
                 Op::SoftmaxCrossEntropy { logits, labels } => {
                     let l = &nodes[logits.0].value;

@@ -186,21 +186,6 @@ fn gradcheck_gather() {
 }
 
 #[test]
-fn gradcheck_tanh_mse() {
-    let mut rng = StdRng::seed_from_u64(10);
-    let x0 = randn(&mut rng, &[4]);
-    let target = randn(&mut rng, &[4]);
-    gradcheck(
-        move |t, x| {
-            let y = t.tanh(x);
-            t.mse(y, &target)
-        },
-        &x0,
-        1e-2,
-    );
-}
-
-#[test]
 fn grad_accumulates_over_reuse() {
     let mut tape = Tape::new();
     let x = tape.leaf(Tensor::from_vec(vec![2.0], &[1]));

@@ -27,7 +27,8 @@ fn vars() -> Vars {
     Vars { table: t.into_shared(), n, cin, cout, h, w, k, s }
 }
 
-fn check(graph: &syno::core::graph::PGraph, seed: u64) {
+/// Checks both lowerings against eager on random operands; returns eager's output.
+fn check(graph: &syno::core::graph::PGraph, seed: u64) -> syno::tensor::Tensor {
     let mut rng = StdRng::seed_from_u64(seed);
     let input_shape: Vec<usize> = graph
         .spec().input.eval(graph.vars(), 0).unwrap()
@@ -40,6 +41,7 @@ fn check(graph: &syno::core::graph::PGraph, seed: u64) {
     let ok = lower_optimized(graph, 0).unwrap().execute(&x, &weights);
     assert!(e.allclose(&nk, 1e-3), "naive disagrees:\n{}", graph.render());
     assert!(e.allclose(&ok, 1e-3), "optimized disagrees:\n{}", graph.render());
+    e
 }
 
 #[test]
@@ -71,5 +73,5 @@ fn listing2_operator1() {
     let op1 = syno::models::operator1(&syno::models::ConvShape {
         n: 1, cin: 8, cout: 16, hw: 8, k: 3, g: 2, s: 2,
     }).unwrap();
-    check(&op1, 5);
+    assert_eq!(check(&op1, 5).shape(), &[1, 16, 8, 8]);
 }
