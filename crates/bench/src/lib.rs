@@ -9,6 +9,7 @@
 //! repository's benchmark (`benchmark/`), not here.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod fig10;
 pub mod fig5;

@@ -4,10 +4,14 @@
 //! dyadic rational, so each engine must reproduce the formula exactly.
 //!
 //! Every named operator runs on [`Kernel::execute`] under both lowerings, on
-//! [`eager::execute`] and on a forward [`eager::record`] tape. Each maps
-//! every input element to exactly one output element with factor 1, so the
-//! gradient of the output's mean is `1 / numel(output)` at every input
-//! element — a closed form for the tape's backward pass too.
+//! [`eager::execute`] and on a forward [`eager::record`] tape, whose
+//! gradients of the output's mean have closed forms too. Avg-pool, pixel
+//! shuffle and the identity matmul map every input element to exactly one
+//! output element with factor 1, so that gradient is `1 / numel(output)` at
+//! every input element. A convolution with a delta weight gives its input
+//! back, and with a box weight a clipped window sum; there the input
+//! gradient counts the windows covering each element, and each weight tap's
+//! gradient sums the input elements it reads in range.
 //!
 //! A hand-built view-stage kernel (a shift view under an unfold view under a
 //! reducing consumer), which lowering never emits, keeps the interpreter's
@@ -32,39 +36,44 @@ fn vars() -> (Arc<VarTable>, [VarId; 5]) {
     (vars.into_shared(), [h, s, m, n, k])
 }
 
+fn assert_exact(got: &Tensor, want: &Tensor, what: &str) {
+    assert_eq!(got.shape(), want.shape(), "{what}: shape");
+    assert_eq!(got.data(), want.data(), "{what}: values");
+}
+
 /// Asserts that every engine computes `want` from `input` and `weights`,
-/// and that the tape's input gradient of the output's mean is
-/// `1 / numel(want)` everywhere.
-fn assert_every_engine_gives(graph: &PGraph, input: &Tensor, weights: &[Tensor], want: &Tensor) {
-    let exact = |got: &Tensor, what: &str| {
-        assert_eq!(got.shape(), want.shape(), "{what}: shape");
-        assert_eq!(got.data(), want.data(), "{what}: values");
-    };
-    exact(
-        &lower_naive(graph, 0).unwrap().execute(input, weights),
-        "naive kernel",
-    );
-    exact(
-        &lower_optimized(graph, 0).unwrap().execute(input, weights),
-        "optimized kernel",
-    );
-    exact(&eager::execute(graph, 0, input, weights).unwrap(), "eager");
+/// and that the tape's gradient of the output's mean at the input is
+/// `want_gx`; returns that gradient at each weight.
+fn assert_every_engine_gives(
+    graph: &PGraph,
+    input: &Tensor,
+    weights: &[Tensor],
+    want: &Tensor,
+    want_gx: &Tensor,
+) -> Vec<Tensor> {
+    let naive = lower_naive(graph, 0).unwrap().execute(input, weights);
+    assert_exact(&naive, want, "naive kernel");
+    let optimized = lower_optimized(graph, 0).unwrap().execute(input, weights);
+    assert_exact(&optimized, want, "optimized kernel");
+    assert_exact(&eager::execute(graph, 0, input, weights).unwrap(), want, "eager");
 
     let mut tape = Tape::new();
     let x = tape.leaf(input.clone());
     let ws: Vec<_> = weights.iter().map(|w| tape.leaf(w.clone())).collect();
     let out = eager::record(&mut tape, graph, 0, x, &ws).unwrap();
-    exact(tape.value(out), "tape");
+    assert_exact(tape.value(out), want, "tape");
     let loss = tape.mean_all(out);
     let grads = tape.backward(loss);
-    let gx = grads.get(x).expect("the input is differentiated");
-    let per_element = 1.0 / want.numel() as f32;
-    assert_eq!(gx.shape(), input.shape(), "input gradient: shape");
-    assert!(
-        gx.data().iter().all(|&g| g == per_element),
-        "input gradient: want {per_element} everywhere, got {:?}",
-        gx.data()
-    );
+    assert_exact(grads.get(x).expect("the input is differentiated"), want_gx, "input gradient");
+    ws.iter()
+        .map(|&w| grads.get(w).expect("a weight is differentiated").clone())
+        .collect()
+}
+
+/// The input gradient of an operator that maps every input element to
+/// exactly one of `want`'s elements with factor 1.
+fn one_to_one(input: &Tensor, want: &Tensor) -> Tensor {
+    Tensor::full(input.shape(), 1.0 / want.numel() as f32)
 }
 
 /// Summing windows of `s` over the ramp `x[i] = a·i + b` gives
@@ -82,7 +91,8 @@ fn avg_pool_of_an_affine_ramp_is_affine() {
         .collect();
     assert_eq!(want, [-7.5, -3.0, 1.5, 6.0], "the formula itself");
     let pool = ops::avg_pool1d(&vars, h, s).unwrap();
-    assert_every_engine_gives(&pool, &input, &[], &Tensor::from_vec(want, &[4]));
+    let want = Tensor::from_vec(want, &[4]);
+    assert_every_engine_gives(&pool, &input, &[], &want, &one_to_one(&input, &want));
 }
 
 /// Pixel shuffle moves every element and computes nothing: on `x[i] = i` it
@@ -97,7 +107,8 @@ fn pixel_shuffle_is_an_index_permutation() {
     assert_eq!(sorted, input.data(), "the formula is a permutation");
     assert_ne!(want, input.data(), "and not the identity");
     let shuffle = ops::pixel_shuffle(&vars, h, s).unwrap();
-    assert_every_engine_gives(&shuffle, &input, &[], &Tensor::from_vec(want, &[12]));
+    let want = Tensor::from_vec(want, &[12]);
+    assert_every_engine_gives(&shuffle, &input, &[], &want, &one_to_one(&input, &want));
 }
 
 /// `x · I = x` for a square identity weight.
@@ -112,7 +123,116 @@ fn matmul_by_the_identity_returns_its_input() {
         .map(|i| if i / 4 == i % 4 { 1.0 } else { 0.0 })
         .collect();
     let identity = Tensor::from_vec(identity, &[4, 4]);
-    assert_every_engine_gives(&mm, &input, &[identity], &input);
+    assert_every_engine_gives(&mm, &input, &[identity], &input, &one_to_one(&input, &input));
+}
+
+/// Batch, channels, image side and window of the convolution oracles.
+const N: usize = 2;
+const C: usize = 2;
+const HW: usize = 8;
+const K: usize = 3;
+
+/// `[N, C, HW, HW] → [N, C, HW, HW]` with a `K × K` window: 256 output
+/// elements, so every `1 / numel` below is dyadic. Its one weight is
+/// `[Cin, kh, kw, Cout]`, and tap `(kh, kw)` reads the input at
+/// `(y + kh − 1, x + kw − 1)`, clipped at the edges.
+fn conv() -> PGraph {
+    let mut vars = VarTable::new();
+    let n = vars.declare("N", VarKind::Primary);
+    let cin = vars.declare("Cin", VarKind::Primary);
+    let cout = vars.declare("Cout", VarKind::Primary);
+    let h = vars.declare("H", VarKind::Primary);
+    let w = vars.declare("W", VarKind::Primary);
+    let k = vars.declare("k", VarKind::Coefficient);
+    let [n_v, c_v, hw_v, k_v] = [N, C, HW, K].map(|v| v as u64);
+    vars.push_valuation(vec![(n, n_v), (cin, c_v), (cout, c_v), (h, hw_v), (w, hw_v), (k, k_v)]);
+    let conv = ops::conv2d(&vars.into_shared(), n, cin, cout, h, w, k).unwrap();
+    assert_eq!(eager::weight_shapes(&conv, 0).unwrap(), [vec![C, K, K, C]]);
+    conv
+}
+
+/// Small integers, different in every element and channel.
+fn conv_input() -> Tensor {
+    let data = (0..N * C * HW * HW).map(|i| ((7 * i) % 11) as f32 - 5.0).collect();
+    Tensor::from_vec(data, &[N, C, HW, HW])
+}
+
+/// A weight that takes channel `ci` to channel `ci` through the taps `tap`
+/// keeps, and nothing across channels.
+fn depthwise(tap: impl Fn(usize, usize) -> bool) -> Tensor {
+    let mut data = Vec::with_capacity(C * K * K * C);
+    for ci in 0..C {
+        for kh in 0..K {
+            for kw in 0..K {
+                data.extend((0..C).map(|co| if ci == co && tap(kh, kw) { 1.0 } else { 0.0 }));
+            }
+        }
+    }
+    Tensor::from_vec(data, &[C, K, K, C])
+}
+
+/// Every output position `(n, y, x)`.
+fn positions() -> impl Iterator<Item = (usize, usize, usize)> {
+    (0..N).flat_map(|n| (0..HW).flat_map(move |y| (0..HW).map(move |x| (n, y, x))))
+}
+
+/// Input channel `c` of image `n` at `(y + dy − 1, x + dx − 1)`, or `None`
+/// off the image.
+fn read(input: &Tensor, [n, c, y, x]: [usize; 4], dy: usize, dx: usize) -> Option<f32> {
+    let (y, x) = ((y + dy).checked_sub(1)?, (x + dx).checked_sub(1)?);
+    (y < HW && x < HW).then(|| input.get(&[n, c, y, x]))
+}
+
+/// The gradient of `mean(out)` at weight `[ci, kh, kw, co]`, whatever the
+/// weight: the input elements tap `(kh, kw)` reads in range, over `numel(out)`.
+fn conv_weight_gradient(input: &Tensor) -> Tensor {
+    let mut data = Vec::with_capacity(C * K * K * C);
+    for ci in 0..C {
+        for kh in 0..K {
+            for kw in 0..K {
+                let mut sum = 0.0;
+                for (n, y, x) in positions() {
+                    sum += read(input, [n, ci, y, x], kh, kw).unwrap_or(0.0);
+                }
+                let per_output = sum / (N * C * HW * HW) as f32;
+                data.extend([per_output; C]);
+            }
+        }
+    }
+    Tensor::from_vec(data, &[C, K, K, C])
+}
+
+/// A delta at the centre tap gives the input back, so each input element
+/// reaches one output element.
+#[test]
+fn conv_with_a_delta_weight_returns_its_input() {
+    let (conv, input) = (conv(), conv_input());
+    let delta = depthwise(|kh, kw| (kh, kw) == (K / 2, K / 2));
+    let grads =
+        assert_every_engine_gives(&conv, &input, &[delta], &input, &one_to_one(&input, &input));
+    assert_exact(&grads[0], &conv_weight_gradient(&input), "weight gradient");
+}
+
+/// A box of ones sums each element's clipped `K × K` window in its own
+/// channel, so an input element's gradient counts the windows covering it:
+/// 2 or 3 rows times 2 or 3 columns, over `numel(out)`.
+#[test]
+fn conv_with_a_box_weight_sums_clipped_windows() {
+    let (conv, input) = (conv(), conv_input());
+    let mut want = Tensor::zeros(input.shape());
+    let mut want_gx = Tensor::zeros(input.shape());
+    let covering = |i: usize| if i == 0 || i == HW - 1 { 2.0 } else { 3.0 };
+    for c in 0..C {
+        for (n, y, x) in positions() {
+            let taps = (0..K).flat_map(|dy| (0..K).map(move |dx| (dy, dx)));
+            let window = taps.filter_map(|(dy, dx)| read(&input, [n, c, y, x], dy, dx));
+            want.set(&[n, c, y, x], window.sum());
+            let gx = covering(y) * covering(x) / want.numel() as f32;
+            want_gx.set(&[n, c, y, x], gx);
+        }
+    }
+    let grads = assert_every_engine_gives(&conv, &input, &[depthwise(|_, _| true)], &want, &want_gx);
+    assert_exact(&grads[0], &conv_weight_gradient(&input), "weight gradient");
 }
 
 /// Builds the view-chain kernel over `N = 16` with a `K = 3` window:

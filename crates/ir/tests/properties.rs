@@ -13,13 +13,8 @@
 //! * the naive and the optimized lowering must agree element-for-element
 //!   (within FP tolerance — materialized stages legitimately reorder sums);
 //! * the compiled tape engine vs. the naive reference tape must be
-//!   bit-identical for values *and* gradients;
-//! * the **data-parallel** tape engine is value-invisible: at
-//!   `exec_threads` ∈ {1, 2, 4} a width-1 policy reproduces the serial
-//!   reference bits and the pinned-width policy reproduces the
-//!   single-thread pinned bits — values and gradients both (the
-//!   [`ExecPolicy`] contract: thread count never moves a bit, only
-//!   `reduce_width` does);
+//!   bit-identical for values *and* gradients, under the pinned and the
+//!   serial (width-1) [`ExecPolicy`] both;
 //! * recording the input as a tape **constant** instead of a leaf leaves the
 //!   loss and every weight gradient bit-identical, and no op before the first
 //!   weight multiply gets a gradient;
@@ -262,38 +257,14 @@ fn assert_differential(graph: &PGraph, seed: u64) {
                         (Some(f), Some(s)) => assert_bits_equal(f, s, "input gradient", graph),
                         (f, s) => assert_eq!(f.is_some(), s.is_some(), "gradient presence"),
                     }
-                    // The data-parallel engine is value-invisible: for any
-                    // worker count, width 1 reproduces the serial reference
-                    // bits and the pinned width reproduces the one-thread
-                    // pinned bits — gradients included.
-                    for threads in [2, 4] {
-                        let width1 = ExecPolicy {
-                            exec_threads: threads,
-                            reduce_width: 1,
-                        };
-                        for (policy, want_out, want_gx, what) in [
-                            (width1, &slow_out, &slow_gx, "sharded width-1 tape"),
-                            (
-                                ExecPolicy::with_threads(threads),
-                                &fast_out,
-                                &fast_gx,
-                                "sharded pinned-width tape",
-                            ),
-                        ] {
-                            let (out, gx) =
-                                run_tape(&mut Tape::with_policy(policy)).expect("recordable");
-                            assert_bits_equal(&out, want_out, what, graph);
-                            match (&gx, want_gx) {
-                                (Some(g), Some(w)) => {
-                                    assert_bits_equal(g, w, what, graph);
-                                }
-                                (g, w) => assert_eq!(
-                                    g.is_some(),
-                                    w.is_some(),
-                                    "{what}: gradient presence"
-                                ),
-                            }
-                        }
+                    // Width 1 on the compiled engine reproduces the serial
+                    // reference bits, gradients included.
+                    let (out, gx) = run_tape(&mut Tape::with_policy(ExecPolicy::serial()))
+                        .expect("recordable");
+                    assert_bits_equal(&out, &slow_out, "width-1 tape", graph);
+                    match (&gx, &slow_gx) {
+                        (Some(g), Some(w)) => assert_bits_equal(g, w, "width-1 tape", graph),
+                        (g, w) => assert_eq!(g.is_some(), w.is_some(), "width-1 gradient presence"),
                     }
                 }
                 (

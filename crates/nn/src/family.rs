@@ -319,8 +319,8 @@ mod tests {
     /// test fails, the vision reward path changed and every persisted vision
     /// score is stale (bump `syno_core::codec::FORMAT_VERSION`).
     ///
-    /// Re-verified under the `ExecPolicy` default contract (one thread,
-    /// reduction-tree width 4): intermediate losses shift by ulps relative
+    /// Re-verified under the `ExecPolicy` default contract (reduction-tree
+    /// width 4): intermediate losses shift by ulps relative
     /// to serial accumulation, but the score is an exact quotient of argmax
     /// hits and no prediction flips on these fixtures, so the pinned bits
     /// are unchanged. The serial-policy cross-check below keeps that fact

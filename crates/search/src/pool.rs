@@ -37,9 +37,7 @@
 //! story: a job that panics never takes a worker thread down (the loop
 //! catches the unwind and keeps serving), but the payload is *recorded*,
 //! counted in `syno_pool_job_panics_total`, and re-surfaced by `shutdown`
-//! as a typed [`SynoError::Eval`] — mirroring the contract of the tensor
-//! layer's shard pool, where a worker panic resumes on the submitting
-//! thread instead of evaporating.
+//! as a typed [`SynoError::Eval`] instead of evaporating.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};

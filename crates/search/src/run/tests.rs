@@ -504,13 +504,6 @@ fn every_width_and_a_shared_pool_match_the_reference_search() {
     assert!(!expected_set.is_empty());
 
     let pool = EvalPool::new(3);
-    let exec_threads = |threads| ProxyConfig {
-        train: TrainConfig {
-            exec: syno_nn::ExecPolicy::with_threads(threads),
-            ..proxy.train
-        },
-        ..proxy
-    };
     let start = |name: &str, place: &dyn Fn(SearchBuilder) -> SearchBuilder| {
         let builder = SearchBuilder::new()
             .scenario("conv", &vars, &spec)
@@ -525,9 +518,6 @@ fn every_width_and_a_shared_pool_match_the_reference_search() {
         // Two concurrent runs share the one pool — the daemon's shape.
         start("shared pool, first run", &|b| b.eval_pool(pool.clone())),
         start("shared pool, second run", &|b| b.eval_pool(pool.clone())),
-        // `exec_threads` shards loops without ever moving a score bit.
-        start("exec_threads(2)", &|b| b.proxy(exec_threads(2))),
-        start("exec_threads(4)", &|b| b.proxy(exec_threads(4))),
     ];
     for (name, run) in runs {
         let events: Vec<SearchEvent> = run.events().collect();

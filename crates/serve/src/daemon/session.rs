@@ -174,15 +174,22 @@ pub(crate) fn admit(
     let (vars, spec) =
         decode_spec(&request.spec).map_err(|error| format!("spec did not decode: {error}"))?;
 
+    // A request may lower the daemon's proxy settings, never raise them:
+    // each one sizes buffers allocated before any candidate trains.
     let mut proxy = state.config.proxy;
-    if request.train_steps > 0 {
-        proxy.train.steps = request.train_steps as usize;
-    }
-    if request.train_batch > 0 {
-        proxy.train.batch = request.train_batch as usize;
-    }
-    if request.eval_batches > 0 {
-        proxy.train.eval_batches = request.eval_batches as usize;
+    let train = &mut proxy.train;
+    for (field, asked, value) in [
+        ("train_steps", request.train_steps, &mut train.steps),
+        ("train_batch", request.train_batch, &mut train.batch),
+        ("eval_batches", request.eval_batches, &mut train.eval_batches),
+    ] {
+        let asked = asked as usize;
+        if asked > *value {
+            return Err(format!("{field} {asked} is above the daemon's {value}"));
+        }
+        if asked > 0 {
+            *value = asked;
+        }
     }
     let mut mcts = MctsConfig::default();
     if request.iterations > 0 {

@@ -31,11 +31,14 @@ pub struct SearchRequest {
     pub progress_every: u64,
     /// Step-budget cap (0 = unlimited).
     pub max_steps: u64,
-    /// Proxy training steps (0 = daemon default).
+    /// Proxy training steps (0 = daemon default). At most the daemon's
+    /// value: a larger one is `Rejected`.
     pub train_steps: u32,
-    /// Proxy training batch size (0 = daemon default).
+    /// Proxy training batch size (0 = daemon default). At most the daemon's
+    /// value: a larger one is `Rejected`.
     pub train_batch: u32,
-    /// Proxy evaluation batches (0 = daemon default).
+    /// Proxy evaluation batches (0 = daemon default). At most the daemon's
+    /// value: a larger one is `Rejected`.
     pub eval_batches: u32,
     /// Resume from the label's journaled checkpoint in the daemon's store
     /// instead of starting fresh.

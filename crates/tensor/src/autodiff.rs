@@ -19,11 +19,9 @@
 //! keeping the plan cache, so a training loop that resets its tape each step
 //! stops allocating tensor buffers once the pool holds one step's working set.
 //!
-//! Contractions run under the tape's [`ExecPolicy`] ([`Tape::with_policy`];
-//! by default the pinned `reduce_width = 4` tree, one thread). A tape holds
-//! no threads: `exec_threads > 1` shards each contraction on scoped threads
-//! joined before it returns, bit-identical across thread counts at a fixed
-//! width. [`Tape::new_reference`] builds a *reference mode* tape — naive
+//! Contractions run on the calling thread under the tape's [`ExecPolicy`]
+//! ([`Tape::with_policy`]; by default the pinned `reduce_width = 4` tree).
+//! [`Tape::new_reference`] builds a *reference mode* tape — naive
 //! per-element einsum, serial summation, no buffer reuse — the differential
 //! suites' baseline, bit-identical to `Tape::with_policy(ExecPolicy::serial())`.
 //!
@@ -148,11 +146,6 @@ impl Tape {
             reference: true,
             ..Self::default()
         }
-    }
-
-    /// The execution policy the tape's contractions run under.
-    pub fn policy(&self) -> ExecPolicy {
-        self.engine.policy()
     }
 
     /// Bytes currently parked in the tape's scratch pool (the

@@ -247,24 +247,9 @@ fn compiled_engine_matches_reference_bit_for_bit() {
     // gradients included.
     let mut fast = Tape::with_policy(ExecPolicy::serial());
     let mut slow = Tape::new_reference();
-    assert_eq!(slow.policy(), ExecPolicy::serial());
     let f = one_step(&mut fast, 42);
     let s = one_step(&mut slow, 42);
     assert_step_bits_equal(f, s, "serial vs reference");
-}
-
-#[test]
-fn default_contract_is_invariant_to_thread_count() {
-    // The pinned contract (reduce_width 4): values never depend on
-    // exec_threads, only on the tree width.
-    let mut pinned = Tape::new();
-    assert_eq!(pinned.policy(), ExecPolicy::default());
-    let want = one_step(&mut pinned, 42);
-    for threads in [2, 4] {
-        let mut tape = Tape::with_policy(ExecPolicy::with_threads(threads));
-        let got = one_step(&mut tape, 42);
-        assert_step_bits_equal(got, want.clone(), &format!("{threads} threads"));
-    }
 }
 
 #[test]

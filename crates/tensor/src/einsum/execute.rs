@@ -1,29 +1,22 @@
 //! Running a compiled [`EinsumPlan`]: the execution policy, the tile loop
-//! and its kernels, the deterministic reduction tree, and the fan-out of
-//! disjoint tile ranges across scoped threads.
+//! and its kernels, and the deterministic reduction tree.
 
 use super::plan::{EinsumPlan, Steps, SHORT_RUN};
 use crate::ops;
 use crate::tensor::Tensor;
 use std::iter::repeat;
 use std::ops::Range;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-/// How the execution engine schedules one contraction.
+/// How the execution engine sums one contraction.
 ///
-/// The default policy is the **pinned determinism contract**: single-threaded
-/// execution under the pinned reduction-tree width
-/// ([`ExecPolicy::PINNED_REDUCE_WIDTH`]). Raising `exec_threads` never
-/// changes values; changing `reduce_width` does (it reshapes the reduction
-/// tree), which is why the width is part of the stored-score contract.
+/// The default policy is the **pinned determinism contract**: the pinned
+/// reduction-tree width ([`ExecPolicy::PINNED_REDUCE_WIDTH`]). Changing
+/// `reduce_width` changes values (it reshapes the reduction tree), which is
+/// why the width is part of the stored-score contract. Every contraction
+/// runs on the calling thread; parallelism is across candidates, never
+/// within one contraction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ExecPolicy {
-    /// Maximum OS threads cooperating on one contraction (including the
-    /// calling thread). `1` means fully in-line execution. Value-invisible:
-    /// threads only decide *who* computes a range of tiles, never what is
-    /// combined with what, so results are bit-identical across thread
-    /// counts at a fixed `reduce_width`.
-    pub exec_threads: usize,
     /// Width of the deterministic reduction tree: the outermost summed loop
     /// is split into at most this many contiguous chunks whose partials are
     /// combined pairwise-adjacent. `1` reproduces the serial summation order
@@ -38,27 +31,23 @@ impl ExecPolicy {
     /// re-pinned proxy-score constants were computed under).
     pub const PINNED_REDUCE_WIDTH: usize = 4;
 
-    /// One thread, serial left-to-right summation.
+    /// Serial left-to-right summation.
     pub fn serial() -> Self {
-        ExecPolicy {
-            exec_threads: 1,
-            reduce_width: 1,
-        }
+        ExecPolicy { reduce_width: 1 }
     }
 
-    /// The pinned contract with up to `exec_threads` cooperating threads.
-    pub fn with_threads(exec_threads: usize) -> Self {
-        ExecPolicy {
-            exec_threads: exec_threads.max(1),
-            ..Self::default()
-        }
+    /// The pinned contract, whatever `n`: every contraction runs on the
+    /// calling thread. Kept only for the benchmark's `tensor.exec.*` probes,
+    /// and retired with them.
+    #[doc(hidden)]
+    pub fn with_threads(_n: usize) -> Self {
+        Self::default()
     }
 }
 
 impl Default for ExecPolicy {
     fn default() -> Self {
         ExecPolicy {
-            exec_threads: 1,
             reduce_width: Self::PINNED_REDUCE_WIDTH,
         }
     }
@@ -66,26 +55,21 @@ impl Default for ExecPolicy {
 
 impl EinsumPlan {
     /// Executes the contraction into `out` (zeroed, of the plan's output
-    /// element count) under `policy`. `tile` is the accumulation scratch,
-    /// reusable across calls.
+    /// element count) under `policy`, on the calling thread. `tile` is the
+    /// accumulation scratch, reusable across calls.
     ///
     /// A `reduce_width > 1` splits the outermost summed index into that many
     /// contiguous chunks (at most its extent), sums each into its own tile
-    /// and combines the tiles pairwise-adjacent; `exec_threads > 1` hands
-    /// contiguous ranges of tiles — disjoint output elements — to scoped
-    /// threads.
+    /// and combines the tiles pairwise-adjacent.
     ///
-    /// The value contract: for a fixed `policy.reduce_width`, the result is
-    /// **bit-identical** regardless of `policy.exec_threads` — chunking and
-    /// tree shape depend only on the compiled shapes and the width.
-    /// `reduce_width == 1` reproduces
-    /// [`einsum_reference`](super::einsum_reference)'s serial summation
-    /// order exactly.
+    /// The value contract: chunking and tree shape depend only on the
+    /// compiled shapes and `policy.reduce_width`. `reduce_width == 1`
+    /// reproduces [`einsum_reference`](super::einsum_reference)'s serial
+    /// summation order exactly.
     ///
     /// # Panics
     ///
-    /// Panics when operand count/shapes disagree with the compiled shapes,
-    /// and re-raises any panic a shard raised.
+    /// Panics when operand count/shapes disagree with the compiled shapes.
     pub(super) fn execute_with(
         &self,
         operands: &[&Tensor],
@@ -114,77 +98,37 @@ impl EinsumPlan {
             // Contract into loop order, then store as the spec asks.
             let shape: Vec<usize> = perm.iter().map(|&pos| self.out_shape[pos]).collect();
             let mut staged = Tensor::zeros(&shape);
-            self.run_sharded(datas, staged.data_mut(), policy, tile);
+            self.run_tiles(datas, staged.data_mut(), policy.reduce_width, tile);
             let unstaged = ops::permute(&staged, &ops::inverse_permutation(perm));
             out.copy_from_slice(unstaged.data());
         } else {
-            self.run_sharded(datas, out, policy, tile);
+            self.run_tiles(datas, out, policy.reduce_width, tile);
         }
     }
 
-    /// Runs every tile: in line, or split into `exec_threads` contiguous
-    /// ranges of tiles run by [`fan_out`].
-    fn run_sharded(
-        &self,
-        datas: &[&[f32]],
-        out: &mut [f32],
-        policy: ExecPolicy,
-        tile: &mut Vec<f32>,
-    ) {
-        let chunks = policy.reduce_width.clamp(1, self.chunk.0);
-        let buf_len = chunks * self.block[0] * self.block[1];
-        let [tiles_o, tiles_i] = self.tile_counts();
-        let tiles = self.outer.iter().fold(tiles_o * tiles_i, |n, &d| n * self.dims[d]);
-        let out = SharedOut {
-            base: out.as_mut_ptr(),
-            len: out.len(),
-        };
-        let shards = policy.exec_threads.min(tiles);
-        if shards > 1 {
-            let (q, r) = (tiles / shards, tiles % shards);
-            // `out` is borrowed whole (it is `Sync`) — precise capture of the
-            // raw-pointer field would not be.
-            let out = &out;
-            fan_out(shards, |i| {
-                let lo = i * q + i.min(r);
-                let hi = lo + q + usize::from(i < r);
-                let mut buf = vec![0.0; buf_len];
-                self.run_tiles(datas, out, lo..hi, chunks, &mut buf);
-            });
-        } else {
-            tile.resize(buf_len, 0.0);
-            self.run_tiles(datas, &out, 0..tiles, chunks, tile);
-        }
-    }
-
-    /// How many blocks each tile loop splits into, `[outer, inner]`.
-    fn tile_counts(&self) -> [usize; 2] {
-        [0, 1].map(|level| self.tile[level].div_ceil(self.block[level]))
-    }
-
-    /// Computes the output elements of `tiles` (flat tile numbers, outer
-    /// output loops slowest). Per tile: one `+0.0` accumulator tile per
-    /// chunk in `buf`, the summed loops walked in odometer order with the
-    /// innermost one inside the kernel, then the chunk tiles combined and
-    /// written out. A lone summed loop whose chunks hold at most
-    /// [`FEW_TERMS`] terms each skips the accumulator tiles: a row at a time
-    /// sums in registers ([`few_term_row`]) and is written out.
+    /// Computes every output element, a tile at a time (outer output loops
+    /// slowest). Per tile: one `+0.0` accumulator tile per chunk in `buf`,
+    /// the summed loops walked in odometer order with the innermost one
+    /// inside the kernel, then the chunk tiles combined and written out. A
+    /// lone summed loop whose chunks hold at most [`FEW_TERMS`] terms each
+    /// skips the accumulator tiles: a row at a time sums in registers
+    /// ([`few_term_row`]) and is written out.
     fn run_tiles(
         &self,
         datas: &[&[f32]],
-        out: &SharedOut,
-        tiles: std::ops::Range<usize>,
-        chunks: usize,
-        buf: &mut [f32],
+        out: &mut [f32],
+        reduce_width: usize,
+        buf: &mut Vec<f32>,
     ) {
+        let chunks = reduce_width.clamp(1, self.chunk.0);
+        let [block_o, block_i] = self.block;
+        buf.resize(chunks * block_o * block_i, 0.0);
         let steps = &self.steps;
         // The kernel's middle loop is the innermost summed one; the odometer
         // walks the summed loops outside it.
         let mid = (self.dims.len() > self.n_out).then(|| self.dims.len() - 1);
         let walk = self.n_out..mid.unwrap_or(self.n_out);
         let [out_outer, out_inner] = self.out_steps;
-        let [block_o, block_i] = self.block;
-        let [tiles_o, tiles_i] = self.tile_counts();
         let mut base = vec![0usize; datas.len()];
         let mut offs = vec![0usize; datas.len()];
         let mut idx = vec![0usize; walk.len()];
@@ -200,32 +144,13 @@ impl EinsumPlan {
         let few = (datas.len() <= 2 && walk.is_empty() && spans[0].len() <= FEW_TERMS)
             .then(|| few_term_row(chunks, steps))
             .flatten();
-        // Writes `values` to the output from `at` in steps of `out_inner`;
-        // every caller passes elements of the block of the tile it computes.
-        let store = |at: usize, values: &[f32]| {
-            if out_inner == 1 {
-                // SAFETY: this run lies in the tile's own output block, which
-                // no other shard touches (see the in-place case).
-                unsafe { out.slice(at, values.len()) }.copy_from_slice(values);
-            } else {
-                for (i, &v) in values.iter().enumerate() {
-                    // SAFETY: one element of the tile's own output block,
-                    // borrowed for this write only.
-                    let cell = unsafe { out.slice(at + i * out_inner, 1) };
-                    cell[0] = v;
-                }
-            }
-        };
         // Where the tile sits: the outer loops' indices, then its block
-        // numbers — decoded once, then an odometer from tile to tile.
+        // numbers, as an odometer from tile to tile.
         let outer_counts = self.outer.iter().map(|&d| self.dims[d]);
-        let counts: Vec<usize> = outer_counts.chain([tiles_o, tiles_i]).collect();
+        let tile_counts = [0, 1].map(|level| self.tile[level].div_ceil(self.block[level]));
+        let counts: Vec<usize> = outer_counts.chain(tile_counts).collect();
         let mut at = vec![0usize; counts.len()];
-        let mut rest = tiles.start;
-        for (coord, &count) in at.iter_mut().zip(&counts).rev() {
-            (*coord, rest) = (rest % count, rest / count);
-        }
-        for _ in tiles {
+        for _ in 0..counts.iter().product() {
             let (o0, i0) = (at[at.len() - 2] * block_o, at[at.len() - 1] * block_i);
             let (n_o, n_i) = ((self.tile[0] - o0).min(block_o), (self.tile[1] - i0).min(block_i));
             let mut out_base = o0 * out_outer + i0 * out_inner;
@@ -260,15 +185,12 @@ impl EinsumPlan {
                 for o in 0..n_o {
                     let row = &mut buf[..n_i];
                     few_row(row, &spans, (a, oa + o * sa.outer, sa), (b, ob + o * sb.outer, sb));
-                    store(out_base + o * out_outer, row);
+                    store(out, out_base + o * out_outer, out_inner, row);
                 }
                 continue;
             }
             let tile = if in_place {
-                // SAFETY: tiles partition the output index space and distinct
-                // output indices have distinct offsets, so no other shard
-                // touches this block.
-                unsafe { out.slice(out_base, len) }
+                &mut out[out_base..out_base + len]
             } else {
                 buf[..chunks * len].fill(0.0);
                 &mut buf[..chunks * len]
@@ -318,9 +240,10 @@ impl EinsumPlan {
             if in_place {
                 continue;
             }
+            let tile = &mut buf[..chunks * len];
             combine_tree(tile, len, chunks);
             for (o, row) in tile[..len].chunks_exact(n_i).enumerate() {
-                store(out_base + o * out_outer, row);
+                store(out, out_base + o * out_outer, out_inner, row);
             }
         }
     }
@@ -342,25 +265,15 @@ impl EinsumPlan {
     }
 }
 
-/// Runs `shard(i)` for every `i` in `0..shards`: shard 0 on the calling
-/// thread, the others on scoped threads, every one joined before returning.
-/// Which thread runs which shard never matters to the result — shards write
-/// disjoint output.
-///
-/// # Panics
-///
-/// Re-raises the first panicking shard's own payload, after all shards
-/// finished.
-pub(super) fn fan_out(shards: usize, shard: impl Fn(usize) + Sync) {
-    let shard = &shard;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..shards).map(|i| scope.spawn(move || shard(i))).collect();
-        let first = catch_unwind(AssertUnwindSafe(|| shard(0)));
-        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-        if let Some(payload) = [first].into_iter().chain(joined).find_map(Result::err) {
-            resume_unwind(payload);
+/// Writes `values` to `out` from `at` in steps of `step`.
+fn store(out: &mut [f32], at: usize, step: usize, values: &[f32]) {
+    if step == 1 {
+        out[at..at + values.len()].copy_from_slice(values);
+    } else {
+        for (i, &v) in values.iter().enumerate() {
+            out[at + i * step] = v;
         }
-    });
+    }
 }
 
 /// One operand as the tile kernel reads it: its data, the offset of the
@@ -644,12 +557,11 @@ fn lanes<const L: usize, const K: u8>(data: &[f32], at: usize, step: usize) -> [
     }
 }
 
-/// Combines `shards` adjacent chunks of `len` in a fixed pairwise binary
+/// Combines `chunks` adjacent chunks of `len` in a fixed pairwise binary
 /// tree, in place; chunk 0 holds the result. The tree shape depends only on
-/// `shards`, which is why policy-driven execution is bit-stable across
-/// thread counts.
-fn combine_tree(partials: &mut [f32], len: usize, shards: usize) {
-    let mut width = shards;
+/// `chunks`, so the sum depends only on the shapes and the reduction width.
+fn combine_tree(partials: &mut [f32], len: usize, chunks: usize) {
+    let mut width = chunks;
     while width > 1 {
         let pairs = width / 2;
         for j in 0..pairs {
@@ -675,29 +587,3 @@ fn combine_tree(partials: &mut [f32], len: usize, shards: usize) {
         width = pairs + width % 2;
     }
 }
-
-/// The output buffer, shared across shard threads: every shard writes a
-/// **disjoint** set of elements through it.
-struct SharedOut {
-    base: *mut f32,
-    len: usize,
-}
-
-impl SharedOut {
-    /// Elements `off..off + len`, mutably.
-    ///
-    /// # Safety
-    ///
-    /// No other access to those elements may overlap the returned borrow.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn slice(&self, off: usize, len: usize) -> &mut [f32] {
-        assert!(off + len <= self.len, "einsum output range out of bounds");
-        // SAFETY: in bounds (checked above) of the live `&mut [f32]` this
-        // was built from; the caller rules out an overlapping access.
-        unsafe { std::slice::from_raw_parts_mut(self.base.add(off), len) }
-    }
-}
-
-// SAFETY: the pointer is only dereferenced through `slice`, whose contract
-// keeps concurrent accesses on disjoint elements.
-unsafe impl Sync for SharedOut {}

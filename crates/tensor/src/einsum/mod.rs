@@ -19,15 +19,14 @@
 //! implementation, which survives as [`einsum_reference`] — the
 //! differential-testing suite pins the paths bit-for-bit equal.
 //!
-//! An [`EinsumEngine`] runs every plan under an [`ExecPolicy`]: a
-//! `reduce_width > 1` splits the outermost summed index into a pinned number
-//! of contiguous chunks whose partial tiles are combined in a deterministic
-//! pairwise-adjacent binary tree, and `exec_threads > 1` hands disjoint
-//! ranges of tiles to scoped threads, spawned and joined per contraction.
-//! The chunking and combine order depend only on (shapes, `reduce_width`) —
-//! never on thread count — so values are bit-identical across
-//! `exec_threads` at a fixed width, and a width of `1` reproduces serial
-//! summation order exactly.
+//! An [`EinsumEngine`] runs every plan on the calling thread under an
+//! [`ExecPolicy`]: a `reduce_width > 1` splits the outermost summed index
+//! into a pinned number of contiguous chunks whose partial tiles are
+//! combined in a deterministic pairwise-adjacent binary tree. The chunking
+//! and combine order depend only on (shapes, `reduce_width`), and a width of
+//! `1` reproduces serial summation order exactly. A search runs in parallel
+//! across candidates, each training on its own tape, never within one
+//! contraction.
 
 mod execute;
 mod plan;
@@ -176,9 +175,8 @@ impl EinsumSpec {
 /// of distinct contractions, so the scan is cheaper than hashing.
 ///
 /// An engine carries an [`ExecPolicy`] and every contraction it runs
-/// executes under it; a multi-threaded policy spawns its scoped threads per
-/// contraction, so the engine holds no threads. The default is the pinned
-/// determinism contract (`reduce_width = 4`, single-threaded).
+/// executes under it, on the calling thread. The default is the pinned
+/// determinism contract (`reduce_width = 4`).
 #[derive(Debug, Default)]
 pub struct EinsumEngine {
     entries: Vec<EngineEntry>,
@@ -207,11 +205,6 @@ impl EinsumEngine {
             policy,
             ..Self::default()
         }
-    }
-
-    /// The policy every contraction runs under.
-    pub fn policy(&self) -> ExecPolicy {
-        self.policy
     }
 
     /// Number of compiled plans.

@@ -1,8 +1,4 @@
-use super::execute::fan_out;
 use super::*;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 fn iota(shape: &[usize]) -> Tensor {
     let n: usize = shape.iter().product();
@@ -220,34 +216,6 @@ fn serial_policy_is_bit_identical_to_reference() {
 }
 
 #[test]
-fn tree_reduction_is_invariant_to_thread_count() {
-    for (spec, shapes) in POLICY_SPECS {
-        let pinned = run_with_policy(spec, shapes, ExecPolicy::default());
-        for threads in [2, 3, 4, 8] {
-            let parallel = run_with_policy(spec, shapes, ExecPolicy::with_threads(threads));
-            assert_bits_eq(&parallel, &pinned, &format!("{spec} @ {threads} threads"));
-        }
-    }
-}
-
-#[test]
-fn output_sharding_never_changes_serial_values() {
-    // reduce_width 1 + many threads: sharding happens on the output
-    // loop, which must stay bit-identical to plain serial execution.
-    for (spec, shapes) in POLICY_SPECS {
-        let serial = run_with_policy(spec, shapes, ExecPolicy::serial());
-        for threads in [2, 4] {
-            let policy = ExecPolicy {
-                exec_threads: threads,
-                reduce_width: 1,
-            };
-            let sharded = run_with_policy(spec, shapes, policy);
-            assert_bits_eq(&sharded, &serial, &format!("{spec} @ {threads} threads"));
-        }
-    }
-}
-
-#[test]
 fn tree_reduction_matches_explicit_chunk_sums() {
     // mk,kn->mn with k = 7 under width 4 chunks k into 2+2+2+1 and
     // combines ((c0+c1)+(c2+c3)); verify against a hand-built tree.
@@ -342,60 +310,6 @@ fn compiled_default_policy_differs_from_serial_on_purpose() {
 #[test]
 fn default_policy_is_the_pinned_contract() {
     let p = ExecPolicy::default();
-    assert_eq!(p.exec_threads, 1);
     assert_eq!(p.reduce_width, ExecPolicy::PINNED_REDUCE_WIDTH);
     assert_eq!(ExecPolicy::serial().reduce_width, 1);
-}
-
-#[test]
-fn every_shard_runs_exactly_once() {
-    for shards in [1, 2, 3, 64] {
-        let hits: Vec<AtomicUsize> = (0..shards).map(|_| AtomicUsize::new(0)).collect();
-        fan_out(shards, |i| {
-            hits[i].fetch_add(1, Ordering::SeqCst);
-        });
-        for (i, h) in hits.iter().enumerate() {
-            assert_eq!(h.load(Ordering::SeqCst), 1, "shard {i} of {shards}");
-        }
-    }
-}
-
-#[test]
-fn shards_run_on_more_than_one_thread() {
-    // Shard 0 runs on the caller, every other shard on its own thread.
-    let caller = std::thread::current().id();
-    let threads = Mutex::new(Vec::new());
-    fan_out(4, |i| {
-        threads
-            .lock()
-            .unwrap()
-            .push((i, std::thread::current().id()))
-    });
-    let mut threads = threads.into_inner().unwrap();
-    threads.sort_by_key(|&(i, _)| i);
-    assert_eq!(threads[0].1, caller);
-    let mut ids: Vec<_> = threads.iter().map(|&(_, id)| id).collect();
-    ids.dedup();
-    assert_eq!(ids.len(), 4, "{threads:?}");
-}
-
-#[test]
-fn shard_panics_propagate_to_the_caller() {
-    let finished = AtomicUsize::new(0);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        fan_out(8, |i| {
-            if i == 3 {
-                panic!("shard 3 exploded");
-            }
-            finished.fetch_add(1, Ordering::SeqCst);
-        });
-    }));
-    let payload = result.expect_err("panic must propagate");
-    let msg = payload
-        .downcast_ref::<&str>()
-        .copied()
-        .expect("payload preserved");
-    assert_eq!(msg, "shard 3 exploded");
-    // Every other shard still ran to completion before the re-raise.
-    assert_eq!(finished.load(Ordering::SeqCst), 7);
 }

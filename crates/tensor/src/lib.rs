@@ -35,7 +35,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-#![deny(clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 
 mod autodiff;
 mod einsum;

@@ -4,7 +4,7 @@
 //! summation order is part of the contract): for random specs and shapes the
 //! stride-compiled einsum equals the deliberately naive per-element
 //! reference at reduction width 1 and a hand-built chunk tree at the pinned
-//! width, for any thread count; every row-at-a-time structural op equals
+//! width; every row-at-a-time structural op equals
 //! a per-element `(flat / stride) % extent` decode that lives in this file;
 //! and recording the data of a training step as tape constants moves no
 //! parameter-gradient bit while computing no gradient the data alone reaches.
@@ -112,27 +112,24 @@ proptest! {
     /// The execution-engine differential: random einsum specs over random
     /// shapes produce the same bits from the stride-compiled plan as from
     /// the naive per-element reference (width 1) and the hand-built chunk
-    /// tree (pinned width), on one thread or several.
+    /// tree (pinned width).
     #[test]
     fn compiled_einsum_matches_naive_reference_exactly(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
-        for round in 0..6 {
+        for _ in 0..6 {
             let (spec, tensors) = random_contraction(&mut rng);
             let operands: Vec<&Tensor> = tensors.iter().collect();
             let slow = einsum_spec_reference(&spec, &operands).expect("reference path executes");
             let fast = einsum_spec(&spec, &operands).expect("compiled path executes");
             prop_assert!(same_bits(&fast, &slow), "one-shot plan diverges for {}", spec.render());
-            // One round in six also shards the work over a pool.
-            let threads = if round == 0 { rng.random_range(2usize..=4) } else { 1 };
-            let serial = ExecPolicy { exec_threads: threads, reduce_width: 1 };
             prop_assert!(
-                same_bits(&run_engine(&spec, &operands, serial), &slow),
-                "width 1 on {} threads diverges for {}", threads, spec.render()
+                same_bits(&run_engine(&spec, &operands, ExecPolicy::serial()), &slow),
+                "width 1 diverges for {}", spec.render()
             );
             let tree = chunk_tree_reference(&spec, &tensors, ExecPolicy::PINNED_REDUCE_WIDTH);
             prop_assert!(
-                same_bits(&run_engine(&spec, &operands, ExecPolicy::with_threads(threads)), &tree),
-                "pinned width on {} threads diverges for {}", threads, spec.render()
+                same_bits(&run_engine(&spec, &operands, ExecPolicy::default()), &tree),
+                "pinned width diverges for {}", spec.render()
             );
         }
     }
@@ -275,7 +272,7 @@ fn noisy(shape: &[usize], salt: u64) -> Tensor {
 /// gradient, short rows of every length in the outer-product pattern, its
 /// mirror and a strided pattern, few-term chunks over every pair of operand
 /// runs with ragged lane groups, and the toy vision student's contraction
-/// with both of its VJPs — each against both oracles on 1/2/3/4/8 threads.
+/// with both of its VJPs — each against both oracles.
 #[test]
 fn measured_and_tiled_shapes_match_both_oracles() {
     let cases: &[(&str, &[&[usize]])] = &[
@@ -340,13 +337,10 @@ fn measured_and_tiled_shapes_match_both_oracles() {
         let operands: Vec<&Tensor> = tensors.iter().collect();
         let serial = einsum_spec_reference(&spec, &operands).unwrap();
         let tree = chunk_tree_reference(&spec, &tensors, ExecPolicy::PINNED_REDUCE_WIDTH);
-        for threads in [1, 2, 3, 4, 8] {
-            let width1 = ExecPolicy { exec_threads: threads, reduce_width: 1 };
-            let got = run_engine(&spec, &operands, width1);
-            assert!(same_bits(&got, &serial), "{text} at width 1 on {threads} threads");
-            let got = run_engine(&spec, &operands, ExecPolicy::with_threads(threads));
-            assert!(same_bits(&got, &tree), "{text} at the pinned width on {threads} threads");
-        }
+        let got = run_engine(&spec, &operands, ExecPolicy::serial());
+        assert!(same_bits(&got, &serial), "{text} at width 1");
+        let got = run_engine(&spec, &operands, ExecPolicy::default());
+        assert!(same_bits(&got, &tree), "{text} at the pinned width");
     }
 }
 

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --example quickstart` (twice, to see cache hits)
 
 use syno::ir::{eager, lower_optimized};
-use syno::nn::{ExecPolicy, ProxyConfig, TrainConfig};
+use syno::nn::{ProxyConfig, TrainConfig};
 use syno::tensor::Tensor;
 use syno::{SearchEvent, Session};
 
@@ -76,16 +76,16 @@ fn main() {
                 steps: 4,
                 batch: 4,
                 eval_batches: 1,
-                // Let two threads cooperate on each contraction.
-                // `exec_threads` never moves a score bit; `reduce_width`
-                // (left at the pinned default) is the knob that does, and
-                // stored scores are tagged with it so a cache hit always
-                // means "same value contract".
-                exec: ExecPolicy::with_threads(2),
                 ..TrainConfig::default()
             },
             ..ProxyConfig::default()
         })
+        // Train two candidates at a time, each on its own thread. The worker
+        // count never moves a score bit; `TrainConfig::exec`'s reduction
+        // width (left at the pinned default) is the knob that does, and
+        // stored scores are tagged with it so a cache hit always means
+        // "same value contract".
+        .eval_workers(2)
         .max_steps(12)
         .start()
         .expect("search starts");

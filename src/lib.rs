@@ -39,6 +39,8 @@
 //! See `examples/quickstart.rs` for a five-minute tour and DESIGN.md for
 //! the API reference.
 
+#![forbid(unsafe_code)]
+
 pub use syno_compiler as compiler;
 pub use syno_core as core;
 pub use syno_ir as ir;

@@ -576,3 +576,35 @@ fn hostile_spec_count_is_rejected_and_the_daemon_keeps_serving() {
     client.shutdown().expect("daemon acknowledges shutdown");
     daemon_thread.join().expect("daemon exits");
 }
+
+/// A request may lower the daemon's proxy settings, never raise them.
+/// Believed, `train_steps = u32::MAX` or `eval_batches = u32::MAX` sizes one
+/// task-batch slot per step before anything trains and aborts the whole
+/// process on that allocation. Each comes back `Rejected`, naming its field,
+/// as does a batch one above the daemon's; the next ordinary submit on the
+/// same connection, which lowers `train_steps`, is admitted and completes.
+#[test]
+fn proxy_settings_above_the_daemons_are_rejected() {
+    let vision = vision_space();
+    let daemon = Daemon::bind("127.0.0.1:0", None, serve_config()).expect("daemon binds");
+    let (handle, daemon_thread) = daemon.spawn();
+    let client = SynoClient::connect(handle.addr(), "hostile").expect("client connects");
+    let mut ordinary = request("proxy", &vision.0, &vision.1, "vision", 6, 3);
+    let batch_above = quick_proxy().train.batch as u32 + 1;
+    let hostile = [
+        ("train_steps", SearchRequest { train_steps: u32::MAX, ..ordinary.clone() }),
+        ("eval_batches", SearchRequest { eval_batches: u32::MAX, ..ordinary.clone() }),
+        ("train_batch", SearchRequest { train_batch: batch_above, ..ordinary.clone() }),
+    ];
+    for (field, hostile) in hostile {
+        match client.submit(&hostile) {
+            Err(ServeError::Rejected(reason)) => assert!(reason.contains(field), "{reason}"),
+            other => panic!("expected a {field} rejection, got {other:?}"),
+        }
+    }
+    ordinary.train_steps = 2;
+    let (_, stopped, steps, _) = daemon_run(&client, &ordinary);
+    assert_eq!((stopped.as_str(), steps), ("completed", 6));
+    client.shutdown().expect("daemon acknowledges shutdown");
+    daemon_thread.join().expect("daemon exits");
+}
