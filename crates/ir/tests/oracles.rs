@@ -6,7 +6,8 @@
 //! Every named operator runs on [`Kernel::execute`] under both lowerings, on
 //! [`eager::execute`] and on a forward [`eager::record`] tape, whose
 //! gradients of the output's mean have closed forms too. Avg-pool, pixel
-//! shuffle and the identity matmul map every input element to exactly one
+//! shuffle, the identity matmul and a `Shift` (a roll by one, the last
+//! element wrapping to the first) map every input element to exactly one
 //! output element with factor 1, so that gradient is `1 / numel(output)` at
 //! every input element. A convolution with a delta weight gives its input
 //! back, and with a box weight a clipped window sum; there the input
@@ -124,6 +125,27 @@ fn matmul_by_the_identity_returns_its_input() {
         .collect();
     let identity = Tensor::from_vec(identity, &[4, 4]);
     assert_every_engine_gives(&mm, &input, &[identity], &input, &one_to_one(&input, &input));
+}
+
+/// `Shift` rolls its axis by one: on `x[i] = 3i − 7` it writes
+/// `out[i] = x[(i + 1) mod H]`, so the last element wraps to the first.
+/// Every input element reaches exactly one output element.
+#[test]
+fn shift_rolls_its_axis_by_one() {
+    let (vars, [h, ..]) = vars();
+    let spec = OperatorSpec::new(
+        TensorShape::new(vec![Size::var(h)]),
+        TensorShape::new(vec![Size::var(h)]),
+    );
+    let graph = PGraph::new(vars, spec);
+    let i = graph.frontier()[0];
+    let shift = graph.apply(&Action::Shift { coord: i }).unwrap();
+    assert!(shift.is_complete());
+    let input = Tensor::from_vec((0..12).map(|i| 3.0 * i as f32 - 7.0).collect(), &[12]);
+    let want: Vec<f32> = (0..12).map(|i| input.data()[(i + 1) % 12]).collect();
+    assert_eq!(want[11], -7.0, "the last element wraps to the first");
+    let want = Tensor::from_vec(want, &[12]);
+    assert_every_engine_gives(&shift, &input, &[], &want, &one_to_one(&input, &want));
 }
 
 /// Batch, channels, image side and window of the convolution oracles.

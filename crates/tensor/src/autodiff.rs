@@ -34,7 +34,7 @@
 //! forward that only data flows through has no backward. Gradients that are
 //! computed accumulate the same terms in the same order either way.
 
-use crate::einsum::{einsum_spec_reference, EinsumEngine, EinsumSpec, ExecPolicy};
+use crate::einsum::{einsum_spec_reference, EinsumEngine, ExecPolicy};
 use crate::ops;
 use crate::pool::ScratchPool;
 use crate::tensor::Tensor;
@@ -60,7 +60,8 @@ enum Op {
     Mul(Var, Var),
     Scale(Var, f32),
     AddScalar(Var, f32),
-    Einsum { spec: EinsumSpec, inputs: Vec<Var> },
+    /// `entry` is the contraction's entry in the tape's engine.
+    Einsum { entry: usize, inputs: Vec<Var> },
     Reshape(Var),
     Permute(Var, Vec<usize>),
     Unfold { input: Var, axis: usize, k: usize },
@@ -263,12 +264,6 @@ impl Tape {
     /// VJP is unsupported, and the eager lowering refuses such a weight with
     /// a typed error before it gets here).
     pub fn einsum(&mut self, spec: &str, inputs: &[Var]) -> Var {
-        let parsed = EinsumSpec::parse(spec).expect("valid einsum spec");
-        let distinct = |l: &Vec<char>| (1..l.len()).all(|i| !l[..i].contains(&l[i]));
-        assert!(
-            parsed.inputs.iter().all(distinct),
-            "einsum VJP requires duplicate-free operand indices"
-        );
         let Tape {
             nodes,
             pool,
@@ -276,21 +271,22 @@ impl Tape {
             reference,
         } = self;
         let tensors: Vec<&Tensor> = inputs.iter().map(|&v| &nodes[v.0].value).collect();
+        let entry = engine.entry(spec, &tensors).expect("einsum executes");
+        let distinct = |l: &Vec<char>| (1..l.len()).all(|i| !l[..i].contains(&l[i]));
+        assert!(
+            engine.spec(entry).inputs.iter().all(distinct),
+            "einsum VJP requires duplicate-free operand indices"
+        );
         let value = if *reference {
-            einsum_spec_reference(&parsed, &tensors).expect("einsum executes")
+            einsum_spec_reference(engine.spec(entry), &tensors).expect("einsum executes")
         } else {
-            engine
-                .einsum_parsed(&parsed, &tensors, pool)
-                .expect("einsum executes")
+            engine.run(entry, &tensors, pool)
         };
-        self.push(
-            value,
-            Op::Einsum {
-                spec: parsed,
-                inputs: inputs.to_vec(),
-            },
-            inputs,
-        )
+        let op = Op::Einsum {
+            entry,
+            inputs: inputs.to_vec(),
+        };
+        self.push(value, op, inputs)
     }
 
     /// 2-D matrix product.
@@ -473,14 +469,14 @@ impl Tape {
                     let g = pool.take_clone(&grad);
                     add_grad(pool, &mut grads, *a, g);
                 }
-                Op::Einsum { spec, inputs } => {
+                Op::Einsum { entry, inputs } => {
                     for (wrt, &input) in inputs.iter().enumerate() {
                         if !needs(input) {
                             continue;
                         }
                         let tensors: Vec<&Tensor> =
                             inputs.iter().map(|&v| &nodes[v.0].value).collect();
-                        let g = einsum_vjp(engine, pool, *reference, spec, &tensors, &grad, wrt);
+                        let g = einsum_vjp(engine, pool, *reference, *entry, &tensors, &grad, wrt);
                         add_grad(pool, &mut grads, input, g);
                     }
                 }
@@ -594,45 +590,30 @@ fn add_grad(pool: &mut ScratchPool, grads: &mut [Option<Tensor>], var: Var, g: T
     }
 }
 
-/// VJP of einsum w.r.t. operand `wrt`: contract the output gradient with the
-/// remaining operands, then broadcast along indices private to `wrt`.
+/// VJP of einsum `entry` w.r.t. operand `wrt`: contract the output gradient
+/// with the remaining operands, then broadcast along indices private to
+/// `wrt`. The VJP's spec is built once per entry and operand.
 fn einsum_vjp(
     engine: &mut EinsumEngine,
     pool: &mut ScratchPool,
     reference: bool,
-    spec: &EinsumSpec,
+    entry: usize,
     operands: &[&Tensor],
     grad: &Tensor,
     wrt: usize,
 ) -> Tensor {
-    let wrt_spec = &spec.inputs[wrt];
-    let mut in_specs = vec![spec.output.clone()];
     let mut tensors: Vec<&Tensor> = vec![grad];
-    for (i, s) in spec.inputs.iter().enumerate() {
-        if i != wrt {
-            in_specs.push(s.clone());
-            tensors.push(operands[i]);
-        }
-    }
-    let available: Vec<char> = in_specs.iter().flatten().copied().collect();
-    let reduced: Vec<char> = wrt_spec
-        .iter()
-        .copied()
-        .filter(|c| available.contains(c))
-        .collect();
-    let vjp_spec = EinsumSpec {
-        inputs: in_specs,
-        output: reduced.clone(),
-    };
+    let others = operands.iter().enumerate().filter(|&(i, _)| i != wrt);
+    tensors.extend(others.map(|(_, &t)| t));
+    let vjp = engine.vjp_entry(entry, wrt, &tensors);
     let mut g = if reference {
-        einsum_spec_reference(&vjp_spec, &tensors).expect("vjp einsum executes")
+        einsum_spec_reference(engine.spec(vjp), &tensors).expect("vjp einsum executes")
     } else {
-        engine
-            .einsum_parsed(&vjp_spec, &tensors, pool)
-            .expect("vjp einsum executes")
+        engine.run(vjp, &tensors, pool)
     };
     // Broadcast along wrt-private indices (they were summed in the forward).
-    for (pos, c) in wrt_spec.iter().enumerate() {
+    let reduced = &engine.spec(vjp).output;
+    for (pos, c) in engine.spec(entry).inputs[wrt].iter().enumerate() {
         if !reduced.contains(c) {
             let extent = operands[wrt].shape()[pos];
             let expanded = ops::repeat_in(pool, &g, pos, extent);

@@ -1,5 +1,16 @@
 //! Running a compiled [`EinsumPlan`]: the execution policy, the tile loop
-//! and its kernels, and the deterministic reduction tree.
+//! and its kernels, the streamed few-term rows, and the deterministic
+//! reduction tree.
+//!
+//! Two paths run a contraction. The tile loop sums into L1 accumulator
+//! tiles, one per chunk of the reduction tree, and combines them. A
+//! contraction of one or two operands with at most one summed loop whose
+//! chunks hold at most [`FEW_TERMS`] terms streams instead: whole rows of
+//! the tile sum in registers and go straight to the output — a weight
+//! product, which has no summed index at all (each element `+0.0 + a · b`),
+//! and the sequence head's VJPs among them. Rows that read the same second
+//! operand run a block at a time and share each load of its lanes. Both
+//! paths give every element the same additions in the same order.
 
 use super::plan::{EinsumPlan, Steps, SHORT_RUN};
 use crate::ops;
@@ -110,9 +121,9 @@ impl EinsumPlan {
     /// slowest). Per tile: one `+0.0` accumulator tile per chunk in `buf`,
     /// the summed loops walked in odometer order with the innermost one
     /// inside the kernel, then the chunk tiles combined and written out. A
-    /// lone summed loop whose chunks hold at most [`FEW_TERMS`] terms each
-    /// skips the accumulator tiles: a row at a time sums in registers
-    /// ([`few_term_row`]) and is written out.
+    /// contraction of one or two operands with at most one summed loop,
+    /// whose chunks hold at most [`FEW_TERMS`] terms each, skips the
+    /// accumulator tiles: its rows stream ([`stream_rows`](Self::stream_rows)).
     fn run_tiles(
         &self,
         datas: &[&[f32]],
@@ -122,16 +133,11 @@ impl EinsumPlan {
     ) {
         let chunks = reduce_width.clamp(1, self.chunk.0);
         let [block_o, block_i] = self.block;
-        buf.resize(chunks * block_o * block_i, 0.0);
         let steps = &self.steps;
         // The kernel's middle loop is the innermost summed one; the odometer
         // walks the summed loops outside it.
         let mid = (self.dims.len() > self.n_out).then(|| self.dims.len() - 1);
         let walk = self.n_out..mid.unwrap_or(self.n_out);
-        let [out_outer, out_inner] = self.out_steps;
-        let mut base = vec![0usize; datas.len()];
-        let mut offs = vec![0usize; datas.len()];
-        let mut idx = vec![0usize; walk.len()];
         // Chunk `c`'s steps of the outermost summed loop: the first one
         // walked, or the kernel's middle loop when it is the only one.
         let (q, r) = (self.chunk.0 / chunks, self.chunk.0 % chunks);
@@ -142,8 +148,16 @@ impl EinsumPlan {
             })
             .collect();
         let few = (datas.len() <= 2 && walk.is_empty() && spans[0].len() <= FEW_TERMS)
-            .then(|| few_term_row(chunks, steps))
+            .then(|| few_term_rows(chunks, steps))
             .flatten();
+        if let Some(rows_of) = few {
+            return self.stream_rows(datas, out, &spans, rows_of);
+        }
+        buf.resize(chunks * block_o * block_i, 0.0);
+        let [out_outer, out_inner] = self.out_steps;
+        let mut base = vec![0usize; datas.len()];
+        let mut offs = vec![0usize; datas.len()];
+        let mut idx = vec![0usize; walk.len()];
         // Where the tile sits: the outer loops' indices, then its block
         // numbers, as an odometer from tile to tile.
         let outer_counts = self.outer.iter().map(|&d| self.dims[d]);
@@ -176,19 +190,6 @@ impl EinsumPlan {
             // run accumulates in place; otherwise per-chunk tiles in `buf`
             // are combined and copied out.
             let in_place = chunks == 1 && out_inner == 1 && (n_o == 1 || out_outer == n_i);
-            if let (Some(few_row), false) = (few, in_place) {
-                let ((a, oa, sa), (b, ob, sb)) = match (datas, &steps[..]) {
-                    ([a, b], [sa, sb]) => ((*a, base[0], *sa), (*b, base[1], *sb)),
-                    ([a], [sa]) => ((*a, base[0], *sa), ONE),
-                    _ => unreachable!("a few-term tile has one or two operands"),
-                };
-                for o in 0..n_o {
-                    let row = &mut buf[..n_i];
-                    few_row(row, &spans, (a, oa + o * sa.outer, sa), (b, ob + o * sb.outer, sb));
-                    store(out, out_base + o * out_outer, out_inner, row);
-                }
-                continue;
-            }
             let tile = if in_place {
                 &mut out[out_base..out_base + len]
             } else {
@@ -244,6 +245,55 @@ impl EinsumPlan {
             combine_tree(tile, len, chunks);
             for (o, row) in tile[..len].chunks_exact(n_i).enumerate() {
                 store(out, out_base + o * out_outer, out_inner, row);
+            }
+        }
+    }
+
+    /// The few-term contractions of [`run_tiles`](Self::run_tiles), a weight
+    /// product (no summed index: `spans` is the one term `0..1`, so every
+    /// element is `+0.0 + a · b`) among them: the tile's rows, all of them
+    /// at once, go to `rows_of`, which sums them in registers and writes
+    /// them straight to the output. The loops around the tile tick an
+    /// odometer with incremental offsets.
+    fn stream_rows(
+        &self,
+        datas: &[&[f32]],
+        out: &mut [f32],
+        spans: &[Range<usize>],
+        rows_of: FewTermRows,
+    ) {
+        let (mut a, mut b) = match (datas, &self.steps[..]) {
+            ([a, b], [sa, sb]) => ((*a, 0, *sa), (*b, 0, *sb)),
+            ([a], [sa]) => ((*a, 0, *sa), ONE),
+            _ => unreachable!("a few-term contraction has one or two operands"),
+        };
+        let mut rows = Rows {
+            at: 0,
+            count: self.tile[0],
+            len: self.tile[1],
+            steps: self.out_steps,
+        };
+        let mut at = vec![0usize; self.outer.len()];
+        loop {
+            rows_of(out, rows, spans, a, b);
+            // Odometer tick over the outer loops, innermost last: a tick
+            // adds the loop's strides, a wrap backs its range out.
+            let mut wrapped = true;
+            for (coord, &d) in at.iter_mut().zip(&self.outer).rev() {
+                let stride = |k: usize| self.op_strides.get(k).map_or(0, |s| s[d]);
+                let steps = [stride(0), stride(1), self.out_strides[d]];
+                let offs = [&mut a.1, &mut b.1, &mut rows.at];
+                *coord += 1;
+                if *coord < self.dims[d] {
+                    offs.into_iter().zip(steps).for_each(|(off, s)| *off += s);
+                    wrapped = false;
+                    break;
+                }
+                *coord = 0;
+                offs.into_iter().zip(steps).for_each(|(off, s)| *off -= (self.dims[d] - 1) * s);
+            }
+            if wrapped {
+                return;
             }
         }
     }
@@ -442,28 +492,38 @@ const BROADCAST: u8 = 0;
 const CONTIGUOUS: u8 = 1;
 const STRIDED: u8 = 2;
 
-/// Sums one tile row of few-term elements into the row given: the
-/// contraction's two operands at the row's first element, and each
-/// chunk's steps of the middle loop.
-type FewTermRow = fn(&mut [f32], &[Range<usize>], Operand, Operand);
+/// Where a block of output rows goes: `count` rows of `len` elements, row
+/// `o` from `at + o · steps[0]` in steps of `steps[1]`.
+#[derive(Clone, Copy)]
+struct Rows {
+    at: usize,
+    count: usize,
+    len: usize,
+    steps: [usize; 2],
+}
+
+/// Sums a block of few-term rows into the output, given the contraction's
+/// two operands at the block's first element and each chunk's steps of the
+/// middle loop.
+type FewTermRows = fn(&mut [f32], Rows, &[Range<usize>], Operand, Operand);
 
 /// The few-term row kernel for `chunks` chunks and operands with `steps` (a
 /// missing second one is [`ONE`]), or `None` past four chunks, the pinned
 /// reduction width.
-fn few_term_row(chunks: usize, steps: &[Steps]) -> Option<FewTermRow> {
+fn few_term_rows(chunks: usize, steps: &[Steps]) -> Option<FewTermRows> {
     let kind = |k: usize| match steps.get(k).map_or(0, |s| s.inner) {
         0 => BROADCAST,
         1 => CONTIGUOUS,
         _ => STRIDED,
     };
-    fn for_b<const C: usize, const KA: u8>(kb: u8) -> FewTermRow {
+    fn for_b<const C: usize, const KA: u8>(kb: u8) -> FewTermRows {
         match kb {
             BROADCAST => row_sums::<C, KA, BROADCAST>,
             CONTIGUOUS => row_sums::<C, KA, CONTIGUOUS>,
             _ => row_sums::<C, KA, STRIDED>,
         }
     }
-    fn for_a<const C: usize>(ka: u8, kb: u8) -> FewTermRow {
+    fn for_a<const C: usize>(ka: u8, kb: u8) -> FewTermRows {
         match ka {
             BROADCAST => for_b::<C, BROADCAST>(kb),
             CONTIGUOUS => for_b::<C, CONTIGUOUS>(kb),
@@ -480,48 +540,112 @@ fn few_term_row(chunks: usize, steps: &[Steps]) -> Option<FewTermRow> {
     })
 }
 
-/// A [`FewTermRow`]: [`LANES`] elements at a time, then one at a time.
+/// A [`FewTermRows`]. Where every row reads the same `b` (its outer step is
+/// 0, as in both VJPs of a matmul and in a weight product), [`ROW_BLOCK`]
+/// rows at a time, then 2, share each load of `b`'s lanes; the other rows
+/// go one at a time. A lone row runs [`LANES`] elements at a time, then a
+/// group of 8 and of 4 from what is left, then one at a time; a block of
+/// rows starts at groups of 8, which keeps its partials in registers.
 fn row_sums<const C: usize, const KA: u8, const KB: u8>(
-    row: &mut [f32],
+    out: &mut [f32],
+    rows: Rows,
     spans: &[Range<usize>],
-    (a, oa, sa): Operand,
-    (b, ob, sb): Operand,
+    a: Operand,
+    b: Operand,
 ) {
     let spans: &[Range<usize>; C] = spans.try_into().expect("one span per chunk");
-    let (groups, rest) = row.as_chunks_mut::<LANES>();
-    let done = groups.len() * LANES;
-    for (k, sums) in groups.iter_mut().enumerate() {
-        let at = k * LANES;
-        *sums = lane_sums::<LANES, C, KA, KB>(
-            spans,
-            (a, oa + at * sa.inner, sa),
-            (b, ob + at * sb.inner, sb),
-        );
+    let mut o = 0;
+    if b.2.outer == 0 {
+        while o + ROW_BLOCK <= rows.count {
+            few_rows::<ROW_BLOCK, C, KA, KB>(out, rows, o, spans, a, b);
+            o += ROW_BLOCK;
+        }
+        if o + 2 <= rows.count {
+            few_rows::<2, C, KA, KB>(out, rows, o, spans, a, b);
+            o += 2;
+        }
     }
-    for (k, sum) in rest.iter_mut().enumerate() {
-        let at = done + k;
-        let a = (a, oa + at * sa.inner, sa);
-        [*sum] = lane_sums::<1, C, STRIDED, STRIDED>(spans, a, (b, ob + at * sb.inner, sb));
+    for o in o..rows.count {
+        few_rows::<1, C, KA, KB>(out, rows, o, spans, a, b);
     }
 }
 
-/// `L` elements' sums over a few terms each, in registers: per chunk `c`
-/// the terms `spans[c]` from `+0.0` in ascending `m` — the partial an
-/// accumulator tile would hold — then the chunk tree over the `C` partials.
-/// The same additions in the same order as the tile path, so the same bits.
+/// `R` rows of [`row_sums`] from row `o`.
 #[inline(always)]
-fn lane_sums<const L: usize, const C: usize, const KA: u8, const KB: u8>(
+fn few_rows<const R: usize, const C: usize, const KA: u8, const KB: u8>(
+    out: &mut [f32],
+    rows: Rows,
+    o: usize,
     spans: &[Range<usize>; C],
     (a, oa, sa): Operand,
     (b, ob, sb): Operand,
-) -> [f32; L] {
-    let mut parts = [[0.0f32; L]; C];
-    for (acc, span) in parts.iter_mut().zip(spans) {
+) {
+    let (a, b) = ((a, oa + o * sa.outer, sa), (b, ob + o * sb.outer, sb));
+    let to = rows.at + o * rows.steps[0];
+    let mut done = 0;
+    if R == 1 {
+        done = lane_groups::<LANES, R, C, KA, KB>(out, to, rows, done, spans, a, b);
+    }
+    done = lane_groups::<8, R, C, KA, KB>(out, to, rows, done, spans, a, b);
+    done = lane_groups::<4, R, C, KA, KB>(out, to, rows, done, spans, a, b);
+    lane_groups::<1, R, C, KA, KB>(out, to, rows, done, spans, a, b);
+}
+
+/// [`few_rows`]'s whole groups of `L` elements from element `done` of each
+/// row, written to the output from `to`; returns how far the rows are done.
+#[inline(always)]
+fn lane_groups<const L: usize, const R: usize, const C: usize, const KA: u8, const KB: u8>(
+    out: &mut [f32],
+    to: usize,
+    rows: Rows,
+    done: usize,
+    spans: &[Range<usize>; C],
+    (a, oa, sa): Operand,
+    (b, ob, sb): Operand,
+) -> usize {
+    let [out_outer, out_inner] = rows.steps;
+    let groups = (rows.len - done) / L;
+    for k in 0..groups {
+        let at = done + k * L;
+        let a = (a, oa + at * sa.inner, sa);
+        let sums = lane_sums::<L, R, C, KA, KB>(spans, a, (b, ob + at * sb.inner, sb));
+        if R > 1 && out_outer == 1 {
+            // The rows are adjacent in the output: each lane's `R` values
+            // are one contiguous run.
+            let runs: [[f32; R]; L] = std::array::from_fn(|l| sums.map(|row| row[l]));
+            for (l, run) in runs.iter().enumerate() {
+                store(out, to + (at + l) * out_inner, 1, run);
+            }
+            continue;
+        }
+        for (r, sum) in sums.iter().enumerate() {
+            store(out, to + r * out_outer + at * out_inner, out_inner, sum);
+        }
+    }
+    done + groups * L
+}
+
+/// `L` elements' sums over a few terms each, in registers, for `R` rows
+/// (row `r` reads `a` from `r` outer steps on; every row reads the same
+/// `b`, loaded once): per chunk `c` the terms `spans[c]` from `+0.0` in
+/// ascending `m` — the partial an accumulator tile would hold — then the
+/// chunk tree over the `C` partials. The same additions in the same order
+/// as the tile path, so the same bits.
+#[inline(always)]
+fn lane_sums<const L: usize, const R: usize, const C: usize, const KA: u8, const KB: u8>(
+    spans: &[Range<usize>; C],
+    (a, oa, sa): Operand,
+    (b, ob, sb): Operand,
+) -> [[f32; L]; R] {
+    let mut parts = [[[0.0f32; L]; R]; C];
+    for (part, span) in parts.iter_mut().zip(spans) {
         for m in span.clone() {
-            let x = lanes::<L, KA>(a, oa + m * sa.mid, sa.inner);
             let y = lanes::<L, KB>(b, ob + m * sb.mid, sb.inner);
-            for ((t, x), y) in acc.iter_mut().zip(x).zip(y) {
-                *t += x * y;
+            for (r, acc) in part.iter_mut().enumerate() {
+                let x = lanes::<L, KA>(a, oa + r * sa.outer + m * sa.mid, sa.inner);
+                for ((t, x), y) in acc.iter_mut().zip(x).zip(y) {
+                    *t += x * y;
+                }
             }
         }
     }
@@ -533,7 +657,7 @@ fn lane_sums<const L: usize, const C: usize, const KA: u8, const KB: u8>(
         let pairs = width / 2;
         for j in 0..pairs {
             let (x, y) = (parts[2 * j], parts[2 * j + 1]);
-            parts[j] = std::array::from_fn(|l| x[l] + y[l]);
+            parts[j] = std::array::from_fn(|r| std::array::from_fn(|l| x[r][l] + y[r][l]));
         }
         if width % 2 == 1 {
             parts[pairs] = parts[width - 1];

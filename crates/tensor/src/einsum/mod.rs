@@ -170,9 +170,12 @@ impl EinsumSpec {
 /// execution scratch — one per executor/tape, so the per-candidate hot loop
 /// compiles each contraction once and then runs allocation-free.
 ///
-/// Lookups compare the raw spec text (forward path) or the parsed spec
-/// (autodiff VJP path) against a small linear table; models use a handful
-/// of distinct contractions, so the scan is cheaper than hashing.
+/// Lookups compare the raw spec text ([`EinsumEngine::einsum`] and the
+/// tape's forward einsums) or the parsed spec ([`EinsumEngine::einsum_parsed`])
+/// against a small linear table; models use a handful of distinct
+/// contractions, so the scan is cheaper than hashing. A tape finds the VJP
+/// entries of a contraction through the contraction's own entry, so the
+/// backward pass neither builds nor compares a spec.
 ///
 /// An engine carries an [`ExecPolicy`] and every contraction it runs
 /// executes under it, on the calling thread. The default is the pinned
@@ -191,6 +194,8 @@ struct EngineEntry {
     text: String,
     spec: EinsumSpec,
     plan: EinsumPlan,
+    /// The entry of the VJP with respect to each operand, once built.
+    vjps: Vec<Option<usize>>,
 }
 
 impl EinsumEngine {
@@ -224,22 +229,57 @@ impl EinsumEngine {
         operands: &[&Tensor],
         pool: &mut ScratchPool,
     ) -> Result<Tensor, EinsumError> {
+        let at = self.entry(spec, operands)?;
+        Ok(self.run(at, operands, pool))
+    }
+
+    /// The cache entry for `spec` over operands shaped like `operands`,
+    /// parsed and compiled on first use.
+    pub(crate) fn entry(&mut self, spec: &str, operands: &[&Tensor]) -> Result<usize, EinsumError> {
         let hit = self
             .entries
             .iter()
             .position(|e| e.text == spec && e.plan.matches(operands));
-        let at = match hit {
-            Some(at) => at,
-            None => {
-                let parsed = EinsumSpec::parse(spec)?;
-                self.insert(spec.to_owned(), parsed, operands)?
-            }
-        };
-        Ok(self.run(at, operands, pool))
+        match hit {
+            Some(at) => Ok(at),
+            None => self.insert(spec.to_owned(), EinsumSpec::parse(spec)?, operands),
+        }
     }
 
-    /// [`EinsumEngine::einsum`] for an already-parsed spec (the autodiff
-    /// backward path, whose VJP specs never exist as text).
+    /// The parsed spec of entry `at`.
+    pub(crate) fn spec(&self, at: usize) -> &EinsumSpec {
+        &self.entries[at].spec
+    }
+
+    /// The entry of the VJP of entry `at` with respect to operand `wrt`: the
+    /// output gradient contracted with the other operands (`operands`, in
+    /// that order) into `wrt`'s indices that they carry. Built on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `operands` do not fit the VJP's spec.
+    pub(crate) fn vjp_entry(&mut self, at: usize, wrt: usize, operands: &[&Tensor]) -> usize {
+        if let Some(vjp) = self.entries[at].vjps[wrt] {
+            return vjp;
+        }
+        let spec = &self.entries[at].spec;
+        let mut inputs = vec![spec.output.clone()];
+        let others = spec.inputs.iter().enumerate().filter(|&(i, _)| i != wrt);
+        inputs.extend(others.map(|(_, letters)| letters.clone()));
+        let output = spec.inputs[wrt]
+            .iter()
+            .copied()
+            .filter(|c| inputs.iter().flatten().any(|x| x == c))
+            .collect();
+        let vjp_spec = EinsumSpec { inputs, output };
+        let vjp = self
+            .insert(String::new(), vjp_spec, operands)
+            .expect("a VJP spec binds the shapes of its forward");
+        self.entries[at].vjps[wrt] = Some(vjp);
+        vjp
+    }
+
+    /// [`EinsumEngine::einsum`] for an already-parsed spec.
     ///
     /// # Errors
     ///
@@ -269,11 +309,13 @@ impl EinsumEngine {
     ) -> Result<usize, EinsumError> {
         let shapes: Vec<&[usize]> = operands.iter().map(|t| t.shape()).collect();
         let plan = EinsumPlan::compile(&spec, &shapes)?;
-        self.entries.push(EngineEntry { text, spec, plan });
+        let vjps = vec![None; spec.inputs.len()];
+        self.entries.push(EngineEntry { text, spec, plan, vjps });
         Ok(self.entries.len() - 1)
     }
 
-    fn run(&mut self, at: usize, operands: &[&Tensor], pool: &mut ScratchPool) -> Tensor {
+    /// Executes entry `at` over `operands` into a buffer from `pool`.
+    pub(crate) fn run(&mut self, at: usize, operands: &[&Tensor], pool: &mut ScratchPool) -> Tensor {
         let plan = &self.entries[at].plan;
         let mut out = pool.take_tensor(plan.out_shape());
         plan.execute_with(operands, out.data_mut(), self.policy, &mut self.tile);

@@ -197,25 +197,50 @@ pub fn unfold_in(pool: &mut ScratchPool, t: &Tensor, axis: usize, k: usize) -> T
     out_shape.push(k);
     let mut out = pool.take_tensor(&out_shape);
     let data = t.data();
-    let mut windows = out.data_mut().chunks_exact_mut(k);
-    for o in 0..outer {
-        for i in 0..n {
-            // Window slot j reads base position i + j − k/2; slots outside
-            // `lo..hi` fall off the axis and keep their zero padding.
-            let (lo, hi) = window_bounds(i, n, k);
-            for r in 0..inner {
-                let window = windows.next().expect("one window per input element");
-                // Slot j's source is `[o, i + j − k/2, r]`; `lo ≤ j` keeps
-                // the subtraction from underflowing.
-                let src = (o * n + i) * inner + r;
-                for (j, item) in (lo..).zip(&mut window[lo..hi]) {
-                    *item = data[src + j * inner - (k / 2) * inner];
+    if out.numel() == 0 {
+        return out;
+    }
+    let (dst, group) = (out.data_mut(), inner * k);
+    if inner == 1 && k < SHORT_WINDOW {
+        for (row, src) in dst.chunks_exact_mut(n * k).zip(data.chunks_exact(n)) {
+            for j in 0..k {
+                // The bases whose slot j lands on the axis.
+                let lo = (k / 2).saturating_sub(j);
+                let hi = (n + k / 2).saturating_sub(j).min(n).max(lo);
+                let run = &src[lo + j - k / 2..hi + j - k / 2];
+                for (slot, &v) in row[lo * k + j..].iter_mut().step_by(k).zip(run) {
+                    *slot = v;
+                }
+            }
+        }
+        return out;
+    }
+    for base in 0..outer * n {
+        // Base element `(o, i)` has `inner` windows, one after the other:
+        // slot j of each reads position i + j − k/2, and slots outside
+        // `lo..hi` fall off the axis and keep their zero padding.
+        let (lo, hi) = window_bounds(base % n, n, k);
+        // Slot `lo` reads the run of position i + lo − k/2, the next slot
+        // the run after it; `lo ≤ j` keeps the subtraction from underflowing.
+        let src = &data[(base + lo - k / 2) * inner..][..(hi - lo) * inner];
+        let windows = &mut dst[base * group..][..group];
+        if inner == 1 {
+            windows[lo..hi].copy_from_slice(src);
+        } else {
+            for (j, run) in (lo..hi).zip(src.chunks_exact(inner)) {
+                for (window, &v) in windows.chunks_exact_mut(k).zip(run) {
+                    window[j] = v;
                 }
             }
         }
     }
     out
 }
+
+/// A trailing-axis window shorter than this moves slot by slot: slot `j` of
+/// a whole row of windows at once, one run per slot. A longer one moves
+/// window by window, one contiguous slice each.
+const SHORT_WINDOW: usize = 8;
 
 /// The window slots `lo..hi` of base position `i` that land inside an axis
 /// of extent `n`: slot `j` reads position `i + j − k/2`.
@@ -235,6 +260,13 @@ pub fn fold_acc(grad: &Tensor, axis: usize, k: usize, in_shape: &[usize]) -> Ten
 
 /// [`fold_acc`] into a pooled buffer.
 ///
+/// Each slot starts at `+0.0` and adds its window entries in window order
+/// (base position ascending) — the order the per-element transpose visits
+/// them. A gradient entry of `±0.0` is skipped rather than added: since no
+/// sum that starts at `+0.0` can reach `−0.0`, adding a zero would leave
+/// the same bits, so the skip is part of the same value semantics, not a
+/// change to them.
+///
 /// # Panics
 ///
 /// Panics when `grad`'s trailing axis is not `k` or shapes mismatch.
@@ -249,18 +281,46 @@ pub fn fold_acc_in(
     assert_eq!(*grad.shape().last().unwrap(), k, "fold window mismatch");
     let (outer, n, inner) = around_axis(in_shape, axis);
     let mut out = pool.take_tensor(in_shape);
+    if out.numel() == 0 {
+        return out;
+    }
     let out_data = out.data_mut();
-    let mut windows = grad.data().chunks_exact(k);
     // The mirror image of `unfold_in`'s walk, windows in input order.
-    for o in 0..outer {
-        for i in 0..n {
-            let (lo, hi) = window_bounds(i, n, k);
-            for r in 0..inner {
-                let window = windows.next().expect("one window per base element");
-                let dst = (o * n + i) * inner + r;
-                for (j, &g) in (lo..).zip(&window[lo..hi]) {
+    let (grad, group) = (grad.data(), inner * k);
+    if inner == 1 && k < SHORT_WINDOW {
+        // Slot j of every window of a row at once, j descending: a slot
+        // meets the windows that reach it in base order all the same.
+        for (row, src) in out_data.chunks_exact_mut(n).zip(grad.chunks_exact(n * k)) {
+            for j in (0..k).rev() {
+                let lo = (k / 2).saturating_sub(j);
+                let hi = (n + k / 2).saturating_sub(j).min(n).max(lo);
+                let run = &mut row[lo + j - k / 2..hi + j - k / 2];
+                for (d, &g) in run.iter_mut().zip(src[lo * k + j..].iter().step_by(k)) {
                     if g != 0.0 {
-                        out_data[dst + j * inner - (k / 2) * inner] += g;
+                        *d += g;
+                    }
+                }
+            }
+        }
+        return out;
+    }
+    for base in 0..outer * n {
+        let (lo, hi) = window_bounds(base % n, n, k);
+        let dst = &mut out_data[(base + lo - k / 2) * inner..][..(hi - lo) * inner];
+        let windows = &grad[base * group..][..group];
+        if inner == 1 {
+            for (d, &g) in dst.iter_mut().zip(&windows[lo..hi]) {
+                if g != 0.0 {
+                    *d += g;
+                }
+            }
+        } else {
+            // Slot j of the `inner` windows adds onto the run of position
+            // i + j − k/2, one window after the other.
+            for (j, run) in (lo..hi).zip(dst.chunks_exact_mut(inner)) {
+                for (d, window) in run.iter_mut().zip(windows.chunks_exact(k)) {
+                    if window[j] != 0.0 {
+                        *d += window[j];
                     }
                 }
             }

@@ -326,6 +326,11 @@ fn measured_and_tiled_shapes_match_both_oracles() {
         ("abcdefg,abcdefg->dgfe", &[&[2, 3, 4, 2, 4, 3, 3], &[2, 3, 4, 2, 4, 3, 3]]),
         ("abn,ba->n", &[&[3, 4, 20], &[4, 3]]),
         ("ab->ba", &[&[40, 3]]),
+        // The two sequence-head VJPs with a ragged row block and ragged
+        // lane groups: rows that share an operand, a block of them at a
+        // time and one left over, over 37 elements.
+        ("mn,kn->mk", &[&[5, 6], &[37, 6]]),
+        ("mn,mk->kn", &[&[5, 7], &[5, 37]]),
     ];
     for (text, shapes) in cases {
         let spec = EinsumSpec::parse(text).unwrap();
@@ -342,6 +347,77 @@ fn measured_and_tiled_shapes_match_both_oracles() {
         let got = run_engine(&spec, &operands, ExecPolicy::default());
         assert!(same_bits(&got, &tree), "{text} at the pinned width");
     }
+}
+
+/// Data with signed zeros, infinities of both signs and NaN mixed in.
+fn special(shape: &[usize], salt: u64) -> Tensor {
+    let mut t = noisy_with_zeros(shape, salt);
+    for (i, v) in t.data_mut().iter_mut().enumerate() {
+        match i % 11 {
+            2 => *v = f32::INFINITY,
+            6 => *v = f32::NEG_INFINITY,
+            9 => *v = f32::NAN,
+            _ => {}
+        }
+    }
+    t
+}
+
+/// [`noisy_with_zeros`] spread over six orders of magnitude, so that sums
+/// round and a change of summation order shows in the bits.
+fn rough(shape: &[usize], salt: u64) -> Tensor {
+    let mut t = noisy_with_zeros(shape, salt);
+    for (i, v) in t.data_mut().iter_mut().enumerate() {
+        *v *= [1.0, 1.0e3, 1.0e-3, 37.0, 0.011][i % 5];
+    }
+    t
+}
+
+/// Contractions with no summed index — a weight product and its data
+/// gradient — against the reference, at width 1 and the pinned width:
+/// the weight's letters every ordered subset of the data's and its
+/// reversal, the weight as either operand, the output in data order and
+/// rotated; then the two workload shapes. Every element is `+0.0 + a · b`,
+/// so data holding `−0.0` (whose products must come out `+0.0`),
+/// infinities and NaN keep their bits.
+#[test]
+fn no_summed_index_contractions_match_the_reference() {
+    let run = |data_letters: &str, weight: &str, data_shape: &[usize], output: &str| {
+        let weight_shape: Vec<usize> = weight
+            .chars()
+            .map(|c| data_shape[data_letters.find(c).unwrap()])
+            .collect();
+        let data = special(data_shape, 7);
+        let w = special(&weight_shape, 8);
+        for (text, operands) in [
+            (format!("{data_letters},{weight}->{output}"), [&data, &w]),
+            (format!("{weight},{data_letters}->{output}"), [&w, &data]),
+        ] {
+            let spec = EinsumSpec::parse(&text).unwrap();
+            let want = einsum_spec_reference(&spec, &operands).unwrap();
+            for policy in [ExecPolicy::serial(), ExecPolicy::default()] {
+                let got = run_engine(&spec, &operands, policy);
+                assert!(same_bits_or_nan(&got, &want), "{text} {data_shape:?} {policy:?}");
+            }
+        }
+    };
+    let (letters, shape) = ("abcde", [2, 3, 4, 5, 3]);
+    for mask in 1u32..32 {
+        let subset: String = letters
+            .chars()
+            .enumerate()
+            .filter(|(i, _)| mask & (1 << i) != 0)
+            .map(|(_, c)| c)
+            .collect();
+        let reversed: String = subset.chars().rev().collect();
+        for weight in [subset, reversed] {
+            for output in ["abcde", "cdeab"] {
+                run(letters, &weight, &shape, output);
+            }
+        }
+    }
+    run("abcde", "ce", &[8, 16, 16, 8, 16], "abcde");
+    run("abcd", "c", &[4, 16, 32, 8], "abcd");
 }
 
 // ---- structural ops against a per-element decode ----
@@ -399,6 +475,42 @@ fn noisy_with_zeros(shape: &[usize], salt: u64) -> Tensor {
         }
     }
     t
+}
+
+/// `unfold` and `fold_acc` on every axis position, the trailing one
+/// included (and an empty one), for every window from 1 to 17 — past every
+/// extent here, so windows that overhang both ends come up. `fold_acc` runs on gradients
+/// whose sums round (so each slot's order of windows shows) and on ones
+/// holding infinities and NaN; both hold signed zeros, which it skips.
+#[test]
+fn unfold_and_fold_match_per_element_decode_for_every_window() {
+    let shapes: &[&[usize]] = &[&[9], &[2, 13], &[3, 5, 7], &[4, 1, 6], &[2, 0]];
+    for (salt, &shape) in shapes.iter().enumerate() {
+        let t = special(shape, 400 + salt as u64);
+        for axis in 0..shape.len() {
+            let n = shape[axis];
+            for k in 1..=17usize {
+                let what = format!("shape {shape:?} axis {axis} k {k}");
+                let mut windows = shape.to_vec();
+                windows.push(k);
+                let source = |c: &[usize]| {
+                    let src = c[axis] as i64 + c[shape.len()] as i64 - (k / 2) as i64;
+                    (0..n as i64).contains(&src).then_some(src as usize)
+                };
+                let want = gather_ref(&windows, |c| {
+                    source(c).map(|src| t.data()[flat_of(&with_axis(&c[..shape.len()], axis, src), shape)])
+                });
+                assert!(same_bits_or_nan(&ops::unfold(&t, axis, k), &want), "unfold {what}");
+                for grad in [rough(&windows, 500), special(&windows, 600)] {
+                    let want = scatter_ref(&grad, shape, |c| {
+                        source(c).map(|src| with_axis(&c[..shape.len()], axis, src))
+                    });
+                    let got = ops::fold_acc(&grad, axis, k, shape);
+                    assert!(same_bits_or_nan(&got, &want), "fold_acc {what}");
+                }
+            }
+        }
+    }
 }
 
 /// Every rewritten structural op, on every axis position (first, middle,
@@ -515,15 +627,7 @@ fn structural_ops_match_per_element_decode() {
     // infinities of both signs and NaN.
     let trailing: &[&[usize]] = &[&[6, 12], &[6, 3, 12], &[16, 3], &[5, 7, 1], &[3, 13, 2], &[1]];
     for (salt, &shape) in trailing.iter().enumerate() {
-        let mut t = noisy_with_zeros(shape, 300 + salt as u64);
-        for (i, v) in t.data_mut().iter_mut().enumerate() {
-            match i % 11 {
-                2 => *v = f32::INFINITY,
-                6 => *v = f32::NEG_INFINITY,
-                9 => *v = f32::NAN,
-                _ => {}
-            }
-        }
+        let t = special(shape, 300 + salt as u64);
         let last = shape.len() - 1;
         let want = scatter_ref(&t, &shape[..last], |c| Some(c[..last].to_vec()));
         let got = ops::sum_axis(&t, last);

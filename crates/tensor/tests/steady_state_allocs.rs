@@ -72,15 +72,25 @@ fn noisy(shape: &[usize], salt: u64) -> Tensor {
     Tensor::from_vec(data, shape)
 }
 
-/// One proxy-training-shaped step: embed 128 tokens, window and sum them,
-/// mix channels, classify four rows. Returns the loss.
-fn step(tape: &mut Tape, [table, mix, head]: [Tensor; 3], ids: &[usize], labels: &[usize]) -> f32 {
+/// One proxy-training-shaped step: embed 128 tokens, window them, weigh
+/// each channel (a broadcast weight product), sum the windows, window and
+/// sum the channels (a trailing-axis unfold), mix channels, classify four
+/// rows. Returns the loss.
+fn step(
+    tape: &mut Tape,
+    [table, gain, mix, head]: [Tensor; 4],
+    ids: &[usize],
+    labels: &[usize],
+) -> f32 {
     tape.reset();
-    let (table, mix, head) = (tape.leaf(table), tape.leaf(mix), tape.leaf(head));
+    let [table, gain, mix, head] = [table, gain, mix, head].map(|t| tape.leaf(t));
     let tok = tape.gather(table, ids);
     let x = tape.reshape(tok, &[4, 32, 8]);
     let windows = tape.unfold(x, 1, 3);
-    let summed = tape.sum_axis(windows, 3);
+    let weighed = tape.einsum("abcd,c->abcd", &[windows, gain]);
+    let summed = tape.sum_axis(weighed, 3);
+    let taps = tape.unfold(summed, 2, 2);
+    let summed = tape.sum_axis(taps, 3);
     let mixed = tape.einsum("btc,cd->btd", &[summed, mix]);
     let flat = tape.reshape(mixed, &[4, 256]);
     let h = tape.relu(flat);
@@ -94,7 +104,12 @@ fn step(tape: &mut Tape, [table, mix, head]: [Tensor; 3], ids: &[usize], labels:
 
 #[test]
 fn a_training_step_stops_allocating_buffers() {
-    let params = [noisy(&[16, 8], 1), noisy(&[8, 8], 2), noisy(&[256, 6], 3)];
+    let params = [
+        noisy(&[16, 8], 1),
+        noisy(&[8], 4),
+        noisy(&[8, 8], 2),
+        noisy(&[256, 6], 3),
+    ];
     let ids: Vec<usize> = (0..128).map(|i| (i * 7 + 3) % 16).collect();
     let labels = [0, 3, 5, 1];
     let mut tape = Tape::new();
