@@ -70,6 +70,7 @@ impl<T, B> TaskBatches<T, B> {
 
     fn fill<'a>(&'a self, slot: &'a OnceLock<B>, index: u64) -> &'a B {
         slot.get_or_init(|| {
+            let _span = syno_telemetry::span!("task_batch");
             syno_telemetry::counter!("syno_nn_task_batches_total").inc();
             (self.deal)(&self.task, index, self.n)
         })
@@ -127,18 +128,51 @@ impl VisionTask {
         img.add(&fine)
     }
 
-    /// Teacher labels: conv3x3 → relu → global pool → linear → argmax.
-    fn labels(&self, images: &Tensor) -> Vec<usize> {
-        let n = images.shape()[0];
-        // Unfold both spatial axes and contract with the teacher filters.
-        let u = ops::unfold(images, 2, 3); // [n,C,S,S,3]
-        let u = ops::unfold(&u, 3, 3); // [n,C,S,3,S,3] — careful: axis 3 is S
-        // After first unfold: [n, C, S, S, 3]; unfold axis 3 (the W axis):
-        // [n, C, S, S, 3, 3] where dim4 = kh? Order: unfold appends its
-        // window last, so dims are [n, C, H, W, kH][..., kW] after two calls
-        // applied to axes 2 then 3: [n, C, H, W, kH, kW].
-        let features = einsum("nchwab,fcab->nfhw", &[&u, &self.teacher_filters])
-            .expect("teacher contraction");
+    /// The teacher's same-padded 3×3 convolution `[n, C, S, S] → [n, F, S,
+    /// S]`, computed one `(n, h)` output row at a time for all `F` filters.
+    ///
+    /// Every output element sums its terms `image · filter` over `(c, a, b)`
+    /// ascending from `+0.0`: the order in which `nchwab,fcab->nfhw` sums a
+    /// twice-unfolded image (the test oracle). Input rows on the padding are
+    /// skipped, and the padding columns are read as zeros. Either way such a
+    /// term is `±0.0` because the filters are finite, and adding `±0.0` to a
+    /// sum that started at `+0.0` never changes a bit of it.
+    fn convolve(&self, images: &Tensor) -> Tensor {
+        let (n, c, s) = (images.shape()[0], images.shape()[1], images.shape()[3]);
+        let f = self.teacher_filters.shape()[0];
+        let mut out = Tensor::zeros(&[n, f, s, s]);
+        let (image, filters) = (images.data(), self.teacher_filters.data());
+        let dst = out.data_mut();
+        // The input row being read, between two zero padding columns: tap b
+        // of output column x reads `padded[x + b]`.
+        let mut padded = vec![0.0f32; s + 2];
+        for (i, y) in (0..n * s).map(|r| (r / s, r % s)) {
+            for ch in 0..c {
+                for a in 0..3 {
+                    // Output row y reads input row y + a − 1.
+                    let Some(row) = (y + a).checked_sub(1).filter(|&r| r < s) else {
+                        continue;
+                    };
+                    padded[1..=s].copy_from_slice(&image[((i * c + ch) * s + row) * s..][..s]);
+                    for k in 0..f {
+                        let acc = &mut dst[((i * f + k) * s + y) * s..][..s];
+                        let taps = &filters[((k * c + ch) * 3 + a) * 3..][..3];
+                        for (b, &weight) in taps.iter().enumerate() {
+                            for (sum, &v) in acc.iter_mut().zip(&padded[b..b + s]) {
+                                *sum += v * weight;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Teacher labels from its convolution `[n, F, S, S]`: relu → global
+    /// pool → standardise → linear → argmax.
+    fn classify(&self, features: &Tensor) -> Vec<usize> {
+        let n = features.shape()[0];
         let features = features.map(|v| v.max(0.0));
         let pooled = ops::mean_axis(&ops::mean_axis(&features, 3), 2); // [n, F]
         // Per-image feature standardization: without it the ReLU'd DC
@@ -164,7 +198,7 @@ impl VisionTask {
     pub fn batch(&self, batch_index: u64, n: usize) -> (Tensor, Vec<usize>) {
         let mut rng = StdRng::seed_from_u64(self.seed.wrapping_mul(31).wrapping_add(batch_index));
         let images = self.images(&mut rng, n);
-        let labels = self.labels(&images);
+        let labels = self.classify(&self.convolve(&images));
         (images, labels)
     }
 }
@@ -259,6 +293,95 @@ impl TextTask {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The teacher's convolution as the generic path computes it: both
+    /// spatial axes unfolded into `[n, C, H, W, 3, 3]` (unfold appends its
+    /// window last) and contracted with the filters.
+    fn unfold_features(task: &VisionTask, images: &Tensor) -> Tensor {
+        let u = ops::unfold(&ops::unfold(images, 2, 3), 3, 3);
+        einsum("nchwab,fcab->nfhw", &[&u, &task.teacher_filters]).expect("teacher contraction")
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A task of `channels × size × size` images whose teacher convolves
+    /// with `filters` `[F, channels, 3, 3]`.
+    fn with_filters(channels: usize, size: usize, filters: Tensor) -> VisionTask {
+        VisionTask {
+            teacher_filters: filters,
+            ..VisionTask::new(0, channels, size, 4)
+        }
+    }
+
+    #[test]
+    fn teacher_convolution_matches_the_unfold_einsum_oracle_bit_for_bit() {
+        for seed in [1, 7, 1234] {
+            for size in [1, 2, 7, 8, 16] {
+                for channels in [1, 3, 8] {
+                    let task = VisionTask::new(seed, channels, size, 4);
+                    for n in [1, 4, 8] {
+                        let (images, labels) = task.batch(seed, n);
+                        let (direct, oracle) =
+                            (task.convolve(&images), unfold_features(&task, &images));
+                        let at = format!("seed {seed}, S {size}, C {channels}, n {n}");
+                        assert_eq!(direct.shape(), oracle.shape(), "{at}");
+                        assert_eq!(bits(&direct), bits(&oracle), "{at}");
+                        assert_eq!(labels, task.classify(&oracle), "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_delta_filter_returns_its_channel() {
+        let (channels, size, f, n) = (3, 7, 8, 4);
+        let mut filters = Tensor::zeros(&[f, channels, 3, 3]);
+        for k in 0..f {
+            filters.set(&[k, k % channels, 1, 1], 1.0);
+        }
+        let task = with_filters(channels, size, filters);
+        let images = task.images(&mut StdRng::seed_from_u64(5), n);
+        let plane = size * size;
+        let expected: Vec<u32> = (0..n * f)
+            .flat_map(|p| {
+                images.data()[(p / f * channels + p % f % channels) * plane..][..plane].iter()
+            })
+            .map(|v| v.to_bits())
+            .collect();
+        assert_eq!(bits(&task.convolve(&images)), expected);
+    }
+
+    #[test]
+    fn all_ones_count_the_taps_on_the_image() {
+        let (channels, size) = (3, 5);
+        let task = with_filters(channels, size, Tensor::full(&[8, channels, 3, 3], 1.0));
+        let features = task.convolve(&Tensor::full(&[2, channels, size, size], 1.0));
+        // 9C inside, 6C on an edge, 4C in a corner.
+        let taps = |z: usize| 3 - usize::from(z == 0) - usize::from(z == size - 1);
+        for (at, &v) in features.data().iter().enumerate() {
+            let (y, x) = (at / size % size, at % size);
+            assert_eq!(v, (channels * taps(y) * taps(x)) as f32, "element {at}");
+        }
+    }
+
+    #[test]
+    fn sums_start_at_positive_zero() {
+        // Every term of a zero image under negative filters is −0.0, which
+        // leaves a sum that started at +0.0 where it was.
+        let (channels, size) = (2, 4);
+        let task = with_filters(channels, size, Tensor::full(&[8, channels, 3, 3], -1.0));
+        let images = Tensor::zeros(&[2, channels, size, size]);
+        let features = task.convolve(&images);
+        assert!(
+            bits(&features).iter().all(|&b| b == 0),
+            "{:?}",
+            features.data()
+        );
+        assert_eq!(bits(&features), bits(&unfold_features(&task, &images)));
+    }
 
     #[test]
     fn vision_batches_are_deterministic() {

@@ -368,6 +368,22 @@ mod tests {
         assert_eq!(acc.to_bits(), 0x3e80_0000, "serial cross-check: got {acc}");
     }
 
+    /// An `eval_batches` of 0 still evaluates one round, as the sequence
+    /// family does, rather than scoring every candidate 0.
+    #[test]
+    fn zero_eval_batches_score_as_one() {
+        let f = fixture();
+        let conv = ops::conv2d(&f.vars, f.n, f.cin, f.cout, f.h, f.w, f.k).unwrap();
+        let score_bits = |eval_batches| {
+            let mut config = pin_config();
+            config.train.eval_batches = eval_batches;
+            VisionFamily.score(&conv, 0, &config).unwrap().to_bits()
+        };
+        let one = score_bits(1);
+        assert_ne!(one, 0, "conv scores above zero on one round");
+        assert_eq!(score_bits(0), one);
+    }
+
     /// Mirror of [`vision_family_scores_are_pinned`] for the sequence
     /// family: both registered families now pin exact score bits, so an FP
     /// summation-order change anywhere in the execution engine (einsum,

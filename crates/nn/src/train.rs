@@ -116,7 +116,8 @@ pub struct TrainConfig {
     /// Weight decay.
     pub weight_decay: f32,
     /// Number of evaluation batches (each of the training batch size —
-    /// operator layers fix the batch dimension via their valuation).
+    /// operator layers fix the batch dimension via their valuation); a
+    /// proxy evaluates at least one.
     pub eval_batches: usize,
     /// Execution policy for the proxy's tapes: the reduction-tree width,
     /// part of the score contract (see [`ExecPolicy`]).
@@ -143,7 +144,7 @@ pub(crate) type VisionBatches = TaskBatches<VisionTask, (Tensor, Vec<usize>)>;
 /// `task` with the slots a training under `config` draws from.
 pub(crate) fn vision_batches(task: VisionTask, config: &TrainConfig) -> VisionBatches {
     let TrainConfig { batch, steps, eval_batches, .. } = *config;
-    TaskBatches::new(task, VisionTask::batch, batch, steps, eval_batches)
+    TaskBatches::new(task, VisionTask::batch, batch, steps, eval_batches.max(1))
 }
 
 /// Trains `model` on `task` and returns `(final_train_loss, eval_accuracy)`.
@@ -169,15 +170,16 @@ pub(crate) fn train_on_task(
             return (last_loss, 0.0);
         }
     }
-    // Held-out evaluation over several batches of the training batch size
-    // (operator layers pin the batch dimension).
+    // Held-out evaluation over at least one batch of the training batch
+    // size (operator layers pin the batch dimension).
+    let rounds = task.eval_rounds();
     let mut correct_frac = 0.0;
-    for i in 0..config.eval_batches {
+    for i in 0..rounds {
         let (images, labels) = task.eval(i);
         correct_frac += accuracy_on(tape, model, images, labels);
     }
     syno_telemetry::gauge!("syno_tensor_scratch_bytes").set(tape.scratch_bytes() as i64);
-    (last_loss, correct_frac / config.eval_batches.max(1) as f32)
+    (last_loss, correct_frac / rounds as f32)
 }
 
 #[cfg(test)]

@@ -169,7 +169,7 @@ fn trace_log_survives_its_versioned_codec() {
     let spans = trace::drain();
     assert!(!spans.is_empty(), "the run recorded spans");
     let summary = trace::flame_summary(&spans);
-    for name in ["synthesis", "ucb_select", "proxy_train", "latency_tune"] {
+    for name in ["synthesis", "ucb_select", "proxy_train", "task_batch", "latency_tune"] {
         assert!(summary.contains(name), "summary mentions '{name}':\n{summary}");
     }
 }
