@@ -46,19 +46,19 @@ pub fn grouped_projection(m: u64, k: u64, n: u64, g: u64) -> Option<PGraph> {
     let kg = Size::var(vk).div(&gsize);
 
     let gr = g0.apply(&Action::Merge { coord: j, block: gsize }).ok()?;
-    let q = gr.last_node()?.produced[0];
-    let gamma = gr.last_node()?.produced[1];
+    let q = gr.last_node()?.produced()[0];
+    let gamma = gr.last_node()?.produced()[1];
     let gr = gr.apply(&Action::Reduce { domain: kg }).ok()?;
-    let r = gr.last_node()?.produced[0];
+    let r = gr.last_node()?.produced()[0];
     let gr = gr
         .apply(&Action::Share {
             coord: gamma,
             weight: 0,
         })
         .ok()?;
-    let gamma_copy = gr.last_node()?.produced[0];
+    let gamma_copy = gr.last_node()?.produced()[0];
     let gr = gr.apply(&Action::Share { coord: r, weight: 0 }).ok()?;
-    let r_copy = gr.last_node()?.produced[0];
+    let r_copy = gr.last_node()?.produced()[0];
     let gr = gr
         .apply(&Action::Split {
             lhs: r_copy,
@@ -66,7 +66,7 @@ pub fn grouped_projection(m: u64, k: u64, n: u64, g: u64) -> Option<PGraph> {
         })
         .ok()?;
     let gr = gr.apply(&Action::Share { coord: q, weight: 0 }).ok()?;
-    let q_copy = gr.last_node()?.produced[0];
+    let q_copy = gr.last_node()?.produced()[0];
     let gr = gr.apply(&Action::Expand { coord: q_copy }).ok()?;
     debug_assert!(gr.is_complete(), "grouped projection:\n{}", gr.render());
     Some(gr)

@@ -165,9 +165,11 @@ impl CanonRules {
                     Some(PrimKind::Unfold) => {
                         // Fig. 3c: approximate equivalence when block >> window.
                         let (node, _) = graph.producer(*coord).expect("has producer");
-                        let window = node.consumed[1];
-                        let wdom = graph.coord_domain(window).clone();
-                        if block.is_much_greater(&wdom, graph.vars(), self.much_greater_factor) {
+                        let Action::Unfold { window, .. } = node.action else {
+                            unreachable!("an unfold node holds an unfold action")
+                        };
+                        let wdom = graph.coord_domain(window);
+                        if block.is_much_greater(wdom, graph.vars(), self.much_greater_factor) {
                             return Err(CanonViolation::ApproxMergeAboveUnfold);
                         }
                     }
@@ -273,7 +275,7 @@ impl CanonRules {
                 Ok(())
             }
             other => {
-                if other.operands().iter().any(|&c| is_stride(c)) {
+                if other.operands().any(is_stride) {
                     Err(CanonViolation::StrideMisuse)
                 } else {
                     Ok(())
@@ -289,10 +291,7 @@ impl CanonRules {
         let Some(last) = graph.last_node() else {
             return Ok(());
         };
-        let consumes_last = action
-            .operands()
-            .iter()
-            .any(|c| last.produced.contains(c));
+        let consumes_last = action.operands().any(|c| last.produced().contains(&c));
         let same_weight = match (action.weight_slot(), last.action.weight_slot()) {
             (Some(a), Some(b)) => a == b,
             _ => false,

@@ -25,33 +25,123 @@
 //! The result reproduces the paper's worked example: the distance from
 //! `[C_in, s⁻¹H, sW, k]` to `[C_in, H, W]` is 3.
 
-use crate::size::Size;
-use crate::var::{VarKind, VarTable};
+use crate::size::{Size, MAX_VARS};
+use crate::var::VarTable;
 
-/// One dimension left after exact matches cancelled. Once grouped, a root
-/// slot also carries its reshape group's totals.
-struct Slot<'a> {
-    size: &'a Size,
-    /// `+1` on the frontier side, `-1` on the desired side.
-    side: i32,
-    /// `true` until a primary variable is found in `size`.
-    coefficient_only: bool,
-    /// Union-find parent (slots sharing a primary variable share a root).
-    parent: usize,
-    /// At a root: how many primary-bearing dimensions the group holds.
+/// How many desired dimensions have their exact-match flags on the stack; a
+/// longer input shape keeps them in one heap buffer instead.
+const INLINE_RANK: usize = 16;
+
+/// How many coefficient-only frontier dimensions have their placement
+/// enumerated; the rest each cost one step on their own.
+const MAX_ENUMERATED: usize = 4;
+
+/// A reshape group: how many primary-bearing dims it holds, and the
+/// quotient of (product of its frontier dims) over (product of its desired
+/// dims) as a dense exponent row and a constant fraction that is never
+/// reduced, so the two products are equal exactly when the row is zero and
+/// the fraction is 1.
+#[derive(Clone, Copy)]
+struct Group {
     members: u32,
-    /// At a root: the group's frontier-over-desired constant factor, as a
-    /// fraction that is never reduced (1 exactly when both parts are equal).
-    /// A coefficient-only slot is its own root.
+    exps: [i32; MAX_VARS],
     ratio: (u128, u128),
 }
 
-fn find(slots: &mut [Slot<'_>], mut x: usize) -> usize {
-    while slots[x].parent != x {
-        slots[x].parent = slots[slots[x].parent].parent;
-        x = slots[x].parent;
+impl Group {
+    const EMPTY: Group = Group {
+        members: 0,
+        exps: [0; MAX_VARS],
+        ratio: (1, 1),
+    };
+
+    /// Folds in one dimension: `side` is `+1` on the frontier side and `-1`
+    /// on the desired side.
+    fn add(&mut self, size: &Size, side: i32) {
+        for (e, &x) in self.exps.iter_mut().zip(size.exps()) {
+            *e += side * i32::from(x);
+        }
+        let (num, den) = size.constant_factor();
+        let (num, den) = if side > 0 { (num, den) } else { (den, num) };
+        self.scale((num.into(), den.into()));
     }
-    x
+
+    /// Folds in another group. Saturating products of factors `>= 1` do not
+    /// depend on the order they are taken in.
+    fn absorb(&mut self, other: &Group) {
+        self.members += other.members;
+        for (e, &x) in self.exps.iter_mut().zip(&other.exps) {
+            *e += x;
+        }
+        self.scale(other.ratio);
+    }
+
+    fn scale(&mut self, (num, den): (u128, u128)) {
+        self.ratio = (
+            self.ratio.0.saturating_mul(num),
+            self.ratio.1.saturating_mul(den),
+        );
+    }
+
+    /// Whether the frontier and desired products are equal.
+    fn balances(&self) -> bool {
+        self.ratio.0 == self.ratio.1 && self.exps.iter().all(|&e| e == 0)
+    }
+}
+
+/// The dimensions left after exact matches cancelled, folded as they come.
+/// Dims sharing a primary variable share a reshape group, so the groups are
+/// the classes of a union-find over the table's variables: at most
+/// [`MAX_VARS`] of them, however long the shapes.
+struct Grouping<'a> {
+    /// Bit `v` is set when variable `v` is primary.
+    primaries: u32,
+    /// Union-find parent of each variable.
+    parent: [usize; MAX_VARS],
+    /// At a root variable: its group (empty until a dim mentions it).
+    groups: [Group; MAX_VARS],
+    /// The first coefficient-only frontier dims, whose placement is
+    /// enumerated.
+    loose: [Option<&'a Size>; MAX_ENUMERATED],
+    /// One step per other coefficient-only dim (step 5).
+    fixed_cost: u32,
+}
+
+impl<'a> Grouping<'a> {
+    fn root(&mut self, mut v: usize) -> usize {
+        while self.parent[v] != v {
+            self.parent[v] = self.parent[self.parent[v]];
+            v = self.parent[v];
+        }
+        v
+    }
+
+    /// Folds in one dimension left after cancellation (`side` as in
+    /// [`Group::add`]), merging the groups of the primaries it mentions.
+    fn add(&mut self, size: &'a Size, side: i32) {
+        let mut mentioned = (size.exps().iter().enumerate())
+            .fold(0, |mask, (v, &e)| mask | u32::from(e != 0) << v)
+            & self.primaries;
+        if mentioned == 0 {
+            match self.loose.iter_mut().find(|slot| slot.is_none()) {
+                Some(slot) if side > 0 => *slot = Some(size),
+                _ => self.fixed_cost += 1,
+            }
+            return;
+        }
+        let top = self.root(mentioned.trailing_zeros() as usize);
+        while mentioned != 0 {
+            let other = self.root(mentioned.trailing_zeros() as usize);
+            mentioned &= mentioned - 1;
+            if other != top {
+                self.parent[other] = top;
+                let merged = self.groups[other];
+                self.groups[top].absorb(&merged);
+            }
+        }
+        self.groups[top].members += 1;
+        self.groups[top].add(size, side);
+    }
 }
 
 /// Computes the shape distance between the current frontier sizes and the
@@ -84,124 +174,86 @@ fn find(slots: &mut [Slot<'_>], mut x: usize) -> usize {
 /// assert_eq!(shape_distance(&current, &desired, &vars), 3);
 /// ```
 pub fn shape_distance(current: &[Size], desired: &[Size], vars: &VarTable) -> u32 {
-    // Step 1: cancel exact matches; every dimension left gets a slot
-    // (desired ones first, frontier ones after, each side in input order).
-    let slot = |size, side| Slot {
-        size,
-        side,
-        coefficient_only: true,
-        parent: 0,
-        members: 0,
-        ratio: (1, 1),
+    let mut grouping = Grouping {
+        primaries: vars.primaries().fold(0, |mask, v| mask | 1 << v.index()),
+        parent: std::array::from_fn(|v| v),
+        groups: [Group::EMPTY; MAX_VARS],
+        loose: [None; MAX_ENUMERATED],
+        fixed_cost: 0,
     };
-    let mut slots: Vec<Slot<'_>> = Vec::with_capacity(current.len() + desired.len());
-    slots.extend(desired.iter().map(|size| slot(size, -1)));
+
+    // Step 1: cancel exact matches (each frontier dim against the first
+    // desired one still unmatched); step 2: fold every dimension left into
+    // its group, the frontier's in input order, then the desired ones.
+    let mut inline = [false; INLINE_RANK];
+    let mut spilled = Vec::new();
+    let matched = if desired.len() <= INLINE_RANK {
+        &mut inline[..desired.len()]
+    } else {
+        spilled.resize(desired.len(), false);
+        &mut spilled[..]
+    };
     for size in current {
-        match slots.iter().position(|d| d.side < 0 && d.size == size) {
-            Some(twin) => drop(slots.remove(twin)),
-            None => slots.push(slot(size, 1)),
+        match (desired.iter().zip(matched.iter())).position(|(d, &m)| !m && d == size) {
+            Some(twin) => matched[twin] = true,
+            None => grouping.add(size, 1),
         }
     }
-    if slots.is_empty() {
-        return 0;
+    for (size, _) in desired.iter().zip(matched.iter()).filter(|(_, &m)| !m) {
+        grouping.add(size, -1);
     }
 
-    // Step 2: group by primary-variable co-occurrence, reading every
-    // monomial once. `first_with[v]` is the first slot mentioning primary `v`.
-    let (n, nv) = (slots.len(), vars.len());
-    let mut first_with = vec![usize::MAX; nv];
-    for i in 0..n {
-        slots[i].parent = i;
-        for (v, _) in slots[i].size.powers() {
-            if vars.kind(v) != VarKind::Primary {
-                continue;
-            }
-            slots[i].coefficient_only = false;
-            match first_with[v.index()] {
-                usize::MAX => first_with[v.index()] = i,
-                j => {
-                    let (a, b) = (find(&mut slots, i), find(&mut slots, j));
-                    slots[a].parent = b;
-                }
-            }
+    // The groups (roots holding primary-bearing dims), packed to the front,
+    // and whether each one's primaries balance: a property of the group
+    // alone, since the loose dims that may join it mention no primary.
+    let Grouping {
+        primaries,
+        parent,
+        mut groups,
+        loose,
+        fixed_cost,
+    } = grouping;
+    let mut standalone = 0; // the target after the last group
+    let mut primaries_balance = [false; MAX_VARS];
+    for v in 0..MAX_VARS {
+        if parent[v] == v && groups[v].members > 0 {
+            let group = groups[v];
+            primaries_balance[standalone] =
+                (0..MAX_VARS).all(|u| primaries >> u & 1 == 0 || group.exps[u] == 0);
+            groups[standalone] = group;
+            standalone += 1;
         }
     }
+    let loose_count = loose.iter().flatten().count();
 
-    // Fold each slot into its root: `net[root * nv + v]` is the exponent of
-    // `v` in (product of the group's frontier dims) / (product of its
-    // desired dims), `ratio` the same quotient of the constant factors. The
-    // two products are equal exactly when the row is zero and the ratio 1 —
-    // what the paper's grouping needs of them, without multiplying a `Size`.
-    let mut net = vec![0i32; n * nv];
-    let mut coefficient_only_desired = 0u32;
-    for i in 0..n {
-        let (size, side) = (slots[i].size, slots[i].side);
-        if slots[i].coefficient_only && side < 0 {
-            coefficient_only_desired += 1;
-            continue;
-        }
-        let root = find(&mut slots, i);
-        slots[root].members += u32::from(!slots[i].coefficient_only);
-        for (v, e) in size.powers() {
-            net[root * nv + v.index()] += side * e;
-        }
-        let (num, den) = size.constant_factor();
-        let (num, den) = if side > 0 { (num, den) } else { (den, num) };
-        let ratio = &mut slots[root].ratio;
-        *ratio = (
-            ratio.0.saturating_mul(num.into()),
-            ratio.1.saturating_mul(den.into()),
-        );
-    }
-
-    // Steps 3-5: enumerate assignments of coefficient-only frontier dims to
-    // reshape groups (or standalone elimination), minimizing the total —
-    // the paper's "enumerate all grouping schemes and find the least
-    // distance". The enumeration is capped to keep it cheap.
-    const MAX_ENUMERATED: usize = 4;
-    let mut loose = (0..n).filter(|&i| slots[i].coefficient_only && slots[i].side > 0);
-    let mut enumerated = [0usize; MAX_ENUMERATED];
-    let mut count = 0;
-    for i in loose.by_ref().take(MAX_ENUMERATED) {
-        enumerated[count] = i;
-        count += 1;
-    }
-    let enumerated = &enumerated[..count];
-    let fixed_cost = loose.count() as u32 + coefficient_only_desired;
-    let groups = || (0..n).filter(|&i| slots[i].members > 0);
-    let standalone = groups().count(); // the target after the last group
-
-    // Cost of group number `g`, rooted at `root`, with the dims assigned to
-    // it attached. Those mention no primary variable, so whether the
-    // primaries balance is a property of the group alone.
-    let group_cost = |g: usize, root: usize, assignment: &[usize]| -> u32 {
-        let extra = || {
-            let assigned = enumerated.iter().zip(assignment);
-            assigned.filter(|(_, &t)| t == g).map(|(&dim, _)| dim)
+    // Cost of group `g` with the loose dims assigned to it attached.
+    let group_cost = |g: usize, assignment: &[usize]| -> u32 {
+        let assigned = || {
+            let dims = loose.iter().flatten();
+            dims.zip(assignment).filter(|(_, &t)| t == g)
         };
-        let size = slots[root].members + extra().count() as u32;
-        if vars.primaries().any(|v| net[root * nv + v.index()] != 0) {
+        let size = groups[g].members + assigned().count() as u32;
+        if !primaries_balance[g] {
             return size;
         }
-        let ratio = extra().fold(slots[root].ratio, |r, e| {
-            let by = slots[e].ratio;
-            (r.0.saturating_mul(by.0), r.1.saturating_mul(by.1))
-        });
-        let exponent = |v| net[root * nv + v] + extra().map(|e| net[e * nv + v]).sum::<i32>();
-        let products_equal = ratio.0 == ratio.1 && (0..nv).all(|v| exponent(v) == 0);
-        size.saturating_sub(2) + u32::from(!products_equal)
+        let mut total = groups[g];
+        for (dim, _) in assigned() {
+            total.add(dim, 1);
+        }
+        size.saturating_sub(2) + u32::from(!total.balances())
     };
 
+    // Steps 3-5: enumerate assignments of the loose dims to reshape groups
+    // (or standalone elimination), minimizing the total — the paper's
+    // "enumerate all grouping schemes and find the least distance".
     let mut best = u32::MAX;
     let mut assignment = [0usize; MAX_ENUMERATED];
-    let assignment = &mut assignment[..count];
+    let assignment = &mut assignment[..loose_count];
     loop {
         let alone = assignment.iter().filter(|&&t| t == standalone).count();
-        let total = groups()
-            .enumerate()
-            .fold(fixed_cost + alone as u32, |total, (g, root)| {
-                total.saturating_add(group_cost(g, root, assignment))
-            });
+        let total = (0..standalone).fold(fixed_cost + alone as u32, |total, g| {
+            total.saturating_add(group_cost(g, assignment))
+        });
         best = best.min(total);
 
         // Next assignment (mixed-radix increment).
@@ -223,7 +275,7 @@ pub fn shape_distance(current: &[Size], desired: &[Size], vars: &VarTable) -> u3
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::var::VarId;
+    use crate::var::{VarId, VarKind};
 
     struct Vars {
         table: VarTable,

@@ -419,18 +419,29 @@ impl ExprArena {
         }
     }
 
+    /// `true` when `expr` references an atom of `kind`; stops at the first.
+    fn mentions(&self, expr: ExprId, kind: AtomKind) -> bool {
+        match self.node(expr) {
+            ExprNode::Atom(a) => self.atom_info(*a).kind == kind,
+            ExprNode::Affine { lhs: a, rhs: b, .. }
+            | ExprNode::Unfold {
+                base: a, window: b, ..
+            } => self.mentions(*a, kind) || self.mentions(*b, kind),
+            ExprNode::Div { inner, .. }
+            | ExprNode::Mod { inner, .. }
+            | ExprNode::Shift { inner, .. }
+            | ExprNode::Stride { inner, .. } => self.mentions(*inner, kind),
+        }
+    }
+
     /// `true` when `expr` references at least one `Reduce` atom.
     pub fn depends_on_reduce(&self, expr: ExprId) -> bool {
-        self.atoms_of(expr)
-            .iter()
-            .any(|&a| self.atom_info(a).kind == AtomKind::Reduce)
+        self.mentions(expr, AtomKind::Reduce)
     }
 
     /// `true` when `expr` references at least one `Output` atom.
     pub fn depends_on_output(&self, expr: ExprId) -> bool {
-        self.atoms_of(expr)
-            .iter()
-            .any(|&a| self.atom_info(a).kind == AtomKind::Output)
+        self.mentions(expr, AtomKind::Output)
     }
 
     /// Renders `expr` with variable names from `vars`, e.g. `(C*i0+i1)/B`.

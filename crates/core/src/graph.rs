@@ -75,12 +75,20 @@ pub struct CoordInfo {
 /// One applied primitive.
 #[derive(Clone, Debug)]
 pub struct Node {
-    /// The action that was applied.
+    /// The action that was applied; its [`operands`](Action::operands) are
+    /// the coordinates it consumed from the frontier.
     pub action: Action,
-    /// Coordinates consumed from the frontier.
-    pub consumed: Vec<CoordId>,
-    /// Coordinates produced onto the frontier.
-    pub produced: Vec<CoordId>,
+    /// The first `ports` entries are the coordinates produced onto the
+    /// frontier; inline, so cloning a graph allocates nothing per node.
+    produced: [CoordId; 2],
+    ports: u8,
+}
+
+impl Node {
+    /// Coordinates produced onto the frontier, in port order.
+    pub fn produced(&self) -> &[CoordId] {
+        &self.produced[..usize::from(self.ports)]
+    }
 }
 
 /// One dimension of a weight tensor.
@@ -506,16 +514,31 @@ impl PGraph {
     ///
     /// Returns the [`ApplyError`] that [`apply`](PGraph::apply) would.
     pub fn peek(&self, action: &Action) -> Result<Vec<Size>, ApplyError> {
-        let edit = self.validate(action)?;
         let mut sizes = Vec::with_capacity(self.frontier.len() + 1);
+        self.peek_into(action, &mut sizes)?;
+        Ok(sizes)
+    }
+
+    /// [`peek`](PGraph::peek) into `sizes`, which is cleared first: a buffer
+    /// of capacity `frontier().len() + 1` holds every child's frontier, so
+    /// one buffer serves all of a state's candidates without reallocating.
+    pub(crate) fn peek_into(
+        &self,
+        action: &Action,
+        sizes: &mut Vec<Size>,
+    ) -> Result<(), ApplyError> {
+        let edit = self.validate(action)?;
+        sizes.clear();
         for (pos, &c) in self.frontier.iter().enumerate() {
             if !edit.gone.contains(&Some(pos)) {
                 sizes.push(self.coord_domain(c).clone());
             }
         }
-        let at = edit.at.min(sizes.len());
-        sizes.splice(at..at, edit.put.into_iter().flatten());
-        Ok(sizes)
+        let (at, kept) = (edit.at.min(sizes.len()), sizes.len());
+        sizes.extend(edit.put.into_iter().flatten());
+        let put = sizes.len() - kept;
+        sizes[at..].rotate_right(put);
+        Ok(())
     }
 
     /// Applies `action`, returning the successor state.
@@ -578,24 +601,23 @@ impl PGraph {
             Action::Expand { .. } => ([None, None], false),
         };
 
+        let mut node = Node {
+            action: action.clone(),
+            produced: [CoordId(0); 2],
+            ports: 0,
+        };
         let node_id = NodeId(g.nodes.len() as u32);
-        let consumed = action.operands();
-        let produced: Vec<CoordId> = exprs
-            .into_iter()
-            .flatten()
-            .enumerate()
-            .map(|(port, e)| g.new_coord(e, node_id, port as u8, contracted))
-            .collect();
-        g.frontier.retain(|c| !consumed.contains(c));
+        for e in exprs.into_iter().flatten() {
+            node.produced[usize::from(node.ports)] =
+                g.new_coord(e, node_id, node.ports, contracted);
+            node.ports += 1;
+        }
+        g.frontier.retain(|&c| !action.operands().any(|o| o == c));
         let at = edit.at.min(g.frontier.len());
-        g.frontier.splice(at..at, produced.iter().copied());
+        g.frontier.splice(at..at, node.produced().iter().copied());
 
         g.counts[action.kind().rank() as usize] += 1;
-        g.nodes.push(Node {
-            action: action.clone(),
-            consumed,
-            produced,
-        });
+        g.nodes.push(node);
         Ok(g)
     }
 

@@ -28,7 +28,7 @@ fn last(graph: &PGraph) -> CoordId {
     graph
         .last_node()
         .expect("at least one primitive applied")
-        .produced[0]
+        .produced()[0]
 }
 
 /// Builds the 2D convolution pGraph of Fig. 2:

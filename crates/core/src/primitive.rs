@@ -188,19 +188,21 @@ impl Action {
         }
     }
 
-    /// The frontier coordinates this action consumes, in operand order.
-    pub fn operands(&self) -> Vec<CoordId> {
-        match self {
-            Action::Split { lhs, rhs } => vec![*lhs, *rhs],
-            Action::Unfold { base, window } => vec![*base, *window],
+    /// The frontier coordinates this action consumes, in operand order: two
+    /// or fewer, yielded without allocating.
+    pub fn operands(&self) -> impl Iterator<Item = CoordId> {
+        let pair = match self {
+            Action::Split { lhs, rhs } => [Some(*lhs), Some(*rhs)],
+            Action::Unfold { base, window } => [Some(*base), Some(*window)],
             Action::Merge { coord, .. }
             | Action::Shift { coord }
             | Action::Expand { coord }
             | Action::Stride { coord, .. }
             | Action::Share { coord, .. }
-            | Action::MatchWeight { coord, .. } => vec![*coord],
-            Action::Reduce { .. } => Vec::new(),
-        }
+            | Action::MatchWeight { coord, .. } => [Some(*coord), None],
+            Action::Reduce { .. } => [None, None],
+        };
+        pair.into_iter().flatten()
     }
 
     /// The weight slot touched, if any.
@@ -227,7 +229,7 @@ impl Action {
         self.kind()
             .rank()
             .cmp(&other.kind().rank())
-            .then_with(|| self.operands().cmp(&other.operands()))
+            .then_with(|| self.operands().cmp(other.operands()))
             .then_with(|| match (self.param(), other.param()) {
                 (Some(a), Some(b)) => a.cmp_key(b),
                 (None, None) => Ordering::Equal,
@@ -240,7 +242,7 @@ impl Action {
     /// Renders the action with variable names, e.g. `merge(c3, s)`.
     pub fn render(&self, vars: &VarTable) -> String {
         let kind = self.kind();
-        let ops: Vec<String> = self.operands().iter().map(|c| format!("c{}", c.0)).collect();
+        let ops: Vec<String> = self.operands().map(|c| format!("c{}", c.0)).collect();
         let mut parts = ops;
         if let Some(p) = self.param() {
             parts.push(format!("{}", p.display(vars)));
@@ -272,14 +274,14 @@ mod tests {
             rhs: CoordId(1),
         };
         assert_eq!(a.kind(), PrimKind::Split);
-        assert_eq!(a.operands(), vec![CoordId(0), CoordId(1)]);
+        assert!(a.operands().eq([CoordId(0), CoordId(1)]));
         assert_eq!(a.param(), None);
         assert_eq!(a.weight_slot(), None);
 
         let r = Action::Reduce {
             domain: Size::constant(3),
         };
-        assert!(r.operands().is_empty());
+        assert_eq!(r.operands().next(), None);
         assert_eq!(r.param(), Some(&Size::constant(3)));
 
         let s = Action::Share {

@@ -146,6 +146,11 @@ impl Size {
         self.exps[var.index()].into()
     }
 
+    /// The exponent of every variable, indexed by [`VarId::index`].
+    pub(crate) fn exps(&self) -> &[i8; MAX_VARS] {
+        &self.exps
+    }
+
     /// Iterates over `(variable, exponent)` pairs with non-zero exponents,
     /// in variable order.
     pub fn powers(&self) -> impl Iterator<Item = (VarId, i32)> + '_ {

@@ -200,15 +200,17 @@ impl Enumerator {
         stats: &mut EnumStats,
     ) -> Vec<Action> {
         let mut out = Vec::new();
+        // Every candidate's child frontier, one at a time.
+        let mut frontier = Vec::with_capacity(graph.frontier().len() + 1);
         self.candidates(graph, |action| {
             if self.config.canon.allows(graph, &action).is_err() {
                 stats.pruned_canon += 1;
                 return;
             }
-            let Ok(frontier) = graph.peek(&action) else {
+            if graph.peek_into(&action, &mut frontier).is_err() {
                 stats.invalid += 1;
                 return;
-            };
+            }
             let fits = remaining.is_none_or(|steps| {
                 shape_distance(&frontier, graph.spec().input.dims(), graph.vars()) as usize <= steps
             });
@@ -719,6 +721,28 @@ mod tests {
             other => panic!("expected InvalidSpec, got {other:?}"),
         }
         assert!(driver.next_operator().is_none());
+    }
+
+    #[test]
+    fn a_rank_24_spec_is_filtered_without_panicking() {
+        // Longer than the shape distance's inline scratch: the daemon admits
+        // specs of any rank.
+        let mut vars = VarTable::new();
+        let [a, b, c] = ["A", "B", "C"].map(|n| vars.declare(n, VarKind::Primary));
+        let k = vars.declare("k", VarKind::Coefficient);
+        vars.push_valuation(vec![(a, 4), (b, 6), (c, 8), (k, 2)]);
+        let dims = |shift: usize| {
+            let cycle = (0..24).map(|i| Size::var([a, b, c][(i + shift) % 3]));
+            TensorShape::new(cycle.collect())
+        };
+        let spec = OperatorSpec::new(dims(1), dims(0));
+        let vars = vars.into_shared();
+        let enumerator = Enumerator::new(SynthConfig::auto(&vars, 1));
+        let root = PGraph::new(vars, spec);
+        let feasible = enumerator.feasible_children(&root);
+        let children = enumerator.children(&root);
+        assert!(!feasible.is_empty() && feasible.len() < children.len());
+        assert!(feasible.iter().all(|action| children.contains(action)));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! A brute-force census of the feasible tree: a ratchet on the redundancy
 //! canonicalization leaves behind.
 //!
-//! The walk starts at the empty toy-vision graph and follows
+//! Each walk starts at the empty graph of a toy spec (vision, and a
+//! sequence spec with another variable table and rank) and follows
 //! [`Enumerator::feasible_children`] depth first; a complete, non-empty
 //! state is a leaf and is not expanded. Every path to a state is visited, so
 //! the census counts how many paths reach the same state and whether states
@@ -34,6 +35,20 @@ fn toy_vision(steps: usize) -> (Enumerator, PGraph) {
     (enumerator, PGraph::new(Arc::clone(&vars), spec))
 }
 
+/// `[B, T, C] → [B, T, C]` at B=4, T=4, C=8, k=2 (the toy sequence spec of
+/// `syno-ir`'s eager schedule test).
+fn toy_sequence(steps: usize) -> (Enumerator, PGraph) {
+    let mut vars = VarTable::new();
+    let [b, t, c] = ["B", "T", "C"].map(|v| vars.declare(v, VarKind::Primary));
+    let k = vars.declare("k", VarKind::Coefficient);
+    vars.push_valuation(vec![(b, 4), (t, 4), (c, 8), (k, 2)]);
+    let vars = vars.into_shared();
+    let dims = TensorShape::new(vec![Size::var(b), Size::var(t), Size::var(c)]);
+    let spec = OperatorSpec::new(dims.clone(), dims);
+    let enumerator = Enumerator::new(SynthConfig::auto(&vars, steps));
+    (enumerator, PGraph::new(Arc::clone(&vars), spec))
+}
+
 #[derive(Debug)]
 struct Census {
     /// Every state the walk visits, one per path.
@@ -55,8 +70,7 @@ struct Census {
     max_paths_per_operator: usize,
 }
 
-fn census(steps: usize) -> Census {
-    let (enumerator, root) = toy_vision(steps);
+fn census((enumerator, root): (Enumerator, PGraph)) -> Census {
     // Per `(state_hash, depth)`: the feasible-children count of each member,
     // leaves included (the walk does not expand them, a search may).
     let mut groups: HashMap<(u64, usize), Vec<usize>> = HashMap::new();
@@ -117,7 +131,7 @@ fn assert_within(actual: &Census, bound: &Census) {
 #[test]
 fn four_step_census_is_within_its_bound() {
     assert_within(
-        &census(4),
+        &census(toy_vision(4)),
         &Census {
             states: 1_209,
             distinct_states: 893,
@@ -136,7 +150,7 @@ fn four_step_census_is_within_its_bound() {
 #[ignore]
 fn five_step_census_is_within_its_bound() {
     assert_within(
-        &census(5),
+        &census(toy_vision(5)),
         &Census {
             states: 13_614,
             distinct_states: 7_677,
@@ -146,6 +160,42 @@ fn five_step_census_is_within_its_bound() {
             multi_path_groups: 2_698,
             groups_differing_in_children: 796,
             max_paths_per_operator: 51,
+        },
+    );
+}
+
+#[test]
+fn four_step_sequence_census_is_within_its_bound() {
+    assert_within(
+        &census(toy_sequence(4)),
+        &Census {
+            states: 4_458,
+            distinct_states: 3_353,
+            complete_leaves: 1_443,
+            operators_by_state_hash: 1_232,
+            operators_by_content_hash: 1_232,
+            multi_path_groups: 386,
+            groups_differing_in_children: 161,
+            max_paths_per_operator: 23,
+        },
+    );
+}
+
+/// Ignored by default, as the 5-step vision walk is. CI runs it in release.
+#[test]
+#[ignore]
+fn five_step_sequence_census_is_within_its_bound() {
+    assert_within(
+        &census(toy_sequence(5)),
+        &Census {
+            states: 47_003,
+            distinct_states: 30_788,
+            complete_leaves: 11_961,
+            operators_by_state_hash: 8_526,
+            operators_by_content_hash: 8_526,
+            multi_path_groups: 6_295,
+            groups_differing_in_children: 1_960,
+            max_paths_per_operator: 48,
         },
     );
 }

@@ -198,7 +198,7 @@ fn every_action(state: &PGraph, config: &SynthConfig) -> Vec<Action> {
         state
             .nodes()
             .iter()
-            .flat_map(|n| n.consumed.iter().copied())
+            .flat_map(|n| n.action.operands())
             .take(2),
     );
     let with_bad = |good: &[Size]| -> Vec<Size> {
@@ -305,13 +305,15 @@ proptest! {
     }
 }
 
-/// A random monomial over three primaries and three coefficients; most
-/// mention one or two variables, some none, a few carry a constant factor.
+/// A random monomial over `vars`, whose first half are primaries and the
+/// rest coefficients; most mention one or two variables, some none, a few
+/// carry a constant factor.
 fn random_size(rng: &mut StdRng, vars: &[VarId], coefficient_only: bool) -> Size {
     let mut size = Size::one();
-    for (i, &v) in vars.iter().enumerate() {
-        let is_primary = i < 3;
-        if (is_primary && coefficient_only) || rng.random_range(0..3) != 0 {
+    let half = vars.len() as i32 / 2;
+    for (i, &v) in (0..).zip(vars) {
+        let is_primary = i < half;
+        if (is_primary && coefficient_only) || rng.random_range(0..half) != 0 {
             continue;
         }
         size = size.mul(&Size::var_pow(
@@ -354,6 +356,35 @@ proptest! {
                 current.push(random_size(&mut rng, &ids, true));
             }
             if rng.random_range(0..4) == 0 { desired.push(random_size(&mut rng, &ids, true)); }
+            let (new, old) = (
+                shape_distance(&current, &desired, &table),
+                oracle::shape_distance(&current, &desired, &table),
+            );
+            prop_assert!(new == old, "{new} != {old} for {current:?} -> {desired:?}");
+        }
+
+        // Shapes longer than the inline scratch (16 desired dims), up to 40
+        // dims a side over a full table: 8 primaries and 8 coefficients.
+        let mut table = VarTable::new();
+        let ids: Vec<VarId> = (0..syno_core::size::MAX_VARS)
+            .map(|i| {
+                let kind = if i < 8 { VarKind::Primary } else { VarKind::Coefficient };
+                table.declare(&format!("v{i}"), kind)
+            })
+            .collect();
+        table.push_valuation(ids.iter().map(|&v| (v, 2 + v.index() as u64)).collect());
+        for _ in 0..2 {
+            let draw = |rng: &mut StdRng| {
+                let coefficient_only = rng.random_range(0..4) == 0;
+                random_size(rng, &ids, coefficient_only)
+            };
+            let mut desired: Vec<Size> = (0..rng.random_range(0..=40)).map(|_| draw(&mut rng)).collect();
+            let mut current: Vec<Size> = (0..rng.random_range(0..=40)).map(|_| draw(&mut rng)).collect();
+            for d in desired.clone() {
+                if rng.random_range(0..2) == 0 { current.insert(rng.random_range(0..=current.len()), d); }
+            }
+            current.truncate(40);
+            desired.truncate(40);
             let (new, old) = (
                 shape_distance(&current, &desired, &table),
                 oracle::shape_distance(&current, &desired, &table),

@@ -396,8 +396,8 @@ fn multiply_points(graph: &PGraph) -> Result<Vec<usize>, EagerError> {
     let applied = std::iter::once(None).chain(graph.nodes().iter().map(Some));
     for (t, node) in applied.enumerate() {
         if let Some(node) = node {
-            live.retain(|c| !node.consumed.contains(c));
-            live.extend_from_slice(&node.produced);
+            live.retain(|&c| !node.action.operands().any(|o| o == c));
+            live.extend_from_slice(node.produced());
         }
         let is_live = |e: ExprId| live.iter().any(|&c| graph.coord_expr(c) == e);
         for (point, weight) in points.iter_mut().zip(graph.weights()) {
@@ -502,7 +502,7 @@ pub fn lower_eager<E: Executor>(
         match &node.action {
             Action::Split { lhs, rhs } => {
                 // Reverse: axis(product) -> axes (lhs, rhs) via reshape.
-                let product = node.produced[0];
+                let product = node.produced()[0];
                 let pos = axis_of(&axes, product)?;
                 let g = eval(graph.coord_expr(*lhs))?;
                 let b = eval(graph.coord_expr(*rhs))?;
@@ -513,8 +513,8 @@ pub fn lower_eager<E: Executor>(
             }
             Action::Merge { coord, .. } => {
                 // Reverse: axes (q, r) -> axis(coord) via permute+reshape.
-                let q = node.produced[0];
-                let r = node.produced[1];
+                let q = node.produced()[0];
+                let r = node.produced()[1];
                 let qpos = axis_of(&axes, q)?;
                 let rpos = axis_of(&axes, r)?;
                 // Bring r right after q.
@@ -534,13 +534,13 @@ pub fn lower_eager<E: Executor>(
                 axes.splice(qpos..=qpos + 1, [*coord]);
             }
             Action::Shift { coord } => {
-                let out = node.produced[0];
+                let out = node.produced()[0];
                 let pos = axis_of(&axes, out)?;
                 current = exec.roll(current, pos, 1)?;
                 axes[pos] = *coord;
             }
             Action::Stride { coord, .. } => {
-                let out = node.produced[0];
+                let out = node.produced()[0];
                 let pos = axis_of(&axes, out)?;
                 let k = eval(graph.coord_expr(*coord))?;
                 let s = exec.shape(current)[pos].checked_div(k);
@@ -549,7 +549,7 @@ pub fn lower_eager<E: Executor>(
                 axes[pos] = *coord;
             }
             Action::Unfold { base, window } => {
-                let out = node.produced[0];
+                let out = node.produced()[0];
                 let pos = axis_of(&axes, out)?;
                 let k = eval(graph.coord_expr(*window))?;
                 current = exec.unfold(current, pos, k)?;
@@ -563,13 +563,13 @@ pub fn lower_eager<E: Executor>(
                 axes.push(*coord);
             }
             Action::Reduce { .. } => {
-                let out = node.produced[0];
+                let out = node.produced()[0];
                 let pos = axis_of(&axes, out)?;
                 current = exec.sum_axis(current, pos)?;
                 axes.remove(pos);
             }
             Action::Share { coord, .. } => {
-                let copy = node.produced[0];
+                let copy = node.produced()[0];
                 let pos = axis_of(&axes, copy)?;
                 axes[pos] = *coord;
             }
@@ -747,10 +747,10 @@ mod tests {
             let g = PGraph::new(Arc::clone(&vars), vision.clone());
             let (co, h) = (g.frontier()[1], g.frontier()[2]);
             let g = g.apply(&Action::Share { coord: h, weight: 0 }).unwrap();
-            let g = g.apply(&Action::Shift { coord: g.last_node().unwrap().produced[0] }).unwrap();
+            let g = g.apply(&Action::Shift { coord: g.last_node().unwrap().produced()[0] }).unwrap();
             let g = g.apply(&Action::Expand { coord: co }).unwrap();
             let g = g.apply(&Action::Reduce { domain: Size::var(cin) }).unwrap();
-            let g = g.apply(&Action::Share { coord: g.last_node().unwrap().produced[0], weight: 0 }).unwrap();
+            let g = g.apply(&Action::Share { coord: g.last_node().unwrap().produced()[0], weight: 0 }).unwrap();
             assert_eq!(multiply_points(&g), Err(EagerError::WeightNotRealizable(0)));
 
             let mut rng = StdRng::seed_from_u64(seed);

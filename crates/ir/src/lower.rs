@@ -231,7 +231,8 @@ fn lower_with_plan(graph: &PGraph, valuation: usize, plan: &Plan) -> Result<Kern
         .nodes()
         .iter()
         .filter(|node| matches!(node.action, Action::Expand { .. }))
-        .map(|node| graph.coord_expr(node.consumed[0]))
+        .filter_map(|node| node.action.operands().next())
+        .map(|coord| graph.coord_expr(coord))
         .filter(|&e| has_clip(&arena, e))
         .collect();
 

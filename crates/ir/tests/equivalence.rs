@@ -236,21 +236,21 @@ fn materialized_reduction_cuts_flops() {
             domain: Size::var(k),
         })
         .unwrap();
-    let rk = g.last_node().unwrap().produced[0];
+    let rk = g.last_node().unwrap().produced()[0];
     let g = g
         .apply(&Action::Unfold {
             base: i,
             window: rk,
         })
         .unwrap();
-    let u = g.last_node().unwrap().produced[0];
+    let u = g.last_node().unwrap().produced()[0];
     // ...then Reduce(s); Split — pooling below.
     let g = g
         .apply(&Action::Reduce {
             domain: Size::var(s),
         })
         .unwrap();
-    let rs = g.last_node().unwrap().produced[0];
+    let rs = g.last_node().unwrap().produced()[0];
     let g = g.apply(&Action::Split { lhs: u, rhs: rs }).unwrap();
     assert!(g.is_complete(), "{}", g.render());
 

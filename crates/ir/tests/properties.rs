@@ -324,10 +324,10 @@ fn unplaceable_weight_is_the_same_typed_failure_on_shapes() {
     let g = PGraph::new(vars, spec.clone());
     let (co, h) = (g.frontier()[1], g.frontier()[2]);
     let g = g.apply(&Action::Share { coord: h, weight: 0 }).unwrap();
-    let g = g.apply(&Action::Shift { coord: g.last_node().unwrap().produced[0] }).unwrap();
+    let g = g.apply(&Action::Shift { coord: g.last_node().unwrap().produced()[0] }).unwrap();
     let g = g.apply(&Action::Expand { coord: co }).unwrap();
     let g = g.apply(&Action::Reduce { domain: spec.input.dims()[1].clone() }).unwrap();
-    let g = g.apply(&Action::Share { coord: g.last_node().unwrap().produced[0], weight: 0 }).unwrap();
+    let g = g.apply(&Action::Share { coord: g.last_node().unwrap().produced()[0], weight: 0 }).unwrap();
     assert_eq!(eager::validate(&g, 0, true), Err(EagerError::WeightNotRealizable(0)));
     assert_differential(&g, 505);
 }
@@ -445,7 +445,7 @@ fn spatial_guard_graph() -> PGraph {
     // once Expand drops it, but the zero-padding window must still gate
     // the sum — the exact case PR 1's lowering fix introduced guards for.
     let g = g.apply(&Action::Unfold { base: i, window: w }).unwrap();
-    let u = g.last_node().unwrap().produced[0];
+    let u = g.last_node().unwrap().produced()[0];
     let g = g
         .apply(&Action::Reduce {
             domain: Size::var(vars.find("H").unwrap()),
@@ -476,9 +476,9 @@ fn reduce_guard_graph() -> PGraph {
             domain: Size::var(vars.find("k").unwrap()),
         })
         .unwrap();
-    let rk = g.last_node().unwrap().produced[0];
+    let rk = g.last_node().unwrap().produced()[0];
     let g = g.apply(&Action::Unfold { base: i, window: rk }).unwrap();
-    let u = g.last_node().unwrap().produced[0];
+    let u = g.last_node().unwrap().produced()[0];
     let g = g
         .apply(&Action::Reduce {
             domain: Size::var(vars.find("H").unwrap()),
@@ -575,15 +575,15 @@ fn staged_kernels_are_bitwise_stable() {
             domain: Size::var(vars.find("k").unwrap()),
         })
         .unwrap();
-    let rk = g.last_node().unwrap().produced[0];
+    let rk = g.last_node().unwrap().produced()[0];
     let g = g.apply(&Action::Unfold { base: i, window: rk }).unwrap();
-    let u = g.last_node().unwrap().produced[0];
+    let u = g.last_node().unwrap().produced()[0];
     let g = g
         .apply(&Action::Reduce {
             domain: Size::var(vars.find("s").unwrap()),
         })
         .unwrap();
-    let rs = g.last_node().unwrap().produced[0];
+    let rs = g.last_node().unwrap().produced()[0];
     let g = g.apply(&Action::Split { lhs: u, rhs: rs }).unwrap();
     assert!(g.is_complete());
 

@@ -109,7 +109,7 @@ struct ConvVarIds {
 }
 
 fn produced(g: &PGraph) -> syno_core::graph::CoordId {
-    g.last_node().expect("has node").produced[0]
+    g.last_node().expect("has node").produced()[0]
 }
 
 /// Builds **Operator 1** (Fig. 7 / Listing 2): a two-stage grouped 1D-conv
@@ -148,24 +148,24 @@ pub fn operator1(shape: &ConvShape) -> Option<PGraph> {
             block: kk.clone(),
         })
         .ok()?;
-    let u = gr.last_node()?.produced[0];
-    let i_win = gr.last_node()?.produced[1];
+    let u = gr.last_node()?.produced()[0];
+    let i_win = gr.last_node()?.produced()[1];
     let gr = gr
         .apply(&Action::Merge {
             coord: u,
             block: kk.clone(),
         })
         .ok()?;
-    let dg = gr.last_node()?.produced[0];
-    let j_win = gr.last_node()?.produced[1];
+    let dg = gr.last_node()?.produced()[0];
+    let j_win = gr.last_node()?.produced()[1];
     let gr = gr
         .apply(&Action::Merge {
             coord: dg,
             block: gg,
         })
         .ok()?;
-    let d = gr.last_node()?.produced[0];
-    let gamma = gr.last_node()?.produced[1];
+    let d = gr.last_node()?.produced()[0];
+    let gamma = gr.last_node()?.produced()[1];
 
     // w2 (slot 0) dims: γ, then the channel split, then d/j/i.
     let gr = gr

@@ -62,12 +62,12 @@ fn unplaceable_weight(vars: &Arc<VarTable>, spec: &OperatorSpec) -> PGraph {
     let g = PGraph::new(Arc::clone(vars), spec.clone());
     let (co, h) = (g.frontier()[1], g.frontier()[2]);
     let g = g.apply(&Action::Share { coord: h, weight: 0 }).unwrap();
-    let shared = g.last_node().unwrap().produced[0];
+    let shared = g.last_node().unwrap().produced()[0];
     let g = g.apply(&Action::Shift { coord: shared }).unwrap();
     let g = g.apply(&Action::Expand { coord: co }).unwrap();
     let cin = spec.input.dims()[1].clone();
     let g = g.apply(&Action::Reduce { domain: cin }).unwrap();
-    let reduced = g.last_node().unwrap().produced[0];
+    let reduced = g.last_node().unwrap().produced()[0];
     let g = g.apply(&Action::Share { coord: reduced, weight: 0 }).unwrap();
     assert!(g.is_complete());
     g
