@@ -152,14 +152,16 @@ pub fn profile_kernel(kernel: &Kernel) -> Vec<StageProfile> {
 
 /// The eager op chain of a graph (empty when the graph is not
 /// eager-realizable; such operators always fall back at full kernel cost):
-/// the kernels [`eager::validate`] logs, at four bytes an element.
+/// the kernels its [`eager::Program`] logs, at four bytes an element.
 pub fn eager_chain(graph: &PGraph, valuation: usize) -> Vec<ChainOp> {
-    let kernels = eager::validate(graph, valuation, false).unwrap_or_default();
+    let Ok(program) = eager::Program::new(graph, valuation) else {
+        return Vec::new();
+    };
     let chain_op = |op: &eager::ShapeOp| ChainOp {
         bytes: (op.read + op.written) as f64 * 4.0,
         flops: op.flops as f64,
     };
-    kernels.iter().map(chain_op).collect()
+    program.kernels().iter().map(chain_op).collect()
 }
 
 #[cfg(test)]

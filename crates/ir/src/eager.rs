@@ -1,10 +1,10 @@
 //! The eager code generator (the paper's PyTorch backend, §8).
 //!
-//! Walks a complete pGraph in reverse application order — i.e. in dataflow
-//! order from the input tensor toward the output — lowering each view
-//! primitive to its `syno-tensor` counterpart and each weight to a single
-//! einsum, exactly as the paper lowers views to PyTorch view ops and
-//! contractions to `einsum`.
+//! [`Program::new`] lowers a complete pGraph once, walking it in reverse
+//! application order — i.e. in dataflow order from the input tensor toward
+//! the output — and lowering each view primitive to its `syno-tensor`
+//! counterpart and each weight to a single einsum, exactly as the paper
+//! lowers views to PyTorch view ops and contractions to `einsum`.
 //!
 //! The walk maintains the invariant that after processing node *t* (in
 //! reverse), the live tensor's axes correspond one-to-one to the pGraph
@@ -14,16 +14,18 @@
 //! replayed); `MatchWeight` dims become broadcast axes first, so the weight
 //! product is always a pure elementwise einsum over shared axes.
 //!
-//! The generator is generic over an [`Executor`] so the identical lowering
-//! drives the plain tensor runtime (inference), the autodiff tape (training)
-//! and the shape executor behind [`validate`], which runs no tensor op: it
-//! checks what the tensor ops `assert!` and logs each op's size, so a
-//! candidate is admitted — and its eager chain priced — on shapes alone.
+//! The walk runs on shapes alone: where a tensor op would `assert!`, the
+//! builder returns a typed [`EagerError`], and it logs every kernel with its
+//! sizes, so a candidate is admitted — and its eager chain priced — before
+//! any tensor exists. What it leaves is a list of resolved [`Step`]s that
+//! [`Program::execute`] replays on plain tensors (inference) and
+//! [`Program::record`] on the autodiff tape (training); a replay evaluates
+//! no size and formats no spec.
 
 use syno_core::expr::ExprId;
 use syno_core::graph::{CoordId, PGraph};
 use syno_core::primitive::Action;
-use syno_tensor::{ops, Tape, Tensor, Var};
+use syno_tensor::{ops, EinsumEngine, EinsumSpec, ScratchPool, Tape, Tensor, Var};
 
 use std::error::Error;
 use std::fmt;
@@ -42,9 +44,12 @@ pub enum EagerError {
     /// Provided tensors disagree with the declared shapes.
     ShapeMismatch(&'static str),
     /// Two dims of a weight bind to one live axis (a diagonal read), and the
-    /// executor differentiates its einsums: the tape's VJP needs
-    /// duplicate-free operand indices. Plain execution supports it.
+    /// program is recorded on a tape: the tape's VJP needs duplicate-free
+    /// operand indices. Plain execution supports it.
     DiagonalWeight(usize),
+    /// A weight product spans this many live axes, more than the 52 letters
+    /// its einsum spec can name.
+    TooManyAxes(usize),
 }
 
 impl fmt::Display for EagerError {
@@ -59,6 +64,9 @@ impl fmt::Display for EagerError {
             EagerError::DiagonalWeight(w) => {
                 write!(f, "weight {w} binds two dims to one axis, which has no gradient")
             }
+            EagerError::TooManyAxes(n) => {
+                write!(f, "a weight product over {n} axes has no einsum spec (52 letters)")
+            }
         }
     }
 }
@@ -71,164 +79,10 @@ impl From<EagerError> for syno_core::error::SynoError {
     }
 }
 
-/// The operations the eager generator needs from its execution substrate.
-///
-/// An op returns `Err` only from an executor that checks its preconditions
-/// instead of asserting them (the shape executor behind [`validate`]).
-pub trait Executor {
-    /// Handle to a tensor value.
-    type Handle: Copy;
-
-    /// Shape of a handle, borrowed from the executor — implementations
-    /// return their stored shape directly instead of cloning a `Vec` per
-    /// call (the eager walk queries shapes at every step).
-    fn shape(&self, h: Self::Handle) -> &[usize];
-    /// Reinterpret shape.
-    fn reshape(&mut self, h: Self::Handle, shape: &[usize]) -> Result<Self::Handle, EagerError>;
-    /// Permute axes.
-    fn permute(&mut self, h: Self::Handle, perm: &[usize]) -> Result<Self::Handle, EagerError>;
-    /// Sliding-window extraction (zero-padded), trailing window axis.
-    fn unfold(&mut self, h: Self::Handle, axis: usize, k: usize) -> Result<Self::Handle, EagerError>;
-    /// Axis rotation.
-    fn roll(&mut self, h: Self::Handle, axis: usize, amount: i64) -> Result<Self::Handle, EagerError>;
-    /// Strided selection.
-    fn strided(&mut self, h: Self::Handle, axis: usize, s: usize) -> Result<Self::Handle, EagerError>;
-    /// Axis insertion with repetition.
-    fn repeat(&mut self, h: Self::Handle, axis: usize, times: usize) -> Result<Self::Handle, EagerError>;
-    /// Axis summation.
-    fn sum_axis(&mut self, h: Self::Handle, axis: usize) -> Result<Self::Handle, EagerError>;
-    /// Einstein summation.
-    fn einsum(&mut self, spec: &str, inputs: &[Self::Handle]) -> Result<Self::Handle, EagerError>;
-    /// `true` when [`Executor::einsum`] records a VJP, which rules out an
-    /// operand with a repeated index (see [`EagerError::DiagonalWeight`]).
-    fn differentiates(&self) -> bool {
-        false
-    }
-}
-
-/// Plain-tensor executor.
-#[derive(Debug, Default)]
-pub struct TensorExecutor {
-    values: Vec<Tensor>,
-    pool: syno_tensor::ScratchPool,
-    engine: syno_tensor::EinsumEngine,
-}
-
-impl TensorExecutor {
-    /// Creates an empty executor under the default (pinned) execution
-    /// policy.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a tensor, returning its handle.
-    pub fn insert(&mut self, t: Tensor) -> usize {
-        self.values.push(t);
-        self.values.len() - 1
-    }
-
-    /// The tensor behind a handle.
-    pub fn tensor(&self, h: usize) -> &Tensor {
-        &self.values[h]
-    }
-}
-
-impl Executor for TensorExecutor {
-    type Handle = usize;
-
-    fn shape(&self, h: usize) -> &[usize] {
-        self.values[h].shape()
-    }
-    fn reshape(&mut self, h: usize, shape: &[usize]) -> Result<usize, EagerError> {
-        let t = ops::reshape_in(&mut self.pool, &self.values[h], shape);
-        Ok(self.insert(t))
-    }
-    fn permute(&mut self, h: usize, perm: &[usize]) -> Result<usize, EagerError> {
-        let t = ops::permute_in(&mut self.pool, &self.values[h], perm);
-        Ok(self.insert(t))
-    }
-    fn unfold(&mut self, h: usize, axis: usize, k: usize) -> Result<usize, EagerError> {
-        let t = ops::unfold_in(&mut self.pool, &self.values[h], axis, k);
-        Ok(self.insert(t))
-    }
-    fn roll(&mut self, h: usize, axis: usize, amount: i64) -> Result<usize, EagerError> {
-        let t = ops::roll_in(&mut self.pool, &self.values[h], axis, amount);
-        Ok(self.insert(t))
-    }
-    fn strided(&mut self, h: usize, axis: usize, s: usize) -> Result<usize, EagerError> {
-        let t = ops::strided_in(&mut self.pool, &self.values[h], axis, s);
-        Ok(self.insert(t))
-    }
-    fn repeat(&mut self, h: usize, axis: usize, times: usize) -> Result<usize, EagerError> {
-        let t = ops::repeat_in(&mut self.pool, &self.values[h], axis, times);
-        Ok(self.insert(t))
-    }
-    fn sum_axis(&mut self, h: usize, axis: usize) -> Result<usize, EagerError> {
-        let t = ops::sum_axis_in(&mut self.pool, &self.values[h], axis);
-        Ok(self.insert(t))
-    }
-    fn einsum(&mut self, spec: &str, inputs: &[usize]) -> Result<usize, EagerError> {
-        let TensorExecutor { values, pool, engine } = self;
-        let tensors: Vec<&Tensor> = inputs.iter().map(|&h| &values[h]).collect();
-        let t = engine
-            .einsum(spec, &tensors, pool)
-            .expect("eager einsum shapes are consistent");
-        Ok(self.insert(t))
-    }
-}
-
-/// Autodiff-tape executor.
-#[derive(Debug)]
-pub struct TapeExecutor<'a> {
-    tape: &'a mut Tape,
-}
-
-impl<'a> TapeExecutor<'a> {
-    /// Wraps a tape.
-    pub fn new(tape: &'a mut Tape) -> Self {
-        TapeExecutor { tape }
-    }
-}
-
-impl Executor for TapeExecutor<'_> {
-    type Handle = Var;
-
-    fn shape(&self, h: Var) -> &[usize] {
-        self.tape.value(h).shape()
-    }
-    fn reshape(&mut self, h: Var, shape: &[usize]) -> Result<Var, EagerError> {
-        Ok(self.tape.reshape(h, shape))
-    }
-    fn permute(&mut self, h: Var, perm: &[usize]) -> Result<Var, EagerError> {
-        Ok(self.tape.permute(h, perm))
-    }
-    fn unfold(&mut self, h: Var, axis: usize, k: usize) -> Result<Var, EagerError> {
-        Ok(self.tape.unfold(h, axis, k))
-    }
-    fn roll(&mut self, h: Var, axis: usize, amount: i64) -> Result<Var, EagerError> {
-        Ok(self.tape.roll(h, axis, amount))
-    }
-    fn strided(&mut self, h: Var, axis: usize, s: usize) -> Result<Var, EagerError> {
-        Ok(self.tape.strided(h, axis, s))
-    }
-    fn repeat(&mut self, h: Var, axis: usize, times: usize) -> Result<Var, EagerError> {
-        Ok(self.tape.repeat(h, axis, times))
-    }
-    fn sum_axis(&mut self, h: Var, axis: usize) -> Result<Var, EagerError> {
-        Ok(self.tape.sum_axis(h, axis))
-    }
-    fn einsum(&mut self, spec: &str, inputs: &[Var]) -> Result<Var, EagerError> {
-        Ok(self.tape.einsum(spec, inputs))
-    }
-    fn differentiates(&self) -> bool {
-        true
-    }
-}
-
-/// One kernel of an eager lowering as the shape executor logged it. Views —
-/// a contiguous reshape, a stride permutation, a strided narrowing, a
-/// stride-0 broadcast (`expand`) — launch none in an eager framework and are
-/// not logged: the consuming kernel never materializes them.
+/// One kernel of an eager program as its builder logged it. Views — a
+/// contiguous reshape, a stride permutation, a strided narrowing, a stride-0
+/// broadcast (`expand`) — launch none in an eager framework and are not
+/// logged: the consuming kernel never materializes them.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ShapeOp {
     /// Elements of every operand.
@@ -240,115 +94,275 @@ pub struct ShapeOp {
     pub flops: usize,
 }
 
-/// The tree's one shape-tracking executor: no tensor is allocated, an op's
-/// violated precondition is [`EagerError::ShapeMismatch`] where the tensor
-/// op would `assert!`, and every kernel is logged with its sizes.
-#[derive(Debug, Default)]
-struct ShapeExecutor {
-    shapes: Vec<Vec<usize>>,
-    log: Vec<ShapeOp>,
-    differentiates: bool,
+/// One resolved step of a [`Program`]: it reads the live tensor and replaces
+/// it. Every size is evaluated and every axis placed.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum Step {
+    /// Reinterpret as this shape.
+    Reshape(Vec<usize>),
+    /// Output axis `i` reads input axis `perm[i]`; never the identity.
+    Permute(Vec<usize>),
+    /// `(axis, k)`: the zero-padded windows of `k` along `axis`, appended as
+    /// a trailing axis.
+    Unfold(usize, usize),
+    /// Rotate this axis by one.
+    Roll(usize),
+    /// `(axis, s)`: every `s`-th element along `axis`.
+    Strided(usize, usize),
+    /// `(axis, times)`: a new axis of `times` copies at `axis`.
+    Repeat(usize, usize),
+    /// Sum this axis out.
+    SumAxis(usize),
+    /// `(spec, weight)`: multiply weight slot `weight` in by the einsum
+    /// `spec`, whose operands are the live tensor and the weight.
+    Einsum(String, usize),
 }
 
-impl ShapeExecutor {
-    fn insert(&mut self, shape: Vec<usize>) -> usize {
-        self.shapes.push(shape);
-        self.shapes.len() - 1
-    }
-
-    /// Registers a view of shape `out`, once `ok` — the op's precondition —
-    /// holds.
-    fn view(&mut self, ok: bool, what: &'static str, out: Vec<usize>) -> Result<usize, EagerError> {
-        if !ok {
-            return Err(EagerError::ShapeMismatch(what));
+impl Step {
+    /// Records this step on `tape`, reading the live tensor `x` and, for a
+    /// weight product, `weights`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the operands are not shaped as the step's [`Program`]
+    /// expects; [`Program::record`] checks them first.
+    pub fn record(&self, tape: &mut Tape, x: Var, weights: &[Var]) -> Var {
+        match self {
+            Step::Reshape(shape) => tape.reshape(x, shape),
+            Step::Permute(perm) => tape.permute(x, perm),
+            Step::Unfold(axis, k) => tape.unfold(x, *axis, *k),
+            Step::Roll(axis) => tape.roll(x, *axis, 1),
+            Step::Strided(axis, s) => tape.strided(x, *axis, *s),
+            Step::Repeat(axis, times) => tape.repeat(x, *axis, *times),
+            Step::SumAxis(axis) => tape.sum_axis(x, *axis),
+            Step::Einsum(spec, w) => tape.einsum(spec, &[x, weights[*w]]),
         }
-        Ok(self.insert(out))
     }
 
-    /// [`view`](Self::view), logged as a kernel that reads `read` elements.
-    fn kernel(
-        &mut self,
-        ok: bool,
-        what: &'static str,
-        out: Vec<usize>,
-        read: usize,
-        flops: usize,
-    ) -> Result<usize, EagerError> {
-        let written = out.iter().product();
-        let h = self.view(ok, what, out)?;
-        self.log.push(ShapeOp { read, written, flops });
-        Ok(h)
-    }
-
-    fn numel(&self, h: usize) -> usize {
-        self.shapes[h].iter().product()
+    /// [`Step::record`] on plain tensors.
+    fn execute(&self, pool: &mut ScratchPool, engine: &mut EinsumEngine, x: &Tensor, weights: &[Tensor]) -> Tensor {
+        match self {
+            Step::Reshape(shape) => ops::reshape_in(pool, x, shape),
+            Step::Permute(perm) => ops::permute_in(pool, x, perm),
+            Step::Unfold(axis, k) => ops::unfold_in(pool, x, *axis, *k),
+            Step::Roll(axis) => ops::roll_in(pool, x, *axis, 1),
+            Step::Strided(axis, s) => ops::strided_in(pool, x, *axis, *s),
+            Step::Repeat(axis, times) => ops::repeat_in(pool, x, *axis, *times),
+            Step::SumAxis(axis) => ops::sum_axis_in(pool, x, *axis),
+            Step::Einsum(spec, w) => engine
+                .einsum(spec, &[x, &weights[*w]], pool)
+                .expect("operands are shaped as the program expects"),
+        }
     }
 }
 
-impl Executor for ShapeExecutor {
-    type Handle = usize;
+/// A pGraph lowered once under one valuation: its resolved steps, the
+/// operand shapes they expect and the kernels they launch. A program holds
+/// no per-run state, so one program replays on any number of tapes.
+#[derive(Debug)]
+pub struct Program {
+    steps: Vec<Step>,
+    input_shape: Vec<usize>,
+    weight_shapes: Vec<Vec<usize>>,
+    kernels: Vec<ShapeOp>,
+    /// The first weight, in walk order, whose product reads a diagonal.
+    diagonal: Option<usize>,
+}
 
-    fn shape(&self, h: usize) -> &[usize] {
-        &self.shapes[h]
-    }
-    fn reshape(&mut self, h: usize, shape: &[usize]) -> Result<usize, EagerError> {
-        let same = self.numel(h) == shape.iter().product();
-        self.view(same, "reshape element count", shape.to_vec())
-    }
-    fn permute(&mut self, h: usize, perm: &[usize]) -> Result<usize, EagerError> {
-        let src = &self.shapes[h];
-        let mut seen = vec![false; src.len()];
-        let valid = perm.len() == src.len()
-            && perm.iter().all(|&p| p < seen.len() && !std::mem::replace(&mut seen[p], true));
-        let out = perm.iter().filter_map(|&p| src.get(p).copied()).collect();
-        self.view(valid, "permutation", out)
-    }
-    fn unfold(&mut self, h: usize, axis: usize, k: usize) -> Result<usize, EagerError> {
-        let mut out = self.shapes[h].clone();
-        let ok = axis < out.len() && k > 0;
-        out.push(k);
-        self.kernel(ok, "unfold axis or window", out, self.numel(h), 0)
-    }
-    fn roll(&mut self, h: usize, axis: usize, _amount: i64) -> Result<usize, EagerError> {
-        let out = self.shapes[h].clone();
-        self.kernel(axis < out.len(), "roll axis", out, self.numel(h), 0)
-    }
-    fn strided(&mut self, h: usize, axis: usize, s: usize) -> Result<usize, EagerError> {
-        let mut out = self.shapes[h].clone();
-        let ok = axis < out.len() && s > 0 && out[axis].is_multiple_of(s);
-        if ok {
-            out[axis] /= s;
+impl Program {
+    /// Lowers `graph` under `valuation` on shapes alone.
+    ///
+    /// # Errors
+    ///
+    /// See [`EagerError`]: every error a replay on well-shaped operands could
+    /// meet is met here, except [`EagerError::DiagonalWeight`], which only a
+    /// tape refuses (see [`Program::recordable`]).
+    pub fn new(graph: &PGraph, valuation: usize) -> Result<Program, EagerError> {
+        let input_shape = input_shape(graph, valuation)?;
+        let weight_shapes = weight_shapes(graph, valuation)?;
+        let perm = graph.match_input().ok_or(EagerError::Incomplete)?;
+        let points = multiply_points(graph)?;
+        let eval = |c: CoordId| -> Result<usize, EagerError> {
+            let domain = graph.arena().domain(graph.coord_expr(c));
+            let size = domain.eval(graph.vars(), valuation);
+            size.map(|v| v as usize).ok_or(EagerError::BadValuation)
+        };
+        let mut b = Builder {
+            shape: input_shape.clone(),
+            program: Program {
+                steps: Vec::new(),
+                input_shape,
+                weight_shapes,
+                kernels: Vec::new(),
+                diagonal: None,
+            },
+        };
+
+        // Axes state: axes[i] = frontier coordinate carried by tensor axis i.
+        // Start: permute the input so axis i corresponds to frontier coord i.
+        // perm[slot] = input dim for frontier slot => permutation for
+        // `ops::permute` is exactly `perm` (output axis slot reads input axis
+        // perm[slot]).
+        b.permute(perm)?;
+        let mut axes: Vec<CoordId> = graph.frontier().to_vec();
+
+        // Multiply weights scheduled at T = n (before visiting any node).
+        let n = graph.len();
+        b.multiply_due(graph, &points, n, &axes)?;
+
+        for t in (0..n).rev() {
+            let node = &graph.nodes()[t];
+            match &node.action {
+                Action::Split { lhs, rhs } => {
+                    // Reverse: axis(product) -> axes (lhs, rhs) via reshape.
+                    let pos = axis_of(&axes, node.produced()[0])?;
+                    let mut shape = b.shape.clone();
+                    shape.splice(pos..=pos, [eval(*lhs)?, eval(*rhs)?]);
+                    b.push(Step::Reshape(shape))?;
+                    axes.splice(pos..=pos, [*lhs, *rhs]);
+                }
+                Action::Merge { coord, .. } => {
+                    // Reverse: axes (q, r) -> axis(coord) via permute+reshape.
+                    let (q, r) = (node.produced()[0], node.produced()[1]);
+                    let qpos = axis_of(&axes, q)?;
+                    let rpos = axis_of(&axes, r)?;
+                    // Bring r right after q.
+                    if rpos != qpos + 1 {
+                        let mut order: Vec<usize> = (0..axes.len()).collect();
+                        order.remove(rpos);
+                        let qpos_now = order.iter().position(|&i| i == qpos).expect("q present");
+                        order.insert(qpos_now + 1, rpos);
+                        axes = order.iter().map(|&i| axes[i]).collect();
+                        b.permute(order)?;
+                    }
+                    let qpos = axis_of(&axes, q)?;
+                    let mut shape = b.shape.clone();
+                    let merged = shape[qpos] * shape[qpos + 1];
+                    shape.splice(qpos..=qpos + 1, [merged]);
+                    b.push(Step::Reshape(shape))?;
+                    axes.splice(qpos..=qpos + 1, [*coord]);
+                }
+                Action::Shift { coord } => {
+                    let pos = axis_of(&axes, node.produced()[0])?;
+                    b.push(Step::Roll(pos))?;
+                    axes[pos] = *coord;
+                }
+                Action::Stride { coord, .. } => {
+                    let pos = axis_of(&axes, node.produced()[0])?;
+                    let s = b.shape[pos].checked_div(eval(*coord)?);
+                    let s = s.ok_or(EagerError::ShapeMismatch("stride divisibility"))?;
+                    b.push(Step::Strided(pos, s))?;
+                    axes[pos] = *coord;
+                }
+                Action::Unfold { base, window } => {
+                    let pos = axis_of(&axes, node.produced()[0])?;
+                    b.push(Step::Unfold(pos, eval(*window)?))?;
+                    axes[pos] = *base;
+                    axes.push(*window);
+                }
+                // Reverse of a `MatchWeight`: create a broadcast axis; the
+                // weight einsum (at an earlier reverse step, i.e. already
+                // emitted) selected it. Here the axis must be *introduced*
+                // since below this node the coordinate exists on the
+                // frontier.
+                Action::Expand { coord } | Action::MatchWeight { coord, .. } => {
+                    let times = eval(*coord)?;
+                    b.push(Step::Repeat(axes.len(), times))?;
+                    axes.push(*coord);
+                }
+                Action::Reduce { .. } => {
+                    let pos = axis_of(&axes, node.produced()[0])?;
+                    b.push(Step::SumAxis(pos))?;
+                    axes.remove(pos);
+                }
+                Action::Share { coord, .. } => {
+                    let pos = axis_of(&axes, node.produced()[0])?;
+                    axes[pos] = *coord;
+                }
+            }
+            b.multiply_due(graph, &points, t, &axes)?;
         }
-        self.view(ok, "stride divisibility", out)
-    }
-    fn repeat(&mut self, h: usize, axis: usize, times: usize) -> Result<usize, EagerError> {
-        let mut out = self.shapes[h].clone();
-        let ok = axis <= out.len();
-        if ok {
-            out.insert(axis, times);
+
+        // Axes now carry the output coordinates; order them per output spec.
+        let out_coords: Vec<CoordId> = graph.output_coords();
+        if axes.len() != out_coords.len() {
+            return Err(EagerError::Incomplete);
         }
-        self.view(ok, "repeat axis", out)
+        let perm_out = out_coords.iter().map(|&c| axis_of(&axes, c));
+        b.permute(perm_out.collect::<Result<_, _>>()?)?;
+        Ok(b.program)
     }
-    fn sum_axis(&mut self, h: usize, axis: usize) -> Result<usize, EagerError> {
-        let mut out = self.shapes[h].clone();
-        let ok = axis < out.len();
-        if ok {
-            out.remove(axis);
+
+    /// The resolved steps, in replay order.
+    pub fn steps(&self) -> &[Step] {
+        &self.steps
+    }
+
+    /// The kernels the steps launch, in order.
+    pub fn kernels(&self) -> &[ShapeOp] {
+        &self.kernels
+    }
+
+    /// The weight shapes the program expects, in slot order.
+    pub fn weight_shapes(&self) -> &[Vec<usize>] {
+        &self.weight_shapes
+    }
+
+    /// `Ok` when the program can be recorded on a tape.
+    ///
+    /// # Errors
+    ///
+    /// [`EagerError::DiagonalWeight`] naming the first weight, in walk order,
+    /// whose product reads a diagonal.
+    pub fn recordable(&self) -> Result<(), EagerError> {
+        self.diagonal.map_or(Ok(()), |w| Err(EagerError::DiagonalWeight(w)))
+    }
+
+    /// Checks the operands' shapes against the program's.
+    fn check<'a>(
+        &self,
+        input: &[usize],
+        mut weights: impl ExactSizeIterator<Item = &'a [usize]>,
+    ) -> Result<(), EagerError> {
+        if weights.len() != self.weight_shapes.len() {
+            return Err(EagerError::ShapeMismatch("weight count"));
         }
-        self.kernel(ok, "sum axis", out, self.numel(h), self.numel(h))
+        if input != self.input_shape {
+            return Err(EagerError::ShapeMismatch("input"));
+        }
+        if !weights.by_ref().zip(&self.weight_shapes).all(|(have, want)| have == want) {
+            return Err(EagerError::ShapeMismatch("weight"));
+        }
+        Ok(())
     }
-    fn einsum(&mut self, spec: &str, inputs: &[usize]) -> Result<usize, EagerError> {
-        let shapes: Vec<&[usize]> = inputs.iter().map(|&h| self.shapes[h].as_slice()).collect();
-        let bound = syno_tensor::EinsumSpec::parse(spec)
-            .and_then(|parsed| Ok((parsed.bind_extents(&shapes)?, parsed.output)));
-        let (extents, output) = bound.map_err(|_| EagerError::ShapeMismatch("einsum extent binding"))?;
-        let out = output.iter().map(|c| extents[c]).collect();
-        let read = inputs.iter().map(|&h| self.numel(h)).sum();
-        let flops = extents.values().product::<usize>() * inputs.len();
-        self.kernel(true, "einsum", out, read, flops)
+
+    /// Replays the program on plain tensors.
+    ///
+    /// # Errors
+    ///
+    /// [`EagerError::ShapeMismatch`] when `input` or a weight is not shaped
+    /// as the program expects.
+    pub fn execute(&self, input: &Tensor, weights: &[Tensor]) -> Result<Tensor, EagerError> {
+        self.check(input.shape(), weights.iter().map(Tensor::shape))?;
+        let (mut pool, mut engine) = (ScratchPool::new(), EinsumEngine::new());
+        let mut out: Option<Tensor> = None;
+        for step in &self.steps {
+            let x = out.as_ref().unwrap_or(input);
+            out = Some(step.execute(&mut pool, &mut engine, x, weights));
+        }
+        Ok(out.unwrap_or_else(|| input.clone()))
     }
-    fn differentiates(&self) -> bool {
-        self.differentiates
+
+    /// Replays the program on an autodiff tape, returning the output.
+    ///
+    /// # Errors
+    ///
+    /// [`EagerError::ShapeMismatch`] when `input` or a weight is not shaped
+    /// as the program expects; then the [`Program::recordable`] error.
+    pub fn record(&self, tape: &mut Tape, input: Var, weights: &[Var]) -> Result<Var, EagerError> {
+        self.check(tape.value(input).shape(), weights.iter().map(|&w| tape.value(w).shape()))?;
+        self.recordable()?;
+        Ok(self.steps.iter().fold(input, |x, step| step.record(tape, x, weights)))
     }
 }
 
@@ -451,152 +465,116 @@ fn multiply_points_by_replay(graph: &PGraph) -> Result<Vec<usize>, EagerError> {
 
 const LETTERS: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ";
 
-/// Lowers and executes `graph` on an executor, returning the output handle.
-///
-/// `input` must be shaped like the graph's input spec under `valuation`;
-/// `weights[w]` like [`weight_shapes`] reports.
-///
-/// # Errors
-///
-/// See [`EagerError`].
-pub fn lower_eager<E: Executor>(
-    exec: &mut E,
-    graph: &PGraph,
-    valuation: usize,
-    input: E::Handle,
-    weights: &[E::Handle],
-) -> Result<E::Handle, EagerError> {
-    let perm = graph.match_input().ok_or(EagerError::Incomplete)?;
-    if weights.len() != graph.weight_count() {
-        return Err(EagerError::ShapeMismatch("weight count"));
-    }
-    let eval = |e: ExprId| -> Result<usize, EagerError> {
-        graph
-            .arena()
-            .domain(e)
-            .eval(graph.vars(), valuation)
-            .map(|v| v as usize)
-            .ok_or(EagerError::BadValuation)
-    };
+/// A [`Program`] under construction and the shape of its live tensor.
+struct Builder {
+    program: Program,
+    shape: Vec<usize>,
+}
 
-    if exec.shape(input) != input_shape(graph, valuation)? {
-        return Err(EagerError::ShapeMismatch("input"));
-    }
-
-    let points = multiply_points(graph)?;
-
-    // Axes state: axes[i] = frontier coordinate carried by tensor axis i.
-    // Start: permute the input so axis i corresponds to frontier coord i.
-    // perm[slot] = input dim for frontier slot => permutation for
-    // `ops::permute` is exactly `perm` (output axis slot reads input axis
-    // perm[slot]).
-    let mut current = exec.permute(input, &perm)?;
-    let mut axes: Vec<CoordId> = graph.frontier().to_vec();
-
-    // Multiply weights scheduled at T = n (before visiting any node).
-    let n = graph.len();
-    multiply_due(exec, graph, &points, n, &mut current, &axes, weights)?;
-
-    for t in (0..n).rev() {
-        let node = &graph.nodes()[t];
-        match &node.action {
-            Action::Split { lhs, rhs } => {
-                // Reverse: axis(product) -> axes (lhs, rhs) via reshape.
-                let product = node.produced()[0];
-                let pos = axis_of(&axes, product)?;
-                let g = eval(graph.coord_expr(*lhs))?;
-                let b = eval(graph.coord_expr(*rhs))?;
-                let mut shape = exec.shape(current).to_vec();
-                shape.splice(pos..=pos, [g, b]);
-                current = exec.reshape(current, &shape)?;
-                axes.splice(pos..=pos, [*lhs, *rhs]);
+impl Builder {
+    /// Appends `step` once its tensor op's precondition holds on the live
+    /// shape — otherwise [`EagerError::ShapeMismatch`], where the op would
+    /// `assert!` — and logs it when it launches a kernel.
+    fn push(&mut self, step: Step) -> Result<(), EagerError> {
+        let shape = &self.shape;
+        let (rank, numel) = (shape.len(), shape.iter().product::<usize>());
+        let mut out = shape.clone();
+        // The precondition, and a kernel's elements read and flops.
+        let (ok, what, kernel) = match &step {
+            Step::Reshape(to) => {
+                out.clone_from(to);
+                (numel == to.iter().product(), "reshape element count", None)
             }
-            Action::Merge { coord, .. } => {
-                // Reverse: axes (q, r) -> axis(coord) via permute+reshape.
-                let q = node.produced()[0];
-                let r = node.produced()[1];
-                let qpos = axis_of(&axes, q)?;
-                let rpos = axis_of(&axes, r)?;
-                // Bring r right after q.
-                if rpos != qpos + 1 {
-                    let mut order: Vec<usize> = (0..axes.len()).collect();
-                    order.remove(rpos);
-                    let qpos_now = order.iter().position(|&i| i == qpos).expect("q present");
-                    order.insert(qpos_now + 1, rpos);
-                    current = exec.permute(current, &order)?;
-                    axes = order.iter().map(|&i| axes[i]).collect();
+            Step::Permute(perm) => {
+                let mut seen = vec![false; rank];
+                let ok = perm.len() == rank
+                    && perm.iter().all(|&p| p < rank && !std::mem::replace(&mut seen[p], true));
+                out = perm.iter().filter_map(|&p| shape.get(p).copied()).collect();
+                (ok, "permutation", None)
+            }
+            Step::Unfold(axis, k) => {
+                out.push(*k);
+                (*axis < rank && *k > 0, "unfold axis or window", Some((numel, 0)))
+            }
+            Step::Roll(axis) => (*axis < rank, "roll axis", Some((numel, 0))),
+            Step::Strided(axis, s) => {
+                let ok = *axis < rank && *s > 0 && shape[*axis].is_multiple_of(*s);
+                if ok {
+                    out[*axis] /= s;
                 }
-                let qpos = axis_of(&axes, q)?;
-                let mut shape = exec.shape(current).to_vec();
-                let merged = shape[qpos] * shape[qpos + 1];
-                shape.splice(qpos..=qpos + 1, [merged]);
-                current = exec.reshape(current, &shape)?;
-                axes.splice(qpos..=qpos + 1, [*coord]);
+                (ok, "stride divisibility", None)
             }
-            Action::Shift { coord } => {
-                let out = node.produced()[0];
-                let pos = axis_of(&axes, out)?;
-                current = exec.roll(current, pos, 1)?;
-                axes[pos] = *coord;
+            Step::Repeat(axis, times) => {
+                let ok = *axis <= rank;
+                if ok {
+                    out.insert(*axis, *times);
+                }
+                (ok, "repeat axis", None)
             }
-            Action::Stride { coord, .. } => {
-                let out = node.produced()[0];
-                let pos = axis_of(&axes, out)?;
-                let k = eval(graph.coord_expr(*coord))?;
-                let s = exec.shape(current)[pos].checked_div(k);
-                let s = s.ok_or(EagerError::ShapeMismatch("stride divisibility"))?;
-                current = exec.strided(current, pos, s)?;
-                axes[pos] = *coord;
+            Step::SumAxis(axis) => {
+                let ok = *axis < rank;
+                if ok {
+                    out.remove(*axis);
+                }
+                (ok, "sum axis", Some((numel, numel)))
             }
-            Action::Unfold { base, window } => {
-                let out = node.produced()[0];
-                let pos = axis_of(&axes, out)?;
-                let k = eval(graph.coord_expr(*window))?;
-                current = exec.unfold(current, pos, k)?;
-                axes[pos] = *base;
-                axes.push(*window);
+            Step::Einsum(spec, w) => {
+                let operands = [shape.as_slice(), self.program.weight_shapes[*w].as_slice()];
+                let bound = EinsumSpec::parse(spec)
+                    .and_then(|parsed| Ok((parsed.bind_extents(&operands)?, parsed.output)));
+                let kernel = bound.ok().map(|(extents, output)| {
+                    out = output.iter().map(|c| extents[c]).collect();
+                    let read = numel + operands[1].iter().product::<usize>();
+                    (read, extents.values().product::<usize>() * operands.len())
+                });
+                (kernel.is_some(), "einsum extent binding", kernel)
             }
-            Action::Expand { coord } => {
-                let times = eval(graph.coord_expr(*coord))?;
-                let pos = axes.len();
-                current = exec.repeat(current, pos, times)?;
-                axes.push(*coord);
-            }
-            Action::Reduce { .. } => {
-                let out = node.produced()[0];
-                let pos = axis_of(&axes, out)?;
-                current = exec.sum_axis(current, pos)?;
-                axes.remove(pos);
-            }
-            Action::Share { coord, .. } => {
-                let copy = node.produced()[0];
-                let pos = axis_of(&axes, copy)?;
-                axes[pos] = *coord;
-            }
-            Action::MatchWeight { coord, .. } => {
-                // Reverse: create a broadcast axis; the weight einsum (at an
-                // earlier reverse step, i.e. already executed) selected it.
-                // Here the axis must be *introduced* since below this node
-                // the coordinate exists on the frontier.
-                let times = eval(graph.coord_expr(*coord))?;
-                let pos = axes.len();
-                current = exec.repeat(current, pos, times)?;
-                axes.push(*coord);
-            }
+        };
+        if !ok {
+            return Err(EagerError::ShapeMismatch(what));
         }
-        multiply_due(exec, graph, &points, t, &mut current, &axes, weights)?;
+        if let Some((read, flops)) = kernel {
+            let written = out.iter().product();
+            self.program.kernels.push(ShapeOp { read, written, flops });
+        }
+        self.shape = out;
+        self.program.steps.push(step);
+        Ok(())
     }
 
-    // Axes now carry the output coordinates; order them per output spec.
-    let out_coords: Vec<CoordId> = graph.output_coords();
-    if axes.len() != out_coords.len() {
-        return Err(EagerError::Incomplete);
+    /// [`push`](Self::push)es a permutation unless it is the identity, which
+    /// on a tensor is a bit-identical copy (and so is its VJP).
+    fn permute(&mut self, perm: Vec<usize>) -> Result<(), EagerError> {
+        let identity = perm.len() == self.shape.len() && perm.iter().enumerate().all(|(i, &p)| i == p);
+        if identity {
+            return Ok(());
+        }
+        self.push(Step::Permute(perm))
     }
-    let perm_out: Vec<usize> = out_coords
-        .iter()
-        .map(|c| axis_of(&axes, *c))
-        .collect::<Result<_, _>>()?;
-    exec.permute(current, &perm_out)
+
+    /// Multiplies every weight whose scheduled point is `t` into the live
+    /// tensor via a single elementwise-shared einsum.
+    fn multiply_due(&mut self, graph: &PGraph, points: &[usize], t: usize, axes: &[CoordId]) -> Result<(), EagerError> {
+        for w in (0..points.len()).filter(|&w| points[w] == t) {
+            // Bind each weight dim to the live axis carrying its expression;
+            // the multiply is a pure elementwise-shared einsum (reductions
+            // are handled by the Reduce nodes themselves).
+            let data = LETTERS.get(..axes.len()).ok_or(EagerError::TooManyAxes(axes.len()))?;
+            let mut weight = Vec::new();
+            for dim in &graph.weights()[w].dims {
+                // Scheduling guarantees liveness; a miss means the graph is
+                // not eager-realizable after all.
+                let pos = axes.iter().position(|&c| graph.coord_expr(c) == dim.expr);
+                weight.push(data[pos.ok_or(EagerError::WeightNotRealizable(w))?]);
+            }
+            if (1..weight.len()).any(|i| weight[..i].contains(&weight[i])) {
+                self.program.diagonal.get_or_insert(w);
+            }
+            let (data, weight) = (String::from_utf8_lossy(data), String::from_utf8_lossy(&weight));
+            self.push(Step::Einsum(format!("{data},{weight}->{data}"), w))?;
+        }
+        Ok(())
+    }
 }
 
 fn axis_of(axes: &[CoordId], coord: CoordId) -> Result<usize, EagerError> {
@@ -605,80 +583,8 @@ fn axis_of(axes: &[CoordId], coord: CoordId) -> Result<usize, EagerError> {
         .ok_or(EagerError::Incomplete)
 }
 
-/// Multiplies every weight whose scheduled point is `t` into the current
-/// tensor via a single elementwise-shared einsum.
-#[allow(clippy::too_many_arguments)]
-fn multiply_due<E: Executor>(
-    exec: &mut E,
-    graph: &PGraph,
-    points: &[usize],
-    t: usize,
-    current: &mut E::Handle,
-    axes: &[CoordId],
-    weights: &[E::Handle],
-) -> Result<(), EagerError> {
-    for (w, &point) in points.iter().enumerate() {
-        if point != t {
-            continue;
-        }
-        let weight = &graph.weights()[w];
-        // Bind each weight dim to the live axis carrying its expression;
-        // the multiply is a pure elementwise-shared einsum (reductions are
-        // handled by the Reduce nodes themselves).
-        let data_letters: Vec<u8> = (0..axes.len()).map(|i| LETTERS[i]).collect();
-        let mut weight_letters = Vec::new();
-        for dim in &weight.dims {
-            let axis = axes.iter().position(|&c| graph.coord_expr(c) == dim.expr);
-            match axis {
-                Some(pos) => weight_letters.push(data_letters[pos]),
-                // Scheduling guarantees liveness; a miss means the graph is
-                // not eager-realizable after all.
-                None => return Err(EagerError::WeightNotRealizable(w)),
-            }
-        }
-        let diagonal = (1..weight_letters.len())
-            .any(|i| weight_letters[..i].contains(&weight_letters[i]));
-        if diagonal && exec.differentiates() {
-            return Err(EagerError::DiagonalWeight(w));
-        }
-        let spec = format!(
-            "{},{}->{}",
-            String::from_utf8_lossy(&data_letters),
-            String::from_utf8_lossy(&weight_letters),
-            String::from_utf8_lossy(&data_letters),
-        );
-        *current = exec.einsum(&spec, &[*current, weights[w]])?;
-    }
-    Ok(())
-}
-
-/// Lowers `graph` on shapes alone: `Ok` exactly when [`lower_eager`] succeeds
-/// on tensors shaped per the spec and [`weight_shapes`] — on an executor that
-/// differentiates its einsums when `differentiates` — at the cost of no
-/// tensor op. Returns the kernels the lowering launches, in order.
-///
-/// # Errors
-///
-/// See [`EagerError`].
-pub fn validate(
-    graph: &PGraph,
-    valuation: usize,
-    differentiates: bool,
-) -> Result<Vec<ShapeOp>, EagerError> {
-    let mut exec = ShapeExecutor {
-        differentiates,
-        ..ShapeExecutor::default()
-    };
-    let input = exec.insert(input_shape(graph, valuation)?);
-    let weights: Vec<usize> = weight_shapes(graph, valuation)?
-        .into_iter()
-        .map(|shape| exec.insert(shape))
-        .collect();
-    lower_eager(&mut exec, graph, valuation, input, &weights)?;
-    Ok(exec.log)
-}
-
-/// Executes `graph` eagerly on plain tensors.
+/// Executes `graph` eagerly on plain tensors: [`Program::new`], then
+/// [`Program::execute`].
 ///
 /// # Errors
 ///
@@ -689,14 +595,11 @@ pub fn execute(
     input: &Tensor,
     weights: &[Tensor],
 ) -> Result<Tensor, EagerError> {
-    let mut exec = TensorExecutor::new();
-    let ih = exec.insert(input.clone());
-    let whs: Vec<usize> = weights.iter().map(|w| exec.insert(w.clone())).collect();
-    let out = lower_eager(&mut exec, graph, valuation, ih, &whs)?;
-    Ok(exec.tensor(out).clone())
+    Program::new(graph, valuation)?.execute(input, weights)
 }
 
-/// Records `graph`'s forward pass on an autodiff tape.
+/// Records `graph`'s forward pass on an autodiff tape: [`Program::new`],
+/// then [`Program::record`].
 ///
 /// # Errors
 ///
@@ -708,8 +611,7 @@ pub fn record(
     input: Var,
     weights: &[Var],
 ) -> Result<Var, EagerError> {
-    let mut exec = TapeExecutor::new(tape);
-    lower_eager(&mut exec, graph, valuation, input, weights)
+    Program::new(graph, valuation)?.record(tape, input, weights)
 }
 
 #[cfg(test)]
@@ -769,56 +671,67 @@ mod tests {
         }
     }
 
-    /// One call per precondition a tensor op asserts, each violating it on a
-    /// `[2, 3]` operand `h`.
-    fn violate<E: Executor<Handle = usize>>(exec: &mut E, h: usize, case: usize) -> Result<usize, EagerError> {
-        match case {
-            0 => exec.reshape(h, &[5]),
-            1 => exec.permute(h, &[0, 0]),
-            2 => exec.permute(h, &[0]),
-            3 => exec.unfold(h, 2, 3),
-            4 => exec.unfold(h, 0, 0),
-            5 => exec.roll(h, 2, 1),
-            6 => exec.strided(h, 1, 2),
-            7 => exec.strided(h, 0, 0),
-            8 => exec.repeat(h, 3, 2),
-            9 => exec.sum_axis(h, 2),
-            10 => exec.einsum("ab,b->a", &[h, h]),
-            11 => exec.einsum("ab,ca->b", &[h, h]),
-            _ => exec.einsum("ab->c", &[h]),
-        }
+    /// A builder whose live tensor is `[2, 3]`, with one weight of `weight`'s shape.
+    fn builder(weight: Vec<usize>) -> Builder {
+        let program = Program {
+            steps: Vec::new(),
+            input_shape: vec![2, 3],
+            weight_shapes: vec![weight],
+            kernels: Vec::new(),
+            diagonal: None,
+        };
+        Builder { program, shape: vec![2, 3] }
     }
 
     /// No graph `PGraph::apply` admits lowers to a violating op, so the
-    /// preconditions are exercised on the executors directly: where the
-    /// tensor executor panics, the shape executor returns the typed error.
+    /// preconditions are exercised on the builder directly: one step per
+    /// precondition a tensor op asserts, each violating it on a `[2, 3]`
+    /// operand (and a `[2, 3]` weight). Where the builder returns the typed
+    /// error, recording the step on a tape panics.
     #[test]
     fn shape_executor_types_what_the_tensor_ops_assert() {
-        for case in 0..=12 {
-            let mut shapes = ShapeExecutor::default();
-            let h = shapes.insert(vec![2, 3]);
-            let typed = violate(&mut shapes, h, case);
+        let einsum = |spec: &str| Step::Einsum(spec.to_owned(), 0);
+        let cases = [
+            Step::Reshape(vec![5]),
+            Step::Permute(vec![0, 0]),
+            Step::Permute(vec![0]),
+            Step::Unfold(2, 3),
+            Step::Unfold(0, 0),
+            Step::Roll(2),
+            Step::Strided(1, 2),
+            Step::Strided(0, 0),
+            Step::Repeat(3, 2),
+            Step::SumAxis(2),
+            einsum("ab,b->a"),
+            einsum("ab,ca->b"),
+            einsum("ab,ab->c"),
+        ];
+        for (case, step) in cases.into_iter().enumerate() {
+            let mut b = builder(vec![2, 3]);
+            let typed = b.push(step.clone());
             assert!(matches!(typed, Err(EagerError::ShapeMismatch(_))), "case {case}: {typed:?}");
-            assert!(shapes.log.is_empty(), "case {case}: a refused op is not logged");
+            assert!(b.program.steps.is_empty() && b.program.kernels.is_empty(), "case {case}: a refused op is not kept");
 
-            let mut tensors = TensorExecutor::new();
-            let h = tensors.insert(Tensor::zeros(&[2, 3]));
-            let panicked = catch_unwind(AssertUnwindSafe(|| violate(&mut tensors, h, case)));
+            let mut tape = Tape::new();
+            let (x, w) = (tape.constant(Tensor::zeros(&[2, 3])), tape.constant(Tensor::zeros(&[2, 3])));
+            let panicked = catch_unwind(AssertUnwindSafe(|| step.record(&mut tape, x, &[w])));
             assert!(panicked.is_err(), "case {case}: the tensor op asserts this");
         }
     }
 
     #[test]
     fn shape_executor_logs_kernels_not_views() {
-        let mut shapes = ShapeExecutor::default();
-        let h = shapes.insert(vec![2, 3]);
-        let u = shapes.unfold(h, 1, 3).unwrap();
-        let p = shapes.permute(u, &[0, 2, 1]).unwrap();
-        let w = shapes.insert(vec![3, 3]);
-        let e = shapes.einsum("acb,bc->ab", &[p, w]).unwrap();
-        let s = shapes.sum_axis(e, 1).unwrap();
-        assert_eq!(shapes.shape(s), &[2]);
+        let mut b = builder(vec![3, 3]);
+        let steps = [Step::Unfold(1, 3), Step::Permute(vec![0, 2, 1]), Step::Einsum("acb,bc->ab".into(), 0), Step::SumAxis(1)];
+        for step in steps.clone() {
+            b.push(step).unwrap();
+        }
+        assert_eq!(b.shape, [2]);
+        assert_eq!(b.program.steps, steps);
         let op = |read, written, flops| ShapeOp { read, written, flops };
-        assert_eq!(shapes.log, [op(6, 18, 0), op(27, 6, 36), op(6, 2, 6)]);
+        assert_eq!(b.program.kernels(), [op(6, 18, 0), op(27, 6, 36), op(6, 2, 6)]);
+        // An identity permutation is no step at all.
+        b.permute(vec![0]).unwrap();
+        assert_eq!(b.program.steps.len(), steps.len());
     }
 }

@@ -8,9 +8,9 @@
 //! * [`lower`] — pGraph → kernel lowering, naive and with the
 //!   *materialized reduction* optimization (Fig. 4), which enumerates
 //!   reduction orderings and splits stages to minimize FLOPs;
-//! * [`eager`] — the PyTorch-style eager generator that replays a pGraph as
-//!   `syno-tensor` view ops and einsums, generically over plain tensors or
-//!   an autodiff tape.
+//! * [`eager`] — the PyTorch-style eager generator that lowers a pGraph
+//!   once to an [`eager::Program`] of `syno-tensor` view ops and einsums,
+//!   replayed on plain tensors or on an autodiff tape.
 //!
 //! The two backends implement the *same semantics* from the same pGraph; the
 //! crate's tests (and the cross-crate property tests) assert they agree
@@ -25,6 +25,5 @@ pub mod eager;
 pub mod kernel;
 pub mod lower;
 
-pub use eager::{execute, record, weight_shapes, EagerError};
 pub use kernel::{Kernel, Stage};
 pub use lower::{lower_naive, lower_optimized, LowerError};

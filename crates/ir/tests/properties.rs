@@ -33,7 +33,7 @@ use rand::SeedableRng;
 use std::sync::Arc;
 use syno_core::prelude::*;
 use syno_ir::kernel::OperandRef;
-use syno_ir::eager::{EagerError, Executor};
+use syno_ir::eager::{EagerError, Step};
 use syno_ir::{eager, lower_naive, lower_optimized, Kernel};
 use syno_tensor::{init, ExecPolicy, Tape, Tensor, Var};
 
@@ -92,68 +92,17 @@ fn assert_close_elementwise(a: &Tensor, b: &Tensor, tol: f32, what: &str, graph:
     }
 }
 
-/// A tape executor that notes every op it records and whether it was a
-/// weight multiply — the one way to name the tape nodes a lowering creates.
-struct NotingTape<'a> {
-    tape: &'a mut Tape,
-    ops: Vec<(Var, bool)>,
-}
-
-impl NotingTape<'_> {
-    fn note(&mut self, v: Var, multiply: bool) -> Result<Var, EagerError> {
-        self.ops.push((v, multiply));
-        Ok(v)
-    }
-}
-
-impl Executor for NotingTape<'_> {
-    type Handle = Var;
-    fn shape(&self, h: Var) -> &[usize] {
-        self.tape.value(h).shape()
-    }
-    fn reshape(&mut self, h: Var, shape: &[usize]) -> Result<Var, EagerError> {
-        let v = self.tape.reshape(h, shape);
-        self.note(v, false)
-    }
-    fn permute(&mut self, h: Var, perm: &[usize]) -> Result<Var, EagerError> {
-        let v = self.tape.permute(h, perm);
-        self.note(v, false)
-    }
-    fn unfold(&mut self, h: Var, axis: usize, k: usize) -> Result<Var, EagerError> {
-        let v = self.tape.unfold(h, axis, k);
-        self.note(v, false)
-    }
-    fn roll(&mut self, h: Var, axis: usize, amount: i64) -> Result<Var, EagerError> {
-        let v = self.tape.roll(h, axis, amount);
-        self.note(v, false)
-    }
-    fn strided(&mut self, h: Var, axis: usize, s: usize) -> Result<Var, EagerError> {
-        let v = self.tape.strided(h, axis, s);
-        self.note(v, false)
-    }
-    fn repeat(&mut self, h: Var, axis: usize, times: usize) -> Result<Var, EagerError> {
-        let v = self.tape.repeat(h, axis, times);
-        self.note(v, false)
-    }
-    fn sum_axis(&mut self, h: Var, axis: usize) -> Result<Var, EagerError> {
-        let v = self.tape.sum_axis(h, axis);
-        self.note(v, false)
-    }
-    fn einsum(&mut self, spec: &str, inputs: &[Var]) -> Result<Var, EagerError> {
-        let v = self.tape.einsum(spec, inputs);
-        self.note(v, true)
-    }
-    fn differentiates(&self) -> bool {
-        true
-    }
-}
-
 /// The training-step differential for one tape-recordable graph: with the
 /// input recorded as a constant rather than a leaf, the loss and every weight
 /// gradient keep their bits, the input has no gradient, and neither has any
-/// op before the first weight multiply (after it, the data is differentiable
-/// through the weight and every op's gradient is still computed).
+/// step before the program's first weight product (after it, the data is
+/// differentiable through the weight and every step's gradient is still
+/// computed).
 fn assert_constant_input_is_gradient_invisible(graph: &PGraph, input: &Tensor, weights: &[Tensor]) {
+    let program = eager::Program::new(graph, 0).expect("lowers");
+    program.recordable().expect("recordable");
+    let steps = program.steps();
+    let first_multiply = steps.iter().position(|s| matches!(s, Step::Einsum(..))).unwrap_or(steps.len());
     let step = |constant: bool| {
         let mut tape = Tape::new();
         let x = match constant {
@@ -161,15 +110,19 @@ fn assert_constant_input_is_gradient_invisible(graph: &PGraph, input: &Tensor, w
             false => tape.leaf(input.clone()),
         };
         let ws: Vec<Var> = weights.iter().map(|w| tape.leaf(w.clone())).collect();
-        let mut noting = NotingTape { tape: &mut tape, ops: Vec::new() };
-        let out = eager::lower_eager(&mut noting, graph, 0, x, &ws).expect("recordable");
-        let ops = noting.ops;
-        let loss = tape.mean_all(out);
+        // Each step's tape node, recorded as `Program::record` records it.
+        let vars: Vec<Var> = steps
+            .iter()
+            .scan(x, |v, step| {
+                *v = step.record(&mut tape, *v, &ws);
+                Some(*v)
+            })
+            .collect();
+        let loss = tape.mean_all(vars.last().copied().unwrap_or(x));
         let loss_value = tape.value(loss).clone();
         let grads = tape.backward(loss);
-        let first_multiply = ops.iter().position(|&(_, multiply)| multiply).unwrap_or(ops.len());
         let upstream: Vec<bool> = std::iter::once(x)
-            .chain(ops[..first_multiply].iter().map(|&(v, _)| v))
+            .chain(vars[..first_multiply].iter().copied())
             .map(|v| grads.get(v).is_some())
             .collect();
         let weight_grads: Vec<Option<Tensor>> = ws.iter().map(|&w| grads.get(w).cloned()).collect();
@@ -219,7 +172,8 @@ fn assert_differential(graph: &PGraph, seed: u64) {
     // Lowering on shapes alone must end as lowering on tensors does: `Ok`, or
     // the same typed error.
     let executed = eager::execute(graph, 0, &input, &weights);
-    let on_shapes = eager::validate(graph, 0, false).map(|_| ());
+    let program = eager::Program::new(graph, 0);
+    let on_shapes = program.as_ref().map(|_| ()).map_err(Clone::clone);
     assert_eq!(on_shapes, executed.as_ref().map(|_| ()).map_err(Clone::clone), "on\n{}", graph.render());
     match executed {
         Ok(eager_out) => {
@@ -246,8 +200,8 @@ fn assert_differential(graph: &PGraph, seed: u64) {
             // engines must agree on *whether* the graph is tape-recordable.
             let fast = run_tape(&mut Tape::new());
             let slow = run_tape(&mut Tape::new_reference());
-            let (on_shapes, on_tape) = (eager::validate(graph, 0, true), fast.as_ref());
-            assert_eq!(on_shapes.map(|_| ()), on_tape.map(|_| ()).map_err(Clone::clone), "on\n{}", graph.render());
+            let on_shapes = program.as_ref().expect("executes, so lowers").recordable();
+            assert_eq!(on_shapes, fast.as_ref().map(|_| ()).map_err(Clone::clone), "on\n{}", graph.render());
             match (fast, slow) {
                 (Ok((fast_out, fast_gx)), Ok((slow_out, slow_gx))) => {
                     assert_constant_input_is_gradient_invisible(graph, &input, &weights);
@@ -328,7 +282,7 @@ fn unplaceable_weight_is_the_same_typed_failure_on_shapes() {
     let g = g.apply(&Action::Expand { coord: co }).unwrap();
     let g = g.apply(&Action::Reduce { domain: spec.input.dims()[1].clone() }).unwrap();
     let g = g.apply(&Action::Share { coord: g.last_node().unwrap().produced()[0], weight: 0 }).unwrap();
-    assert_eq!(eager::validate(&g, 0, true), Err(EagerError::WeightNotRealizable(0)));
+    assert_eq!(eager::Program::new(&g, 0).err(), Some(EagerError::WeightNotRealizable(0)));
     assert_differential(&g, 505);
 }
 
@@ -422,6 +376,58 @@ proptest! {
             }
         }
     }
+}
+
+/// One program, built once, replays bit-identically: on several fresh tapes
+/// (outputs and weight gradients) and through `execute` (outputs). An
+/// operator layer records its one program at every training step, so a
+/// program may hold no per-run state.
+#[test]
+fn one_program_replays_bit_identically() {
+    let mut rng = StdRng::seed_from_u64(39);
+    let mut replayed = 0;
+    for (vars, spec) in search_specs() {
+        let enumerator = Enumerator::new(SynthConfig::auto(&vars, 5));
+        let root = PGraph::new(vars, spec);
+        for trial in 0..200 {
+            let RolloutResult::Complete(g) = rollout(&mut rng, &enumerator, &root, true) else {
+                continue;
+            };
+            let Ok(program) = eager::Program::new(&g, 0) else { continue };
+            if program.recordable().is_err() {
+                continue;
+            }
+            let (input, weights) = random_io(&g, trial);
+            let replay = || {
+                let mut tape = Tape::new();
+                let x = tape.constant(input.clone());
+                let ws: Vec<Var> = weights.iter().map(|w| tape.leaf(w.clone())).collect();
+                let out = program.record(&mut tape, x, &ws).expect("recordable");
+                let out_value = tape.value(out).clone();
+                let loss = tape.mean_all(out);
+                let grads = tape.backward(loss);
+                (out_value, ws.iter().map(|&w| grads.get(w).cloned()).collect::<Vec<_>>())
+            };
+            let (first_out, first_grads) = replay();
+            for _ in 0..3 {
+                let executed = program.execute(&input, &weights).expect("executes");
+                assert_bits_equal(&executed, &first_out, "execute vs tape", &g);
+                let (out, grads) = replay();
+                assert_bits_equal(&out, &first_out, "replayed output", &g);
+                for (again, first) in grads.iter().zip(&first_grads) {
+                    match (again, first) {
+                        (Some(a), Some(f)) => assert_bits_equal(a, f, "replayed weight gradient", &g),
+                        (a, f) => assert_eq!(a.is_some(), f.is_some(), "weight gradient presence"),
+                    }
+                }
+            }
+            replayed += 1;
+            if replayed % 6 == 0 {
+                break;
+            }
+        }
+    }
+    assert!(replayed >= 8, "too few operators replayed: {replayed}");
 }
 
 /// `[H] → [H, K]` where the `Unfold` of the two *output* coordinates is

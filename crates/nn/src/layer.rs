@@ -1,11 +1,11 @@
 //! Layers: the building blocks of the proxy models.
 //!
-//! The central one is [`OperatorLayer`], which wraps a complete pGraph and
-//! runs it through the eager code generator recorded on the autodiff tape —
-//! i.e. a synthesized operator used as a trainable network layer, exactly
-//! the paper's drop-in substitution (§4). The rest are the fixed scaffolding
-//! the paper leaves untouched: activations, pooling, and the classifier
-//! head.
+//! The central one is [`OperatorLayer`], which lowers a complete pGraph once
+//! to its eager program and replays it on the autodiff tape at every
+//! forward — i.e. a synthesized operator used as a trainable network layer,
+//! exactly the paper's drop-in substitution (§4). The rest are the fixed
+//! scaffolding the paper leaves untouched: activations, pooling, and the
+//! classifier head.
 
 use std::fmt;
 use syno_core::graph::PGraph;
@@ -29,55 +29,48 @@ pub trait Layer: fmt::Debug {
 /// The input is expected shaped as the operator's input specification under
 /// the layer's valuation.
 pub struct OperatorLayer {
-    graph: PGraph,
-    valuation: usize,
-    weight_shapes: Vec<Vec<usize>>,
+    program: eager::Program,
 }
 
 impl fmt::Debug for OperatorLayer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "OperatorLayer({} primitives, {} weights)",
-            self.graph.len(),
-            self.weight_shapes.len()
+            "OperatorLayer({} steps, {} weights)",
+            self.program.steps().len(),
+            self.program.weight_shapes().len()
         )
     }
 }
 
 impl OperatorLayer {
-    /// Wraps a complete pGraph.
+    /// Wraps a complete pGraph, lowered once to its eager program.
     ///
     /// # Errors
     ///
     /// Returns the eager-lowering error when the operator cannot be
-    /// realized (incomplete graph, bad valuation, or non-realizable weight).
+    /// realized on a tape (incomplete graph, bad valuation, non-realizable
+    /// or diagonal weight).
     pub fn new(graph: PGraph, valuation: usize) -> Result<Self, eager::EagerError> {
-        let weight_shapes = eager::weight_shapes(&graph, valuation)?;
-        // Verify realizability once up front, on shapes alone (no tensor is
-        // built): rejecting here keeps training loops panic-free.
-        eager::validate(&graph, valuation, true)?;
-        Ok(OperatorLayer {
-            graph,
-            valuation,
-            weight_shapes,
-        })
-    }
-
-    /// The wrapped pGraph.
-    pub fn graph(&self) -> &PGraph {
-        &self.graph
+        // Lowered on shapes alone (no tensor is built) and checked
+        // recordable once up front: rejecting here keeps training loops
+        // panic-free.
+        let program = eager::Program::new(&graph, valuation)?;
+        program.recordable()?;
+        Ok(OperatorLayer { program })
     }
 }
 
 impl Layer for OperatorLayer {
     fn forward(&self, tape: &mut Tape, x: Var, params: &[Var]) -> Var {
-        eager::record(tape, &self.graph, self.valuation, x, params)
+        self.program
+            .record(tape, x, params)
             .expect("realizability checked at construction")
     }
 
     fn init_params(&self, rng: &mut dyn rand::RngCore) -> Vec<Tensor> {
-        self.weight_shapes
+        self.program
+            .weight_shapes()
             .iter()
             .map(|s| init::kaiming(rng, s))
             .collect()
