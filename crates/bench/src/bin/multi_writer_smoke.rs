@@ -74,9 +74,8 @@ fn conv_scenario() -> (Arc<VarTable>, OperatorSpec) {
 /// Child mode: when [`ENV_WRITER`] is present, this process is one writer.
 /// It opens the shared repository named by the companion env vars through
 /// its shard, runs a small deterministic search against it — journaling
-/// candidates, scores, checkpoints, the operation log and the per-run
-/// `CandidateSet` named after the label — and returns `true` (`main` then
-/// returns immediately).
+/// candidates, scores, checkpoints and the per-run `CandidateSet` named
+/// after the label — and returns `true` (`main` then returns immediately).
 fn run_writer_from_env() -> bool {
     let Ok(writer) = std::env::var(ENV_WRITER) else {
         return false;

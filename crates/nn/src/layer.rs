@@ -7,6 +7,7 @@
 //! scaffolding the paper leaves untouched: activations, pooling, and the
 //! classifier head.
 
+use std::borrow::Borrow;
 use std::fmt;
 use syno_core::graph::PGraph;
 use syno_ir::eager;
@@ -44,18 +45,19 @@ impl fmt::Debug for OperatorLayer {
 }
 
 impl OperatorLayer {
-    /// Wraps a complete pGraph, lowered once to its eager program.
+    /// Wraps a complete pGraph, lowered once to its eager program. The
+    /// layer keeps only the program, so the graph may be borrowed or owned.
     ///
     /// # Errors
     ///
     /// Returns the eager-lowering error when the operator cannot be
     /// realized on a tape (incomplete graph, bad valuation, non-realizable
     /// or diagonal weight).
-    pub fn new(graph: PGraph, valuation: usize) -> Result<Self, eager::EagerError> {
+    pub fn new(graph: impl Borrow<PGraph>, valuation: usize) -> Result<Self, eager::EagerError> {
         // Lowered on shapes alone (no tensor is built) and checked
         // recordable once up front: rejecting here keeps training loops
         // panic-free.
-        let program = eager::Program::new(&graph, valuation)?;
+        let program = eager::Program::new(graph.borrow(), valuation)?;
         program.recordable()?;
         Ok(OperatorLayer { program })
     }

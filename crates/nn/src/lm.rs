@@ -109,7 +109,7 @@ impl TinyGpt {
     /// Forward pass on a batch of contexts (`[n * T]` token ids), producing
     /// next-token logits `[n, V]`; also returns parameter vars for updates.
     fn forward(&self, tape: &mut Tape, contexts: &[usize], n: usize) -> (Var, Vec<Var>) {
-        let (t, d, v) = (self.config.context, self.config.dim, self.config.vocab);
+        let (t, d) = (self.config.context, self.config.dim);
         assert_eq!(contexts.len(), n * t, "context length mismatch");
 
         let emb = tape.leaf(self.embedding.clone());
@@ -117,7 +117,7 @@ impl TinyGpt {
         let qkv_vars: Vec<Var> = self.qkv_weights.iter().map(|w| tape.leaf(w.clone())).collect();
         let proj = tape.leaf(self.out_proj.clone());
         let head = tape.leaf(self.head.clone());
-        let mask = tape.leaf(self.mask.clone());
+        let mask = tape.constant(self.mask.clone());
 
         // Embed tokens and add positions: [n*T, D].
         let tok = tape.gather(emb, contexts);
@@ -161,12 +161,11 @@ impl TinyGpt {
         // Select the final time step: einsum with a constant one-hot.
         let mut pick = Tensor::zeros(&[t]);
         pick.set(&[t - 1], 1.0);
-        let pick = tape.leaf(pick);
+        let pick = tape.constant(pick);
         let last_h = tape.einsum("ntd,t->nd", &[h, pick]);
         let last_x = tape.einsum("ntd,t->nd", &[x3, pick]);
         let last = tape.add(last_h, last_x);
         let logits = tape.matmul(last, head);
-        let _ = v;
 
         let mut params = vec![emb, pos];
         params.extend(qkv_vars);
@@ -249,7 +248,7 @@ fn slice_first(tape: &mut Tape, x: Var, index: usize, len: usize) -> Var {
     let blocks = tape.value(x).shape()[0];
     let mut onehot = Tensor::zeros(&[blocks]);
     onehot.set(&[index], 1.0);
-    let sel = tape.leaf(onehot);
+    let sel = tape.constant(onehot);
     let picked = tape.einsum("bl,b->l", &[x, sel]);
     tape.reshape(picked, &[len])
 }

@@ -130,7 +130,7 @@ impl ProxyScorer for VisionScorer {
         if task_shapes(graph.spec(), graph.vars(), self.valuation)? != self.shapes {
             return Err(SynoError::proxy(OTHER_SPEC));
         }
-        let layer = OperatorLayer::new(graph.clone(), self.valuation)?;
+        let layer = OperatorLayer::new(graph, self.valuation)?;
         let mut rng = StdRng::seed_from_u64(self.config.init_seed);
         let mut model = Model::new();
         model.push(Box::new(layer), &mut rng);

@@ -183,7 +183,7 @@ struct SeqStudent<'a> {
 
 impl<'a> SeqStudent<'a> {
     fn new(graph: &PGraph, valuation: usize, shapes: &'a SeqShapes, seed: u64) -> Result<Self, SynoError> {
-        let layer = OperatorLayer::new(graph.clone(), valuation)?;
+        let layer = OperatorLayer::new(graph, valuation)?;
         let mut rng = StdRng::seed_from_u64(seed);
         let embedding = init::randn(&mut rng, &[VOCAB, shapes.embed], 0.5);
         let op_weights = layer.init_params(&mut rng);

@@ -43,7 +43,7 @@ fn sample(vars: &Arc<VarTable>, spec: &OperatorSpec, trainable: usize) -> (Vec<P
         let RolloutResult::Complete(g) = rollout(&mut rng, &enumerator, &root, true) else {
             continue;
         };
-        let realizable = OperatorLayer::new((*g).clone(), 0).is_ok();
+        let realizable = OperatorLayer::new(&*g, 0).is_ok();
         let wanted = if realizable { trainable } else { 4 };
         if kept[usize::from(realizable)] < wanted && seen.insert(g.content_hash()) {
             kept[usize::from(realizable)] += 1;

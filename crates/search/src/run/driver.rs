@@ -16,7 +16,7 @@ use std::time::Instant;
 use syno_core::error::SynoError;
 use syno_core::graph::PGraph;
 use syno_core::synth::{Enumerator, SynthConfig};
-use syno_store::{CandidateSet, Checkpoint, OpKind};
+use syno_store::{CandidateSet, Checkpoint};
 
 /// What every scenario thread and every candidate job of one run shares:
 /// the configuration `start()` validated, and the run's live state.
@@ -153,36 +153,10 @@ fn run_scenario(shared: &Arc<Shared>, index: usize, scenario: &Scenario) -> Vec<
     // a resumed scenario re-adopts its journaled seed so the deterministic
     // replay matches the interrupted run.
     let base_seed = shared.config.mcts.seed.wrapping_add(index as u64);
-    let resumed_from = store
+    let seed = store
         .filter(|_| shared.config.resume)
-        .and_then(|s| s.checkpoint(&scenario.label, fingerprint));
-    let seed = resumed_from.as_ref().map_or(base_seed, |cp| cp.seed);
-    // Journal the run's lifecycle into the repository's operation log so
-    // this scenario's candidate collection has lineage. On resume, the op
-    // log tells the continuation what it is continuing from (the newest
-    // prior operation for this scenario, if any).
-    if let Some(store) = store {
-        let op = match &resumed_from {
-            Some(cp) => {
-                let prior = store
-                    .last_operation(&scenario.label, fingerprint)
-                    .map_or_else(String::new, |op| format!(" after {op}"));
-                store.log_operation(
-                    OpKind::RunResumed,
-                    &scenario.label,
-                    fingerprint,
-                    format!("seed {seed} from iteration {}{prior}", cp.iterations),
-                )
-            }
-            None => store.log_operation(
-                OpKind::RunStarted,
-                &scenario.label,
-                fingerprint,
-                format!("seed {seed}"),
-            ),
-        };
-        let _ = op; // best-effort, like every journal append on the hot path
-    }
+        .and_then(|s| s.checkpoint(&scenario.label, fingerprint))
+        .map_or(base_seed, |cp| cp.seed);
     let mut mcts = Mcts::new(enumerator, MctsConfig { seed, ..shared.config.mcts });
 
     let total_iterations = shared.config.mcts.iterations as u64;
@@ -205,22 +179,15 @@ fn run_scenario(shared: &Arc<Shared>, index: usize, scenario: &Scenario) -> Vec<
 
     // Journals the scenario's position, so `resume_from` knows where it got
     // to (and that a completed scenario replays as hits, not trainings).
-    let checkpoint = |iterations: u64, note: &str| {
+    let checkpoint = |iterations: u64| {
         let Some(store) = store else { return };
         let written = store.put_checkpoint(&Checkpoint {
             label: scenario.label.clone(),
             spec_fingerprint: fingerprint,
             seed,
             iterations,
-            discovered: progress.discovered(),
         });
         if written.is_ok() {
-            let _ = store.log_operation(
-                OpKind::Checkpoint,
-                &scenario.label,
-                fingerprint,
-                format!("iteration {iterations}{note}"),
-            );
             shared.emit(SearchEvent::CheckpointWritten {
                 scenario: index,
                 iterations,
@@ -241,7 +208,7 @@ fn run_scenario(shared: &Arc<Shared>, index: usize, scenario: &Scenario) -> Vec<
                 total_iterations,
                 discovered: progress.discovered(),
             });
-            checkpoint(iteration, "");
+            checkpoint(iteration);
         }
         true
     };
@@ -303,7 +270,7 @@ fn run_scenario(shared: &Arc<Shared>, index: usize, scenario: &Scenario) -> Vec<
         .phases
         .add_synth_ns(mcts.stats.select_ns + mcts.stats.rollout_ns);
 
-    checkpoint(progress.iterations(), " (final)");
+    checkpoint(progress.iterations());
 
     // Pool workers may still be tearing down their job closures (each
     // holds a clone of the Arc), but every evaluation that completed has

@@ -332,8 +332,8 @@ impl SearchBuilder {
     /// skipped from their stored marker, so the prefix costs recall, not
     /// training. The run then continues past where it was killed, and the
     /// final candidate set matches an uninterrupted run of the same
-    /// configuration. The checkpoint's `iterations`/`discovered` fields
-    /// are informational (progress reporting).
+    /// configuration. The checkpoint's `iterations` field is
+    /// informational (progress reporting).
     #[must_use = "resume_from only configures the builder; call .start() or .run() to launch"]
     pub fn resume_from(mut self, store: Arc<Store>) -> Self {
         self.config.store = Some(store);

@@ -83,7 +83,7 @@ use std::thread;
 
 use syno_nn::ProxyConfig;
 use syno_search::{CancelToken, CoalesceTable, EvalPool, RunProgress};
-use syno_store::{OpKind, Store};
+use syno_store::Store;
 
 use crate::event_loop::{self, LoopMsg, Mailbox, WakeReader};
 use crate::protocol::{DaemonStatus, Frame, SessionStatus, WireStoreStats};
@@ -243,15 +243,10 @@ impl DaemonState {
     }
 
     /// Validates a [`Frame::Attach`]: the session must exist and belong
-    /// to the attaching tenant. Journals the takeover (sessions are
-    /// durable state transitions worth auditing) and returns the number
-    /// of retained frames.
-    pub(crate) fn attach_session(
-        &self,
-        tenant: &str,
-        session: u64,
-        from_seq: u64,
-    ) -> Result<u64, String> {
+    /// to the attaching tenant. Counts the takeover in
+    /// `syno_serve_attach_total` and returns the number of retained
+    /// frames.
+    pub(crate) fn attach_session(&self, tenant: &str, session: u64) -> Result<u64, String> {
         let Some(log) = self.session_log(session) else {
             return Err(format!("cannot attach: unknown session {session}"));
         };
@@ -260,20 +255,8 @@ impl DaemonState {
                 "cannot attach: session {session} is not owned by tenant '{tenant}'"
             ));
         }
-        let retained = log.len() as u64;
-        if let Some(store) = &self.store {
-            let _ = store.log_operation(
-                OpKind::SessionAttached,
-                &log.label,
-                0,
-                format!(
-                    "tenant '{tenant}' attached session {session} \
-                     from seq {from_seq} ({retained} frames retained)"
-                ),
-            );
-        }
         syno_telemetry::counter!("syno_serve_attach_total").inc();
-        Ok(retained)
+        Ok(log.len() as u64)
     }
 
     /// Tenant-scoped cancel: any connection authenticated as the owning

@@ -394,7 +394,7 @@ mod unix_loop {
                     Err(reason) => self.queue(&Frame::Rejected { reason }),
                 },
                 Frame::Attach { session, from_seq } => {
-                    match state.attach_session(&tenant, session, from_seq) {
+                    match state.attach_session(&tenant, session) {
                         Ok(retained) => {
                             self.queue(&Frame::AttachReply {
                                 session,

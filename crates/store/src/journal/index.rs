@@ -1,7 +1,7 @@
 //! The merged in-memory view every replayed record builds, and the
 //! counters read off it.
 
-use super::record::{Checkpoint, Operation, Record, ScoreContract};
+use super::record::{Checkpoint, Record, ScoreContract};
 use super::sets::CandidateSet;
 use std::collections::{BTreeMap, HashMap};
 
@@ -21,8 +21,6 @@ pub struct StoreStats {
     pub latency_measurements: u64,
     /// Live checkpoints (latest per scenario).
     pub checkpoints: u64,
-    /// Operation-log entries (run lineage, compactions, derives).
-    pub operations: u64,
     /// Named candidate sets (latest per name).
     pub candidate_sets: u64,
     /// Journal segments in the repository when this handle opened (own
@@ -66,8 +64,6 @@ pub(super) struct ReplayState {
     pub(super) order: Vec<u64>,
     /// `(label, spec fingerprint) → latest checkpoint`.
     pub(super) checkpoints: HashMap<(String, u64), Checkpoint>,
-    /// The operation log, in repository replay order.
-    pub(super) ops: Vec<Operation>,
     /// Named candidate sets, latest record per name; `BTreeMap` so
     /// compaction writes them in deterministic name order.
     pub(super) sets: BTreeMap<String, CandidateSet>,
@@ -108,7 +104,6 @@ impl ReplayState {
                 self.checkpoints
                     .insert((cp.label.clone(), cp.spec_fingerprint), cp);
             }
-            Record::Operation(op) => self.ops.push(op),
             Record::CandidateSet(set) => {
                 self.sets.insert(set.name().to_owned(), set);
             }
@@ -127,8 +122,8 @@ impl ReplayState {
     /// Calls `emit` with every record of the live state, in the canonical
     /// order compaction writes: per candidate (first-seen order) its graph,
     /// score and latencies sorted by device/compiler; then checkpoints
-    /// sorted by scenario; the operation log; the sets by name. Equal
-    /// histories therefore compact to equal bytes.
+    /// sorted by scenario; the sets by name. Equal histories therefore
+    /// compact to equal bytes, and so does the compacted state itself.
     pub(super) fn for_each_live(&self, mut emit: impl FnMut(&Record)) {
         for &hash in &self.order {
             let entry = &self.index[&hash];
@@ -162,9 +157,6 @@ impl ReplayState {
         for cp in checkpoints {
             emit(&Record::Checkpoint(cp.clone()));
         }
-        for op in &self.ops {
-            emit(&Record::Operation(op.clone()));
-        }
         for set in self.sets.values() {
             emit(&Record::CandidateSet(set.clone()));
         }
@@ -194,7 +186,6 @@ impl ReplayState {
                 .map(|e| e.latencies.len() as u64)
                 .sum(),
             checkpoints: self.checkpoints.len() as u64,
-            operations: self.ops.len() as u64,
             candidate_sets: self.sets.len() as u64,
             ..StoreStats::default()
         }

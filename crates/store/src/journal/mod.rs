@@ -1,6 +1,5 @@
-//! The versioned candidate repository: segment-per-writer journal shards,
-//! an operation log, and named candidate collections, over one in-memory
-//! index.
+//! The versioned candidate repository: segment-per-writer journal shards
+//! and named candidate collections, over one in-memory index.
 //!
 //! ## On-disk layout
 //!
@@ -73,7 +72,7 @@ mod store;
 mod tests;
 
 pub use index::StoreStats;
-pub use record::{Checkpoint, OpKind, Operation, Record, RecordKind, ScoreContract};
+pub use record::{Checkpoint, Record, RecordKind, ScoreContract};
 pub use sets::{CandidateSet, DeriveOp};
 pub use store::{Store, StoreBuilder};
 

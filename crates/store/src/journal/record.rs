@@ -1,7 +1,6 @@
 //! Journal records and their payload codec.
 
 use super::sets::CandidateSet;
-use std::fmt;
 use syno_core::codec::{CodecError, Decoder, Encoder};
 
 /// The journaled record kinds; the discriminant is the envelope tag.
@@ -16,19 +15,16 @@ pub enum RecordKind {
     LatencyMeasurement = 3,
     /// A search scenario's journaled position.
     Checkpoint = 4,
-    /// One entry of the repository's operation log.
-    Operation = 5,
     /// A named candidate collection.
     CandidateSet = 6,
 }
 
 impl RecordKind {
-    const ALL: [RecordKind; 6] = [
+    const ALL: [RecordKind; 5] = [
         RecordKind::Candidate,
         RecordKind::ProxyScore,
         RecordKind::LatencyMeasurement,
         RecordKind::Checkpoint,
-        RecordKind::Operation,
         RecordKind::CandidateSet,
     ];
 
@@ -61,8 +57,6 @@ pub struct Checkpoint {
     pub seed: u64,
     /// Iterations completed when the checkpoint was written.
     pub iterations: u64,
-    /// Distinct candidates discovered when the checkpoint was written.
-    pub discovered: u64,
 }
 
 /// The typed identity of a proxy score: which task family's proxy produced
@@ -92,86 +86,6 @@ impl ScoreContract {
             family: family.into(),
             reduce_width,
         }
-    }
-}
-
-/// What a journaled [`Operation`] records; the discriminant is its payload
-/// tag.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum OpKind {
-    /// A search run started fresh against the repository.
-    RunStarted = 0,
-    /// A search run resumed from a journaled checkpoint.
-    RunResumed = 1,
-    /// A run wrote a periodic checkpoint.
-    Checkpoint = 2,
-    /// A fan-in compaction merged the repository's segments.
-    Compaction = 3,
-    /// A candidate set was derived from existing sets.
-    Derive = 4,
-    /// A serving-layer client attached to (took over) a live session's
-    /// event stream after its original connection dropped.
-    SessionAttached = 5,
-}
-
-impl OpKind {
-    const ALL: [OpKind; 6] = [
-        OpKind::RunStarted,
-        OpKind::RunResumed,
-        OpKind::Checkpoint,
-        OpKind::Compaction,
-        OpKind::Derive,
-        OpKind::SessionAttached,
-    ];
-
-    /// Stable lower-case name (`"run-started"`, `"derive"`, …).
-    pub fn name(self) -> &'static str {
-        match self {
-            OpKind::RunStarted => "run-started",
-            OpKind::RunResumed => "run-resumed",
-            OpKind::Checkpoint => "checkpoint",
-            OpKind::Compaction => "compaction",
-            OpKind::Derive => "derive",
-            OpKind::SessionAttached => "session-attached",
-        }
-    }
-}
-
-impl fmt::Display for OpKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// One entry of the repository's operation log: which writer did what, to
-/// which scenario or set, and any human-readable detail. The log is what
-/// gives candidate collections *lineage* — two search runs can branch from
-/// and merge into one shared repository and the history stays auditable.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Operation {
-    /// What happened.
-    pub kind: OpKind,
-    /// The shard writer that journaled the operation (`"journal"` for the
-    /// canonical single-writer segment).
-    pub writer: String,
-    /// The scenario label or set name the operation concerns.
-    pub label: String,
-    /// The scenario's spec fingerprint, or `0` for operations (compaction,
-    /// derive) that are not tied to one spec.
-    pub spec_fingerprint: u64,
-    /// Free-form detail (e.g. `"from iteration 40"` for a resume, the
-    /// lineage expression for a derive).
-    pub detail: String,
-}
-
-impl fmt::Display for Operation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {} [{}]", self.kind, self.label, self.writer)?;
-        if !self.detail.is_empty() {
-            write!(f, ": {}", self.detail)?;
-        }
-        Ok(())
     }
 }
 
@@ -209,8 +123,6 @@ pub enum Record {
     },
     /// A search checkpoint.
     Checkpoint(Checkpoint),
-    /// One operation-log entry.
-    Operation(Operation),
     /// A named candidate collection (latest per name wins).
     CandidateSet(CandidateSet),
 }
@@ -223,7 +135,6 @@ impl Record {
             Record::ProxyScore { .. } => RecordKind::ProxyScore,
             Record::LatencyMeasurement { .. } => RecordKind::LatencyMeasurement,
             Record::Checkpoint(_) => RecordKind::Checkpoint,
-            Record::Operation(_) => RecordKind::Operation,
             Record::CandidateSet(_) => RecordKind::CandidateSet,
         }
     }
@@ -264,14 +175,6 @@ impl Record {
                 e.put_u64(cp.spec_fingerprint);
                 e.put_u64(cp.seed);
                 e.put_u64(cp.iterations);
-                e.put_u64(cp.discovered);
-            }
-            Record::Operation(op) => {
-                e.put_u8(op.kind as u8);
-                e.put_str(&op.writer);
-                e.put_str(&op.label);
-                e.put_u64(op.spec_fingerprint);
-                e.put_str(&op.detail);
             }
             Record::CandidateSet(set) => {
                 e.put_str(set.name());
@@ -311,22 +214,7 @@ impl Record {
                 spec_fingerprint: d.get_u64()?,
                 seed: d.get_u64()?,
                 iterations: d.get_u64()?,
-                discovered: d.get_u64()?,
             }),
-            RecordKind::Operation => {
-                let tag = d.get_u8()?;
-                let kind = OpKind::ALL.get(tag as usize).copied().ok_or(CodecError::BadTag {
-                    what: "operation kind",
-                    tag,
-                })?;
-                Record::Operation(Operation {
-                    kind,
-                    writer: d.get_str()?,
-                    label: d.get_str()?,
-                    spec_fingerprint: d.get_u64()?,
-                    detail: d.get_str()?,
-                })
-            }
             RecordKind::CandidateSet => {
                 let name = d.get_str()?;
                 let lineage = d.get_str()?;

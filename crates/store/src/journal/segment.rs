@@ -13,7 +13,7 @@ use syno_core::codec::{put_frame, split_frame};
 const MAGIC: [u8; 8] = *b"SYNOSTOR";
 /// Version of the segment layout (independent of the value codec's
 /// `FORMAT_VERSION`, which is checked per embedded graph).
-pub(super) const JOURNAL_VERSION: u32 = 1;
+pub(super) const JOURNAL_VERSION: u32 = 2;
 /// Bytes of header before the first record.
 pub(super) const HEADER_LEN: usize = 12;
 /// Refuse absurd record lengths so a corrupt length prefix cannot force a

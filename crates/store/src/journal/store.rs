@@ -2,7 +2,7 @@
 //! path, the lookups, and fan-in compaction.
 
 use super::index::{ReplayState, StoreStats};
-use super::record::{Checkpoint, OpKind, Operation, Record, ScoreContract};
+use super::record::{Checkpoint, Record, ScoreContract};
 use super::segment::{self, Segment};
 use super::sets::{CandidateSet, DeriveOp};
 use super::{io_err, StoreError};
@@ -40,18 +40,6 @@ impl Inner {
         self.segment.append(&record)?;
         self.state.apply(record);
         Ok(())
-    }
-
-    /// An operation-log entry stamped with this writer's id (`"journal"`
-    /// for the canonical segment's writer).
-    fn operation(&self, kind: OpKind, label: &str, spec_fingerprint: u64, detail: String) -> Operation {
-        Operation {
-            kind,
-            writer: self.writer.as_deref().unwrap_or("journal").to_owned(),
-            label: label.to_owned(),
-            spec_fingerprint,
-            detail,
-        }
     }
 }
 
@@ -314,43 +302,6 @@ impl Store {
         self.lock().commit(Record::Checkpoint(checkpoint.clone()))
     }
 
-    /// Journals one operation-log entry stamped with this writer's id and
-    /// returns it — how search runs record their lineage (started,
-    /// resumed, checkpointed) against the repository.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] when the append fails.
-    pub fn log_operation(
-        &self,
-        kind: OpKind,
-        label: &str,
-        spec_fingerprint: u64,
-        detail: impl Into<String>,
-    ) -> Result<Operation, StoreError> {
-        let mut inner = self.lock();
-        let op = inner.operation(kind, label, spec_fingerprint, detail.into());
-        inner.commit(Record::Operation(op.clone()))?;
-        Ok(op)
-    }
-
-    /// The full operation log in repository replay order.
-    pub fn operations(&self) -> Vec<Operation> {
-        self.lock().state.ops.clone()
-    }
-
-    /// The most recent operation journaled for `(label, spec_fingerprint)`
-    /// — what `resume_from` consults to report a resumed run's lineage.
-    pub fn last_operation(&self, label: &str, spec_fingerprint: u64) -> Option<Operation> {
-        self.lock()
-            .state
-            .ops
-            .iter()
-            .rev()
-            .find(|op| op.label == label && op.spec_fingerprint == spec_fingerprint)
-            .cloned()
-    }
-
     /// Journals a named candidate set (latest record per name wins, like
     /// checkpoints).
     ///
@@ -367,10 +318,11 @@ impl Store {
     }
 
     /// Derives a new named candidate set as `op` over the sets named
-    /// `left` and `right`, journaling the set **and** a `Derive`
-    /// operation-log entry recording its lineage. The result is canonical
-    /// (sorted, deduplicated), so repeat derivations over equal inputs are
-    /// byte-identical — the determinism the multi-writer CI smoke asserts.
+    /// `left` and `right` and journals it as one `CandidateSet` record,
+    /// whose [`lineage`](CandidateSet::lineage) (e.g. `union(a,b)`) names
+    /// its inputs. The result is canonical (sorted, deduplicated), so
+    /// repeat derivations over equal inputs are byte-identical — the
+    /// determinism the multi-writer CI smoke asserts.
     ///
     /// # Errors
     ///
@@ -390,9 +342,7 @@ impl Store {
             })
         };
         let set = CandidateSet::derive(op, name, input(left)?, input(right)?);
-        let log = inner.operation(OpKind::Derive, name, 0, set.lineage().to_owned());
         inner.commit(Record::CandidateSet(set.clone()))?;
-        inner.commit(Record::Operation(log))?;
         drop(inner);
         syno_telemetry::counter!("syno_store_derives_total").inc();
         Ok(set)
@@ -488,11 +438,12 @@ impl Store {
     /// a fresh canonical segment keeping only the live state — one
     /// `Candidate`, at most one `ProxyScore`, and the latest latency per
     /// device/compiler pair for each hash (in repository first-seen
-    /// order), the latest checkpoint per scenario, the full operation log
-    /// (plus a new `Compaction` entry), and the latest candidate set per
-    /// name. Superseded duplicates are dropped, merged-away shards are
-    /// removed, and this writer's own shard (when named) is reset to
-    /// header-only. Returns the stats after compaction.
+    /// order), the latest checkpoint per scenario, and the latest candidate
+    /// set per name. Superseded duplicates are dropped, merged-away shards
+    /// are removed, and this writer's own shard (when named) is reset to
+    /// header-only. Returns the stats after compaction. The live state is a
+    /// fixed point: compacting a compacted repository rewrites the same
+    /// bytes.
     ///
     /// Every *other* segment's writer lock is taken for the duration, so
     /// a live writer makes the compaction fail loudly instead of losing
@@ -541,11 +492,6 @@ impl Store {
                 segment::replay(&mut merged, &bytes, path)?;
             }
         }
-        let fan_in = format!("fan-in of {} segments", segments.len());
-        merged
-            .ops
-            .push(inner.operation(OpKind::Compaction, "", 0, fan_in));
-
         let mut bytes = segment::empty_segment();
         merged.for_each_live(|record| segment::put_record(&mut bytes, record));
 

@@ -15,13 +15,14 @@
 //! `journal-<writer>.syno` shard per named writer — so many processes can
 //! append to one repository concurrently, each holding only its own shard's
 //! lock. Fan-in [`Store::compact`] merges every segment back into the
-//! canonical one. An operation log ([`Operation`]/[`OpKind`]) gives runs and
-//! derived collections lineage, and [`CandidateSet`] adds named,
-//! deterministic set algebra ([`Store::derive`] with a [`DeriveOp`]) plus
-//! `top_k` selection over candidate collections.
+//! canonical one. [`CandidateSet`] adds named, deterministic set algebra
+//! ([`Store::derive`] with a [`DeriveOp`]) plus `top_k` selection over
+//! candidate collections; each set carries its own lineage (`run:<label>`,
+//! `union(a,b)`, …). Every fact is journaled once, so compacting a
+//! compacted repository rewrites the same bytes.
 //!
 //! * [`Store`] — the repository: [`Record`]s (`Candidate`, `ProxyScore`,
-//!   `LatencyMeasurement`, `Checkpoint`, `Operation`, `CandidateSet`), each
+//!   `LatencyMeasurement`, `Checkpoint`, `CandidateSet`), each
 //!   in one frame of the envelope `syno_core::codec` owns, loaded through
 //!   crash-safe recovery that truncates a torn tail record on the writer's
 //!   own segment, indexed in memory by content hash, and compactable
@@ -35,7 +36,7 @@
 //!   never defaulted.
 //! * [`StoreStats`] — counters for dashboards and tests.
 //! * [`Checkpoint`] — a search scenario's journaled position (label, spec
-//!   fingerprint, seed, iterations, discoveries), consumed by
+//!   fingerprint, seed, iterations), consumed by
 //!   `SearchBuilder::resume_from` in `syno-search`.
 //! * [`CandidateSet`] / [`DeriveOp`] — named content-hash collections and
 //!   the derive algebra over them.
@@ -65,6 +66,6 @@
 mod journal;
 
 pub use journal::{
-    CandidateSet, Checkpoint, DeriveOp, OpKind, Operation, Record, RecordKind, ScoreContract,
-    Store, StoreBuilder, StoreError, StoreStats,
+    CandidateSet, Checkpoint, DeriveOp, Record, RecordKind, ScoreContract, Store, StoreBuilder,
+    StoreError, StoreStats,
 };

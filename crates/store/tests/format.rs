@@ -31,11 +31,11 @@ fn compaction_refuses_a_shard_of_another_journal_version() {
     let w1 = StoreBuilder::new(&dir).writer("w1").open().unwrap();
     w1.put_score(1, 0.25, &contract).unwrap();
 
-    // Its record reads fine as version 1 — which is how it used to be merged
-    // into the canonical segment and its file deleted.
+    // Its record reads fine as the current version — which is how it used to
+    // be merged into the canonical segment and its file deleted.
     let future = dir.join("journal-w9.syno");
     let mut bytes = b"SYNOSTOR".to_vec();
-    bytes.extend_from_slice(&2u32.to_le_bytes());
+    bytes.extend_from_slice(&3u32.to_le_bytes());
     let score = Record::ProxyScore {
         hash: 9,
         accuracy: 0.5,
@@ -45,7 +45,7 @@ fn compaction_refuses_a_shard_of_another_journal_version() {
     std::fs::write(&future, &bytes).unwrap();
 
     let before = file_names(&dir);
-    assert_eq!(w1.compact().unwrap_err(), StoreError::Version { found: 2 });
+    assert_eq!(w1.compact().unwrap_err(), StoreError::Version { found: 3 });
     assert_eq!(file_names(&dir), before, "every segment file is still in place");
     assert_eq!(std::fs::read(&future).unwrap(), bytes);
     // The handle is unharmed, and open refuses the shard the same way.
@@ -53,8 +53,59 @@ fn compaction_refuses_a_shard_of_another_journal_version() {
     assert_eq!(w1.stats().scored, 2);
     assert_eq!(
         StoreBuilder::new(&dir).open().unwrap_err(),
-        StoreError::Version { found: 2 }
+        StoreError::Version { found: 3 }
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every segment file of `dir`, by name, with its bytes.
+fn snapshot(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+    file_names(dir)
+        .into_iter()
+        .map(|name| {
+            let bytes = std::fs::read(dir.join(&name)).unwrap();
+            (name, bytes)
+        })
+        .collect()
+}
+
+/// A journal of version 1 — the layout that still held an operation log
+/// under record tag 5 — is a typed `Version { found: 1 }` refusal from
+/// compaction and from open alike, not a corrupt record, and every file is
+/// left byte-identical.
+#[test]
+fn version_one_journal_with_an_operation_record_is_refused() {
+    let dir = temp_dir("version-one");
+    let contract = ScoreContract::new("vision", 1);
+    let w1 = StoreBuilder::new(&dir).writer("w1").open().unwrap();
+    w1.put_score(1, 0.25, &contract).unwrap();
+
+    // A version-1 canonical segment holding one tag-5 record (kind, writer,
+    // label, spec fingerprint, detail), as that layout framed it.
+    let mut op = Encoder::new();
+    op.put_u8(0);
+    op.put_str("journal");
+    op.put_str("pool");
+    op.put_u64(42);
+    op.put_str("seed 7");
+    let mut bytes = b"SYNOSTOR".to_vec();
+    bytes.extend_from_slice(&1u32.to_le_bytes());
+    put_frame(&mut bytes, 5, &op.into_bytes());
+    std::fs::write(dir.join("journal.syno"), &bytes).unwrap();
+
+    let before = snapshot(&dir);
+    assert_eq!(w1.compact().unwrap_err(), StoreError::Version { found: 1 });
+    assert_eq!(snapshot(&dir), before, "nothing merged, removed or rewritten");
+    drop(w1);
+    assert_eq!(
+        StoreBuilder::new(&dir).open().unwrap_err(),
+        StoreError::Version { found: 1 }
+    );
+    assert_eq!(
+        StoreBuilder::new(&dir).writer("w1").open().unwrap_err(),
+        StoreError::Version { found: 1 }
+    );
+    assert_eq!(snapshot(&dir), before, "open truncated nothing");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use syno_core::codec::{decode_graph, encode_graph};
 use syno_core::prelude::*;
-use syno_store::{CandidateSet, OpKind, Operation, Record, RecordKind, StoreBuilder};
+use syno_store::{CandidateSet, Record, RecordKind, StoreBuilder};
 
 /// Deterministic fresh temp dir per call.
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -150,37 +150,6 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Operation-log records (codec v4) round-trip exactly through the
-    /// record payload codec for every [`OpKind`] and arbitrary
-    /// writer/label/detail strings.
-    #[test]
-    fn operation_records_round_trip(
-        (kind, seed, fingerprint) in (0usize..6, 0u64..u64::MAX, 0u64..u64::MAX)
-    ) {
-        let kind = [
-            OpKind::RunStarted,
-            OpKind::RunResumed,
-            OpKind::Checkpoint,
-            OpKind::Compaction,
-            OpKind::Derive,
-            OpKind::SessionAttached,
-        ][kind];
-        let mut mix = Mix::new(seed);
-        let record = Record::Operation(Operation {
-            kind,
-            writer: mix.text(24),
-            label: mix.text(32),
-            spec_fingerprint: fingerprint,
-            detail: mix.text(48),
-        });
-        let payload = record.encode_payload();
-        let back = Record::decode_payload(RecordKind::Operation, &payload)
-            .map_err(|e| TestCaseError::fail(e.to_string()))?;
-        prop_assert_eq!(&back, &record);
-        // The codec is deterministic: re-encoding reproduces the bytes.
-        prop_assert_eq!(back.encode_payload(), payload);
-    }
-
     /// `CandidateSet` records (codec v4) round-trip exactly — and because
     /// construction canonicalizes (sorts + dedups) the members, the same
     /// collection encodes to identical bytes regardless of input order.
@@ -247,14 +216,6 @@ fn sample_records(mix: &mut Mix) -> Vec<Record> {
             spec_fingerprint: mix.next(),
             seed: mix.next(),
             iterations: mix.next(),
-            discovered: mix.next(),
-        }),
-        Record::Operation(Operation {
-            kind: OpKind::Derive,
-            writer: mix.text(24),
-            label: mix.text(32),
-            spec_fingerprint: mix.next(),
-            detail: mix.text(48),
         }),
         Record::CandidateSet(CandidateSet::new(
             mix.text(20),

@@ -1,8 +1,7 @@
 //! Derived candidate sets: run two labeled searches against one shared
 //! repository handle, then treat their discoveries as *collections* —
-//! union / intersection / difference with journaled lineage, top-k under
-//! the score contract, and the operation log that records how every set
-//! came to be.
+//! union / intersection / difference with journaled lineage, and top-k
+//! under the score contract.
 //!
 //! Run with: `cargo run --example derive_sets`
 
@@ -47,7 +46,7 @@ fn main() {
 
     // 2. Two searches over the same spec from different seeds: each run
     //    journals its discoveries as a named CandidateSet (lineage
-    //    `run:<label>`), alongside RunStarted/Checkpoint operations.
+    //    `run:<label>`) and checkpoints its position.
     for (label, seed) in [("site-a", 11u64), ("site-b", 23)] {
         let report = session
             .scenario(label, &spec)
@@ -64,7 +63,10 @@ fn main() {
 
     // 3. Read the run sets back and derive new collections. Members are
     //    canonical (sorted, deduped content hashes), so every derive is
-    //    deterministic: same inputs, byte-identical journaled output.
+    //    deterministic: same inputs, byte-identical journaled output. Each
+    //    derived set names its parents in its lineage
+    //    (`difference(site-a,site-b)`), so a collection's provenance
+    //    survives compaction and process restarts.
     let a = session.candidates("site-a").expect("site-a set journaled");
     let b = session.candidates("site-b").expect("site-b set journaled");
     println!("site-a: {} members ({})", a.len(), a.lineage());
@@ -96,18 +98,9 @@ fn main() {
     for (hash, accuracy) in union.top_k(&store, 3, &contract) {
         println!("  top: {hash:#018x} accuracy {accuracy:.4}");
     }
-
-    // 5. Lineage: the operation log records every run, checkpoint, and
-    //    derive with the writer that performed it; derived sets name
-    //    their parents (`union(site-a,site-b)`), so a collection's
-    //    provenance survives compaction and process restarts.
-    println!("operation log:");
-    for op in store.operations() {
-        println!("  {op}");
-    }
     let stats = store.stats();
     println!(
-        "repository: {} candidates, {} sets, {} operations, {} segment(s)",
-        stats.candidates, stats.candidate_sets, stats.operations, stats.segments
+        "repository: {} candidates, {} sets, {} segment(s)",
+        stats.candidates, stats.candidate_sets, stats.segments
     );
 }

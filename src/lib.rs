@@ -63,6 +63,6 @@ pub use syno_search::{
 };
 pub use syno_serve::{SearchRequest, ServeConfig, SessionMessage, SynoClient};
 pub use syno_store::{
-    CandidateSet, Checkpoint, DeriveOp, Operation, OpKind, ScoreContract, Store, StoreBuilder,
-    StoreError, StoreStats,
+    CandidateSet, Checkpoint, DeriveOp, ScoreContract, Store, StoreBuilder, StoreError,
+    StoreStats,
 };

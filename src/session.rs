@@ -246,10 +246,10 @@ impl Session {
     }
 
     /// Derives a new named set in the session's repository: `op` applied
-    /// to the sets `left` and `right`, journaled as `name` with its
-    /// lineage in the operation log. Deterministic — the same inputs
-    /// derive byte-identical sets, here or in any other process sharing
-    /// the repository.
+    /// to the sets `left` and `right`, journaled as `name` in one record
+    /// that carries its lineage (e.g. `intersection(vision,lm)`).
+    /// Deterministic — the same inputs derive byte-identical sets, here or
+    /// in any other process sharing the repository.
     ///
     /// ```no_run
     /// # use syno::{DeriveOp, Session};

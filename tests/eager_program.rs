@@ -35,7 +35,7 @@ fn lower_everywhere(graph: &PGraph) -> [Result<(), EagerError>; 4] {
         Program::new(graph, 0).map(|_| ()),
         eager::execute(graph, 0, &input, &weights).map(|_| ()),
         eager::record(&mut tape, graph, 0, x, &[w]).map(|_| ()),
-        OperatorLayer::new(graph.clone(), 0).map(|_| ()),
+        OperatorLayer::new(graph, 0).map(|_| ()),
     ]
 }
 

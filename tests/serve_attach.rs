@@ -2,9 +2,8 @@
 //! client that loses its connection mid-run reconnects, `Attach`es at
 //! the sequence number it had reached, and replays the rest of the
 //! stream — and the assembled prefix + replay is bit-identical to an
-//! uninterrupted run's stream. Also covers attach authorization, the
-//! journaled `SessionAttached` operation, and the per-tenant step
-//! budget accumulating across sessions.
+//! uninterrupted run's stream. Also covers attach authorization and the
+//! per-tenant step budget accumulating across sessions.
 
 use std::sync::Arc;
 
@@ -12,7 +11,7 @@ use syno::core::codec::encode_spec;
 use syno::core::prelude::*;
 use syno::serve::daemon::{Daemon, ServeConfig};
 use syno::serve::{SearchRequest, ServeError, SessionMessage, SynoClient};
-use syno::store::{OpKind, StoreBuilder};
+use syno::store::StoreBuilder;
 
 fn quick_proxy() -> syno::nn::ProxyConfig {
     syno::nn::ProxyConfig {
@@ -165,21 +164,6 @@ fn mid_run_disconnect_then_attach_replays_the_stream_bit_identically() {
     drop(intruder);
     thread.join().expect("daemon exits");
     drop(handle);
-
-    // Both takeovers were journaled: reopening the store shows the
-    // `SessionAttached` operations against the session's label.
-    let reopened = StoreBuilder::new(&dir).open().expect("store reopens");
-    let attaches: Vec<_> = reopened
-        .operations()
-        .into_iter()
-        .filter(|op| op.kind == OpKind::SessionAttached)
-        .collect();
-    assert_eq!(
-        attaches.len(),
-        2,
-        "observer + takeover attaches journaled: {attaches:?}"
-    );
-    assert!(attaches.iter().all(|op| op.label == "takeover"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
