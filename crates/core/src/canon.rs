@@ -106,7 +106,7 @@ impl Error for CanonViolation {}
 /// let rules = CanonRules::default();
 /// assert_eq!(rules.max_shifts, 2);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct CanonRules {
     /// Maximum `Shift` applications per operator.
     pub max_shifts: u32,

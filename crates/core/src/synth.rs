@@ -38,7 +38,7 @@ use std::sync::Arc;
 
 /// Tunables for synthesis (budgets of §4 plus parameter-monomial choices of
 /// §5.4).
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct SynthConfig {
     /// Maximum number of primitives per operator (`d_max` in Algorithm 1).
     pub max_steps: usize,

@@ -23,7 +23,10 @@
 //! * [`coalesce`] — the in-flight single-flight table
 //!   ([`CoalesceTable`]): concurrent runs that share one table (and one
 //!   store) train each `(content_hash, contract)` exactly once, with
-//!   followers replaying the leader's outcome bit-identically.
+//!   followers replaying the leader's outcome bit-identically;
+//! * [`memo`] — the feasible-children table ([`SynthMemo`]): concurrent
+//!   runs that share one table filter each action path of a spec once,
+//!   and every search still makes the decisions it makes alone.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -32,12 +35,14 @@
 pub mod coalesce;
 pub mod discovered;
 pub mod mcts;
+pub mod memo;
 pub mod pool;
 pub mod run;
 
 pub use coalesce::CoalesceTable;
 pub use discovered::{pareto_front, Discovered, TradeoffPoint};
 pub use mcts::{EvalOutcome, EvalRequest, Mcts, MctsConfig, MctsStats};
+pub use memo::SynthMemo;
 pub use pool::EvalPool;
 pub use run::{
     CancelToken, Candidate, PhaseNanos, PhaseWall, RunProgress, ScenarioProgress,

@@ -12,14 +12,25 @@
 //!
 //! A state is determined by its action path from the root (`apply` is
 //! deterministic), so its feasible children are too. The searcher keeps
-//! them in a memo keyed by that path, a trie: each entry holds a state's
-//! children, filtered the first time anything asks, and the entry of each
-//! child taken from it. Tree expansion and rollouts ([`rollout_with`])
-//! read the same entries, so a path is filtered at most once per searcher,
-//! and a rollout draws what [`rollout`](syno_core::synth::rollout) would
-//! from the same state. An iteration adds at most `max_steps` entries, so
-//! the memo holds at most `1 + iterations × max_steps`; it is dropped with
-//! the searcher and needs no eviction.
+//! them in a memo keyed by that path, a trie: each entry holds a
+//! state's children, filtered the first time anything asks, and the entry
+//! of each child taken from it. Tree expansion and rollouts
+//! ([`rollout_with`]) read the same entries, and a rollout draws what
+//! [`rollout`](syno_core::synth::rollout) would from the same state.
+//!
+//! The trie belongs to the spec, not to the searcher: every search of one
+//! spec under one `SynthConfig` that shares a [`SynthMemo`] reads and fills
+//! the same trie, so a path is filtered at most once per table (twice when
+//! two searches reach it at once; the first list stays), while each
+//! searcher keeps its own tree statistics, RNG and pending rewards. The
+//! lists are the filter's whoever filtered them, so every decision is the
+//! one the searcher makes alone. [`Mcts::new`] gets a trie of its own,
+//! dropped with the searcher. A trie is bounded by the spec's feasible
+//! tree, every path of at most `max_steps` actions, not by a search's
+//! iterations; the table's retention rule bounds how many tries it holds
+//! (see [`crate::memo`]).
+//!
+//! [`SynthMemo`]: crate::SynthMemo
 //!
 //! # Evaluation
 //!
@@ -40,10 +51,12 @@
 //! `tests/trajectory.expected` pins what it reaches.
 
 use crate::discovered::Discovered;
+use crate::memo::PathMemo;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver};
+use std::sync::Arc;
 use syno_core::graph::PGraph;
 use syno_core::primitive::Action;
 use syno_core::synth::{rollout_with, ChildSource, Enumerator, RolloutResult};
@@ -93,11 +106,12 @@ pub struct EvalOutcome {
 struct TreeNode {
     visits: u64,
     total_reward: f64,
-    /// The node's entry in the [`Memo`], which holds its feasible actions.
+    /// The node's entry in the [`PathMemo`].
     entry: usize,
+    /// The node's feasible actions, once expanded.
+    actions: Option<Arc<[Action]>>,
     /// The child node of each feasible action, once taken.
     children: Vec<Option<usize>>,
-    expanded: bool,
     /// Outstanding asynchronous evaluations whose reward has not been
     /// folded into `total_reward` yet. While non-zero, the node's visit
     /// count already includes those iterations (the *virtual loss*), so
@@ -105,61 +119,33 @@ struct TreeNode {
     pending: u32,
 }
 
-/// Feasible children by action path from the root; see the module docs.
-#[derive(Debug)]
-struct Memo {
-    /// `entries[0]` is the root.
-    entries: Vec<MemoEntry>,
-    /// Child filter runs so far: one per entry whose children are known.
-    filtered: u64,
-}
-
-#[derive(Debug, Default)]
-struct MemoEntry {
-    /// The state's feasible children, once some walk asked for them.
-    children: Option<Vec<Action>>,
-    /// `(pick, entry)` for every child a walk has taken from here.
-    taken: Vec<(usize, usize)>,
-}
-
-impl Memo {
-    /// The feasible children of `state`, the state at `entry`'s path;
-    /// filtered on the first ask only.
-    fn children(&mut self, entry: usize, state: &PGraph, enumerator: &Enumerator) -> &[Action] {
-        let filtered = &mut self.filtered;
-        self.entries[entry].children.get_or_insert_with(|| {
-            *filtered += 1;
-            enumerator.feasible_children(state)
-        })
-    }
-
-    /// The entry of child `pick` of `entry`, added on first use.
-    fn child(&mut self, entry: usize, pick: usize) -> usize {
-        if let Some(&(_, child)) = self.entries[entry].taken.iter().find(|&&(p, _)| p == pick) {
-            return child;
-        }
-        let child = self.entries.len();
-        self.entries.push(MemoEntry::default());
-        self.entries[entry].taken.push((pick, child));
-        child
-    }
-}
-
-/// A rollout's position in the [`Memo`]: the children it samples are the
-/// memo's, filtered at most once per path.
+/// A rollout's position in the [`PathMemo`]: the children it samples are
+/// the memo's, filtered at most once per path.
 struct Walk<'a> {
     enumerator: &'a Enumerator,
-    memo: &'a mut Memo,
+    memo: &'a PathMemo,
     at: usize,
+    /// The children at `at`, when the step here found them stored.
+    list: Option<Arc<[Action]>>,
+    /// Filter runs by this walk.
+    filtered: u64,
 }
 
 impl ChildSource for Walk<'_> {
     fn children(&mut self, state: &PGraph) -> &[Action] {
-        self.memo.children(self.at, state, self.enumerator)
+        match self.list {
+            Some(_) => syno_telemetry::counter!("syno_search_synth_memo_hits_total").inc(),
+            None => {
+                let (list, filtered) = self.memo.children(self.at, state, self.enumerator);
+                self.filtered += u64::from(filtered);
+                self.list = Some(list);
+            }
+        }
+        self.list.as_deref().expect("set above")
     }
 
     fn take(&mut self, pick: usize) {
-        self.at = self.memo.child(self.at, pick);
+        (self.at, self.list) = self.memo.child(self.at, pick);
     }
 }
 
@@ -182,7 +168,7 @@ pub struct Mcts {
     enumerator: Enumerator,
     config: MctsConfig,
     nodes: Vec<TreeNode>,
-    memo: Memo,
+    memo: Arc<PathMemo>,
     /// Search statistics.
     pub stats: MctsStats,
 }
@@ -201,8 +187,9 @@ pub struct MctsStats {
     /// Rollouts that completed outside the FLOPs/parameter budgets.
     pub over_budget_rollouts: u64,
     /// Times this searcher ran the child filter
-    /// ([`Enumerator::feasible_children`]): once per action path reached,
-    /// by expansion or rollout alike.
+    /// ([`Enumerator::feasible_children`]), by expansion or rollout alike:
+    /// at most once per action path it reached, and not for the lists it
+    /// took from the memo, whichever search filtered them.
     pub states_filtered: u64,
     /// Distinct complete operators discovered (keyed by
     /// [`PGraph::content_hash`], so this agrees with the per-candidate
@@ -221,15 +208,24 @@ pub struct MctsStats {
 impl Mcts {
     /// Creates a searcher around an enumerator (which carries the synthesis
     /// budgets and canonicalization rules).
+    /// The searcher keeps its feasible children in a memo of its own.
     pub fn new(enumerator: Enumerator, config: MctsConfig) -> Self {
+        Mcts::with_memo(enumerator, config, Arc::default())
+    }
+
+    /// A searcher that reads and fills `memo`, which must be the trie of
+    /// the spec it searches under `enumerator`'s configuration
+    /// ([`SynthMemo`](crate::SynthMemo) hands out one per key).
+    pub(crate) fn with_memo(
+        enumerator: Enumerator,
+        config: MctsConfig,
+        memo: Arc<PathMemo>,
+    ) -> Self {
         Mcts {
             enumerator,
             config,
             nodes: vec![TreeNode::default()],
-            memo: Memo {
-                entries: vec![MemoEntry::default()],
-                filtered: 0,
-            },
+            memo,
             stats: MctsStats::default(),
         }
     }
@@ -304,11 +300,12 @@ impl Mcts {
             let mut current = 0usize;
             loop {
                 let entry = self.nodes[current].entry;
-                if !self.nodes[current].expanded {
-                    let count = self.memo.children(entry, &state, &self.enumerator).len();
+                if self.nodes[current].actions.is_none() {
+                    let (actions, filtered) = self.memo.children(entry, &state, &self.enumerator);
+                    self.stats.states_filtered += u64::from(filtered);
                     let node = &mut self.nodes[current];
-                    node.children = vec![None; count];
-                    node.expanded = true;
+                    node.children = vec![None; actions.len()];
+                    node.actions = Some(actions);
                     break;
                 }
                 if self.nodes[current].children.is_empty() {
@@ -330,7 +327,7 @@ impl Mcts {
                         self.best_ucb_child(current)
                     }
                 };
-                let actions = self.memo.entries[entry].children.as_deref();
+                let actions = self.nodes[current].actions.as_deref();
                 let action = &actions.expect("expanded nodes are filtered")[pick];
                 let child_state = state.apply(action).expect("feasible child applies");
                 let child_id = match self.nodes[current].children[pick] {
@@ -338,14 +335,14 @@ impl Mcts {
                     None => {
                         let id = self.nodes.len();
                         self.nodes.push(TreeNode {
-                            entry: self.memo.child(entry, pick),
+                            entry: self.memo.child(entry, pick).0,
                             ..TreeNode::default()
                         });
                         self.nodes[current].children[pick] = Some(id);
                         id
                     }
                 };
-                let is_new = !self.nodes[child_id].expanded;
+                let is_new = self.nodes[child_id].actions.is_none();
                 state = child_state;
                 current = child_id;
                 path.push(current);
@@ -367,10 +364,13 @@ impl Mcts {
             let synth_span = syno_telemetry::span!("synthesis");
             let mut walk = Walk {
                 enumerator: &self.enumerator,
-                memo: &mut self.memo,
+                memo: &self.memo,
                 at: self.nodes[current].entry,
+                list: None,
+                filtered: 0,
             };
             let rolled = rollout_with(&mut rng, &self.enumerator, state, &mut walk);
+            self.stats.states_filtered += walk.filtered;
             self.stats.rollout_ns += synth_span.elapsed().as_nanos() as u64;
             drop(synth_span);
             let value: Option<f64> = match rolled {
@@ -444,8 +444,6 @@ impl Mcts {
                 self.apply_outcome(outcome, &mut found, &mut pending);
             }
         }
-
-        self.stats.states_filtered = self.memo.filtered;
 
         // Drain every in-flight evaluation before reporting: a stopped or
         // cancelled run still keeps (and scores) everything it submitted.
@@ -620,7 +618,7 @@ mod tests {
     #[test]
     fn memo_holds_the_filtered_children_of_each_path() {
         let (mcts, enumerator, root) = searched_toy_vision();
-        let entries = &mcts.memo.entries;
+        let entries = &mcts.memo.entries.lock().unwrap();
         let (mut reached, mut filtered) = (0, 0u64);
         let mut stack = vec![(0usize, root)];
         while let Some((entry, state)) = stack.pop() {
@@ -630,7 +628,7 @@ mod tests {
                 continue;
             };
             filtered += 1;
-            assert_eq!(children, &enumerator.feasible_children(&state));
+            assert_eq!(**children, *enumerator.feasible_children(&state));
             for &(pick, child) in &entries[entry].taken {
                 stack.push((child, state.apply(&children[pick]).expect("applies")));
             }
@@ -646,7 +644,7 @@ mod tests {
     #[test]
     fn memo_reuses_action_lists() {
         let (mcts, _, _) = searched_toy_vision();
-        let entries = &mcts.memo.entries;
+        let entries = &mcts.memo.entries.lock().unwrap();
         let reused = entries.iter().filter(|e| e.taken.len() >= 2).count();
         assert!(reused > 0 && entries[0].taken.len() >= 2);
         let stats = mcts.stats;

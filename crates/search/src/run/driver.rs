@@ -145,6 +145,10 @@ fn run_scenario(shared: &Arc<Shared>, index: usize, scenario: &Scenario) -> Vec<
         .synth
         .clone()
         .unwrap_or_else(|| SynthConfig::auto(&scenario.vars, 4));
+    let memo = shared
+        .config
+        .synth_memo
+        .memo(&scenario.vars, &scenario.spec, &config);
     let enumerator = Enumerator::new(config);
     let root = PGraph::new(Arc::clone(&scenario.vars), scenario.spec.clone());
     let fingerprint = scenario.spec.fingerprint(&scenario.vars);
@@ -157,7 +161,8 @@ fn run_scenario(shared: &Arc<Shared>, index: usize, scenario: &Scenario) -> Vec<
         .filter(|_| shared.config.resume)
         .and_then(|s| s.checkpoint(&scenario.label, fingerprint))
         .map_or(base_seed, |cp| cp.seed);
-    let mut mcts = Mcts::new(enumerator, MctsConfig { seed, ..shared.config.mcts });
+    let mcts_config = MctsConfig { seed, ..shared.config.mcts };
+    let mut mcts = Mcts::with_memo(enumerator, mcts_config, memo);
 
     let total_iterations = shared.config.mcts.iterations as u64;
     let progress = &shared.progress.scenarios[index];

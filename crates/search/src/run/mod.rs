@@ -68,6 +68,7 @@ pub use self::{
 };
 use crate::coalesce::CoalesceTable;
 use crate::mcts::MctsConfig;
+use crate::memo::SynthMemo;
 use crate::pool::{panic_message, EvalPool};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
@@ -133,6 +134,9 @@ struct RunConfig {
     store: Option<Arc<Store>>,
     resume: bool,
     coalesce: Option<CoalesceTable>,
+    /// Where scenarios find their feasible children: the run's own table
+    /// unless [`SearchBuilder::synth_memo`] shares one.
+    synth_memo: SynthMemo,
     /// Caps total MCTS iterations across scenarios.
     max_steps: Option<u64>,
     cancel: CancelToken,
@@ -160,6 +164,7 @@ impl Default for SearchBuilder {
                 store: None,
                 resume: false,
                 coalesce: None,
+                synth_memo: SynthMemo::new(),
                 max_steps: None,
                 cancel: CancelToken::new(),
             },
@@ -282,6 +287,22 @@ impl SearchBuilder {
     /// for the determinism contract.
     pub fn coalesce_table(mut self, table: CoalesceTable) -> Self {
         self.config.coalesce = Some(table);
+        self
+    }
+
+    /// Shares a feasible-children [`SynthMemo`] with other runs.
+    ///
+    /// Runs holding clones of one table filter each action path of a spec
+    /// once between them: a scenario takes the lists another run (or
+    /// another scenario of this run) already filtered for the same spec and
+    /// `SynthConfig`. The lists are the filter's whoever computed them, so
+    /// every decision, candidate and score bit is what the run reaches
+    /// alone. A run without a shared table gets a private one. The serving
+    /// daemon installs one table across all tenant sessions. See the
+    /// [`memo`](crate::memo) module docs for the key and the retention
+    /// rule.
+    pub fn synth_memo(mut self, table: SynthMemo) -> Self {
+        self.config.synth_memo = table;
         self
     }
 

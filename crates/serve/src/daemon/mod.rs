@@ -16,7 +16,11 @@
 //! other tenant that discovers it — and the shared in-flight
 //! [`CoalesceTable`] closes the remaining race: two tenants that discover
 //! the same candidate while a training is *still running* share that one
-//! training instead of paying for it twice.
+//! training instead of paying for it twice. One [`SynthMemo`] holds the
+//! feasible children of every spec in use, so sessions on one spec filter
+//! each action path once between them; when the last live session ends,
+//! the memo of every spec no session held since the previous idle point is
+//! dropped.
 //!
 //! Threads are budgeted per **session**, not per connection:
 //!
@@ -82,7 +86,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 
 use syno_nn::ProxyConfig;
-use syno_search::{CancelToken, CoalesceTable, EvalPool, RunProgress};
+use syno_search::{CancelToken, CoalesceTable, EvalPool, RunProgress, SynthMemo};
 use syno_store::Store;
 
 use crate::event_loop::{self, LoopMsg, Mailbox, WakeReader};
@@ -185,6 +189,10 @@ pub(crate) struct DaemonState {
     /// the session progress when metering admission).
     tenant_steps: Mutex<HashMap<String, u64>>,
     coalesce: CoalesceTable,
+    /// Feasible children by spec and action path, shared by every session;
+    /// a spec no session held between two idle points is dropped at the
+    /// second.
+    synth_memo: SynthMemo,
     mailbox: Mailbox,
     next_session: AtomicU64,
     total_admitted: AtomicU64,
@@ -442,6 +450,7 @@ impl Daemon {
                 logs: Mutex::new(HashMap::new()),
                 tenant_steps: Mutex::new(HashMap::new()),
                 coalesce: CoalesceTable::new(),
+                synth_memo: SynthMemo::new(),
                 mailbox,
                 next_session: AtomicU64::new(0),
                 total_admitted: AtomicU64::new(0),

@@ -116,6 +116,10 @@ pub(crate) fn spawn_pump(
                 // memoized outcomes so the next generation is served
                 // `CacheHit`s from the store instead of the table.
                 state.coalesce.clear();
+                // Keep the feasible children of every spec in use since the
+                // previous idle point: twin tenants finish together, so
+                // clearing here would drop a spec between each pair.
+                state.synth_memo.drop_unused();
             }
             syno_telemetry::gauge!("syno_serve_active_sessions").sub(1);
             if state.shutting_down.load(Ordering::SeqCst) && state.store.is_some() {
@@ -128,8 +132,8 @@ pub(crate) fn spawn_pump(
 
 /// Admission control + session construction: checks the caps and the
 /// tenant step budget, builds the [`SearchBuilder`] bound to the shared
-/// store, pool, and coalescing table, and starts the run. Returns the
-/// rejection reason otherwise.
+/// store, pool, coalescing table and feasible-children memo, and starts
+/// the run. Returns the rejection reason otherwise.
 pub(crate) fn admit(
     state: &Arc<DaemonState>,
     tenant: &str,
@@ -205,6 +209,7 @@ pub(crate) fn admit(
         .eval_pool(state.pool.clone())
         .cancel_token(cancel.clone())
         .coalesce_table(state.coalesce.clone())
+        .synth_memo(state.synth_memo.clone())
         .progress_every(if request.progress_every > 0 {
             request.progress_every
         } else {

@@ -17,7 +17,9 @@
 //!   bit-identically after a disconnect), and the shared
 //!   [`EvalPool`](syno_search::EvalPool) plus in-flight
 //!   [`CoalesceTable`](syno_search::CoalesceTable) that make concurrent
-//!   tenants train each candidate exactly once;
+//!   tenants train each candidate exactly once, and the
+//!   [`SynthMemo`](syno_search::SynthMemo) that lets sessions on one spec
+//!   filter each action path once;
 //! * [`client`] — [`SynoClient`], the blocking client handle: submit
 //!   sessions, stream events, reattach dropped sessions
 //!   ([`SynoClient::attach`]), poll status, request graceful shutdown;
