@@ -31,23 +31,32 @@
 //! * one **run thread** (`syno-run`) per live session searches its one
 //!   scenario and hands every candidate to the shared pool;
 //! * one **pump** per live session appends
-//!   [`SearchEvent`](syno_search::SearchEvent)s to the session's retained
-//!   `SessionLog` and wakes the loop, finishing with the terminal
-//!   `SearchDone` frame.
+//!   [`SearchEvent`](syno_search::SearchEvent)s to the session's record
+//!   and wakes the loop, finishing with the terminal `SearchDone` frame;
+//!   the loop joins it when its `Done` arrives.
 //!
 //! So a live session costs two threads; the loop and the pool are the
 //! daemon's.
 //!
 //! # Sessions outlive sockets
 //!
-//! A dropped connection **detaches** its sessions instead of cancelling
-//! them: the runs keep executing and every frame they produce is retained
-//! in the daemon's per-session log. A reconnecting client replays with
+//! Each session is one record in the daemon's one session table: owner,
+//! label, cancel token, live progress, and every frame it produced. A
+//! dropped connection **detaches** from its sessions instead of
+//! cancelling them: the runs keep executing and their frames stay in
+//! their records. A reconnecting client replays with
 //! [`Frame::Attach`]`{session, from_seq}` — the daemon answers
-//! `AttachReply` and streams the log from that cursor, so the client
+//! `AttachReply` and streams the record from that cursor, so the client
 //! observes exactly the byte sequence it would have seen without the
 //! disconnect. Explicit [`Frame::Cancel`] is tenant-scoped: any
 //! connection authenticated as the owning tenant may cancel.
+//!
+//! When the last live session ends (the daemon's *idle point*), every
+//! session that had already finished at the previous idle point is
+//! retired: an `Attach` or `Cancel` of it is then an "unknown session"
+//! error, while a connection that subscribed holds the record itself and
+//! still gets every frame. So the table holds the live sessions and those
+//! finished since the previous idle point, however long the daemon runs.
 //!
 //! # Admission control
 //!
@@ -66,24 +75,24 @@
 //! each run wind down through its normal path — in-flight pool
 //! evaluations complete, the final checkpoint is journaled to the store —
 //! then (4) answers every connected client with its undelivered session
-//! frames followed by one terminal `ShuttingDown{checkpointed}` per
-//! connection, and (5) joins every pump and shuts the shared pool down.
-//! A later run with [`resume`](crate::SearchRequest::resume) replays each
-//! interrupted session to the identical candidate set.
-
+//! frames followed by one terminal `ShuttingDown{checkpointed}` (the
+//! sessions that finished during the drain) per connection, and (5) joins
+//! the pumps not joined yet and shuts the shared pool down. A later run
+//! with [`resume`](crate::SearchRequest::resume) replays each interrupted
+//! session to the identical candidate set.
 //!
 //! This file holds the daemon's shared state and its handles; `session`
 //! holds what happens to one submission: admission, the pump, derive.
 
 mod session;
 
-pub(crate) use session::{admit, handle_derive, spawn_pump};
+pub(crate) use session::{admit, handle_derive};
 
 use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::{self, JoinHandle};
 
 use syno_nn::ProxyConfig;
 use syno_search::{CancelToken, CoalesceTable, EvalPool, RunProgress, SynthMemo};
@@ -126,53 +135,57 @@ impl Default for ServeConfig {
     }
 }
 
-/// One live session as the daemon tracks it.
-struct SessionEntry {
-    tenant: String,
-    cancel: CancelToken,
-    progress: Arc<RunProgress>,
-}
+// A session's phase: live; finished since the previous idle point;
+// finished during the drain (counted in `ShuttingDown`, never retired: no
+// idle point follows); finished at the previous idle point (retired at the
+// next, once its pump is joined). Read and written only under the table
+// lock, which orders it; the atomic just lets a shared record change.
+const LIVE: u8 = 0;
+const FINISHED: u8 = 1;
+const DRAINED: u8 = 2;
+const SETTLED: u8 = 3;
 
-/// A session's retained outbound frame log — the unit of session
-/// takeover. Every frame the session produces is appended here (and
-/// *delivered* to subscribed connections by the event loop); the log
-/// outlives the socket that submitted it, so [`Frame::Attach`] can
-/// replay from any cursor.
-pub(crate) struct SessionLog {
+/// One admitted session — the unit of session takeover. [`admit`] inserts
+/// it whole; every frame the session produces is appended here and
+/// *delivered* by the event loop to the connections that hold the record
+/// and a cursor into it, so [`Frame::Attach`] can replay from any cursor.
+pub(crate) struct Session {
     tenant: String,
     label: String,
+    cancel: CancelToken,
+    progress: Arc<RunProgress>,
     frames: Mutex<Vec<Frame>>,
-    done: AtomicBool,
+    phase: AtomicU8,
+    /// Taken and joined by the event loop when the session's `Done` arrives.
+    pump: Mutex<Option<JoinHandle<()>>>,
 }
 
-impl SessionLog {
-    fn new(tenant: &str, label: &str) -> SessionLog {
-        SessionLog {
-            tenant: tenant.to_owned(),
-            label: label.to_owned(),
-            frames: Mutex::new(Vec::new()),
-            done: AtomicBool::new(false),
-        }
-    }
-
+impl Session {
     fn push(&self, frame: Frame) {
-        self.frames.lock().expect("session log lock").push(frame);
+        self.frames.lock().expect("session frames lock").push(frame);
     }
 
-    /// Frames from `ix` onward (clones — the log is the source of truth).
-    pub(crate) fn frames_from(&self, ix: usize) -> Vec<Frame> {
-        let frames = self.frames.lock().expect("session log lock");
-        frames.get(ix..).unwrap_or(&[]).to_vec()
-    }
-
-    /// Number of retained frames.
     pub(crate) fn len(&self) -> usize {
-        self.frames.lock().expect("session log lock").len()
+        self.frames.lock().expect("session frames lock").len()
     }
 
-    /// Has the terminal `SearchDone` been appended?
-    pub(crate) fn is_done(&self) -> bool {
-        self.done.load(Ordering::SeqCst)
+    /// Hands every frame from `cursor` on to `write` and advances the
+    /// cursor; `true` once the terminal `SearchDone` has been handed over.
+    pub(crate) fn read_from(&self, cursor: &mut usize, mut write: impl FnMut(&Frame)) -> bool {
+        let frames = self.frames.lock().expect("session frames lock");
+        for frame in frames.get(*cursor..).unwrap_or(&[]) {
+            write(frame);
+        }
+        *cursor = (*cursor).max(frames.len());
+        matches!(frames.last(), Some(Frame::SearchDone { .. }))
+    }
+
+    fn phase(&self) -> u8 {
+        self.phase.load(Ordering::Relaxed)
+    }
+
+    fn pump(&self) -> MutexGuard<'_, Option<JoinHandle<()>>> {
+        self.pump.lock().expect("session pump lock")
     }
 }
 
@@ -181,12 +194,12 @@ pub(crate) struct DaemonState {
     config: ServeConfig,
     store: Option<Arc<Store>>,
     pool: EvalPool,
-    sessions: Mutex<HashMap<u64, SessionEntry>>,
-    /// Retained frame logs for every session the daemon has ever
-    /// admitted (live and finished) — the replay source for `Attach`.
-    logs: Mutex<HashMap<u64, Arc<SessionLog>>>,
+    /// Every live session and every session that finished since the
+    /// previous idle point — the replay source for `Attach`.
+    sessions: Mutex<HashMap<u64, Arc<Session>>>,
     /// Completed search steps per tenant (live iterations are read from
-    /// the session progress when metering admission).
+    /// the session progress when metering admission). Locked only while
+    /// `sessions` is held.
     tenant_steps: Mutex<HashMap<String, u64>>,
     coalesce: CoalesceTable,
     /// Feasible children by spec and action path, shared by every session;
@@ -194,10 +207,9 @@ pub(crate) struct DaemonState {
     /// second.
     synth_memo: SynthMemo,
     mailbox: Mailbox,
+    /// Sessions admitted so far; the last one's id.
     next_session: AtomicU64,
-    total_admitted: AtomicU64,
     shutting_down: AtomicBool,
-    checkpointed: AtomicU64,
 }
 
 impl DaemonState {
@@ -205,11 +217,13 @@ impl DaemonState {
     /// the event loop so it observes the flag immediately. Safe to call
     /// more than once.
     pub(crate) fn trigger_shutdown(&self) {
-        self.shutting_down.store(true, Ordering::SeqCst);
         {
+            // Under the table lock, so a session finishes either before the
+            // drain or as part of it, and `admit` cancels one it inserts.
             let sessions = self.sessions.lock().expect("sessions lock");
-            for entry in sessions.values() {
-                entry.cancel.cancel();
+            self.shutting_down.store(true, Ordering::SeqCst);
+            for session in sessions.values() {
+                session.cancel.cancel();
             }
         }
         self.mailbox.post(LoopMsg::Shutdown);
@@ -223,120 +237,124 @@ impl DaemonState {
         self.shutting_down.load(Ordering::SeqCst)
     }
 
-    pub(crate) fn live_sessions(&self) -> usize {
-        self.sessions.lock().expect("sessions lock").len()
+    /// The `checkpointed` count of `ShuttingDown` once no session is
+    /// live: the sessions that finished during the drain, each after
+    /// journaling its final checkpoint (none without a store). `None`
+    /// while a session is still live.
+    pub(crate) fn drained(&self) -> Option<u64> {
+        let sessions = self.sessions.lock().expect("sessions lock");
+        if sessions.values().any(|session| session.phase() == LIVE) {
+            return None;
+        }
+        let drained = sessions.values().filter(|s| s.phase() == DRAINED);
+        Some(self.store.as_ref().map_or(0, |_| drained.count() as u64))
     }
 
-    pub(crate) fn checkpointed_count(&self) -> u64 {
-        self.checkpointed.load(Ordering::SeqCst)
-    }
-
-    /// The retained log for a session, if the daemon ever admitted it.
-    pub(crate) fn session_log(&self, session: u64) -> Option<Arc<SessionLog>> {
-        self.logs
+    /// Ends a session in one critical section: its terminal `SearchDone`
+    /// enters the record, the tenant is charged `steps`, and the session
+    /// leaves the live set. When no session is left live, this is the
+    /// daemon's one idle point: no session can still be racing a training,
+    /// so the coalescing table's outcomes go (the next generation is served
+    /// `CacheHit`s from the store instead); the memo keeps only the specs
+    /// used since the previous idle point (twin tenants finish together, so
+    /// clearing it would drop a spec between each pair); and every session
+    /// that had already finished at the previous idle point is retired.
+    fn finish(&self, session: &Session, done: Frame, steps: u64) {
+        let mut sessions = self.sessions.lock().expect("sessions lock");
+        session.push(done);
+        *self
+            .tenant_steps
             .lock()
-            .expect("session logs lock")
-            .get(&session)
-            .cloned()
-    }
-
-    /// Creates and retains the frame log for a freshly admitted session.
-    pub(crate) fn register_log(&self, session: u64, tenant: &str, label: &str) -> Arc<SessionLog> {
-        let log = Arc::new(SessionLog::new(tenant, label));
-        self.logs
-            .lock()
-            .expect("session logs lock")
-            .insert(session, Arc::clone(&log));
-        log
-    }
-
-    /// Validates a [`Frame::Attach`]: the session must exist and belong
-    /// to the attaching tenant. Counts the takeover in
-    /// `syno_serve_attach_total` and returns the number of retained
-    /// frames.
-    pub(crate) fn attach_session(&self, tenant: &str, session: u64) -> Result<u64, String> {
-        let Some(log) = self.session_log(session) else {
-            return Err(format!("cannot attach: unknown session {session}"));
+            .expect("tenant steps lock")
+            .entry(session.tenant.clone())
+            .or_insert(0) += steps;
+        let phase = if self.is_shutting_down() {
+            DRAINED
+        } else {
+            FINISHED
         };
-        if log.tenant != tenant {
+        session.phase.store(phase, Ordering::Relaxed);
+        syno_telemetry::gauge!("syno_serve_active_sessions").sub(1);
+        if sessions.values().all(|session| session.phase() != LIVE) {
+            self.coalesce.clear();
+            self.synth_memo.drop_unused();
+            sessions.retain(|_, session| match session.phase() {
+                SETTLED => session.pump().is_some(),
+                FINISHED => {
+                    session.phase.store(SETTLED, Ordering::Relaxed);
+                    true
+                }
+                _ => true,
+            });
+            syno_telemetry::gauge!("syno_serve_session_logs").set(sessions.len() as i64);
+        }
+    }
+
+    /// Joins the pump of every finished session (each is past `finish`):
+    /// on each `Done`, and once the drain is over.
+    pub(crate) fn join_finished_pumps(&self) {
+        let pumps: Vec<JoinHandle<()>> = (self.sessions.lock().expect("sessions lock"))
+            .values()
+            .filter(|session| session.phase() != LIVE)
+            .filter_map(|session| session.pump().take())
+            .collect();
+        for pump in pumps {
+            let _ = pump.join();
+        }
+    }
+
+    /// The session `id`, if it is in the table and `tenant` owns it.
+    pub(crate) fn owned(&self, tenant: &str, id: u64, verb: &str) -> Result<Arc<Session>, String> {
+        let sessions = self.sessions.lock().expect("sessions lock");
+        let Some(session) = sessions.get(&id) else {
+            return Err(format!("cannot {verb}: unknown session {id}"));
+        };
+        if session.tenant != tenant {
             return Err(format!(
-                "cannot attach: session {session} is not owned by tenant '{tenant}'"
+                "cannot {verb}: session {id} is not owned by tenant '{tenant}'"
             ));
         }
-        syno_telemetry::counter!("syno_serve_attach_total").inc();
-        Ok(log.len() as u64)
+        Ok(Arc::clone(session))
     }
 
     /// Tenant-scoped cancel: any connection authenticated as the owning
     /// tenant may cancel (the session may have outlived the socket that
-    /// submitted it). Cancelling an already-finished session is a no-op.
-    pub(crate) fn cancel_session(&self, tenant: &str, session: u64) -> Result<(), String> {
-        {
-            let sessions = self.sessions.lock().expect("sessions lock");
-            if let Some(entry) = sessions.get(&session) {
-                if entry.tenant != tenant {
-                    return Err(format!(
-                        "session {session} is not owned by tenant '{tenant}'"
-                    ));
-                }
-                entry.cancel.cancel();
-                return Ok(());
-            }
-        }
-        match self.session_log(session) {
-            Some(log) if log.tenant == tenant => Ok(()), // already finished
-            Some(_) => Err(format!(
-                "session {session} is not owned by tenant '{tenant}'"
-            )),
-            None => Err(format!("cannot cancel: unknown session {session}")),
-        }
+    /// submitted it). Cancelling a finished session is a no-op.
+    pub(crate) fn cancel_session(&self, tenant: &str, id: u64) -> Result<(), String> {
+        self.owned(tenant, id, "cancel")?.cancel.cancel();
+        Ok(())
     }
 
     /// A tenant's metered step usage: completed steps plus the live
     /// iterations of its running sessions.
     fn tenant_steps_used(&self, tenant: &str) -> u64 {
+        let sessions = self.sessions.lock().expect("sessions lock");
         let completed = *self
             .tenant_steps
             .lock()
             .expect("tenant steps lock")
             .get(tenant)
             .unwrap_or(&0);
-        let live: u64 = self
-            .sessions
-            .lock()
-            .expect("sessions lock")
+        let live: u64 = sessions
             .values()
-            .filter(|entry| entry.tenant == tenant)
-            .map(|entry| entry.progress.scenarios()[0].iterations())
+            .filter(|session| session.phase() == LIVE && session.tenant == tenant)
+            .map(|session| session.progress.scenarios()[0].iterations())
             .sum();
         completed + live
     }
 
-    fn add_tenant_steps(&self, tenant: &str, steps: u64) {
-        *self
-            .tenant_steps
-            .lock()
-            .expect("tenant steps lock")
-            .entry(tenant.to_owned())
-            .or_insert(0) += steps;
-    }
-
     pub(crate) fn status(&self) -> DaemonStatus {
-        let mut tenants: HashMap<String, u64> = self
-            .tenant_steps
-            .lock()
-            .expect("tenant steps lock")
-            .clone();
         let sessions = self.sessions.lock().expect("sessions lock");
-        let mut rows: Vec<SessionStatus> = Vec::with_capacity(sessions.len());
-        for (id, entry) in sessions.iter() {
-            let scenario = &entry.progress.scenarios()[0];
-            let phases = entry.progress.phases();
-            let log = self.session_log(*id);
+        let mut tenants: HashMap<String, u64> =
+            self.tenant_steps.lock().expect("tenant steps lock").clone();
+        let mut rows: Vec<SessionStatus> = Vec::new();
+        for (id, session) in sessions.iter().filter(|(_, s)| s.phase() == LIVE) {
+            let scenario = &session.progress.scenarios()[0];
+            let phases = session.progress.phases();
             rows.push(SessionStatus {
                 session: *id,
-                tenant: entry.tenant.clone(),
-                label: log.as_ref().map(|l| l.label.clone()).unwrap_or_default(),
+                tenant: session.tenant.clone(),
+                label: session.label.clone(),
                 iterations: scenario.iterations(),
                 total_iterations: scenario.total_iterations(),
                 discovered: scenario.discovered(),
@@ -346,16 +364,15 @@ impl DaemonState {
                 store_ns: phases.store_ns(),
                 tune_ns: phases.tune_ns(),
             });
-            *tenants.entry(entry.tenant.clone()).or_insert(0) +=
-                scenario.iterations();
+            *tenants.entry(session.tenant.clone()).or_insert(0) += scenario.iterations();
         }
         rows.sort_by_key(|row| row.session);
         let mut tenants: Vec<(String, u64)> = tenants.into_iter().collect();
         tenants.sort();
         DaemonStatus {
             active_sessions: rows.len() as u32,
-            total_admitted: self.total_admitted.load(Ordering::SeqCst),
-            shutting_down: self.shutting_down.load(Ordering::SeqCst),
+            total_admitted: self.next_session.load(Ordering::SeqCst),
+            shutting_down: self.is_shutting_down(),
             sessions: rows,
             store: self
                 .store
@@ -447,15 +464,12 @@ impl Daemon {
                 store,
                 pool,
                 sessions: Mutex::new(HashMap::new()),
-                logs: Mutex::new(HashMap::new()),
                 tenant_steps: Mutex::new(HashMap::new()),
                 coalesce: CoalesceTable::new(),
                 synth_memo: SynthMemo::new(),
                 mailbox,
                 next_session: AtomicU64::new(0),
-                total_admitted: AtomicU64::new(0),
                 shutting_down: AtomicBool::new(false),
-                checkpointed: AtomicU64::new(0),
             }),
         })
     }

@@ -1,12 +1,12 @@
 //! One submission's life inside the daemon: admission control and run
-//! construction, the pump that retains its event stream, and the derive
+//! construction, the pump that records its event stream, and the derive
 //! requests answered against the sets its runs journal.
 
-use super::{DaemonState, SessionEntry, SessionLog};
+use super::{DaemonState, Session, LIVE};
 use crate::event_loop::LoopMsg;
 use crate::protocol::{wire_event, Frame, SearchRequest, WireCandidateSet};
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use syno_core::codec::decode_spec;
 use syno_search::{CancelToken, MctsConfig, ProxyFamilyId, SearchBuilder, SearchRun};
@@ -58,103 +58,66 @@ pub(crate) fn handle_derive(
 }
 
 /// The per-session pump: appends the run's event stream to the session's
-/// retained log (waking the event loop per frame), then the terminal
-/// `SearchDone`. The run's final checkpoint is journaled before its event
-/// channel closes, so `SearchDone` always trails the checkpoint — the
-/// ordering clients rely on for resume. The pump never cancels the run on
-/// client loss: sessions outlive sockets by design.
-pub(crate) fn spawn_pump(
-    state: Arc<DaemonState>,
-    session: u64,
-    run: SearchRun,
-    log: Arc<SessionLog>,
-) -> thread::JoinHandle<()> {
-    thread::Builder::new()
-        .name(format!("syno-serve-session-{session}"))
-        .spawn(move || {
-            for event in run.events() {
-                let event = wire_event(&event);
-                log.push(Frame::Event { session, event });
-                state.mailbox.post(LoopMsg::Activity(session));
-            }
-            let (done, steps) = match run.join() {
-                Ok(report) => (
-                    Frame::SearchDone {
-                        session,
-                        stopped: report.stopped.name().to_owned(),
-                        steps: report.steps,
-                        candidates: report.candidates.len() as u64,
-                    },
-                    report.steps,
-                ),
-                Err(error) => {
-                    log.push(Frame::Error {
-                        session,
-                        message: error.to_string(),
-                    });
-                    (
-                        Frame::SearchDone {
-                            session,
-                            stopped: "error".to_owned(),
-                            steps: 0,
-                            candidates: 0,
-                        },
-                        0,
-                    )
-                }
-            };
-            log.push(done);
-            log.done.store(true, Ordering::SeqCst);
-            state.add_tenant_steps(&log.tenant, steps);
-            let now_idle = {
-                let mut sessions = state.sessions.lock().expect("sessions lock");
-                sessions.remove(&session);
-                sessions.is_empty()
-            };
-            if now_idle {
-                // No session can still be racing a training: drop the
-                // memoized outcomes so the next generation is served
-                // `CacheHit`s from the store instead of the table.
-                state.coalesce.clear();
-                // Keep the feasible children of every spec in use since the
-                // previous idle point: twin tenants finish together, so
-                // clearing here would drop a spec between each pair.
-                state.synth_memo.drop_unused();
-            }
-            syno_telemetry::gauge!("syno_serve_active_sessions").sub(1);
-            if state.shutting_down.load(Ordering::SeqCst) && state.store.is_some() {
-                state.checkpointed.fetch_add(1, Ordering::SeqCst);
-            }
-            state.mailbox.post(LoopMsg::Done(session));
-        })
-        .expect("spawn session pump")
+/// record (waking the event loop per frame), then ends the session with
+/// [`DaemonState::finish`]. The run's final checkpoint is journaled before
+/// its event channel closes, so `SearchDone` always trails the checkpoint —
+/// the ordering clients rely on for resume. The pump never cancels the run
+/// on client loss: sessions outlive sockets by design.
+fn pump(state: &DaemonState, id: u64, session: &Session, run: SearchRun) {
+    for event in run.events() {
+        let event = wire_event(&event);
+        session.push(Frame::Event { session: id, event });
+        state.mailbox.post(LoopMsg::Activity(id));
+    }
+    let (stopped, steps, candidates) = match run.join() {
+        Ok(report) => (
+            report.stopped.name().to_owned(),
+            report.steps,
+            report.candidates.len() as u64,
+        ),
+        Err(error) => {
+            session.push(Frame::Error {
+                session: id,
+                message: error.to_string(),
+            });
+            ("error".to_owned(), 0, 0)
+        }
+    };
+    let done = Frame::SearchDone {
+        session: id,
+        stopped,
+        steps,
+        candidates,
+    };
+    state.finish(session, done, steps);
+    state.mailbox.post(LoopMsg::Done(id));
 }
 
 /// Admission control + session construction: checks the caps and the
 /// tenant step budget, builds the [`SearchBuilder`] bound to the shared
-/// store, pool, coalescing table and feasible-children memo, and starts
-/// the run. Returns the rejection reason otherwise.
+/// store, pool, coalescing table and feasible-children memo, starts the
+/// run and its pump, and inserts the session into the table. Returns the
+/// rejection reason otherwise.
 pub(crate) fn admit(
     state: &Arc<DaemonState>,
     tenant: &str,
     request: &SearchRequest,
-) -> Result<(u64, SearchRun), String> {
-    if state.shutting_down.load(Ordering::SeqCst) {
+) -> Result<(u64, Arc<Session>), String> {
+    if state.is_shutting_down() {
         return Err("daemon is shutting down".to_owned());
     }
     {
         let sessions = state.sessions.lock().expect("sessions lock");
-        if sessions.len() >= state.config.max_sessions {
+        let live = sessions.values().filter(|session| session.phase() == LIVE);
+        let (daemon_live, tenant_live) = live.fold((0, 0), |(all, own), session| {
+            (all + 1, own + usize::from(session.tenant == tenant))
+        });
+        if daemon_live >= state.config.max_sessions {
             return Err(format!(
-                "daemon session cap reached ({} live, max {})",
-                sessions.len(),
+                "daemon session cap reached ({daemon_live} live, max {})",
                 state.config.max_sessions
             ));
         }
-        let tenant_live = sessions
-            .values()
-            .filter(|entry| entry.tenant == tenant)
-            .count();
         if tenant_live >= state.config.max_sessions_per_tenant {
             return Err(format!(
                 "tenant '{tenant}' session cap reached ({tenant_live} live, max {})",
@@ -233,8 +196,49 @@ pub(crate) fn admit(
 
     let run = builder.start().map_err(|error| error.to_string())?;
 
-    let session = state.next_session.fetch_add(1, Ordering::SeqCst) + 1;
-    state.total_admitted.fetch_add(1, Ordering::SeqCst);
+    let session = Arc::new(Session {
+        tenant: tenant.to_owned(),
+        label: request.label.clone(),
+        cancel,
+        progress: Arc::clone(run.progress()),
+        frames: Mutex::new(Vec::new()),
+        phase: AtomicU8::new(LIVE),
+        pump: Mutex::new(None),
+    });
+    // The pump takes the run only once the session is in the table, so a
+    // failed spawn leaves the run here to cancel and join.
+    let (hand_over, take_over) = mpsc::channel::<(u64, SearchRun)>();
+    let spawned = {
+        let (state, session) = (Arc::clone(state), Arc::clone(&session));
+        thread::Builder::new()
+            .name("syno-serve-pump".into())
+            .spawn(move || {
+                if let Ok((id, run)) = take_over.recv() {
+                    pump(&state, id, &session, run);
+                }
+            })
+    };
+    let pump = match spawned {
+        Ok(pump) => pump,
+        Err(error) => {
+            run.cancel();
+            let _ = run.join();
+            return Err(format!("cannot start the session pump: {error}"));
+        }
+    };
+    *session.pump() = Some(pump);
+    let id = {
+        let mut sessions = state.sessions.lock().expect("sessions lock");
+        // A shutdown that began after the check above cancelled only the
+        // sessions already in the table.
+        if state.is_shutting_down() {
+            session.cancel.cancel();
+        }
+        let id = state.next_session.fetch_add(1, Ordering::SeqCst) + 1;
+        sessions.insert(id, Arc::clone(&session));
+        syno_telemetry::gauge!("syno_serve_session_logs").set(sessions.len() as i64);
+        id
+    };
     syno_telemetry::metrics::global()
         .counter(&syno_telemetry::metrics::labeled(
             "syno_serve_sessions_total",
@@ -242,13 +246,7 @@ pub(crate) fn admit(
         ))
         .inc();
     syno_telemetry::gauge!("syno_serve_active_sessions").add(1);
-    state.sessions.lock().expect("sessions lock").insert(
-        session,
-        SessionEntry {
-            tenant: tenant.to_owned(),
-            cancel,
-            progress: Arc::clone(run.progress()),
-        },
-    );
-    Ok((session, run))
+    // The pump holds the receiver until it gets the run.
+    let _ = hand_over.send((id, run));
+    Ok((id, session))
 }

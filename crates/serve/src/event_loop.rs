@@ -24,10 +24,9 @@
 //! [`split_frame`](syno_core::codec::split_frame)) and a write buffer
 //! (flushed on `POLLOUT`). Inbound frames are handled synchronously on
 //! the loop; outbound session frames are *deliveries* — copies from the
-//! daemon's retained per-session logs, advanced by a per-connection
-//! cursor — so a dropped socket never loses a session ([`Frame::Attach`]
-//! replays from any cursor) and a slow client only backs up its own
-//! buffer.
+//! session records the connection holds, each with its own cursor — so a
+//! dropped socket never loses a session ([`Frame::Attach`] replays from
+//! any cursor) and a slow client only backs up its own buffer.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -35,10 +34,10 @@ use std::sync::Mutex;
 /// A message posted to the loop's [`Mailbox`].
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum LoopMsg {
-    /// A session's log grew: deliver the new frames to its subscribers.
+    /// A session's record grew: deliver the new frames to its subscribers.
     Activity(u64),
-    /// A session finished (its terminal `SearchDone` is in the log):
-    /// deliver, then re-check the shutdown drain condition.
+    /// A session finished (its terminal `SearchDone` is in its record):
+    /// deliver, join its pump, then re-check the shutdown drain condition.
     Done(u64),
     /// The daemon was asked to shut down: re-check the drain condition.
     Shutdown,
@@ -198,12 +197,12 @@ pub(crate) mod sys {
 mod unix_loop {
     use super::sys::{poll_fds, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
     use super::{LoopMsg, WakeReader};
-    use crate::daemon::{admit, handle_derive, spawn_pump, DaemonState};
+    use crate::daemon::{admit, handle_derive, DaemonState, Session};
     use crate::protocol::{Frame, MAX_FRAME_PAYLOAD, PROTOCOL_VERSION};
     use crate::transport::{Listener, Socket};
+    use std::collections::HashMap;
     use std::io::{ErrorKind, Read, Write};
     use std::sync::Arc;
-    use std::thread::JoinHandle;
     use syno_core::codec::{put_frame, split_frame};
 
     /// One multiplexed connection.
@@ -214,9 +213,9 @@ mod unix_loop {
         /// Set by a version-matched `Hello`; frames before it close the
         /// connection.
         tenant: Option<String>,
-        /// Session subscriptions: session id → index of the next
-        /// retained frame to deliver.
-        subs: std::collections::HashMap<u64, usize>,
+        /// Session subscriptions: session id → its record and the index
+        /// of the next frame to deliver.
+        subs: HashMap<u64, (Arc<Session>, usize)>,
         /// Close once the write buffer drains (terminal frame queued).
         closing: bool,
         /// Tear down without flushing (peer gone or protocol breach).
@@ -230,7 +229,7 @@ mod unix_loop {
                 rbuf: Vec::new(),
                 wbuf: Vec::new(),
                 tenant: None,
-                subs: std::collections::HashMap::new(),
+                subs: HashMap::new(),
                 closing: false,
                 dead: false,
             }
@@ -241,32 +240,27 @@ mod unix_loop {
             put_frame(&mut self.wbuf, frame.kind().tag(), &frame.encode());
         }
 
-        /// Copies a session's new retained frames (cursor onward) into
+        /// Encodes a subscribed session's new frames (cursor onward) into
         /// the write buffer and advances the cursor; unsubscribes once
         /// the finished session is fully delivered.
-        fn deliver(&mut self, state: &DaemonState, session: u64) {
-            let Some(cursor) = self.subs.get_mut(&session) else {
+        fn deliver(&mut self, id: u64) {
+            let Some((session, cursor)) = self.subs.get_mut(&id) else {
                 return;
             };
-            let Some(log) = state.session_log(session) else {
-                return;
-            };
-            let frames = log.frames_from(*cursor);
-            *cursor += frames.len();
-            let finished = log.is_done() && *cursor >= log.len();
-            for frame in &frames {
-                self.queue(frame);
-            }
+            let wbuf = &mut self.wbuf;
+            let finished = session.read_from(cursor, |frame| {
+                put_frame(wbuf, frame.kind().tag(), &frame.encode());
+            });
             if finished {
-                self.subs.remove(&session);
+                self.subs.remove(&id);
             }
         }
 
         /// Delivers every subscribed session to its current end.
-        fn deliver_all(&mut self, state: &DaemonState) {
+        fn deliver_all(&mut self) {
             let sessions: Vec<u64> = self.subs.keys().copied().collect();
-            for session in sessions {
-                self.deliver(state, session);
+            for id in sessions {
+                self.deliver(id);
             }
         }
 
@@ -292,17 +286,13 @@ mod unix_loop {
         }
 
         /// Reads until `WouldBlock`, then handles every complete frame.
-        fn fill_and_handle(
-            &mut self,
-            state: &Arc<DaemonState>,
-            pumps: &mut Vec<JoinHandle<()>>,
-        ) {
+        fn fill_and_handle(&mut self, state: &Arc<DaemonState>) {
             let mut buf = [0u8; 16 * 1024];
             loop {
                 match self.sock.read(&mut buf) {
                     Ok(0) => {
                         // EOF: the client detached. Sessions outlive the
-                        // socket — drop only the subscriptions; the logs
+                        // socket — drop only the subscriptions; the records
                         // stay for a later `Attach`.
                         self.dead = true;
                         break;
@@ -323,7 +313,7 @@ mod unix_loop {
                         let decoded = Frame::from_envelope(tag, payload);
                         self.rbuf.drain(..consumed);
                         match decoded {
-                            Ok(frame) => self.handle(state, pumps, frame),
+                            Ok(frame) => self.handle(state, frame),
                             Err(error) => {
                                 self.queue(&Frame::Error {
                                     session: 0,
@@ -348,12 +338,7 @@ mod unix_loop {
         }
 
         /// Handles one inbound frame synchronously on the loop.
-        fn handle(
-            &mut self,
-            state: &Arc<DaemonState>,
-            pumps: &mut Vec<JoinHandle<()>>,
-            frame: Frame,
-        ) {
+        fn handle(&mut self, state: &Arc<DaemonState>, frame: Frame) {
             // Handshake first: anything else before `Hello` is a breach.
             let Some(tenant) = self.tenant.clone() else {
                 match frame {
@@ -385,17 +370,17 @@ mod unix_loop {
                     });
                 }
                 Frame::SubmitSearch(request) => match admit(state, &tenant, &request) {
-                    Ok((session, run)) => {
-                        let log = state.register_log(session, &tenant, &request.label);
-                        self.subs.insert(session, 0);
+                    Ok((session, record)) => {
+                        self.subs.insert(session, (record, 0));
                         self.queue(&Frame::Accepted { session });
-                        pumps.push(spawn_pump(Arc::clone(state), session, run, log));
                     }
                     Err(reason) => self.queue(&Frame::Rejected { reason }),
                 },
                 Frame::Attach { session, from_seq } => {
-                    match state.attach_session(&tenant, session) {
-                        Ok(retained) => {
+                    match state.owned(&tenant, session, "attach") {
+                        Ok(record) => {
+                            syno_telemetry::counter!("syno_serve_attach_total").inc();
+                            let retained = record.len() as u64;
                             self.queue(&Frame::AttachReply {
                                 session,
                                 from_seq,
@@ -405,9 +390,9 @@ mod unix_loop {
                             // client's cursor (clamped to what exists) and
                             // deliver — the live stream follows through
                             // the same subscription.
-                            self.subs
-                                .insert(session, (from_seq as usize).min(retained as usize));
-                            self.deliver(state, session);
+                            let cursor = from_seq.min(retained) as usize;
+                            self.subs.insert(session, (record, cursor));
+                            self.deliver(session);
                         }
                         Err(message) => self.queue(&Frame::Error {
                             session: 0,
@@ -454,11 +439,10 @@ mod unix_loop {
     /// Runs the loop until the shutdown drain completes: every live
     /// session finished and checkpointed, every client answered with its
     /// terminal `ShuttingDown`, every buffer flushed. Returns after
-    /// joining the session pump threads.
+    /// joining the session pumps not joined at their `Done`.
     pub(crate) fn drive(state: Arc<DaemonState>, listener: Listener, wake: WakeReader) {
         let _ = listener.set_nonblocking(true);
         let mut conns: Vec<ConnState> = Vec::new();
-        let mut pumps: Vec<JoinHandle<()>> = Vec::new();
         // `ShuttingDown` has been broadcast; stop accepting, exit once
         // every buffer drains.
         let mut broadcast = false;
@@ -505,7 +489,10 @@ mod unix_loop {
                 match msg {
                     LoopMsg::Activity(session) | LoopMsg::Done(session) => {
                         for conn in conns.iter_mut() {
-                            conn.deliver(&state, session);
+                            conn.deliver(session);
+                        }
+                        if matches!(msg, LoopMsg::Done(_)) {
+                            state.join_finished_pumps();
                         }
                     }
                     LoopMsg::Shutdown => {}
@@ -526,7 +513,7 @@ mod unix_loop {
                     conn.flush();
                 }
                 if revents & (POLLIN | POLLHUP) != 0 {
-                    conn.fill_and_handle(&state, &mut pumps);
+                    conn.fill_and_handle(&state);
                 }
             }
 
@@ -550,12 +537,12 @@ mod unix_loop {
 
             // 4. Drain check: once the daemon is shutting down and the
             // last live session has wound down (final checkpoint
-            // journaled, `SearchDone` in its log), answer every client
+            // journaled, `SearchDone` in its record), answer every client
             // and close after the flush.
-            if !broadcast && state.is_shutting_down() && state.live_sessions() == 0 {
-                let checkpointed = state.checkpointed_count();
+            let draining = !broadcast && state.is_shutting_down();
+            if let Some(checkpointed) = draining.then(|| state.drained()).flatten() {
                 for conn in conns.iter_mut() {
-                    conn.deliver_all(&state);
+                    conn.deliver_all();
                     conn.queue(&Frame::ShuttingDown { checkpointed });
                     conn.closing = true;
                 }
@@ -584,9 +571,7 @@ mod unix_loop {
             }
         }
 
-        for pump in pumps {
-            let _ = pump.join();
-        }
+        state.join_finished_pumps();
     }
 }
 

@@ -11,10 +11,11 @@
 //!   over non-blocking sockets, woken by a self-pipe mailbox) carries
 //!   every client connection: no per-connection threads, no timer polls;
 //! * [`daemon`] — the session manager: per-tenant admission control and
-//!   step budgets, per-session
-//!   [`CancelToken`](syno_search::CancelToken)s, retained per-session
-//!   frame logs (sessions outlive sockets; `Attach` replays them
-//!   bit-identically after a disconnect), and the shared
+//!   step budgets, and one session table whose records hold each
+//!   session's [`CancelToken`](syno_search::CancelToken) and frames
+//!   (sessions outlive sockets; `Attach` replays them bit-identically
+//!   after a disconnect, until the record is retired one idle period
+//!   after its session ends), and the shared
 //!   [`EvalPool`](syno_search::EvalPool) plus in-flight
 //!   [`CoalesceTable`](syno_search::CoalesceTable) that make concurrent
 //!   tenants train each candidate exactly once, and the

@@ -182,21 +182,35 @@ fn tenant_step_budget_accumulates_across_sessions() {
     let (handle, thread) = daemon.spawn();
     let addr = handle.addr().to_owned();
 
+    // After a session's `Done`, the status charges its tenant exactly the
+    // steps of the tenant's finished sessions: no live iterations are left
+    // and none are counted twice.
+    let run_to_done = |client: &SynoClient, label: &str, iterations: u32| {
+        let session = client
+            .submit(&request(label, &vars, &spec, iterations))
+            .expect("session admitted");
+        let done = session.messages().find_map(|message| match message {
+            SessionMessage::Done { stopped, steps, .. } => Some((stopped, steps)),
+            _ => None,
+        });
+        done.expect("terminal frame")
+    };
+    let tenant_steps = |client: &SynoClient, tenant: &str| {
+        let status = client.status().expect("status");
+        status
+            .tenants
+            .iter()
+            .find(|(t, _)| t == tenant)
+            .map_or(0, |(_, steps)| *steps)
+    };
+
     // First session runs to completion and spends 8 steps — past the
     // 5-step budget.
     let metered = SynoClient::connect(&addr, "metered").expect("metered connects");
-    let session = metered
-        .submit(&request("budget", &vars, &spec, 8))
-        .expect("first session admitted");
-    let done = session
-        .messages()
-        .find_map(|message| match message {
-            SessionMessage::Done { stopped, steps, .. } => Some((stopped, steps)),
-            _ => None,
-        })
-        .expect("terminal frame");
+    let done = run_to_done(&metered, "budget", 8);
     assert_eq!(done.0, "completed");
     assert!(done.1 >= 5, "the run spent the budget: {} steps", done.1);
+    assert_eq!(tenant_steps(&metered, "metered"), done.1);
 
     // The spend survives the session: a second submission rejects.
     match metered.submit(&request("budget-again", &vars, &spec, 8)) {
@@ -214,19 +228,16 @@ fn tenant_step_budget_accumulates_across_sessions() {
         other => panic!("expected budget rejection, got {other:?}"),
     }
 
-    // The budget is per tenant: a different tenant still runs.
+    // The budget is per tenant: a different tenant still runs, twice,
+    // each `Done` charging its steps once.
     let fresh = SynoClient::connect(&addr, "fresh").expect("fresh connects");
-    let session = fresh
-        .submit(&request("fresh-run", &vars, &spec, 6))
-        .expect("other tenant admitted");
-    let stopped = session
-        .messages()
-        .find_map(|message| match message {
-            SessionMessage::Done { stopped, .. } => Some(stopped),
-            _ => None,
-        })
-        .expect("terminal frame");
-    assert_eq!(stopped, "completed");
+    let first = run_to_done(&fresh, "fresh-run", 2);
+    assert_eq!(first.0, "completed");
+    assert_eq!(tenant_steps(&fresh, "fresh"), first.1);
+    let second = run_to_done(&fresh, "fresh-again", 2);
+    assert_eq!(second.0, "completed");
+    assert_eq!(tenant_steps(&fresh, "fresh"), first.1 + second.1);
+    assert_eq!(tenant_steps(&fresh, "metered"), done.1);
 
     fresh.shutdown().expect("daemon acknowledges shutdown");
     thread.join().expect("daemon exits");

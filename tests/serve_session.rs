@@ -382,6 +382,18 @@ fn shutdown_mid_run_checkpoints_sessions_for_identical_resume() {
             "own session checkpointed before ShuttingDown: {checkpointed}"
         );
     }
+    // One drain, one count: both tenants read the same number, and it
+    // covers at least every session the drain cancelled.
+    assert_eq!(vision_out.1, lm_out.1, "both tenants read one checkpointed count");
+    let cancelled = [&vision_out, &lm_out]
+        .iter()
+        .filter(|(stopped, _)| stopped == "cancelled")
+        .count() as u64;
+    assert!(
+        vision_out.1 >= cancelled,
+        "checkpointed {} covers the {cancelled} cancelled sessions",
+        vision_out.1
+    );
     daemon_thread.join().expect("daemon drains and exits");
     drop(handle);
 
