@@ -155,6 +155,22 @@ impl CanonRules {
     ///
     /// Returns the first violated rule.
     pub fn allows(&self, graph: &PGraph, action: &Action) -> Result<(), CanonViolation> {
+        self.allows_in_any_order(graph, action)?;
+        if self.enforce_interleaving {
+            self.check_interleaving(graph, action)?;
+        }
+        Ok(())
+    }
+
+    /// Every rule of [`allows`](CanonRules::allows) but the interleaving
+    /// one, which the child filter asks first, on its own
+    /// ([`out_of_order`](CanonRules::out_of_order)): most refusals are
+    /// that one.
+    pub(crate) fn allows_in_any_order(
+        &self,
+        graph: &PGraph,
+        action: &Action,
+    ) -> Result<(), CanonViolation> {
         self.check_occurrences(graph, action)?;
         self.check_stride_consumption(graph, action)?;
         match action {
@@ -239,9 +255,6 @@ impl CanonRules {
             }
             Action::Reduce { .. } | Action::MatchWeight { .. } => {}
         }
-        if self.enforce_interleaving {
-            self.check_interleaving(graph, action)?;
-        }
         Ok(())
     }
 
@@ -284,6 +297,12 @@ impl CanonRules {
         }
     }
 
+    /// `true` when the interleaving rule of [`allows`](CanonRules::allows)
+    /// refuses `action`: one comparison with the last action.
+    pub(crate) fn out_of_order(&self, graph: &PGraph, action: &Action) -> bool {
+        self.enforce_interleaving && self.check_interleaving(graph, action).is_err()
+    }
+
     /// Independent adjacent actions must be applied in non-decreasing
     /// canonical order; dependent ones (consuming the previous action's
     /// products or touching the same weight slot) are unconstrained.
@@ -291,6 +310,10 @@ impl CanonRules {
         let Some(last) = graph.last_node() else {
             return Ok(());
         };
+        // A later kind is in order whatever the dependence.
+        if action.kind().rank() > last.action.kind().rank() {
+            return Ok(());
+        }
         let consumes_last = action.operands().any(|c| last.produced().contains(&c));
         let same_weight = match (action.weight_slot(), last.action.weight_slot()) {
             (Some(a), Some(b)) => a == b,

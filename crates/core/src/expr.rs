@@ -20,7 +20,6 @@
 
 use crate::size::Size;
 use crate::var::VarTable;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Identifies an atom (an output or reduction iterator).
@@ -143,16 +142,37 @@ pub enum ExprNode {
 #[derive(Clone, Debug, Default)]
 pub struct ExprArena {
     atoms: Vec<Atom>,
-    nodes: Vec<ExprNode>,
-    domains: Vec<Size>,
-    intern: HashMap<ExprNode, ExprId>,
-    hashes: Vec<u64>,
+    exprs: Vec<Interned>,
+}
+
+/// One interned expression: its node, domain and structural hash.
+#[derive(Clone, Debug)]
+struct Interned {
+    node: ExprNode,
+    domain: Size,
+    hash: u64,
+}
+
+/// A copy of `items` with room for `extra` more, so that many pushes do not
+/// reallocate.
+pub(crate) fn with_room<T: Clone>(items: &[T], extra: usize) -> Vec<T> {
+    let mut out = Vec::with_capacity(items.len() + extra);
+    out.extend_from_slice(items);
+    out
 }
 
 impl ExprArena {
     /// Creates an empty arena.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A copy with room for `extra` more expressions.
+    pub(crate) fn with_room(&self, extra: usize) -> ExprArena {
+        ExprArena {
+            atoms: self.atoms.clone(),
+            exprs: with_room(&self.exprs, extra),
+        }
     }
 
     /// Declares a new iterator atom and returns its id.
@@ -169,12 +189,12 @@ impl ExprArena {
 
     /// Number of interned expressions.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.exprs.len()
     }
 
     /// Returns `true` when no expressions are interned.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.exprs.is_empty()
     }
 
     /// Looks up atom metadata.
@@ -190,16 +210,15 @@ impl ExprArena {
             .map(|(i, a)| (AtomId(i as u32), a))
     }
 
+    /// Hash-consing by a scan: a graph's arena holds a few dozen
+    /// expressions, and a lookup table would be cloned with every child.
     fn intern(&mut self, node: ExprNode, domain: Size) -> ExprId {
-        if let Some(&id) = self.intern.get(&node) {
-            return id;
+        if let Some(at) = self.exprs.iter().position(|e| e.node == node) {
+            return ExprId(at as u32);
         }
-        let id = ExprId(self.nodes.len() as u32);
+        let id = ExprId(self.exprs.len() as u32);
         let hash = self.hash_node(&node);
-        self.intern.insert(node.clone(), id);
-        self.nodes.push(node);
-        self.domains.push(domain);
-        self.hashes.push(hash);
+        self.exprs.push(Interned { node, domain, hash });
         id
     }
 
@@ -216,28 +235,28 @@ impl ExprArena {
             }
             ExprNode::Affine { lhs, rhs, block } => {
                 1u8.hash(&mut h);
-                self.hashes[lhs.index()].hash(&mut h);
-                self.hashes[rhs.index()].hash(&mut h);
+                self.exprs[lhs.index()].hash.hash(&mut h);
+                self.exprs[rhs.index()].hash.hash(&mut h);
                 block.hash(&mut h);
             }
             ExprNode::Div { inner, block } => {
                 2u8.hash(&mut h);
-                self.hashes[inner.index()].hash(&mut h);
+                self.exprs[inner.index()].hash.hash(&mut h);
                 block.hash(&mut h);
             }
             ExprNode::Mod { inner, block } => {
                 3u8.hash(&mut h);
-                self.hashes[inner.index()].hash(&mut h);
+                self.exprs[inner.index()].hash.hash(&mut h);
                 block.hash(&mut h);
             }
             ExprNode::Shift { inner, domain } => {
                 4u8.hash(&mut h);
-                self.hashes[inner.index()].hash(&mut h);
+                self.exprs[inner.index()].hash.hash(&mut h);
                 domain.hash(&mut h);
             }
             ExprNode::Stride { inner, stride } => {
                 5u8.hash(&mut h);
-                self.hashes[inner.index()].hash(&mut h);
+                self.exprs[inner.index()].hash.hash(&mut h);
                 stride.hash(&mut h);
             }
             ExprNode::Unfold {
@@ -246,8 +265,8 @@ impl ExprArena {
                 window_size,
             } => {
                 6u8.hash(&mut h);
-                self.hashes[base.index()].hash(&mut h);
-                self.hashes[window.index()].hash(&mut h);
+                self.exprs[base.index()].hash.hash(&mut h);
+                self.exprs[window.index()].hash.hash(&mut h);
                 window_size.hash(&mut h);
             }
         }
@@ -261,17 +280,17 @@ impl ExprArena {
     /// safe to persist (it feeds [`PGraph::state_hash`](crate::graph::PGraph::state_hash)
     /// and the `syno-store` content keys).
     pub fn structural_hash(&self, expr: ExprId) -> u64 {
-        self.hashes[expr.index()]
+        self.exprs[expr.index()].hash
     }
 
     /// The node backing `expr`.
     pub fn node(&self, expr: ExprId) -> &ExprNode {
-        &self.nodes[expr.index()]
+        &self.exprs[expr.index()].node
     }
 
     /// The domain (value-range extent) of `expr`.
     pub fn domain(&self, expr: ExprId) -> &Size {
-        &self.domains[expr.index()]
+        &self.exprs[expr.index()].domain
     }
 
     /// The expression consisting of a bare atom.
@@ -494,7 +513,7 @@ impl fmt::Display for ExprArena {
             f,
             "ExprArena({} atoms, {} exprs)",
             self.atoms.len(),
-            self.nodes.len()
+            self.exprs.len()
         )
     }
 }

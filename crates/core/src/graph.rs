@@ -14,7 +14,7 @@
 //! Graphs are persistent values: [`PGraph::apply`] returns a new graph,
 //! leaving the original untouched, which is what the tree search needs.
 
-use crate::expr::{AtomId, AtomKind, ExprArena, ExprId};
+use crate::expr::{with_room, AtomId, AtomKind, ExprArena, ExprId};
 use crate::primitive::{Action, PrimKind};
 use crate::size::Size;
 use crate::spec::OperatorSpec;
@@ -166,13 +166,46 @@ impl Error for ApplyError {}
 
 /// What a valid action does to the frontier, decided on the parent alone:
 /// the operand slots it vacates and the domains it puts back.
-struct FrontierEdit {
+pub(crate) struct FrontierEdit {
     /// Frontier positions of the operands, in operand order.
     gone: [Option<usize>; 2],
     /// Where the produced coordinates go, clamped to the shrunk frontier.
     at: usize,
     /// Domains of the produced coordinates, in port order.
     put: [Option<Size>; 2],
+}
+
+impl FrontierEdit {
+    /// The domains the child keeps of `parent`, the parent's frontier
+    /// domains, then the ones it puts back: the child's frontier as a
+    /// multiset, not in order.
+    pub(crate) fn child_dims<'a>(&'a self, parent: &'a [Size]) -> impl Iterator<Item = &'a Size> {
+        let kept = parent.iter().enumerate();
+        let kept = kept.filter(|(pos, _)| !self.gone.contains(&Some(*pos)));
+        kept.map(|(_, size)| size).chain(self.put.iter().flatten())
+    }
+
+    /// The domains it puts back.
+    pub(crate) fn put(&self) -> impl Iterator<Item = &Size> {
+        self.put.iter().flatten()
+    }
+
+    /// The child's frontier length, given the parent's.
+    pub(crate) fn child_len(&self, parent: usize) -> usize {
+        parent + self.put().count() - self.gone.iter().flatten().count()
+    }
+
+    /// Appends the child's frontier domains, in order, to `sizes`, whose
+    /// first `parent` entries are the parent's.
+    pub(crate) fn push_child(&self, sizes: &mut Vec<Size>, parent: usize) {
+        for pos in (0..parent).filter(|pos| !self.gone.contains(&Some(*pos))) {
+            sizes.push(sizes[pos].clone());
+        }
+        let (at, kept) = (parent + self.at.min(sizes.len() - parent), sizes.len());
+        sizes.extend(self.put().cloned());
+        let put = sizes.len() - kept;
+        sizes[at..].rotate_right(put);
+    }
 }
 
 /// The primitive graph: a persistent synthesis state.
@@ -212,13 +245,15 @@ struct FrontierEdit {
 pub struct PGraph {
     vars: Arc<VarTable>,
     spec: Arc<OperatorSpec>,
+    /// [`OperatorSpec::fingerprint`] of `spec` under `vars`, hashed once.
+    fingerprint: u64,
     arena: ExprArena,
     coords: Vec<CoordInfo>,
     nodes: Vec<Node>,
     frontier: Vec<CoordId>,
     weights: Vec<WeightTensor>,
-    /// Output atoms in spec-output order.
-    output_atoms: Vec<AtomId>,
+    /// Output atoms in spec-output order, shared by every descendant.
+    output_atoms: Arc<[AtomId]>,
     /// Reduce atoms in creation order.
     reduce_atoms: Vec<AtomId>,
     counts: [u32; 9],
@@ -245,6 +280,7 @@ impl PGraph {
             frontier.push(id);
         }
         PGraph {
+            fingerprint: spec.fingerprint(&vars),
             vars,
             spec: Arc::new(spec),
             arena,
@@ -252,7 +288,7 @@ impl PGraph {
             nodes: Vec::new(),
             frontier,
             weights: Vec::new(),
-            output_atoms,
+            output_atoms: output_atoms.into(),
             reduce_atoms: Vec::new(),
             counts: [0; 9],
         }
@@ -411,8 +447,9 @@ impl PGraph {
     /// Decides, on this graph alone, whether `action` is valid and what it
     /// would do to the frontier. The single source of every [`ApplyError`]:
     /// [`peek`](PGraph::peek) and [`apply`](PGraph::apply) both start here,
-    /// so a rejected action never costs a clone.
-    fn validate(&self, action: &Action) -> Result<FrontierEdit, ApplyError> {
+    /// so a rejected action never costs a clone. The child filter reads the
+    /// edit against the parent's frontier instead of peeking.
+    pub(crate) fn validate(&self, action: &Action) -> Result<FrontierEdit, ApplyError> {
         let dom = |c: &CoordId| self.coord_domain(*c);
         let unary = |pos: usize, put| FrontierEdit {
             gone: [Some(pos), None],
@@ -508,37 +545,36 @@ impl PGraph {
     /// `self.apply(action)?.frontier_sizes()`, with the same error otherwise —
     /// decided on this graph without building the child. Validity and the
     /// child's shape are functions of the parent and the action alone, so
-    /// guided synthesis filters candidates here and applies only survivors.
+    /// guided synthesis decides every candidate on the parent and applies
+    /// only survivors.
     ///
     /// # Errors
     ///
     /// Returns the [`ApplyError`] that [`apply`](PGraph::apply) would.
     pub fn peek(&self, action: &Action) -> Result<Vec<Size>, ApplyError> {
-        let mut sizes = Vec::with_capacity(self.frontier.len() + 1);
-        self.peek_into(action, &mut sizes)?;
+        let edit = self.validate(action)?;
+        let mut sizes = self.frontier_sizes();
+        edit.push_child(&mut sizes, self.frontier.len());
+        sizes.drain(..self.frontier.len());
         Ok(sizes)
     }
 
-    /// [`peek`](PGraph::peek) into `sizes`, which is cleared first: a buffer
-    /// of capacity `frontier().len() + 1` holds every child's frontier, so
-    /// one buffer serves all of a state's candidates without reallocating.
-    pub(crate) fn peek_into(
-        &self,
-        action: &Action,
-        sizes: &mut Vec<Size>,
-    ) -> Result<(), ApplyError> {
-        let edit = self.validate(action)?;
-        sizes.clear();
-        for (pos, &c) in self.frontier.iter().enumerate() {
-            if !edit.gone.contains(&Some(pos)) {
-                sizes.push(self.coord_domain(c).clone());
-            }
+    /// A copy with room for what any `apply` adds to the vectors every
+    /// action grows, so the child is built without reallocating them.
+    fn with_room(&self) -> PGraph {
+        PGraph {
+            vars: Arc::clone(&self.vars),
+            spec: Arc::clone(&self.spec),
+            fingerprint: self.fingerprint,
+            arena: self.arena.with_room(2),
+            coords: with_room(&self.coords, 2),
+            nodes: with_room(&self.nodes, 1),
+            frontier: with_room(&self.frontier, 1),
+            weights: self.weights.clone(),
+            output_atoms: Arc::clone(&self.output_atoms),
+            reduce_atoms: self.reduce_atoms.clone(),
+            counts: self.counts,
         }
-        let (at, kept) = (edit.at.min(sizes.len()), sizes.len());
-        sizes.extend(edit.put.into_iter().flatten());
-        let put = sizes.len() - kept;
-        sizes[at..].rotate_right(put);
-        Ok(())
     }
 
     /// Applies `action`, returning the successor state.
@@ -554,7 +590,7 @@ impl PGraph {
     /// window is too large, or a weight slot is out of range.
     pub fn apply(&self, action: &Action) -> Result<PGraph, ApplyError> {
         let edit = self.validate(action)?;
-        let mut g = self.clone();
+        let mut g = self.with_room();
         let expr = |c: &CoordId| self.coord_expr(*c);
         let after = |c: &CoordId| self.coords[c.index()].after_contraction;
 
@@ -673,9 +709,17 @@ impl PGraph {
         }
     }
 
-    /// `true` when the graph denotes a valid operator for its specification.
+    /// `true` when the graph denotes a valid operator for its specification:
+    /// [`match_input`](PGraph::match_input) finds a permutation exactly when
+    /// the two multisets of domains are equal, which exact-match
+    /// cancellation decides without allocating.
     pub fn is_complete(&self) -> bool {
-        self.match_input().is_some()
+        let want = self.spec.input.dims();
+        let have = self.frontier.iter().map(|&c| self.coord_domain(c));
+        self.strides_consumed()
+            && self.frontier.len() == want.len()
+            && crate::distance::left_after_cancelling(have, want)
+                .map_or_else(|| self.match_input().is_some(), |left| left == 0)
     }
 
     /// A semantic state hash: identical for graphs whose frontier expression
@@ -733,7 +777,7 @@ impl PGraph {
         use crate::stable::StableHasher;
         use std::hash::{Hash, Hasher};
         let mut h = StableHasher::new();
-        self.spec.fingerprint(&self.vars).hash(&mut h);
+        self.fingerprint.hash(&mut h);
         self.state_hash().hash(&mut h);
         h.finish()
     }

@@ -72,7 +72,7 @@ pub mod var;
 pub mod prelude {
     pub use crate::analysis;
     pub use crate::canon::{CanonRules, CanonViolation};
-    pub use crate::distance::shape_distance;
+    pub use crate::distance::{shape_distance, shape_distance_within};
     pub use crate::error::{SynoError, SynthError};
     pub use crate::expr::{AtomId, AtomKind, ExprArena, ExprId, ExprNode};
     pub use crate::graph::{ApplyError, CoordId, NodeId, PGraph, WeightTensor};

@@ -154,10 +154,16 @@ impl Size {
     /// Iterates over `(variable, exponent)` pairs with non-zero exponents,
     /// in variable order.
     pub fn powers(&self) -> impl Iterator<Item = (VarId, i32)> + '_ {
-        (0..MAX_VARS as u32)
-            .zip(self.exps)
-            .filter(|&(_, e)| e != 0)
-            .map(|(v, e)| (VarId(v), e.into()))
+        // The top bit of each non-zero exponent byte, found in one pass
+        // over all sixteen at once, then visited lowest first.
+        const LOW: u128 = u128::from_ne_bytes([0x7f; MAX_VARS]);
+        let bytes = u128::from_ne_bytes(self.exps.map(|e| e as u8));
+        let mut nonzero = (((bytes & LOW) + LOW) | bytes) & !LOW;
+        std::iter::from_fn(move || {
+            let v = (nonzero != 0).then(|| nonzero.trailing_zeros() / 8)?;
+            nonzero &= nonzero - 1;
+            Some((VarId(v), self.exps[v as usize].into()))
+        })
     }
 
     /// The rational constant factor as `(numerator, denominator)`.
@@ -176,7 +182,8 @@ impl Size {
             fits &= i16::from(*o) == e;
         }
         let (num, den) = (self.num.checked_mul(num)?, self.den.checked_mul(den)?);
-        let g = gcd(num, den);
+        // Most sizes are integral: a denominator of 1 needs no reduction.
+        let g = if den == 1 { 1 } else { gcd(num, den) };
         fits.then_some(Size {
             num: num / g,
             den: den / g,
@@ -268,10 +275,13 @@ impl Size {
                 den = den.checked_mul(power)?;
             }
         }
-        if den == 0 || !num.is_multiple_of(den) {
-            return None;
-        }
-        let q = num / den;
+        // A `u128` division is a library call: skip it for integral sizes.
+        let q = match den {
+            1 => num,
+            0 => return None,
+            _ if !num.is_multiple_of(den) => return None,
+            _ => num / den,
+        };
         if q == 0 || q > u64::MAX as u128 {
             None
         } else {

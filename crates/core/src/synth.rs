@@ -26,7 +26,7 @@
 use crate::analysis;
 use crate::error::SynthError;
 use crate::canon::CanonRules;
-use crate::distance::shape_distance;
+use crate::distance::{self, shape_distance_within};
 use crate::graph::PGraph;
 use crate::primitive::Action;
 use crate::size::Size;
@@ -190,9 +190,17 @@ impl Enumerator {
     }
 
     /// The one child filter: canonicalization, then validity, then — when a
-    /// step budget `remaining` is given — the shape distance of the child's
-    /// frontier, all decided on `graph` itself ([`PGraph::peek`]); no child
-    /// is built. Rejections are counted into `stats` by reason.
+    /// step budget `remaining` is given — whether the shape distance of the
+    /// child's frontier fits it, all decided on `graph` itself; no child is
+    /// built. Rejections are counted into `stats` by reason.
+    ///
+    /// The distance check reads the parent's frontier and the action's
+    /// edit: the exact-match cancellation of the child's dims, taken in any
+    /// order, settles most candidates
+    /// ([`distance::settle`](crate::distance::settle)), and only the rest
+    /// have their frontier written out for [`shape_distance_within`]. The
+    /// invariant that lets it refuse is checked once on the parent and the
+    /// spec, and on each edit's new domains before a rule that needs it.
     fn filter(
         &self,
         graph: &PGraph,
@@ -200,19 +208,37 @@ impl Enumerator {
         stats: &mut EnumStats,
     ) -> Vec<Action> {
         let mut out = Vec::new();
-        // Every candidate's child frontier, one at a time.
-        let mut frontier = Vec::with_capacity(graph.frontier().len() + 1);
+        let (desired, vars) = (graph.spec().input.dims(), graph.vars());
+        let signs = distance::primary_signs(vars);
+        // The parent's frontier, then a candidate's child frontier when its
+        // distance is computed in full.
+        let parent = graph.frontier().len();
+        let mut sizes = Vec::with_capacity(2 * parent + 1);
+        sizes.extend(graph.frontier().iter().map(|&c| graph.coord_domain(c).clone()));
+        let nonnegative = distance::primaries_nonnegative(sizes.iter().chain(desired), signs);
+        let canon = &self.config.canon;
         self.candidates(graph, |action| {
-            if self.config.canon.allows(graph, &action).is_err() {
+            let refused = || canon.allows_in_any_order(graph, &action).is_err();
+            if canon.out_of_order(graph, &action) || refused() {
                 stats.pruned_canon += 1;
                 return;
             }
-            if graph.peek_into(&action, &mut frontier).is_err() {
+            let Ok(edit) = graph.validate(&action) else {
                 stats.invalid += 1;
                 return;
-            }
+            };
             let fits = remaining.is_none_or(|steps| {
-                shape_distance(&frontier, graph.spec().input.dims(), graph.vars()) as usize <= steps
+                let budget = u32::try_from(steps).unwrap_or(u32::MAX);
+                let child = || edit.child_dims(&sizes[..parent]);
+                let gap = edit.child_len(parent).abs_diff(desired.len());
+                let keeps = || nonnegative && distance::primaries_nonnegative(edit.put(), signs);
+                let settled = distance::settle(child, desired, gap, budget, signs, keeps);
+                settled.unwrap_or_else(|| {
+                    edit.push_child(&mut sizes, parent);
+                    let fits = shape_distance_within(&sizes[parent..], desired, vars, budget);
+                    sizes.truncate(parent);
+                    fits
+                })
             });
             if fits {
                 out.push(action);
@@ -463,24 +489,30 @@ pub fn rollout<R: Rng + ?Sized>(
         guided,
         children: Vec::new(),
     };
-    rollout_with(rng, enumerator, graph.clone(), &mut filter)
+    rollout_with(rng, enumerator, graph, &mut filter)
 }
 
-/// The rollout loop: from `current`, draws one child of each state
+/// The rollout loop: from `start`, draws one child of each state
 /// uniformly from `source` until the graph completes (judged against
 /// `enumerator`'s budgets), `max_steps` primitives are taken, or a state has
 /// no child. The same lists in the same order take the same draws, whatever
 /// the source.
+///
+/// `start` is borrowed: the loop builds each state it moves to and clones
+/// `start` only when `start` itself is the complete operator it returns.
 pub fn rollout_with<R: Rng + ?Sized>(
     rng: &mut R,
     enumerator: &Enumerator,
-    mut current: PGraph,
+    start: &PGraph,
     source: &mut impl ChildSource,
 ) -> RolloutResult {
+    let mut reached: Option<PGraph> = None;
     loop {
+        let current = reached.as_ref().unwrap_or(start);
         if current.is_complete() && !current.is_empty() {
-            return if enumerator.within_budgets(&current) {
-                RolloutResult::Complete(Box::new(current))
+            return if enumerator.within_budgets(current) {
+                let graph = reached.unwrap_or_else(|| start.clone());
+                RolloutResult::Complete(Box::new(graph))
             } else {
                 RolloutResult::OverBudget
             };
@@ -488,14 +520,15 @@ pub fn rollout_with<R: Rng + ?Sized>(
         if current.len() >= enumerator.config.max_steps {
             return RolloutResult::StepLimit;
         }
-        let children = source.children(&current);
+        let children = source.children(current);
         if children.is_empty() {
             return RolloutResult::DeadEnd;
         }
         let pick = rng.random_range(0..children.len());
-        current = current
+        let next = current
             .apply(&children[pick])
             .expect("filtered child applies");
+        reached = Some(next);
         source.take(pick);
     }
 }

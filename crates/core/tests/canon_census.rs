@@ -199,3 +199,61 @@ fn five_step_sequence_census_is_within_its_bound() {
         },
     );
 }
+
+/// Checks [`shape_distance_within`] against the full distance on the
+/// frontier of every canonical, valid child of every state of the census
+/// walk, at every budget from 0 to `max_steps`, and returns how many
+/// distinct child frontiers it checked. On the way, each state's feasible
+/// children must be its canonical children whose peeked frontier's full
+/// distance fits the steps left, which the filter decides from the parent's
+/// frontier and the action's edit instead.
+fn check_distance_budgets((enumerator, root): (Enumerator, PGraph)) -> usize {
+    let max_steps = enumerator.config().max_steps as u32;
+    let input = root.spec().input.dims().to_vec();
+    let vars = Arc::clone(root.vars());
+    let mut frontiers: HashSet<Vec<Size>> = HashSet::new();
+    let mut stack = vec![root];
+    while let Some(state) = stack.pop() {
+        let remaining = max_steps.checked_sub(state.len() as u32 + 1);
+        let mut fitting = Vec::new();
+        for action in enumerator.children(&state) {
+            let frontier = state.peek(&action).expect("a child peeks");
+            if remaining.is_some_and(|r| shape_distance(&frontier, &input, &vars) <= r) {
+                fitting.push(action);
+            }
+            frontiers.insert(frontier);
+        }
+        assert_eq!(enumerator.feasible_children(&state), fitting, "on\n{state}");
+        if state.is_complete() && !state.is_empty() {
+            continue;
+        }
+        for action in &enumerator.feasible_children(&state) {
+            stack.push(state.apply(action).expect("feasible child applies"));
+        }
+    }
+    for frontier in &frontiers {
+        let distance = shape_distance(frontier, &input, &vars);
+        for budget in 0..=max_steps {
+            assert_eq!(
+                shape_distance_within(frontier, &input, &vars, budget),
+                distance <= budget,
+                "distance {distance}, budget {budget}: {frontier:?} -> {input:?}"
+            );
+        }
+    }
+    frontiers.len()
+}
+
+#[test]
+fn four_step_distance_budgets_match_the_full_distance() {
+    assert!(check_distance_budgets(toy_vision(4)) > 1_000);
+    assert!(check_distance_budgets(toy_sequence(4)) > 1_000);
+}
+
+/// Ignored by default, as the 5-step census walks are. CI runs it in release.
+#[test]
+#[ignore]
+fn five_step_distance_budgets_match_the_full_distance() {
+    assert!(check_distance_budgets(toy_vision(5)) > 1_000);
+    assert!(check_distance_budgets(toy_sequence(5)) > 1_000);
+}

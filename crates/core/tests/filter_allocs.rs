@@ -6,9 +6,13 @@
 //!   keeps, and [`shape_distance`], of the state's frontier and of each
 //!   child's: no allocation at all;
 //! * [`Enumerator::feasible_children`]: two new blocks at most — the list it
-//!   returns and the one buffer every candidate's child frontier is written
-//!   to — and no regrowth but the list's own, however many candidates it
-//!   tries.
+//!   returns and the one buffer holding the parent's frontier and each child
+//!   frontier written out — and no regrowth but the list's own, however many
+//!   candidates it tries.
+//!
+//! [`PGraph::apply`] is bounded too, on average per depth: the child is one
+//! copy of each of the parent's growing vectors, with room for what the
+//! action adds.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -152,6 +156,43 @@ fn check_walks((vars, spec): (Arc<VarTable>, OperatorSpec), walks: u64) -> usize
         }
     }
     states
+}
+
+/// Mean allocations (new blocks plus regrowths) of one [`PGraph::apply`] at
+/// depths 0, 1 and 2: every canonical child of every state at that depth of
+/// `walks` seeded walks over `spec`.
+fn apply_allocs((vars, spec): (Arc<VarTable>, OperatorSpec), walks: u64) -> [f64; 3] {
+    let enumerator = Enumerator::new(SynthConfig::auto(&vars, 4));
+    let root = PGraph::new(vars, spec);
+    let mut totals = [(0usize, 0usize); 3];
+    for seed in 0..walks {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut state = root.clone();
+        for (allocs, applies) in &mut totals {
+            let children = enumerator.children(&state);
+            if children.is_empty() {
+                break;
+            }
+            for action in &children {
+                let (child, (made, grown)) = counted(|| state.apply(action));
+                drop(child);
+                *allocs += made + grown;
+                *applies += 1;
+            }
+            state = state.apply(&children[rng.random_range(0..children.len())]).unwrap();
+        }
+    }
+    totals.map(|(allocs, applies)| allocs as f64 / applies.max(1) as f64)
+}
+
+#[test]
+fn apply_allocations_are_bounded() {
+    for spec in [toy_vision(), toy_sequence()] {
+        let means = apply_allocs(spec, 24);
+        for (mean, bound) in means.into_iter().zip([5.6, 6.2, 6.9]) {
+            assert!(mean <= bound, "apply allocated {means:?} per call at depths 0-2");
+        }
+    }
 }
 
 #[test]

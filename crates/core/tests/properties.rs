@@ -335,9 +335,9 @@ proptest! {
     #[test]
     fn shape_distance_matches_previous_implementation(seed in 0u64..100_000) {
         let mut table = VarTable::new();
-        let names = [("A", VarKind::Primary), ("B", VarKind::Primary), ("C", VarKind::Primary),
-            ("s", VarKind::Coefficient), ("k", VarKind::Coefficient), ("g", VarKind::Coefficient)];
-        let ids: Vec<VarId> = names.iter().map(|(n, kind)| table.declare(n, *kind)).collect();
+        let kinds = [VarKind::Primary, VarKind::Coefficient];
+        let names = [("A", 0), ("B", 0), ("C", 0), ("s", 1), ("k", 1), ("g", 1)];
+        let ids: Vec<VarId> = names.iter().map(|&(n, kind)| table.declare(n, kinds[kind])).collect();
         table.push_valuation(ids.iter().map(|&v| (v, 2 + v.index() as u64)).collect());
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..40 {
@@ -381,7 +381,9 @@ proptest! {
             let mut desired: Vec<Size> = (0..rng.random_range(0..=40)).map(|_| draw(&mut rng)).collect();
             let mut current: Vec<Size> = (0..rng.random_range(0..=40)).map(|_| draw(&mut rng)).collect();
             for d in desired.clone() {
-                if rng.random_range(0..2) == 0 { current.insert(rng.random_range(0..=current.len()), d); }
+                if rng.random_range(0..2) == 0 {
+                    current.insert(rng.random_range(0..=current.len()), d);
+                }
             }
             current.truncate(40);
             desired.truncate(40);
@@ -390,6 +392,53 @@ proptest! {
                 oracle::shape_distance(&current, &desired, &table),
             );
             prop_assert!(new == old, "{new} != {old} for {current:?} -> {desired:?}");
+        }
+    }
+}
+
+proptest! {
+    /// The budgeted distance answers `shape_distance(..) <= budget` at every
+    /// budget, on random shapes with cancelling dims, coefficient-only dims
+    /// (up to six loose ones, past the enumeration cap of four) and primaries
+    /// with negative exponents, on which neither refusal bound holds.
+    #[test]
+    fn shape_distance_within_answers_the_full_distance(seed in 0u64..100_000) {
+        let mut table = VarTable::new();
+        let kinds = [VarKind::Primary, VarKind::Coefficient];
+        let names = [("A", 0), ("B", 0), ("C", 0), ("s", 1), ("k", 1), ("g", 1)];
+        let ids: Vec<VarId> = names.iter().map(|&(n, kind)| table.declare(n, kinds[kind])).collect();
+        table.push_valuation(ids.iter().map(|&v| (v, 2 + v.index() as u64)).collect());
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..40 {
+            let mut current: Vec<Size> = (0..rng.random_range(0..6))
+                .map(|_| random_size(&mut rng, &ids, false))
+                .collect();
+            let desired: Vec<Size> = (0..rng.random_range(0..5))
+                .map(|_| random_size(&mut rng, &ids, false))
+                .collect();
+            for d in desired.clone() {
+                if rng.random_range(0..2) == 0 {
+                    current.insert(rng.random_range(0..=current.len()), d);
+                }
+            }
+            for _ in 0..[0, 1, 2, 5, 6][rng.random_range(0..5usize)] {
+                current.push(random_size(&mut rng, &ids, true));
+            }
+            // Or a regroup: the desired shape with two dims multiplied into
+            // one, where few dims are left and they cost little.
+            if desired.len() >= 2 && rng.random_range(0..4) == 0 {
+                current = desired.clone();
+                let (a, b) = (current.remove(0), current.remove(0));
+                current.insert(rng.random_range(0..=current.len()), a.mul(&b));
+            }
+            let distance = shape_distance(&current, &desired, &table);
+            for budget in 0..=8 {
+                let within = shape_distance_within(&current, &desired, &table, budget);
+                prop_assert!(
+                    within == (distance <= budget),
+                    "distance {distance}, budget {budget}: {current:?} -> {desired:?}"
+                );
+            }
         }
     }
 }

@@ -32,6 +32,19 @@
 //!
 //! [`SynthMemo`]: crate::SynthMemo
 //!
+//! # States on the tree
+//!
+//! Each tree node holds the state its path builds, applied once, when
+//! selection first takes the action: selection walks down the stored
+//! states and applies only to create a node, and a rollout borrows its
+//! leaf's state ([`rollout_with`]) and builds only the states it moves to.
+//! A node keeps its state while it may still be filtered, grow a child or
+//! start a rollout; once every child exists it drops it, since selection
+//! then only passes through. A dead end or a complete operator has no child
+//! to create, so it keeps its state for the rollouts that revisit it. A
+//! search adds at most one node per iteration, so it holds at most
+//! `iterations + 1` states.
+//!
 //! # Evaluation
 //!
 //! The searcher does not train proxies itself — it asks its caller for
@@ -102,10 +115,15 @@ pub struct EvalOutcome {
     pub reward: f64,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct TreeNode {
     visits: u64,
     total_reward: f64,
+    /// The state the node's action path builds, applied once, when the node
+    /// was created, and dropped once every child is created: selection
+    /// then only passes through, and never filters, applies or rolls out
+    /// here again.
+    state: Option<PGraph>,
     /// The node's entry in the [`PathMemo`].
     entry: usize,
     /// The node's feasible actions, once expanded.
@@ -117,6 +135,20 @@ struct TreeNode {
     /// count already includes those iterations (the *virtual loss*), so
     /// UCB reads must wait for the count to return to zero.
     pending: u32,
+}
+
+impl TreeNode {
+    fn new(state: PGraph, entry: usize) -> TreeNode {
+        TreeNode {
+            visits: 0,
+            total_reward: 0.0,
+            state: Some(state),
+            entry,
+            actions: None,
+            children: Vec::new(),
+            pending: 0,
+        }
+    }
 }
 
 /// A rollout's position in the [`PathMemo`]: the children it samples are
@@ -224,7 +256,7 @@ impl Mcts {
         Mcts {
             enumerator,
             config,
-            nodes: vec![TreeNode::default()],
+            nodes: Vec::new(),
             memo,
             stats: MctsStats::default(),
         }
@@ -284,6 +316,9 @@ impl Mcts {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut found: HashMap<u64, Discovered> = HashMap::new();
         let mut pending: HashMap<u64, PendingEval> = HashMap::new();
+        if self.nodes.is_empty() {
+            self.nodes.push(TreeNode::new(root.clone(), 0));
+        }
 
         for iteration in 0..self.config.iterations {
             if !keep_going(iteration as u64) {
@@ -296,12 +331,15 @@ impl Mcts {
             let select_span = syno_telemetry::span!("ucb_select");
             let mut settled = std::time::Duration::ZERO;
             let mut path: Vec<usize> = vec![0];
-            let mut state = root.clone();
             let mut current = 0usize;
             loop {
                 let entry = self.nodes[current].entry;
                 if self.nodes[current].actions.is_none() {
-                    let (actions, filtered) = self.memo.children(entry, &state, &self.enumerator);
+                    let state = self.nodes[current]
+                        .state
+                        .as_ref()
+                        .expect("a leaf keeps its state");
+                    let (actions, filtered) = self.memo.children(entry, state, &self.enumerator);
                     self.stats.states_filtered += u64::from(filtered);
                     let node = &mut self.nodes[current];
                     node.children = vec![None; actions.len()];
@@ -327,23 +365,29 @@ impl Mcts {
                         self.best_ucb_child(current)
                     }
                 };
-                let actions = self.nodes[current].actions.as_deref();
-                let action = &actions.expect("expanded nodes are filtered")[pick];
-                let child_state = state.apply(action).expect("feasible child applies");
                 let child_id = match self.nodes[current].children[pick] {
                     Some(id) => id,
                     None => {
+                        let node = &self.nodes[current];
+                        let actions = node.actions.as_deref();
+                        let action = &actions.expect("expanded nodes are filtered")[pick];
+                        let parent = node
+                            .state
+                            .as_ref()
+                            .expect("a node with untried children keeps its state");
+                        let state = parent.apply(action).expect("feasible child applies");
                         let id = self.nodes.len();
-                        self.nodes.push(TreeNode {
-                            entry: self.memo.child(entry, pick).0,
-                            ..TreeNode::default()
-                        });
-                        self.nodes[current].children[pick] = Some(id);
+                        self.nodes
+                            .push(TreeNode::new(state, self.memo.child(entry, pick).0));
+                        let node = &mut self.nodes[current];
+                        node.children[pick] = Some(id);
+                        if node.children.iter().all(Option::is_some) {
+                            node.state = None;
+                        }
                         id
                     }
                 };
                 let is_new = self.nodes[child_id].actions.is_none();
-                state = child_state;
                 current = child_id;
                 path.push(current);
                 if is_new && self.nodes[current].visits == 0 {
@@ -369,7 +413,11 @@ impl Mcts {
                 list: None,
                 filtered: 0,
             };
-            let rolled = rollout_with(&mut rng, &self.enumerator, state, &mut walk);
+            let start = self.nodes[current]
+                .state
+                .as_ref()
+                .expect("a leaf keeps its state");
+            let rolled = rollout_with(&mut rng, &self.enumerator, start, &mut walk);
             self.stats.states_filtered += walk.filtered;
             self.stats.rollout_ns += synth_span.elapsed().as_nanos() as u64;
             drop(synth_span);
@@ -467,7 +515,7 @@ impl Mcts {
     /// rewards first so the comparison reads final statistics.
     fn best_ucb_child(&self, current: usize) -> usize {
         let node = &self.nodes[current];
-        let parent_visits = node.visits.max(1) as f64;
+        let parent_visits_ln = (node.visits.max(1) as f64).ln();
         let exploration = self.config.exploration;
         let mut best = 0;
         let mut best_score = f64::NEG_INFINITY;
@@ -475,7 +523,7 @@ impl Mcts {
             let child_id = child.expect("all tried");
             let c = &self.nodes[child_id];
             let (v, q) = (c.visits.max(1) as f64, c.total_reward);
-            let ucb = q / v + exploration * (parent_visits.ln() / v).sqrt();
+            let ucb = q / v + exploration * (parent_visits_ln / v).sqrt();
             if ucb > best_score {
                 best_score = ucb;
                 best = idx;

@@ -124,7 +124,8 @@ pub enum SessionMessage {
 
 /// Per-session inbound queue, created lazily by whichever side touches
 /// the session id first (the demux on an early `Event`, or
-/// [`SynoClient::submit`] on `Accepted`).
+/// [`SynoClient::submit`] on `Accepted`), and removed once its terminal
+/// `Done` is routed and its receiver taken, whichever comes second.
 struct SessionQueue {
     tx: Sender<SessionMessage>,
     rx: Option<Receiver<SessionMessage>>,
@@ -155,22 +156,29 @@ struct Demux {
 impl Demux {
     fn take_session_rx(&self, session: u64) -> Receiver<SessionMessage> {
         let mut sessions = self.sessions.lock().expect("session queues lock");
-        sessions
-            .entry(session)
-            .or_insert_with(SessionQueue::new)
-            .rx
-            .take()
-            .expect("session receiver already taken")
+        let queue = sessions.entry(session).or_insert_with(SessionQueue::new);
+        let rx = queue.rx.take().expect("session receiver already taken");
+        if queue.done {
+            sessions.remove(&session);
+        }
+        rx
     }
 
     fn send_session(&self, session: u64, message: SessionMessage, terminal: bool) {
         let mut sessions = self.sessions.lock().expect("session queues lock");
         let queue = sessions.entry(session).or_insert_with(SessionQueue::new);
         queue.received += 1;
-        if terminal {
-            queue.done = true;
-        }
+        queue.done |= terminal;
         let _ = queue.tx.send(message);
+        if queue.done && queue.rx.is_none() {
+            sessions.remove(&session);
+        }
+    }
+
+    /// How many session queues the connection holds.
+    #[cfg(test)]
+    fn queues(&self) -> usize {
+        self.sessions.lock().expect("session queues lock").len()
     }
 
     fn route(&self, frame: Frame) {
@@ -587,5 +595,60 @@ impl ClientSession<'_> {
         self.client.send(&Frame::Cancel {
             session: self.session,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::daemon::{Daemon, ServeConfig};
+    use syno_core::codec::encode_spec;
+    use syno_core::prelude::*;
+
+    /// A client that runs many sessions in a row holds a queue only for the
+    /// one in flight: each is dropped once its `Done` is routed and its
+    /// receiver taken.
+    #[test]
+    fn sequential_sessions_hold_at_most_one_queue() {
+        let mut vars = VarTable::new();
+        let [n, cin, cout, h, w] =
+            ["N", "Cin", "Cout", "H", "W"].map(|v| vars.declare(v, VarKind::Primary));
+        let k = vars.declare("k", VarKind::Coefficient);
+        vars.push_valuation(vec![(n, 2), (cin, 3), (cout, 4), (h, 4), (w, 4), (k, 2)]);
+        let dims =
+            |c| TensorShape::new(vec![Size::var(n), Size::var(c), Size::var(h), Size::var(w)]);
+        let spec = OperatorSpec::new(dims(cin), dims(cout));
+        let config = ServeConfig {
+            eval_workers: 1,
+            progress_every: 0,
+            ..ServeConfig::default()
+        };
+        let daemon = Daemon::bind("127.0.0.1:0", None, config).expect("daemon binds");
+        let (handle, daemon_thread) = daemon.spawn();
+        let client = SynoClient::connect(handle.addr(), "queues").expect("client connects");
+        for seed in 1..=50 {
+            let request = SearchRequest {
+                label: format!("queues-{seed}"),
+                spec: encode_spec(&vars, &spec),
+                family: "vision".to_owned(),
+                iterations: 2,
+                seed,
+                progress_every: 0,
+                max_steps: 0,
+                train_steps: 1,
+                train_batch: 2,
+                eval_batches: 1,
+                resume: false,
+            };
+            let session = client.submit(&request).expect("session admitted");
+            assert!(client.demux.queues() <= 1);
+            let last = session.messages().last();
+            assert!(matches!(last, Some(SessionMessage::Done { .. })), "{last:?}");
+            assert_eq!(client.demux.queues(), 0, "session {seed} left its queue");
+        }
+        client.shutdown().expect("daemon acknowledges shutdown");
+        drop(client);
+        daemon_thread.join().expect("daemon exits");
+        drop(handle);
     }
 }

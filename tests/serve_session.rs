@@ -333,18 +333,22 @@ fn shutdown_mid_run_checkpoints_sessions_for_identical_resume() {
 
     let vision_req = request("conv-r", &vision.0, &vision.1, "vision", 20, 11);
     let lm_req = request("lm-r", &lm.0, &lm.1, "sequence", 16, 13);
+    // A third session whose budget no run finishes before the shutdown, so
+    // the drain always has a live session to checkpoint even when both
+    // short ones are done by then.
+    let long_req = request("conv-long", &vision.0, &vision.1, "vision", 1_000_000, 17);
 
-    // Neither tenant may trigger the shutdown before both sessions are
-    // admitted: a draining daemon rejects new submissions.
-    let both_admitted = std::sync::Barrier::new(2);
+    // No tenant may trigger the shutdown before every session is admitted:
+    // a draining daemon rejects new submissions.
+    let all_admitted = std::sync::Barrier::new(3);
     let (vision_out, lm_out) = std::thread::scope(|scope| {
-        let (handle, both_admitted) = (&handle, &both_admitted);
+        let (handle, all_admitted) = (&handle, &all_admitted);
         let pump = |req: &SearchRequest, addr: String, tenant: &'static str| {
             let req = req.clone();
             scope.spawn(move || {
                 let client = SynoClient::connect(&addr, tenant).expect("tenant connects");
                 let session = client.submit(&req).expect("session admitted");
-                both_admitted.wait();
+                all_admitted.wait();
                 let mut stopped = String::new();
                 let mut tuned = 0usize;
                 for message in session.messages() {
@@ -367,6 +371,8 @@ fn shutdown_mid_run_checkpoints_sessions_for_identical_resume() {
         };
         let a = pump(&vision_req, addr.clone(), "vision-team");
         let b = pump(&lm_req, addr.clone(), "lm-team");
+        let long = pump(&long_req, addr.clone(), "long-team");
+        long.join().expect("long tenant");
         (a.join().expect("vision tenant"), b.join().expect("lm tenant"))
     });
 
